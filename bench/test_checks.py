@@ -1,5 +1,6 @@
 """The output checkers count corrupted outputs as failures and pass correct
-ones; the tracer wraps, counts and restores.
+ones; the tracer wraps, counts and restores; host-speed scaling samples
+while a child runs and scales by the samples' mean.
 
 Run with ``python3 -m pytest bench -q`` from the repository root.  The
 correct outputs are the recorded reference outputs of the default seed.
@@ -8,16 +9,18 @@ correct outputs are the recorded reference outputs of the default seed.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 import layers
+import run
 from layers import METRICS, Tracer, instrument
 from run import END_TO_END, HERE
 from workloads import (
     DEFAULT_SEED,
     REFERENCE_DIR,
-    REFERENCE_FILES,
     WORKLOADS,
     Tally,
     check_outputs,
@@ -194,10 +197,57 @@ def test_missing_output_fails(tmp_path):
 def test_benchmark_json_matches_the_harness():
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert [w["name"] for w in spec["workloads"]] == list(WORKLOADS)
+    for entry in spec["workloads"]:
+        for key, value in WORKLOADS[entry["name"]].params.items():
+            value = ",".join(value) if isinstance(value, list) else str(value)
+            assert f" {key}={value}" in entry["why"], (entry["name"], key)
     assert [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]] == END_TO_END
     assert [(m["name"], m["unit"]) for m in spec["per_layer"]] == [
         (name, unit) for name, unit, _what in METRICS]
-    assert sorted(REFERENCE_FILES) == sorted(p.name for p in REFERENCE_DIR.iterdir())
+    assert sorted(name for names in OUTPUTS.values() for name in names) == sorted(
+        p.name for p in REFERENCE_DIR.iterdir())
+
+
+def test_all_workloads_end_in_one_result_line(monkeypatch, capsys):
+    def fake_run(workload, seed, seconds, traced):
+        failed = int(workload.name == "decode-analyze")
+        return {"workload": workload.name}, {
+            "correct": not failed, "attempted": 3, "failed": failed,
+            "metrics": {"wall_s": {"value": 1.5, "unit": "s"}}}
+    monkeypatch.setattr(run, "run_workload", fake_run)
+    assert run.main(["--seconds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(WORKLOADS) + 1
+    result = json.loads(lines[-1])
+    assert sorted(result) == ["attempted", "correct", "failed", "metrics"]
+    assert (result["correct"], result["attempted"], result["failed"]) == (
+        False, 3 * len(WORKLOADS), 1)
+    assert sorted(result["metrics"]) == sorted(f"{name}.wall_s" for name in WORKLOADS)
+
+
+def test_host_speed_scales_by_the_mean_of_the_calibrations_around_a_region(monkeypatch):
+    loop_times = iter([0.02, 0.03, 0.05, 0.05])
+    monkeypatch.setattr(run, "calibrate", lambda: next(loop_times))
+    speed = run.HostSpeed()
+    speed.start()
+    assert speed.scale(2.0) == pytest.approx(2.0 * run.REFERENCE_CALIBRATION_S / 0.025)
+    speed.start()
+    assert speed.scale(2.0) == pytest.approx(2.0 * run.REFERENCE_CALIBRATION_S / 0.05)
+    assert speed.factors == pytest.approx([run.REFERENCE_CALIBRATION_S / 0.025,
+                                           run.REFERENCE_CALIBRATION_S / 0.05])
+
+
+@pytest.mark.skipif(not hasattr(run.os, "pidfd_open"), reason="needs pidfd_open")
+def test_host_speed_samples_while_a_child_runs():
+    speed = run.HostSpeed()
+    speed.start()
+    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(0.35)"])
+    try:
+        sampled = speed.follow(child.pid)
+    finally:
+        child.wait()
+    assert len(speed.samples) >= 3  # one before, then about one per SAMPLE_EVERY_S
+    assert sampled == pytest.approx(sum(speed.samples[1:]))
 
 
 def test_instrument_counts_skips_missing_entry_points_and_restores(monkeypatch):

@@ -9,8 +9,9 @@ config files, all derived from the workload seed.  Commands are given as
 in-process through ``treekv.cli.main``.
 
 For the default seed, outputs are also compared with the reference outputs
-recorded under ``reference/seed0``.  Trace-file bytes are never checked:
-the trace format is expected to change.
+under ``reference/seed0``: what the code wrote for that seed when the
+benchmark was added.  Trace-file bytes are never checked: the trace format
+is expected to change.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 MODEL = {"layers": 2, "heads": 4, "d_model": 64, "d_head": 16, "vocab": 0}
 DEFAULT_SEED = 0
 REFERENCE_DIR = Path(__file__).resolve().parent / "reference" / f"seed{DEFAULT_SEED}"
-REFERENCE_FILES = ("compare.csv", "map.csv", "analyze.csv", "prefill.jsonl")
 # Golden tolerances of the repository's own fixtures.
 RTOL, ATOL = 1e-6, 1e-9
 
@@ -91,8 +91,6 @@ def _read(path: Path) -> str | None:
 
 class PolicySweep:
     name = "policy-sweep"
-    why = ("compare over six policies: engine and policies do the work and no "
-           "trace is written, so the trace layer is bypassed")
     T, c, zones = 1024, 128, "sink=4,recent=60"
     policies = ("full", "treekv", "treekv-left", "streaming", "h2o", "tova")
     tokens = T * len(policies)
@@ -116,8 +114,6 @@ class PolicySweep:
 
 class DecodeAnalyze:
     name = "decode-analyze"
-    why = ("decode with a full trace, then map and analyze it: the trace layer "
-           "writes and reads side by side")
     T, c, levels, exclude = 1024, 128, 5, 32
     tokens = T
     params = {"T": T, "c": c, "policy": "treekv", "zones": "sink=0,recent=0",
@@ -154,8 +150,6 @@ class DecodeAnalyze:
 
 class PrefillLong:
     name = "prefill-long"
-    why = ("block prefill of a 2048-token prompt: engine with an unbounded, "
-           "growing cache and no policies or trace")
     prompt_len, block_size, cache_blocks = 2048, 64, 8
     tokens = prompt_len
     params = {"prompt_len": prompt_len, "block_size": block_size,
