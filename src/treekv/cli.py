@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,6 +29,7 @@ from .engine import (
     save_weights,
     synthesize_embeddings,
     synthesize_token_ids,
+    window_rows,
 )
 from .errors import ConfigError, InputError, LevelError, SelectorError, TreeKVError
 from .policies import POLICY_SPECS, ProtectedZones, decode_with_policy
@@ -86,6 +88,7 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -104,6 +107,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if unknown:
             raise ConfigError(f"config {path} has unknown fields: {unknown}")
         for key, value in data.items():
+            expected = _FIELD_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, expected):
+                name = getattr(expected, "__name__", str(expected))
+                raise ConfigError(f"config {path}: field {key!r} must be {name}, got {value!r}")
             setattr(config, key, value)
     for key, value in overrides.items():
         if value is not None:
@@ -250,14 +257,13 @@ def cmd_prefill(args) -> int:
     window_start = partition.observation_window[0]
     dims = weights.dims
 
+    rows = window_rows(weights, inputs, window_start)
     out, close = _open_out(args.out)
     try:
         retained_tokens = []
         for layer in range(dims.layers):
             for head in range(dims.heads):
-                # Full causal pass; only the window queries' rows are kept.
-                trace = _window_rows(weights, inputs, layer, head, window_start)
-                scores = observation_scores(trace, partition)
+                scores = observation_scores(rows[layer * dims.heads + head], partition)
                 kept = treekv_prefill_compress(partition, scores, config.cache_blocks)
                 ranges = [list(partition.blocks[i]) for i in kept]
                 token_count = sum(end - start for start, end in ranges)
@@ -284,18 +290,6 @@ def cmd_prefill(args) -> int:
         if close:
             out.close()
     return 0
-
-
-def _window_rows(weights, inputs, layer, head, window_start):
-    from .engine import AttentionStream
-
-    stream = AttentionStream(weights, layer, head, capacity=None, reserve=len(inputs))
-    rows = []
-    for position in range(len(inputs)):
-        row, _output, _value = stream.step(inputs[position], position)
-        if position >= window_start:
-            rows.append(row)
-    return rows
 
 
 def _overlap(a: list[int], b: list[int]) -> float:
@@ -361,7 +355,7 @@ def cmd_compare(args) -> int:
             token_ids=ids,
             record_rows=False,
             record_values=False,
-            record_outputs=True,
+            record_outputs=weights.dims.vocab > 0,  # read only by _mean_nll
         )
         runs.append((config, trace))
 
@@ -462,6 +456,9 @@ def main(argv=None) -> int:
     except TreeKVError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

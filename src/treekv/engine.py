@@ -13,9 +13,16 @@ runs can produce logits.
 Position handling follows the re-assignment convention of sliding-window
 decoders: a rotary-style phase rotation is keyed by the slot index a key
 currently occupies in the cache, not by the token's original position, and
-it is applied lazily at attention time.  Stored keys are never re-encoded;
-evicting a slot shifts the survivors left, and the next attention call
-sees contiguous encoding positions 0..len-1.
+it is applied at attention time.  Stored keys stay raw; evicting a slot
+shifts the survivors left, and the next attention call sees contiguous
+encoding positions 0..len-1.
+
+The streams are defined one at a time (``KVCache``, ``project``,
+``apply_positions``, ``attend``) and run all at once: ``StreamBatch`` holds
+every stream's state as stacked arrays and steps them together, with the
+same floating-point operations per stream as the single-stream definition,
+so its results are bitwise equal to it.  ``window_rows`` does the same for
+prompt prefill over an unbounded cache.
 
 Weight file format (version 1)
 ------------------------------
@@ -262,13 +269,6 @@ def project(x, weights: ModelWeights, layer: int, head: int) -> ProjectedStep:
     )
 
 
-@dataclass(frozen=True)
-class CacheSlot:
-    key: np.ndarray
-    value: np.ndarray
-    original_position: int
-
-
 class KVCache:
     """Ordered key/value slots for one (layer, head) stream.
 
@@ -307,13 +307,6 @@ class KVCache:
 
     def values(self) -> np.ndarray:
         return self._values[: self._n]
-
-    @property
-    def slots(self) -> list[CacheSlot]:
-        return [
-            CacheSlot(self._keys[i], self._values[i], int(self._positions[i]))
-            for i in range(self._n)
-        ]
 
     def _grow(self) -> None:
         new = max(8, 2 * self._keys.shape[0])
@@ -360,13 +353,19 @@ class KVCache:
         self._n -= 1
 
 
-def _attend_arrays(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    if q.shape != (keys.shape[1],):
-        raise DimensionError(f"query shape {q.shape} does not match d_head {keys.shape[1]}")
-    logits = keys @ q / math.sqrt(keys.shape[1])
-    shifted = np.exp(logits - logits.max())
-    row = shifted / shifted.sum()
-    return row, row @ values
+def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Softmax rows of queries (S, d) over encoded keys (S, n, d), scaled by
+    sqrt(d).  The stacked matmul runs one BLAS matrix-vector product per
+    stream, so each row is bitwise the row a lone stream would compute."""
+    logits = np.matmul(keys, q[:, :, None])[:, :, 0] / math.sqrt(keys.shape[2])
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def _attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
+    """Attention rows (S, n) and weighted value sums (S, d) for S streams."""
+    rows = _attention_rows(q, keys)
+    return rows, np.matmul(rows[:, None, :], values)[:, 0, :]
 
 
 def attend(q, cache: KVCache):
@@ -378,7 +377,11 @@ def attend(q, cache: KVCache):
     """
     if len(cache) == 0:
         raise StateError("attend requires a non-empty cache")
-    return _attend_arrays(np.asarray(q, dtype=np.float64), cache.keys(), cache.values())
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (cache.d_head,):
+        raise DimensionError(f"query shape {q.shape} does not match d_head {cache.d_head}")
+    rows, outputs = _attend(q[None], cache.keys()[None], cache.values()[None])
+    return rows[0], outputs[0]
 
 
 # Memoized rotary tables, keyed by d_head and grown on demand.
@@ -386,6 +389,8 @@ _rope_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _rope_table(d_head: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every (position, frequency) pair for positions 0..upto
+    at least; row p is independent of the table size."""
     half = d_head // 2
     cached = _rope_tables.get(d_head)
     if cached is None or cached[0].shape[0] <= upto:
@@ -396,20 +401,27 @@ def _rope_table(d_head: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
     return _rope_tables[d_head]
 
 
-def _rotate_rows(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rotary phase rotation of each row at its own position (pure)."""
-    d = mat.shape[1]
-    half = d // 2
-    if half == 0 or mat.shape[0] == 0:
-        return mat.copy()
-    cos_all, sin_all = _rope_table(d, int(positions.max(initial=0)))
-    cos, sin = cos_all[positions], sin_all[positions]
-    even = mat[:, 0 : 2 * half : 2]
-    odd = mat[:, 1 : 2 * half : 2]
+def _rotate(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary phase rotation of the last axis of ``mat`` (pure).
+
+    ``cos`` and ``sin`` broadcast against the (even, odd) pairs of the last
+    axis; an odd tail dimension passes through unrotated.
+    """
     out = mat.copy()
-    out[:, 0 : 2 * half : 2] = even * cos - odd * sin
-    out[:, 1 : 2 * half : 2] = even * sin + odd * cos
+    half = cos.shape[-1]
+    if half == 0:
+        return out
+    even = mat[..., 0 : 2 * half : 2]
+    odd = mat[..., 1 : 2 * half : 2]
+    out[..., 0 : 2 * half : 2] = even * cos - odd * sin
+    out[..., 1 : 2 * half : 2] = even * sin + odd * cos
     return out
+
+
+def _rotate_rows(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Rotate each row of a (rows, d) matrix at its own position."""
+    cos, sin = _rope_table(mat.shape[1], int(positions.max(initial=0)))
+    return _rotate(mat, cos[positions], sin[positions])
 
 
 def rotate_vector(vec, position: int) -> np.ndarray:
@@ -438,39 +450,135 @@ def apply_positions(cache: KVCache, q, query_index: int | None = None):
     return keys_encoded, rotate_vector(q, query_index)
 
 
+def _stacked(matrices: list[list[np.ndarray]]) -> np.ndarray:
+    """Every stream's (d_model, d_head) matrix as one float64 stack
+    (S, d_model, d_head); stream s = layer * heads + head."""
+    return np.stack([m for row in matrices for m in row]).astype(np.float64)
+
+
+def _project_all(x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """One input vector through every stream's matrix: (S, d_head).
+
+    The stacked matmul runs one d_head-wide matrix-vector product per
+    stream, bitwise each stream's own ``x @ W``.  One product over all
+    streams side by side (S * d_head wide) is not: BLAS rounds the columns
+    of a wide product differently when d_head is not a multiple of the
+    kernel's vector width.
+    """
+    return np.matmul(x, stacked)
+
+
 class StreamStep(NamedTuple):
-    row: np.ndarray
-    output: np.ndarray
-    value: np.ndarray
+    rows: np.ndarray
+    outputs: np.ndarray
+    values: np.ndarray
 
 
-class AttentionStream:
-    """One (layer, head) decode stream: project, cache, encode, attend.
+class StreamBatch:
+    """Decode state of all S = layers * heads streams as one struct-of-arrays.
 
-    Streams share nothing mutable; distinct streams may run in parallel.
+    Every stream reads the same input and appends one slot per step, and
+    every eviction removes exactly one slot from each stream, so all streams
+    hold the same number of slots ``n``.  Per stream and slot it keeps the
+    raw key and value (S, slots, d_head), the original position, and the
+    importance statistics: cumulative attention mass ``scores`` (S) and
+    residency count ``counts`` (C), each (S, slots).  Only ``[:, :n]`` is
+    live.
+
+    Keys are stored raw and attended rotated at their slot index 0..n-1, so
+    each stream computes exactly what a lone stream with its own cache
+    would.  ``encoded`` keeps those rotations: a key's encoding changes only
+    when an eviction shifts it to a lower slot, so the first ``fresh`` slots
+    (all slots left of every stream's last victim) are never rotated again.
     """
 
-    def __init__(
-        self,
-        weights: ModelWeights,
-        layer: int,
-        head: int,
-        capacity: int | None = None,
-        reserve: int | None = None,
-    ):
-        self.weights = weights
-        self.layer = layer
-        self.head = head
-        self.cache = KVCache(weights.dims.d_head, capacity=capacity, reserve=reserve)
+    def __init__(self, weights: ModelWeights, slots: int):
+        dims = weights.dims
+        self.streams = dims.layers * dims.heads
+        self.wq = _stacked(weights.wq)
+        self.wk = _stacked(weights.wk)
+        self.wv = _stacked(weights.wv)
+        shape = (self.streams, max(slots, 1))
+        self.keys = np.zeros(shape + (dims.d_head,), dtype=np.float64)
+        self.encoded = np.zeros(shape + (dims.d_head,), dtype=np.float64)
+        self.values = np.zeros(shape + (dims.d_head,), dtype=np.float64)
+        self.positions = np.zeros(shape, dtype=np.int64)
+        self.scores = np.zeros(shape, dtype=np.float64)
+        self.counts = np.zeros(shape, dtype=np.int64)
+        self.n = 0
+        self.fresh = 0
 
-    def step(self, x, original_position: int) -> StreamStep:
-        q, k, v = project(x, self.weights, self.layer, self.head)
-        self.cache.append(k, v, original_position)
-        keys_encoded, q_encoded = apply_positions(
-            self.cache, q, query_index=len(self.cache) - 1
+    def step(self, x: np.ndarray, position: int) -> StreamStep:
+        """Project one input, append its key and value to every stream with
+        zeroed statistics, and attend each stream's query over its slots.
+
+        Keys are encoded at their slot indices 0..n-1 and the query at
+        n - 1, its own freshly appended slot.  The rows are accumulated into
+        the statistics (S += row, C += 1).  Returns rows (S, n), outputs and
+        values (S, d_head), all fresh arrays.
+        """
+        n = self.n
+        if n == self.keys.shape[1]:
+            raise StateError(f"stream batch is full at {n} slots")
+        q = _project_all(x, self.wq)
+        value = _project_all(x, self.wv)
+        self.keys[:, n] = _project_all(x, self.wk)
+        self.values[:, n] = value
+        self.positions[:, n] = position
+        self.scores[:, n] = 0.0
+        self.counts[:, n] = 0
+        n = self.n = n + 1
+        cos, sin = _rope_table(self.keys.shape[2], n - 1)
+        lo, self.fresh = self.fresh, n
+        self.encoded[:, lo:n] = _rotate(self.keys[:, lo:n], cos[lo:n], sin[lo:n])
+        rows, outputs = _attend(
+            _rotate(q, cos[n - 1], sin[n - 1]), self.encoded[:, :n], self.values[:, :n]
         )
-        row, output = _attend_arrays(q_encoded, keys_encoded, self.cache.values())
-        return StreamStep(row, output, v)
+        self.scores[:, :n] += rows
+        self.counts[:, :n] += 1
+        return StreamStep(rows, outputs, value)
+
+    def remove(self, victims) -> list[int]:
+        """Remove one 0-based slot per stream, shifting survivors left.
+        Returns the removed slots' original positions, one per stream."""
+        n = self.n
+        victims = np.asarray(victims)
+        if victims.shape != (self.streams,) or victims.min() < 0 or victims.max() >= n:
+            raise StateError(f"victims {victims.tolist()} are not one slot per stream in 0..{n - 1}")
+        every = np.arange(self.streams)[:, None]
+        evicted = self.positions[every[:, 0], victims].tolist()
+        lo = int(victims.min())  # no stream changes left of its own victim
+        shifted = np.arange(lo, n - 1)
+        source = shifted + (shifted >= victims[:, None])
+        for array in (self.keys, self.values, self.positions, self.scores, self.counts):
+            array[:, lo : n - 1] = array[every, source]
+        self.n = n - 1
+        self.fresh = min(self.fresh, lo)
+        return evicted
+
+
+def window_rows(weights: ModelWeights, inputs, window_start: int) -> list[list[np.ndarray]]:
+    """Causal attention rows of the queries at positions window_start..T-1
+    over an unbounded cache, for every stream (index s = layer * heads + head).
+
+    An unbounded cache never shifts, so each key is rotated once at its own
+    position: the same arithmetic as encoding it at its slot index on every
+    step.  Only the window queries attend.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    dims = weights.dims
+    streams = dims.layers * dims.heads
+    wq, wk = _stacked(weights.wq), _stacked(weights.wk)
+    seq_len = len(inputs)
+    cos, sin = _rope_table(dims.d_head, seq_len - 1)
+    raw = np.stack([_project_all(x, wk) for x in inputs], axis=1)
+    keys = _rotate(raw, cos[:seq_len], sin[:seq_len])
+    rows = [[] for _ in range(streams)]
+    for position in range(window_start, seq_len):
+        q = _rotate(_project_all(inputs[position], wq), cos[position], sin[position])
+        for stream, row in enumerate(_attention_rows(q, keys[:, : position + 1])):
+            rows[stream].append(row)
+    return rows
 
 
 def synthesize_embeddings(seed: int, count: int, d_model: int) -> np.ndarray:

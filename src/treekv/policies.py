@@ -9,10 +9,13 @@ Baselines: a sink-plus-recent sliding window in the style of StreamingLLM,
 cumulative-score eviction in the style of H2O, and last-row eviction in the
 style of TOVA.
 
-All policies read the same ImportanceTracker, whose entries are evicted in
-lockstep with cache slots.  One policy instance serves exactly one
-(layer, head) stream; instances can be moved between threads, but never
-shared.
+Every policy is a pure victim selector over the importance statistics of
+all streams (cumulative attention mass S, residency count C, the last
+attention row); only the caller removes slots, keeping cache and statistics
+parallel.  The decode loop runs every (layer, head) stream at once with one
+policy instance; the single-stream functions (``treekv_evict_step``,
+``h2o_evict``, ...) apply the same selectors to one KVCache and
+ImportanceTracker.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import AttentionStream, KVCache, ModelWeights
+from .engine import KVCache, ModelWeights, StreamBatch
 from .errors import (
     ConfigError,
     DimensionError,
@@ -148,13 +151,6 @@ def update_scores(tracker: ImportanceTracker, row) -> ImportanceTracker:
     return tracker
 
 
-def average_scores(tracker: ImportanceTracker) -> np.ndarray:
-    """Averaged attention mass per slot: S / C elementwise."""
-    if len(tracker) and int(tracker.C.min()) < 1:
-        raise InvariantViolation("tracker has a slot with zero residency count")
-    return tracker.S / tracker.C
-
-
 @dataclass
 class TreeKVState:
     """Cursor state of the tree cycle.
@@ -184,6 +180,79 @@ def advance_idx(state: TreeKVState) -> TreeKVState:
     return state
 
 
+def _averaged(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    if counts.size and int(counts.min()) < 1:
+        raise InvariantViolation("tracker has a slot with zero residency count")
+    return scores / counts
+
+
+def average_scores(tracker: ImportanceTracker) -> np.ndarray:
+    """Averaged attention mass per slot: S / C elementwise."""
+    return _averaged(tracker.S, tracker.C)
+
+
+# --- victim selectors --------------------------------------------------------
+#
+# Each eviction rule is written once, as a pure function over all streams:
+# statistics of shape (streams, slots) in, one 0-based victim slot per
+# stream out.  The decode loop applies them to every stream at once; the
+# single-stream functions below apply them to one cache.
+
+
+def tree_victims(scores, counts, state: TreeKVState, zones: ProtectedZones) -> np.ndarray:
+    """The tree rule: of the slot pair under the cursor (offset past the
+    sink zone), the lower averaged attention mass goes, ties to the left; in
+    select-left mode the left slot always goes."""
+    expected = zones.total + state.c + 1
+    if scores.shape[1] != expected:
+        raise StateError(
+            f"tree eviction needs exactly {expected} slots (one over capacity), "
+            f"cache has {scores.shape[1]}"
+        )
+    if not 1 <= state.idx <= state.c:
+        raise InvariantViolation(f"cursor {state.idx} outside 1..{state.c}")
+    left = zones.n_sink + state.idx - 1
+    if state.mode == "select-left":
+        return np.full(len(scores), left)
+    pair = _averaged(scores[:, left : left + 2], counts[:, left : left + 2])
+    return left + (pair[:, 0] > pair[:, 1])
+
+
+def _evictable_range(cache_len: int, zones: ProtectedZones) -> tuple[int, int]:
+    """0-based half-open range of slots outside the protected zones."""
+    lo = zones.n_sink
+    hi = cache_len - zones.n_recent
+    if lo >= hi:
+        raise ConfigError(
+            f"no evictable slot: cache of {cache_len} cannot protect "
+            f"sink={zones.n_sink} and recent={zones.n_recent}"
+        )
+    return lo, hi
+
+
+def streaming_victims(streams: int, cache_len: int, zones: ProtectedZones) -> np.ndarray:
+    """The sliding-window rule: the oldest slot outside the sink region."""
+    lo, _hi = _evictable_range(cache_len, zones)
+    return np.full(streams, lo)
+
+
+def argmin_victims(weights, zones: ProtectedZones) -> np.ndarray:
+    """The H2O and TOVA rule: the minimum-weight slot outside the zones,
+    leftmost on ties.  H2O passes cumulative scores, TOVA the last row."""
+    lo, hi = _evictable_range(weights.shape[1], zones)
+    return lo + np.argmin(weights[:, lo:hi], axis=1)
+
+
+# --- single-stream eviction ----------------------------------------------------
+
+
+def _check_parallel(cache: KVCache, tracker: ImportanceTracker) -> None:
+    if len(tracker) != len(cache):
+        raise DimensionError(
+            f"tracker length {len(tracker)} does not match cache length {len(cache)}"
+        )
+
+
 def treekv_evict_step(
     cache: KVCache,
     tracker: ImportanceTracker,
@@ -198,39 +267,12 @@ def treekv_evict_step(
     in select-left mode the left slot always goes.  Removes the slot from
     the cache and the tracker and returns its 1-based index.
     """
+    _check_parallel(cache, tracker)
     zones = ProtectedZones.coerce(zones)
-    expected = zones.total + state.c + 1
-    if len(cache) != expected:
-        raise StateError(
-            f"tree eviction needs exactly {expected} slots (one over capacity), "
-            f"cache has {len(cache)}"
-        )
-    if len(tracker) != len(cache):
-        raise DimensionError(
-            f"tracker length {len(tracker)} does not match cache length {len(cache)}"
-        )
-    if not 1 <= state.idx <= state.c:
-        raise InvariantViolation(f"cursor {state.idx} outside 1..{state.c}")
-    left = zones.n_sink + state.idx  # 1-based
-    if state.mode == "select-left":
-        victim = left
-    else:
-        averaged = average_scores(tracker)
-        victim = left + 1 if averaged[left - 1] > averaged[left] else left
-    cache.evict(victim - 1)
-    tracker.evict(victim - 1)
-    return victim
-
-
-def _evictable_range(cache_len: int, zones: ProtectedZones) -> tuple[int, int]:
-    lo = zones.n_sink + 1
-    hi = cache_len - zones.n_recent
-    if lo > hi:
-        raise ConfigError(
-            f"no evictable slot: cache of {cache_len} cannot protect "
-            f"sink={zones.n_sink} and recent={zones.n_recent}"
-        )
-    return lo, hi
+    victim = int(tree_victims(tracker.S[None], tracker.C[None], state, zones)[0])
+    cache.evict(victim)
+    tracker.evict(victim)
+    return victim + 1
 
 
 def streaming_llm_evict(cache: KVCache, zones: ProtectedZones | None = None) -> int:
@@ -240,10 +282,9 @@ def streaming_llm_evict(cache: KVCache, zones: ProtectedZones | None = None) -> 
     sync.  Returns the 1-based victim index.
     """
     zones = ProtectedZones.coerce(zones)
-    _evictable_range(len(cache), zones)
-    victim = zones.n_sink + 1
-    cache.evict(victim - 1)
-    return victim
+    victim = int(streaming_victims(1, len(cache), zones)[0])
+    cache.evict(victim)
+    return victim + 1
 
 
 def h2o_evict(
@@ -253,32 +294,27 @@ def h2o_evict(
 ) -> int:
     """Evict the minimum cumulative-score slot outside the zones
     (leftmost on ties).  Removes from cache and tracker."""
-    zones = ProtectedZones.coerce(zones)
-    if len(tracker) != len(cache):
-        raise DimensionError(
-            f"tracker length {len(tracker)} does not match cache length {len(cache)}"
-        )
-    lo, hi = _evictable_range(len(cache), zones)
-    middle = tracker.S[lo - 1 : hi]
-    victim = lo + int(np.argmin(middle))
-    cache.evict(victim - 1)
-    tracker.evict(victim - 1)
-    return victim
+    _check_parallel(cache, tracker)
+    victim = int(argmin_victims(tracker.S[None], ProtectedZones.coerce(zones))[0])
+    cache.evict(victim)
+    tracker.evict(victim)
+    return victim + 1
 
 
 def tova_evict(cache: KVCache, last_row, zones: ProtectedZones | None = None) -> int:
     """Evict the slot with minimum weight in the most recent attention row,
     outside the zones (leftmost on ties).  Removes from the cache only."""
-    zones = ProtectedZones.coerce(zones)
     last_row = np.asarray(last_row, dtype=np.float64)
     if last_row.shape != (len(cache),):
         raise DimensionError(
             f"last row length {last_row.shape} does not match cache length {len(cache)}"
         )
-    lo, hi = _evictable_range(len(cache), zones)
-    victim = lo + int(np.argmin(last_row[lo - 1 : hi]))
-    cache.evict(victim - 1)
-    return victim
+    victim = int(argmin_victims(last_row[None], ProtectedZones.coerce(zones))[0])
+    cache.evict(victim)
+    return victim + 1
+
+
+# --- policies ------------------------------------------------------------------
 
 
 class EvictionRecord(NamedTuple):
@@ -288,28 +324,59 @@ class EvictionRecord(NamedTuple):
 
 
 class EvictionPolicy:
-    """Contract: after a decode step, remove zero or one slot.
+    """Contract: when the streams are one slot over capacity, ``select``
+    names one victim slot per stream (or None to decline) without changing
+    anything; the caller removes the victims and then calls ``advance``.
 
-    ``evict`` is called only when the cache is over capacity; it must keep
-    the tracker parallel to the cache and report what it removed.
+    One instance serves every stream of a run: all streams hold the same
+    number of slots and evict in lockstep, so a tree cursor is shared.
     """
 
     spec = "?"
+    cursor: int | None = None  # the tree cursor the next eviction uses
 
-    def evict(
-        self, cache: KVCache, tracker: ImportanceTracker, last_row: np.ndarray
-    ) -> EvictionRecord | None:
+    def select(self, scores, counts, last_rows) -> np.ndarray | None:
+        """Victim slot (0-based) per stream from (streams, slots) statistics
+        S and C and the last attention rows."""
         raise NotImplementedError
+
+    def advance(self) -> None:
+        """Move past an eviction that removed the selected victims."""
 
     @property
     def unbounded(self) -> bool:
         return False
 
+    def evict(
+        self, cache: KVCache, tracker: ImportanceTracker, last_row
+    ) -> EvictionRecord | None:
+        """Select and remove one slot of a single over-capacity stream,
+        keeping its tracker parallel."""
+        _check_parallel(cache, tracker)
+        cursor = self.cursor
+        rows = None
+        if last_row is not None:
+            rows = np.asarray(last_row, dtype=np.float64)[None]
+            if rows.shape != (1, len(cache)):
+                raise DimensionError(
+                    f"last row length {rows.shape[1:]} does not match cache length "
+                    f"{len(cache)}"
+                )
+        victims = self.select(tracker.S[None], tracker.C[None], rows)
+        if victims is None:
+            return None
+        victim = int(victims[0])
+        position = int(cache.positions[victim])
+        cache.evict(victim)
+        tracker.evict(victim)
+        self.advance()
+        return EvictionRecord(victim + 1, position, cursor)
+
 
 class FullAttention(EvictionPolicy):
     spec = "full"
 
-    def evict(self, cache, tracker, last_row):
+    def select(self, scores, counts, last_rows):
         return None
 
     @property
@@ -336,77 +403,56 @@ class TreeKV(EvictionPolicy):
     def spec(self) -> str:
         return "treekv-left" if self.state.mode == "select-left" else "treekv"
 
-    def evict(self, cache, tracker, last_row):
-        cursor = self.state.idx
-        positions = cache.positions.copy()
-        victim = treekv_evict_step(cache, tracker, self.state, self.zones)
+    @property
+    def cursor(self) -> int:
+        return self.state.idx
+
+    def select(self, scores, counts, last_rows):
+        return tree_victims(scores, counts, self.state, self.zones)
+
+    def advance(self) -> None:
         advance_idx(self.state)
-        return EvictionRecord(victim, int(positions[victim - 1]), cursor)
 
 
-class StreamingLLM(EvictionPolicy):
+class _ZonedPolicy(EvictionPolicy):
+    """A baseline that evicts outside the protected zones.  At eviction time
+    the cache holds capacity + 1 slots, so c >= n_sink + n_recent leaves one
+    of them unprotected."""
+
+    def __init__(self, capacity: int, zones=None):
+        zones = ProtectedZones.coerce(zones)
+        if capacity < zones.total:
+            raise ConfigError(
+                f"policy {self.spec} requires c >= n_sink + n_recent "
+                f"(got {zones} against c={capacity})"
+            )
+        self.capacity = capacity
+        self.zones = zones
+
+
+class StreamingLLM(_ZonedPolicy):
     spec = "streaming"
 
-    def __init__(self, capacity: int, zones=None):
-        zones = ProtectedZones.coerce(zones)
-        # At eviction time the cache holds capacity + 1 slots; one of them
-        # must sit outside the protected regions.
-        if capacity < zones.total:
-            raise ConfigError(
-                f"sliding window requires c >= n_sink + n_recent "
-                f"(got {zones} against c={capacity})"
-            )
-        self.capacity = capacity
-        self.zones = zones
-
-    def evict(self, cache, tracker, last_row):
-        positions = cache.positions.copy()
-        victim = streaming_llm_evict(cache, self.zones)
-        tracker.evict(victim - 1)
-        return EvictionRecord(victim, int(positions[victim - 1]), None)
+    def select(self, scores, counts, last_rows):
+        return streaming_victims(*scores.shape, self.zones)
 
 
-class H2O(EvictionPolicy):
+class H2O(_ZonedPolicy):
     spec = "h2o"
 
-    def __init__(self, capacity: int, zones=None):
-        zones = ProtectedZones.coerce(zones)
-        if capacity < zones.total:
-            raise ConfigError(
-                f"cumulative-score eviction requires c >= n_sink + n_recent "
-                f"(got {zones} against c={capacity})"
-            )
-        self.capacity = capacity
-        self.zones = zones
-
-    def evict(self, cache, tracker, last_row):
-        positions = cache.positions.copy()
-        victim = h2o_evict(cache, tracker, self.zones)
-        return EvictionRecord(victim, int(positions[victim - 1]), None)
+    def select(self, scores, counts, last_rows):
+        return argmin_victims(scores, self.zones)
 
 
-class TOVA(EvictionPolicy):
+class TOVA(_ZonedPolicy):
     spec = "tova"
 
-    def __init__(self, capacity: int, zones=None):
-        zones = ProtectedZones.coerce(zones)
-        if capacity < zones.total:
-            raise ConfigError(
-                f"last-row eviction requires c >= n_sink + n_recent "
-                f"(got {zones} against c={capacity})"
-            )
-        self.capacity = capacity
-        self.zones = zones
-
-    def evict(self, cache, tracker, last_row):
-        positions = cache.positions.copy()
-        victim = tova_evict(cache, last_row, self.zones)
-        tracker.evict(victim - 1)
-        return EvictionRecord(victim, int(positions[victim - 1]), None)
+    def select(self, scores, counts, last_rows):
+        return argmin_victims(last_rows, self.zones)
 
 
 def make_policy(spec: str, capacity: int, zones=None) -> EvictionPolicy:
-    """Instantiate a fresh policy for one (layer, head) stream."""
+    """Instantiate a fresh policy for one decode run."""
     if spec == "treekv":
         return TreeKV(capacity, zones)
     if spec == "treekv-left":
@@ -435,12 +481,12 @@ def decode_with_policy(
     record_values: bool = True,
     record_outputs: bool = False,
 ) -> DecodeTrace:
-    """Run the full decode loop over every (layer, head) stream.
+    """Run the decode loop over all (layer, head) streams at once.
 
-    Per step and stream: project, append, attend with re-assigned
-    positions, accumulate scores, then evict if the cache is over capacity.
-    Returns the trace of attention rows, retained positions and eviction
-    events.
+    Per step: project, append, attend with re-assigned positions and
+    accumulate scores in every stream, then, if the streams are over
+    capacity, evict one slot per stream.  Returns the trace of attention
+    rows, retained positions and eviction events.
     """
     dims = weights.dims
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -452,18 +498,12 @@ def decode_with_policy(
     zones = ProtectedZones.coerce(zones)
     if policy_spec != "full" and capacity < 2:
         raise ConfigError(f"decoding requires c >= 2, got {capacity}")
+    policy = make_policy(policy_spec, capacity, zones)
+    batch = StreamBatch(weights, seq_len if policy.unbounded else capacity + 1)
+    heads = dims.heads
 
-    unbounded = policy_spec == "full"
-    cache_capacity = None if unbounded else capacity
-    reserve = seq_len if unbounded else capacity + 1
-    streams, trackers, policies = [], [], []
-    for layer in range(dims.layers):
-        for head in range(dims.heads):
-            streams.append(
-                AttentionStream(weights, layer, head, cache_capacity, max(reserve, 1))
-            )
-            trackers.append(ImportanceTracker(reserve=max(reserve, 1)))
-            policies.append(make_policy(policy_spec, capacity, zones))
+    def grid(cells):
+        return [list(cells[layer * heads : (layer + 1) * heads]) for layer in range(dims.layers)]
 
     trace = DecodeTrace(
         policy=policy_spec,
@@ -476,41 +516,36 @@ def decode_with_policy(
         token_ids=list(token_ids) if token_ids is not None else None,
     )
     for step in range(1, seq_len + 1):
-        x = inputs[step - 1]
+        rows, outputs, values = batch.step(inputs[step - 1], step - 1)
         events: list[EvictionEvent] = []
-        retained = [[None] * dims.heads for _ in range(dims.layers)]
-        rows = [[None] * dims.heads for _ in range(dims.layers)] if record_rows else None
-        values = [[None] * dims.heads for _ in range(dims.layers)] if record_values else None
-        outputs = [[None] * dims.heads for _ in range(dims.layers)] if record_outputs else None
-        index = 0
-        for layer in range(dims.layers):
-            for head in range(dims.heads):
-                stream, tracker, policy = streams[index], trackers[index], policies[index]
-                index += 1
-                row, output, value = stream.step(x, step - 1)
-                tracker.extend()
-                update_scores(tracker, row)
-                if not policy.unbounded and len(stream.cache) > capacity:
-                    record = policy.evict(stream.cache, tracker, row)
-                    if record is None:
-                        raise InvariantViolation(
-                            f"policy {policy_spec} declined to evict an "
-                            f"over-capacity cache at step {step}"
-                        )
-                    events.append(
-                        EvictionEvent(step, layer, head, record.position, record.cursor)
-                    )
-                if not policy.unbounded and len(stream.cache) > capacity:
-                    raise InvariantViolation(
-                        f"stream ({layer}, {head}) holds {len(stream.cache)} slots "
-                        f"after eviction at step {step}, capacity {capacity}"
-                    )
-                retained[layer][head] = stream.cache.positions.tolist()
-                if record_rows:
-                    rows[layer][head] = row
-                if record_values:
-                    values[layer][head] = value
-                if record_outputs:
-                    outputs[layer][head] = output
-        trace.steps.append(StepRecord(step, events, retained, rows, values, outputs))
+        if not policy.unbounded and batch.n > capacity:
+            n = batch.n
+            cursor = policy.cursor
+            victims = policy.select(batch.scores[:, :n], batch.counts[:, :n], rows)
+            if victims is None:
+                raise InvariantViolation(
+                    f"policy {policy_spec} declined to evict an "
+                    f"over-capacity cache at step {step}"
+                )
+            evicted = batch.remove(victims)
+            policy.advance()
+            events = [
+                EvictionEvent(step, stream // heads, stream % heads, position, cursor)
+                for stream, position in enumerate(evicted)
+            ]
+            if batch.n > capacity:
+                raise InvariantViolation(
+                    f"streams hold {batch.n} slots after eviction at step {step}, "
+                    f"capacity {capacity}"
+                )
+        trace.steps.append(
+            StepRecord(
+                step,
+                events,
+                grid(batch.positions[:, : batch.n].tolist()),
+                grid(rows) if record_rows else None,
+                grid(values) if record_values else None,
+                grid(outputs) if record_outputs else None,
+            )
+        )
     return trace

@@ -124,6 +124,8 @@ def read_trace(path: str) -> DecodeTrace:
             lines = [json.loads(line) for line in fh if line.strip()]
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
+    if not all(isinstance(line, dict) for line in lines):
+        raise InputError(f"trace {path} has a record that is not a JSON object")
     if not lines or lines[0].get("kind") != "header":
         raise InputError(f"trace {path} does not start with a header record")
     header = lines[0]
@@ -171,9 +173,21 @@ def read_trace(path: str) -> DecodeTrace:
             raise InputError(f"trace step record {index} is malformed or out of order")
         events = []
         for item in raw.get("events", []):
-            if not isinstance(item, list) or len(item) != 4:
+            if not (
+                isinstance(item, list)
+                and len(item) == 4
+                and all(type(field) is int for field in item[:3])
+                and (item[3] is None or type(item[3]) is int)
+            ):
                 raise InputError(f"malformed eviction event at step {index}")
-            events.append(EvictionEvent(index, item[0], item[1], item[2], item[3]))
+            layer, head, position, cursor = item
+            if not (0 <= layer < dims.layers and 0 <= head < dims.heads
+                    and 0 <= position < index):
+                raise InputError(
+                    f"eviction event {item} at step {index} is outside the "
+                    f"{dims.layers}x{dims.heads} streams or positions 0..{index - 1}"
+                )
+            events.append(EvictionEvent(index, layer, head, position, cursor))
         retained = raw.get("retained")
         if (
             not isinstance(retained, list)

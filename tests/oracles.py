@@ -198,6 +198,134 @@ def oracle_full_attention(weights, inputs):
     return per_step
 
 
+def _oracle_softmax(logits):
+    peak = max(logits)
+    expo = [math.exp(l - peak) for l in logits]
+    norm = sum(expo)
+    return [e / norm for e in expo]
+
+
+def _oracle_victim(spec, n_sink, n_recent, cursor, mass, counts, row):
+    """0-based slot to evict from an over-capacity stream of len(mass) slots."""
+    if spec == "treekv-left":
+        return n_sink + cursor - 1
+    if spec == "treekv":
+        left = n_sink + cursor - 1
+        if mass[left] / counts[left] > mass[left + 1] / counts[left + 1]:
+            return left + 1
+        return left
+    if spec == "streaming":
+        return n_sink
+    weights = mass if spec == "h2o" else row  # h2o: cumulative mass, tova: last row
+    middle = range(n_sink, len(mass) - n_recent)
+    return min(middle, key=lambda slot: weights[slot])  # first minimum: leftmost tie
+
+
+def oracle_decode(weights, inputs, spec, capacity, zones):
+    """Naive bounded decode of every (layer, head) stream, one at a time.
+
+    zones is (n_sink, n_recent).  Keys are re-rotated at their slot index on
+    every step and the query at the last slot.  Returns one dict per step
+    with "events" [(layer, head, evicted position, cursor or None)] in
+    stream order, and "retained", "rows", "values", "outputs", each indexed
+    [layer][head].
+    """
+    dims = weights.dims
+    d = dims.d_head
+    n_sink, n_recent = zones
+    cycle = capacity - n_sink - n_recent
+    inputs = [list(map(float, row)) for row in inputs]
+    steps = [
+        {
+            "events": [],
+            **{key: [[None] * dims.heads for _ in range(dims.layers)]
+               for key in ("retained", "rows", "values", "outputs")},
+        }
+        for _ in inputs
+    ]
+    for layer in range(dims.layers):
+        for head in range(dims.heads):
+            wq = weights.wq[layer][head]
+            wk = weights.wk[layer][head]
+            wv = weights.wv[layer][head]
+            keys, values, positions, mass, counts = [], [], [], [], []
+            cursor = 1
+            for t, x in enumerate(inputs):
+                keys.append(_matvec(x, wk))
+                values.append(_matvec(x, wv))
+                positions.append(t)
+                mass.append(0.0)
+                counts.append(0)
+                n = len(keys)
+                query = _oracle_rotate(_matvec(x, wq), n - 1, d)
+                logits = [
+                    sum(a * b for a, b in zip(query, _oracle_rotate(key, slot, d)))
+                    / math.sqrt(d)
+                    for slot, key in enumerate(keys)
+                ]
+                row = _oracle_softmax(logits)
+                mass = [m + r for m, r in zip(mass, row)]
+                counts = [k + 1 for k in counts]
+                record = steps[t]
+                record["rows"][layer][head] = row
+                record["values"][layer][head] = values[-1]
+                record["outputs"][layer][head] = [
+                    sum(row[i] * values[i][j] for i in range(n)) for j in range(d)
+                ]
+                if spec != "full" and n > capacity:
+                    victim = _oracle_victim(
+                        spec, n_sink, n_recent, cursor, mass, counts, row
+                    )
+                    tree = spec.startswith("treekv")
+                    record["events"].append(
+                        (layer, head, positions[victim], cursor if tree else None)
+                    )
+                    if tree:
+                        cursor = cursor % cycle + 1
+                    for column in (keys, values, positions, mass, counts):
+                        del column[victim]
+                record["retained"][layer][head] = list(positions)
+    return steps
+
+
+def oracle_window_rows(weights, inputs, window_start):
+    """Causal softmax rows of the queries at positions window_start.. over
+    all earlier keys, each rotated at its own position; rows[stream] lists
+    them in position order, stream = layer * heads + head."""
+    dims = weights.dims
+    d = dims.d_head
+    inputs = [list(map(float, row)) for row in inputs]
+    rows = []
+    for layer in range(dims.layers):
+        for head in range(dims.heads):
+            keys = [
+                _oracle_rotate(_matvec(x, weights.wk[layer][head]), pos, d)
+                for pos, x in enumerate(inputs)
+            ]
+            stream = []
+            for pos in range(window_start, len(inputs)):
+                query = _oracle_rotate(_matvec(inputs[pos], weights.wq[layer][head]), pos, d)
+                stream.append(_oracle_softmax([
+                    sum(a * b for a, b in zip(query, key)) / math.sqrt(d)
+                    for key in keys[: pos + 1]
+                ]))
+            rows.append(stream)
+    return rows
+
+
+def oracle_block_scores(rows, prompt_len, block_size):
+    """Mean received attention per token over the window rows (zero past a
+    row's causal horizon), averaged over each block's tokens."""
+    per_token = [
+        sum(row[token] for row in rows if token < len(row)) / len(rows)
+        for token in range(prompt_len)
+    ]
+    return [
+        sum(per_token[start : start + block_size]) / len(per_token[start : start + block_size])
+        for start in range(0, prompt_len, block_size)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Weight-recurrence reimplementation (from the documented definition)
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,3 +206,45 @@ def test_exit_codes():
     assert run_cli("decode", "--policy", "bogus", "-o", "/tmp/never.jsonl") == 2
     assert run_cli("decode", "--policy", "treekv", "--c", 4, "-o", "/tmp/never.jsonl") == 2
     assert run_cli("map", "--trace", "/tmp/does-not-exist.jsonl") == 3
+
+
+def _config_case(data):
+    def build(tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(data))
+        return ["decode", "--config", config_path, "-o", tmp_path / "t.jsonl"]
+    return build
+
+
+def _trace_case(edit):
+    """A valid select-left trace (evictions from step 5) with step 5 edited."""
+    def build(tmp_path):
+        trace_path = tmp_path / "t.jsonl"
+        assert run_cli(*_decode_args(trace_path)) == 0
+        lines = trace_path.read_text().splitlines()
+        lines[5] = edit(json.loads(lines[5]))
+        trace_path.write_text("\n".join(lines) + "\n")
+        return ["map", "--trace", trace_path]
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, code",
+    [
+        (_config_case({"c": "12"}), 2),
+        (_config_case({"T": 1.5}), 2),
+        (_config_case({"zones": 5}), 2),
+        (lambda tmp_path: _decode_args(tmp_path / "missing" / "t.jsonl"), 3),
+        (_trace_case(lambda record: "[5]"), 3),
+        (_trace_case(lambda record: json.dumps({**record, "events": [[7, 0, 0, 1]]})), 3),
+    ],
+    ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
+         "event-layer-out-of-range"],
+)
+def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
+    args = [str(arg) for arg in build(tmp_path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "treekv", *args], capture_output=True, text=True
+    )
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treekv import (
-    AttentionStream,
+    POLICY_SPECS,
     DimensionError,
     InputError,
     KVCache,
@@ -14,20 +15,30 @@ from treekv import (
     ModelWeights,
     OrderingError,
     StateError,
+    StreamBatch,
     apply_positions,
     attend,
+    decode_with_policy,
     encoding_positions,
     generate_weights,
     load_weights,
+    observation_scores,
+    partition_blocks,
     project,
     rotate_vector,
     save_weights,
     synthesize_embeddings,
     synthesize_token_ids,
+    window_rows,
 )
 
 from helpers import cache_with_positions
-from oracles import oracle_weight_entries
+from oracles import (
+    oracle_block_scores,
+    oracle_decode,
+    oracle_weight_entries,
+    oracle_window_rows,
+)
 
 
 # --- weight generation -----------------------------------------------------
@@ -292,14 +303,46 @@ def test_rotation_preserves_norm():
 
 
 def test_attention_stream_runs_and_orders_positions():
-    weights = generate_weights(5, ModelDims(1, 1, 6, 4))
-    stream = AttentionStream(weights, 0, 0, capacity=None, reserve=8)
+    # Every stream of the batch attends over all of its slots in position
+    # order, bitwise as a lone stream built from the single-stream functions.
+    weights = generate_weights(5, ModelDims(2, 2, 6, 4))
+    batch = StreamBatch(weights, slots=8)
+    caches = [KVCache(4, reserve=8) for _ in range(4)]
     xs = synthesize_embeddings(5, 4, 6)
     for position in range(4):
-        row, output, value = stream.step(xs[position], position)
-        assert len(row) == position + 1
-        assert abs(row.sum() - 1.0) < 1e-9
-    assert stream.cache.positions.tolist() == [0, 1, 2, 3]
+        rows, outputs, values = batch.step(xs[position], position)
+        assert rows.shape == (4, position + 1)
+        for stream, cache in enumerate(caches):
+            row = rows[stream]
+            assert abs(row.sum() - 1.0) < 1e-9
+            q, k, v = project(xs[position], weights, stream // 2, stream % 2)
+            cache.append(k, v, position)
+            keys_encoded, q_encoded = apply_positions(cache, q, query_index=position)
+            logits = keys_encoded @ q_encoded / 2.0
+            expected = np.exp(logits - logits.max())
+            expected = expected / expected.sum()
+            assert np.array_equal(row, expected)
+            assert np.array_equal(values[stream], v)
+            assert np.array_equal(outputs[stream], expected @ cache.values())
+    assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2, 3]] * 4
+
+
+def test_stream_batch_remove_shifts_each_stream_past_its_victim():
+    weights = generate_weights(5, ModelDims(1, 3, 6, 4))
+    batch = StreamBatch(weights, slots=5)
+    for position, x in enumerate(synthesize_embeddings(5, 5, 6)):
+        batch.step(x, position)
+    keys, scores = batch.keys.copy(), batch.scores.copy()
+    assert batch.remove([0, 2, 4]) == [0, 2, 4]
+    assert batch.n == 4
+    assert batch.positions[:, :4].tolist() == [[1, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 3]]
+    for stream, kept in enumerate([[1, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 3]]):
+        assert np.array_equal(batch.keys[stream, :4], keys[stream, kept])
+        assert np.array_equal(batch.scores[stream, :4], scores[stream, kept])
+    with pytest.raises(StateError):
+        batch.remove([0, 4, 1])  # slot 4 is gone
+    with pytest.raises(StateError):
+        batch.remove([0, 1])  # one victim per stream
 
 
 def test_synthesize_streams_are_deterministic():
@@ -307,3 +350,110 @@ def test_synthesize_streams_are_deterministic():
     assert synthesize_token_ids(3, 16, 11) == synthesize_token_ids(3, 16, 11)
     assert synthesize_token_ids(3, 16, 11) != synthesize_token_ids(4, 16, 11)
     assert all(0 <= t < 11 for t in synthesize_token_ids(3, 64, 11))
+
+
+# --- batched engine against the naive per-stream oracle ------------------------
+
+
+def _decode_corpus():
+    rng = np.random.default_rng(2024)
+    for case in range(42):
+        spec = POLICY_SPECS[case % len(POLICY_SPECS)]
+        dims = ModelDims(
+            int(rng.integers(1, 3)),
+            int(rng.integers(1, 4)),
+            int(rng.choice([3, 4, 8])),
+            int(rng.integers(1, 5)),
+        )
+        capacity = int(rng.integers(2, 13))
+        seq_len = int(rng.integers(1, 61))
+        # The tree cycle needs one unprotected slot; the baselines need none.
+        room = capacity - 1 if spec.startswith("treekv") else capacity
+        n_sink = int(rng.integers(0, room + 1))
+        n_recent = int(rng.integers(0, room - n_sink + 1))
+        yield spec, dims, capacity, seq_len, (n_sink, n_recent), int(rng.integers(0, 2**31))
+
+
+def test_decode_matches_naive_oracle_on_seeded_corpus():
+    evicting = set()
+    for spec, dims, capacity, seq_len, zones, seed in _decode_corpus():
+        weights = generate_weights(seed, dims)
+        inputs = synthesize_embeddings(seed + 1, seq_len, dims.d_model)
+        trace = decode_with_policy(
+            weights, inputs, spec, capacity, "sink={},recent={}".format(*zones),
+            record_outputs=True,
+        )
+        expected = oracle_decode(weights, inputs, spec, capacity, zones)
+        assert len(trace.steps) == len(expected)
+        for record, want in zip(trace.steps, expected):
+            events = [(e.layer, e.head, e.position, e.cursor) for e in record.events]
+            assert events == want["events"], (spec, dims, capacity, zones, record.step)
+            assert record.retained == want["retained"]
+            if events:
+                evicting.add(spec)
+            for key in ("rows", "values", "outputs"):
+                for layer in range(dims.layers):
+                    for head in range(dims.heads):
+                        np.testing.assert_allclose(
+                            getattr(record, key)[layer][head],
+                            want[key][layer][head],
+                            rtol=1e-6,
+                            atol=1e-9,
+                        )
+    assert evicting == set(POLICY_SPECS) - {"full"}
+
+
+@pytest.mark.parametrize("d_head, prompt_len, block_size", [(4, 37, 8), (3, 24, 6)])
+def test_window_rows_and_block_scores_match_naive_oracle(d_head, prompt_len, block_size):
+    weights = generate_weights(8, ModelDims(2, 3, 8, d_head))
+    inputs = synthesize_embeddings(9, prompt_len, 8)
+    partition = partition_blocks(prompt_len, block_size)
+    start = partition.observation_window[0]
+    rows = window_rows(weights, inputs, start)
+    expected = oracle_window_rows(weights, inputs, start)
+    assert len(rows) == len(expected) == 6
+    for got, want in zip(rows, expected):
+        assert [len(row) for row in got] == list(range(start + 1, prompt_len + 1))
+        for row, want_row in zip(got, want):
+            np.testing.assert_allclose(row, want_row, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(
+            observation_scores(got, partition),
+            oracle_block_scores(want, prompt_len, block_size),
+            rtol=1e-6,
+            atol=1e-9,
+        )
+
+
+def _trace_digest(trace):
+    """sha256 over every step's event tuples, retained lists and the float64
+    bytes of each recorded row, value and output: independent of any file
+    format."""
+    digest = hashlib.sha256()
+    for record in trace.steps:
+        events = [(e.step, e.layer, e.head, e.position, e.cursor) for e in record.events]
+        digest.update(repr(events).encode())
+        digest.update(repr(record.retained).encode())
+        for grid in (record.rows, record.values, record.outputs):
+            for cells in grid:
+                for cell in cells:
+                    digest.update(np.asarray(cell, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded from the per-(layer, head) stream loop the batched engine
+# replaced; the batched engine must reproduce it bit for bit.
+@pytest.mark.parametrize(
+    "spec, zones, expected",
+    [
+        ("treekv", "sink=0,recent=0",
+         "7f41f011540c5f6c5e09f5ac97bda80bf6e4f09c0ee92a91377ed7dc3f7ddb3a"),
+        ("h2o", "sink=1,recent=2",
+         "afc7abfe088ac26b1c88ffa4536c2cb6fd85631cbae4cb02143d246bbe37500d"),
+    ],
+    ids=["treekv", "h2o"],
+)
+def test_decode_is_bitwise_pinned(spec, zones, expected):
+    weights = generate_weights(21, ModelDims(2, 2, 8, 4))
+    inputs = synthesize_embeddings(22, 40, 8)
+    trace = decode_with_policy(weights, inputs, spec, 8, zones, record_outputs=True)
+    assert _trace_digest(trace) == expected

@@ -12,6 +12,7 @@ from treekv import (
     ModelDims,
     ProtectedZones,
     StateError,
+    StreamBatch,
     TreeKV,
     TreeKVState,
     advance_idx,
@@ -311,16 +312,17 @@ def test_decode_tracker_residency_accounting():
     # exactly T - p attention calls by the end.
     weights = _toy_weights()
     inputs = synthesize_embeddings(6, 7, 8)
-    cache = KVCache(4, capacity=None, reserve=8)
+    batch = StreamBatch(weights, slots=8)
     tracker = ImportanceTracker()
-    from treekv import AttentionStream
-
-    stream = AttentionStream(weights, 0, 0, capacity=None, reserve=8)
     for position in range(7):
-        row, _, _ = stream.step(inputs[position], position)
+        rows, _, _ = batch.step(inputs[position], position)
         tracker.extend()
-        update_scores(tracker, row)
-    assert tracker.C.tolist() == [7 - p for p in range(7)]
+        update_scores(tracker, rows[0])
+    for stream in range(2):
+        assert batch.counts[stream, :7].tolist() == [7 - p for p in range(7)]
+        assert abs(batch.scores[stream, :7].sum() - 7.0) < 1e-12  # seven unit rows
+    assert np.array_equal(tracker.S, batch.scores[0, :7])
+    assert tracker.C.tolist() == batch.counts[0, :7].tolist()
     averaged = average_scores(tracker)
     assert (averaged >= 0).all() and (averaged <= 1.0).all()
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,18 @@ def test_signals_at_step_merges_the_pre_eviction_view():
     light = _run(policy="treekv", capacity=5, seq_len=9, record_rows=False)
     with pytest.raises(InputError):
         signals_at_step(light, 8)
+
+
+@pytest.mark.parametrize(
+    "event", [[1, 0, 0, 1], [0, 2, 0, 1], [0, 0, 8, 1], [0, -1, 0, 1], [0, 0, 0, "1"]]
+)
+def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
+    trace = _run(capacity=5, seq_len=8)  # 1 layer, 2 heads, 8 steps
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[-1])
+    record["events"] = [event]
+    path.write_text("\n".join(lines[:-1] + [json.dumps(record)]) + "\n")
+    with pytest.raises(InputError):
+        read_trace(str(path))
