@@ -1,24 +1,20 @@
 """Tree-cycle KV-cache eviction for transformer decoding and prefilling.
 
-A deterministic attention micro-engine with an explicit, evictable KV
-cache; tree-cycle eviction with averaged attention scores plus sliding
-window, cumulative-score and last-row baselines; block-level prompt
-compression; multi-level Haar wavelet analysis of attention-weighted value
-signals; and a CLI harness for reproducible experiments.
+A deterministic attention micro-engine that steps the evictable KV caches
+of all (layer, head) streams at once; tree-cycle eviction with averaged
+attention scores plus sliding window, cumulative-score and last-row
+baselines; block-level prompt compression; multi-level Haar wavelet
+analysis of attention-weighted value signals; and a CLI harness for
+reproducible experiments.
 """
 
 from .engine import (
-    KVCache,
     ModelDims,
     ModelWeights,
     StreamBatch,
-    apply_positions,
-    attend,
     embed_tokens,
-    encoding_positions,
     generate_weights,
     load_weights,
-    project,
     rotate_vector,
     save_weights,
     synthesize_embeddings,
@@ -31,7 +27,6 @@ from .errors import (
     InputError,
     InvariantViolation,
     LevelError,
-    OrderingError,
     SelectorError,
     StateError,
     TreeKVError,
@@ -39,24 +34,16 @@ from .errors import (
 from .policies import (
     POLICY_SPECS,
     EvictionPolicy,
-    EvictionRecord,
     FullAttention,
     H2O,
-    ImportanceTracker,
     ProtectedZones,
     StreamingLLM,
     TOVA,
     TreeKV,
     TreeKVState,
     advance_idx,
-    average_scores,
     decode_with_policy,
-    h2o_evict,
     make_policy,
-    streaming_llm_evict,
-    tova_evict,
-    treekv_evict_step,
-    update_scores,
 )
 from .prefill import (
     BlockPartition,
@@ -95,18 +82,14 @@ __all__ = [
     "DimensionError",
     "EvictionEvent",
     "EvictionPolicy",
-    "EvictionRecord",
     "FullAttention",
     "H2O",
-    "ImportanceTracker",
     "InputError",
     "InvariantViolation",
-    "KVCache",
     "LevelError",
     "MagnitudeProfile",
     "ModelDims",
     "ModelWeights",
-    "OrderingError",
     "POLICY_SPECS",
     "ProtectedZones",
     "SelectorError",
@@ -120,24 +103,18 @@ __all__ = [
     "TreeKVState",
     "WaveletCoeffs",
     "advance_idx",
-    "apply_positions",
-    "attend",
-    "average_scores",
     "decode_with_policy",
     "distribution_map",
     "dwt_multi",
     "dwt_single",
     "embed_tokens",
-    "encoding_positions",
     "generate_weights",
-    "h2o_evict",
     "load_weights",
     "magnitude_profile",
     "make_policy",
     "max_level",
     "observation_scores",
     "partition_blocks",
-    "project",
     "read_trace",
     "reconstruct",
     "reconstruct_component",
@@ -145,13 +122,9 @@ __all__ = [
     "rotate_vector",
     "save_weights",
     "signals_at_step",
-    "streaming_llm_evict",
     "synthesize_embeddings",
     "synthesize_token_ids",
-    "tova_evict",
-    "treekv_evict_step",
     "treekv_prefill_compress",
-    "update_scores",
     "validate_trace",
     "window_rows",
     "write_trace",

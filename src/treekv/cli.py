@@ -166,9 +166,11 @@ def _load_token_file(path: str, d_model: int):
 
 
 def _prepare_inputs(config: RunConfig, weights: ModelWeights, tokens_path: str | None):
-    """Input embeddings plus the token ids when a vocab is configured."""
+    """Input embeddings plus the token ids when the model has a vocab.  The
+    model's dims (a weight file's own, if one is given) set the width."""
+    d_model = weights.dims.d_model
     if tokens_path is not None:
-        ids, matrix = _load_token_file(tokens_path, config.d_model)
+        ids, matrix = _load_token_file(tokens_path, d_model)
         if ids is not None:
             if weights.dims.vocab < 1:
                 raise InputError("token ids need a model with vocab > 0")
@@ -177,7 +179,7 @@ def _prepare_inputs(config: RunConfig, weights: ModelWeights, tokens_path: str |
     if weights.dims.vocab > 0:
         ids = synthesize_token_ids(config.seed, config.T, weights.dims.vocab)
         return embed_tokens(weights, ids), ids
-    return synthesize_embeddings(config.seed, config.T, config.d_model), None
+    return synthesize_embeddings(config.seed, config.T, d_model), None
 
 
 def _open_out(path: str | None):
@@ -331,7 +333,7 @@ def cmd_compare(args) -> int:
     first = configs[0]
     for config in configs[1:]:
         same_stream = (
-            config.dims() == first.dims()
+            (config.weights is not None or config.dims() == first.dims())
             and config.seed == first.seed
             and config.T == first.T
             and config.weights == first.weights
@@ -368,8 +370,8 @@ def cmd_compare(args) -> int:
             overlaps = []
             quartiles = np.zeros(4, dtype=np.float64)
             streams = 0
-            for layer in range(first.layers):
-                for head in range(first.heads):
+            for layer in range(weights.dims.layers):
+                for head in range(weights.dims.heads):
                     overlaps.append(
                         _overlap(final[layer][head], reference[layer][head])
                     )

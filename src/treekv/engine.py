@@ -13,16 +13,16 @@ runs can produce logits.
 Position handling follows the re-assignment convention of sliding-window
 decoders: a rotary-style phase rotation is keyed by the slot index a key
 currently occupies in the cache, not by the token's original position, and
-it is applied at attention time.  Stored keys stay raw; evicting a slot
-shifts the survivors left, and the next attention call sees contiguous
-encoding positions 0..len-1.
+it is applied at attention time (``rotate_vector`` is its definition).
+Stored keys stay raw; evicting a slot shifts the survivors left, and the
+next step sees contiguous encoding positions 0..n-1.
 
-The streams are defined one at a time (``KVCache``, ``project``,
-``apply_positions``, ``attend``) and run all at once: ``StreamBatch`` holds
-every stream's state as stacked arrays and steps them together, with the
-same floating-point operations per stream as the single-stream definition,
-so its results are bitwise equal to it.  ``window_rows`` does the same for
-prompt prefill over an unbounded cache.
+``StreamBatch`` is the only stream state: it holds every stream's keys,
+values, positions and importance statistics as stacked arrays and steps
+them together, with each stream's floating-point operations exactly those
+of a lone stream (the per-stream definition the tests compare against
+lives in ``tests/oracles.py``).  ``window_rows`` does the same for prompt
+prefill over an unbounded cache.
 
 Weight file format (version 1)
 ------------------------------
@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, InputError, OrderingError, StateError
+from .errors import DimensionError, InputError, StateError
 from .rng import NormalStream, stream_seed
 
 _MAGIC = b"TKVW"
@@ -87,12 +87,12 @@ class ModelDims:
     vocab: int = 0
 
     def validate(self) -> None:
-        for name in ("layers", "heads", "d_model", "d_head"):
+        for name in ("layers", "heads", "d_model", "d_head", "vocab"):
             value = getattr(self, name)
-            if not 1 <= value < 2**32:
-                raise DimensionError(f"{name} must be in [1, 2**32), got {value}")
-        if not 0 <= self.vocab < 2**32:
-            raise DimensionError(f"vocab must be in [0, 2**32), got {self.vocab}")
+            low = 0 if name == "vocab" else 1
+            integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integral or not low <= value < 2**32:
+                raise DimensionError(f"{name} must be an int in [{low}, 2**32), got {value!r}")
 
     @property
     def feature_dim(self) -> int:
@@ -249,110 +249,6 @@ def load_weights(path: str) -> ModelWeights:
     return ModelWeights(dims, seed, wq, wk, wv, embedding, output_proj)
 
 
-class ProjectedStep(NamedTuple):
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-
-
-def project(x, weights: ModelWeights, layer: int, head: int) -> ProjectedStep:
-    """Project one d_model input vector to this head's (q, k, v)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (weights.dims.d_model,):
-        raise DimensionError(
-            f"input length {x.shape} does not match d_model {weights.dims.d_model}"
-        )
-    return ProjectedStep(
-        x @ weights.wq[layer][head],
-        x @ weights.wk[layer][head],
-        x @ weights.wv[layer][head],
-    )
-
-
-class KVCache:
-    """Ordered key/value slots for one (layer, head) stream.
-
-    Holds at most capacity + 1 slots (the transient over-capacity state
-    between an append and the following eviction).  Original positions are
-    strictly increasing; survivors are never permuted.  Tracker entries in
-    ``treekv.policies`` stay parallel to the slots by construction, so the
-    slot index doubles as the tracker back-reference.
-    """
-
-    def __init__(self, d_head: int, capacity: int | None = None, reserve: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise StateError(f"capacity must be >= 1, got {capacity}")
-        if reserve is None:
-            reserve = capacity + 1 if capacity is not None else 64
-        reserve = max(reserve, 1)
-        self.capacity = capacity
-        self._keys = np.zeros((reserve, d_head), dtype=np.float64)
-        self._values = np.zeros((reserve, d_head), dtype=np.float64)
-        self._positions = np.zeros(reserve, dtype=np.int64)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def d_head(self) -> int:
-        return self._keys.shape[1]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions[: self._n]
-
-    def keys(self) -> np.ndarray:
-        return self._keys[: self._n]
-
-    def values(self) -> np.ndarray:
-        return self._values[: self._n]
-
-    def _grow(self) -> None:
-        new = max(8, 2 * self._keys.shape[0])
-        for name in ("_keys", "_values"):
-            old = getattr(self, name)
-            fresh = np.zeros((new, old.shape[1]), dtype=np.float64)
-            fresh[: self._n] = old[: self._n]
-            setattr(self, name, fresh)
-        positions = np.zeros(new, dtype=np.int64)
-        positions[: self._n] = self._positions[: self._n]
-        self._positions = positions
-
-    def append(self, key, value, original_position: int) -> "KVCache":
-        key = np.asarray(key, dtype=np.float64)
-        value = np.asarray(value, dtype=np.float64)
-        if key.shape != (self.d_head,) or value.shape != (self.d_head,):
-            raise DimensionError(
-                f"key/value must have length {self.d_head}, "
-                f"got {key.shape} and {value.shape}"
-            )
-        if self._n > 0 and original_position <= self._positions[self._n - 1]:
-            raise OrderingError(
-                f"original_position {original_position} is not greater than the "
-                f"last slot's position {int(self._positions[self._n - 1])}"
-            )
-        if self.capacity is not None and self._n + 1 > self.capacity + 1:
-            raise StateError("append would exceed the capacity + 1 headroom")
-        if self._n == self._keys.shape[0]:
-            self._grow()
-        self._keys[self._n] = key
-        self._values[self._n] = value
-        self._positions[self._n] = original_position
-        self._n += 1
-        return self
-
-    def evict(self, index: int) -> None:
-        """Remove the 0-based slot, shifting survivors left."""
-        if not 0 <= index < self._n:
-            raise StateError(f"evict index {index} out of range for {self._n} slots")
-        tail = slice(index + 1, self._n)
-        self._keys[index : self._n - 1] = self._keys[tail].copy()
-        self._values[index : self._n - 1] = self._values[tail].copy()
-        self._positions[index : self._n - 1] = self._positions[tail].copy()
-        self._n -= 1
-
-
 def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Softmax rows of queries (S, d) over encoded keys (S, n, d), scaled by
     sqrt(d).  The stacked matmul runs one BLAS matrix-vector product per
@@ -366,22 +262,6 @@ def _attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
     """Attention rows (S, n) and weighted value sums (S, d) for S streams."""
     rows = _attention_rows(q, keys)
     return rows, np.matmul(rows[:, None, :], values)[:, 0, :]
-
-
-def attend(q, cache: KVCache):
-    """Softmax attention of the query over the cache's raw stored keys.
-
-    Position encoding is the caller's responsibility (see apply_positions);
-    this function never rotates anything.  Returns the attention row over
-    all slots and the weighted value sum.
-    """
-    if len(cache) == 0:
-        raise StateError("attend requires a non-empty cache")
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (cache.d_head,):
-        raise DimensionError(f"query shape {q.shape} does not match d_head {cache.d_head}")
-    rows, outputs = _attend(q[None], cache.keys()[None], cache.values()[None])
-    return rows[0], outputs[0]
 
 
 # Memoized rotary tables, keyed by d_head and grown on demand.
@@ -428,26 +308,6 @@ def rotate_vector(vec, position: int) -> np.ndarray:
     """Rotate one vector at the given encoding position (odd tail dim passes through)."""
     vec = np.asarray(vec, dtype=np.float64)
     return _rotate_rows(vec[None, :], np.array([position]))[0]
-
-
-def encoding_positions(cache: KVCache) -> np.ndarray:
-    """Positions the encoder assigns to the cached keys: always 0..len-1."""
-    return np.arange(len(cache), dtype=np.int64)
-
-
-def apply_positions(cache: KVCache, q, query_index: int | None = None):
-    """Positionally encode the cached keys and the query.
-
-    Keys are rotated at their current slot indices 0..len-1; the query is
-    rotated at ``query_index``, defaulting to len(cache) (the re-assigned
-    position of a token whose key has not been appended yet).  Stored keys
-    are never mutated; encoding happens on copies at attention time.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if query_index is None:
-        query_index = len(cache)
-    keys_encoded = _rotate_rows(cache.keys(), encoding_positions(cache))
-    return keys_encoded, rotate_vector(q, query_index)
 
 
 def _stacked(matrices: list[list[np.ndarray]]) -> np.ndarray:

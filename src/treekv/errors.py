@@ -9,12 +9,8 @@ class DimensionError(TreeKVError):
     """Vector, matrix, or row length does not match the expected shape."""
 
 
-class OrderingError(TreeKVError):
-    """A cache append would break the strict ordering of original positions."""
-
-
 class StateError(TreeKVError):
-    """Operation applied to a cache or tracker in the wrong state."""
+    """Operation applied to a stream batch, cursor or model in the wrong state."""
 
 
 class ConfigError(TreeKVError):

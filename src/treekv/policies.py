@@ -11,21 +11,20 @@ style of TOVA.
 
 Every policy is a pure victim selector over the importance statistics of
 all streams (cumulative attention mass S, residency count C, the last
-attention row); only the caller removes slots, keeping cache and statistics
-parallel.  The decode loop runs every (layer, head) stream at once with one
-policy instance; the single-stream functions (``treekv_evict_step``,
-``h2o_evict``, ...) apply the same selectors to one KVCache and
-ImportanceTracker.
+attention row).  ``EvictionPolicy.evict`` is the one place that removes
+slots: it applies the selector to a ``StreamBatch`` and removes the victims
+from it, so keys, values, positions and statistics stay parallel.  The
+decode loop runs every (layer, head) stream at once with one policy
+instance, and block-level prefill replays the same tree selector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .engine import KVCache, ModelWeights, StreamBatch
+from .engine import ModelWeights, StreamBatch
 from .errors import (
     ConfigError,
     DimensionError,
@@ -81,76 +80,6 @@ class ProtectedZones:
         return f"sink={self.n_sink},recent={self.n_recent}"
 
 
-class ImportanceTracker:
-    """Parallel per-slot statistics: cumulative attention mass S and
-    residency counts C (number of attention calls while resident)."""
-
-    def __init__(self, reserve: int = 64):
-        reserve = max(reserve, 1)
-        self._s = np.zeros(reserve, dtype=np.float64)
-        self._c = np.zeros(reserve, dtype=np.int64)
-        self._n = 0
-
-    @classmethod
-    def from_arrays(cls, scores, counts=None) -> "ImportanceTracker":
-        """Bootstrap a tracker from explicit S (and C, default all ones)."""
-        scores = np.asarray(scores, dtype=np.float64)
-        tracker = cls(reserve=max(len(scores), 1))
-        tracker._s[: len(scores)] = scores
-        if counts is None:
-            tracker._c[: len(scores)] = 1
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != scores.shape:
-                raise DimensionError("S and C must have equal length")
-            tracker._c[: len(scores)] = counts
-        tracker._n = len(scores)
-        return tracker
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def S(self) -> np.ndarray:
-        return self._s[: self._n]
-
-    @property
-    def C(self) -> np.ndarray:
-        return self._c[: self._n]
-
-    def extend(self) -> None:
-        """Add a zero entry for a freshly appended slot."""
-        if self._n == self._s.shape[0]:
-            grown_s = np.zeros(2 * self._n, dtype=np.float64)
-            grown_c = np.zeros(2 * self._n, dtype=np.int64)
-            grown_s[: self._n] = self._s
-            grown_c[: self._n] = self._c
-            self._s, self._c = grown_s, grown_c
-        self._s[self._n] = 0.0
-        self._c[self._n] = 0
-        self._n += 1
-
-    def evict(self, index: int) -> None:
-        if not 0 <= index < self._n:
-            raise StateError(f"evict index {index} out of range for {self._n} entries")
-        self._s[index : self._n - 1] = self._s[index + 1 : self._n].copy()
-        self._c[index : self._n - 1] = self._c[index + 1 : self._n].copy()
-        self._n -= 1
-
-
-def update_scores(tracker: ImportanceTracker, row) -> ImportanceTracker:
-    """Accumulate one attention row: S += row and C += 1 entrywise."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (len(tracker),):
-        raise DimensionError(
-            f"attention row of length {row.shape} does not match the "
-            f"{len(tracker)} tracked slots"
-        )
-    tracker._s[: tracker._n] += row
-    tracker._c[: tracker._n] += 1
-    return tracker
-
-
 @dataclass
 class TreeKVState:
     """Cursor state of the tree cycle.
@@ -182,21 +111,15 @@ def advance_idx(state: TreeKVState) -> TreeKVState:
 
 def _averaged(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if counts.size and int(counts.min()) < 1:
-        raise InvariantViolation("tracker has a slot with zero residency count")
+        raise InvariantViolation("a slot has zero residency count")
     return scores / counts
-
-
-def average_scores(tracker: ImportanceTracker) -> np.ndarray:
-    """Averaged attention mass per slot: S / C elementwise."""
-    return _averaged(tracker.S, tracker.C)
 
 
 # --- victim selectors --------------------------------------------------------
 #
 # Each eviction rule is written once, as a pure function over all streams:
 # statistics of shape (streams, slots) in, one 0-based victim slot per
-# stream out.  The decode loop applies them to every stream at once; the
-# single-stream functions below apply them to one cache.
+# stream out.
 
 
 def tree_victims(scores, counts, state: TreeKVState, zones: ProtectedZones) -> np.ndarray:
@@ -243,96 +166,20 @@ def argmin_victims(weights, zones: ProtectedZones) -> np.ndarray:
     return lo + np.argmin(weights[:, lo:hi], axis=1)
 
 
-# --- single-stream eviction ----------------------------------------------------
-
-
-def _check_parallel(cache: KVCache, tracker: ImportanceTracker) -> None:
-    if len(tracker) != len(cache):
-        raise DimensionError(
-            f"tracker length {len(tracker)} does not match cache length {len(cache)}"
-        )
-
-
-def treekv_evict_step(
-    cache: KVCache,
-    tracker: ImportanceTracker,
-    state: TreeKVState,
-    zones: ProtectedZones | None = None,
-) -> int:
-    """One tree eviction on a cache that is exactly one slot over capacity.
-
-    The eviction scope is the adjacent slot pair {idx, idx+1} (offset past
-    the sink zone when zones are active).  In score mode the slot with the
-    lower averaged attention mass goes, with ties falling to the left slot;
-    in select-left mode the left slot always goes.  Removes the slot from
-    the cache and the tracker and returns its 1-based index.
-    """
-    _check_parallel(cache, tracker)
-    zones = ProtectedZones.coerce(zones)
-    victim = int(tree_victims(tracker.S[None], tracker.C[None], state, zones)[0])
-    cache.evict(victim)
-    tracker.evict(victim)
-    return victim + 1
-
-
-def streaming_llm_evict(cache: KVCache, zones: ProtectedZones | None = None) -> int:
-    """Evict the oldest slot outside the sink region (slot n_sink + 1).
-
-    Removes the slot from the cache only; the caller keeps any tracker in
-    sync.  Returns the 1-based victim index.
-    """
-    zones = ProtectedZones.coerce(zones)
-    victim = int(streaming_victims(1, len(cache), zones)[0])
-    cache.evict(victim)
-    return victim + 1
-
-
-def h2o_evict(
-    cache: KVCache,
-    tracker: ImportanceTracker,
-    zones: ProtectedZones | None = None,
-) -> int:
-    """Evict the minimum cumulative-score slot outside the zones
-    (leftmost on ties).  Removes from cache and tracker."""
-    _check_parallel(cache, tracker)
-    victim = int(argmin_victims(tracker.S[None], ProtectedZones.coerce(zones))[0])
-    cache.evict(victim)
-    tracker.evict(victim)
-    return victim + 1
-
-
-def tova_evict(cache: KVCache, last_row, zones: ProtectedZones | None = None) -> int:
-    """Evict the slot with minimum weight in the most recent attention row,
-    outside the zones (leftmost on ties).  Removes from the cache only."""
-    last_row = np.asarray(last_row, dtype=np.float64)
-    if last_row.shape != (len(cache),):
-        raise DimensionError(
-            f"last row length {last_row.shape} does not match cache length {len(cache)}"
-        )
-    victim = int(argmin_victims(last_row[None], ProtectedZones.coerce(zones))[0])
-    cache.evict(victim)
-    return victim + 1
-
-
 # --- policies ------------------------------------------------------------------
-
-
-class EvictionRecord(NamedTuple):
-    slot: int  # 1-based slot index that was removed
-    position: int  # the removed token's original position
-    cursor: int | None  # tree cursor used for this eviction, if any
 
 
 class EvictionPolicy:
     """Contract: when the streams are one slot over capacity, ``select``
     names one victim slot per stream (or None to decline) without changing
-    anything; the caller removes the victims and then calls ``advance``.
+    anything; ``evict`` removes the victims and then calls ``advance``.
 
     One instance serves every stream of a run: all streams hold the same
     number of slots and evict in lockstep, so a tree cursor is shared.
     """
 
     spec = "?"
+    capacity: int | None = None  # slots each stream keeps after an eviction
     cursor: int | None = None  # the tree cursor the next eviction uses
 
     def select(self, scores, counts, last_rows) -> np.ndarray | None:
@@ -347,30 +194,27 @@ class EvictionPolicy:
     def unbounded(self) -> bool:
         return False
 
-    def evict(
-        self, cache: KVCache, tracker: ImportanceTracker, last_row
-    ) -> EvictionRecord | None:
-        """Select and remove one slot of a single over-capacity stream,
-        keeping its tracker parallel."""
-        _check_parallel(cache, tracker)
+    def evict(self, batch: StreamBatch, rows) -> tuple[list[int], int | None]:
+        """Evict one slot per stream from a batch that is over capacity,
+        ``rows`` being the attention rows of the step that filled it.
+
+        Returns the removed slots' original positions, one per stream, and
+        the tree cursor the eviction used.
+        """
+        n = batch.n
         cursor = self.cursor
-        rows = None
-        if last_row is not None:
-            rows = np.asarray(last_row, dtype=np.float64)[None]
-            if rows.shape != (1, len(cache)):
-                raise DimensionError(
-                    f"last row length {rows.shape[1:]} does not match cache length "
-                    f"{len(cache)}"
-                )
-        victims = self.select(tracker.S[None], tracker.C[None], rows)
+        victims = self.select(batch.scores[:, :n], batch.counts[:, :n], rows)
         if victims is None:
-            return None
-        victim = int(victims[0])
-        position = int(cache.positions[victim])
-        cache.evict(victim)
-        tracker.evict(victim)
+            raise InvariantViolation(
+                f"policy {self.spec} declined to evict an over-capacity cache of {n} slots"
+            )
+        evicted = batch.remove(victims)
         self.advance()
-        return EvictionRecord(victim + 1, position, cursor)
+        if batch.n > self.capacity:
+            raise InvariantViolation(
+                f"streams hold {batch.n} slots after eviction, capacity {self.capacity}"
+            )
+        return evicted, cursor
 
 
 class FullAttention(EvictionPolicy):
@@ -519,25 +363,11 @@ def decode_with_policy(
         rows, outputs, values = batch.step(inputs[step - 1], step - 1)
         events: list[EvictionEvent] = []
         if not policy.unbounded and batch.n > capacity:
-            n = batch.n
-            cursor = policy.cursor
-            victims = policy.select(batch.scores[:, :n], batch.counts[:, :n], rows)
-            if victims is None:
-                raise InvariantViolation(
-                    f"policy {policy_spec} declined to evict an "
-                    f"over-capacity cache at step {step}"
-                )
-            evicted = batch.remove(victims)
-            policy.advance()
+            evicted, cursor = policy.evict(batch, rows)
             events = [
                 EvictionEvent(step, stream // heads, stream % heads, position, cursor)
                 for stream, position in enumerate(evicted)
             ]
-            if batch.n > capacity:
-                raise InvariantViolation(
-                    f"streams hold {batch.n} slots after eviction at step {step}, "
-                    f"capacity {capacity}"
-                )
         trace.steps.append(
             StepRecord(
                 step,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError
+from .policies import TreeKV
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,12 @@ def treekv_prefill_compress(
 
     Content blocks are treated as if they arrived one at a time: the block
     cache fills to ``cache_blocks``, then each additional block triggers one
-    eviction-scope comparison (lower score of the adjacent pair goes, ties
-    to the left) and a cyclic cursor advance.  Scores are precomputed and
-    never refreshed.  Returns the retained block indices in prompt order,
-    always ending with the observation window.
+    decision of the decode-time tree selector (lower score of the adjacent
+    pair under the cursor goes, ties to the left) and a cyclic cursor
+    advance.  Scores are precomputed and never refreshed, so every count is
+    1 and the averaged score is the block score itself.  Returns the
+    retained block indices in prompt order, always ending with the
+    observation window.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(partition.blocks),):
@@ -103,12 +106,11 @@ def treekv_prefill_compress(
     content = list(range(window_index))
     if cache_blocks >= len(content):
         return content + [window_index]
+    policy = TreeKV(cache_blocks)
+    counts = np.ones((1, cache_blocks + 1), dtype=np.int64)
     held = content[:cache_blocks]
-    idx = 1
     for block in content[cache_blocks:]:
         held.append(block)
-        left = idx - 1  # 0-based into the held list
-        victim = left + 1 if scores[held[left]] > scores[held[left + 1]] else left
-        del held[victim]
-        idx = (idx % cache_blocks) + 1
+        del held[int(policy.select(scores[held][None], counts, None)[0])]
+        policy.advance()
     return held + [window_index]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import ModelDims
-from .errors import InputError
+from .errors import DimensionError, InputError
 
 TRACE_FORMAT = 1
 
@@ -107,14 +107,25 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
             fh.write(json.dumps(line, separators=(",", ":")) + "\n")
 
 
-def _grid_of_arrays(raw, layers, heads, what):
-    if not isinstance(raw, list) or len(raw) != layers:
-        raise InputError(f"trace step {what} is not a {layers}-layer list")
+def _grid(raw, dims: ModelDims, what):
+    """The [layer][head] cells of one step's field, checked for shape."""
+    if (not isinstance(raw, list) or len(raw) != dims.layers
+            or any(not isinstance(row, list) or len(row) != dims.heads for row in raw)):
+        raise InputError(f"{what} is not a {dims.layers}x{dims.heads} grid")
+    return raw
+
+
+def _grid_of_arrays(raw, dims: ModelDims, what, length=None):
+    """A grid whose cells are flat lists of numbers (of ``length`` if given)."""
     grid = []
-    for row in raw:
-        if not isinstance(row, list) or len(row) != heads:
-            raise InputError(f"trace step {what} is not a {heads}-head list")
-        grid.append([np.asarray(cell, dtype=np.float64) for cell in row])
+    for row in _grid(raw, dims, what):
+        try:
+            cells = [np.asarray(cell, dtype=np.float64) for cell in row]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{what} has a cell that is not a list of numbers") from exc
+        if any(cell.ndim != 1 or length not in (None, len(cell)) for cell in cells):
+            raise InputError(f"{what} has a cell that is not a flat list of the right length")
+        grid.append(cells)
     return grid
 
 
@@ -153,6 +164,12 @@ def read_trace(path: str) -> DecodeTrace:
         header["d_head"],
         header["vocab"],
     )
+    try:
+        dims.validate()
+    except DimensionError as exc:
+        raise InputError(f"trace header: {exc}") from exc
+    if type(header["seq_len"]) is not int:
+        raise InputError(f"trace header: seq_len must be an int, got {header['seq_len']!r}")
     trace = DecodeTrace(
         policy=header["policy"],
         capacity=header["capacity"],
@@ -171,8 +188,11 @@ def read_trace(path: str) -> DecodeTrace:
     for index, raw in enumerate(body, start=1):
         if raw.get("kind") != "step" or raw.get("step") != index:
             raise InputError(f"trace step record {index} is malformed or out of order")
+        items = raw.get("events", [])
+        if not isinstance(items, list):
+            raise InputError(f"events at step {index} are not a list")
         events = []
-        for item in raw.get("events", []):
+        for item in items:
             if not (
                 isinstance(item, list)
                 and len(item) == 4
@@ -188,18 +208,15 @@ def read_trace(path: str) -> DecodeTrace:
                     f"{dims.layers}x{dims.heads} streams or positions 0..{index - 1}"
                 )
             events.append(EvictionEvent(index, layer, head, position, cursor))
-        retained = raw.get("retained")
-        if (
-            not isinstance(retained, list)
-            or len(retained) != dims.layers
-            or any(len(row) != dims.heads for row in retained)
-        ):
-            raise InputError(f"malformed retained grid at step {index}")
+        retained = _grid(raw.get("retained"), dims, f"retained at step {index}")
+        if any(not isinstance(cell, list) or set(map(type, cell)) - {int}
+               for row in retained for cell in row):
+            raise InputError(f"retained at step {index} has a cell that is not a list of ints")
         rows = values = None
         if "rows" in raw:
-            rows = _grid_of_arrays(raw["rows"], dims.layers, dims.heads, "rows")
+            rows = _grid_of_arrays(raw["rows"], dims, f"rows at step {index}")
         if "values" in raw:
-            values = _grid_of_arrays(raw["values"], dims.layers, dims.heads, "values")
+            values = _grid_of_arrays(raw["values"], dims, f"values at step {index}", dims.d_head)
         trace.steps.append(StepRecord(index, events, retained, rows, values))
     return trace
 
@@ -223,7 +240,7 @@ def validate_trace(trace: DecodeTrace) -> None:
             stream.remove(event.position)
         for layer in range(dims.layers):
             for head in range(dims.heads):
-                if live[layer][head] != list(record.retained[layer][head]):
+                if live[layer][head] != record.retained[layer][head]:
                     raise InputError(
                         f"step {record.step}: replayed retained set diverges from "
                         f"the recorded one in stream ({layer}, {head})"

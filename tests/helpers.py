@@ -4,22 +4,59 @@ from __future__ import annotations
 
 import numpy as np
 
-from treekv import ImportanceTracker, KVCache, update_scores
+from treekv import ModelDims, ModelWeights, StreamBatch, generate_weights
+
+# The statistics-only tests never call StreamBatch.step, so any weights do.
+_ONE_STREAM = generate_weights(0, ModelDims(1, 1, 1, 1))
 
 
-def cache_with_positions(positions, d_head=4, seed=0, capacity=None):
-    """Cache holding random key/value vectors at the given original positions."""
-    rng = np.random.default_rng(seed)
-    cache = KVCache(d_head, capacity=capacity, reserve=len(positions) + 1)
-    for position in positions:
-        cache.append(rng.normal(size=d_head), rng.normal(size=d_head), position)
-    return cache
+def single_head_weights(wq, wk=None, wv=None):
+    """A one-stream model with hand-built (d_model, d_head) matrices; W_K and
+    W_V default to W_Q."""
+    wq = np.asarray(wq, dtype=np.float32)
+    wk = wq if wk is None else np.asarray(wk, dtype=np.float32)
+    wv = wq if wv is None else np.asarray(wv, dtype=np.float32)
+    dims = ModelDims(1, 1, wq.shape[0], wq.shape[1])
+    return ModelWeights(dims, 0, [[wq]], [[wk]], [[wv]])
 
 
-def staged_tracker(rows):
-    """Tracker built through the public extend/update path, one row per step."""
-    tracker = ImportanceTracker()
-    for row in rows:
-        tracker.extend()
-        update_scores(tracker, np.asarray(row, dtype=np.float64))
-    return tracker
+def stream_batch(scores, counts=None):
+    """A one-stream StreamBatch whose live slots hold original positions
+    0..n-1 with the given statistics S and C (C defaults to all ones)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    batch = StreamBatch(_ONE_STREAM, len(scores))
+    batch.n = len(scores)
+    batch.positions[0] = np.arange(len(scores))
+    batch.scores[0] = scores
+    batch.counts[0] = 1 if counts is None else counts
+    return batch
+
+
+def drive_policy(policy, capacity, rows=None, fixed_scores=None):
+    """Run the production eviction path, ``policy.evict``, on a one-stream
+    StreamBatch fed synthetic statistics instead of attention.
+
+    Step t appends a slot at original position t.  With ``rows``, the step's
+    row over the live slots is accumulated as ``StreamBatch.step`` does
+    (S += row, C += 1) and passed to the policy as the last attention row;
+    with ``fixed_scores``, the new slot gets S = fixed_scores[t] and C = 1
+    and nothing accumulates (prefill's precomputed block scores).  Whenever
+    the stream holds more than ``capacity`` slots, ``policy.evict`` removes
+    one.  Yields (batch, eviction) after every step, where eviction is
+    evict's (evicted positions, cursor) or None.
+    """
+    batch = StreamBatch(_ONE_STREAM, capacity + 1)
+    for t, stat in enumerate(rows if rows is not None else fixed_scores):
+        n = batch.n
+        batch.positions[0, n] = t
+        batch.n = n + 1
+        last_rows = None
+        if rows is None:
+            batch.scores[0, n], batch.counts[0, n] = stat, 1
+        else:
+            last_rows = np.asarray(stat, dtype=np.float64)[None]
+            batch.scores[0, n], batch.counts[0, n] = 0.0, 0
+            batch.scores[:, : n + 1] += last_rows
+            batch.counts[:, : n + 1] += 1
+        eviction = policy.evict(batch, last_rows) if batch.n > capacity else None
+        yield batch, eviction

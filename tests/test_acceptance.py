@@ -14,34 +14,26 @@ import numpy as np
 import pytest
 
 from treekv import (
-    ImportanceTracker,
-    KVCache,
     ModelDims,
     ProtectedZones,
+    StreamBatch,
     TreeKV,
-    TreeKVState,
-    advance_idx,
-    apply_positions,
     decode_with_policy,
     dwt_multi,
     dwt_single,
-    encoding_positions,
     generate_weights,
-    h2o_evict,
+    make_policy,
     max_level,
     partition_blocks,
     reconstruct,
     reconstruct_component,
     rotate_vector,
     synthesize_embeddings,
-    tova_evict,
-    treekv_evict_step,
     treekv_prefill_compress,
-    update_scores,
 )
 from treekv.policies import POLICY_SPECS, StreamingLLM
 
-from helpers import cache_with_positions
+from helpers import drive_policy
 from oracles import oracle_dwt, oracle_full_attention, oracle_tree_sim
 
 
@@ -57,22 +49,15 @@ FUZZ_SCENARIOS = 1000
 
 def _drive_tree_policy(capacity, rows, select_left):
     """Run the production eviction path on a synthetic score stream."""
-    cache = KVCache(1, capacity=capacity)
-    tracker = ImportanceTracker(reserve=capacity + 1)
     policy = TreeKV(capacity, select_left=select_left)
-    zero = np.zeros(1)
     cursors = []
     size_violations = 0
-    for t, row in enumerate(rows, start=1):
-        cache.append(zero, zero, t - 1)
-        tracker.extend()
-        update_scores(tracker, np.asarray(row))
-        if len(cache) > capacity:
-            record = policy.evict(cache, tracker, None)
-            cursors.append(record.cursor)
-        if len(cache) > capacity or len(tracker) > capacity:
+    for batch, eviction in drive_policy(policy, capacity, rows=rows):
+        if eviction is not None:
+            cursors.append(eviction[1])
+        if batch.n > capacity:
             size_violations += 1
-    retained = [p + 1 for p in cache.positions.tolist()]
+    retained = [p + 1 for p in batch.positions[0, : batch.n].tolist()]
     return retained, cursors, size_violations
 
 
@@ -268,21 +253,17 @@ def test_c08_baseline_behavioural_contracts():
         n_sink = int(rng.integers(0, capacity))
         zones = ProtectedZones(n_sink, capacity - n_sink)
         seq_len = capacity + int(rng.integers(1, 3 * capacity))
-        cache = KVCache(1, capacity=capacity)
-        tracker = ImportanceTracker(reserve=capacity + 1)
         policy = StreamingLLM(capacity, zones)
-        for t in range(seq_len):
-            cache.append([0.0], [0.0], t)
-            tracker.extend()
-            raw = rng.random(len(tracker))
-            update_scores(tracker, raw / raw.sum())
-            if len(cache) > capacity:
-                policy.evict(cache, tracker, None)
+        rows = []
+        for t in range(1, seq_len + 1):
+            raw = rng.random(min(t, capacity + 1))
+            rows.append(raw / raw.sum())
+        for t, (batch, _) in enumerate(drive_policy(policy, capacity, rows=rows)):
             if t + 1 > capacity:
                 expected = list(range(n_sink)) + list(
                     range(t + 1 - zones.n_recent, t + 1)
                 )
-                assert cache.positions.tolist() == expected
+                assert batch.positions[0, : batch.n].tolist() == expected
 
     # Cumulative-score argmin outside the zones, leftmost tie-break.
     for _ in range(100):
@@ -292,11 +273,10 @@ def test_c08_baseline_behavioural_contracts():
         n_recent = int(rng.integers(0, capacity - n_sink + 1))
         zones = ProtectedZones(n_sink, n_recent)
         mass = rng.integers(0, 5, size=size) / 4.0  # coarse grid forces ties
-        cache = cache_with_positions(list(range(size)), d_head=1, capacity=capacity)
-        tracker = ImportanceTracker.from_arrays(mass)
         middle = list(mass[n_sink : size - n_recent])
-        expected = n_sink + min(range(len(middle)), key=middle.__getitem__) + 1
-        assert h2o_evict(cache, tracker, zones) == expected
+        expected = n_sink + min(range(len(middle)), key=middle.__getitem__)
+        policy = make_policy("h2o", capacity, zones)
+        assert policy.select(mass[None], np.ones((1, size)), None).tolist() == [expected]
 
     # Last-row argmin outside the zones, leftmost tie-break.
     for _ in range(100):
@@ -306,10 +286,10 @@ def test_c08_baseline_behavioural_contracts():
         n_recent = int(rng.integers(0, capacity - n_sink + 1))
         zones = ProtectedZones(n_sink, n_recent)
         row = rng.integers(0, 5, size=size) / 4.0
-        cache = cache_with_positions(list(range(size)), d_head=1, capacity=capacity)
         middle = list(row[n_sink : size - n_recent])
-        expected = n_sink + min(range(len(middle)), key=middle.__getitem__) + 1
-        assert tova_evict(cache, row, zones) == expected
+        expected = n_sink + min(range(len(middle)), key=middle.__getitem__)
+        policy = make_policy("tova", capacity, zones)
+        assert policy.select(None, None, row[None]).tolist() == [expected]
 
     _report(8, "sliding-window, cumulative-score and last-row contracts "
                "hold on 100 fixtures each")
@@ -324,45 +304,48 @@ def test_c09_prefill_matches_token_level_eviction():
         partition = partition_blocks(tokens, 1)
         kept = treekv_prefill_compress(partition, scores, budget)
 
-        cache = KVCache(1, capacity=budget)
-        held_scores = []
-        state = TreeKVState(c=budget)
-        for token in range(tokens - 1):
-            cache.append([0.0], [0.0], token)
-            held_scores.append(scores[token])
-            if len(cache) > budget:
-                tracker = ImportanceTracker.from_arrays(held_scores)
-                victim = treekv_evict_step(cache, tracker, state)
-                del held_scores[victim - 1]
-                advance_idx(state)
-        token_level = cache.positions.tolist() + [tokens - 1]
+        steps = drive_policy(TreeKV(budget), budget, fixed_scores=scores[: tokens - 1])
+        batch, _ = list(steps)[-1]
+        token_level = batch.positions[0, : batch.n].tolist() + [tokens - 1]
         assert kept == token_level
     _report(9, "block size 1 prefill equals token-level eviction on 100 fixtures")
 
 
 def test_c10_position_reassignment():
-    # Worked example: survivors {0,1,2,3,7,8,9} while decoding token 10.
-    cache = cache_with_positions([0, 1, 2, 3, 7, 8, 9])
-    assert encoding_positions(cache).tolist() == [0, 1, 2, 3, 4, 5, 6]
-    q = np.array([1.0, 0.5, -0.25, 2.0])
-    keys_encoded, q_encoded = apply_positions(cache, q)
-    assert np.array_equal(q_encoded, rotate_vector(q, 7))
+    weights = generate_weights(1010, ModelDims(1, 3, 6, 4))
+    inputs = synthesize_embeddings(1010, 11, 6)
 
+    # Worked example: survivors {0,1,2,3,7,8,9} while decoding token 10.
+    batch = StreamBatch(weights, slots=11)
+    for position in range(10):
+        batch.step(inputs[position], position)
+    for _ in range(3):
+        batch.remove([4, 4, 4])
+    rows, _, _ = batch.step(inputs[10], 10)
+    assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2, 3, 7, 8, 9, 10]] * 3
+    for stream in range(3):
+        keys = batch.encoded[stream, : batch.n]
+        q_encoded = rotate_vector(inputs[10] @ batch.wq[stream], 7)
+        logits = keys @ q_encoded / 2.0
+        expected = np.exp(logits - logits.max())
+        assert np.array_equal(rows[stream], expected / expected.sum())
+
+    # Random eviction histories, a different victim in every stream: after
+    # every step each key is encoded at its current slot.
     rng = np.random.default_rng(1010)
     for _ in range(100):
-        cache = KVCache(4, capacity=None, reserve=64)
+        batch = StreamBatch(weights, slots=64)
         position = 0
         for _ in range(int(rng.integers(3, 40))):
-            cache.append(rng.normal(size=4), rng.normal(size=4), position)
+            batch.step(rng.normal(size=6), position)
             position += 1 + int(rng.integers(0, 3))
-            if len(cache) > 2 and rng.random() < 0.4:
-                cache.evict(int(rng.integers(0, len(cache))))
-        assert encoding_positions(cache).tolist() == list(range(len(cache)))
-        keys_encoded, _ = apply_positions(cache, rng.normal(size=4))
-        for slot in range(len(cache)):
-            assert np.array_equal(
-                keys_encoded[slot], rotate_vector(cache.keys()[slot], slot)
-            )
+            for slot in range(batch.n):
+                assert np.array_equal(
+                    batch.encoded[:, slot],
+                    np.stack([rotate_vector(key, slot) for key in batch.keys[:, slot]]),
+                )
+            if batch.n > 2 and rng.random() < 0.4:
+                batch.remove(rng.integers(0, batch.n, size=3))
     _report(10, "encoding positions are 0..len-1 after any eviction history")
 
 

@@ -216,13 +216,14 @@ def _config_case(data):
     return build
 
 
-def _trace_case(edit):
-    """A valid select-left trace (evictions from step 5) with step 5 edited."""
+def _trace_case(edit, line=5):
+    """A valid 1x2 select-left trace of 17 steps (evictions from step 5)
+    with one line edited: by default step 5, line 0 is the header."""
     def build(tmp_path):
         trace_path = tmp_path / "t.jsonl"
         assert run_cli(*_decode_args(trace_path)) == 0
         lines = trace_path.read_text().splitlines()
-        lines[5] = edit(json.loads(lines[5]))
+        lines[line] = edit(json.loads(lines[line]))
         trace_path.write_text("\n".join(lines) + "\n")
         return ["map", "--trace", trace_path]
     return build
@@ -237,9 +238,19 @@ def _trace_case(edit):
         (lambda tmp_path: _decode_args(tmp_path / "missing" / "t.jsonl"), 3),
         (_trace_case(lambda record: "[5]"), 3),
         (_trace_case(lambda record: json.dumps({**record, "events": [[7, 0, 0, 1]]})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "events": 5})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "retained": [[5, 6]]})), 3),
+        (_trace_case(lambda record: json.dumps(
+            {**record, "retained": [[[float(p) for p in cell] for cell in record["retained"][0]]]}
+        ), line=17), 3),
+        (_trace_case(lambda record: json.dumps({**record, "rows": [[["q"], ["q"]]]})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "d_head": None}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0}), line=0), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
-         "event-layer-out-of-range"],
+         "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
+         "retained-float-positions", "row-cell-not-numbers", "header-dim-null",
+         "header-seq-len-float"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -248,3 +259,29 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code)
     )
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_weight_file_dims_override_the_config(tmp_path):
+    weights = tmp_path / "w.bin"
+    assert run_cli("gen-weights", "--seed", 4, "--layers", 1, "--heads", 1,
+                   "--d-model", 8, "--d-head", 4, "-o", weights) == 0
+    out = tmp_path / "t.jsonl"
+    # the config keeps its default 2x4 model of width 64
+    assert run_cli("decode", "--weights", weights, "--policy", "treekv", "--c", 8,
+                   "--zones", "sink=0,recent=0", "--T", 16, "-o", out) == 0
+    header = json.loads(out.read_text().splitlines()[0])
+    assert [header[k] for k in ("layers", "heads", "d_model", "d_head")] == [1, 1, 8, 4]
+    assert len(read_trace(str(out)).final_retained()[0][0]) == 8
+
+    paths = []
+    # the file sets the dims, so configs may differ in the ones they declare
+    for policy, declared in (("full", {}), ("treekv", {"layers": 1, "d_model": 8})):
+        path = tmp_path / f"{policy}.json"
+        path.write_text(json.dumps({"policy": policy, "c": 8, "zones": "sink=0,recent=0",
+                                    "T": 16, "weights": str(weights), **declared}))
+        paths.append(path)
+    summary = tmp_path / "cmp.csv"
+    assert run_cli("compare", *paths, "-o", summary) == 0
+    rows = [line.split(",") for line in summary.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["full", "treekv"]
+    assert float(rows[1][1]) == 8 / 16  # c / T against full

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,29 +11,24 @@ from treekv import (
     POLICY_SPECS,
     DimensionError,
     InputError,
-    KVCache,
     ModelDims,
-    ModelWeights,
-    OrderingError,
     StateError,
     StreamBatch,
-    apply_positions,
-    attend,
     decode_with_policy,
-    encoding_positions,
     generate_weights,
     load_weights,
     observation_scores,
     partition_blocks,
-    project,
     rotate_vector,
     save_weights,
     synthesize_embeddings,
     synthesize_token_ids,
     window_rows,
 )
+from treekv.cli import main
+from treekv.engine import _attend
 
-from helpers import cache_with_positions
+from helpers import single_head_weights
 from oracles import (
     oracle_block_scores,
     oracle_decode,
@@ -128,63 +124,77 @@ def test_weight_file_rejects_truncation(tmp_path):
 # --- project ---------------------------------------------------------------
 
 
-def _single_head_weights(wq, wk=None, wv=None):
-    wq = np.asarray(wq, dtype=np.float32)
-    wk = wq if wk is None else np.asarray(wk, dtype=np.float32)
-    wv = wq if wv is None else np.asarray(wv, dtype=np.float32)
-    dims = ModelDims(1, 1, wq.shape[0], wq.shape[1])
-    return ModelWeights(dims, 0, [[wq]], [[wk]], [[wv]])
+def _expected_row(q, keys):
+    """Softmax of the query against the keys, the query rotated at the last
+    slot and each key at its own slot, computed with rotate_vector."""
+    n, d_head = keys.shape
+    keys_encoded = np.stack([rotate_vector(key, slot) for slot, key in enumerate(keys)])
+    logits = keys_encoded @ rotate_vector(q, n - 1) / math.sqrt(d_head)
+    expected = np.exp(logits - logits.max())
+    return expected / expected.sum()
 
 
 def test_project_zero_vector():
     weights = generate_weights(1, ModelDims(1, 1, 6, 3))
-    q, k, v = project(np.zeros(6), weights, 0, 0)
-    assert not q.any() and not k.any() and not v.any()
+    batch = StreamBatch(weights, slots=2)
+    batch.step(np.ones(6), 0)
+    rows, outputs, values = batch.step(np.zeros(6), 1)
+    assert not batch.keys[0, 1].any() and not values.any()
+    assert rows.tolist() == [[0.5, 0.5]]  # a zero query weighs every key alike
+    assert np.array_equal(outputs, batch.values[:, 0] / 2)
 
 
 def test_project_identity_matrix():
-    weights = _single_head_weights(np.eye(3))
-    x = np.array([0.5, -1.0, 2.0])
-    q, _, _ = project(x, weights, 0, 0)
-    assert np.allclose(q, x)
+    batch = StreamBatch(single_head_weights(np.eye(3)), slots=2)
+    xs = np.array([[0.3, 0.1, -0.4], [0.5, -1.0, 2.0]])
+    batch.step(xs[0], 0)
+    rows, _, values = batch.step(xs[1], 1)
+    assert np.array_equal(batch.keys[0, :2], xs)
+    assert np.array_equal(values[0], xs[1])
+    assert np.allclose(rows[0], _expected_row(xs[1], xs), atol=1e-12)  # q = x
 
 
 def test_project_hand_example():
-    weights = _single_head_weights([[0.5, 0.25], [0.5, 0.75]])
-    q, _, _ = project([1.0, 1.0], weights, 0, 0)
-    assert np.allclose(q, [1.0, 1.0], atol=1e-12)
+    batch = StreamBatch(single_head_weights([[0.5, 0.25], [0.5, 0.75]]), slots=1)
+    _, _, values = batch.step(np.array([1.0, 1.0]), 0)
+    assert np.allclose(values[0], [1.0, 1.0], atol=1e-12)
+    assert np.allclose(batch.keys[0, 0], [1.0, 1.0], atol=1e-12)
 
 
 def test_project_length_mismatch():
     weights = generate_weights(1, ModelDims(1, 1, 6, 3))
     with pytest.raises(DimensionError):
-        project(np.zeros(5), weights, 0, 0)
+        decode_with_policy(weights, np.zeros((3, 5)), "treekv", 4)
+    with pytest.raises(DimensionError):
+        decode_with_policy(weights, np.zeros(6), "treekv", 4)
 
 
 # --- attend ----------------------------------------------------------------
 
 
+def _attend_one(q, keys, values):
+    rows, outputs = _attend(
+        np.asarray(q, dtype=np.float64)[None],
+        np.asarray(keys, dtype=np.float64)[None],
+        np.asarray(values, dtype=np.float64)[None],
+    )
+    return rows[0], outputs[0]
+
+
 def test_attend_single_slot():
-    cache = KVCache(2).append([1.0, 0.0], [3.0, 4.0], 0)
-    row, out = attend([0.2, 0.7], cache)
+    row, out = _attend_one([0.2, 0.7], [[1.0, 0.0]], [[3.0, 4.0]])
     assert row.tolist() == [1.0]
     assert out.tolist() == [3.0, 4.0]
 
 
 def test_attend_identical_keys_split_evenly():
-    cache = KVCache(2)
-    cache.append([1.0, 1.0], [1.0, 0.0], 0)
-    cache.append([1.0, 1.0], [0.0, 1.0], 1)
-    row, out = attend([0.3, -0.2], cache)
+    row, out = _attend_one([0.3, -0.2], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(row, [0.5, 0.5], atol=1e-12)
     assert np.allclose(out, [0.5, 0.5], atol=1e-12)
 
 
 def test_attend_two_slot_softmax_example():
-    cache = KVCache(2)
-    cache.append([1.0, 0.0], [1.0, 0.0], 0)
-    cache.append([0.0, 1.0], [0.0, 1.0], 1)
-    row, _ = attend([1.0, 0.0], cache)
+    row, _ = _attend_one([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
     # logits are [1/sqrt(2), 0]; direct scalar softmax as the oracle
     z = 1.0 / math.sqrt(2.0)
     denominator = math.exp(z) + 1.0
@@ -192,19 +202,15 @@ def test_attend_two_slot_softmax_example():
     assert np.allclose(row, [0.6698, 0.3302], atol=1e-4)
 
 
-def test_attend_empty_cache():
-    with pytest.raises(StateError):
-        attend([1.0, 0.0], KVCache(2))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_attention_rows_are_stochastic(slots, d_head, seed):
     rng = np.random.default_rng(seed)
-    cache = KVCache(d_head, reserve=slots)
-    for position in range(slots):
-        cache.append(rng.normal(size=d_head), rng.normal(size=d_head), position)
-    row, _ = attend(rng.normal(size=d_head) * 5, cache)
+    row, _ = _attend_one(
+        rng.normal(size=d_head) * 5,
+        rng.normal(size=(slots, d_head)),
+        rng.normal(size=(slots, d_head)),
+    )
     assert (row >= 0).all()
     assert abs(row.sum() - 1.0) < 1e-6
 
@@ -212,85 +218,108 @@ def test_attention_rows_are_stochastic(slots, d_head, seed):
 # --- append / evict ordering -----------------------------------------------
 
 
+def _stepped(count, slots=None, seed=0, d_head=4):
+    """A two-stream batch after ``count`` steps at positions 0..count-1."""
+    weights = generate_weights(seed, ModelDims(1, 2, 6, d_head))
+    batch = StreamBatch(weights, slots=count + 1 if slots is None else slots)
+    xs = synthesize_embeddings(seed, count + 1, 6)
+    for position in range(count):
+        batch.step(xs[position], position)
+    return batch, xs
+
+
 def test_append_grows_and_preserves_order():
-    cache = KVCache(1)
-    for position in (0, 1, 2):
-        cache.append([0.0], [0.0], position)
-    assert len(cache) == 3
-    assert cache.positions.tolist() == [0, 1, 2]
-
-
-def test_append_rejects_non_monotone_positions():
-    cache = KVCache(1).append([0.0], [0.0], 5)
-    with pytest.raises(OrderingError):
-        cache.append([0.0], [0.0], 5)
-    with pytest.raises(OrderingError):
-        cache.append([0.0], [0.0], 3)
+    batch, _ = _stepped(3)
+    assert batch.n == 3
+    assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2]] * 2
 
 
 def test_append_after_eviction_keeps_order():
-    cache = cache_with_positions([0, 1, 2, 3], d_head=1)
-    cache.evict(2)
-    cache.append([0.0], [0.0], 4)
-    assert cache.positions.tolist() == [0, 1, 3, 4]
+    batch, xs = _stepped(4)
+    batch.remove([2, 2])
+    batch.step(xs[4], 4)
+    assert batch.positions[:, : batch.n].tolist() == [[0, 1, 3, 4]] * 2
+
+
+def test_append_rejects_wrong_vector_length(tmp_path):
+    # Appended keys and values take their width from the weights, so the
+    # only way in for a wrong-length vector is an input row: it is refused.
+    tokens = tmp_path / "rows.json"
+    tokens.write_text(json.dumps(np.zeros((4, 5)).tolist()))
+    args = ["decode", "--policy", "full", "--layers", "1", "--heads", "1",
+            "--d-model", "6", "--d-head", "4", "--tokens", str(tokens),
+            "-o", str(tmp_path / "t.jsonl")]
+    assert main(args) == 3
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_append_respects_capacity_headroom():
-    cache = KVCache(1, capacity=2)
-    for position in range(3):  # capacity + 1 transient slots are allowed
-        cache.append([0.0], [0.0], position)
+    batch, xs = _stepped(3, slots=3)  # capacity + 1 transient slots for c = 2
     with pytest.raises(StateError):
-        cache.append([0.0], [0.0], 3)
-
-
-def test_append_rejects_wrong_vector_length():
-    with pytest.raises(DimensionError):
-        KVCache(2).append([1.0], [1.0, 2.0], 0)
+        batch.step(xs[3], 3)
 
 
 # --- position re-assignment ------------------------------------------------
 
 
+def _survivors_then_step(count, victims, seed=0):
+    """Step ``count`` inputs, remove the given slot from every stream in
+    turn, then step one more input at the next position."""
+    batch, _ = _stepped(count, seed=seed)
+    for victim in victims:
+        batch.remove([victim, victim])
+    x = synthesize_embeddings(seed + 1, 1, 6)[0]
+    rows, _, _ = batch.step(x, count)
+    return batch, rows, x
+
+
 def test_apply_positions_worked_example():
     # Survivors {0,1,2,3,7,8,9} while decoding global token 10: keys are
-    # encoded at 0..6 and the incoming query at 7.
-    cache = cache_with_positions([0, 1, 2, 3, 7, 8, 9])
-    assert encoding_positions(cache).tolist() == [0, 1, 2, 3, 4, 5, 6]
-    q = np.arange(4, dtype=np.float64)
-    keys_encoded, q_encoded = apply_positions(cache, q)
-    assert np.array_equal(q_encoded, rotate_vector(q, 7))
-    for slot, encoded in zip(range(7), keys_encoded):
-        assert np.array_equal(encoded, rotate_vector(cache.keys()[slot], slot))
+    # encoded at 0..6 and the incoming query at 7, its own slot.
+    batch, rows, x = _survivors_then_step(10, [4, 4, 4])
+    assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2, 3, 7, 8, 9, 10]] * 2
+    for stream in range(2):
+        keys = batch.keys[stream, : batch.n]
+        for slot in range(batch.n):
+            assert np.array_equal(batch.encoded[stream, slot], rotate_vector(keys[slot], slot))
+        q = x @ batch.wq[stream]
+        assert np.array_equal(rows[stream], _expected_row(q, keys))
 
 
 def test_apply_positions_gap_invariance():
     # Encoding depends only on slot order, never on original positions.
-    gapped = cache_with_positions([0, 1, 2, 3, 7, 8, 9], seed=3)
-    compact = KVCache(4, reserve=8)
-    for slot in range(len(gapped)):
-        compact.append(gapped.keys()[slot], gapped.values()[slot], slot)
-    q = np.array([1.0, -2.0, 0.5, 0.25])
-    keys_a, q_a = apply_positions(gapped, q)
-    keys_b, q_b = apply_positions(compact, q)
-    assert np.array_equal(keys_a, keys_b)
-    assert np.array_equal(q_a, q_b)
+    gapped, rows_gapped, x = _survivors_then_step(10, [4, 4, 4], seed=3)
+    compact = StreamBatch(generate_weights(3, ModelDims(1, 2, 6, 4)), slots=8)
+    xs = synthesize_embeddings(3, 11, 6)
+    for slot, position in enumerate([0, 1, 2, 3, 7, 8, 9]):
+        compact.step(xs[position], slot)
+    rows_compact, _, _ = compact.step(x, 7)
+    assert np.array_equal(gapped.encoded[:, :8], compact.encoded[:, :8])
+    assert np.array_equal(rows_gapped, rows_compact)
 
 
 def test_apply_positions_identity_without_evictions():
-    cache = cache_with_positions([0, 1, 2, 3, 4])
-    assert encoding_positions(cache).tolist() == cache.positions.tolist()
+    batch, _ = _stepped(5)
+    for stream in range(2):
+        for slot, position in enumerate(batch.positions[stream, : batch.n]):
+            assert np.array_equal(
+                batch.encoded[stream, slot], rotate_vector(batch.keys[stream, slot], position)
+            )
+
+
+def test_apply_positions_never_mutates_stored_keys():
+    batch, xs = _stepped(3, seed=9)
+    raw = np.array([[x @ batch.wk[stream] for x in xs[:3]] for stream in range(2)])
+    assert np.array_equal(batch.keys[:, :3], raw)
+    batch.remove([1, 0])
+    batch.step(xs[3], 3)
+    assert np.array_equal(batch.keys[0, :2], raw[0, [0, 2]])
+    assert np.array_equal(batch.keys[1, :2], raw[1, [1, 2]])
 
 
 def test_rotation_at_position_zero_is_identity():
     vec = np.array([0.3, -1.2, 4.5, 0.0])
     assert np.array_equal(rotate_vector(vec, 0), vec)
-
-
-def test_apply_positions_never_mutates_stored_keys():
-    cache = cache_with_positions([0, 1, 2], seed=9)
-    before = cache.keys().copy()
-    apply_positions(cache, np.ones(4))
-    assert np.array_equal(cache.keys(), before)
 
 
 def test_rotation_preserves_norm():
@@ -304,26 +333,24 @@ def test_rotation_preserves_norm():
 
 def test_attention_stream_runs_and_orders_positions():
     # Every stream of the batch attends over all of its slots in position
-    # order, bitwise as a lone stream built from the single-stream functions.
+    # order, bitwise as a lone stream projecting with its own matrices.
     weights = generate_weights(5, ModelDims(2, 2, 6, 4))
     batch = StreamBatch(weights, slots=8)
-    caches = [KVCache(4, reserve=8) for _ in range(4)]
+    keys, vals = [[] for _ in range(4)], [[] for _ in range(4)]
     xs = synthesize_embeddings(5, 4, 6)
     for position in range(4):
         rows, outputs, values = batch.step(xs[position], position)
         assert rows.shape == (4, position + 1)
-        for stream, cache in enumerate(caches):
+        for stream in range(4):
+            layer, head = divmod(stream, 2)
             row = rows[stream]
             assert abs(row.sum() - 1.0) < 1e-9
-            q, k, v = project(xs[position], weights, stream // 2, stream % 2)
-            cache.append(k, v, position)
-            keys_encoded, q_encoded = apply_positions(cache, q, query_index=position)
-            logits = keys_encoded @ q_encoded / 2.0
-            expected = np.exp(logits - logits.max())
-            expected = expected / expected.sum()
+            keys[stream].append(xs[position] @ weights.wk[layer][head])
+            vals[stream].append(xs[position] @ weights.wv[layer][head])
+            expected = _expected_row(xs[position] @ weights.wq[layer][head], np.stack(keys[stream]))
             assert np.array_equal(row, expected)
-            assert np.array_equal(values[stream], v)
-            assert np.array_equal(outputs[stream], expected @ cache.values())
+            assert np.array_equal(values[stream], vals[stream][-1])
+            assert np.array_equal(outputs[stream], expected @ np.stack(vals[stream]))
     assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2, 3]] * 4
 
 

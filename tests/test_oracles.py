@@ -1,6 +1,7 @@
 """Self-checks for the brute-force reference implementations, plus the
 golden fixture they generate (regenerate with --regen-golden)."""
 
+import ast
 import math
 
 import numpy as np
@@ -14,6 +15,21 @@ from treekv import (
 
 import oracles
 from oracles import oracle_dwt, oracle_full_attention, oracle_tree_sim
+
+
+def test_oracles_import_nothing_from_the_package():
+    # The oracles are the only per-stream definition independent of the
+    # package; sharing its code would let a bug agree with itself.
+    with open(oracles.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported  # the walk saw the imports
+    assert not any(name.split(".")[0] in ("treekv", "") for name in imported), imported
 
 
 def test_tree_sim_select_left_17_tokens():

@@ -1,136 +1,139 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treekv import (
+    H2O,
+    TOVA,
     ConfigError,
     DimensionError,
-    ImportanceTracker,
     InvariantViolation,
-    KVCache,
     ModelDims,
     ProtectedZones,
     StateError,
     StreamBatch,
+    StreamingLLM,
     TreeKV,
     TreeKVState,
     advance_idx,
-    average_scores,
     decode_with_policy,
     generate_weights,
-    h2o_evict,
     make_policy,
-    streaming_llm_evict,
     synthesize_embeddings,
-    tova_evict,
-    treekv_evict_step,
-    update_scores,
 )
+from treekv.policies import _averaged, argmin_victims, streaming_victims, tree_victims
 
-from helpers import cache_with_positions, staged_tracker
+from helpers import drive_policy, single_head_weights, stream_batch
 
 
 # --- score tracking ----------------------------------------------------------
+#
+# StreamBatch.step accumulates each attention row into the statistics:
+# S += row and C += 1 over the live slots.
+
+
+def _two_step_batch(wq, wk):
+    """Two steps of a d_model 1, d_head 2 stream on input 1.0: the second
+    query is rotated by 1 rad against the first key and by 0 against its own."""
+    batch = StreamBatch(single_head_weights(wq, wk), slots=2)
+    first, _, _ = batch.step(np.ones(1), 0)
+    second, _, _ = batch.step(np.ones(1), 1)
+    return batch, first[0], second[0]
 
 
 def test_update_scores_first_step():
-    tracker = staged_tracker([[1.0]])
-    assert tracker.S.tolist() == [1.0]
-    assert tracker.C.tolist() == [1]
+    batch = StreamBatch(generate_weights(3, ModelDims(1, 1, 4, 2)), slots=1)
+    batch.step(np.ones(4), 0)
+    assert batch.scores[0, : batch.n].tolist() == [1.0]
+    assert batch.counts[0, : batch.n].tolist() == [1]
 
 
 def test_update_scores_two_steps():
-    tracker = staged_tracker([[1.0], [0.6, 0.4]])
-    assert np.allclose(tracker.S, [1.6, 0.4])
-    assert tracker.C.tolist() == [2, 1]
+    # logit gap ln 1.5 between the two keys gives the row [0.6, 0.4]
+    b = -math.log(1.5) * math.sqrt(2.0) / (1.0 - math.cos(1.0))
+    batch, first, second = _two_step_batch([[b, 0.0]], [[1.0, 0.0]])
+    assert first.tolist() == [1.0]
+    assert np.allclose(second, [0.6, 0.4])
+    assert batch.scores[0, :2].tolist() == [1.0 + second[0], second[1]]
+    assert np.allclose(batch.scores[0, :2], [1.6, 0.4])
+    assert batch.counts[0, :2].tolist() == [2, 1]
 
 
 def test_update_scores_zero_entry_still_counts_residency():
-    tracker = staged_tracker([[1.0], [0.0, 1.0]])
-    assert np.allclose(tracker.S, [1.0, 1.0])
-    assert tracker.C.tolist() == [2, 1]
-
-
-def test_update_scores_length_mismatch():
-    tracker = staged_tracker([[1.0]])
-    with pytest.raises(DimensionError):
-        update_scores(tracker, np.array([0.5, 0.5]))
+    # a logit gap of about 3e5 underflows the first slot's weight to 0
+    batch, _, second = _two_step_batch([[1000.0, 0.0]], [[1000.0, 0.0]])
+    assert second.tolist() == [0.0, 1.0]
+    assert batch.scores[0, :2].tolist() == [1.0, 1.0]
+    assert batch.counts[0, :2].tolist() == [2, 1]
 
 
 def test_average_scores_elementwise():
-    tracker = staged_tracker([[1.0], [0.6, 0.4]])
-    assert np.allclose(average_scores(tracker), [0.8, 0.4])
+    batch, _ = list(drive_policy(TreeKV(8), 8, rows=[[1.0], [0.6, 0.4]]))[-1]
+    assert np.allclose(_averaged(batch.scores[:, :2], batch.counts[:, :2]), [[0.8, 0.4]])
 
 
 def test_average_scores_bounds():
-    full = staged_tracker([[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]])
-    assert (average_scores(full) <= 1.0).all()
-    zero = staged_tracker([[0.0], [0.0, 0.0]])
-    assert average_scores(zero).tolist() == [0.0, 0.0]
-    ones = ImportanceTracker.from_arrays([3.0, 2.0], [3, 2])  # all mass every step
-    assert average_scores(ones).tolist() == [1.0, 1.0]
+    rows = [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+    full, _ = list(drive_policy(TreeKV(8), 8, rows=rows))[-1]
+    assert (_averaged(full.scores[:, :3], full.counts[:, :3]) <= 1.0).all()
+    zero, _ = list(drive_policy(TreeKV(8), 8, rows=[[0.0], [0.0, 0.0]]))[-1]
+    assert _averaged(zero.scores[:, :2], zero.counts[:, :2]).tolist() == [[0.0, 0.0]]
+    ones = _averaged(np.array([[3.0, 2.0]]), np.array([[3, 2]]))  # all mass every step
+    assert ones.tolist() == [[1.0, 1.0]]
 
 
 def test_average_scores_zero_count_is_internal_error():
-    broken = ImportanceTracker.from_arrays([1.0], [0])
     with pytest.raises(InvariantViolation):
-        average_scores(broken)
+        tree_victims(np.array([[1.0, 0.5, 0.2]]), np.array([[0, 1, 1]]),
+                     TreeKVState(c=2), ProtectedZones())
 
 
 # --- tree eviction step ------------------------------------------------------
 
 
+def _tree_victim(scores, counts=None, **state):
+    scores = np.asarray(scores, dtype=np.float64)[None]
+    counts = np.ones_like(scores) if counts is None else np.asarray(counts)[None]
+    return int(tree_victims(scores, counts, TreeKVState(**state), ProtectedZones())[0])
+
+
 def test_tree_eviction_walkthrough_step5():
     # Five tokens in a capacity-4 cache, cursor at 1, first slot scored lower:
     # the oldest token goes and the survivors shift left.
-    cache = cache_with_positions([0, 1, 2, 3, 4], capacity=4)
-    tracker = ImportanceTracker.from_arrays([0.1, 0.5, 0.3, 0.4, 0.2])
-    state = TreeKVState(c=4)
-    victim = treekv_evict_step(cache, tracker, state)
-    assert victim == 1
-    assert cache.positions.tolist() == [1, 2, 3, 4]
-    assert tracker.S.tolist() == [0.5, 0.3, 0.4, 0.2]
+    scores = [0.1, 0.5, 0.3, 0.4, 0.2]
+    assert _tree_victim(scores, c=4) == 0
+    batch = stream_batch(scores)
+    assert TreeKV(4).evict(batch, None) == ([0], 1)
+    assert batch.positions[0, : batch.n].tolist() == [1, 2, 3, 4]
+    assert batch.scores[0, : batch.n].tolist() == [0.5, 0.3, 0.4, 0.2]
 
 
 def test_tree_eviction_tie_goes_left():
-    cache = cache_with_positions([0, 1, 2], capacity=2)
-    tracker = ImportanceTracker.from_arrays([0.4, 0.4, 0.9])
-    victim = treekv_evict_step(cache, tracker, TreeKVState(c=2))
-    assert victim == 1
+    assert _tree_victim([0.4, 0.4, 0.9], c=2) == 0
 
 
 def test_tree_eviction_derived_scores():
-    cache = cache_with_positions([0, 1, 2, 3, 4], capacity=4)
-    tracker = ImportanceTracker.from_arrays(
-        [0.9, 0.2, 0.5, 0.7, 0.1], [5, 4, 3, 2, 1]
-    )
-    state = TreeKVState(c=4, idx=2)
     # averaged scores 0.05 vs ~0.1667: the left slot loses
-    assert treekv_evict_step(cache, tracker, state) == 2
+    assert _tree_victim([0.9, 0.2, 0.5, 0.7, 0.1], [5, 4, 3, 2, 1], c=4, idx=2) == 1
 
 
 def test_tree_eviction_select_left_ignores_scores():
-    cache = cache_with_positions([0, 1, 2], capacity=2)
-    tracker = ImportanceTracker.from_arrays([9.0, 0.1, 0.1])
-    state = TreeKVState(c=2, mode="select-left")
-    assert treekv_evict_step(cache, tracker, state) == 1
+    assert _tree_victim([9.0, 0.1, 0.1], c=2, mode="select-left") == 0
 
 
 def test_tree_eviction_requires_over_capacity_cache():
-    cache = cache_with_positions([0, 1, 2, 3], capacity=4)
-    tracker = ImportanceTracker.from_arrays([0.1, 0.2, 0.3, 0.4])
     with pytest.raises(StateError):
-        treekv_evict_step(cache, tracker, TreeKVState(c=4))
+        _tree_victim([0.1, 0.2, 0.3, 0.4], c=4)
 
 
 def test_tree_eviction_scale_invariance():
     scores = np.array([0.9, 0.2, 0.5, 0.7, 0.1])
     counts = [5, 4, 3, 2, 1]
     for scale in (1.0, 7.0, 1e-3):
-        cache = cache_with_positions([0, 1, 2, 3, 4], capacity=4)
-        tracker = ImportanceTracker.from_arrays(scores * scale, counts)
-        assert treekv_evict_step(cache, tracker, TreeKVState(c=4, idx=2)) == 2
+        assert _tree_victim(scores * scale, counts, c=4, idx=2) == 1
 
 
 # --- cursor ------------------------------------------------------------------
@@ -157,85 +160,87 @@ def test_advance_idx_visits_every_slot_once():
 
 
 def test_streaming_without_sinks_is_a_sliding_window():
-    cache = cache_with_positions([0, 1, 2], capacity=2)
-    assert streaming_llm_evict(cache, ProtectedZones(0, 2)) == 1
-    assert cache.positions.tolist() == [1, 2]
+    assert streaming_victims(1, 3, ProtectedZones(0, 2)).tolist() == [0]
+    batch = stream_batch([0.0, 0.0, 0.0])
+    assert StreamingLLM(2, ProtectedZones(0, 2)).evict(batch, None) == ([0], None)
+    assert batch.positions[0, : batch.n].tolist() == [1, 2]
 
 
 def test_streaming_evicts_oldest_non_sink():
     c = 8
-    cache = cache_with_positions(list(range(c + 1)), capacity=c)
-    victim = streaming_llm_evict(cache, ProtectedZones(4, c - 4))
-    assert victim == 5
-    assert 4 not in cache.positions.tolist()
+    zones = ProtectedZones(4, c - 4)
+    assert streaming_victims(1, c + 1, zones).tolist() == [4]
+    batch = stream_batch(np.zeros(c + 1))
+    assert StreamingLLM(c, zones).evict(batch, None) == ([4], None)
+    assert 4 not in batch.positions[0, : batch.n].tolist()
 
 
 def test_streaming_retains_sinks_and_recent_when_warm():
     c, n_sink = 6, 2
-    zones = ProtectedZones(n_sink, c - n_sink)
-    cache = KVCache(1, capacity=c)
-    for t in range(20):
-        cache.append([0.0], [0.0], t)
-        if len(cache) > c:
-            streaming_llm_evict(cache, zones)
+    policy = StreamingLLM(c, ProtectedZones(n_sink, c - n_sink))
+    for t, (batch, _) in enumerate(drive_policy(policy, c, fixed_scores=np.zeros(20))):
         if t + 1 > c:
             expected = list(range(n_sink)) + list(range(t + 1 - (c - n_sink), t + 1))
-            assert cache.positions.tolist() == expected
+            assert batch.positions[0, : batch.n].tolist() == expected
+
+
+def _h2o_victim(scores, zones=None, capacity=None):
+    scores = np.asarray(scores, dtype=np.float64)[None]
+    capacity = scores.shape[1] - 1 if capacity is None else capacity
+    return int(H2O(capacity, zones).select(scores, np.ones_like(scores), None)[0])
 
 
 def test_h2o_evicts_cumulative_argmin():
-    cache = cache_with_positions([0, 1, 2], capacity=2)
-    tracker = ImportanceTracker.from_arrays([0.3, 0.1, 0.2])
-    assert h2o_evict(cache, tracker) == 2
-    assert tracker.S.tolist() == [0.3, 0.2]
+    assert _h2o_victim([0.3, 0.1, 0.2]) == 1
+    batch = stream_batch([0.3, 0.1, 0.2])
+    assert H2O(2).evict(batch, None) == ([1], None)
+    assert batch.scores[0, : batch.n].tolist() == [0.3, 0.2]
 
 
 def test_h2o_tie_breaks_left():
-    cache = cache_with_positions([0, 1], capacity=1)
-    tracker = ImportanceTracker.from_arrays([0.2, 0.2])
-    assert h2o_evict(cache, tracker) == 1
+    assert _h2o_victim([0.2, 0.2]) == 0
 
 
 def test_h2o_scale_invariance():
     scores = np.array([0.3, 0.1, 0.2, 0.4])
     for scale in (1.0, 13.0, 1e-4):
-        cache = cache_with_positions([0, 1, 2, 3], capacity=3)
-        tracker = ImportanceTracker.from_arrays(scores * scale)
-        assert h2o_evict(cache, tracker) == 2
+        assert _h2o_victim(scores * scale) == 1
 
 
 def test_h2o_respects_zones():
-    cache = cache_with_positions([0, 1, 2, 3, 4], capacity=4)
-    tracker = ImportanceTracker.from_arrays([0.9, 0.05, 0.5, 0.3, 0.2])
-    assert h2o_evict(cache, tracker, ProtectedZones(1, 1)) == 2
+    assert _h2o_victim([0.9, 0.05, 0.5, 0.3, 0.2], ProtectedZones(1, 1)) == 1
 
 
 def test_h2o_empty_evictable_region_is_a_config_error():
-    cache = cache_with_positions([0, 1], capacity=1)
-    tracker = ImportanceTracker.from_arrays([0.1, 0.2])
     with pytest.raises(ConfigError):
-        h2o_evict(cache, tracker, ProtectedZones(1, 2))
+        argmin_victims(np.array([[0.1, 0.2]]), ProtectedZones(1, 2))
+
+
+def _tova_victim(row, zones=None):
+    row = np.asarray(row, dtype=np.float64)[None]
+    return int(TOVA(row.shape[1] - 1, zones).select(None, None, row)[0])
 
 
 def test_tova_uniform_row_evicts_leftmost():
-    cache = cache_with_positions([0, 1, 2], capacity=2)
-    assert tova_evict(cache, np.full(3, 1 / 3)) == 1
+    assert _tova_victim(np.full(3, 1 / 3)) == 0
 
 
 def test_tova_argmin_without_zones():
-    cache = cache_with_positions([0, 1, 2], capacity=2)
-    assert tova_evict(cache, [0.7, 0.1, 0.2]) == 2
+    assert _tova_victim([0.7, 0.1, 0.2]) == 1
 
 
 def test_tova_respects_zones():
-    cache = cache_with_positions([0, 1, 2, 3], capacity=3)
-    assert tova_evict(cache, [0.2, 0.1, 0.05, 0.65], ProtectedZones(0, 1)) == 3
+    assert _tova_victim([0.2, 0.1, 0.05, 0.65], ProtectedZones(0, 1)) == 2
 
 
-def test_tova_length_mismatch():
-    cache = cache_with_positions([0, 1, 2], capacity=2)
-    with pytest.raises(DimensionError):
-        tova_evict(cache, [0.5, 0.5])
+# --- the shared eviction step --------------------------------------------------
+
+
+def test_evict_checks_the_policy_and_the_remaining_slots():
+    with pytest.raises(InvariantViolation):  # full attention declines
+        make_policy("full", 2).evict(stream_batch([0.1, 0.2, 0.3]), None)
+    with pytest.raises(InvariantViolation):  # two over capacity: one eviction is short
+        H2O(2).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None)
 
 
 # --- policy construction ------------------------------------------------------
@@ -313,17 +318,15 @@ def test_decode_tracker_residency_accounting():
     weights = _toy_weights()
     inputs = synthesize_embeddings(6, 7, 8)
     batch = StreamBatch(weights, slots=8)
-    tracker = ImportanceTracker()
+    mass = np.zeros((2, 7))
     for position in range(7):
         rows, _, _ = batch.step(inputs[position], position)
-        tracker.extend()
-        update_scores(tracker, rows[0])
+        mass[:, : position + 1] += rows
     for stream in range(2):
         assert batch.counts[stream, :7].tolist() == [7 - p for p in range(7)]
         assert abs(batch.scores[stream, :7].sum() - 7.0) < 1e-12  # seven unit rows
-    assert np.array_equal(tracker.S, batch.scores[0, :7])
-    assert tracker.C.tolist() == batch.counts[0, :7].tolist()
-    averaged = average_scores(tracker)
+    assert np.array_equal(mass, batch.scores[:, :7])
+    averaged = _averaged(batch.scores[:, :7], batch.counts[:, :7])
     assert (averaged >= 0).all() and (averaged <= 1.0).all()
 
 
@@ -331,18 +334,12 @@ def test_decode_zero_scores_make_score_mode_equal_select_left():
     # Forcing all-equal importance is the ablation's control condition: the
     # strict comparison always fails and the left slot goes.
     c, seq_len = 5, 23
+    rows = [np.zeros(min(t, c + 1)) for t in range(1, seq_len + 1)]
     outcomes = []
     for select_left in (False, True):
-        cache = KVCache(1, capacity=c)
-        tracker = ImportanceTracker()
         policy = TreeKV(c, select_left=select_left)
-        for t in range(seq_len):
-            cache.append([0.0], [0.0], t)
-            tracker.extend()
-            update_scores(tracker, np.zeros(len(tracker)))
-            if len(cache) > c:
-                policy.evict(cache, tracker, None)
-        outcomes.append(cache.positions.tolist())
+        batch, _ = list(drive_policy(policy, c, rows=rows))[-1]
+        outcomes.append(batch.positions[0, : batch.n].tolist())
     assert outcomes[0] == outcomes[1]
 
 
@@ -383,19 +380,17 @@ def test_decode_rejects_bad_input_shape():
 def test_tree_policy_evicts_only_from_scope(capacity, seed):
     rng = np.random.default_rng(seed)
     seq_len = capacity + int(rng.integers(1, 3 * capacity))
-    cache = KVCache(1, capacity=capacity)
-    tracker = ImportanceTracker()
+    rows = []
+    for t in range(1, seq_len + 1):
+        row = rng.random(min(t, capacity + 1))
+        rows.append(row / row.sum())
     policy = TreeKV(capacity)
-    for t in range(seq_len):
-        cache.append([0.0], [0.0], t)
-        tracker.extend()
-        row = rng.random(len(tracker))
-        update_scores(tracker, row / row.sum())
-        if len(cache) > capacity:
-            before = cache.positions.tolist()
-            cursor = policy.state.idx
-            record = policy.evict(cache, tracker, row)
-            assert record.cursor == cursor
-            assert record.position in (before[cursor - 1], before[cursor])
-            assert len(cache) == capacity
-            assert len(tracker) == capacity
+    before = []
+    for t, (batch, eviction) in enumerate(drive_policy(policy, capacity, rows=rows)):
+        before.append(t)  # the slots the eviction chose from
+        if eviction is not None:
+            (position,), cursor = eviction
+            assert policy.state.idx == cursor % capacity + 1
+            assert position in (before[cursor - 1], before[cursor])
+            assert batch.n == capacity
+        before = batch.positions[0, : batch.n].tolist()

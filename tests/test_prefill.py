@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 from treekv import (
     ConfigError,
     DimensionError,
-    ImportanceTracker,
     InputError,
-    KVCache,
-    TreeKVState,
-    advance_idx,
+    TreeKV,
     observation_scores,
     partition_blocks,
-    treekv_evict_step,
     treekv_prefill_compress,
 )
+
+from helpers import drive_policy
 
 
 # --- partitioning -------------------------------------------------------------
@@ -151,19 +149,9 @@ def test_prefill_budget_order_and_determinism(cache_blocks, extra, seed):
 
 def _token_level_tree_with_frozen_scores(scores, budget):
     """Reference: the decode-time eviction op driven by frozen scores."""
-    n = len(scores)
-    cache = KVCache(1, capacity=budget)
-    held_scores = []
-    state = TreeKVState(c=budget)
-    for token in range(n - 1):  # content tokens; the window token stays out
-        cache.append([0.0], [0.0], token)
-        held_scores.append(scores[token])
-        if len(cache) > budget:
-            tracker = ImportanceTracker.from_arrays(held_scores)
-            victim = treekv_evict_step(cache, tracker, state)
-            del held_scores[victim - 1]
-            advance_idx(state)
-    return cache.positions.tolist() + [n - 1]
+    n = len(scores)  # content tokens evict; the window token stays out
+    batch, _ = list(drive_policy(TreeKV(budget), budget, fixed_scores=scores[: n - 1]))[-1]
+    return batch.positions[0, : batch.n].tolist() + [n - 1]
 
 
 @settings(max_examples=60, deadline=None)
