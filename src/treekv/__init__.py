@@ -57,6 +57,7 @@ from .trace import (
     StepRecord,
     distribution_map,
     read_trace,
+    retained_at,
     signals_at_step,
     validate_trace,
     write_trace,
@@ -119,6 +120,7 @@ __all__ = [
     "reconstruct",
     "reconstruct_component",
     "reconstruct_single",
+    "retained_at",
     "rotate_vector",
     "save_weights",
     "signals_at_step",

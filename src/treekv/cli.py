@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .engine import (
     ModelDims,
     ModelWeights,
+    atomic_output,
     embed_tokens,
     generate_weights,
     load_weights,
@@ -81,10 +83,7 @@ class RunConfig:
             raise ConfigError(
                 f"trace_detail must be 'full' or 'light', got {self.trace_detail!r}"
             )
-        try:
-            self.dims().validate()
-        except TreeKVError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.dims().validate(ConfigError)
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
@@ -99,7 +98,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a JSON object")
@@ -148,7 +147,7 @@ def _load_token_file(path: str, d_model: int):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise InputError(f"cannot read token file {path}: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise InputError(f"token file {path} must be a non-empty JSON array")
@@ -182,18 +181,19 @@ def _prepare_inputs(config: RunConfig, weights: ModelWeights, tokens_path: str |
     return synthesize_embeddings(config.seed, config.T, d_model), None
 
 
+@contextmanager
 def _open_out(path: str | None):
+    """stdout for no path or "-", otherwise the file, written atomically."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with atomic_output(path) as fh:
+            yield fh
 
 
 def cmd_gen_weights(args) -> int:
     dims = ModelDims(args.layers, args.heads, args.d_model, args.d_head, args.vocab)
-    try:
-        dims.validate()
-    except TreeKVError as exc:
-        raise ConfigError(str(exc)) from exc
+    dims.validate(ConfigError)
     save_weights(generate_weights(args.seed, dims), args.out)
     return 0
 
@@ -224,14 +224,10 @@ def cmd_map(args) -> int:
     trace = read_trace(args.trace)
     validate_trace(trace)
     grid = distribution_map(trace)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for layer in range(grid.shape[0]):
             cells = ",".join(str(value) for value in grid[layer])
             out.write(f"{layer},{cells}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -241,12 +237,8 @@ def cmd_analyze(args) -> int:
     for trace in traces:
         validate_trace(trace)
     profile = magnitude_profile(traces, config.levels, config.exclude, config.step)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         profile.write_csv(out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -260,8 +252,7 @@ def cmd_prefill(args) -> int:
     dims = weights.dims
 
     rows = window_rows(weights, inputs, window_start)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         retained_tokens = []
         for layer in range(dims.layers):
             for head in range(dims.heads):
@@ -288,9 +279,6 @@ def cmd_prefill(args) -> int:
             }
         }
         out.write(json.dumps(summary, separators=(",", ":")) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -313,11 +301,7 @@ def _mean_nll(trace: DecodeTrace, weights: ModelWeights) -> float | None:
     total = 0.0
     count = 0
     for record in trace.steps[:-1]:
-        features = np.concatenate(
-            [record.outputs[l][h] for l in range(weights.dims.layers)
-             for h in range(weights.dims.heads)]
-        )
-        logits = weights.logits(features)
+        logits = weights.logits(record.outputs.reshape(-1))  # streams in (layer, head) order
         shifted = logits - logits.max()
         log_norm = np.log(np.exp(shifted).sum())
         target = trace.token_ids[record.step]  # next token
@@ -361,12 +345,11 @@ def cmd_compare(args) -> int:
         )
         runs.append((config, trace))
 
-    reference = runs[0][1].final_retained()
-    out, close = _open_out(args.out)
-    try:
+    reference = runs[0][1].retained
+    with _open_out(args.out) as out:
         out.write("policy,overlap,q1,q2,q3,q4,nll\n")
         for config, trace in runs:
-            final = trace.final_retained()
+            final = trace.retained
             overlaps = []
             quartiles = np.zeros(4, dtype=np.float64)
             streams = 0
@@ -388,9 +371,6 @@ def cmd_compare(args) -> int:
                 "" if nll is None else str(nll),
             ]
             out.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 

@@ -56,7 +56,9 @@ seed makes a whole experiment reproducible.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,13 +88,14 @@ class ModelDims:
     d_head: int
     vocab: int = 0
 
-    def validate(self) -> None:
+    def validate(self, error: type[Exception] = DimensionError, context: str = "") -> None:
+        """Raise ``error``, its message prefixed by ``context``, on a bad dim."""
         for name in ("layers", "heads", "d_model", "d_head", "vocab"):
             value = getattr(self, name)
             low = 0 if name == "vocab" else 1
             integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not integral or not low <= value < 2**32:
-                raise DimensionError(f"{name} must be an int in [{low}, 2**32), got {value!r}")
+                raise error(f"{context}{name} must be an int in [{low}, 2**32), got {value!r}")
 
     @property
     def feature_dim(self) -> int:
@@ -175,6 +178,33 @@ def generate_weights(seed: int, dims: ModelDims) -> ModelWeights:
     return ModelWeights(dims, seed & ((1 << 64) - 1), wq, wk, wv, embedding, output_proj)
 
 
+@contextmanager
+def atomic_output(path: str, mode: str = "w"):
+    """Open a temporary file beside ``path`` that replaces it in one rename
+    when the block ends, so ``path`` never holds a partial write; on error
+    the temporary file is removed and ``path`` keeps its old bytes.  The
+    directory must be writable; the new file keeps the old one's mode (hard
+    links keep the old bytes).  A path that is not a regular file, such as
+    /dev/null, is written in place."""
+    path = os.path.realpath(path)
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **text) as fh:
+            yield fh
+        return
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_weights(weights: ModelWeights, path: str) -> None:
     dims = weights.dims
     header = struct.pack(
@@ -188,7 +218,7 @@ def save_weights(weights: ModelWeights, path: str) -> None:
         dims.vocab,
         weights.seed,
     )
-    with open(path, "wb") as fh:
+    with atomic_output(path, "wb") as fh:
         fh.write(header)
         for layer in range(dims.layers):
             for head in range(dims.heads):
@@ -217,7 +247,7 @@ def load_weights(path: str) -> ModelWeights:
     if version != _FORMAT_VERSION:
         raise InputError(f"unsupported weight format version {version}")
     dims = ModelDims(layers, heads, d_model, d_head, vocab)
-    dims.validate()
+    dims.validate(InputError, f"weight file {path}: ")
     offset = head_size
 
     def take(rows, cols):

@@ -330,7 +330,7 @@ def decode_with_policy(
     Per step: project, append, attend with re-assigned positions and
     accumulate scores in every stream, then, if the streams are over
     capacity, evict one slot per stream.  Returns the trace of attention
-    rows, retained positions and eviction events.
+    rows, eviction events and the final retained positions.
     """
     dims = weights.dims
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -345,10 +345,7 @@ def decode_with_policy(
     policy = make_policy(policy_spec, capacity, zones)
     batch = StreamBatch(weights, seq_len if policy.unbounded else capacity + 1)
     heads = dims.heads
-
-    def grid(cells):
-        return [list(cells[layer * heads : (layer + 1) * heads]) for layer in range(dims.layers)]
-
+    grid = (dims.layers, heads, -1)  # stream s = layer * heads + head
     trace = DecodeTrace(
         policy=policy_spec,
         capacity=capacity,
@@ -372,10 +369,10 @@ def decode_with_policy(
             StepRecord(
                 step,
                 events,
-                grid(batch.positions[:, : batch.n].tolist()),
-                grid(rows) if record_rows else None,
-                grid(values) if record_values else None,
-                grid(outputs) if record_outputs else None,
+                rows.reshape(grid) if record_rows else None,
+                values.reshape(grid) if record_values else None,
+                outputs.reshape(grid) if record_outputs else None,
             )
         )
+    trace.retained = batch.positions[:, : batch.n].reshape(dims.layers, heads, batch.n).tolist()
     return trace

@@ -1,18 +1,19 @@
 """Decode traces: per-step records of a run, JSON-lines serialization,
-replay validation, and the per-position retention map."""
+event replay, and the per-position retention map."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .engine import ModelDims
-from .errors import DimensionError, InputError
+from .engine import ModelDims, atomic_output
+from .errors import InputError
 
-TRACE_FORMAT = 1
+TRACE_FORMAT = 2
 
 
 @dataclass
@@ -28,11 +29,13 @@ class EvictionEvent:
 class StepRecord:
     step: int  # 1-based generation step
     events: list[EvictionEvent]
-    # Indexed [layer][head]; retained positions are post-eviction.
-    retained: list[list[list[int]]]
-    rows: list[list[np.ndarray]] | None = None  # pre-eviction attention rows
-    values: list[list[np.ndarray]] | None = None  # the value vector appended this step
-    outputs: list[list[np.ndarray]] | None = None  # in-memory only, never serialized
+    # (layers, heads, ·) float64 arrays, so [layer][head] is one stream's cell.
+    rows: np.ndarray | None = None  # pre-eviction attention rows
+    values: np.ndarray | None = None  # the value vector appended this step
+    outputs: np.ndarray | None = None  # in-memory only, never serialized
+    # Not a field: ``retained_at`` replays per-step sets from the events.  It stays,
+    # empty, for readers of format 1's ``record.retained`` (bench/layers.py).
+    retained = ()
 
 
 @dataclass
@@ -46,6 +49,9 @@ class DecodeTrace:
     stream_seed: int | None = None
     token_ids: list[int] | None = None
     steps: list[StepRecord] = field(default_factory=list)
+    # Retained positions per [layer][head] after the last step: a checkpoint
+    # that replaying the events must reproduce (see ``retained_at``).
+    retained: list[list[list[int]]] = field(default_factory=list)
 
     def config_dict(self) -> dict:
         return {
@@ -66,30 +72,13 @@ class DecodeTrace:
         blob = json.dumps(self.config_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def final_retained(self) -> list[list[list[int]]]:
-        return self.steps[-1].retained
-
-    def records_rows(self) -> bool:
-        return bool(self.steps) and self.steps[0].rows is not None
-
-    def records_values(self) -> bool:
-        return bool(self.steps) and self.steps[0].values is not None
-
-
-def _as_lists(grid):
-    return [[np.asarray(cell, dtype=np.float64).tolist() for cell in row] for row in grid]
-
 
 def write_trace(trace: DecodeTrace, path: str) -> None:
     header = {"kind": "header", "format": TRACE_FORMAT}
     header.update(trace.config_dict())
     header["token_ids"] = trace.token_ids
-    header["record"] = {
-        "rows": trace.records_rows(),
-        "values": trace.records_values(),
-    }
     header["fingerprint"] = trace.fingerprint()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for record in trace.steps:
             line = {
@@ -98,42 +87,37 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
                 "events": [
                     [e.layer, e.head, e.position, e.cursor] for e in record.events
                 ],
-                "retained": record.retained,
             }
             if record.rows is not None:
-                line["rows"] = _as_lists(record.rows)
+                line["rows"] = record.rows.tolist()
             if record.values is not None:
-                line["values"] = _as_lists(record.values)
+                line["values"] = record.values.tolist()
             fh.write(json.dumps(line, separators=(",", ":")) + "\n")
+        final = {"kind": "final", "retained": trace.retained}
+        fh.write(json.dumps(final, separators=(",", ":")) + "\n")
 
 
-def _grid(raw, dims: ModelDims, what):
-    """The [layer][head] cells of one step's field, checked for shape."""
-    if (not isinstance(raw, list) or len(raw) != dims.layers
-            or any(not isinstance(row, list) or len(row) != dims.heads for row in raw)):
-        raise InputError(f"{what} is not a {dims.layers}x{dims.heads} grid")
-    return raw
-
-
-def _grid_of_arrays(raw, dims: ModelDims, what, length=None):
-    """A grid whose cells are flat lists of numbers (of ``length`` if given)."""
-    grid = []
-    for row in _grid(raw, dims, what):
-        try:
-            cells = [np.asarray(cell, dtype=np.float64) for cell in row]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{what} has a cell that is not a list of numbers") from exc
-        if any(cell.ndim != 1 or length not in (None, len(cell)) for cell in cells):
-            raise InputError(f"{what} has a cell that is not a flat list of the right length")
-        grid.append(cells)
-    return grid
+def _array(raw, dims: ModelDims, what, width=None):
+    """One step's grid of number lists as a (layers, heads, n) float64 array
+    (n = ``width`` if given).  JSON null, booleans and strings are rejected,
+    not converted."""
+    try:
+        leaves = set(map(type, chain.from_iterable(chain.from_iterable(raw))))
+        array = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} is not a grid of number lists") from exc
+    if (leaves - {int, float} or array.ndim != 3
+            or array.shape[:2] != (dims.layers, dims.heads) or width not in (None, array.shape[2])):
+        raise InputError(f"{what} is not a {dims.layers}x{dims.heads} grid of number lists"
+                         + (f" of length {width}" if width else ""))
+    return array
 
 
 def read_trace(path: str) -> DecodeTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     if not all(isinstance(line, dict) for line in lines):
         raise InputError(f"trace {path} has a record that is not a JSON object")
@@ -164,10 +148,7 @@ def read_trace(path: str) -> DecodeTrace:
         header["d_head"],
         header["vocab"],
     )
-    try:
-        dims.validate()
-    except DimensionError as exc:
-        raise InputError(f"trace header: {exc}") from exc
+    dims.validate(InputError, "trace header: ")
     if type(header["seq_len"]) is not int:
         raise InputError(f"trace header: seq_len must be an int, got {header['seq_len']!r}")
     trace = DecodeTrace(
@@ -180,10 +161,10 @@ def read_trace(path: str) -> DecodeTrace:
         stream_seed=header.get("stream_seed"),
         token_ids=header.get("token_ids"),
     )
-    body = lines[1:]
-    if len(body) != trace.seq_len:
+    body, final = lines[1:-1], lines[-1]
+    if len(body) != trace.seq_len or final.get("kind") != "final":
         raise InputError(
-            f"truncated trace: expected {trace.seq_len} step records, got {len(body)}"
+            f"truncated trace: expected {trace.seq_len} step records and a final record"
         )
     for index, raw in enumerate(body, start=1):
         if raw.get("kind") != "step" or raw.get("step") != index:
@@ -208,28 +189,34 @@ def read_trace(path: str) -> DecodeTrace:
                     f"{dims.layers}x{dims.heads} streams or positions 0..{index - 1}"
                 )
             events.append(EvictionEvent(index, layer, head, position, cursor))
-        retained = _grid(raw.get("retained"), dims, f"retained at step {index}")
-        if any(not isinstance(cell, list) or set(map(type, cell)) - {int}
-               for row in retained for cell in row):
-            raise InputError(f"retained at step {index} has a cell that is not a list of ints")
         rows = values = None
         if "rows" in raw:
-            rows = _grid_of_arrays(raw["rows"], dims, f"rows at step {index}")
+            rows = _array(raw["rows"], dims, f"rows at step {index}")
         if "values" in raw:
-            values = _grid_of_arrays(raw["values"], dims, f"values at step {index}", dims.d_head)
-        trace.steps.append(StepRecord(index, events, retained, rows, values))
+            values = _array(raw["values"], dims, f"values at step {index}", dims.d_head)
+        trace.steps.append(StepRecord(index, events, rows, values))
+    retained = final.get("retained")
+    if (not isinstance(retained, list) or len(retained) != dims.layers
+            or any(not isinstance(row, list) or len(row) != dims.heads for row in retained)
+            or any(not isinstance(cell, list) or set(map(type, cell)) - {int}
+                   for row in retained for cell in row)):
+        raise InputError(f"final retained is not a {dims.layers}x{dims.heads} grid of int lists")
+    trace.retained = retained
     return trace
 
 
-def validate_trace(trace: DecodeTrace) -> None:
-    """Replay the eviction events and check them against the recorded
-    retained sets; raises InputError on any inconsistency."""
+def retained_at(trace: DecodeTrace, step: int) -> list[list[list[int]]]:
+    """Retained positions per [layer][head] after the given 1-based step (0:
+    before the first), replayed from the eviction events: each step appends
+    its own position to every stream, and each event removes one."""
+    if not 0 <= step <= len(trace.steps):
+        raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
     dims = trace.dims
     live = [[[] for _ in range(dims.heads)] for _ in range(dims.layers)]
-    for record in trace.steps:
-        for layer in range(dims.layers):
-            for head in range(dims.heads):
-                live[layer][head].append(record.step - 1)
+    for record in trace.steps[:step]:
+        for row in live:
+            for stream in row:
+                stream.append(record.step - 1)
         for event in record.events:
             stream = live[event.layer][event.head]
             if event.position not in stream:
@@ -238,13 +225,15 @@ def validate_trace(trace: DecodeTrace) -> None:
                     f"not present in stream ({event.layer}, {event.head})"
                 )
             stream.remove(event.position)
-        for layer in range(dims.layers):
-            for head in range(dims.heads):
-                if live[layer][head] != record.retained[layer][head]:
-                    raise InputError(
-                        f"step {record.step}: replayed retained set diverges from "
-                        f"the recorded one in stream ({layer}, {head})"
-                    )
+    return live
+
+
+def validate_trace(trace: DecodeTrace) -> None:
+    """Replay the eviction events to the last step and check the result
+    against the final retained checkpoint; raises InputError on any
+    inconsistency."""
+    if retained_at(trace, len(trace.steps)) != trace.retained:
+        raise InputError("replayed retained sets diverge from the final checkpoint")
 
 
 def distribution_map(trace: DecodeTrace) -> np.ndarray:
@@ -254,10 +243,9 @@ def distribution_map(trace: DecodeTrace) -> np.ndarray:
         raise InputError("trace has no step records")
     dims = trace.dims
     grid = np.zeros((dims.layers, trace.seq_len), dtype=np.float64)
-    final = trace.final_retained()
     for layer in range(dims.layers):
         for head in range(dims.heads):
-            for position in final[layer][head]:
+            for position in trace.retained[layer][head]:
                 grid[layer][position] += 1.0
     return grid / dims.heads
 
@@ -272,18 +260,14 @@ def signals_at_step(trace: DecodeTrace, step: int):
     if not 1 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
     record = trace.steps[step - 1]
-    if record.rows is None or record.values is None:
+    if record.rows is None or any(r.values is None for r in trace.steps[:step]):
         raise InputError("trace lacks attention rows or value vectors; re-run decode "
                          "with full trace detail")
+    before = retained_at(trace, step - 1)
     out = []
     for layer in range(trace.dims.layers):
         for head in range(trace.dims.heads):
-            evicted_here = sorted(
-                e.position
-                for e in record.events
-                if e.layer == layer and e.head == head
-            )
-            slots = sorted(list(record.retained[layer][head]) + evicted_here)
+            slots = before[layer][head] + [step - 1]
             row = record.rows[layer][head]
             if row.shape != (len(slots),):
                 raise InputError(

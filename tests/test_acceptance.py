@@ -103,7 +103,7 @@ def test_c02_deterministic_tree_pattern():
     trace = decode_with_policy(weights, inputs, "treekv-left", 4)
     expected_cursors = [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1]
     for head in range(2):
-        retained = [p + 1 for p in trace.final_retained()[0][head]]
+        retained = [p + 1 for p in trace.retained[0][head]]
         assert retained == [12, 14, 16, 17]
         cursors = [e.cursor for s in trace.steps for e in s.events if e.head == head]
         assert cursors == expected_cursors
@@ -227,7 +227,7 @@ def test_c07_left_sparse_right_dense():
             weights, inputs, "treekv", capacity,
             record_rows=False, record_values=False,
         )
-        final = trace.final_retained()
+        final = trace.retained
         for layer in range(2):
             for head in range(4):
                 positions = final[layer][head]

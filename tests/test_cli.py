@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import struct
 import subprocess
 import sys
 
@@ -60,7 +63,7 @@ def test_decode_select_left_pattern_via_cli(tmp_path):
     assert run_cli(*_decode_args(out)) == 0
     trace = read_trace(str(out))
     for head in range(2):
-        assert trace.final_retained()[0][head] == [11, 13, 15, 16]
+        assert trace.retained[0][head] == [11, 13, 15, 16]
 
 
 def test_decode_is_byte_identical_across_runs(tmp_path):
@@ -216,17 +219,36 @@ def _config_case(data):
     return build
 
 
-def _trace_case(edit, line=5):
+ANALYZE = ("analyze", "--levels", 2, "--exclude", 0)
+
+
+def _trace_case(edit, line=5, command=("map",)):
     """A valid 1x2 select-left trace of 17 steps (evictions from step 5)
-    with one line edited: by default step 5, line 0 is the header."""
+    with one line edited: by default step 5; line 0 is the header and line
+    18 the final record."""
     def build(tmp_path):
         trace_path = tmp_path / "t.jsonl"
         assert run_cli(*_decode_args(trace_path)) == 0
         lines = trace_path.read_text().splitlines()
         lines[line] = edit(json.loads(lines[line]))
         trace_path.write_text("\n".join(lines) + "\n")
-        return ["map", "--trace", trace_path]
+        return [*command, "--trace", trace_path]
     return build
+
+
+def _first_row_cell(leaf):
+    """Step 17's first attention weight replaced by ``leaf``."""
+    def edit(record):
+        first, second = record["rows"][0]
+        return json.dumps({**record, "rows": [[[leaf] + first[1:], second]]})
+    return _trace_case(edit, line=17, command=ANALYZE)
+
+
+def _zero_layer_weights(tmp_path):
+    """A 38-byte TKVW header that declares 0 layers and no matrices."""
+    weights = tmp_path / "w.bin"
+    weights.write_bytes(struct.pack("<4sHIIIIIQ", b"TKVW", 1, 0, 2, 8, 4, 0, 5))
+    return ["decode", "--weights", weights, "-o", tmp_path / "t.jsonl"]
 
 
 @pytest.mark.parametrize(
@@ -239,18 +261,27 @@ def _trace_case(edit, line=5):
         (_trace_case(lambda record: "[5]"), 3),
         (_trace_case(lambda record: json.dumps({**record, "events": [[7, 0, 0, 1]]})), 3),
         (_trace_case(lambda record: json.dumps({**record, "events": 5})), 3),
-        (_trace_case(lambda record: json.dumps({**record, "retained": [[5, 6]]})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "retained": [[5, 6]]}), line=18), 3),
         (_trace_case(lambda record: json.dumps(
             {**record, "retained": [[[float(p) for p in cell] for cell in record["retained"][0]]]}
-        ), line=17), 3),
+        ), line=18), 3),
         (_trace_case(lambda record: json.dumps({**record, "rows": [[["q"], ["q"]]]})), 3),
         (_trace_case(lambda record: json.dumps({**record, "d_head": None}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0}), line=0), 3),
+        (_first_row_cell(None), 3),
+        (_first_row_cell(True), 3),
+        (_first_row_cell("0.5"), 3),
+        # position 15 (step 16) is among the slots step 17 attends
+        (_trace_case(lambda record: json.dumps({k: v for k, v in record.items() if k != "values"}),
+                     line=16, command=ANALYZE), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 1}), line=0), 3),
+        (_zero_layer_weights, 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
          "retained-float-positions", "row-cell-not-numbers", "header-dim-null",
-         "header-seq-len-float"],
+         "header-seq-len-float", "row-cell-null", "row-cell-bool", "row-cell-string",
+         "step-without-values", "format-1", "weights-zero-layers"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -259,6 +290,35 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code)
     )
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_outputs_are_replaced_whole_or_not_at_all(tmp_path):
+    def prefill(out, cache_blocks):
+        return run_cli("prefill", "--T", 12, "--layers", 1, "--heads", 1, "--d-model", 8,
+                       "--d-head", 4, "--block-size", 3, "--cache-blocks", cache_blocks,
+                       "-o", out)
+
+    out = tmp_path / "blocks.jsonl"
+    out.write_text("old bytes\n")
+    out.chmod(0o600)
+    assert prefill(out, 1) == 2  # fails after the output is opened
+    assert out.read_text() == "old bytes\n"
+    assert os.listdir(tmp_path) == ["blocks.jsonl"]
+    assert prefill(out, 2) == 0
+    assert out.read_text().startswith('{"layer":0')
+    assert os.listdir(tmp_path) == ["blocks.jsonl"]
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600  # the replaced file keeps its mode
+
+    # A target that is not a regular file is written in place, not replaced.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert prefill(fifo, 2) == 0
+        assert os.read(reader, 1 << 16) == out.read_bytes()
+    finally:
+        os.close(reader)
+    assert fifo.is_fifo()
 
 
 def test_weight_file_dims_override_the_config(tmp_path):
@@ -271,7 +331,7 @@ def test_weight_file_dims_override_the_config(tmp_path):
                    "--zones", "sink=0,recent=0", "--T", 16, "-o", out) == 0
     header = json.loads(out.read_text().splitlines()[0])
     assert [header[k] for k in ("layers", "heads", "d_model", "d_head")] == [1, 1, 8, 4]
-    assert len(read_trace(str(out)).final_retained()[0][0]) == 8
+    assert len(read_trace(str(out)).retained[0][0]) == 8
 
     paths = []
     # the file sets the dims, so configs may differ in the ones they declare

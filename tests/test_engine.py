@@ -19,6 +19,7 @@ from treekv import (
     load_weights,
     observation_scores,
     partition_blocks,
+    retained_at,
     rotate_vector,
     save_weights,
     synthesize_embeddings,
@@ -412,10 +413,11 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
         )
         expected = oracle_decode(weights, inputs, spec, capacity, zones)
         assert len(trace.steps) == len(expected)
+        assert trace.retained == expected[-1]["retained"]
         for record, want in zip(trace.steps, expected):
             events = [(e.layer, e.head, e.position, e.cursor) for e in record.events]
             assert events == want["events"], (spec, dims, capacity, zones, record.step)
-            assert record.retained == want["retained"]
+            assert retained_at(trace, record.step) == want["retained"]
             if events:
                 evicting.add(spec)
             for key in ("rows", "values", "outputs"):
@@ -452,14 +454,14 @@ def test_window_rows_and_block_scores_match_naive_oracle(d_head, prompt_len, blo
 
 
 def _trace_digest(trace):
-    """sha256 over every step's event tuples, retained lists and the float64
-    bytes of each recorded row, value and output: independent of any file
-    format."""
+    """sha256 over every step's event tuples, retained lists (replayed from
+    the events) and the float64 bytes of each recorded row, value and
+    output: independent of any file format."""
     digest = hashlib.sha256()
     for record in trace.steps:
         events = [(e.step, e.layer, e.head, e.position, e.cursor) for e in record.events]
         digest.update(repr(events).encode())
-        digest.update(repr(record.retained).encode())
+        digest.update(repr(retained_at(trace, record.step)).encode())
         for grid in (record.rows, record.values, record.outputs):
             for cells in grid:
                 for cell in cells:

@@ -22,6 +22,7 @@ from treekv import (
     decode_with_policy,
     generate_weights,
     make_policy,
+    retained_at,
     synthesize_embeddings,
 )
 from treekv.policies import _averaged, argmin_victims, streaming_victims, tree_victims
@@ -295,7 +296,7 @@ def test_decode_select_left_17_token_pattern():
     trace = decode_with_policy(weights, inputs, "treekv-left", 4)
     for head in range(2):
         # 1-based tokens {12, 14, 16, 17}
-        assert trace.final_retained()[0][head] == [11, 13, 15, 16]
+        assert trace.retained[0][head] == [11, 13, 15, 16]
     cursors = [e.cursor for s in trace.steps for e in s.events if e.head == 0]
     assert cursors == [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1]
 
@@ -306,7 +307,7 @@ def test_decode_capacity_invariant_and_cursor_cycle():
     trace = decode_with_policy(weights, inputs, "treekv", 6)
     for step in trace.steps:
         for head in range(2):
-            assert len(step.retained[0][head]) <= 6
+            assert len(retained_at(trace, step.step)[0][head]) <= 6
     cursors = [e.cursor for s in trace.steps for e in s.events if e.head == 1]
     for start in range(len(cursors) - 6):
         assert sorted(cursors[start : start + 6]) == [1, 2, 3, 4, 5, 6]
@@ -353,7 +354,7 @@ def test_decode_with_zones_protects_sinks_and_recent():
     for step in trace.steps:
         t = step.step
         for head in range(2):
-            retained = step.retained[0][head]
+            retained = retained_at(trace, t)[0][head]
             assert len(retained) <= c
             if t > c:
                 assert retained[:n_sink] == [0, 1]

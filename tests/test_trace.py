@@ -10,6 +10,7 @@ from treekv import (
     distribution_map,
     generate_weights,
     read_trace,
+    retained_at,
     signals_at_step,
     synthesize_embeddings,
     validate_trace,
@@ -32,7 +33,7 @@ def test_trace_roundtrip(tmp_path):
     assert loaded.fingerprint() == trace.fingerprint()
     assert len(loaded.steps) == len(trace.steps)
     last_a, last_b = trace.steps[-1], loaded.steps[-1]
-    assert last_a.retained == last_b.retained
+    assert loaded.retained == trace.retained
     assert [(e.position, e.cursor) for e in last_a.events] == [
         (e.position, e.cursor) for e in last_b.events
     ]
@@ -42,9 +43,18 @@ def test_trace_roundtrip(tmp_path):
 
 def test_trace_replay_detects_tampering(tmp_path):
     trace = _run()
-    trace.steps[-1].retained[0][0] = trace.steps[-1].retained[0][0][:-1]
+    trace.retained[0][0] = trace.retained[0][0][:-1]
     with pytest.raises(InputError):
         validate_trace(trace)
+
+    trace = _run()
+    assert retained_at(trace, 0) == [[[], []]]
+    last = trace.steps[-1]
+    last.events.append(last.events[0])  # the same position evicted twice
+    with pytest.raises(InputError, match="not present"):
+        retained_at(trace, len(trace.steps))
+    with pytest.raises(InputError):
+        retained_at(trace, len(trace.steps) + 1)
 
 
 def test_trace_rejects_truncation(tmp_path):
@@ -82,7 +92,7 @@ def test_distribution_map_single_head_is_binary():
 def test_distribution_map_averages_across_heads():
     trace = _run(policy="treekv", capacity=5, heads=2)
     grid = distribution_map(trace)
-    final = trace.final_retained()[0]
+    final = trace.retained[0]
     both = set(final[0]) & set(final[1])
     only = set(final[0]) ^ set(final[1])
     for position in both:
@@ -110,8 +120,8 @@ def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
     lines = path.read_text().splitlines()
-    record = json.loads(lines[-1])
+    record = json.loads(lines[-2])  # the last step; the final record follows it
     record["events"] = [event]
-    path.write_text("\n".join(lines[:-1] + [json.dumps(record)]) + "\n")
+    path.write_text("\n".join(lines[:-2] + [json.dumps(record), lines[-1]]) + "\n")
     with pytest.raises(InputError):
         read_trace(str(path))

@@ -206,9 +206,8 @@ def _hand_trace(rows_by_step, values_by_step, d_head):
             StepRecord(
                 step=step,
                 events=[],
-                retained=[[list(range(step))]],
-                rows=[[np.asarray(rows_by_step[step - 1], dtype=np.float64)]],
-                values=[[np.asarray(values_by_step[step - 1], dtype=np.float64)]],
+                rows=np.asarray(rows_by_step[step - 1], dtype=np.float64)[None, None],
+                values=np.asarray(values_by_step[step - 1], dtype=np.float64)[None, None],
             )
         )
     return trace
