@@ -40,8 +40,6 @@ from .policies import (
     StreamingLLM,
     TOVA,
     TreeKV,
-    TreeKVState,
-    advance_idx,
     decode_with_policy,
     make_policy,
 )
@@ -101,9 +99,7 @@ __all__ = [
     "TOVA",
     "TreeKV",
     "TreeKVError",
-    "TreeKVState",
     "WaveletCoeffs",
-    "advance_idx",
     "decode_with_policy",
     "distribution_map",
     "dwt_multi",

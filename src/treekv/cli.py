@@ -151,7 +151,7 @@ def _load_token_file(path: str, d_model: int):
         raise InputError(f"cannot read token file {path}: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise InputError(f"token file {path} must be a non-empty JSON array")
-    if all(isinstance(item, int) for item in data):
+    if all(type(item) is int for item in data):
         return data, None
     try:
         matrix = np.asarray(data, dtype=np.float64)
@@ -161,6 +161,8 @@ def _load_token_file(path: str, d_model: int):
         raise InputError(
             f"embedding rows in {path} must have length {d_model}, got {matrix.shape}"
         )
+    if not np.isfinite(matrix).all():
+        raise InputError(f"embedding rows in {path} hold a NaN or infinite number")
     return None, matrix
 
 
@@ -192,9 +194,8 @@ def _open_out(path: str | None):
 
 
 def cmd_gen_weights(args) -> int:
-    dims = ModelDims(args.layers, args.heads, args.d_model, args.d_head, args.vocab)
-    dims.validate(ConfigError)
-    save_weights(generate_weights(args.seed, dims), args.out)
+    config = load_config(None, _config_overrides(args))
+    save_weights(generate_weights(config.seed, config.dims()), args.out)
     return 0
 
 
@@ -202,9 +203,6 @@ def cmd_decode(args) -> int:
     config = load_config(args.config, _config_overrides(args))
     weights = _resolve_weights(config)
     inputs, ids = _prepare_inputs(config, weights, args.tokens)
-    if len(inputs) != config.T:
-        config.T = len(inputs)
-    full_detail = config.trace_detail == "full"
     trace = decode_with_policy(
         weights,
         inputs,
@@ -213,8 +211,7 @@ def cmd_decode(args) -> int:
         config.zones,
         stream_seed=config.seed,
         token_ids=ids,
-        record_rows=full_detail,
-        record_values=full_detail,
+        record_detail=config.trace_detail == "full",
     )
     write_trace(trace, args.out)
     return 0
@@ -339,8 +336,7 @@ def cmd_compare(args) -> int:
             config.zones,
             stream_seed=config.seed,
             token_ids=ids,
-            record_rows=False,
-            record_values=False,
+            record_detail=False,
             record_outputs=weights.dims.vocab > 0,  # read only by _mean_nll
         )
         runs.append((config, trace))
@@ -382,12 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-weights", help="generate a deterministic weight file")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--layers", type=int, default=2)
-    gen.add_argument("--heads", type=int, default=4)
-    gen.add_argument("--d-model", dest="d_model", type=int, default=64)
-    gen.add_argument("--d-head", dest="d_head", type=int, default=16)
-    gen.add_argument("--vocab", type=int, default=0)
+    _add_config_flags(gen, ["seed", "layers", "heads", "d_model", "d_head", "vocab"])
     gen.add_argument("--out", "-o", required=True)
     gen.set_defaults(func=cmd_gen_weights)
 

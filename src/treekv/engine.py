@@ -104,28 +104,27 @@ class ModelDims:
 
 
 class ModelWeights:
-    """Per-(layer, head) projection matrices plus the optional logit head.
+    """Every stream's projection matrices plus the optional logit head.
 
-    Matrices are stored as float32 exactly as written to disk; arithmetic
-    promotes to float64 at use time.  Instances are read-only after
-    construction and safe to share across threads.
+    ``qkv`` is one float32 array (layers, heads, 3, d_model, d_head) in the
+    weight file's own order; ``wq``, ``wk`` and ``wv`` are its views
+    (layers, heads, d_model, d_head).  Arithmetic promotes to float64 at
+    use time.  Instances are read-only after construction and safe to share
+    across threads.
     """
 
     def __init__(
         self,
         dims: ModelDims,
         seed: int,
-        wq: list[list[np.ndarray]],
-        wk: list[list[np.ndarray]],
-        wv: list[list[np.ndarray]],
+        qkv: np.ndarray,
         embedding: np.ndarray | None = None,
         output_proj: np.ndarray | None = None,
     ):
         self.dims = dims
         self.seed = seed
-        self.wq = wq
-        self.wk = wk
-        self.wv = wv
+        self.qkv = qkv
+        self.wq, self.wk, self.wv = np.moveaxis(qkv, 2, 0)
         self.embedding = embedding
         self.output_proj = output_proj
 
@@ -141,10 +140,6 @@ class ModelWeights:
         return features @ self.output_proj
 
 
-def _matrix_tag(dims: ModelDims, layer: int, head: int, kind: int) -> int:
-    return _TAG_MATRIX_BASE + 3 * (layer * dims.heads + head) + kind
-
-
 def _draw_matrix(seed: int, tag: int, rows: int, cols: int, scale: float) -> np.ndarray:
     stream = NormalStream(stream_seed(seed, tag))
     flat = np.array(stream.normals(rows * cols), dtype=np.float64) * scale
@@ -155,16 +150,10 @@ def generate_weights(seed: int, dims: ModelDims) -> ModelWeights:
     """Fill a weight set from the pinned recurrence; pure in (seed, dims)."""
     dims.validate()
     scale = 1.0 / math.sqrt(dims.d_model)
-    wq, wk, wv = [], [], []
-    for layer in range(dims.layers):
-        row_q, row_k, row_v = [], [], []
-        for head in range(dims.heads):
-            for kind, bucket in enumerate((row_q, row_k, row_v)):
-                tag = _matrix_tag(dims, layer, head, kind)
-                bucket.append(_draw_matrix(seed, tag, dims.d_model, dims.d_head, scale))
-        wq.append(row_q)
-        wk.append(row_k)
-        wv.append(row_v)
+    qkv = np.stack([
+        _draw_matrix(seed, tag, dims.d_model, dims.d_head, scale)
+        for tag in range(_TAG_MATRIX_BASE, _TAG_MATRIX_BASE + 3 * dims.layers * dims.heads)
+    ]).reshape(dims.layers, dims.heads, 3, dims.d_model, dims.d_head)
     embedding = output_proj = None
     if dims.vocab > 0:
         embedding = _draw_matrix(seed, _TAG_EMBEDDING, dims.vocab, dims.d_model, 1.0)
@@ -175,7 +164,7 @@ def generate_weights(seed: int, dims: ModelDims) -> ModelWeights:
             dims.vocab,
             1.0 / math.sqrt(dims.feature_dim),
         )
-    return ModelWeights(dims, seed & ((1 << 64) - 1), wq, wk, wv, embedding, output_proj)
+    return ModelWeights(dims, seed & ((1 << 64) - 1), qkv, embedding, output_proj)
 
 
 @contextmanager
@@ -220,14 +209,7 @@ def save_weights(weights: ModelWeights, path: str) -> None:
     )
     with atomic_output(path, "wb") as fh:
         fh.write(header)
-        for layer in range(dims.layers):
-            for head in range(dims.heads):
-                for matrix in (
-                    weights.wq[layer][head],
-                    weights.wk[layer][head],
-                    weights.wv[layer][head],
-                ):
-                    fh.write(matrix.astype("<f4").tobytes())
+        fh.write(weights.qkv.astype("<f4").tobytes())
         if dims.vocab > 0:
             fh.write(weights.embedding.astype("<f4").tobytes())
             fh.write(weights.output_proj.astype("<f4").tobytes())
@@ -250,33 +232,25 @@ def load_weights(path: str) -> ModelWeights:
     dims.validate(InputError, f"weight file {path}: ")
     offset = head_size
 
-    def take(rows, cols):
+    def take(*shape):
         nonlocal offset
-        count = rows * cols
-        end = offset + 4 * count
+        end = offset + 4 * math.prod(shape)
         if end > len(blob):
             raise InputError(f"weight file {path} is truncated")
-        matrix = np.frombuffer(blob[offset:end], dtype="<f4").reshape(rows, cols)
+        matrix = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
+        if not np.isfinite(matrix).all():
+            raise InputError(f"weight file {path} holds a NaN or infinite number")
         offset = end
         return matrix.astype(np.float32)
 
-    wq, wk, wv = [], [], []
-    for _ in range(layers):
-        row_q, row_k, row_v = [], [], []
-        for _ in range(heads):
-            row_q.append(take(d_model, d_head))
-            row_k.append(take(d_model, d_head))
-            row_v.append(take(d_model, d_head))
-        wq.append(row_q)
-        wk.append(row_k)
-        wv.append(row_v)
+    qkv = take(layers, heads, 3, d_model, d_head)
     embedding = output_proj = None
     if vocab > 0:
         embedding = take(vocab, d_model)
         output_proj = take(dims.feature_dim, vocab)
     if offset != len(blob):
         raise InputError(f"weight file {path} has {len(blob) - offset} trailing bytes")
-    return ModelWeights(dims, seed, wq, wk, wv, embedding, output_proj)
+    return ModelWeights(dims, seed, qkv, embedding, output_proj)
 
 
 def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -340,10 +314,12 @@ def rotate_vector(vec, position: int) -> np.ndarray:
     return _rotate_rows(vec[None, :], np.array([position]))[0]
 
 
-def _stacked(matrices: list[list[np.ndarray]]) -> np.ndarray:
-    """Every stream's (d_model, d_head) matrix as one float64 stack
-    (S, d_model, d_head); stream s = layer * heads + head."""
-    return np.stack([m for row in matrices for m in row]).astype(np.float64)
+def _stacked(weights: ModelWeights) -> np.ndarray:
+    """W_Q, W_K and W_V of every stream as one C-contiguous float64 stack
+    (3, S, d_model, d_head); stream s = layer * heads + head."""
+    dims = weights.dims
+    qkv = weights.qkv.reshape(-1, 3, dims.d_model, dims.d_head)
+    return np.moveaxis(qkv, 1, 0).astype(np.float64, order="C")
 
 
 def _project_all(x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -385,9 +361,7 @@ class StreamBatch:
     def __init__(self, weights: ModelWeights, slots: int):
         dims = weights.dims
         self.streams = dims.layers * dims.heads
-        self.wq = _stacked(weights.wq)
-        self.wk = _stacked(weights.wk)
-        self.wv = _stacked(weights.wv)
+        self.wq, self.wk, self.wv = _stacked(weights)
         shape = (self.streams, max(slots, 1))
         self.keys = np.zeros(shape + (dims.d_head,), dtype=np.float64)
         self.encoded = np.zeros(shape + (dims.d_head,), dtype=np.float64)
@@ -458,7 +432,7 @@ def window_rows(weights: ModelWeights, inputs, window_start: int) -> list[list[n
     inputs = np.asarray(inputs, dtype=np.float64)
     dims = weights.dims
     streams = dims.layers * dims.heads
-    wq, wk = _stacked(weights.wq), _stacked(weights.wk)
+    wq, wk = _stacked(weights)[:2]
     seq_len = len(inputs)
     cos, sin = _rope_table(dims.d_head, seq_len - 1)
     raw = np.stack([_project_all(x, wk) for x in inputs], axis=1)

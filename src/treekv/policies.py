@@ -80,35 +80,6 @@ class ProtectedZones:
         return f"sink={self.n_sink},recent={self.n_recent}"
 
 
-@dataclass
-class TreeKVState:
-    """Cursor state of the tree cycle.
-
-    ``c`` is the number of slots the cursor sweeps: the cache capacity when
-    no zones are configured, capacity minus the protected slots otherwise.
-    """
-
-    c: int
-    mode: str = "score"  # "score" or "select-left"
-    idx: int = 1  # 1-based cursor, always in 1..c
-
-    def __post_init__(self):
-        if self.c < 1:
-            raise ConfigError(f"cursor range must cover at least one slot, got {self.c}")
-        if self.mode not in ("score", "select-left"):
-            raise ConfigError(f"unknown tree mode {self.mode!r}")
-        if not 1 <= self.idx <= self.c:
-            raise ConfigError(f"cursor {self.idx} outside 1..{self.c}")
-
-
-def advance_idx(state: TreeKVState) -> TreeKVState:
-    """Advance the cursor one cyclic step over 1..c."""
-    if not 1 <= state.idx <= state.c:
-        raise InvariantViolation(f"cursor {state.idx} outside 1..{state.c}")
-    state.idx = (state.idx % state.c) + 1
-    return state
-
-
 def _averaged(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if counts.size and int(counts.min()) < 1:
         raise InvariantViolation("a slot has zero residency count")
@@ -117,28 +88,9 @@ def _averaged(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 # --- victim selectors --------------------------------------------------------
 #
-# Each eviction rule is written once, as a pure function over all streams:
+# Each baseline rule is written once, as a pure function over all streams:
 # statistics of shape (streams, slots) in, one 0-based victim slot per
-# stream out.
-
-
-def tree_victims(scores, counts, state: TreeKVState, zones: ProtectedZones) -> np.ndarray:
-    """The tree rule: of the slot pair under the cursor (offset past the
-    sink zone), the lower averaged attention mass goes, ties to the left; in
-    select-left mode the left slot always goes."""
-    expected = zones.total + state.c + 1
-    if scores.shape[1] != expected:
-        raise StateError(
-            f"tree eviction needs exactly {expected} slots (one over capacity), "
-            f"cache has {scores.shape[1]}"
-        )
-    if not 1 <= state.idx <= state.c:
-        raise InvariantViolation(f"cursor {state.idx} outside 1..{state.c}")
-    left = zones.n_sink + state.idx - 1
-    if state.mode == "select-left":
-        return np.full(len(scores), left)
-    pair = _averaged(scores[:, left : left + 2], counts[:, left : left + 2])
-    return left + (pair[:, 0] > pair[:, 1])
+# stream out.  The tree rule, which reads the cursor, is ``TreeKV.select``.
 
 
 def _evictable_range(cache_len: int, zones: ProtectedZones) -> tuple[int, int]:
@@ -179,7 +131,7 @@ class EvictionPolicy:
     """
 
     spec = "?"
-    capacity: int | None = None  # slots each stream keeps after an eviction
+    capacity: int | None = None  # slots each stream keeps; None: never evicts
     cursor: int | None = None  # the tree cursor the next eviction uses
 
     def select(self, scores, counts, last_rows) -> np.ndarray | None:
@@ -189,10 +141,6 @@ class EvictionPolicy:
 
     def advance(self) -> None:
         """Move past an eviction that removed the selected victims."""
-
-    @property
-    def unbounded(self) -> bool:
-        return False
 
     def evict(self, batch: StreamBatch, rows) -> tuple[list[int], int | None]:
         """Evict one slot per stream from a batch that is over capacity,
@@ -223,12 +171,11 @@ class FullAttention(EvictionPolicy):
     def select(self, scores, counts, last_rows):
         return None
 
-    @property
-    def unbounded(self) -> bool:
-        return True
-
 
 class TreeKV(EvictionPolicy):
+    """The tree cycle: a 1-based ``cursor`` sweeps the ``cycle`` slots between
+    the protected zones (the capacity when there are none) and wraps."""
+
     def __init__(self, capacity: int, zones=None, select_left: bool = False):
         zones = ProtectedZones.coerce(zones)
         if capacity < 2:
@@ -241,21 +188,30 @@ class TreeKV(EvictionPolicy):
             )
         self.capacity = capacity
         self.zones = zones
-        self.state = TreeKVState(c=cycle, mode="select-left" if select_left else "score")
-
-    @property
-    def spec(self) -> str:
-        return "treekv-left" if self.state.mode == "select-left" else "treekv"
-
-    @property
-    def cursor(self) -> int:
-        return self.state.idx
+        self.cycle = cycle
+        self.select_left = select_left
+        self.spec = "treekv-left" if select_left else "treekv"
+        self.cursor = 1
 
     def select(self, scores, counts, last_rows):
-        return tree_victims(scores, counts, self.state, self.zones)
+        """The tree rule: of the slot pair under the cursor (offset past the
+        sink zone), the lower averaged attention mass goes, ties to the left;
+        with ``select_left`` the left slot always goes."""
+        if scores.shape[1] != self.capacity + 1:
+            raise StateError(
+                f"tree eviction needs exactly {self.capacity + 1} slots (one over "
+                f"capacity), cache has {scores.shape[1]}"
+            )
+        if not 1 <= self.cursor <= self.cycle:
+            raise InvariantViolation(f"cursor {self.cursor} outside 1..{self.cycle}")
+        left = self.zones.n_sink + self.cursor - 1
+        if self.select_left:
+            return np.full(len(scores), left)
+        pair = _averaged(scores[:, left : left + 2], counts[:, left : left + 2])
+        return left + (pair[:, 0] > pair[:, 1])
 
     def advance(self) -> None:
-        advance_idx(self.state)
+        self.cursor = self.cursor % self.cycle + 1
 
 
 class _ZonedPolicy(EvictionPolicy):
@@ -321,8 +277,7 @@ def decode_with_policy(
     *,
     stream_seed: int | None = None,
     token_ids: list[int] | None = None,
-    record_rows: bool = True,
-    record_values: bool = True,
+    record_detail: bool = True,
     record_outputs: bool = False,
 ) -> DecodeTrace:
     """Run the decode loop over all (layer, head) streams at once.
@@ -343,7 +298,8 @@ def decode_with_policy(
     if policy_spec != "full" and capacity < 2:
         raise ConfigError(f"decoding requires c >= 2, got {capacity}")
     policy = make_policy(policy_spec, capacity, zones)
-    batch = StreamBatch(weights, seq_len if policy.unbounded else capacity + 1)
+    bound = policy.capacity  # None: the cache is unbounded
+    batch = StreamBatch(weights, seq_len if bound is None else bound + 1)
     heads = dims.heads
     grid = (dims.layers, heads, -1)  # stream s = layer * heads + head
     trace = DecodeTrace(
@@ -359,7 +315,7 @@ def decode_with_policy(
     for step in range(1, seq_len + 1):
         rows, outputs, values = batch.step(inputs[step - 1], step - 1)
         events: list[EvictionEvent] = []
-        if not policy.unbounded and batch.n > capacity:
+        if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)
             events = [
                 EvictionEvent(step, stream // heads, stream % heads, position, cursor)
@@ -369,8 +325,8 @@ def decode_with_policy(
             StepRecord(
                 step,
                 events,
-                rows.reshape(grid) if record_rows else None,
-                values.reshape(grid) if record_values else None,
+                rows.reshape(grid) if record_detail else None,
+                values.reshape(grid) if record_detail else None,
                 outputs.reshape(grid) if record_outputs else None,
             )
         )

@@ -99,16 +99,16 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
 
 def _array(raw, dims: ModelDims, what, width=None):
     """One step's grid of number lists as a (layers, heads, n) float64 array
-    (n = ``width`` if given).  JSON null, booleans and strings are rejected,
-    not converted."""
+    (n = ``width`` if given).  JSON null, booleans, strings, NaN and Infinity
+    are rejected, not converted."""
     try:
         leaves = set(map(type, chain.from_iterable(chain.from_iterable(raw))))
         array = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} is not a grid of number lists") from exc
-    if (leaves - {int, float} or array.ndim != 3
-            or array.shape[:2] != (dims.layers, dims.heads) or width not in (None, array.shape[2])):
-        raise InputError(f"{what} is not a {dims.layers}x{dims.heads} grid of number lists"
+    if (leaves - {int, float} or array.ndim != 3 or array.shape[:2] != (dims.layers, dims.heads)
+            or width not in (None, array.shape[2]) or not np.isfinite(array).all()):
+        raise InputError(f"{what} is not a {dims.layers}x{dims.heads} grid of finite number lists"
                          + (f" of length {width}" if width else ""))
     return array
 

@@ -17,7 +17,7 @@ def single_head_weights(wq, wk=None, wv=None):
     wk = wq if wk is None else np.asarray(wk, dtype=np.float32)
     wv = wq if wv is None else np.asarray(wv, dtype=np.float32)
     dims = ModelDims(1, 1, wq.shape[0], wq.shape[1])
-    return ModelWeights(dims, 0, [[wq]], [[wk]], [[wv]])
+    return ModelWeights(dims, 0, np.stack([wq, wk, wv])[None, None])
 
 
 def stream_batch(scores, counts=None):

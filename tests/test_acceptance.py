@@ -128,7 +128,7 @@ def test_c03_full_cache_equivalence():
         for spec in POLICY_SPECS:
             trace = decode_with_policy(
                 weights, inputs, spec, seq_len,
-                record_rows=False, record_values=False, record_outputs=True,
+                record_detail=False, record_outputs=True,
             )
             assert all(not step.events for step in trace.steps)
             for record in trace.steps:
@@ -225,7 +225,7 @@ def test_c07_left_sparse_right_dense():
         inputs = synthesize_embeddings(seed, seq_len, 64)
         trace = decode_with_policy(
             weights, inputs, "treekv", capacity,
-            record_rows=False, record_values=False,
+            record_detail=False,
         )
         final = trace.retained
         for layer in range(2):

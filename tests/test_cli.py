@@ -236,18 +236,38 @@ def _trace_case(edit, line=5, command=("map",)):
     return build
 
 
-def _first_row_cell(leaf):
-    """Step 17's first attention weight replaced by ``leaf``."""
+def _first_cell(leaf, key="rows"):
+    """Step 17's first attention weight (or value entry) replaced by ``leaf``."""
     def edit(record):
-        first, second = record["rows"][0]
-        return json.dumps({**record, "rows": [[[leaf] + first[1:], second]]})
+        first, second = record[key][0]
+        return json.dumps({**record, key: [[[leaf] + first[1:], second]]})
     return _trace_case(edit, line=17, command=ANALYZE)
 
 
+def _token_file_case(text, **overrides):
+    """decode with ``--tokens`` naming a file that holds ``text``."""
+    def build(tmp_path):
+        tokens = tmp_path / "tokens.json"
+        tokens.write_text(text)
+        return [*_decode_args(tmp_path / "t.jsonl", **overrides), "--tokens", tokens]
+    return build
+
+
 def _zero_layer_weights(tmp_path):
-    """A 38-byte TKVW header that declares 0 layers and no matrices."""
+    """A 34-byte TKVW header that declares 0 layers and no matrices."""
     weights = tmp_path / "w.bin"
     weights.write_bytes(struct.pack("<4sHIIIIIQ", b"TKVW", 1, 0, 2, 8, 4, 0, 5))
+    return ["decode", "--weights", weights, "-o", tmp_path / "t.jsonl"]
+
+
+def _nan_weights(tmp_path):
+    """A 1x1x8x4 TKVW file whose first W_Q entry is NaN."""
+    weights = tmp_path / "w.bin"
+    assert run_cli("gen-weights", "--layers", 1, "--heads", 1, "--d-model", 8,
+                   "--d-head", 4, "-o", weights) == 0
+    blob = bytearray(weights.read_bytes())
+    blob[34:38] = struct.pack("<f", float("nan"))
+    weights.write_bytes(bytes(blob))
     return ["decode", "--weights", weights, "-o", tmp_path / "t.jsonl"]
 
 
@@ -268,20 +288,26 @@ def _zero_layer_weights(tmp_path):
         (_trace_case(lambda record: json.dumps({**record, "rows": [[["q"], ["q"]]]})), 3),
         (_trace_case(lambda record: json.dumps({**record, "d_head": None}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0}), line=0), 3),
-        (_first_row_cell(None), 3),
-        (_first_row_cell(True), 3),
-        (_first_row_cell("0.5"), 3),
+        (_first_cell(None), 3),
+        (_first_cell(True), 3),
+        (_first_cell("0.5"), 3),
+        (_first_cell(float("nan")), 3),
+        (_first_cell(float("inf"), key="values"), 3),
         # position 15 (step 16) is among the slots step 17 attends
         (_trace_case(lambda record: json.dumps({k: v for k, v in record.items() if k != "values"}),
                      line=16, command=ANALYZE), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 1}), line=0), 3),
         (_zero_layer_weights, 3),
+        (_token_file_case("[[NaN]]", d_model=1), 3),
+        (_token_file_case("[1, 2, true]", vocab=8), 3),
+        (_nan_weights, 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
          "retained-float-positions", "row-cell-not-numbers", "header-dim-null",
          "header-seq-len-float", "row-cell-null", "row-cell-bool", "row-cell-string",
-         "step-without-values", "format-1", "weights-zero-layers"],
+         "row-cell-nan", "value-cell-infinity", "step-without-values", "format-1",
+         "weights-zero-layers", "embedding-nan", "token-id-bool", "weights-nan"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]

@@ -102,6 +102,23 @@ def test_weight_file_roundtrip_and_bit_identity(tmp_path):
     assert (loaded.output_proj == weights.output_proj).all()
 
 
+def test_weight_file_layout_is_the_documented_order(tmp_path):
+    # Each matrix at the offset the format names, checked against the
+    # recurrence rather than against load_weights.
+    dims = ModelDims(2, 2, 8, 4, vocab=16)
+    path = tmp_path / "w.bin"
+    save_weights(generate_weights(7, dims), str(path))
+    blob = path.read_bytes()
+    size = dims.d_model * dims.d_head
+    for layer in range(dims.layers):
+        for head in range(dims.heads):
+            for kind in range(3):
+                offset = 34 + 4 * size * (3 * (layer * dims.heads + head) + kind)
+                stored = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
+                entries = oracle_weight_entries(7, dims.heads, 8, 4, layer, head, kind, size)
+                assert stored.tolist() == [float(np.float32(e)) for e in entries]
+
+
 def test_weight_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 40)

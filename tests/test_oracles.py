@@ -84,7 +84,7 @@ def test_golden_attention_fixture(regen_golden):
 
     trace = decode_with_policy(
         weights, inputs, "full", spec["steps"],
-        record_rows=False, record_values=False, record_outputs=True,
+        record_detail=False, record_outputs=True,
     )
     for step_index, record in enumerate(trace.steps):
         for layer in range(dims.layers):

@@ -17,15 +17,13 @@ from treekv import (
     StreamBatch,
     StreamingLLM,
     TreeKV,
-    TreeKVState,
-    advance_idx,
     decode_with_policy,
     generate_weights,
     make_policy,
     retained_at,
     synthesize_embeddings,
 )
-from treekv.policies import _averaged, argmin_victims, streaming_victims, tree_victims
+from treekv.policies import _averaged, argmin_victims, streaming_victims
 
 from helpers import drive_policy, single_head_weights, stream_batch
 
@@ -88,17 +86,18 @@ def test_average_scores_bounds():
 
 def test_average_scores_zero_count_is_internal_error():
     with pytest.raises(InvariantViolation):
-        tree_victims(np.array([[1.0, 0.5, 0.2]]), np.array([[0, 1, 1]]),
-                     TreeKVState(c=2), ProtectedZones())
+        TreeKV(2).select(np.array([[1.0, 0.5, 0.2]]), np.array([[0, 1, 1]]), None)
 
 
 # --- tree eviction step ------------------------------------------------------
 
 
-def _tree_victim(scores, counts=None, **state):
+def _tree_victim(scores, counts=None, *, c, cursor=1, select_left=False):
     scores = np.asarray(scores, dtype=np.float64)[None]
     counts = np.ones_like(scores) if counts is None else np.asarray(counts)[None]
-    return int(tree_victims(scores, counts, TreeKVState(**state), ProtectedZones())[0])
+    policy = TreeKV(c, select_left=select_left)
+    policy.cursor = cursor
+    return int(policy.select(scores, counts, None)[0])
 
 
 def test_tree_eviction_walkthrough_step5():
@@ -118,11 +117,11 @@ def test_tree_eviction_tie_goes_left():
 
 def test_tree_eviction_derived_scores():
     # averaged scores 0.05 vs ~0.1667: the left slot loses
-    assert _tree_victim([0.9, 0.2, 0.5, 0.7, 0.1], [5, 4, 3, 2, 1], c=4, idx=2) == 1
+    assert _tree_victim([0.9, 0.2, 0.5, 0.7, 0.1], [5, 4, 3, 2, 1], c=4, cursor=2) == 1
 
 
 def test_tree_eviction_select_left_ignores_scores():
-    assert _tree_victim([9.0, 0.1, 0.1], c=2, mode="select-left") == 0
+    assert _tree_victim([9.0, 0.1, 0.1], c=2, select_left=True) == 0
 
 
 def test_tree_eviction_requires_over_capacity_cache():
@@ -134,27 +133,33 @@ def test_tree_eviction_scale_invariance():
     scores = np.array([0.9, 0.2, 0.5, 0.7, 0.1])
     counts = [5, 4, 3, 2, 1]
     for scale in (1.0, 7.0, 1e-3):
-        assert _tree_victim(scores * scale, counts, c=4, idx=2) == 1
+        assert _tree_victim(scores * scale, counts, c=4, cursor=2) == 1
 
 
 # --- cursor ------------------------------------------------------------------
 
 
 def test_advance_idx_steps_and_wraps():
-    state = TreeKVState(c=4)
-    assert advance_idx(state).idx == 2
-    state = TreeKVState(c=4, idx=4)
-    assert advance_idx(state).idx == 1
+    policy = TreeKV(4)
+    policy.advance()
+    assert policy.cursor == 2
+    policy.cursor = 4
+    policy.advance()
+    assert policy.cursor == 1
+    zoned = TreeKV(6, "sink=1,recent=1")  # the cursor sweeps 6 - 2 = 4 slots
+    zoned.cursor = 4
+    zoned.advance()
+    assert zoned.cycle == 4 and zoned.cursor == 1
 
 
 def test_advance_idx_visits_every_slot_once():
-    state = TreeKVState(c=5)
+    policy = TreeKV(5)
     seen = []
     for _ in range(5):
-        seen.append(state.idx)
-        advance_idx(state)
+        seen.append(policy.cursor)
+        policy.advance()
     assert sorted(seen) == [1, 2, 3, 4, 5]
-    assert state.idx == 1
+    assert policy.cursor == 1
 
 
 # --- baselines ---------------------------------------------------------------
@@ -391,7 +396,7 @@ def test_tree_policy_evicts_only_from_scope(capacity, seed):
         before.append(t)  # the slots the eviction chose from
         if eviction is not None:
             (position,), cursor = eviction
-            assert policy.state.idx == cursor % capacity + 1
+            assert policy.cursor == cursor % capacity + 1
             assert position in (before[cursor - 1], before[cursor])
             assert batch.n == capacity
         before = batch.positions[0, : batch.n].tolist()

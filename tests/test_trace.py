@@ -107,7 +107,7 @@ def test_signals_at_step_merges_the_pre_eviction_view():
         # step 8 of a capacity-5 run attends over 6 slots before evicting
         assert row.shape == (6,)
         assert values.shape == (6, 4)
-    light = _run(policy="treekv", capacity=5, seq_len=9, record_rows=False)
+    light = _run(policy="treekv", capacity=5, seq_len=9, record_detail=False)
     with pytest.raises(InputError):
         signals_at_step(light, 8)
 
