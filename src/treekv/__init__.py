@@ -51,7 +51,6 @@ from .prefill import (
 )
 from .trace import (
     DecodeTrace,
-    EvictionEvent,
     StepRecord,
     distribution_map,
     read_trace,
@@ -79,7 +78,6 @@ __all__ = [
     "ConfigError",
     "DecodeTrace",
     "DimensionError",
-    "EvictionEvent",
     "EvictionPolicy",
     "FullAttention",
     "H2O",

@@ -38,6 +38,7 @@ from .policies import POLICY_SPECS, ProtectedZones, decode_with_policy
 from .prefill import observation_scores, partition_blocks, treekv_prefill_compress
 from .trace import (
     DecodeTrace,
+    _grid,
     distribution_map,
     read_trace,
     validate_trace,
@@ -153,17 +154,8 @@ def _load_token_file(path: str, d_model: int):
         raise InputError(f"token file {path} must be a non-empty JSON array")
     if all(type(item) is int for item in data):
         return data, None
-    try:
-        matrix = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"token file {path} holds neither ids nor vectors") from exc
-    if matrix.ndim != 2 or matrix.shape[1] != d_model:
-        raise InputError(
-            f"embedding rows in {path} must have length {d_model}, got {matrix.shape}"
-        )
-    if not np.isfinite(matrix).all():
-        raise InputError(f"embedding rows in {path} hold a NaN or infinite number")
-    return None, matrix
+    return None, _grid(data, (None, d_model), f"embedding rows in {path}",
+                       (int, float), np.float64)
 
 
 def _prepare_inputs(config: RunConfig, weights: ModelWeights, tokens_path: str | None):

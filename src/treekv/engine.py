@@ -302,16 +302,11 @@ def _rotate(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotate_rows(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rotate each row of a (rows, d) matrix at its own position."""
-    cos, sin = _rope_table(mat.shape[1], int(positions.max(initial=0)))
-    return _rotate(mat, cos[positions], sin[positions])
-
-
 def rotate_vector(vec, position: int) -> np.ndarray:
     """Rotate one vector at the given encoding position (odd tail dim passes through)."""
     vec = np.asarray(vec, dtype=np.float64)
-    return _rotate_rows(vec[None, :], np.array([position]))[0]
+    cos, sin = _rope_table(vec.shape[-1], position)
+    return _rotate(vec, cos[position], sin[position])
 
 
 def _stacked(weights: ModelWeights) -> np.ndarray:
@@ -402,7 +397,7 @@ class StreamBatch:
         self.counts[:, :n] += 1
         return StreamStep(rows, outputs, value)
 
-    def remove(self, victims) -> list[int]:
+    def remove(self, victims) -> np.ndarray:
         """Remove one 0-based slot per stream, shifting survivors left.
         Returns the removed slots' original positions, one per stream."""
         n = self.n
@@ -410,7 +405,7 @@ class StreamBatch:
         if victims.shape != (self.streams,) or victims.min() < 0 or victims.max() >= n:
             raise StateError(f"victims {victims.tolist()} are not one slot per stream in 0..{n - 1}")
         every = np.arange(self.streams)[:, None]
-        evicted = self.positions[every[:, 0], victims].tolist()
+        evicted = self.positions[every[:, 0], victims]
         lo = int(victims.min())  # no stream changes left of its own victim
         shifted = np.arange(lo, n - 1)
         source = shifted + (shifted >= victims[:, None])

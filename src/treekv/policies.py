@@ -31,7 +31,7 @@ from .errors import (
     InvariantViolation,
     StateError,
 )
-from .trace import DecodeTrace, EvictionEvent, StepRecord
+from .trace import DecodeTrace, StepRecord
 
 POLICY_SPECS = ("treekv", "treekv-left", "streaming", "h2o", "tova", "full")
 
@@ -142,7 +142,7 @@ class EvictionPolicy:
     def advance(self) -> None:
         """Move past an eviction that removed the selected victims."""
 
-    def evict(self, batch: StreamBatch, rows) -> tuple[list[int], int | None]:
+    def evict(self, batch: StreamBatch, rows) -> tuple[np.ndarray, int | None]:
         """Evict one slot per stream from a batch that is over capacity,
         ``rows`` being the attention rows of the step that filled it.
 
@@ -285,7 +285,8 @@ def decode_with_policy(
     Per step: project, append, attend with re-assigned positions and
     accumulate scores in every stream, then, if the streams are over
     capacity, evict one slot per stream.  Returns the trace of attention
-    rows, eviction events and the final retained positions.
+    rows, the per-step grids of evicted positions with their tree cursors,
+    and the final retained positions.
     """
     dims = weights.dims
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -314,17 +315,15 @@ def decode_with_policy(
     )
     for step in range(1, seq_len + 1):
         rows, outputs, values = batch.step(inputs[step - 1], step - 1)
-        events: list[EvictionEvent] = []
+        evicted = cursor = None
         if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)
-            events = [
-                EvictionEvent(step, stream // heads, stream % heads, position, cursor)
-                for stream, position in enumerate(evicted)
-            ]
+            evicted = evicted.reshape(dims.layers, heads)
         trace.steps.append(
             StepRecord(
                 step,
-                events,
+                evicted,
+                cursor,
                 rows.reshape(grid) if record_detail else None,
                 values.reshape(grid) if record_detail else None,
                 outputs.reshape(grid) if record_outputs else None,

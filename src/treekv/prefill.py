@@ -40,7 +40,7 @@ def partition_blocks(prompt_len: int, block_size: int) -> BlockPartition:
     """Tile the prompt into ceil(prompt_len / block_size) blocks; the final
     (possibly short) block is the observation window."""
     if block_size < 1:
-        raise InputError(f"block size must be >= 1, got {block_size}")
+        raise ConfigError(f"block size must be >= 1, got {block_size}")
     if prompt_len < block_size:
         raise InputError(
             f"prompt of length {prompt_len} is shorter than one block ({block_size})"

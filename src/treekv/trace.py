@@ -1,5 +1,9 @@
 """Decode traces: per-step records of a run, JSON-lines serialization,
-event replay, and the per-position retention map."""
+eviction replay, and the per-position retention map.
+
+Every stream of a run holds the same number of slots and evicts in
+lockstep, so a step's evictions are one (layers, heads) grid of original
+positions and the one tree cursor that chose them."""
 
 from __future__ import annotations
 
@@ -13,27 +17,22 @@ import numpy as np
 from .engine import ModelDims, atomic_output
 from .errors import InputError
 
-TRACE_FORMAT = 2
-
-
-@dataclass
-class EvictionEvent:
-    step: int
-    layer: int
-    head: int
-    position: int  # evicted token's original position, 0-based
-    cursor: int | None  # eviction cursor for tree policies, None otherwise
+TRACE_FORMAT = 3
 
 
 @dataclass
 class StepRecord:
     step: int  # 1-based generation step
-    events: list[EvictionEvent]
+    # The original positions (0-based) evicted this step, a (layers, heads)
+    # int64 array, and the tree cursor that chose them.  Both are None on a
+    # step that evicts nothing; the cursor is also None under a baseline.
+    evicted: np.ndarray | None = None
+    cursor: int | None = None
     # (layers, heads, ·) float64 arrays, so [layer][head] is one stream's cell.
     rows: np.ndarray | None = None  # pre-eviction attention rows
     values: np.ndarray | None = None  # the value vector appended this step
     outputs: np.ndarray | None = None  # in-memory only, never serialized
-    # Not a field: ``retained_at`` replays per-step sets from the events.  It stays,
+    # Not a field: ``retained_at`` replays per-step sets from the evictions.  It stays,
     # empty, for readers of format 1's ``record.retained`` (bench/layers.py).
     retained = ()
 
@@ -50,7 +49,7 @@ class DecodeTrace:
     token_ids: list[int] | None = None
     steps: list[StepRecord] = field(default_factory=list)
     # Retained positions per [layer][head] after the last step: a checkpoint
-    # that replaying the events must reproduce (see ``retained_at``).
+    # that replaying the evictions must reproduce (see ``retained_at``).
     retained: list[list[list[int]]] = field(default_factory=list)
 
     def config_dict(self) -> dict:
@@ -81,13 +80,10 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
     with atomic_output(path) as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for record in trace.steps:
-            line = {
-                "kind": "step",
-                "step": record.step,
-                "events": [
-                    [e.layer, e.head, e.position, e.cursor] for e in record.events
-                ],
-            }
+            line = {"kind": "step", "step": record.step}
+            if record.evicted is not None:
+                line["evicted"] = record.evicted.tolist()
+                line["cursor"] = record.cursor
             if record.rows is not None:
                 line["rows"] = record.rows.tolist()
             if record.values is not None:
@@ -97,19 +93,25 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
         fh.write(json.dumps(final, separators=(",", ":")) + "\n")
 
 
-def _array(raw, dims: ModelDims, what, width=None):
-    """One step's grid of number lists as a (layers, heads, n) float64 array
-    (n = ``width`` if given).  JSON null, booleans, strings, NaN and Infinity
-    are rejected, not converted."""
+def _grid(raw, shape, what, kinds, dtype):
+    """A JSON grid as an array of ``shape`` (None: any length) and ``dtype``,
+    every leaf of a type in ``kinds``.  JSON null, booleans, strings, NaN and
+    Infinity are rejected, not converted."""
+    sizes = "x".join("n" if size is None else str(size) for size in shape)
+    names = "/".join(kind.__name__ for kind in kinds)
+    message = f"{what} is not a {sizes} grid of finite {names} values"
     try:
-        leaves = set(map(type, chain.from_iterable(chain.from_iterable(raw))))
-        array = np.asarray(raw, dtype=np.float64)
+        leaves = raw
+        for _ in shape[1:]:
+            leaves = chain.from_iterable(leaves)
+        types = set(map(type, leaves))
+        array = np.asarray(raw, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} is not a grid of number lists") from exc
-    if (leaves - {int, float} or array.ndim != 3 or array.shape[:2] != (dims.layers, dims.heads)
-            or width not in (None, array.shape[2]) or not np.isfinite(array).all()):
-        raise InputError(f"{what} is not a {dims.layers}x{dims.heads} grid of finite number lists"
-                         + (f" of length {width}" if width else ""))
+        raise InputError(message) from exc
+    if (types - set(kinds) or array.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, array.shape))
+            or not np.isfinite(array).all()):
+        raise InputError(message)
     return array
 
 
@@ -166,70 +168,62 @@ def read_trace(path: str) -> DecodeTrace:
         raise InputError(
             f"truncated trace: expected {trace.seq_len} step records and a final record"
         )
+    streams = (dims.layers, dims.heads)
     for index, raw in enumerate(body, start=1):
         if raw.get("kind") != "step" or raw.get("step") != index:
             raise InputError(f"trace step record {index} is malformed or out of order")
-        items = raw.get("events", [])
-        if not isinstance(items, list):
-            raise InputError(f"events at step {index} are not a list")
-        events = []
-        for item in items:
-            if not (
-                isinstance(item, list)
-                and len(item) == 4
-                and all(type(field) is int for field in item[:3])
-                and (item[3] is None or type(item[3]) is int)
-            ):
-                raise InputError(f"malformed eviction event at step {index}")
-            layer, head, position, cursor = item
-            if not (0 <= layer < dims.layers and 0 <= head < dims.heads
-                    and 0 <= position < index):
-                raise InputError(
-                    f"eviction event {item} at step {index} is outside the "
-                    f"{dims.layers}x{dims.heads} streams or positions 0..{index - 1}"
-                )
-            events.append(EvictionEvent(index, layer, head, position, cursor))
-        rows = values = None
+        record = StepRecord(index, cursor=raw.get("cursor"))
+        if "evicted" in raw:
+            record.evicted = _grid(raw["evicted"], streams, f"evicted at step {index}",
+                                   (int,), np.int64)
+            if record.evicted.min() < 0 or record.evicted.max() >= index:
+                raise InputError(f"evicted at step {index} holds a position outside "
+                                 f"0..{index - 1}")
+        if record.cursor is not None and (type(record.cursor) is not int
+                                          or record.evicted is None):
+            raise InputError(f"cursor at step {index} is not an int beside an evicted grid")
         if "rows" in raw:
-            rows = _array(raw["rows"], dims, f"rows at step {index}")
+            record.rows = _grid(raw["rows"], (*streams, None), f"rows at step {index}",
+                                (int, float), np.float64)
         if "values" in raw:
-            values = _array(raw["values"], dims, f"values at step {index}", dims.d_head)
-        trace.steps.append(StepRecord(index, events, rows, values))
-    retained = final.get("retained")
-    if (not isinstance(retained, list) or len(retained) != dims.layers
-            or any(not isinstance(row, list) or len(row) != dims.heads for row in retained)
-            or any(not isinstance(cell, list) or set(map(type, cell)) - {int}
-                   for row in retained for cell in row)):
-        raise InputError(f"final retained is not a {dims.layers}x{dims.heads} grid of int lists")
-    trace.retained = retained
+            record.values = _grid(raw["values"], (*streams, dims.d_head),
+                                  f"values at step {index}", (int, float), np.float64)
+        trace.steps.append(record)
+    retained = _grid(final.get("retained"), (*streams, None), "final retained",
+                     (int,), np.int64)
+    trace.retained = retained.tolist()
     return trace
 
 
 def retained_at(trace: DecodeTrace, step: int) -> list[list[list[int]]]:
     """Retained positions per [layer][head] after the given 1-based step (0:
-    before the first), replayed from the eviction events: each step appends
-    its own position to every stream, and each event removes one."""
+    before the first), replayed from the evictions: each step appends its
+    own position to every stream, and an evicting step removes one position
+    from each."""
     if not 0 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
-    dims = trace.dims
-    live = [[[] for _ in range(dims.heads)] for _ in range(dims.layers)]
+    layers, heads = trace.dims.layers, trace.dims.heads
+    live = np.empty((layers, heads, step), dtype=np.int64)
+    n = 0
     for record in trace.steps[:step]:
-        for row in live:
-            for stream in row:
-                stream.append(record.step - 1)
-        for event in record.events:
-            stream = live[event.layer][event.head]
-            if event.position not in stream:
+        live[:, :, n] = record.step - 1
+        n += 1
+        if record.evicted is not None:
+            hit = live[:, :, :n] == record.evicted[:, :, None]
+            missing = np.argwhere(~hit.any(axis=2))
+            if len(missing):
+                layer, head = missing[0]
                 raise InputError(
-                    f"step {record.step}: eviction of position {event.position} "
-                    f"not present in stream ({event.layer}, {event.head})"
+                    f"step {record.step}: eviction of position {record.evicted[layer, head]} "
+                    f"not present in stream ({layer}, {head})"
                 )
-            stream.remove(event.position)
-    return live
+            n -= 1
+            live[:, :, :n] = live[:, :, : n + 1][~hit].reshape(layers, heads, n)
+    return live[:, :, :n].tolist()
 
 
 def validate_trace(trace: DecodeTrace) -> None:
-    """Replay the eviction events to the last step and check the result
+    """Replay the evictions to the last step and check the result
     against the final retained checkpoint; raises InputError on any
     inconsistency."""
     if retained_at(trace, len(trace.steps)) != trace.retained:

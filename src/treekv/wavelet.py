@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionError,
     InputError,
     LevelError,
@@ -222,7 +223,7 @@ def magnitude_profile(
             )
         step = finals.pop()
     if exclude < 0:
-        raise InputError(f"exclude must be non-negative, got {exclude}")
+        raise ConfigError(f"exclude must be non-negative, got {exclude}")
 
     accum = None
     bands: list[str] = []

@@ -105,8 +105,8 @@ def test_c02_deterministic_tree_pattern():
     for head in range(2):
         retained = [p + 1 for p in trace.retained[0][head]]
         assert retained == [12, 14, 16, 17]
-        cursors = [e.cursor for s in trace.steps for e in s.events if e.head == head]
-        assert cursors == expected_cursors
+    cursors = [s.cursor for s in trace.steps if s.evicted is not None]
+    assert cursors == expected_cursors
     assert oracle_tree_sim(4, 17, None) == ([12, 14, 16, 17], expected_cursors)
     _report(2, "select-left c=4 T=17 retains {12,14,16,17}, cursor cycle 1,2,3,4")
 
@@ -130,7 +130,7 @@ def test_c03_full_cache_equivalence():
                 weights, inputs, spec, seq_len,
                 record_detail=False, record_outputs=True,
             )
-            assert all(not step.events for step in trace.steps)
+            assert all(step.evicted is None for step in trace.steps)
             for record in trace.steps:
                 for layer in range(dims.layers):
                     for head in range(dims.heads):

@@ -55,7 +55,7 @@ def test_decode_full_policy_has_no_evictions(tmp_path):
     out = tmp_path / "t.jsonl"
     assert run_cli(*_decode_args(out, policy="full", c=64)) == 0
     trace = read_trace(str(out))
-    assert all(not step.events for step in trace.steps)
+    assert all(step.evicted is None for step in trace.steps)
 
 
 def test_decode_select_left_pattern_via_cli(tmp_path):
@@ -279,8 +279,8 @@ def _nan_weights(tmp_path):
         (_config_case({"zones": 5}), 2),
         (lambda tmp_path: _decode_args(tmp_path / "missing" / "t.jsonl"), 3),
         (_trace_case(lambda record: "[5]"), 3),
-        (_trace_case(lambda record: json.dumps({**record, "events": [[7, 0, 0, 1]]})), 3),
-        (_trace_case(lambda record: json.dumps({**record, "events": 5})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "evicted": record["evicted"] * 2})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "evicted": 5})), 3),
         (_trace_case(lambda record: json.dumps({**record, "retained": [[5, 6]]}), line=18), 3),
         (_trace_case(lambda record: json.dumps(
             {**record, "retained": [[[float(p) for p in cell] for cell in record["retained"][0]]]}
@@ -297,17 +297,23 @@ def _nan_weights(tmp_path):
         (_trace_case(lambda record: json.dumps({k: v for k, v in record.items() if k != "values"}),
                      line=16, command=ANALYZE), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 1}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 2}), line=0), 3),
         (_zero_layer_weights, 3),
         (_token_file_case("[[NaN]]", d_model=1), 3),
+        (_token_file_case("[[true]]", d_model=1), 3),
         (_token_file_case("[1, 2, true]", vocab=8), 3),
         (_nan_weights, 3),
+        (lambda tmp_path: ["prefill", "--T", 12, "--block-size", 0,
+                           "-o", tmp_path / "p.jsonl"], 2),
+        (_trace_case(json.dumps, command=("analyze", "--levels", 2, "--exclude", -1)), 2),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
          "retained-float-positions", "row-cell-not-numbers", "header-dim-null",
          "header-seq-len-float", "row-cell-null", "row-cell-bool", "row-cell-string",
-         "row-cell-nan", "value-cell-infinity", "step-without-values", "format-1",
-         "weights-zero-layers", "embedding-nan", "token-id-bool", "weights-nan"],
+         "row-cell-nan", "value-cell-infinity", "step-without-values", "format-1", "format-2",
+         "weights-zero-layers", "embedding-nan", "embedding-bool", "token-id-bool",
+         "weights-nan", "block-size-zero", "exclude-negative"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]

@@ -106,7 +106,8 @@ def test_tree_eviction_walkthrough_step5():
     scores = [0.1, 0.5, 0.3, 0.4, 0.2]
     assert _tree_victim(scores, c=4) == 0
     batch = stream_batch(scores)
-    assert TreeKV(4).evict(batch, None) == ([0], 1)
+    evicted, cursor = TreeKV(4).evict(batch, None)
+    assert (evicted.tolist(), cursor) == ([0], 1)
     assert batch.positions[0, : batch.n].tolist() == [1, 2, 3, 4]
     assert batch.scores[0, : batch.n].tolist() == [0.5, 0.3, 0.4, 0.2]
 
@@ -168,7 +169,8 @@ def test_advance_idx_visits_every_slot_once():
 def test_streaming_without_sinks_is_a_sliding_window():
     assert streaming_victims(1, 3, ProtectedZones(0, 2)).tolist() == [0]
     batch = stream_batch([0.0, 0.0, 0.0])
-    assert StreamingLLM(2, ProtectedZones(0, 2)).evict(batch, None) == ([0], None)
+    evicted, cursor = StreamingLLM(2, ProtectedZones(0, 2)).evict(batch, None)
+    assert (evicted.tolist(), cursor) == ([0], None)
     assert batch.positions[0, : batch.n].tolist() == [1, 2]
 
 
@@ -177,7 +179,8 @@ def test_streaming_evicts_oldest_non_sink():
     zones = ProtectedZones(4, c - 4)
     assert streaming_victims(1, c + 1, zones).tolist() == [4]
     batch = stream_batch(np.zeros(c + 1))
-    assert StreamingLLM(c, zones).evict(batch, None) == ([4], None)
+    evicted, cursor = StreamingLLM(c, zones).evict(batch, None)
+    assert (evicted.tolist(), cursor) == ([4], None)
     assert 4 not in batch.positions[0, : batch.n].tolist()
 
 
@@ -199,7 +202,8 @@ def _h2o_victim(scores, zones=None, capacity=None):
 def test_h2o_evicts_cumulative_argmin():
     assert _h2o_victim([0.3, 0.1, 0.2]) == 1
     batch = stream_batch([0.3, 0.1, 0.2])
-    assert H2O(2).evict(batch, None) == ([1], None)
+    evicted, cursor = H2O(2).evict(batch, None)
+    assert (evicted.tolist(), cursor) == ([1], None)
     assert batch.scores[0, : batch.n].tolist() == [0.3, 0.2]
 
 
@@ -289,7 +293,7 @@ def test_decode_full_capacity_never_evicts_and_matches_full_policy():
     full = decode_with_policy(
         weights, inputs, "full", 16, record_outputs=True
     )
-    assert all(not step.events for step in roomy.steps)
+    assert all(step.evicted is None for step in roomy.steps)
     for step_a, step_b in zip(roomy.steps, full.steps):
         for head in range(2):
             assert np.array_equal(step_a.outputs[0][head], step_b.outputs[0][head])
@@ -302,7 +306,7 @@ def test_decode_select_left_17_token_pattern():
     for head in range(2):
         # 1-based tokens {12, 14, 16, 17}
         assert trace.retained[0][head] == [11, 13, 15, 16]
-    cursors = [e.cursor for s in trace.steps for e in s.events if e.head == 0]
+    cursors = [s.cursor for s in trace.steps if s.evicted is not None]
     assert cursors == [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1]
 
 
@@ -313,7 +317,7 @@ def test_decode_capacity_invariant_and_cursor_cycle():
     for step in trace.steps:
         for head in range(2):
             assert len(retained_at(trace, step.step)[0][head]) <= 6
-    cursors = [e.cursor for s in trace.steps for e in s.events if e.head == 1]
+    cursors = [s.cursor for s in trace.steps if s.evicted is not None]
     for start in range(len(cursors) - 6):
         assert sorted(cursors[start : start + 6]) == [1, 2, 3, 4, 5, 6]
 
@@ -364,7 +368,7 @@ def test_decode_with_zones_protects_sinks_and_recent():
             if t > c:
                 assert retained[:n_sink] == [0, 1]
                 assert retained[-n_recent:] == [t - 3, t - 2, t - 1]
-    evicted = {e.position for s in trace.steps for e in s.events if e.head == 0}
+    evicted = {int(s.evicted[0, 0]) for s in trace.steps if s.evicted is not None}
     assert not evicted & {0, 1}
 
 

@@ -41,7 +41,7 @@ def test_partition_degenerate_single_block():
 def test_partition_rejects_short_prompts():
     with pytest.raises(InputError):
         partition_blocks(3, 4)
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigError):
         partition_blocks(8, 0)
 
 

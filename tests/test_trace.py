@@ -34,9 +34,8 @@ def test_trace_roundtrip(tmp_path):
     assert len(loaded.steps) == len(trace.steps)
     last_a, last_b = trace.steps[-1], loaded.steps[-1]
     assert loaded.retained == trace.retained
-    assert [(e.position, e.cursor) for e in last_a.events] == [
-        (e.position, e.cursor) for e in last_b.events
-    ]
+    assert np.array_equal(last_a.evicted, last_b.evicted)
+    assert last_a.cursor == last_b.cursor
     assert np.allclose(last_a.rows[0][1], last_b.rows[0][1])
     validate_trace(loaded)
 
@@ -49,8 +48,7 @@ def test_trace_replay_detects_tampering(tmp_path):
 
     trace = _run()
     assert retained_at(trace, 0) == [[[], []]]
-    last = trace.steps[-1]
-    last.events.append(last.events[0])  # the same position evicted twice
+    trace.steps[-1].evicted = trace.steps[-2].evicted  # the same positions evicted twice
     with pytest.raises(InputError, match="not present"):
         retained_at(trace, len(trace.steps))
     with pytest.raises(InputError):
@@ -113,7 +111,17 @@ def test_signals_at_step_merges_the_pre_eviction_view():
 
 
 @pytest.mark.parametrize(
-    "event", [[1, 0, 0, 1], [0, 2, 0, 1], [0, 0, 8, 1], [0, -1, 0, 1], [0, 0, 0, "1"]]
+    "event",
+    [
+        {"evicted": [[0, 0], [0, 0]]},  # two layers
+        {"evicted": [[0]]},  # one head
+        {"evicted": [[8, 0]]},  # the position of step 9
+        {"evicted": [[-1, 0]]},
+        {"evicted": [[1.0, 0]]},
+        {"evicted": [[True, 0]]},
+        {"evicted": [0, 0]},  # not a grid
+        {"cursor": "1"},
+    ],
 )
 def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
     trace = _run(capacity=5, seq_len=8)  # 1 layer, 2 heads, 8 steps
@@ -121,7 +129,7 @@ def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
     write_trace(trace, str(path))
     lines = path.read_text().splitlines()
     record = json.loads(lines[-2])  # the last step; the final record follows it
-    record["events"] = [event]
+    record.update(event)
     path.write_text("\n".join(lines[:-2] + [json.dumps(record), lines[-1]]) + "\n")
     with pytest.raises(InputError):
         read_trace(str(path))

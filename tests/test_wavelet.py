@@ -205,7 +205,6 @@ def _hand_trace(rows_by_step, values_by_step, d_head):
         trace.steps.append(
             StepRecord(
                 step=step,
-                events=[],
                 rows=np.asarray(rows_by_step[step - 1], dtype=np.float64)[None, None],
                 values=np.asarray(values_by_step[step - 1], dtype=np.float64)[None, None],
             )
