@@ -271,19 +271,6 @@ def cmd_prefill(args) -> int:
     return 0
 
 
-def _overlap(a: list[int], b: list[int]) -> float:
-    sa, sb = set(a), set(b)
-    return len(sa & sb) / max(len(sa), len(sb))
-
-
-def _quartile_counts(positions: list[int], seq_len: int) -> list[int]:
-    bounds = [0, seq_len // 4, seq_len // 2, (3 * seq_len) // 4, seq_len]
-    return [
-        sum(1 for p in positions if bounds[q] <= p < bounds[q + 1])
-        for q in range(4)
-    ]
-
-
 def _mean_nll(trace: DecodeTrace, weights: ModelWeights) -> float | None:
     if weights.dims.vocab < 1 or trace.token_ids is None:
         return None
@@ -333,24 +320,20 @@ def cmd_compare(args) -> int:
         )
         runs.append((config, trace))
 
-    reference = runs[0][1].retained
+    streams = weights.dims.layers * weights.dims.heads
+    # Stream s's positions shifted by s * T, so that one membership test
+    # compares every stream with its own reference stream.
+    offset = np.arange(streams)[:, None] * first.T
+    reference = runs[0][1].retained.reshape(streams, -1) + offset
+    bounds = [first.T // 4, first.T // 2, (3 * first.T) // 4]
     with _open_out(args.out) as out:
         out.write("policy,overlap,q1,q2,q3,q4,nll\n")
         for config, trace in runs:
-            final = trace.retained
-            overlaps = []
-            quartiles = np.zeros(4, dtype=np.float64)
-            streams = 0
-            for layer in range(weights.dims.layers):
-                for head in range(weights.dims.heads):
-                    overlaps.append(
-                        _overlap(final[layer][head], reference[layer][head])
-                    )
-                    quartiles += np.array(
-                        _quartile_counts(final[layer][head], first.T), dtype=np.float64
-                    )
-                    streams += 1
-            quartiles /= streams
+            final = trace.retained.reshape(streams, -1)
+            shared = np.isin(final + offset, reference).sum(axis=1)
+            overlaps = shared / max(final.shape[1], reference.shape[1])
+            quarter = np.searchsorted(bounds, final.ravel(), side="right")
+            quartiles = np.bincount(quarter, minlength=4) / streams
             nll = _mean_nll(trace, weights)
             cells = [
                 config.policy,

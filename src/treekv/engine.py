@@ -256,10 +256,14 @@ def load_weights(path: str) -> ModelWeights:
 def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Softmax rows of queries (S, d) over encoded keys (S, n, d), scaled by
     sqrt(d).  The stacked matmul runs one BLAS matrix-vector product per
-    stream, so each row is bitwise the row a lone stream would compute."""
+    stream, so each row is bitwise the row a lone stream would compute.
+    Inputs too large for finite logits are an input error."""
     logits = np.matmul(keys, q[:, :, None])[:, :, 0] / math.sqrt(keys.shape[2])
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    rows = shifted / shifted.sum(axis=1, keepdims=True)
+    if not np.isfinite(rows).all():
+        raise InputError("attention rows are not finite; the inputs are too large")
+    return rows
 
 
 def _attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray):

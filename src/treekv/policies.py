@@ -329,5 +329,5 @@ def decode_with_policy(
                 outputs.reshape(grid) if record_outputs else None,
             )
         )
-    trace.retained = batch.positions[:, : batch.n].reshape(dims.layers, heads, batch.n).tolist()
+    trace.retained = batch.positions[:, : batch.n].reshape(grid)
     return trace

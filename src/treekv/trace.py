@@ -48,9 +48,10 @@ class DecodeTrace:
     stream_seed: int | None = None
     token_ids: list[int] | None = None
     steps: list[StepRecord] = field(default_factory=list)
-    # Retained positions per [layer][head] after the last step: a checkpoint
-    # that replaying the evictions must reproduce (see ``retained_at``).
-    retained: list[list[list[int]]] = field(default_factory=list)
+    # Retained positions after the last step, a (layers, heads, n) int64
+    # array: a checkpoint that replaying the evictions must reproduce (see
+    # ``retained_at``).
+    retained: np.ndarray | None = None
 
     def config_dict(self) -> dict:
         return {
@@ -89,7 +90,7 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
             if record.values is not None:
                 line["values"] = record.values.tolist()
             fh.write(json.dumps(line, separators=(",", ":")) + "\n")
-        final = {"kind": "final", "retained": trace.retained}
+        final = {"kind": "final", "retained": trace.retained.tolist()}
         fh.write(json.dumps(final, separators=(",", ":")) + "\n")
 
 
@@ -189,17 +190,16 @@ def read_trace(path: str) -> DecodeTrace:
             record.values = _grid(raw["values"], (*streams, dims.d_head),
                                   f"values at step {index}", (int, float), np.float64)
         trace.steps.append(record)
-    retained = _grid(final.get("retained"), (*streams, None), "final retained",
-                     (int,), np.int64)
-    trace.retained = retained.tolist()
+    trace.retained = _grid(final.get("retained"), (*streams, None), "final retained",
+                           (int,), np.int64)
     return trace
 
 
-def retained_at(trace: DecodeTrace, step: int) -> list[list[list[int]]]:
-    """Retained positions per [layer][head] after the given 1-based step (0:
-    before the first), replayed from the evictions: each step appends its
-    own position to every stream, and an evicting step removes one position
-    from each."""
+def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
+    """Retained positions after the given 1-based step (0: before the
+    first) as a (layers, heads, n) int64 array, replayed from the
+    evictions: each step appends its own position to every stream, and an
+    evicting step removes one position from each."""
     if not 0 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
     layers, heads = trace.dims.layers, trace.dims.heads
@@ -219,14 +219,14 @@ def retained_at(trace: DecodeTrace, step: int) -> list[list[list[int]]]:
                 )
             n -= 1
             live[:, :, :n] = live[:, :, : n + 1][~hit].reshape(layers, heads, n)
-    return live[:, :, :n].tolist()
+    return live[:, :, :n]
 
 
 def validate_trace(trace: DecodeTrace) -> None:
     """Replay the evictions to the last step and check the result
     against the final retained checkpoint; raises InputError on any
     inconsistency."""
-    if retained_at(trace, len(trace.steps)) != trace.retained:
+    if not np.array_equal(retained_at(trace, len(trace.steps)), trace.retained):
         raise InputError("replayed retained sets diverge from the final checkpoint")
 
 
@@ -237,19 +237,16 @@ def distribution_map(trace: DecodeTrace) -> np.ndarray:
         raise InputError("trace has no step records")
     dims = trace.dims
     grid = np.zeros((dims.layers, trace.seq_len), dtype=np.float64)
-    for layer in range(dims.layers):
-        for head in range(dims.heads):
-            for position in trace.retained[layer][head]:
-                grid[layer][position] += 1.0
+    np.add.at(grid, (np.arange(dims.layers)[:, None, None], trace.retained), 1.0)
     return grid / dims.heads
 
 
-def signals_at_step(trace: DecodeTrace, step: int):
-    """Pre-eviction cache view at the given 1-based step, per stream.
+def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-eviction cache view of every stream at the given 1-based step.
 
-    Yields (layer, head, row, values) where row is the attention row over
-    the slots present at attention time and values is the matching
-    (slots, d_head) value matrix.
+    Returns the attention rows over the slots present at attention time,
+    (layers, heads, n), and the matching value vectors, (layers, heads, n,
+    d_head).
     """
     if not 1 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
@@ -258,18 +255,10 @@ def signals_at_step(trace: DecodeTrace, step: int):
         raise InputError("trace lacks attention rows or value vectors; re-run decode "
                          "with full trace detail")
     before = retained_at(trace, step - 1)
-    out = []
-    for layer in range(trace.dims.layers):
-        for head in range(trace.dims.heads):
-            slots = before[layer][head] + [step - 1]
-            row = record.rows[layer][head]
-            if row.shape != (len(slots),):
-                raise InputError(
-                    f"step {step}: row length {row.shape} does not match the "
-                    f"{len(slots)} slots of stream ({layer}, {head})"
-                )
-            values = np.stack(
-                [trace.steps[p].values[layer][head] for p in slots]
-            )
-            out.append((layer, head, row, values))
-    return out
+    layers, heads, n = before.shape
+    if record.rows.shape[2] != n + 1:
+        raise InputError(f"step {step}: rows of length {record.rows.shape[2]} do not "
+                         f"match the {n + 1} slots of each stream")
+    slots = np.concatenate([before, np.full((layers, heads, 1), step - 1)], axis=2)
+    stacked = np.stack([r.values for r in trace.steps[:step]])  # (step, layers, heads, d_head)
+    return record.rows, stacked[slots, np.arange(layers)[:, None, None], np.arange(heads)[:, None]]

@@ -222,6 +222,8 @@ def magnitude_profile(
                 f"traces end at different steps {sorted(finals)}; pass an explicit step"
             )
         step = finals.pop()
+    elif step < 1:
+        raise ConfigError(f"step must be at least 1, got {step}")
     if exclude < 0:
         raise ConfigError(f"exclude must be non-negative, got {exclude}")
 
@@ -230,30 +232,30 @@ def magnitude_profile(
     signal_length = None
     signal_count = 0
     for trace in traces:
-        for _layer, _head, row, values in signals_at_step(trace, step):
-            if signal_length is None:
-                signal_length = len(row)
-                if signal_length < 2**levels:
-                    raise LevelError(
-                        f"analysis step {step} has {signal_length} slots, fewer than "
-                        f"2**{levels}; reduce the level count"
-                    )
-                if signal_length - 2 * exclude < 1:
-                    raise InputError(
-                        f"margins of {exclude} leave no positions out of {signal_length}"
-                    )
-            elif len(row) != signal_length:
-                raise InputError(
-                    "traces disagree on the slot count at the analysis step"
+        rows, values = signals_at_step(trace, step)
+        if signal_length is None:
+            signal_length = rows.shape[2]
+            if signal_length < 2**levels:
+                raise LevelError(
+                    f"analysis step {step} has {signal_length} slots, fewer than "
+                    f"2**{levels}; reduce the level count"
                 )
-            for channel in range(values.shape[1]):
-                coeffs = dwt_multi(row * values[:, channel], levels)
-                if accum is None:
-                    bands = coeffs.band_names()
-                    accum = np.zeros((len(bands), signal_length), dtype=np.float64)
-                for i, band in enumerate(bands):
-                    accum[i] += np.abs(reconstruct_component(coeffs, band))
-                signal_count += 1
+            if signal_length - 2 * exclude < 1:
+                raise InputError(
+                    f"margins of {exclude} leave no positions out of {signal_length}"
+                )
+        elif rows.shape[2] != signal_length:
+            raise InputError("traces disagree on the slot count at the analysis step")
+        # one signal per (layer, head, channel), in that order
+        signals = np.moveaxis(rows[..., None] * values, 3, 2).reshape(-1, signal_length)
+        for signal in signals:
+            coeffs = dwt_multi(signal, levels)
+            if accum is None:
+                bands = coeffs.band_names()
+                accum = np.zeros((len(bands), signal_length), dtype=np.float64)
+            for i, band in enumerate(bands):
+                accum[i] += np.abs(reconstruct_component(coeffs, band))
+        signal_count += len(signals)
     window = slice(exclude, signal_length - exclude)
     positions = np.arange(signal_length, dtype=np.int64)[window]
     return MagnitudeProfile(

@@ -327,6 +327,35 @@ def oracle_block_scores(rows, prompt_len, block_size):
 
 
 # ---------------------------------------------------------------------------
+# Compare summary cells (plain sets and counting loops)
+
+
+def oracle_compare_cells(final, reference, seq_len):
+    """The overlap and quartile cells of one ``compare`` row, as strings.
+
+    final, reference: retained positions per [layer][head].  A stream's
+    overlap is the count of positions it shares with the reference stream
+    over the larger of the two sets; the cell is their mean over streams in
+    (layer, head) order, summed left to right.  Quartile q counts the
+    positions p with q*seq_len//4 <= p < (q+1)*seq_len//4 over all streams,
+    divided by the stream count.
+    """
+    bounds = [q * seq_len // 4 for q in range(5)]
+    overlaps = []
+    counts = [0, 0, 0, 0]
+    for layer in range(len(final)):
+        for head in range(len(final[layer])):
+            mine, theirs = set(final[layer][head]), set(reference[layer][head])
+            overlaps.append(len(mine & theirs) / max(len(mine), len(theirs)))
+            for position in mine:
+                for q in range(4):
+                    if bounds[q] <= position < bounds[q + 1]:
+                        counts[q] += 1
+    streams = len(overlaps)
+    return [repr(sum(overlaps) / streams)] + [repr(count / streams) for count in counts]
+
+
+# ---------------------------------------------------------------------------
 # Weight-recurrence reimplementation (from the documented definition)
 
 

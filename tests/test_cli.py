@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from treekv import load_weights, read_trace
+from treekv import ConfigError, load_weights, read_trace
 from treekv.cli import RunConfig, load_config, main
+
+from oracles import oracle_compare_cells
 
 
 def run_cli(*args):
@@ -63,7 +65,7 @@ def test_decode_select_left_pattern_via_cli(tmp_path):
     assert run_cli(*_decode_args(out)) == 0
     trace = read_trace(str(out))
     for head in range(2):
-        assert trace.retained[0][head] == [11, 13, 15, 16]
+        assert trace.retained[0][head].tolist() == [11, 13, 15, 16]
 
 
 def test_decode_is_byte_identical_across_runs(tmp_path):
@@ -93,7 +95,7 @@ def test_unknown_config_field_is_a_config_error(tmp_path):
 
 
 def test_load_config_validates_preconditions(tmp_path):
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError):
         load_config(None, {"policy": "treekv", "c": 1})
 
 
@@ -195,6 +197,30 @@ def test_compare_reference_and_overlaps(tmp_path):
     assert all(row[6] for row in rows)  # toy NLL column populated
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_compare_cells_match_the_oracle(tmp_path, seed):
+    # Six streams: numpy sums fewer than eight terms left to right, as the
+    # oracle does, so the overlap means agree to the last bit.
+    policies = ["full", "treekv", "treekv-left", "streaming", "h2o", "tova"]
+    policies = policies[seed:] + policies[:seed]  # seed 1 compares against treekv
+    config = {"c": 12, "zones": "sink=2,recent=4", "seed": seed, "T": 64,
+              "layers": 2, "heads": 3, "d_model": 8, "d_head": 4}
+    paths, finals = [], []
+    for policy in policies:
+        paths.append(tmp_path / f"{policy}.json")
+        paths[-1].write_text(json.dumps({**config, "policy": policy}))
+        trace = tmp_path / f"{policy}.jsonl"
+        assert run_cli("decode", "--config", paths[-1], "--trace-detail", "light",
+                       "-o", trace) == 0
+        finals.append(read_trace(str(trace)).retained.tolist())
+    out = tmp_path / "cmp.csv"
+    assert run_cli("compare", *paths, "-o", out) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == policies
+    for row, final in zip(rows, finals):
+        assert row[1:6] == oracle_compare_cells(final, finals[0], config["T"]), row[0]
+
+
 def test_compare_rejects_mismatched_streams(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -253,6 +279,18 @@ def _token_file_case(text, **overrides):
     return build
 
 
+# Finite embedding rows whose attention logits overflow.
+HUGE_ROWS = json.dumps([[1e300] * 8] * 6)
+
+
+def _huge_prompt(tmp_path):
+    """prefill with a prompt of ``HUGE_ROWS``."""
+    prompt = tmp_path / "prompt.json"
+    prompt.write_text(HUGE_ROWS)
+    return ["prefill", "--prompt", prompt, "--layers", 1, "--heads", 1, "--d-model", 8,
+            "--d-head", 4, "--block-size", 2, "--cache-blocks", 2, "-o", tmp_path / "p.jsonl"]
+
+
 def _zero_layer_weights(tmp_path):
     """A 34-byte TKVW header that declares 0 layers and no matrices."""
     weights = tmp_path / "w.bin"
@@ -306,6 +344,10 @@ def _nan_weights(tmp_path):
         (lambda tmp_path: ["prefill", "--T", 12, "--block-size", 0,
                            "-o", tmp_path / "p.jsonl"], 2),
         (_trace_case(json.dumps, command=("analyze", "--levels", 2, "--exclude", -1)), 2),
+        (_token_file_case(HUGE_ROWS), 3),
+        (_huge_prompt, 3),
+        (_trace_case(json.dumps, command=(*ANALYZE, "--step", 0)), 2),
+        (_trace_case(json.dumps, command=(*ANALYZE, "--step", 18)), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -313,15 +355,18 @@ def _nan_weights(tmp_path):
          "header-seq-len-float", "row-cell-null", "row-cell-bool", "row-cell-string",
          "row-cell-nan", "value-cell-infinity", "step-without-values", "format-1", "format-2",
          "weights-zero-layers", "embedding-nan", "embedding-bool", "token-id-bool",
-         "weights-nan", "block-size-zero", "exclude-negative"],
+         "weights-nan", "block-size-zero", "exclude-negative", "decode-attention-overflow",
+         "prefill-attention-overflow", "step-zero", "step-past-end"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
+    inputs = sorted(os.listdir(tmp_path))
     result = subprocess.run(
         [sys.executable, "-m", "treekv", *args], capture_output=True, text=True
     )
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
+    assert sorted(os.listdir(tmp_path)) == inputs  # no output file written
 
 
 def test_outputs_are_replaced_whole_or_not_at_all(tmp_path):

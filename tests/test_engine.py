@@ -430,11 +430,11 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
         )
         expected = oracle_decode(weights, inputs, spec, capacity, zones)
         assert len(trace.steps) == len(expected)
-        assert trace.retained == expected[-1]["retained"]
+        assert trace.retained.tolist() == expected[-1]["retained"]
         for record, want in zip(trace.steps, expected):
             events = _events(record)
             assert events == want["events"], (spec, dims, capacity, zones, record.step)
-            assert retained_at(trace, record.step) == want["retained"]
+            assert retained_at(trace, record.step).tolist() == want["retained"]
             if events:
                 evicting.add(spec)
             for key in ("rows", "values", "outputs"):
@@ -487,7 +487,7 @@ def _trace_digest(trace):
     for record in trace.steps:
         events = [(record.step, *event) for event in _events(record)]
         digest.update(repr(events).encode())
-        digest.update(repr(retained_at(trace, record.step)).encode())
+        digest.update(repr(retained_at(trace, record.step).tolist()).encode())
         for grid in (record.rows, record.values, record.outputs):
             for cells in grid:
                 for cell in cells:

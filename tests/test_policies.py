@@ -305,7 +305,7 @@ def test_decode_select_left_17_token_pattern():
     trace = decode_with_policy(weights, inputs, "treekv-left", 4)
     for head in range(2):
         # 1-based tokens {12, 14, 16, 17}
-        assert trace.retained[0][head] == [11, 13, 15, 16]
+        assert trace.retained[0][head].tolist() == [11, 13, 15, 16]
     cursors = [s.cursor for s in trace.steps if s.evicted is not None]
     assert cursors == [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1]
 
@@ -363,7 +363,7 @@ def test_decode_with_zones_protects_sinks_and_recent():
     for step in trace.steps:
         t = step.step
         for head in range(2):
-            retained = retained_at(trace, t)[0][head]
+            retained = retained_at(trace, t)[0][head].tolist()
             assert len(retained) <= c
             if t > c:
                 assert retained[:n_sink] == [0, 1]

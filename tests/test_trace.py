@@ -33,7 +33,7 @@ def test_trace_roundtrip(tmp_path):
     assert loaded.fingerprint() == trace.fingerprint()
     assert len(loaded.steps) == len(trace.steps)
     last_a, last_b = trace.steps[-1], loaded.steps[-1]
-    assert loaded.retained == trace.retained
+    assert np.array_equal(loaded.retained, trace.retained)
     assert np.array_equal(last_a.evicted, last_b.evicted)
     assert last_a.cursor == last_b.cursor
     assert np.allclose(last_a.rows[0][1], last_b.rows[0][1])
@@ -42,12 +42,12 @@ def test_trace_roundtrip(tmp_path):
 
 def test_trace_replay_detects_tampering(tmp_path):
     trace = _run()
-    trace.retained[0][0] = trace.retained[0][0][:-1]
+    trace.retained = trace.retained[:, :, :-1]
     with pytest.raises(InputError):
         validate_trace(trace)
 
     trace = _run()
-    assert retained_at(trace, 0) == [[[], []]]
+    assert retained_at(trace, 0).tolist() == [[[], []]]
     trace.steps[-1].evicted = trace.steps[-2].evicted  # the same positions evicted twice
     with pytest.raises(InputError, match="not present"):
         retained_at(trace, len(trace.steps))
@@ -101,10 +101,10 @@ def test_distribution_map_averages_across_heads():
 
 def test_signals_at_step_merges_the_pre_eviction_view():
     trace = _run(policy="treekv", capacity=5, seq_len=9)
-    for layer, head, row, values in signals_at_step(trace, 8):
-        # step 8 of a capacity-5 run attends over 6 slots before evicting
-        assert row.shape == (6,)
-        assert values.shape == (6, 4)
+    rows, values = signals_at_step(trace, 8)
+    # step 8 of a capacity-5 run attends over 6 slots before evicting
+    assert rows.shape == (1, 2, 6)
+    assert values.shape == (1, 2, 6, 4)
     light = _run(policy="treekv", capacity=5, seq_len=9, record_detail=False)
     with pytest.raises(InputError):
         signals_at_step(light, 8)
