@@ -254,13 +254,14 @@ def load_weights(path: str) -> ModelWeights:
 
 
 def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Softmax rows of queries (S, d) over encoded keys (S, n, d), scaled by
-    sqrt(d).  The stacked matmul runs one BLAS matrix-vector product per
+    """Softmax rows of queries (..., d) over encoded keys (..., n, d), scaled
+    by sqrt(d).  The stacked matmul runs one BLAS matrix-vector product per
     stream, so each row is bitwise the row a lone stream would compute.
     Inputs too large for finite logits are an input error."""
-    logits = np.matmul(keys, q[:, :, None])[:, :, 0] / math.sqrt(keys.shape[2])
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    rows = shifted / shifted.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = np.matmul(keys, q[..., None])[..., 0] / math.sqrt(keys.shape[-1])
+        shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        rows = shifted / shifted.sum(axis=-1, keepdims=True)
     if not np.isfinite(rows).all():
         raise InputError("attention rows are not finite; the inputs are too large")
     return rows
@@ -313,30 +314,34 @@ def rotate_vector(vec, position: int) -> np.ndarray:
     return _rotate(vec, cos[position], sin[position])
 
 
+def slot_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Attention rows (..., n) of raw queries (..., d) over raw keys
+    (..., n, d) held at slots 0..n-1, as ``StreamBatch.step`` attends them:
+    each key is rotated at its slot and the query at n - 1, its own slot."""
+    n = keys.shape[-2]
+    cos, sin = _rope_table(keys.shape[-1], n - 1)
+    return _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), _rotate(keys, cos[:n], sin[:n]))
+
+
 def _stacked(weights: ModelWeights) -> np.ndarray:
     """W_Q, W_K and W_V of every stream as one C-contiguous float64 stack
-    (3, S, d_model, d_head); stream s = layer * heads + head."""
+    (3, S, d_model, d_head); stream s = layer * heads + head.
+
+    ``np.matmul(x, stack)`` runs one d_head-wide matrix-vector product per
+    matrix, bitwise each stream's own ``x @ W``.  One product over all
+    streams side by side (S * d_head wide) is not: BLAS rounds the columns
+    of a wide product differently when d_head is not a multiple of the
+    kernel's vector width.
+    """
     dims = weights.dims
     qkv = weights.qkv.reshape(-1, 3, dims.d_model, dims.d_head)
     return np.moveaxis(qkv, 1, 0).astype(np.float64, order="C")
 
 
-def _project_all(x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """One input vector through every stream's matrix: (S, d_head).
-
-    The stacked matmul runs one d_head-wide matrix-vector product per
-    stream, bitwise each stream's own ``x @ W``.  One product over all
-    streams side by side (S * d_head wide) is not: BLAS rounds the columns
-    of a wide product differently when d_head is not a multiple of the
-    kernel's vector width.
-    """
-    return np.matmul(x, stacked)
-
-
 class StreamStep(NamedTuple):
     rows: np.ndarray
     outputs: np.ndarray
-    values: np.ndarray
+    qkv: np.ndarray
 
 
 class StreamBatch:
@@ -360,7 +365,7 @@ class StreamBatch:
     def __init__(self, weights: ModelWeights, slots: int):
         dims = weights.dims
         self.streams = dims.layers * dims.heads
-        self.wq, self.wk, self.wv = _stacked(weights)
+        self.wq, self.wk, self.wv = self.stack = _stacked(weights)
         shape = (self.streams, max(slots, 1))
         self.keys = np.zeros(shape + (dims.d_head,), dtype=np.float64)
         self.encoded = np.zeros(shape + (dims.d_head,), dtype=np.float64)
@@ -377,16 +382,14 @@ class StreamBatch:
 
         Keys are encoded at their slot indices 0..n-1 and the query at
         n - 1, its own freshly appended slot.  The rows are accumulated into
-        the statistics (S += row, C += 1).  Returns rows (S, n), outputs and
-        values (S, d_head), all fresh arrays.
+        the statistics (S += row, C += 1).  Returns rows (S, n), outputs
+        (S, d_head) and the raw q, k and v (S, 3, d_head), all fresh arrays.
         """
         n = self.n
         if n == self.keys.shape[1]:
             raise StateError(f"stream batch is full at {n} slots")
-        q = _project_all(x, self.wq)
-        value = _project_all(x, self.wv)
-        self.keys[:, n] = _project_all(x, self.wk)
-        self.values[:, n] = value
+        qkv = np.matmul(x, self.stack)
+        q, self.keys[:, n], self.values[:, n] = qkv
         self.positions[:, n] = position
         self.scores[:, n] = 0.0
         self.counts[:, n] = 0
@@ -399,7 +402,7 @@ class StreamBatch:
         )
         self.scores[:, :n] += rows
         self.counts[:, :n] += 1
-        return StreamStep(rows, outputs, value)
+        return StreamStep(rows, outputs, qkv.transpose(1, 0, 2))
 
     def remove(self, victims) -> np.ndarray:
         """Remove one 0-based slot per stream, shifting survivors left.
@@ -434,11 +437,11 @@ def window_rows(weights: ModelWeights, inputs, window_start: int) -> list[list[n
     wq, wk = _stacked(weights)[:2]
     seq_len = len(inputs)
     cos, sin = _rope_table(dims.d_head, seq_len - 1)
-    raw = np.stack([_project_all(x, wk) for x in inputs], axis=1)
+    raw = np.stack([np.matmul(x, wk) for x in inputs], axis=1)
     keys = _rotate(raw, cos[:seq_len], sin[:seq_len])
     rows = [[] for _ in range(streams)]
     for position in range(window_start, seq_len):
-        q = _rotate(_project_all(inputs[position], wq), cos[position], sin[position])
+        q = _rotate(np.matmul(inputs[position], wq), cos[position], sin[position])
         for stream, row in enumerate(_attention_rows(q, keys[:, : position + 1])):
             rows[stream].append(row)
     return rows
@@ -461,9 +464,9 @@ def synthesize_token_ids(seed: int, count: int, vocab: int) -> list[int]:
 def embed_tokens(weights: ModelWeights, token_ids) -> np.ndarray:
     if weights.embedding is None:
         raise StateError("model has no embedding table (vocab = 0)")
-    ids = np.asarray(token_ids, dtype=np.int64)
+    ids = np.asarray(token_ids, dtype=object)  # range-checked before int64 can overflow
     if ids.ndim != 1:
         raise DimensionError(f"token ids must be a flat sequence, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= weights.dims.vocab):
         raise InputError(f"token id out of range for vocab {weights.dims.vocab}")
-    return weights.embedding[ids].astype(np.float64)
+    return weights.embedding[ids.astype(np.int64)].astype(np.float64)

@@ -20,6 +20,7 @@ instance, and block-level prefill replays the same tree selector.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class ProtectedZones:
         for part in text.split(","):
             key, _, raw = part.partition("=")
             key = key.strip()
-            if key not in values or not raw.strip().lstrip("-").isdigit():
+            if key not in values or not re.fullmatch("-?[0-9]+", raw.strip()):
                 raise ConfigError(f"bad zone syntax {text!r}, expected sink=N,recent=N")
             values[key] = int(raw)
         return cls(values["sink"], values["recent"])
@@ -284,9 +285,9 @@ def decode_with_policy(
 
     Per step: project, append, attend with re-assigned positions and
     accumulate scores in every stream, then, if the streams are over
-    capacity, evict one slot per stream.  Returns the trace of attention
-    rows, the per-step grids of evicted positions with their tree cursors,
-    and the final retained positions.
+    capacity, evict one slot per stream.  Returns the trace of each step's
+    queries, keys and values, the per-step grids of evicted positions with
+    their tree cursors, and the final retained positions.
     """
     dims = weights.dims
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -301,8 +302,7 @@ def decode_with_policy(
     policy = make_policy(policy_spec, capacity, zones)
     bound = policy.capacity  # None: the cache is unbounded
     batch = StreamBatch(weights, seq_len if bound is None else bound + 1)
-    heads = dims.heads
-    grid = (dims.layers, heads, -1)  # stream s = layer * heads + head
+    grid = (dims.layers, dims.heads)  # stream s = layer * heads + head
     trace = DecodeTrace(
         policy=policy_spec,
         capacity=capacity,
@@ -314,20 +314,19 @@ def decode_with_policy(
         token_ids=list(token_ids) if token_ids is not None else None,
     )
     for step in range(1, seq_len + 1):
-        rows, outputs, values = batch.step(inputs[step - 1], step - 1)
+        rows, outputs, qkv = batch.step(inputs[step - 1], step - 1)
         evicted = cursor = None
         if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)
-            evicted = evicted.reshape(dims.layers, heads)
+            evicted = evicted.reshape(grid)
         trace.steps.append(
             StepRecord(
                 step,
                 evicted,
                 cursor,
-                rows.reshape(grid) if record_detail else None,
-                values.reshape(grid) if record_detail else None,
-                outputs.reshape(grid) if record_outputs else None,
+                qkv.reshape(*grid, 3, -1) if record_detail else None,
+                outputs.reshape(*grid, -1) if record_outputs else None,
             )
         )
-    trace.retained = batch.positions[:, : batch.n].reshape(grid)
+    trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
     return trace

@@ -14,10 +14,10 @@ from itertools import chain
 
 import numpy as np
 
-from .engine import ModelDims, atomic_output
+from .engine import ModelDims, atomic_output, slot_rows
 from .errors import InputError
 
-TRACE_FORMAT = 3
+TRACE_FORMAT = 4
 
 
 @dataclass
@@ -28,10 +28,10 @@ class StepRecord:
     # step that evicts nothing; the cursor is also None under a baseline.
     evicted: np.ndarray | None = None
     cursor: int | None = None
-    # (layers, heads, ·) float64 arrays, so [layer][head] is one stream's cell.
-    rows: np.ndarray | None = None  # pre-eviction attention rows
-    values: np.ndarray | None = None  # the value vector appended this step
-    outputs: np.ndarray | None = None  # in-memory only, never serialized
+    # The raw query, key and value each stream projected this step, a
+    # (layers, heads, 3, d_head) float64 array.
+    qkv: np.ndarray | None = None
+    outputs: np.ndarray | None = None  # (layers, heads, d_head), never serialized
     # Not a field: ``retained_at`` replays per-step sets from the evictions.  It stays,
     # empty, for readers of format 1's ``record.retained`` (bench/layers.py).
     retained = ()
@@ -85,10 +85,8 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
             if record.evicted is not None:
                 line["evicted"] = record.evicted.tolist()
                 line["cursor"] = record.cursor
-            if record.rows is not None:
-                line["rows"] = record.rows.tolist()
-            if record.values is not None:
-                line["values"] = record.values.tolist()
+            if record.qkv is not None:
+                line["qkv"] = record.qkv.tolist()
             fh.write(json.dumps(line, separators=(",", ":")) + "\n")
         final = {"kind": "final", "retained": trace.retained.tolist()}
         fh.write(json.dumps(final, separators=(",", ":")) + "\n")
@@ -183,12 +181,9 @@ def read_trace(path: str) -> DecodeTrace:
         if record.cursor is not None and (type(record.cursor) is not int
                                           or record.evicted is None):
             raise InputError(f"cursor at step {index} is not an int beside an evicted grid")
-        if "rows" in raw:
-            record.rows = _grid(raw["rows"], (*streams, None), f"rows at step {index}",
-                                (int, float), np.float64)
-        if "values" in raw:
-            record.values = _grid(raw["values"], (*streams, dims.d_head),
-                                  f"values at step {index}", (int, float), np.float64)
+        if "qkv" in raw:
+            record.qkv = _grid(raw["qkv"], (*streams, 3, dims.d_head), f"qkv at step {index}",
+                               (int, float), np.float64)
         trace.steps.append(record)
     trace.retained = _grid(final.get("retained"), (*streams, None), "final retained",
                            (int,), np.int64)
@@ -245,20 +240,17 @@ def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarr
     """Pre-eviction cache view of every stream at the given 1-based step.
 
     Returns the attention rows over the slots present at attention time,
-    (layers, heads, n), and the matching value vectors, (layers, heads, n,
-    d_head).
+    (layers, heads, n), derived from the recorded queries and keys bitwise as
+    decode computed them, and the matching values, (layers, heads, n, d_head).
     """
     if not 1 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
-    record = trace.steps[step - 1]
-    if record.rows is None or any(r.values is None for r in trace.steps[:step]):
-        raise InputError("trace lacks attention rows or value vectors; re-run decode "
+    if any(r.qkv is None for r in trace.steps[:step]):
+        raise InputError("trace lacks query, key and value vectors; re-run decode "
                          "with full trace detail")
     before = retained_at(trace, step - 1)
-    layers, heads, n = before.shape
-    if record.rows.shape[2] != n + 1:
-        raise InputError(f"step {step}: rows of length {record.rows.shape[2]} do not "
-                         f"match the {n + 1} slots of each stream")
+    layers, heads, _ = before.shape
     slots = np.concatenate([before, np.full((layers, heads, 1), step - 1)], axis=2)
-    stacked = np.stack([r.values for r in trace.steps[:step]])  # (step, layers, heads, d_head)
-    return record.rows, stacked[slots, np.arange(layers)[:, None, None], np.arange(heads)[:, None]]
+    stacked = np.stack([r.qkv for r in trace.steps[:step]])  # (step, layers, heads, 3, d_head)
+    held = stacked[slots, np.arange(layers)[:, None, None], np.arange(heads)[:, None]]
+    return slot_rows(held[:, :, -1, 0], held[..., 1, :]), held[..., 2, :]

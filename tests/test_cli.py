@@ -262,11 +262,13 @@ def _trace_case(edit, line=5, command=("map",)):
     return build
 
 
-def _first_cell(leaf, key="rows"):
-    """Step 17's first attention weight (or value entry) replaced by ``leaf``."""
+def _first_cell(leaf, kind=0):
+    """Step 17's first query entry (kind 0; kind 2: value entry) of the
+    first stream replaced by ``leaf``."""
     def edit(record):
-        first, second = record[key][0]
-        return json.dumps({**record, key: [[[leaf] + first[1:], second]]})
+        first, second = record["qkv"][0]
+        first[kind] = [leaf] + first[kind][1:]
+        return json.dumps({**record, "qkv": [[first, second]]})
     return _trace_case(edit, line=17, command=ANALYZE)
 
 
@@ -323,19 +325,20 @@ def _nan_weights(tmp_path):
         (_trace_case(lambda record: json.dumps(
             {**record, "retained": [[[float(p) for p in cell] for cell in record["retained"][0]]]}
         ), line=18), 3),
-        (_trace_case(lambda record: json.dumps({**record, "rows": [[["q"], ["q"]]]})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "qkv": [[["q"], ["q"]]]})), 3),
         (_trace_case(lambda record: json.dumps({**record, "d_head": None}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0}), line=0), 3),
         (_first_cell(None), 3),
         (_first_cell(True), 3),
         (_first_cell("0.5"), 3),
         (_first_cell(float("nan")), 3),
-        (_first_cell(float("inf"), key="values"), 3),
+        (_first_cell(float("inf"), kind=2), 3),
         # position 15 (step 16) is among the slots step 17 attends
-        (_trace_case(lambda record: json.dumps({k: v for k, v in record.items() if k != "values"}),
+        (_trace_case(lambda record: json.dumps({k: v for k, v in record.items() if k != "qkv"}),
                      line=16, command=ANALYZE), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 1}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 2}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 3}), line=0), 3),
         (_zero_layer_weights, 3),
         (_token_file_case("[[NaN]]", d_model=1), 3),
         (_token_file_case("[[true]]", d_model=1), 3),
@@ -348,15 +351,22 @@ def _nan_weights(tmp_path):
         (_huge_prompt, 3),
         (_trace_case(json.dumps, command=(*ANALYZE, "--step", 0)), 2),
         (_trace_case(json.dumps, command=(*ANALYZE, "--step", 18)), 3),
+        # step 17's query and keys of 1e300: finite numbers, overflowing logits
+        (_trace_case(lambda record: json.dumps({**record, "qkv": [[[[1e300] * 4] * 3] * 2]}),
+                     line=17, command=ANALYZE), 3),
+        (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=\u00b2"), 2),
+        (_token_file_case("[1, 36893488147419103232]", vocab=8), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
          "retained-float-positions", "row-cell-not-numbers", "header-dim-null",
          "header-seq-len-float", "row-cell-null", "row-cell-bool", "row-cell-string",
          "row-cell-nan", "value-cell-infinity", "step-without-values", "format-1", "format-2",
+         "format-3",
          "weights-zero-layers", "embedding-nan", "embedding-bool", "token-id-bool",
          "weights-nan", "block-size-zero", "exclude-negative", "decode-attention-overflow",
-         "prefill-attention-overflow", "step-zero", "step-past-end"],
+         "prefill-attention-overflow", "step-zero", "step-past-end", "qkv-overflow",
+         "zones-superscript", "token-id-huge"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -366,6 +376,7 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code)
     )
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
+    assert "Warning" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == inputs  # no output file written
 
 

@@ -22,6 +22,7 @@ from treekv import (
     retained_at,
     rotate_vector,
     save_weights,
+    signals_at_step,
     synthesize_embeddings,
     synthesize_token_ids,
     window_rows,
@@ -156,8 +157,8 @@ def test_project_zero_vector():
     weights = generate_weights(1, ModelDims(1, 1, 6, 3))
     batch = StreamBatch(weights, slots=2)
     batch.step(np.ones(6), 0)
-    rows, outputs, values = batch.step(np.zeros(6), 1)
-    assert not batch.keys[0, 1].any() and not values.any()
+    rows, outputs, qkv = batch.step(np.zeros(6), 1)
+    assert not batch.keys[0, 1].any() and not qkv[:, 2].any()
     assert rows.tolist() == [[0.5, 0.5]]  # a zero query weighs every key alike
     assert np.array_equal(outputs, batch.values[:, 0] / 2)
 
@@ -166,16 +167,16 @@ def test_project_identity_matrix():
     batch = StreamBatch(single_head_weights(np.eye(3)), slots=2)
     xs = np.array([[0.3, 0.1, -0.4], [0.5, -1.0, 2.0]])
     batch.step(xs[0], 0)
-    rows, _, values = batch.step(xs[1], 1)
+    rows, _, qkv = batch.step(xs[1], 1)
     assert np.array_equal(batch.keys[0, :2], xs)
-    assert np.array_equal(values[0], xs[1])
+    assert np.array_equal(qkv[0, 2], xs[1])
     assert np.allclose(rows[0], _expected_row(xs[1], xs), atol=1e-12)  # q = x
 
 
 def test_project_hand_example():
     batch = StreamBatch(single_head_weights([[0.5, 0.25], [0.5, 0.75]]), slots=1)
-    _, _, values = batch.step(np.array([1.0, 1.0]), 0)
-    assert np.allclose(values[0], [1.0, 1.0], atol=1e-12)
+    _, _, qkv = batch.step(np.array([1.0, 1.0]), 0)
+    assert np.allclose(qkv[0, 2], [1.0, 1.0], atol=1e-12)
     assert np.allclose(batch.keys[0, 0], [1.0, 1.0], atol=1e-12)
 
 
@@ -357,7 +358,7 @@ def test_attention_stream_runs_and_orders_positions():
     keys, vals = [[] for _ in range(4)], [[] for _ in range(4)]
     xs = synthesize_embeddings(5, 4, 6)
     for position in range(4):
-        rows, outputs, values = batch.step(xs[position], position)
+        rows, outputs, qkv = batch.step(xs[position], position)
         assert rows.shape == (4, position + 1)
         for stream in range(4):
             layer, head = divmod(stream, 2)
@@ -367,7 +368,7 @@ def test_attention_stream_runs_and_orders_positions():
             vals[stream].append(xs[position] @ weights.wv[layer][head])
             expected = _expected_row(xs[position] @ weights.wq[layer][head], np.stack(keys[stream]))
             assert np.array_equal(row, expected)
-            assert np.array_equal(values[stream], vals[stream][-1])
+            assert np.array_equal(qkv[stream, 2], vals[stream][-1])
             assert np.array_equal(outputs[stream], expected @ np.stack(vals[stream]))
     assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2, 3]] * 4
 
@@ -437,11 +438,13 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
             assert retained_at(trace, record.step).tolist() == want["retained"]
             if events:
                 evicting.add(spec)
+            got = {"rows": signals_at_step(trace, record.step)[0],
+                   "values": record.qkv[..., 2, :], "outputs": record.outputs}
             for key in ("rows", "values", "outputs"):
                 for layer in range(dims.layers):
                     for head in range(dims.heads):
                         np.testing.assert_allclose(
-                            getattr(record, key)[layer][head],
+                            got[key][layer][head],
                             want[key][layer][head],
                             rtol=1e-6,
                             atol=1e-9,
@@ -481,14 +484,16 @@ def _events(record):
 
 def _trace_digest(trace):
     """sha256 over every step's eviction tuples, retained lists (replayed
-    from the evictions) and the float64 bytes of each recorded row, value and
-    output: independent of any file format."""
+    from the evictions) and the float64 bytes of each attention row (derived
+    from the recorded queries and keys), value and output: independent of
+    any file format."""
     digest = hashlib.sha256()
     for record in trace.steps:
         events = [(record.step, *event) for event in _events(record)]
         digest.update(repr(events).encode())
         digest.update(repr(retained_at(trace, record.step).tolist()).encode())
-        for grid in (record.rows, record.values, record.outputs):
+        rows = signals_at_step(trace, record.step)[0]
+        for grid in (rows, record.qkv[..., 2, :], record.outputs):
             for cells in grid:
                 for cell in cells:
                     digest.update(np.asarray(cell, dtype=np.float64).tobytes())

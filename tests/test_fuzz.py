@@ -1,6 +1,6 @@
 """Mutation fuzz of the CLI's input files.
 
-A small format-3 trace, a config file and a TKVW weight file are each
+A small format-4 trace, a config file and a TKVW weight file are each
 corrupted by dropping, retyping or replacing one JSON value, one line or
 one byte, then handed to ``treekv.cli.main`` in-process.  Whatever the
 input, ``main`` must return 0, 2 or 3 and never raise: a malformed file is
@@ -59,7 +59,8 @@ def base(tmp_path_factory):
         "weights": None, "trace_detail": "full",
     }))
     assert _run("gen-weights", "--seed", 5, *MODEL, "--vocab", 3, "-o", files["w.bin"]) == 0
-    assert '"evicted":' in files["t.jsonl"].read_text()  # the mutator reaches evictions
+    text = files["t.jsonl"].read_text()
+    assert '"evicted":' in text and '"qkv":' in text  # the mutator reaches both
     return {name: path.read_bytes() for name, path in files.items()}
 
 

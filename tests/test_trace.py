@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from treekv import (
+    POLICY_SPECS,
+    DecodeTrace,
     InputError,
     ModelDims,
+    StepRecord,
+    StreamBatch,
     decode_with_policy,
     distribution_map,
     generate_weights,
+    make_policy,
     read_trace,
     retained_at,
     signals_at_step,
@@ -36,7 +41,7 @@ def test_trace_roundtrip(tmp_path):
     assert np.array_equal(loaded.retained, trace.retained)
     assert np.array_equal(last_a.evicted, last_b.evicted)
     assert last_a.cursor == last_b.cursor
-    assert np.allclose(last_a.rows[0][1], last_b.rows[0][1])
+    assert np.allclose(last_a.qkv[0][1], last_b.qkv[0][1])
     validate_trace(loaded)
 
 
@@ -108,6 +113,41 @@ def test_signals_at_step_merges_the_pre_eviction_view():
     light = _run(policy="treekv", capacity=5, seq_len=9, record_detail=False)
     with pytest.raises(InputError):
         signals_at_step(light, 8)
+
+
+def test_signals_at_step_rederives_the_rows_decode_attended(tmp_path):
+    # Drive the engine and the policy here, record each step's q, k and v,
+    # and check every step's derived rows, read back from a trace file,
+    # bitwise against the rows the step itself returned.
+    rng = np.random.default_rng(44)
+    for case, spec in enumerate(POLICY_SPECS * 2):
+        dims = ModelDims(int(rng.integers(1, 3)), int(rng.integers(1, 4)), 6,
+                         int(rng.choice([1, 3, 4, 5])))
+        capacity = int(rng.integers(4, 9))
+        zones = "sink=1,recent=2" if case >= len(POLICY_SPECS) else "sink=0,recent=0"
+        seq_len = 20
+        weights = generate_weights(case, dims)
+        policy = make_policy(spec, capacity, zones)
+        batch = StreamBatch(weights, seq_len if policy.capacity is None else capacity + 1)
+        trace = DecodeTrace(spec, capacity, zones, seq_len, dims, weights.seed)
+        grid = (dims.layers, dims.heads)
+        attended = []
+        for step, x in enumerate(synthesize_embeddings(case, seq_len, 6), start=1):
+            rows, _, qkv = batch.step(x, step - 1)
+            attended.append(rows.reshape(*grid, -1))
+            evicted = cursor = None
+            if policy.capacity is not None and batch.n > policy.capacity:
+                evicted, cursor = policy.evict(batch, rows)
+                evicted = evicted.reshape(grid)
+            trace.steps.append(StepRecord(step, evicted, cursor, qkv.reshape(*grid, 3, -1)))
+        trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, str(path))
+        loaded = read_trace(str(path))
+        for step, rows in enumerate(attended, start=1):
+            derived = signals_at_step(loaded, step)[0]
+            assert derived.shape == rows.shape
+            assert derived.tobytes() == rows.tobytes(), (spec, dims, zones, step)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from treekv import (
     reconstruct,
     reconstruct_component,
     reconstruct_single,
+    signals_at_step,
 )
 
 from oracles import oracle_component, oracle_dwt, oracle_reconstruct_single
@@ -193,31 +194,31 @@ def test_reconstruct_single_matches_literal_formula():
 # --- magnitude profile -----------------------------------------------------------
 
 
-def _hand_trace(rows_by_step, values_by_step, d_head):
-    """Single-stream trace with full attention (no evictions)."""
-    dims = ModelDims(1, 1, 2, d_head)
-    seq_len = len(rows_by_step)
+def _hand_trace(queries, keys, values):
+    """Single-stream trace with full attention (no evictions): step t
+    records queries[t-1], keys[t-1] and values[t-1], all of one length."""
+    dims = ModelDims(1, 1, 2, len(queries[0]))
+    seq_len = len(queries)
     trace = DecodeTrace(
         policy="full", capacity=seq_len, zones="sink=0,recent=0",
         seq_len=seq_len, dims=dims, model_seed=0,
     )
-    for step in range(1, seq_len + 1):
-        trace.steps.append(
-            StepRecord(
-                step=step,
-                rows=np.asarray(rows_by_step[step - 1], dtype=np.float64)[None, None],
-                values=np.asarray(values_by_step[step - 1], dtype=np.float64)[None, None],
-            )
-        )
+    for step, qkv in enumerate(zip(queries, keys, values), start=1):
+        trace.steps.append(StepRecord(step=step, qkv=np.asarray(qkv, dtype=np.float64)[None, None]))
     return trace
+
+
+def _uniform_trace(seq_len, d_head):
+    """Zero queries, so every row is uniform, against all-ones values."""
+    zeros = [np.zeros(d_head)] * seq_len
+    return _hand_trace(zeros, zeros, [np.ones(d_head)] * seq_len)
 
 
 def test_magnitude_profile_constant_signal_has_zero_details():
     # Uniform final row against all-ones values: the step-8 signal is a
     # constant 1/8 in every channel, so both detail bands vanish.
-    seq_len = 8
-    rows = [np.full(t, 1.0 / t) for t in range(1, seq_len + 1)]
-    trace = _hand_trace(rows, [np.ones(2)] * seq_len, 2)
+    trace = _uniform_trace(8, 2)
+    assert signals_at_step(trace, 8)[0].tolist() == [[[1.0 / 8] * 8]]
     profile = magnitude_profile([trace], 2, exclude=0)
     assert profile.bands == ["A2", "D2", "D1"]
     for band in ("D2", "D1"):
@@ -227,8 +228,7 @@ def test_magnitude_profile_constant_signal_has_zero_details():
 
 def test_magnitude_profile_exclude_zero_covers_everything():
     seq_len = 8
-    rows = [np.full(t, 1.0 / t) for t in range(1, seq_len + 1)]
-    trace = _hand_trace(rows, [np.ones(2)] * seq_len, 2)
+    trace = _uniform_trace(seq_len, 2)
     profile = magnitude_profile([trace], 1, exclude=0)
     assert profile.positions.tolist() == list(range(seq_len))
     profile = magnitude_profile([trace], 1, exclude=2)
@@ -236,10 +236,13 @@ def test_magnitude_profile_exclude_zero_covers_everything():
 
 
 def test_magnitude_profile_single_channel_matches_oracle():
+    # With d_head = 1 nothing rotates, so keys log(row) against a unit query
+    # give the softmax row back.
     seq_len = 8
     known = np.array([0.3, 0.05, 0.2, 0.1, 0.08, 0.12, 0.05, 0.1])
-    rows = [np.full(t, 1.0 / t) for t in range(1, seq_len)] + [known]
-    trace = _hand_trace(rows, [np.ones(1)] * seq_len, 1)
+    queries = [[0.0]] * (seq_len - 1) + [[1.0]]
+    trace = _hand_trace(queries, np.log(known)[:, None], [[1.0]] * seq_len)
+    assert np.abs(signals_at_step(trace, seq_len)[0][0, 0] - known).max() < 6e-17
     profile = magnitude_profile([trace], 3, exclude=0)
     for band in profile.bands:
         mine = profile.values[profile.bands.index(band)]
@@ -249,7 +252,6 @@ def test_magnitude_profile_single_channel_matches_oracle():
 
 def test_magnitude_profile_level_error_when_step_too_short():
     seq_len = 8
-    rows = [np.full(t, 1.0 / t) for t in range(1, seq_len + 1)]
-    trace = _hand_trace(rows, [np.ones(2)] * seq_len, 2)
+    trace = _uniform_trace(seq_len, 2)
     with pytest.raises(LevelError):
         magnitude_profile([trace], 4, exclude=0)
