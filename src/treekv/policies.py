@@ -313,20 +313,17 @@ def decode_with_policy(
         stream_seed=stream_seed,
         token_ids=list(token_ids) if token_ids is not None else None,
     )
+    if record_detail:
+        trace.qkv = np.empty((seq_len, *grid, 3, dims.d_head))
     for step in range(1, seq_len + 1):
         rows, outputs, qkv = batch.step(inputs[step - 1], step - 1)
+        if record_detail:
+            trace.qkv[step - 1] = qkv.reshape(*grid, 3, -1)
         evicted = cursor = None
         if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)
             evicted = evicted.reshape(grid)
-        trace.steps.append(
-            StepRecord(
-                step,
-                evicted,
-                cursor,
-                qkv.reshape(*grid, 3, -1) if record_detail else None,
-                outputs.reshape(*grid, -1) if record_outputs else None,
-            )
-        )
+        outputs = outputs.reshape(*grid, -1) if record_outputs else None
+        trace.steps.append(StepRecord(step, evicted, cursor, outputs))
     trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
     return trace

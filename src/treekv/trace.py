@@ -1,4 +1,5 @@
-"""Decode traces: per-step records of a run, JSON-lines serialization,
+"""Decode traces: per-step records of a run, their serialization (JSON
+lines, then one binary block of every step's query, key and value),
 eviction replay, and the per-position retention map.
 
 Every stream of a run holds the same number of slots and evicts in
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -17,7 +19,7 @@ import numpy as np
 from .engine import ModelDims, atomic_output, slot_rows
 from .errors import InputError
 
-TRACE_FORMAT = 4
+TRACE_FORMAT = 5
 
 
 @dataclass
@@ -28,9 +30,6 @@ class StepRecord:
     # step that evicts nothing; the cursor is also None under a baseline.
     evicted: np.ndarray | None = None
     cursor: int | None = None
-    # The raw query, key and value each stream projected this step, a
-    # (layers, heads, 3, d_head) float64 array.
-    qkv: np.ndarray | None = None
     outputs: np.ndarray | None = None  # (layers, heads, d_head), never serialized
     # Not a field: ``retained_at`` replays per-step sets from the evictions.  It stays,
     # empty, for readers of format 1's ``record.retained`` (bench/layers.py).
@@ -52,6 +51,9 @@ class DecodeTrace:
     # array: a checkpoint that replaying the evictions must reproduce (see
     # ``retained_at``).
     retained: np.ndarray | None = None
+    # The raw query, key and value every stream projected at every step, a
+    # (seq_len, layers, heads, 3, d_head) float64 array; None at light detail.
+    qkv: np.ndarray | None = None
 
     def config_dict(self) -> dict:
         return {
@@ -78,18 +80,18 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
     header.update(trace.config_dict())
     header["token_ids"] = trace.token_ids
     header["fingerprint"] = trace.fingerprint()
-    with atomic_output(path) as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for record in trace.steps:
-            line = {"kind": "step", "step": record.step}
-            if record.evicted is not None:
-                line["evicted"] = record.evicted.tolist()
-                line["cursor"] = record.cursor
-            if record.qkv is not None:
-                line["qkv"] = record.qkv.tolist()
-            fh.write(json.dumps(line, separators=(",", ":")) + "\n")
-        final = {"kind": "final", "retained": trace.retained.tolist()}
-        fh.write(json.dumps(final, separators=(",", ":")) + "\n")
+    records = [header]
+    for record in trace.steps:
+        line = {"kind": "step", "step": record.step}
+        if record.evicted is not None:
+            line["evicted"] = record.evicted.tolist()
+            line["cursor"] = record.cursor
+        records.append(line)
+    records.append({"kind": "final", "retained": trace.retained.tolist()})
+    with atomic_output(path, "wb") as fh:
+        fh.write("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records).encode())
+        if trace.qkv is not None:
+            fh.write(trace.qkv.astype("<f8").tobytes())
 
 
 def _grid(raw, shape, what, kinds, dtype):
@@ -114,59 +116,58 @@ def _grid(raw, shape, what, kinds, dtype):
     return array
 
 
-def read_trace(path: str) -> DecodeTrace:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise InputError(f"cannot read trace {path}: {exc}") from exc
-    if not all(isinstance(line, dict) for line in lines):
-        raise InputError(f"trace {path} has a record that is not a JSON object")
-    if not lines or lines[0].get("kind") != "header":
+def _records(fh, path: str, count: int):
+    """The next ``count`` JSON-object lines of ``fh``; fewer is truncation."""
+    for _ in range(count):
+        line = fh.readline()
+        if not line:
+            raise InputError(f"truncated trace {path}: it ends before its final record")
+        record = json.loads(line.decode())
+        if not isinstance(record, dict):
+            raise InputError(f"trace {path} has a record that is not a JSON object")
+        yield record
+
+
+def _header_trace(header: dict, path: str) -> DecodeTrace:
+    """The trace a header record declares, with no steps yet."""
+    if header.get("kind") != "header":
         raise InputError(f"trace {path} does not start with a header record")
-    header = lines[0]
     if header.get("format") != TRACE_FORMAT:
         raise InputError(f"unsupported trace format {header.get('format')}")
-    required = (
-        "policy",
-        "capacity",
-        "zones",
-        "seq_len",
-        "layers",
-        "heads",
-        "d_model",
-        "d_head",
-        "vocab",
-        "model_seed",
-    )
+    required = ("policy", "capacity", "zones", "seq_len", "layers", "heads", "d_model",
+                "d_head", "vocab", "model_seed")
     missing = [key for key in required if key not in header]
     if missing:
         raise InputError(f"trace header is missing fields: {missing}")
-    dims = ModelDims(
-        header["layers"],
-        header["heads"],
-        header["d_model"],
-        header["d_head"],
-        header["vocab"],
-    )
+    dims = ModelDims(header["layers"], header["heads"], header["d_model"], header["d_head"],
+                     header["vocab"])
     dims.validate(InputError, "trace header: ")
-    if type(header["seq_len"]) is not int:
-        raise InputError(f"trace header: seq_len must be an int, got {header['seq_len']!r}")
-    trace = DecodeTrace(
-        policy=header["policy"],
-        capacity=header["capacity"],
-        zones=header["zones"],
-        seq_len=header["seq_len"],
-        dims=dims,
-        model_seed=header["model_seed"],
-        stream_seed=header.get("stream_seed"),
-        token_ids=header.get("token_ids"),
-    )
-    body, final = lines[1:-1], lines[-1]
-    if len(body) != trace.seq_len or final.get("kind") != "final":
-        raise InputError(
-            f"truncated trace: expected {trace.seq_len} step records and a final record"
-        )
+    seq_len = header["seq_len"]
+    if type(seq_len) is not int or seq_len < 0:
+        raise InputError(f"trace header: seq_len must be a non-negative int, got {seq_len!r}")
+    return DecodeTrace(policy=header["policy"], capacity=header["capacity"], zones=header["zones"],
+                       seq_len=seq_len, dims=dims, model_seed=header["model_seed"],
+                       stream_seed=header.get("stream_seed"), token_ids=header.get("token_ids"))
+
+
+def read_trace(path: str) -> DecodeTrace:
+    """Read a trace: the header, exactly ``seq_len + 1`` more JSON lines, then
+    the rest of the file, which is either empty or the whole qkv block."""
+    try:
+        with open(path, "rb") as fh:
+            trace = _header_trace(next(_records(fh, path, 1)), path)
+            *body, final = _records(fh, path, trace.seq_len + 1)
+            block = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise InputError(f"cannot read trace {path}: {exc}") from exc
+    dims = trace.dims
+    shape = (trace.seq_len, dims.layers, dims.heads, 3, dims.d_head)
+    size = 8 * math.prod(shape)  # Python ints: header dims can exceed int64
+    if len(block) not in (0, size):
+        raise InputError(f"trace {path} ends in {len(block)} bytes, neither none nor "
+                         f"the {size} bytes of its qkv block")
+    if final.get("kind") != "final":
+        raise InputError(f"trace {path} holds no final record after {trace.seq_len} steps")
     streams = (dims.layers, dims.heads)
     for index, raw in enumerate(body, start=1):
         if raw.get("kind") != "step" or raw.get("step") != index:
@@ -181,12 +182,13 @@ def read_trace(path: str) -> DecodeTrace:
         if record.cursor is not None and (type(record.cursor) is not int
                                           or record.evicted is None):
             raise InputError(f"cursor at step {index} is not an int beside an evicted grid")
-        if "qkv" in raw:
-            record.qkv = _grid(raw["qkv"], (*streams, 3, dims.d_head), f"qkv at step {index}",
-                               (int, float), np.float64)
         trace.steps.append(record)
     trace.retained = _grid(final.get("retained"), (*streams, None), "final retained",
                            (int,), np.int64)
+    if block:
+        trace.qkv = np.frombuffer(block, dtype="<f8").reshape(shape)
+        if not np.isfinite(trace.qkv).all():
+            raise InputError(f"trace {path} holds a NaN or infinite number in its qkv block")
     return trace
 
 
@@ -245,12 +247,11 @@ def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarr
     """
     if not 1 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
-    if any(r.qkv is None for r in trace.steps[:step]):
+    if trace.qkv is None:
         raise InputError("trace lacks query, key and value vectors; re-run decode "
                          "with full trace detail")
     before = retained_at(trace, step - 1)
     layers, heads, _ = before.shape
     slots = np.concatenate([before, np.full((layers, heads, 1), step - 1)], axis=2)
-    stacked = np.stack([r.qkv for r in trace.steps[:step]])  # (step, layers, heads, 3, d_head)
-    held = stacked[slots, np.arange(layers)[:, None, None], np.arange(heads)[:, None]]
+    held = trace.qkv[slots, np.arange(layers)[:, None, None], np.arange(heads)[:, None]]
     return slot_rows(held[:, :, -1, 0], held[..., 1, :]), held[..., 2, :]

@@ -248,14 +248,17 @@ def magnitude_profile(
             raise InputError("traces disagree on the slot count at the analysis step")
         # one signal per (layer, head, channel), in that order
         signals = np.moveaxis(rows[..., None] * values, 3, 2).reshape(-1, signal_length)
-        for signal in signals:
-            coeffs = dwt_multi(signal, levels)
-            if accum is None:
-                bands = coeffs.band_names()
-                accum = np.zeros((len(bands), signal_length), dtype=np.float64)
-            for i, band in enumerate(bands):
-                accum[i] += np.abs(reconstruct_component(coeffs, band))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for signal in signals:
+                coeffs = dwt_multi(signal, levels)
+                if accum is None:
+                    bands = coeffs.band_names()
+                    accum = np.zeros((len(bands), signal_length), dtype=np.float64)
+                for i, band in enumerate(bands):
+                    accum[i] += np.abs(reconstruct_component(coeffs, band))
         signal_count += len(signals)
+    if not np.isfinite(accum).all():
+        raise InputError(f"the band magnitudes at step {step} overflow: trace values too large")
     window = slice(exclude, signal_length - exclude)
     positions = np.arange(signal_length, dtype=np.int64)[window]
     return MagnitudeProfile(

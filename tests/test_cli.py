@@ -248,28 +248,29 @@ def _config_case(data):
 ANALYZE = ("analyze", "--levels", 2, "--exclude", 0)
 
 
-def _trace_case(edit, line=5, command=("map",)):
+def _trace_case(edit=json.dumps, line=5, command=("map",), block=None, **overrides):
     """A valid 1x2 select-left trace of 17 steps (evictions from step 5)
     with one line edited: by default step 5; line 0 is the header and line
-    18 the final record."""
+    18 the final record.  ``block`` maps the bytes after the final record,
+    the qkv block, to the bytes written in its place."""
     def build(tmp_path):
         trace_path = tmp_path / "t.jsonl"
-        assert run_cli(*_decode_args(trace_path)) == 0
-        lines = trace_path.read_text().splitlines()
-        lines[line] = edit(json.loads(lines[line]))
-        trace_path.write_text("\n".join(lines) + "\n")
+        assert run_cli(*_decode_args(trace_path, **overrides)) == 0
+        *lines, rest = trace_path.read_bytes().split(b"\n", 19)
+        lines[line] = edit(json.loads(lines[line])).encode()
+        trace_path.write_bytes(b"\n".join(lines) + b"\n" + (block or bytes)(rest))
         return [*command, "--trace", trace_path]
     return build
 
 
-def _first_cell(leaf, kind=0):
-    """Step 17's first query entry (kind 0; kind 2: value entry) of the
-    first stream replaced by ``leaf``."""
-    def edit(record):
-        first, second = record["qkv"][0]
-        first[kind] = [leaf] + first[kind][1:]
-        return json.dumps({**record, "qkv": [[first, second]]})
-    return _trace_case(edit, line=17, command=ANALYZE)
+def _block_case(entries, value):
+    """``value`` written into the qkv block, viewed as (step - 1, head,
+    q/k/v, d_head), at ``entries``; the trace goes to ``analyze``."""
+    def edit(rest):
+        qkv = np.frombuffer(rest, dtype="<f8").reshape(17, 2, 3, 4).copy()
+        qkv[entries] = value
+        return qkv.tobytes()
+    return _trace_case(command=ANALYZE, block=edit)
 
 
 def _token_file_case(text, **overrides):
@@ -325,20 +326,24 @@ def _nan_weights(tmp_path):
         (_trace_case(lambda record: json.dumps(
             {**record, "retained": [[[float(p) for p in cell] for cell in record["retained"][0]]]}
         ), line=18), 3),
-        (_trace_case(lambda record: json.dumps({**record, "qkv": [[["q"], ["q"]]]})), 3),
         (_trace_case(lambda record: json.dumps({**record, "d_head": None}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0}), line=0), 3),
-        (_first_cell(None), 3),
-        (_first_cell(True), 3),
-        (_first_cell("0.5"), 3),
-        (_first_cell(float("nan")), 3),
-        (_first_cell(float("inf"), kind=2), 3),
-        # position 15 (step 16) is among the slots step 17 attends
-        (_trace_case(lambda record: json.dumps({k: v for k, v in record.items() if k != "qkv"}),
-                     line=16, command=ANALYZE), 3),
+        (_trace_case(block=lambda rest: rest[:-1]), 3),
+        (_trace_case(block=lambda rest: rest + b"\0"), 3),
+        (_trace_case(block=lambda rest: rest + bytes(8), trace_detail="light"), 3),
+        (_block_case((16, 0, 0, 0), float("nan")), 3),
+        (_block_case((16, 0, 2, 0), float("inf")), 3),
+        # full header dims and no block: position 15 (step 16) is among the
+        # slots step 17 attends, and nothing records its key
+        (_trace_case(command=ANALYZE, block=lambda rest: b""), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 1}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 2}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 3}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 4}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "seq_len": 10**12}), line=0,
+                     trace_detail="light"), 3),
+        (_trace_case(lambda record: json.dumps({**record, "layers": 2**32 - 1, "heads": 2**32 - 1,
+                                                "d_head": 2**32 - 1}), line=0), 3),
         (_zero_layer_weights, 3),
         (_token_file_case("[[NaN]]", d_model=1), 3),
         (_token_file_case("[[true]]", d_model=1), 3),
@@ -352,21 +357,22 @@ def _nan_weights(tmp_path):
         (_trace_case(json.dumps, command=(*ANALYZE, "--step", 0)), 2),
         (_trace_case(json.dumps, command=(*ANALYZE, "--step", 18)), 3),
         # step 17's query and keys of 1e300: finite numbers, overflowing logits
-        (_trace_case(lambda record: json.dumps({**record, "qkv": [[[[1e300] * 4] * 3] * 2]}),
-                     line=17, command=ANALYZE), 3),
+        (_block_case(16, 1e300), 3),
+        # steps 14-17's values of 1.7e308: finite numbers, overflowing band sums
+        (_block_case((slice(13, 17), slice(None), 2), 1.7e308), 3),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=\u00b2"), 2),
         (_token_file_case("[1, 36893488147419103232]", vocab=8), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
-         "retained-float-positions", "row-cell-not-numbers", "header-dim-null",
-         "header-seq-len-float", "row-cell-null", "row-cell-bool", "row-cell-string",
-         "row-cell-nan", "value-cell-infinity", "step-without-values", "format-1", "format-2",
-         "format-3",
-         "weights-zero-layers", "embedding-nan", "embedding-bool", "token-id-bool",
+         "retained-float-positions", "header-dim-null", "header-seq-len-float",
+         "block-short", "block-long", "block-on-light-trace", "row-cell-nan",
+         "value-cell-infinity", "step-without-values", "format-1", "format-2", "format-3",
+         "format-4", "seq-len-huge", "block-length-overflows-int64", "weights-zero-layers",
+         "embedding-nan", "embedding-bool", "token-id-bool",
          "weights-nan", "block-size-zero", "exclude-negative", "decode-attention-overflow",
          "prefill-attention-overflow", "step-zero", "step-past-end", "qkv-overflow",
-         "zones-superscript", "token-id-huge"],
+         "profile-overflow", "zones-superscript", "token-id-huge"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -417,7 +423,7 @@ def test_weight_file_dims_override_the_config(tmp_path):
     # the config keeps its default 2x4 model of width 64
     assert run_cli("decode", "--weights", weights, "--policy", "treekv", "--c", 8,
                    "--zones", "sink=0,recent=0", "--T", 16, "-o", out) == 0
-    header = json.loads(out.read_text().splitlines()[0])
+    header = json.loads(out.read_bytes().split(b"\n")[0])
     assert [header[k] for k in ("layers", "heads", "d_model", "d_head")] == [1, 1, 8, 4]
     assert len(read_trace(str(out)).retained[0][0]) == 8
 

@@ -439,7 +439,7 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
             if events:
                 evicting.add(spec)
             got = {"rows": signals_at_step(trace, record.step)[0],
-                   "values": record.qkv[..., 2, :], "outputs": record.outputs}
+                   "values": trace.qkv[record.step - 1, ..., 2, :], "outputs": record.outputs}
             for key in ("rows", "values", "outputs"):
                 for layer in range(dims.layers):
                     for head in range(dims.heads):
@@ -493,7 +493,7 @@ def _trace_digest(trace):
         digest.update(repr(events).encode())
         digest.update(repr(retained_at(trace, record.step).tolist()).encode())
         rows = signals_at_step(trace, record.step)[0]
-        for grid in (rows, record.qkv[..., 2, :], record.outputs):
+        for grid in (rows, trace.qkv[record.step - 1, ..., 2, :], record.outputs):
             for cells in grid:
                 for cell in cells:
                     digest.update(np.asarray(cell, dtype=np.float64).tobytes())

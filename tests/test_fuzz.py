@@ -1,8 +1,9 @@
 """Mutation fuzz of the CLI's input files.
 
-A small format-4 trace, a config file and a TKVW weight file are each
+A small format-5 trace, a config file and a TKVW weight file are each
 corrupted by dropping, retyping or replacing one JSON value, one line or
-one byte, then handed to ``treekv.cli.main`` in-process.  Whatever the
+one byte (of a trace: of its JSON lines or of its qkv block), then handed
+to ``treekv.cli.main`` in-process.  Whatever the
 input, ``main`` must return 0, 2 or 3 and never raise: a malformed file is
 a config or input error, never an internal one (exit 4).
 """
@@ -37,6 +38,7 @@ VALUES = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
 )
 MODEL = ["--layers", "1", "--heads", "2", "--d-model", "8", "--d-head", "4"]
+RECORDS = 14  # the base trace's header, 12 step records and final record
 
 
 def _run(*args) -> int:
@@ -59,8 +61,9 @@ def base(tmp_path_factory):
         "weights": None, "trace_detail": "full",
     }))
     assert _run("gen-weights", "--seed", 5, *MODEL, "--vocab", 3, "-o", files["w.bin"]) == 0
-    text = files["t.jsonl"].read_text()
-    assert '"evicted":' in text and '"qkv":' in text  # the mutator reaches both
+    *lines, block = files["t.jsonl"].read_bytes().split(b"\n", RECORDS)
+    # the mutator reaches evictions and the qkv block: 12 steps x 2 streams x 3 x 4
+    assert b'"evicted":' in b"".join(lines) and len(block) == 12 * 2 * 3 * 4 * 8
     return {name: path.read_bytes() for name, path in files.items()}
 
 
@@ -101,25 +104,29 @@ def _mutate_bytes(data, blob: bytes) -> bytes:
     ]))
 
 
-def _mutate_lines(data, blob: bytes) -> bytes:
-    """Mutate a JSON-lines file: one value, one whole line, or one byte."""
-    lines = [json.loads(line) for line in blob.decode().splitlines()]
-    kind = data.draw(st.sampled_from(["value", "line", "bytes"]))
+def _mutate_trace(data, blob: bytes) -> bytes:
+    """Mutate a trace: one value, one whole line or one byte of its JSON
+    lines, or one byte of its qkv block."""
+    *texts, block = blob.split(b"\n", RECORDS)
+    kind = data.draw(st.sampled_from(["value", "line", "bytes", "block"]))
     if kind == "bytes":
-        return _mutate_bytes(data, blob)
+        return _mutate_bytes(data, blob[:len(blob) - len(block)]) + block
+    if kind == "block":
+        return blob[:len(blob) - len(block)] + _mutate_bytes(data, block)
+    lines = [json.loads(text) for text in texts]
     if kind == "value":
         _mutate_json(data, lines)
     else:
         at = data.draw(st.integers(0, len(lines) - 1))
         lines[at:at + 1] = data.draw(st.sampled_from([[], [lines[at]] * 2, [data.draw(VALUES)]]))
-    return "".join(json.dumps(line) + "\n" for line in lines).encode()
+    return "".join(json.dumps(line) + "\n" for line in lines).encode() + block
 
 
 @FUZZ
 @given(data=st.data())
 def test_mutated_trace_exits_with_a_documented_code(tmp_path, base, data):
     trace = tmp_path / "t.jsonl"
-    trace.write_bytes(_mutate_lines(data, base["t.jsonl"]))
+    trace.write_bytes(_mutate_trace(data, base["t.jsonl"]))
     _run("map", "--trace", trace, "-o", tmp_path / "map.csv")
     _run("analyze", "--trace", trace, "--levels", 2, "--exclude", 0, "-o", tmp_path / "a.csv")
 

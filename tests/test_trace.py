@@ -41,8 +41,25 @@ def test_trace_roundtrip(tmp_path):
     assert np.array_equal(loaded.retained, trace.retained)
     assert np.array_equal(last_a.evicted, last_b.evicted)
     assert last_a.cursor == last_b.cursor
-    assert np.allclose(last_a.qkv[0][1], last_b.qkv[0][1])
+    assert loaded.qkv.tobytes() == trace.qkv.tobytes()
     validate_trace(loaded)
+
+
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
+    # 14 steps: a header, 14 step records and a final record, then the block
+    path = tmp_path / "t.jsonl"
+    for detail in (True, False):
+        trace = _run(policy=spec, capacity=5, zones="sink=1,recent=1", record_detail=detail)
+        write_trace(trace, str(path))
+        block = path.read_bytes().split(b"\n", 16)[16]
+        loaded = read_trace(str(path)).qkv
+        if detail:
+            assert trace.qkv.shape == (14, 1, 2, 3, 4)
+            assert block == trace.qkv.astype("<f8").tobytes()
+            assert loaded.tobytes() == trace.qkv.tobytes()
+        else:
+            assert trace.qkv is None and loaded is None and block == b""
 
 
 def test_trace_replay_detects_tampering(tmp_path):
@@ -64,8 +81,8 @@ def test_trace_rejects_truncation(tmp_path):
     trace = _run()
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
+    lines = path.read_bytes().split(b"\n")[:16]  # the JSON records, no block
+    path.write_bytes(b"\n".join(lines[:-2]) + b"\n")
     with pytest.raises(InputError):
         read_trace(str(path))
 
@@ -131,7 +148,7 @@ def test_signals_at_step_rederives_the_rows_decode_attended(tmp_path):
         batch = StreamBatch(weights, seq_len if policy.capacity is None else capacity + 1)
         trace = DecodeTrace(spec, capacity, zones, seq_len, dims, weights.seed)
         grid = (dims.layers, dims.heads)
-        attended = []
+        attended, recorded = [], []
         for step, x in enumerate(synthesize_embeddings(case, seq_len, 6), start=1):
             rows, _, qkv = batch.step(x, step - 1)
             attended.append(rows.reshape(*grid, -1))
@@ -139,7 +156,9 @@ def test_signals_at_step_rederives_the_rows_decode_attended(tmp_path):
             if policy.capacity is not None and batch.n > policy.capacity:
                 evicted, cursor = policy.evict(batch, rows)
                 evicted = evicted.reshape(grid)
-            trace.steps.append(StepRecord(step, evicted, cursor, qkv.reshape(*grid, 3, -1)))
+            trace.steps.append(StepRecord(step, evicted, cursor))
+            recorded.append(qkv.reshape(*grid, 3, -1))
+        trace.qkv = np.stack(recorded)
         trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
         path = tmp_path / "t.jsonl"
         write_trace(trace, str(path))
@@ -167,9 +186,10 @@ def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
     trace = _run(capacity=5, seq_len=8)  # 1 layer, 2 heads, 8 steps
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
-    lines = path.read_text().splitlines()
+    *lines, block = path.read_bytes().split(b"\n", 10)  # 10 JSON records, then the block
     record = json.loads(lines[-2])  # the last step; the final record follows it
     record.update(event)
-    path.write_text("\n".join(lines[:-2] + [json.dumps(record), lines[-1]]) + "\n")
+    lines[-2] = json.dumps(record).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n" + block)
     with pytest.raises(InputError):
         read_trace(str(path))

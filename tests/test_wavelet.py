@@ -203,8 +203,8 @@ def _hand_trace(queries, keys, values):
         policy="full", capacity=seq_len, zones="sink=0,recent=0",
         seq_len=seq_len, dims=dims, model_seed=0,
     )
-    for step, qkv in enumerate(zip(queries, keys, values), start=1):
-        trace.steps.append(StepRecord(step=step, qkv=np.asarray(qkv, dtype=np.float64)[None, None]))
+    trace.steps = [StepRecord(step) for step in range(1, seq_len + 1)]
+    trace.qkv = np.asarray(list(zip(queries, keys, values)), dtype=np.float64)[:, None, None]
     return trace
 
 
