@@ -398,6 +398,9 @@ def main(argv=None) -> int:
     except (ConfigError, LevelError, SelectorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"config error: the run is too large to allocate: {exc}", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

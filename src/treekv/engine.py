@@ -141,8 +141,7 @@ class ModelWeights:
 
 
 def _draw_matrix(seed: int, tag: int, rows: int, cols: int, scale: float) -> np.ndarray:
-    stream = NormalStream(stream_seed(seed, tag))
-    flat = np.array(stream.normals(rows * cols), dtype=np.float64) * scale
+    flat = NormalStream(stream_seed(seed, tag)).normals(rows * cols) * scale
     return flat.reshape(rows, cols).astype(np.float32)
 
 
@@ -405,19 +404,21 @@ class StreamBatch:
         return StreamStep(rows, outputs, qkv.transpose(1, 0, 2))
 
     def remove(self, victims) -> np.ndarray:
-        """Remove one 0-based slot per stream, shifting survivors left.
-        Returns the removed slots' original positions, one per stream."""
+        """Remove one 0-based slot per stream, shifting survivors left.  Slots
+        right of every victim move as one slice; the window between the lowest
+        and highest victim is gathered per stream, before that shift.  Returns
+        the removed slots' original positions, one per stream."""
         n = self.n
         victims = np.asarray(victims)
         if victims.shape != (self.streams,) or victims.min() < 0 or victims.max() >= n:
             raise StateError(f"victims {victims.tolist()} are not one slot per stream in 0..{n - 1}")
         every = np.arange(self.streams)[:, None]
         evicted = self.positions[every[:, 0], victims]
-        lo = int(victims.min())  # no stream changes left of its own victim
-        shifted = np.arange(lo, n - 1)
-        source = shifted + (shifted >= victims[:, None])
+        lo, hi = int(victims.min()), int(victims.max())
+        window = np.arange(lo, hi)  # no stream changes left of its own victim
+        source = window + (window >= victims[:, None])
         for array in (self.keys, self.values, self.positions, self.scores, self.counts):
-            array[:, lo : n - 1] = array[every, source]
+            array[:, lo:hi], array[:, hi : n - 1] = array[every, source], array[:, hi + 1 : n]
         self.n = n - 1
         self.fresh = min(self.fresh, lo)
         return evicted
@@ -450,8 +451,7 @@ def window_rows(weights: ModelWeights, inputs, window_start: int) -> list[list[n
 def synthesize_embeddings(seed: int, count: int, d_model: int) -> np.ndarray:
     """Seed-reproducible stream of unit-normal embedding vectors (tag 4)."""
     stream = NormalStream(stream_seed(seed, TAG_EMBED_STREAM))
-    flat = np.array(stream.normals(count * d_model), dtype=np.float64)
-    return flat.reshape(count, d_model)
+    return stream.normals(count * d_model).reshape(count, d_model)
 
 
 def synthesize_token_ids(seed: int, count: int, vocab: int) -> list[int]:

@@ -301,7 +301,7 @@ def decode_with_policy(
         raise ConfigError(f"decoding requires c >= 2, got {capacity}")
     policy = make_policy(policy_spec, capacity, zones)
     bound = policy.capacity  # None: the cache is unbounded
-    batch = StreamBatch(weights, seq_len if bound is None else bound + 1)
+    batch = StreamBatch(weights, seq_len if bound is None else min(seq_len, bound + 1))
     grid = (dims.layers, dims.heads)  # stream s = layer * heads + head
     trace = DecodeTrace(
         policy=policy_spec,

@@ -32,65 +32,80 @@ normal variates (Marsaglia polar method)
     The second variate of each accepted pair is cached and returned by the
     next call, so the uniform stream is always consumed pairwise.
 
-All floating-point steps use IEEE-754 double precision via the Python
-``math`` module, never a vectorized library, so independently written
-reference code reproduces the values exactly.
+Words are numpy uint64 arrays, which wrap mod 2**64 as above.  The 53-bit
+conversion is exact, and numpy's IEEE-754 double products, sums,
+differences, quotient and sqrt each round once, unfused, as scalar code
+does.  Only ``ln`` runs per pair in ``math.log``, because a vectorized log
+may differ from libm by an ulp.  So independently written scalar reference
+code reproduces the values exactly.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_CHUNK = 2048  # polar pairs drawn at a time, which bounds temporary memory
 
 
-def mix64(z: int) -> int:
-    """Stateless splitmix64 output function (includes the golden increment)."""
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def mix64(z: np.ndarray) -> np.ndarray:
+    """Stateless splitmix64 output function on uint64 arrays (adds the golden step)."""
+    z = z + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def stream_seed(seed: int, tag: int) -> int:
     """Derive the seed of an independent substream from (seed, tag)."""
-    return mix64((seed & _MASK64) ^ mix64(tag & _MASK64))
+    tag_word = mix64(np.array([tag & _MASK64], dtype=np.uint64))
+    return int(mix64(np.uint64(seed & _MASK64) ^ tag_word)[0])
 
 
 class NormalStream:
-    """Sequential stream of uniforms and polar-method normal variates."""
+    """Sequential stream of polar-method normal variates and integers."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
         self._spare: float | None = None
 
-    def next_u64(self) -> int:
-        out = mix64(self._state)
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return out
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` words, advancing the state past all of them."""
+        steps = np.arange(count, dtype=np.uint64) * np.uint64(_GOLDEN)
+        words = mix64(steps + np.uint64(self._state))
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        return words
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits of one word."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def normal(self) -> float:
-        if self._spare is not None:
-            value = self._spare
-            self._spare = None
-            return value
-        while True:
-            v1 = 2.0 * self.uniform() - 1.0
-            v2 = 2.0 * self.uniform() - 1.0
+    def normals(self, count: int) -> np.ndarray:
+        """The next ``count`` variates, as ``count`` one-at-a-time draws give
+        them: a pending spare comes first, and an odd count leaves one."""
+        try:
+            out = np.empty(count)
+        except ValueError as exc:  # more bytes than numpy can address
+            raise MemoryError(exc) from None
+        done = 0
+        if count and self._spare is not None:
+            out[0], self._spare, done = self._spare, None, 1
+        while done < count:
+            start, need = self._state, (count - done + 1) // 2
+            drawn = min(_CHUNK, need + need // 3 + 8)  # pi/4 of all pairs are kept
+            u = (self._words(2 * drawn) >> np.uint64(11)) * 2.0**-53
+            v1, v2 = 2.0 * u[0::2] - 1.0, 2.0 * u[1::2] - 1.0
             s = v1 * v1 + v2 * v2
-            if 0.0 < s < 1.0:
-                m = math.sqrt(-2.0 * math.log(s) / s)
-                self._spare = v2 * m
-                return v1 * m
-
-    def normals(self, count: int) -> list[float]:
-        return [self.normal() for _ in range(count)]
+            kept = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
+            used = int(kept[-1]) + 1 if len(kept) == need else drawn
+            self._state = (start + 2 * used * _GOLDEN) & _MASK64  # no word past the last pair
+            s = s[kept]
+            m = np.sqrt(-2.0 * np.fromiter(map(math.log, s.tolist()), float) / s)
+            pairs = np.stack((v1[kept] * m, v2[kept] * m), axis=1).ravel()
+            out[done : done + len(pairs)] = pairs[: count - done]  # both clipped at count
+            self._spare = float(pairs[-1]) if len(pairs) > count - done else None
+            done += len(pairs)
+        return out
 
     def integers(self, count: int, bound: int) -> list[int]:
         """Integers in [0, bound) by modular reduction of full words."""
-        return [self.next_u64() % bound for _ in range(count)]
+        return (self._words(count) % np.uint64(bound)).tolist()

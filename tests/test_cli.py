@@ -362,6 +362,9 @@ def _nan_weights(tmp_path):
         (_block_case((slice(13, 17), slice(None), 2), 1.7e308), 3),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=\u00b2"), 2),
         (_token_file_case("[1, 36893488147419103232]", vocab=8), 3),
+        # 2**62 normals per matrix: more bytes than numpy can address
+        (lambda tmp_path: ["gen-weights", "--d-model", 2**31, "--d-head", 2**31,
+                           "-o", tmp_path / "w.bin"], 2),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -372,7 +375,7 @@ def _nan_weights(tmp_path):
          "embedding-nan", "embedding-bool", "token-id-bool",
          "weights-nan", "block-size-zero", "exclude-negative", "decode-attention-overflow",
          "prefill-attention-overflow", "step-zero", "step-past-end", "qkv-overflow",
-         "profile-overflow", "zones-superscript", "token-id-huge"],
+         "profile-overflow", "zones-superscript", "token-id-huge", "weights-too-big"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -384,6 +387,29 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code)
     assert "Traceback" not in result.stderr
     assert "Warning" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == inputs  # no output file written
+
+
+def test_a_run_too_large_to_allocate_is_a_config_error(tmp_path, monkeypatch, capsys):
+    def unable(self, count):
+        raise MemoryError(f"Unable to allocate {8 * count} bytes")
+
+    monkeypatch.setattr("treekv.rng.NormalStream.normals", unable)
+    assert run_cli("gen-weights", "--d-model", 8, "--d-head", 4, "-o", tmp_path / "w.bin") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_budget_above_T_decodes_as_a_budget_of_T(tmp_path):
+    # The cache never holds more than T slots, so a budget past any
+    # allocatable size runs exactly as c = T.
+    maps = []
+    for c in (2**40, 8):
+        trace, csv = tmp_path / f"t{c}.jsonl", tmp_path / f"m{c}.csv"
+        assert run_cli("decode", "--c", c, "--T", 8, "--zones", "sink=0,recent=0", "-o", trace) == 0
+        assert run_cli("map", "--trace", trace, "-o", csv) == 0
+        maps.append(csv.read_bytes())
+    assert maps[0] == maps[1]
 
 
 def test_outputs_are_replaced_whole_or_not_at_all(tmp_path):

@@ -29,9 +29,11 @@ from treekv import (
 )
 from treekv.cli import main
 from treekv.engine import _attend
+from treekv.rng import _CHUNK, NormalStream
 
 from helpers import single_head_weights
 from oracles import (
+    _OracleStream,
     oracle_block_scores,
     oracle_decode,
     oracle_weight_entries,
@@ -72,6 +74,39 @@ def test_weight_entries_match_independent_recurrence():
     ]:
         entries = oracle_weight_entries(42, dims.heads, 8, 4, layer, head, kind, 6)
         assert matrix.flatten()[:6].tolist() == [float(np.float32(e)) for e in entries]
+
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _pairs_in_first_chunk(seed: int) -> int:
+    """Accepted polar pairs among the oracle's first _CHUNK pairs of words."""
+    oracle = _OracleStream(seed)
+    v = [2.0 * oracle.uniform() - 1.0 for _ in range(2 * _CHUNK)]
+    return sum(0.0 < v1 * v1 + v2 * v2 < 1.0 for v1, v2 in zip(v[0::2], v[1::2]))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, *np.random.default_rng(10).integers(0, 2**63, 3)])
+def test_normal_stream_is_bitwise_the_scalar_oracle(seed):
+    # The vectorized stream against one-at-a-time draws: each call's values
+    # and the draw after it match bit for bit, whatever the call sizes, the
+    # spare carried between calls, or the chunk a call ends in.
+    seed = int(seed)
+    pairs = _pairs_in_first_chunk(seed)
+    # A fresh stream's first chunk yields 2 * pairs variates.
+    for calls in ([0, 1, 0, 1, 1], [3, 5, 7, 2], [2 * pairs - 1, 2 * pairs + 1], [2 * pairs],
+                  [2 * pairs + 1, 2 * pairs - 2], [2 * pairs + 2], [1, 2 * pairs], [9001]):
+        stream, oracle = NormalStream(seed), _OracleStream(seed)
+        for count in calls:
+            assert _bits(stream.normals(count)) == _bits([oracle.normal() for _ in range(count)])
+            for bound in (1, 7, 2**32 - 1):
+                ints = stream.integers(count, bound)
+                assert ints == [oracle.word() % bound for _ in range(count)]
+                assert all(type(value) is int for value in ints)
+            assert _bits(stream.normals(1)) == _bits([oracle.normal()])
+            assert stream.integers(1, 2**64 - 1) == [oracle.word() % (2**64 - 1)]
 
 
 def test_dimension_validation():
@@ -389,6 +424,39 @@ def test_stream_batch_remove_shifts_each_stream_past_its_victim():
         batch.remove([0, 4, 1])  # slot 4 is gone
     with pytest.raises(StateError):
         batch.remove([0, 1])  # one victim per stream
+
+
+
+@pytest.mark.parametrize("pattern", ["equal", "adjacent", "spread", "ends"])
+def test_stream_batch_remove_matches_a_per_stream_delete(pattern):
+    # Seeded victim vectors against np.delete on each stream's slots.
+    weights = generate_weights(8, ModelDims(2, 4, 6, 4))
+    batch = StreamBatch(weights, slots=16)
+    xs = iter(synthesize_embeddings(8, 200, 6))
+    rng = np.random.default_rng(["equal", "adjacent", "spread", "ends"].index(pattern))
+    names = ("keys", "values", "positions", "scores", "counts")
+    for position in range(120):
+        batch.step(next(xs), position)
+        n = batch.n
+        if n < 3 or (n < 16 and rng.random() < 0.5):
+            continue
+        if pattern == "equal":
+            victims = np.full(8, rng.integers(0, n))
+        elif pattern == "adjacent":
+            victims = rng.integers(0, n - 1) + rng.integers(0, 2, size=8)
+        else:
+            victims = rng.integers(0, n, size=8)
+            if pattern == "ends":
+                victims[rng.permutation(8)[:2]] = 0, n - 1
+        before = {name: getattr(batch, name)[:, :n].copy() for name in names}
+        fresh = batch.fresh
+        evicted = batch.remove(victims)
+        assert evicted.tolist() == before["positions"][np.arange(8), victims].tolist()
+        assert batch.n == n - 1
+        assert batch.fresh == min(fresh, victims.min())
+        for name in names:
+            expected = [np.delete(before[name][s], victims[s], axis=0) for s in range(8)]
+            assert getattr(batch, name)[:, : n - 1].tobytes() == np.stack(expected).tobytes()
 
 
 def test_synthesize_streams_are_deterministic():
