@@ -237,27 +237,25 @@ def cmd_prefill(args) -> int:
     inputs, _ids = _prepare_inputs(config, weights, args.prompt)
     prompt_len = len(inputs)
     partition = partition_blocks(prompt_len, config.block_size)
-    window_start = partition.observation_window[0]
-    dims = weights.dims
+    rows = window_rows(weights, inputs, partition.observation_window[0])
+    scores = observation_scores(rows, partition)
+    kept = treekv_prefill_compress(partition, scores, config.cache_blocks)
 
-    rows = window_rows(weights, inputs, window_start)
     with _open_out(args.out) as out:
         retained_tokens = []
-        for layer in range(dims.layers):
-            for head in range(dims.heads):
-                scores = observation_scores(rows[layer * dims.heads + head], partition)
-                kept = treekv_prefill_compress(partition, scores, config.cache_blocks)
-                ranges = [list(partition.blocks[i]) for i in kept]
-                token_count = sum(end - start for start, end in ranges)
-                retained_tokens.append(token_count)
-                line = {
-                    "layer": layer,
-                    "head": head,
-                    "retained_blocks": ranges,
-                    "block_scores": scores.tolist(),
-                    "retained_tokens": token_count,
-                }
-                out.write(json.dumps(line, separators=(",", ":")) + "\n")
+        for stream, blocks in enumerate(kept):
+            layer, head = divmod(stream, weights.dims.heads)
+            ranges = [list(partition.blocks[i]) for i in blocks]
+            token_count = sum(end - start for start, end in ranges)
+            retained_tokens.append(token_count)
+            line = {
+                "layer": layer,
+                "head": head,
+                "retained_blocks": ranges,
+                "block_scores": scores[stream].tolist(),
+                "retained_tokens": token_count,
+            }
+            out.write(json.dumps(line, separators=(",", ":")) + "\n")
         summary = {
             "summary": {
                 "prompt_len": prompt_len,

@@ -149,10 +149,13 @@ def generate_weights(seed: int, dims: ModelDims) -> ModelWeights:
     """Fill a weight set from the pinned recurrence; pure in (seed, dims)."""
     dims.validate()
     scale = 1.0 / math.sqrt(dims.d_model)
-    qkv = np.stack([
-        _draw_matrix(seed, tag, dims.d_model, dims.d_head, scale)
-        for tag in range(_TAG_MATRIX_BASE, _TAG_MATRIX_BASE + 3 * dims.layers * dims.heads)
-    ]).reshape(dims.layers, dims.heads, 3, dims.d_model, dims.d_head)
+    # Allocated whole before any draw, so a set too large to hold fails at once.
+    try:
+        qkv = np.empty((dims.layers, dims.heads, 3, dims.d_model, dims.d_head), np.float32)
+    except ValueError as exc:  # more bytes than numpy can address
+        raise MemoryError(exc) from None
+    for tag, matrix in enumerate(qkv.reshape(-1, dims.d_model, dims.d_head), _TAG_MATRIX_BASE):
+        matrix[:] = _draw_matrix(seed, tag, dims.d_model, dims.d_head, scale)
     embedding = output_proj = None
     if dims.vocab > 0:
         embedding = _draw_matrix(seed, _TAG_EMBEDDING, dims.vocab, dims.d_model, 1.0)
@@ -424,27 +427,29 @@ class StreamBatch:
         return evicted
 
 
-def window_rows(weights: ModelWeights, inputs, window_start: int) -> list[list[np.ndarray]]:
-    """Causal attention rows of the queries at positions window_start..T-1
-    over an unbounded cache, for every stream (index s = layer * heads + head).
+def window_rows(weights: ModelWeights, inputs, window_start: int) -> np.ndarray:
+    """Causal attention rows (S, W, T) of the W = T - window_start queries at
+    positions window_start..T-1 over an unbounded cache, for every stream
+    (index s = layer * heads + head).  Each row is zero past its query's own
+    position, its causal horizon.
 
     An unbounded cache never shifts, so each key is rotated once at its own
     position: the same arithmetic as encoding it at its slot index on every
     step.  Only the window queries attend.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    dims = weights.dims
-    streams = dims.layers * dims.heads
     wq, wk = _stacked(weights)[:2]
-    seq_len = len(inputs)
-    cos, sin = _rope_table(dims.d_head, seq_len - 1)
-    raw = np.stack([np.matmul(x, wk) for x in inputs], axis=1)
-    keys = _rotate(raw, cos[:seq_len], sin[:seq_len])
-    rows = [[] for _ in range(streams)]
-    for position in range(window_start, seq_len):
+    seq_len, d_head = len(inputs), weights.dims.d_head
+    cos, sin = _rope_table(d_head, seq_len - 1)
+    keys = np.empty((len(wk), seq_len, d_head))
+    for position, x in enumerate(inputs):
+        keys[:, position] = np.matmul(x, wk)  # one inputs @ wk rounds differently
+    for stream_keys in keys:  # one stream at a time keeps the temporaries small
+        stream_keys[:] = _rotate(stream_keys, cos[:seq_len], sin[:seq_len])
+    rows = np.zeros((len(wk), seq_len - window_start, seq_len))
+    for index, position in enumerate(range(window_start, seq_len)):
         q = _rotate(np.matmul(inputs[position], wq), cos[position], sin[position])
-        for stream, row in enumerate(_attention_rows(q, keys[:, : position + 1])):
-            rows[stream].append(row)
+        rows[:, index, : position + 1] = _attention_rows(q, keys[:, : position + 1])
     return rows
 
 

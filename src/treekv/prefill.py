@@ -50,32 +50,22 @@ def partition_blocks(prompt_len: int, block_size: int) -> BlockPartition:
     return BlockPartition(prompt_len, block_size, blocks)
 
 
-def observation_scores(window_rows, partition: BlockPartition) -> np.ndarray:
-    """Per-block importance from the observation window's attention rows.
+def observation_scores(rows, partition: BlockPartition) -> np.ndarray:
+    """Per-block importance (..., blocks) from the observation window's
+    causal softmax rows (..., W, prompt_len), one leading index per stream.
 
-    ``window_rows`` holds one causal softmax row per observation-window
-    query; rows shorter than the prompt are treated as zero beyond their
-    causal horizon.  A token's importance is its mean received attention
-    over the window queries, and a block's score is the mean over its own
-    tokens.  The window block's score is computed the same way but callers
-    never use it for eviction.
+    Each row is zero past its causal horizon; ragged row lists are not
+    accepted.  A token's importance is its mean received attention over the
+    W window queries, and a block's score is the mean over its own tokens,
+    the window block included, though callers never evict it.
     """
-    rows = list(window_rows)
-    if not rows:
-        raise DimensionError("observation window produced no attention rows")
-    received = np.zeros(partition.prompt_len, dtype=np.float64)
-    for row in rows:
-        row = np.asarray(row, dtype=np.float64)
-        if row.ndim != 1 or len(row) > partition.prompt_len:
-            raise DimensionError(
-                f"observation row of length {row.shape} does not fit a prompt of "
-                f"{partition.prompt_len} tokens"
-            )
-        received[: len(row)] += row
-    per_token = received / len(rows)
-    return np.array(
-        [per_token[start:end].mean() for start, end in partition.blocks],
-        dtype=np.float64,
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim < 2 or rows.shape[-2] == 0 or rows.shape[-1] != partition.prompt_len:
+        raise DimensionError(f"rows {rows.shape} are not (..., W >= 1, {partition.prompt_len})")
+    per_token = rows.sum(axis=-2) / rows.shape[-2]  # adds the rows in order
+    return np.stack(
+        [per_token[..., start:end].mean(axis=-1) for start, end in partition.blocks],
+        axis=-1,
     )
 
 
@@ -83,34 +73,35 @@ def treekv_prefill_compress(
     partition: BlockPartition,
     scores,
     cache_blocks: int,
-) -> list[int]:
-    """Replay the tree cycle over the content blocks with fixed scores.
+) -> list:
+    """Replay the tree cycle over the content blocks with fixed scores
+    (..., blocks), one leading index per stream.
 
-    Content blocks are treated as if they arrived one at a time: the block
-    cache fills to ``cache_blocks``, then each additional block triggers one
-    decision of the decode-time tree selector (lower score of the adjacent
-    pair under the cursor goes, ties to the left) and a cyclic cursor
-    advance.  Scores are precomputed and never refreshed, so every count is
-    1 and the averaged score is the block score itself.  Returns the
-    retained block indices in prompt order, always ending with the
-    observation window.
+    Content blocks arrive one at a time: the block cache fills to
+    ``cache_blocks``, then each further block triggers one decision of the
+    decode-time tree selector (lower score of the adjacent pair under the
+    cursor goes, ties to the left) and a cyclic cursor advance, one cursor
+    for all streams.  Scores are never refreshed, so every count is 1 and
+    the averaged score is the block score itself.  Returns the retained
+    block indices in prompt order, ending with the observation window, as
+    nested lists (..., kept); 1-D scores give one list of ints.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (len(partition.blocks),):
-        raise DimensionError(
-            f"expected one score per block ({len(partition.blocks)}), got {scores.shape}"
-        )
+    blocks = len(partition.blocks)
+    if scores.shape[-1:] != (blocks,):
+        raise DimensionError(f"expected one score per block ({blocks}), got {scores.shape}")
     if cache_blocks < 2:
         raise ConfigError(f"block budget must be >= 2, got {cache_blocks}")
-    window_index = len(partition.blocks) - 1
-    content = list(range(window_index))
-    if cache_blocks >= len(content):
-        return content + [window_index]
+    window_index = blocks - 1
+    flat = scores.reshape(-1, blocks)
     policy = TreeKV(cache_blocks)
-    counts = np.ones((1, cache_blocks + 1), dtype=np.int64)
-    held = content[:cache_blocks]
-    for block in content[cache_blocks:]:
-        held.append(block)
-        del held[int(policy.select(scores[held][None], counts, None)[0])]
+    kept = min(cache_blocks, window_index)
+    held = np.tile(np.arange(kept + 1), (len(flat), 1))  # last column: the arrival
+    counts = np.ones(held.shape, dtype=np.int64)
+    for block in range(kept, window_index):
+        held[:, -1] = block
+        victims = policy.select(np.take_along_axis(flat, held, axis=1), counts, None)
+        held[:, :-1] = held[np.arange(kept + 1) != victims[:, None]].reshape(-1, kept)
         policy.advance()
-    return held + [window_index]
+    held[:, -1] = window_index
+    return held.reshape(scores.shape[:-1] + (kept + 1,)).tolist()

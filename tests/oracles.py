@@ -326,6 +326,30 @@ def oracle_block_scores(rows, prompt_len, block_size):
     ]
 
 
+def oracle_prefill_blocks(scores, cache_blocks):
+    """Retained block indices of each stream, replayed one stream at a time.
+
+    scores: per-stream lists of block scores, the last block being the
+    observation window.  The content blocks arrive in order; each arrival
+    that puts the cache over ``cache_blocks`` removes the lower-scored block
+    of the pair under a 1-based cursor (ties to the left), and the cursor
+    then advances cyclically through 1..cache_blocks.  Scores are frozen.
+    """
+    kept = []
+    for stream in scores:
+        window = len(stream) - 1
+        held = []
+        idx = 1
+        for block in range(window):
+            held.append(block)
+            if len(held) > cache_blocks:
+                left, right = held[idx - 1], held[idx]
+                del held[idx if stream[left] > stream[right] else idx - 1]
+                idx = idx % cache_blocks + 1
+        kept.append(held + [window])
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Compare summary cells (plain sets and counting loops)
 

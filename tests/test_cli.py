@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -10,6 +11,7 @@ import pytest
 
 from treekv import ConfigError, load_weights, read_trace
 from treekv.cli import RunConfig, load_config, main
+from treekv.engine import atomic_output
 
 from oracles import oracle_compare_cells
 
@@ -160,6 +162,27 @@ def test_prefill_token_file(tmp_path):
                    "--cache-blocks", 2, "--prompt", prompt, "-o", out) == 0
     summary = json.loads(out.read_text().splitlines()[-1])["summary"]
     assert summary["prompt_len"] == 10
+
+
+# Recorded from the per-stream prefill loop that the lockstep prefill
+# replaced; the JSONL must stay identical byte for byte.
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--d-head", 3, "--T", 40, "--block-size", 8, "--cache-blocks", 2],
+         "36fb94a6a1434afd9a41b2a038df17115eb14cc5cadd8910485ef08856b87f26"),
+        (["--d-head", 4, "--T", 50, "--block-size", 8, "--cache-blocks", 3],
+         "9479b417041b4ce81e50ef75ba3c4ffcc730ef4b6ce3512f39148d871fa18b33"),
+        (["--d-head", 4, "--T", 32, "--block-size", 8, "--cache-blocks", 99],
+         "5e56059b783576a8b08a0ec502855549eb3d1ee132c7bf311c934d1e8b47148a"),
+    ],
+    ids=["odd-d-head", "short-last-block", "budget-covers-blocks"],
+)
+def test_prefill_is_bitwise_pinned(tmp_path, flags, expected):
+    out = tmp_path / "p.jsonl"
+    assert run_cli("prefill", "--layers", 2, "--heads", 3, "--d-model", 8, *flags,
+                   "-o", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def test_decode_token_id_file(tmp_path):
@@ -400,6 +423,26 @@ def test_a_run_too_large_to_allocate_is_a_config_error(tmp_path, monkeypatch, ca
     assert os.listdir(tmp_path) == []
 
 
+def test_an_unallocatable_weight_set_is_refused_before_any_draw(tmp_path, monkeypatch, capsys):
+    def draw(*args):
+        raise AssertionError("a matrix was drawn before the weight set was allocated")
+
+    empty = np.empty
+
+    def unable(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) == 3 * 65536**2:
+            raise MemoryError("Unable to allocate 48.0 GiB")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr("treekv.engine._draw_matrix", draw)
+    monkeypatch.setattr(np, "empty", unable)
+    assert run_cli("gen-weights", "--layers", 65536, "--heads", 65536, "--d-model", 1,
+                   "--d-head", 1, "-o", tmp_path / "w.bin") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_budget_above_T_decodes_as_a_budget_of_T(tmp_path):
     # The cache never holds more than T slots, so a budget past any
     # allocatable size runs exactly as c = T.
@@ -421,7 +464,7 @@ def test_outputs_are_replaced_whole_or_not_at_all(tmp_path):
     out = tmp_path / "blocks.jsonl"
     out.write_text("old bytes\n")
     out.chmod(0o600)
-    assert prefill(out, 1) == 2  # fails after the output is opened
+    assert prefill(out, 1) == 2  # refused before the output is opened
     assert out.read_text() == "old bytes\n"
     assert os.listdir(tmp_path) == ["blocks.jsonl"]
     assert prefill(out, 2) == 0
@@ -439,6 +482,20 @@ def test_outputs_are_replaced_whole_or_not_at_all(tmp_path):
     finally:
         os.close(reader)
     assert fifo.is_fifo()
+
+
+def test_a_failed_atomic_write_keeps_the_old_file(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("old bytes\n")
+    out.chmod(0o600)
+    with pytest.raises(RuntimeError):
+        with atomic_output(str(out)) as fh:
+            fh.write("partial")
+            fh.flush()
+            raise RuntimeError("writer failed")
+    assert out.read_text() == "old bytes\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert os.listdir(tmp_path) == ["out.txt"]  # no temporary file left behind
 
 
 def test_weight_file_dims_override_the_config(tmp_path):

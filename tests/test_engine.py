@@ -528,16 +528,15 @@ def test_window_rows_and_block_scores_match_naive_oracle(d_head, prompt_len, blo
     start = partition.observation_window[0]
     rows = window_rows(weights, inputs, start)
     expected = oracle_window_rows(weights, inputs, start)
-    assert len(rows) == len(expected) == 6
+    assert rows.shape == (6, prompt_len - start, prompt_len)
     for got, want in zip(rows, expected):
-        assert [len(row) for row in got] == list(range(start + 1, prompt_len + 1))
-        for row, want_row in zip(got, want):
-            np.testing.assert_allclose(row, want_row, rtol=1e-6, atol=1e-9)
+        for position, (row, want_row) in enumerate(zip(got, want), start):
+            np.testing.assert_allclose(row[: position + 1], want_row, rtol=1e-6, atol=1e-9)
+            assert (row[position + 1 :] == 0.0).all()
+    scores = observation_scores(rows, partition)
+    for got, want in zip(scores, expected):
         np.testing.assert_allclose(
-            observation_scores(got, partition),
-            oracle_block_scores(want, prompt_len, block_size),
-            rtol=1e-6,
-            atol=1e-9,
+            got, oracle_block_scores(want, prompt_len, block_size), rtol=1e-6, atol=1e-9
         )
 
 

@@ -14,6 +14,7 @@ from treekv import (
 )
 
 from helpers import drive_policy
+from oracles import oracle_prefill_blocks
 
 
 # --- partitioning -------------------------------------------------------------
@@ -72,8 +73,18 @@ def test_observation_scores_hand_average():
 
 def test_observation_scores_causal_rows_are_zero_padded():
     partition = partition_blocks(4, 2)
-    scores = observation_scores([[0.5, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25]], partition)
+    scores = observation_scores([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]], partition)
     assert np.allclose(scores, [(0.75 + 0.75) / 4, (0.25 + 0.25) / 4])
+
+
+def test_observation_scores_of_all_streams_are_each_stream_s_own():
+    rng = np.random.default_rng(5)
+    partition = partition_blocks(23, 4)
+    rows = rng.random((2, 3, 5, 23))
+    scores = observation_scores(rows, partition)
+    assert scores.shape == (2, 3, 6)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(scores[index], observation_scores(rows[index], partition))
 
 
 def test_observation_scores_rejects_oversized_rows():
@@ -125,6 +136,30 @@ def test_prefill_score_length_must_match_blocks():
     partition = partition_blocks(20, 4)
     with pytest.raises(DimensionError):
         treekv_prefill_compress(partition, np.zeros(4), 3)
+
+
+# (block_size, prompt_len, cache_blocks): a single block, budgets at and
+# above the content blocks, a short last block, blocks of one token.
+_PREFILL_CASES = [(4, 4, 2), (4, 3 * 4 + 4, 3), (4, 5 * 4 + 1, 9), (3, 26, 2), (1, 30, 4)]
+
+
+def test_lockstep_prefill_matches_the_oracle_and_one_stream_calls():
+    rng = np.random.default_rng(1101)
+    cases = list(_PREFILL_CASES)
+    for _ in range(60):
+        block_size = int(rng.integers(1, 6))
+        blocks = int(rng.integers(1, 16))
+        tail = int(rng.integers(1, block_size + 1))  # a lone block is never short
+        prompt_len = (blocks - 1) * block_size + (tail if blocks > 1 else block_size)
+        cases.append((block_size, prompt_len, int(rng.integers(2, blocks + 3))))
+    for number, (block_size, prompt_len, cache_blocks) in enumerate(cases):
+        partition = partition_blocks(prompt_len, block_size)
+        shape = (int(rng.integers(1, 8)), len(partition.blocks))
+        # Quarter steps make ties common in every other case.
+        scores = rng.integers(0, 4, shape) / 4 if number % 2 else rng.random(shape)
+        kept = treekv_prefill_compress(partition, scores, cache_blocks)
+        assert kept == oracle_prefill_blocks(scores.tolist(), cache_blocks)
+        assert kept == [treekv_prefill_compress(partition, row, cache_blocks) for row in scores]
 
 
 @settings(max_examples=60, deadline=None)
