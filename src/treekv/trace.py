@@ -170,19 +170,27 @@ def read_trace(path: str) -> DecodeTrace:
         raise InputError(f"trace {path} holds no final record after {trace.seq_len} steps")
     streams = (dims.layers, dims.heads)
     for index, raw in enumerate(body, start=1):
+        cursor = raw.get("cursor")
         if raw.get("kind") != "step" or raw.get("step") != index:
             raise InputError(f"trace step record {index} is malformed or out of order")
-        record = StepRecord(index, cursor=raw.get("cursor"))
-        if "evicted" in raw:
-            record.evicted = _grid(raw["evicted"], streams, f"evicted at step {index}",
-                                   (int,), np.int64)
-            if record.evicted.min() < 0 or record.evicted.max() >= index:
-                raise InputError(f"evicted at step {index} holds a position outside "
-                                 f"0..{index - 1}")
-        if record.cursor is not None and (type(record.cursor) is not int
-                                          or record.evicted is None):
+        if cursor is not None and (type(cursor) is not int or "evicted" not in raw):
             raise InputError(f"cursor at step {index} is not an int beside an evicted grid")
-        trace.steps.append(record)
+        trace.steps.append(StepRecord(index, cursor=cursor))
+    at = [index for index, raw in enumerate(body, start=1) if "evicted" in raw]
+    # with no evictions, the grids are (0, layers, heads), not a list's (0,)
+    raws = [body[index - 1]["evicted"] for index in at] or np.empty((0, *streams))
+    try:  # every grid in one pass; if that fails, the first bad grid names its step
+        grids = _grid(raws, (len(at), *streams), "evicted", (int,), np.int64)
+    except InputError:
+        for index, raw in zip(at, raws):
+            _grid(raw, streams, f"evicted at step {index}", (int,), np.int64)
+        raise
+    outside = (grids.min(axis=(1, 2)) < 0) | (grids.max(axis=(1, 2)) >= np.array(at))
+    if outside.any():
+        index = at[outside.argmax()]
+        raise InputError(f"evicted at step {index} holds a position outside 0..{index - 1}")
+    for index, grid in zip(at, grids):
+        trace.steps[index - 1].evicted = grid
     trace.retained = _grid(final.get("retained"), (*streams, None), "final retained",
                            (int,), np.int64)
     if block:
@@ -195,28 +203,35 @@ def read_trace(path: str) -> DecodeTrace:
 def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
     """Retained positions after the given 1-based step (0: before the
     first) as a (layers, heads, n) int64 array, replayed from the
-    evictions: each step appends its own position to every stream, and an
-    evicting step removes one position from each."""
+    evictions.  Step t appends position t - 1 to every stream and an
+    evicting step removes one position from each, so an eviction at step t
+    is valid iff it names a position 0 <= p < t that its stream has not
+    evicted before.  When all are, the retained set after step t is
+    0..t-1 less the positions evicted by then, in increasing order."""
     if not 0 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
     layers, heads = trace.dims.layers, trace.dims.heads
-    live = np.empty((layers, heads, step), dtype=np.int64)
-    n = 0
-    for record in trace.steps[:step]:
-        live[:, :, n] = record.step - 1
-        n += 1
-        if record.evicted is not None:
-            hit = live[:, :, :n] == record.evicted[:, :, None]
-            missing = np.argwhere(~hit.any(axis=2))
-            if len(missing):
-                layer, head = missing[0]
-                raise InputError(
-                    f"step {record.step}: eviction of position {record.evicted[layer, head]} "
-                    f"not present in stream ({layer}, {head})"
-                )
-            n -= 1
-            live[:, :, :n] = live[:, :, : n + 1][~hit].reshape(layers, heads, n)
-    return live[:, :, :n]
+    streams = layers * heads
+    records = [record for record in trace.steps[:step] if record.evicted is not None]
+    evicted = np.array([record.evicted for record in records], dtype=np.int64)
+    evicted = evicted.reshape(len(records), streams)
+    at = np.array([record.step for record in records], dtype=np.int64)
+    # Valid positions get one key per (stream, position); a key shared across
+    # streams involves an invalid position, so the first flagged is invalid.
+    keys = evicted + (step + 1) * np.arange(streams)
+    first = np.zeros(evicted.size, dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    bad = ~first.reshape(evicted.shape) | (evicted < 0) | (evicted >= at[:, None])
+    if bad.any():
+        row, stream = divmod(int(bad.argmax()), streams)
+        layer, head = divmod(stream, heads)
+        raise InputError(
+            f"step {records[row].step}: eviction of position {evicted[row, stream]} "
+            f"not present in stream ({layer}, {head})"
+        )
+    live = np.ones((streams, step), dtype=bool)
+    live[np.arange(streams), evicted] = False
+    return np.nonzero(live)[1].reshape(layers, heads, step - len(records))
 
 
 def validate_trace(trace: DecodeTrace) -> None:

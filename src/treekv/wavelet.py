@@ -17,14 +17,18 @@ trimmed on reconstruction; analyses should prefer power-of-two windows so
 no boundary coefficients appear.  Coefficients of an L-level decomposition
 are kept as [A_L, D_L, ..., D_1], lowest frequency first.
 
+Every transform acts on the last axis of an (..., N) array, so one call
+decomposes a whole batch of signals; a 1-D signal is the batch of one.
+
 reconstruct_component inverts the transform with every band except one
 zeroed, isolating that band's additive contribution to the signal.
 magnitude_profile applies this to decode traces: the per-channel signal at
 generation step t is the attention row multiplied elementwise by each
 value channel, and the profile is the mean absolute component value per
-position, averaged over channels, heads, layers and traces in a fixed
-summation order (results are independent of trace iteration order to well
-below 1e-9).
+position, averaged over channels, heads, layers and traces.  All signals
+go through one batched transform, and the absolute components are summed
+signal by signal in (trace, layer, head, channel) order (results are
+independent of trace iteration order to well below 1e-9).
 """
 
 from __future__ import annotations
@@ -49,25 +53,20 @@ _SQRT2 = math.sqrt(2.0)
 
 def _as_signal(samples) -> np.ndarray:
     signal = np.asarray(samples, dtype=np.float64)
-    if signal.ndim != 1:
-        raise DimensionError(f"signal must be one-dimensional, got shape {signal.shape}")
+    if signal.ndim == 0:
+        raise DimensionError("signal must have at least one axis, got a scalar")
     return signal
 
 
-def _pad_even(signal: np.ndarray) -> np.ndarray:
-    if len(signal) % 2 == 0:
-        return signal
-    return np.concatenate([signal, [0.0]])
-
-
 def dwt_single(samples) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis level: (approximation, detail), each ceil(N/2) long."""
+    """One analysis level along the last axis: (approximation, detail),
+    each ceil(N/2) long."""
     signal = _as_signal(samples)
-    if len(signal) == 0:
+    if signal.shape[-1] == 0:
         raise InputError("cannot decompose an empty signal")
-    padded = _pad_even(signal)
-    approx = (padded[0::2] + padded[1::2]) / _SQRT2
-    detail = (padded[0::2] - padded[1::2]) / _SQRT2
+    padded = np.pad(signal, [(0, 0)] * (signal.ndim - 1) + [(0, signal.shape[-1] % 2)])
+    approx = (padded[..., 0::2] + padded[..., 1::2]) / _SQRT2
+    detail = (padded[..., 0::2] - padded[..., 1::2]) / _SQRT2
     return approx, detail
 
 
@@ -78,17 +77,10 @@ def max_level(length: int) -> int:
     return math.ceil(math.log2(length))
 
 
-def _level_lengths(length: int, levels: int) -> list[int]:
-    # lengths[l] is the input length at level l (lengths[0] = N).
-    lengths = [length]
-    for _ in range(levels):
-        lengths.append((lengths[-1] + 1) // 2)
-    return lengths
-
-
 @dataclass(frozen=True)
 class WaveletCoeffs:
-    """L-level coefficient list [A_L, D_L, ..., D_1] plus the original length."""
+    """L-level coefficient list [A_L, D_L, ..., D_1] plus the original length
+    of the last axis."""
 
     length: int
     approx: np.ndarray
@@ -119,14 +111,15 @@ class WaveletCoeffs:
 def dwt_multi(samples, levels: int) -> WaveletCoeffs:
     """Repeated single-level analysis of the running approximation."""
     signal = _as_signal(samples)
-    if len(signal) == 0:
+    length = signal.shape[-1]
+    if length == 0:
         raise InputError("cannot decompose an empty signal")
     if levels < 1:
         raise LevelError(f"levels must be >= 1, got {levels}")
-    deepest = max_level(len(signal))
+    deepest = max_level(length)
     if levels > deepest:
         raise LevelError(
-            f"signal of length {len(signal)} supports at most {deepest} levels, "
+            f"signal of length {length} supports at most {deepest} levels, "
             f"got {levels}"
         )
     details: list[np.ndarray] = []
@@ -134,29 +127,29 @@ def dwt_multi(samples, levels: int) -> WaveletCoeffs:
     for _ in range(levels):
         approx, detail = dwt_single(approx)
         details.append(detail)
-    return WaveletCoeffs(len(signal), approx, tuple(reversed(details)))
+    return WaveletCoeffs(length, approx, tuple(reversed(details)))
 
 
 def reconstruct_single(approx, detail) -> np.ndarray:
-    """One synthesis level; output has length 2 * len(approx)."""
+    """One synthesis level along the last axis, which doubles in length."""
     approx = _as_signal(approx)
     detail = _as_signal(detail)
     if approx.shape != detail.shape:
         raise DimensionError(
             f"approximation and detail lengths differ: {approx.shape} vs {detail.shape}"
         )
-    out = np.empty(2 * len(approx), dtype=np.float64)
-    out[0::2] = (approx + detail) / _SQRT2
-    out[1::2] = (approx - detail) / _SQRT2
+    out = np.empty((*approx.shape[:-1], 2 * approx.shape[-1]), dtype=np.float64)
+    out[..., 0::2] = (approx + detail) / _SQRT2
+    out[..., 1::2] = (approx - detail) / _SQRT2
     return out
 
 
 def _synthesize(length: int, approx: np.ndarray, details) -> np.ndarray:
-    lengths = _level_lengths(length, len(details))
+    # Level l's output is trimmed to its input length at analysis: the
+    # length of D_(l-1), or the signal's for level 1.
     current = approx
-    for level in range(len(details), 0, -1):
-        current = reconstruct_single(current, details[len(details) - level])
-        current = current[: lengths[level - 1]]
+    for detail, target in zip(details, [d.shape[-1] for d in details[1:]] + [length]):
+        current = reconstruct_single(current, detail)[..., :target]
     return current
 
 
@@ -166,7 +159,7 @@ def reconstruct(coeffs: WaveletCoeffs) -> np.ndarray:
 
 
 def reconstruct_component(coeffs: WaveletCoeffs, band: str) -> np.ndarray:
-    """Length-N contribution of a single band, all other bands zeroed."""
+    """(..., N) contribution of a single band, all other bands zeroed."""
     selected = coeffs.band(band)  # raises SelectorError for unknown bands
     approx = coeffs.approx if selected is coeffs.approx else np.zeros_like(coeffs.approx)
     details = [
@@ -227,36 +220,28 @@ def magnitude_profile(
     if exclude < 0:
         raise ConfigError(f"exclude must be non-negative, got {exclude}")
 
-    accum = None
-    bands: list[str] = []
-    signal_length = None
-    signal_count = 0
-    for trace in traces:
-        rows, values = signals_at_step(trace, step)
-        if signal_length is None:
-            signal_length = rows.shape[2]
-            if signal_length < 2**levels:
-                raise LevelError(
-                    f"analysis step {step} has {signal_length} slots, fewer than "
-                    f"2**{levels}; reduce the level count"
-                )
-            if signal_length - 2 * exclude < 1:
-                raise InputError(
-                    f"margins of {exclude} leave no positions out of {signal_length}"
-                )
-        elif rows.shape[2] != signal_length:
-            raise InputError("traces disagree on the slot count at the analysis step")
-        # one signal per (layer, head, channel), in that order
-        signals = np.moveaxis(rows[..., None] * values, 3, 2).reshape(-1, signal_length)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for signal in signals:
-                coeffs = dwt_multi(signal, levels)
-                if accum is None:
-                    bands = coeffs.band_names()
-                    accum = np.zeros((len(bands), signal_length), dtype=np.float64)
-                for i, band in enumerate(bands):
-                    accum[i] += np.abs(reconstruct_component(coeffs, band))
-        signal_count += len(signals)
+    views = [signals_at_step(trace, step) for trace in traces]
+    signal_length = views[0][0].shape[2]
+    if signal_length.bit_length() <= levels:  # signal_length < 2**levels
+        raise LevelError(
+            f"analysis step {step} has {signal_length} slots, fewer than "
+            f"2**{levels}; reduce the level count"
+        )
+    if signal_length - 2 * exclude < 1:
+        raise InputError(f"margins of {exclude} leave no positions out of {signal_length}")
+    if any(rows.shape[2] != signal_length for rows, _ in views):
+        raise InputError("traces disagree on the slot count at the analysis step")
+    # one signal per (trace, layer, head, channel), in that order
+    signals = np.concatenate([
+        np.moveaxis(rows[..., None] * values, 3, 2).reshape(-1, signal_length)
+        for rows, values in views
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        coeffs = dwt_multi(signals, levels)
+        bands = coeffs.band_names()
+        # with N >= 2, an axis-0 sum adds the rows one by one, in signal order
+        accum = np.array([np.abs(reconstruct_component(coeffs, band)).sum(axis=0)
+                          for band in bands])
     if not np.isfinite(accum).all():
         raise InputError(f"the band magnitudes at step {step} overflow: trace values too large")
     window = slice(exclude, signal_length - exclude)
@@ -265,6 +250,6 @@ def magnitude_profile(
         step=step,
         positions=positions,
         bands=bands,
-        values=accum[:, window] / signal_count,
-        signal_count=signal_count,
+        values=accum[:, window] / len(signals),
+        signal_count=len(signals),
     )

@@ -54,6 +54,31 @@ def oracle_tree_sim(c, seq_len, rows=None):
     return cache, cursors
 
 
+def oracle_retained_at(evictions, layers, heads, step):
+    """Naive eviction replay on plain lists.
+
+    evictions[t - 1] is step t's evicted positions as [layer][head] nested
+    lists, or None.  Step t appends position t - 1 to every stream, then
+    removes the position it evicts from each, in (layer, head) order; an
+    eviction of a position the stream does not hold raises ValueError with
+    the text of the package's InputError.  Returns the [layer][head] lists
+    of retained positions after ``step``.
+    """
+    live = [[[] for _ in range(heads)] for _ in range(layers)]
+    for t, grid in enumerate(evictions[:step], start=1):
+        for layer in range(layers):
+            for head in range(heads):
+                live[layer][head].append(t - 1)
+                if grid is None:
+                    continue
+                position = grid[layer][head]
+                if position not in live[layer][head]:
+                    raise ValueError(f"step {t}: eviction of position {position} "
+                                     f"not present in stream ({layer}, {head})")
+                live[layer][head].remove(position)
+    return live
+
+
 # ---------------------------------------------------------------------------
 # Wavelet transform via literal convolution sums
 

@@ -185,6 +185,37 @@ def test_prefill_is_bitwise_pinned(tmp_path, flags, expected):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+# Recorded from the step-by-step eviction replay and the signal-by-signal
+# Haar loop that the whole-array passes replaced; the map and analyze CSVs
+# must stay identical byte for byte.  The traces are 2x2 runs with T=40 and
+# c=8, so the final step attends over 9 slots and step 7 over 7: both odd,
+# so the transforms pad.
+@pytest.mark.parametrize(
+    "command, count, expected",
+    [
+        (["map"], 1,
+         "edbc2d8958cff6c7f66e103db42563bb432f6af8e95975b2fa0b9e3f854210b5"),
+        (["analyze", "--levels", 3, "--exclude", 2], 1,
+         "1e688aefafacf3b89a7c67cee172572fd20828af72cd13caf6c76d9a05715e76"),
+        (["analyze", "--levels", 2, "--exclude", 1, "--step", 7], 1,
+         "6d96bf9aa6d5907a3310ccb21d9a5b7bb16b9b8072ee50fe25a8b875ad73d505"),
+        (["analyze", "--levels", 3, "--exclude", 0, "--step", 23], 2,
+         "8e8b7f93ee26e302e9120d9059e97d378e74a23ccad657bb98e5d03cd962219b"),
+    ],
+    ids=["map", "analyze-final-step", "analyze-odd-step", "analyze-two-traces"],
+)
+def test_analysis_is_bitwise_pinned(tmp_path, command, count, expected):
+    flags = []
+    for seed, policy in [(4, "treekv"), (5, "h2o")][:count]:
+        trace = tmp_path / f"{policy}.jsonl"
+        assert run_cli(*_decode_args(trace, policy=policy, seed=seed, T=40, c=8,
+                                     zones="sink=1,recent=2", layers=2)) == 0
+        flags += ["--trace", trace]
+    out = tmp_path / "out.csv"
+    assert run_cli(*command, *flags, "-o", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
 def test_decode_token_id_file(tmp_path):
     tokens = tmp_path / "ids.json"
     tokens.write_text(json.dumps([3, 1, 4, 1, 5, 9, 2, 6]))
@@ -379,6 +410,8 @@ def _nan_weights(tmp_path):
         (_huge_prompt, 3),
         (_trace_case(json.dumps, command=(*ANALYZE, "--step", 0)), 2),
         (_trace_case(json.dumps, command=(*ANALYZE, "--step", 18)), 3),
+        # 2**(10**12) would not fit in memory: the level check must not build it
+        (_trace_case(json.dumps, command=("analyze", "--levels", 10**12, "--exclude", 0)), 2),
         # step 17's query and keys of 1e300: finite numbers, overflowing logits
         (_block_case(16, 1e300), 3),
         # steps 14-17's values of 1.7e308: finite numbers, overflowing band sums
@@ -397,7 +430,7 @@ def _nan_weights(tmp_path):
          "format-4", "seq-len-huge", "block-length-overflows-int64", "weights-zero-layers",
          "embedding-nan", "embedding-bool", "token-id-bool",
          "weights-nan", "block-size-zero", "exclude-negative", "decode-attention-overflow",
-         "prefill-attention-overflow", "step-zero", "step-past-end", "qkv-overflow",
+         "prefill-attention-overflow", "step-zero", "step-past-end", "levels-huge", "qkv-overflow",
          "profile-overflow", "zones-superscript", "token-id-huge", "weights-too-big"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):

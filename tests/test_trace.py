@@ -22,6 +22,8 @@ from treekv import (
     write_trace,
 )
 
+from oracles import oracle_retained_at
+
 
 def _run(policy="treekv", capacity=5, seq_len=14, heads=2, **kwargs):
     weights = generate_weights(3, ModelDims(1, heads, 8, 4))
@@ -75,6 +77,66 @@ def test_trace_replay_detects_tampering(tmp_path):
         retained_at(trace, len(trace.steps))
     with pytest.raises(InputError):
         retained_at(trace, len(trace.steps) + 1)
+
+
+def _oracle_replay(trace, step):
+    """``oracle_retained_at`` on the trace's evictions, or its error text."""
+    evictions = [None if record.evicted is None else record.evicted.tolist()
+                 for record in trace.steps]
+    try:
+        return oracle_retained_at(evictions, trace.dims.layers, trace.dims.heads, step)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _replay(trace, step):
+    """``retained_at`` as nested lists, or its error text."""
+    try:
+        return retained_at(trace, step).tolist()
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("zones", ["sink=2,recent=3", "sink=0,recent=0"])
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_retained_at_matches_the_oracle_replay_at_every_step(spec, zones):
+    weights = generate_weights(11, ModelDims(2, 3, 8, 4))
+    trace = decode_with_policy(weights, synthesize_embeddings(12, 60, 8), spec, 9, zones,
+                               record_detail=False)
+    for step in range(len(trace.steps) + 1):
+        assert _replay(trace, step) == _oracle_replay(trace, step)
+
+
+# (step, layer, head, position) cells written into a 2x3 treekv trace of 30
+# steps with c=6, which evicts from step 7 on; every stream evicted
+# position 1 at step 7.
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [(12, 0, 2, 1)],  # evicted again
+        [(12, 1, 1, 12)],  # a position not yet appended
+        [(12, 1, 0, -1)],
+        [(12, 0, 1, 99)],  # the middle stream of the first layer
+        [(15, 0, 0, 40), (12, 1, 2, -1), (12, 1, 0, 35)],  # the earliest step, first stream
+    ],
+    ids=["repeated", "future-position", "negative", "middle-stream", "first-of-several"],
+)
+def test_retained_at_rejects_a_bad_eviction_as_the_oracle_does(cells):
+    weights = generate_weights(11, ModelDims(2, 3, 8, 4))
+    trace = decode_with_policy(weights, synthesize_embeddings(12, 30, 8), "treekv", 6,
+                               "sink=0,recent=0", record_detail=False)
+    assert (trace.steps[6].evicted == 1).all() and trace.steps[5].evicted is None
+    for step, layer, head, position in cells:
+        record = trace.steps[step - 1]
+        record.evicted = record.evicted.copy()
+        record.evicted[layer, head] = position
+    for step in range(len(trace.steps) + 1):
+        assert _replay(trace, step) == _oracle_replay(trace, step)
+    message = _oracle_replay(trace, len(trace.steps))
+    assert isinstance(message, str) and message.startswith(f"step {min(cells)[0]}: ")
+    with pytest.raises(InputError) as caught:
+        validate_trace(trace)
+    assert str(caught.value) == message
 
 
 def test_trace_rejects_truncation(tmp_path):
@@ -192,4 +254,24 @@ def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
     lines[-2] = json.dumps(record).encode()
     path.write_bytes(b"\n".join(lines) + b"\n" + block)
     with pytest.raises(InputError):
+        read_trace(str(path))
+
+
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        ({6: [[1.0, 0]], 8: [[0]]}, "evicted at step 6 is not a 1x2 grid"),
+        ({8: [[0]], 7: [[True, 0]]}, "evicted at step 7 is not a 1x2 grid"),
+        ({8: [[-1, 0]], 7: [[0, 7]]}, "evicted at step 7 holds a position outside 0..6"),
+    ],
+)
+def test_read_trace_names_the_first_bad_evicted_grid(tmp_path, grids, message):
+    trace = _run(capacity=5, seq_len=8)  # 1 layer, 2 heads, evictions at steps 6-8
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    *lines, block = path.read_bytes().split(b"\n", 10)
+    for step, grid in grids.items():
+        lines[step] = json.dumps({**json.loads(lines[step]), "evicted": grid}).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n" + block)
+    with pytest.raises(InputError, match=message):
         read_trace(str(path))

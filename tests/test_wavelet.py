@@ -191,6 +191,23 @@ def test_reconstruct_single_matches_literal_formula():
     )
 
 
+@pytest.mark.parametrize("shape", [(3, 17), (2, 4, 9), (5, 2), (1, 64)])
+def test_a_batch_transforms_as_its_rows_do(shape):
+    batch = np.random.default_rng(len(shape)).standard_normal(shape)
+    levels = max_level(shape[-1])
+    coeffs = dwt_multi(batch, levels)
+    for index in np.ndindex(shape[:-1]):
+        row = dwt_multi(batch[index], levels)
+        for mine, reference in zip([coeffs.approx, *coeffs.details], [row.approx, *row.details]):
+            assert np.array_equal(mine[index], reference)
+        for band in row.band_names():
+            assert np.array_equal(reconstruct_component(coeffs, band)[index],
+                                  reconstruct_component(row, band))
+        assert np.array_equal(reconstruct(coeffs)[index], reconstruct(row))
+    with pytest.raises(DimensionError):
+        dwt_single(1.0)
+
+
 # --- magnitude profile -----------------------------------------------------------
 
 
