@@ -65,7 +65,7 @@ class RunConfig:
     exclude: int = 32
     step: int | None = None
     weights: str | None = None
-    trace_detail: str = "full"  # "full" records q, k and v, "light" none
+    trace_detail: str = "full"  # "full" records the inputs and weights, "light" neither
 
     def dims(self) -> ModelDims:
         return ModelDims(self.layers, self.heads, self.d_model, self.d_head, self.vocab)

@@ -196,6 +196,11 @@ def atomic_output(path: str, mode: str = "w"):
         raise
 
 
+def write_array(fh, array: np.ndarray, dtype: str) -> None:
+    """Write ``array`` row-major as ``dtype`` ("<f8"), copying only to convert."""
+    fh.write(np.ascontiguousarray(array, dtype=dtype).reshape(-1).view(np.uint8))
+
+
 def save_weights(weights: ModelWeights, path: str) -> None:
     dims = weights.dims
     header = struct.pack(
@@ -211,10 +216,10 @@ def save_weights(weights: ModelWeights, path: str) -> None:
     )
     with atomic_output(path, "wb") as fh:
         fh.write(header)
-        fh.write(weights.qkv.astype("<f4").tobytes())
+        write_array(fh, weights.qkv, "<f4")
         if dims.vocab > 0:
-            fh.write(weights.embedding.astype("<f4").tobytes())
-            fh.write(weights.output_proj.astype("<f4").tobytes())
+            write_array(fh, weights.embedding, "<f4")
+            write_array(fh, weights.output_proj, "<f4")
 
 
 def load_weights(path: str) -> ModelWeights:
@@ -325,19 +330,22 @@ def slot_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), _rotate(keys, cos[:n], sin[:n]))
 
 
-def _stacked(weights: ModelWeights) -> np.ndarray:
-    """W_Q, W_K and W_V of every stream as one C-contiguous float64 stack
-    (3, S, d_model, d_head); stream s = layer * heads + head.
+def stacked_weights(qkv: np.ndarray) -> np.ndarray:
+    """W_Q, W_K and W_V given as (layers, heads, 3, d_model, d_head), as one
+    C-contiguous float64 stack (3, S, d_model, d_head); s = layer * heads + head."""
+    return np.moveaxis(qkv.reshape(-1, *qkv.shape[2:]), 1, 0).astype(np.float64, order="C")
 
-    ``np.matmul(x, stack)`` runs one d_head-wide matrix-vector product per
-    matrix, bitwise each stream's own ``x @ W``.  One product over all
-    streams side by side (S * d_head wide) is not: BLAS rounds the columns
-    of a wide product differently when d_head is not a multiple of the
-    kernel's vector width.
-    """
-    dims = weights.dims
-    qkv = weights.qkv.reshape(-1, 3, dims.d_model, dims.d_head)
-    return np.moveaxis(qkv, 1, 0).astype(np.float64, order="C")
+
+def project(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Rows (..., d_head) of inputs x (..., d_model) through matrices
+    (..., d_model, d_head), leading axes broadcast, each its own (1, d_model)
+    @ (d_model, d_head) product: bitwise alike however the rows are batched,
+    unlike a multi-row product.  Rows past float64 are an input error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.matmul(x[..., None, :], matrices)[..., 0, :]
+    if not np.isfinite(rows).all():
+        raise InputError("projections are not finite; the inputs are too large")
+    return rows
 
 
 class StreamStep(NamedTuple):
@@ -367,7 +375,7 @@ class StreamBatch:
     def __init__(self, weights: ModelWeights, slots: int):
         dims = weights.dims
         self.streams = dims.layers * dims.heads
-        self.wq, self.wk, self.wv = self.stack = _stacked(weights)
+        self.wq, self.wk, self.wv = self.stack = stacked_weights(weights.qkv)
         shape = (self.streams, max(slots, 1))
         self.keys = np.zeros(shape + (dims.d_head,), dtype=np.float64)
         self.encoded = np.zeros(shape + (dims.d_head,), dtype=np.float64)
@@ -390,7 +398,7 @@ class StreamBatch:
         n = self.n
         if n == self.keys.shape[1]:
             raise StateError(f"stream batch is full at {n} slots")
-        qkv = np.matmul(x, self.stack)
+        qkv = project(x, self.stack)
         q, self.keys[:, n], self.values[:, n] = qkv
         self.positions[:, n] = position
         self.scores[:, n] = 0.0
@@ -438,17 +446,17 @@ def window_rows(weights: ModelWeights, inputs, window_start: int) -> np.ndarray:
     step.  Only the window queries attend.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    wq, wk = _stacked(weights)[:2]
+    wq, wk = stacked_weights(weights.qkv)[:2]
     seq_len, d_head = len(inputs), weights.dims.d_head
     cos, sin = _rope_table(d_head, seq_len - 1)
     keys = np.empty((len(wk), seq_len, d_head))
     for position, x in enumerate(inputs):
-        keys[:, position] = np.matmul(x, wk)  # one inputs @ wk rounds differently
+        keys[:, position] = project(x, wk)
     for stream_keys in keys:  # one stream at a time keeps the temporaries small
         stream_keys[:] = _rotate(stream_keys, cos[:seq_len], sin[:seq_len])
     rows = np.zeros((len(wk), seq_len - window_start, seq_len))
     for index, position in enumerate(range(window_start, seq_len)):
-        q = _rotate(np.matmul(inputs[position], wq), cos[position], sin[position])
+        q = _rotate(project(inputs[position], wq), cos[position], sin[position])
         rows[:, index, : position + 1] = _attention_rows(q, keys[:, : position + 1])
     return rows
 

@@ -285,12 +285,12 @@ def decode_with_policy(
 
     Per step: project, append, attend with re-assigned positions and
     accumulate scores in every stream, then, if the streams are over
-    capacity, evict one slot per stream.  Returns the trace of each step's
-    queries, keys and values, the per-step grids of evicted positions with
-    their tree cursors, and the final retained positions.
+    capacity, evict one slot per stream.  Returns the trace: per-step evicted
+    grids with their tree cursors, the final retained positions and, with
+    ``record_detail``, references to the (C-contiguous) inputs and weights.
     """
     dims = weights.dims
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = np.ascontiguousarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != dims.d_model:
         raise DimensionError(
             f"inputs must have shape (T, {dims.d_model}), got {inputs.shape}"
@@ -314,11 +314,9 @@ def decode_with_policy(
         token_ids=list(token_ids) if token_ids is not None else None,
     )
     if record_detail:
-        trace.qkv = np.empty((seq_len, *grid, 3, dims.d_head))
+        trace.inputs, trace.weights = inputs, weights.qkv
     for step in range(1, seq_len + 1):
-        rows, outputs, qkv = batch.step(inputs[step - 1], step - 1)
-        if record_detail:
-            trace.qkv[step - 1] = qkv.reshape(*grid, 3, -1)
+        rows, outputs, _ = batch.step(inputs[step - 1], step - 1)
         evicted = cursor = None
         if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)

@@ -1,5 +1,5 @@
 """Decode traces: per-step records of a run, their serialization (JSON
-lines, then one binary block of every step's query, key and value),
+lines, then one binary block of the run's inputs and projection weights),
 eviction replay, and the per-position retention map.
 
 Every stream of a run holds the same number of slots and evicts in
@@ -16,10 +16,10 @@ from itertools import chain
 
 import numpy as np
 
-from .engine import ModelDims, atomic_output, slot_rows
+from .engine import ModelDims, atomic_output, project, slot_rows, stacked_weights, write_array
 from .errors import InputError
 
-TRACE_FORMAT = 5
+TRACE_FORMAT = 6
 
 
 @dataclass
@@ -51,9 +51,11 @@ class DecodeTrace:
     # array: a checkpoint that replaying the evictions must reproduce (see
     # ``retained_at``).
     retained: np.ndarray | None = None
-    # The raw query, key and value every stream projected at every step, a
-    # (seq_len, layers, heads, 3, d_head) float64 array; None at light detail.
-    qkv: np.ndarray | None = None
+    # The run's (seq_len, d_model) float64 inputs and the model's float32
+    # ``ModelWeights.qkv``, which every step's query, key and value follow
+    # from (``held_projections``); both None at light detail.
+    inputs: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def config_dict(self) -> dict:
         return {
@@ -90,8 +92,9 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
     records.append({"kind": "final", "retained": trace.retained.tolist()})
     with atomic_output(path, "wb") as fh:
         fh.write("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records).encode())
-        if trace.qkv is not None:
-            fh.write(trace.qkv.astype("<f8").tobytes())
+        if trace.inputs is not None:
+            write_array(fh, trace.inputs, "<f8")
+            write_array(fh, trace.weights, "<f4")
 
 
 def _grid(raw, shape, what, kinds, dtype):
@@ -152,7 +155,7 @@ def _header_trace(header: dict, path: str) -> DecodeTrace:
 
 def read_trace(path: str) -> DecodeTrace:
     """Read a trace: the header, exactly ``seq_len + 1`` more JSON lines, then
-    the rest of the file, which is either empty or the whole qkv block."""
+    the rest of the file, which is either empty or the whole binary block."""
     try:
         with open(path, "rb") as fh:
             trace = _header_trace(next(_records(fh, path, 1)), path)
@@ -161,11 +164,12 @@ def read_trace(path: str) -> DecodeTrace:
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     dims = trace.dims
-    shape = (trace.seq_len, dims.layers, dims.heads, 3, dims.d_head)
-    size = 8 * math.prod(shape)  # Python ints: header dims can exceed int64
+    shape = (dims.layers, dims.heads, 3, dims.d_model, dims.d_head)
+    split = 8 * trace.seq_len * dims.d_model  # Python ints: header dims can exceed int64
+    size = split + 4 * math.prod(shape)
     if len(block) not in (0, size):
         raise InputError(f"trace {path} ends in {len(block)} bytes, neither none nor "
-                         f"the {size} bytes of its qkv block")
+                         f"the {size} bytes of its inputs and weights")
     if final.get("kind") != "final":
         raise InputError(f"trace {path} holds no final record after {trace.seq_len} steps")
     streams = (dims.layers, dims.heads)
@@ -194,9 +198,10 @@ def read_trace(path: str) -> DecodeTrace:
     trace.retained = _grid(final.get("retained"), (*streams, None), "final retained",
                            (int,), np.int64)
     if block:
-        trace.qkv = np.frombuffer(block, dtype="<f8").reshape(shape)
-        if not np.isfinite(trace.qkv).all():
-            raise InputError(f"trace {path} holds a NaN or infinite number in its qkv block")
+        trace.inputs = np.frombuffer(block, "<f8", split // 8).reshape(-1, dims.d_model)
+        trace.weights = np.frombuffer(block, "<f4", offset=split).reshape(shape)
+        if not (np.isfinite(trace.inputs).all() and np.isfinite(trace.weights).all()):
+            raise InputError(f"trace {path} holds a NaN or infinite input or weight")
     return trace
 
 
@@ -253,20 +258,24 @@ def distribution_map(trace: DecodeTrace) -> np.ndarray:
     return grid / dims.heads
 
 
-def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-eviction cache view of every stream at the given 1-based step.
-
-    Returns the attention rows over the slots present at attention time,
-    (layers, heads, n), derived from the recorded queries and keys bitwise as
-    decode computed them, and the matching values, (layers, heads, n, d_head).
-    """
+def held_projections(trace: DecodeTrace, step: int) -> np.ndarray:
+    """Query, key and value rows (3, layers, heads, n, d_head) of the n slots
+    each stream holds at attention time of the given 1-based step, bitwise
+    the ones ``StreamBatch.step`` projected."""
     if not 1 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
-    if trace.qkv is None:
-        raise InputError("trace lacks query, key and value vectors; re-run decode "
-                         "with full trace detail")
+    if trace.inputs is None:
+        raise InputError("light trace: it lacks the run's inputs and projection weights")
     before = retained_at(trace, step - 1)
-    layers, heads, _ = before.shape
-    slots = np.concatenate([before, np.full((layers, heads, 1), step - 1)], axis=2)
-    held = trace.qkv[slots, np.arange(layers)[:, None, None], np.arange(heads)[:, None]]
-    return slot_rows(held[:, :, -1, 0], held[..., 1, :]), held[..., 2, :]
+    slots = np.insert(before, before.shape[2], step - 1, axis=2)  # then the step's own input
+    # each stream's matrices against each input it holds
+    stack = stacked_weights(trace.weights).reshape(3, *slots.shape[:2], 1, *trace.weights.shape[3:])
+    return project(trace.inputs[slots], stack)
+
+
+def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-eviction cache view of every stream at the given 1-based step:
+    the attention rows over the slots present at attention time, (layers,
+    heads, n), and their values, (layers, heads, n, d_head), bitwise decode's."""
+    q, keys, values = held_projections(trace, step)
+    return slot_rows(q[..., -1, :], keys), values

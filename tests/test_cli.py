@@ -306,7 +306,7 @@ def _trace_case(edit=json.dumps, line=5, command=("map",), block=None, **overrid
     """A valid 1x2 select-left trace of 17 steps (evictions from step 5)
     with one line edited: by default step 5; line 0 is the header and line
     18 the final record.  ``block`` maps the bytes after the final record,
-    the qkv block, to the bytes written in its place."""
+    the block of inputs and weights, to the bytes written in its place."""
     def build(tmp_path):
         trace_path = tmp_path / "t.jsonl"
         assert run_cli(*_decode_args(trace_path, **overrides)) == 0
@@ -317,13 +317,17 @@ def _trace_case(edit=json.dumps, line=5, command=("map",), block=None, **overrid
     return build
 
 
-def _block_case(entries, value):
-    """``value`` written into the qkv block, viewed as (step - 1, head,
-    q/k/v, d_head), at ``entries``; the trace goes to ``analyze``."""
+def _block_case(*edits):
+    """Values written into the block: each edit is (part, entries, value)
+    with part "inputs", viewed as (step - 1, d_model), or "weights", viewed
+    as (head, q/k/v, d_model, d_head); the trace goes to ``analyze``."""
     def edit(rest):
-        qkv = np.frombuffer(rest, dtype="<f8").reshape(17, 2, 3, 4).copy()
-        qkv[entries] = value
-        return qkv.tobytes()
+        split = 17 * 8 * 8
+        parts = {"inputs": np.frombuffer(rest[:split], dtype="<f8").reshape(17, 8).copy(),
+                 "weights": np.frombuffer(rest[split:], dtype="<f4").reshape(2, 3, 8, 4).copy()}
+        for part, entries, value in edits:
+            parts[part][entries] = value
+        return parts["inputs"].tobytes() + parts["weights"].tobytes()
     return _trace_case(command=ANALYZE, block=edit)
 
 
@@ -336,16 +340,21 @@ def _token_file_case(text, **overrides):
     return build
 
 
-# Finite embedding rows whose attention logits overflow.
+# Finite embedding rows whose attention logits overflow, and finite rows
+# whose projections overflow.
 HUGE_ROWS = json.dumps([[1e300] * 8] * 6)
+OVERFLOWING_ROWS = json.dumps([[1.7e308] * 8] * 6)
 
 
-def _huge_prompt(tmp_path):
-    """prefill with a prompt of ``HUGE_ROWS``."""
-    prompt = tmp_path / "prompt.json"
-    prompt.write_text(HUGE_ROWS)
-    return ["prefill", "--prompt", prompt, "--layers", 1, "--heads", 1, "--d-model", 8,
-            "--d-head", 4, "--block-size", 2, "--cache-blocks", 2, "-o", tmp_path / "p.jsonl"]
+def _prompt_case(text):
+    """prefill with a prompt file that holds ``text``."""
+    def build(tmp_path):
+        prompt = tmp_path / "prompt.json"
+        prompt.write_text(text)
+        return ["prefill", "--prompt", prompt, "--layers", 1, "--heads", 1, "--d-model", 8,
+                "--d-head", 4, "--block-size", 2, "--cache-blocks", 2,
+                "-o", tmp_path / "p.jsonl"]
+    return build
 
 
 def _zero_layer_weights(tmp_path):
@@ -385,15 +394,17 @@ def _nan_weights(tmp_path):
         (_trace_case(block=lambda rest: rest[:-1]), 3),
         (_trace_case(block=lambda rest: rest + b"\0"), 3),
         (_trace_case(block=lambda rest: rest + bytes(8), trace_detail="light"), 3),
-        (_block_case((16, 0, 0, 0), float("nan")), 3),
-        (_block_case((16, 0, 2, 0), float("inf")), 3),
+        (_block_case(("inputs", (16, 0), float("nan"))), 3),
+        (_block_case(("weights", (0, 2, 0, 0), float("inf"))), 3),
+        (_block_case(("weights", (1, 0, 3, 2), float("nan"))), 3),
         # full header dims and no block: position 15 (step 16) is among the
-        # slots step 17 attends, and nothing records its key
+        # slots step 17 attends, and nothing records its input or the weights
         (_trace_case(command=ANALYZE, block=lambda rest: b""), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 1}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 2}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 3}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 4}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 5}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 10**12}), line=0,
                      trace_detail="light"), 3),
         (_trace_case(lambda record: json.dumps({**record, "layers": 2**32 - 1, "heads": 2**32 - 1,
@@ -407,15 +418,23 @@ def _nan_weights(tmp_path):
                            "-o", tmp_path / "p.jsonl"], 2),
         (_trace_case(json.dumps, command=("analyze", "--levels", 2, "--exclude", -1)), 2),
         (_token_file_case(HUGE_ROWS), 3),
-        (_huge_prompt, 3),
+        (_prompt_case(HUGE_ROWS), 3),
+        (_token_file_case(OVERFLOWING_ROWS), 3),
+        (_prompt_case(OVERFLOWING_ROWS), 3),
         (_trace_case(json.dumps, command=(*ANALYZE, "--step", 0)), 2),
         (_trace_case(json.dumps, command=(*ANALYZE, "--step", 18)), 3),
         # 2**(10**12) would not fit in memory: the level check must not build it
         (_trace_case(json.dumps, command=("analyze", "--levels", 10**12, "--exclude", 0)), 2),
-        # step 17's query and keys of 1e300: finite numbers, overflowing logits
-        (_block_case(16, 1e300), 3),
-        # steps 14-17's values of 1.7e308: finite numbers, overflowing band sums
-        (_block_case((slice(13, 17), slice(None), 2), 1.7e308), 3),
+        # step 17's input of 1e300: a finite query and key, overflowing logits
+        (_block_case(("inputs", 16, 1e300)), 3),
+        # every input 1e160: finite queries and keys, overflowing logits
+        (_block_case(("inputs", slice(None), 1e160)), 3),
+        # step 17's input of 1.7e308 against a column of ones: a query past float64
+        (_block_case(("inputs", 16, 1.7e308), ("weights", (0, 0, slice(None), 0), 1.0)), 3),
+        # values of 1.76e308 (W_V ones on inputs of 2.2e307) under uniform rows
+        # (W_Q and W_K zero): finite numbers, overflowing band sums
+        (_block_case(("weights", (slice(None), slice(0, 2)), 0.0),
+                     ("weights", (slice(None), 2), 1.0), ("inputs", slice(None), 2.2e307)), 3),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=\u00b2"), 2),
         (_token_file_case("[1, 36893488147419103232]", vocab=8), 3),
         # 2**62 normals per matrix: more bytes than numpy can address
@@ -426,11 +445,13 @@ def _nan_weights(tmp_path):
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
          "retained-float-positions", "header-dim-null", "header-seq-len-float",
          "block-short", "block-long", "block-on-light-trace", "row-cell-nan",
-         "value-cell-infinity", "step-without-values", "format-1", "format-2", "format-3",
-         "format-4", "seq-len-huge", "block-length-overflows-int64", "weights-zero-layers",
-         "embedding-nan", "embedding-bool", "token-id-bool",
-         "weights-nan", "block-size-zero", "exclude-negative", "decode-attention-overflow",
-         "prefill-attention-overflow", "step-zero", "step-past-end", "levels-huge", "qkv-overflow",
+         "value-cell-infinity", "weights-cell-nan", "step-without-values", "format-1",
+         "format-2", "format-3", "format-4", "format-5", "seq-len-huge",
+         "block-length-overflows-int64", "weights-zero-layers", "embedding-nan",
+         "embedding-bool", "token-id-bool", "weights-nan", "block-size-zero", "exclude-negative",
+         "decode-attention-overflow", "prefill-attention-overflow",
+         "decode-projection-overflow", "prefill-projection-overflow", "step-zero", "step-past-end",
+         "levels-huge", "qkv-overflow", "logits-overflow", "projection-overflow",
          "profile-overflow", "zones-superscript", "token-id-huge", "weights-too-big"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
@@ -443,6 +464,17 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code)
     assert "Traceback" not in result.stderr
     assert "Warning" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == inputs  # no output file written
+
+
+def test_trace_errors_name_the_format_and_the_missing_block(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(*_decode_args(trace, trace_detail="light")) == 0
+    assert run_cli(*ANALYZE, "--trace", trace) == 3
+    assert "lacks the run's inputs and projection weights" in capsys.readouterr().err
+    header, rest = trace.read_bytes().split(b"\n", 1)
+    trace.write_bytes(json.dumps({**json.loads(header), "format": 5}).encode() + b"\n" + rest)
+    assert run_cli("map", "--trace", trace) == 3
+    assert capsys.readouterr().err == "input error: unsupported trace format 5\n"
 
 
 def test_a_run_too_large_to_allocate_is_a_config_error(tmp_path, monkeypatch, capsys):

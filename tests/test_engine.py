@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from treekv import (
     window_rows,
 )
 from treekv.cli import main
-from treekv.engine import _attend
+from treekv.engine import _attend, write_array
 from treekv.rng import _CHUNK, NormalStream
 
 from helpers import single_head_weights
@@ -153,6 +155,22 @@ def test_weight_file_layout_is_the_documented_order(tmp_path):
                 stored = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
                 entries = oracle_weight_entries(7, dims.heads, 8, 4, layer, head, kind, size)
                 assert stored.tolist() == [float(np.float32(e)) for e in entries]
+
+
+def test_write_array_writes_row_major_bytes_and_copies_only_to_convert(tmp_path):
+    big = np.arange(1 << 17, dtype=np.float64)  # 1 MiB
+    path = tmp_path / "a.bin"
+    for array, dtype in [(big, "<f8"), (big[::-1], "<f8"), (big.astype(">f8"), "<f8"),
+                         (big.reshape(512, 256).T, "<f8"), (big, "<f4"), (big[:0], "<f8")]:
+        with open(path, "wb") as fh:
+            write_array(fh, array, dtype)
+        assert path.read_bytes() == array.astype(dtype).tobytes()
+    with open(os.devnull, "wb") as fh:
+        tracemalloc.start()
+        write_array(fh, big, "<f8")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < big.nbytes // 16  # no copy of the array
 
 
 def test_weight_file_rejects_garbage(tmp_path):
@@ -506,8 +524,9 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
             assert retained_at(trace, record.step).tolist() == want["retained"]
             if events:
                 evicting.add(spec)
-            got = {"rows": signals_at_step(trace, record.step)[0],
-                   "values": trace.qkv[record.step - 1, ..., 2, :], "outputs": record.outputs}
+            rows, values = signals_at_step(trace, record.step)
+            # the last slot holds the step's own input, position step - 1
+            got = {"rows": rows, "values": values[..., -1, :], "outputs": record.outputs}
             for key in ("rows", "values", "outputs"):
                 for layer in range(dims.layers):
                     for head in range(dims.heads):
@@ -552,15 +571,15 @@ def _events(record):
 def _trace_digest(trace):
     """sha256 over every step's eviction tuples, retained lists (replayed
     from the evictions) and the float64 bytes of each attention row (derived
-    from the recorded queries and keys), value and output: independent of
+    from the recorded inputs and weights), value and output: independent of
     any file format."""
     digest = hashlib.sha256()
     for record in trace.steps:
         events = [(record.step, *event) for event in _events(record)]
         digest.update(repr(events).encode())
         digest.update(repr(retained_at(trace, record.step).tolist()).encode())
-        rows = signals_at_step(trace, record.step)[0]
-        for grid in (rows, trace.qkv[record.step - 1, ..., 2, :], record.outputs):
+        rows, values = signals_at_step(trace, record.step)
+        for grid in (rows, values[..., -1, :], record.outputs):
             for cells in grid:
                 for cell in cells:
                     digest.update(np.asarray(cell, dtype=np.float64).tobytes())

@@ -1,9 +1,9 @@
 """Mutation fuzz of the CLI's input files.
 
-A small format-5 trace, a config file and a TKVW weight file are each
+A small format-6 trace, a config file and a TKVW weight file are each
 corrupted by dropping, retyping or replacing one JSON value, one line or
-one byte (of a trace: of its JSON lines or of its qkv block), then handed
-to ``treekv.cli.main`` in-process.  Whatever the
+one byte (of a trace: of its JSON lines or of its block of inputs and
+weights), then handed to ``treekv.cli.main`` in-process.  Whatever the
 input, ``main`` must return 0, 2 or 3 and never raise: a malformed file is
 a config or input error, never an internal one (exit 4).
 """
@@ -62,8 +62,9 @@ def base(tmp_path_factory):
     }))
     assert _run("gen-weights", "--seed", 5, *MODEL, "--vocab", 3, "-o", files["w.bin"]) == 0
     *lines, block = files["t.jsonl"].read_bytes().split(b"\n", RECORDS)
-    # the mutator reaches evictions and the qkv block: 12 steps x 2 streams x 3 x 4
-    assert b'"evicted":' in b"".join(lines) and len(block) == 12 * 2 * 3 * 4 * 8
+    # the mutator reaches evictions and the block: 12 f64 inputs of 8, then
+    # 1 x 2 streams x 3 f32 matrices of 8 x 4
+    assert b'"evicted":' in b"".join(lines) and len(block) == 12 * 8 * 8 + 2 * 3 * 8 * 4 * 4
     return {name: path.read_bytes() for name, path in files.items()}
 
 
@@ -106,7 +107,7 @@ def _mutate_bytes(data, blob: bytes) -> bytes:
 
 def _mutate_trace(data, blob: bytes) -> bytes:
     """Mutate a trace: one value, one whole line or one byte of its JSON
-    lines, or one byte of its qkv block."""
+    lines, or one byte of its block of inputs and weights."""
     *texts, block = blob.split(b"\n", RECORDS)
     kind = data.draw(st.sampled_from(["value", "line", "bytes", "block"]))
     if kind == "bytes":

@@ -21,6 +21,7 @@ from treekv import (
     validate_trace,
     write_trace,
 )
+from treekv.trace import held_projections
 
 from oracles import oracle_retained_at
 
@@ -43,25 +44,38 @@ def test_trace_roundtrip(tmp_path):
     assert np.array_equal(loaded.retained, trace.retained)
     assert np.array_equal(last_a.evicted, last_b.evicted)
     assert last_a.cursor == last_b.cursor
-    assert loaded.qkv.tobytes() == trace.qkv.tobytes()
+    assert loaded.inputs.tobytes() == trace.inputs.tobytes()
+    assert loaded.weights.tobytes() == trace.weights.tobytes()
     validate_trace(loaded)
+
+
+def test_decode_records_references_to_its_inputs_and_weights():
+    weights = generate_weights(3, ModelDims(1, 2, 8, 4))
+    inputs = synthesize_embeddings(7, 14, 8)
+    trace = decode_with_policy(weights, inputs, "treekv", 5)
+    assert trace.inputs is inputs and trace.weights is weights.qkv
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
     # 14 steps: a header, 14 step records and a final record, then the block
+    # the queries, keys and values come from: the inputs, then the weights
     path = tmp_path / "t.jsonl"
     for detail in (True, False):
         trace = _run(policy=spec, capacity=5, zones="sink=1,recent=1", record_detail=detail)
         write_trace(trace, str(path))
         block = path.read_bytes().split(b"\n", 16)[16]
-        loaded = read_trace(str(path)).qkv
+        loaded = read_trace(str(path))
         if detail:
-            assert trace.qkv.shape == (14, 1, 2, 3, 4)
-            assert block == trace.qkv.astype("<f8").tobytes()
-            assert loaded.tobytes() == trace.qkv.tobytes()
+            assert trace.inputs.shape == (14, 8) and trace.weights.shape == (1, 2, 3, 8, 4)
+            assert len(block) == 8 * 14 * 8 + 4 * 1 * 2 * 3 * 8 * 4
+            assert block == (trace.inputs.astype("<f8").tobytes()
+                             + trace.weights.astype("<f4").tobytes())
+            assert loaded.inputs.tobytes() == trace.inputs.tobytes()
+            assert loaded.weights.tobytes() == trace.weights.tobytes()
         else:
-            assert trace.qkv is None and loaded is None and block == b""
+            assert trace.inputs is None and trace.weights is None and block == b""
+            assert loaded.inputs is None and loaded.weights is None
 
 
 def test_trace_replay_detects_tampering(tmp_path):
@@ -190,45 +204,81 @@ def test_signals_at_step_merges_the_pre_eviction_view():
     assert rows.shape == (1, 2, 6)
     assert values.shape == (1, 2, 6, 4)
     light = _run(policy="treekv", capacity=5, seq_len=9, record_detail=False)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="inputs and projection weights"):
         signals_at_step(light, 8)
 
 
+def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
+    """Drive the engine and the policy here, as decode does, keeping what
+    each ``StreamBatch.step`` returned: the rows (layers, heads, n) and the
+    q, k and v (layers, heads, 3, d_head) of every step.  Returns them with
+    the run's trace, written to a file and read back."""
+    weights = generate_weights(seed, dims)
+    inputs = synthesize_embeddings(seed, seq_len, dims.d_model)
+    policy = make_policy(spec, capacity, zones)
+    batch = StreamBatch(weights, seq_len if policy.capacity is None else capacity + 1)
+    trace = DecodeTrace(spec, capacity, zones, seq_len, dims, weights.seed)
+    grid = (dims.layers, dims.heads)
+    attended, projected = [], []
+    for step, x in enumerate(inputs, start=1):
+        rows, _, qkv = batch.step(x, step - 1)
+        attended.append(rows.reshape(*grid, -1))
+        projected.append(qkv.reshape(*grid, 3, -1))
+        evicted = cursor = None
+        if policy.capacity is not None and batch.n > policy.capacity:
+            evicted, cursor = policy.evict(batch, rows)
+            evicted = evicted.reshape(grid)
+        trace.steps.append(StepRecord(step, evicted, cursor))
+    trace.inputs, trace.weights = inputs, weights.qkv
+    trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    return read_trace(str(path)), attended, np.stack(projected)
+
+
 def test_signals_at_step_rederives_the_rows_decode_attended(tmp_path):
-    # Drive the engine and the policy here, record each step's q, k and v,
-    # and check every step's derived rows, read back from a trace file,
-    # bitwise against the rows the step itself returned.
+    # Every step's derived rows, read back from a trace file, bitwise
+    # against the rows the step itself returned.
     rng = np.random.default_rng(44)
     for case, spec in enumerate(POLICY_SPECS * 2):
         dims = ModelDims(int(rng.integers(1, 3)), int(rng.integers(1, 4)), 6,
                          int(rng.choice([1, 3, 4, 5])))
         capacity = int(rng.integers(4, 9))
         zones = "sink=1,recent=2" if case >= len(POLICY_SPECS) else "sink=0,recent=0"
-        seq_len = 20
-        weights = generate_weights(case, dims)
-        policy = make_policy(spec, capacity, zones)
-        batch = StreamBatch(weights, seq_len if policy.capacity is None else capacity + 1)
-        trace = DecodeTrace(spec, capacity, zones, seq_len, dims, weights.seed)
-        grid = (dims.layers, dims.heads)
-        attended, recorded = [], []
-        for step, x in enumerate(synthesize_embeddings(case, seq_len, 6), start=1):
-            rows, _, qkv = batch.step(x, step - 1)
-            attended.append(rows.reshape(*grid, -1))
-            evicted = cursor = None
-            if policy.capacity is not None and batch.n > policy.capacity:
-                evicted, cursor = policy.evict(batch, rows)
-                evicted = evicted.reshape(grid)
-            trace.steps.append(StepRecord(step, evicted, cursor))
-            recorded.append(qkv.reshape(*grid, 3, -1))
-        trace.qkv = np.stack(recorded)
-        trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
-        path = tmp_path / "t.jsonl"
-        write_trace(trace, str(path))
-        loaded = read_trace(str(path))
+        loaded, attended, _ = _drive(spec, dims, capacity, zones, 20, case, tmp_path)
         for step, rows in enumerate(attended, start=1):
             derived = signals_at_step(loaded, step)[0]
             assert derived.shape == rows.shape
             assert derived.tobytes() == rows.tobytes(), (spec, dims, zones, step)
+
+
+# Odd d_head, d_model 1 and d_head 1 among them: BLAS kernels differ in
+# their tails, so only one (1, d_model) @ (d_model, d_head) product per row
+# keeps a derived row bitwise decode's.
+PROJECTION_DIMS = [(2, 4, 64, 16), (2, 3, 8, 5), (1, 2, 7, 3), (3, 2, 33, 7), (1, 1, 1, 1),
+                   (1, 3, 1, 4), (2, 2, 9, 1)]
+
+
+def test_held_projections_are_bitwise_what_decode_projected(tmp_path):
+    # At every step, each held slot's derived query, key and value against
+    # the ones StreamBatch.step returned for that slot's position.
+    rng = np.random.default_rng(45)
+    for case, shape in enumerate(PROJECTION_DIMS * 2):
+        spec = POLICY_SPECS[case % len(POLICY_SPECS)]
+        dims = ModelDims(*shape)
+        capacity = int(rng.integers(4, 9))
+        zones = "sink=1,recent=2" if case % 2 else "sink=0,recent=0"
+        seq_len = int(rng.integers(capacity + 2, 3 * capacity))
+        loaded, _, projected = _drive(spec, dims, capacity, zones, seq_len, case, tmp_path)
+        layer, head = np.ogrid[: dims.layers, : dims.heads]
+        for step in range(1, seq_len + 1):
+            held = np.concatenate([retained_at(loaded, step - 1),
+                                   np.full((dims.layers, dims.heads, 1), step - 1)], axis=2)
+            want = np.moveaxis(projected[held, layer[..., None], head[..., None]], 3, 0)
+            derived = held_projections(loaded, step)
+            assert derived.shape == want.shape
+            assert (np.ascontiguousarray(derived).tobytes()
+                    == np.ascontiguousarray(want).tobytes()), (spec, shape, zones, step)
 
 
 @pytest.mark.parametrize(

@@ -212,16 +212,22 @@ def test_a_batch_transforms_as_its_rows_do(shape):
 
 
 def _hand_trace(queries, keys, values):
-    """Single-stream trace with full attention (no evictions): step t
-    records queries[t-1], keys[t-1] and values[t-1], all of one length."""
-    dims = ModelDims(1, 1, 2, len(queries[0]))
+    """Single-stream trace with full attention (no evictions) whose step t
+    projects queries[t-1], keys[t-1] and values[t-1], all of one length d:
+    step t's input is the three concatenated, and the weights are selectors,
+    0/1 matrices with d_model = 3 * d that pick each third exactly."""
+    d_head = len(queries[0])
+    dims = ModelDims(1, 1, 3 * d_head, d_head)
     seq_len = len(queries)
     trace = DecodeTrace(
         policy="full", capacity=seq_len, zones="sink=0,recent=0",
         seq_len=seq_len, dims=dims, model_seed=0,
     )
     trace.steps = [StepRecord(step) for step in range(1, seq_len + 1)]
-    trace.qkv = np.asarray(list(zip(queries, keys, values)), dtype=np.float64)[:, None, None]
+    trace.inputs = np.concatenate([queries, keys, values], axis=1).astype(np.float64)
+    # selector k maps input entry k * d + j to output entry j
+    selectors = np.eye(3 * d_head, dtype=np.float32).reshape(3 * d_head, 3, d_head)
+    trace.weights = np.moveaxis(selectors, 1, 0)[None, None]
     return trace
 
 
