@@ -19,7 +19,6 @@ from .engine import (
     save_weights,
     synthesize_embeddings,
     synthesize_token_ids,
-    window_rows,
 )
 from .errors import (
     ConfigError,
@@ -48,6 +47,7 @@ from .prefill import (
     observation_scores,
     partition_blocks,
     treekv_prefill_compress,
+    window_mass,
 )
 from .trace import (
     DecodeTrace,
@@ -122,6 +122,6 @@ __all__ = [
     "synthesize_token_ids",
     "treekv_prefill_compress",
     "validate_trace",
-    "window_rows",
+    "window_mass",
     "write_trace",
 ]

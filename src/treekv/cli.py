@@ -2,9 +2,9 @@
 analysis into reproducible, machine-readable experiments.
 
 Subcommands: gen-weights, decode, prefill, map, analyze, compare.  Every
-RunConfig field can come from a JSON config file and be overridden by a
-flag of the same name.  All commands are pure functions of (config, input
-files): reruns write byte-identical output.
+RunConfig field can come from a JSON config file, and each command takes a
+flag of the same name for every field it reads.  All commands are pure
+functions of (config, input files): reruns write byte-identical output.
 
 Exit codes: 0 success, 2 config error, 3 input error, 4 internal
 invariant violation.
@@ -31,11 +31,10 @@ from .engine import (
     save_weights,
     synthesize_embeddings,
     synthesize_token_ids,
-    window_rows,
 )
 from .errors import ConfigError, InputError, LevelError, SelectorError, TreeKVError
 from .policies import POLICY_SPECS, ProtectedZones, decode_with_policy
-from .prefill import observation_scores, partition_blocks, treekv_prefill_compress
+from .prefill import observation_scores, partition_blocks, treekv_prefill_compress, window_mass
 from .trace import (
     DecodeTrace,
     _grid,
@@ -89,6 +88,9 @@ class RunConfig:
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
+# The settings each command reads, and so the flags it takes.
+_MODEL_FLAGS = ["seed", "layers", "heads", "d_model", "d_head", "vocab"]
+_INPUT_FLAGS = _MODEL_FLAGS + ["T", "weights"]
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -128,13 +130,10 @@ def _config_overrides(args) -> dict:
 
 
 def _add_config_flags(parser, names) -> None:
-    string_fields = ("policy", "zones", "weights", "trace_detail")
     for name in names:
-        flag = "--" + name.replace("_", "-")
-        if name in string_fields:
-            parser.add_argument(flag, dest=name, default=None)
-        else:
-            parser.add_argument(flag, dest=name, type=int, default=None)
+        hint = _FIELD_TYPES[name]
+        kind, *_ = typing.get_args(hint) or (hint,)  # int | None parses as int
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
 
 
 def _resolve_weights(config: RunConfig) -> ModelWeights:
@@ -237,8 +236,7 @@ def cmd_prefill(args) -> int:
     inputs, _ids = _prepare_inputs(config, weights, args.prompt)
     prompt_len = len(inputs)
     partition = partition_blocks(prompt_len, config.block_size)
-    rows = window_rows(weights, inputs, partition.observation_window[0])
-    scores = observation_scores(rows, partition)
+    scores = observation_scores(window_mass(weights, inputs, partition), partition)
     kept = treekv_prefill_compress(partition, scores, config.cache_blocks)
 
     with _open_out(args.out) as out:
@@ -351,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-weights", help="generate a deterministic weight file")
-    _add_config_flags(gen, ["seed", "layers", "heads", "d_model", "d_head", "vocab"])
+    _add_config_flags(gen, _MODEL_FLAGS)
     gen.add_argument("--out", "-o", required=True)
     gen.set_defaults(func=cmd_gen_weights)
 
     decode = sub.add_parser("decode", help="run a decode experiment, write a trace")
     decode.add_argument("--config", default=None)
-    _add_config_flags(decode, sorted(_CONFIG_FIELDS))
+    _add_config_flags(decode, _INPUT_FLAGS + ["policy", "c", "zones", "trace_detail"])
     decode.add_argument("--tokens", default=None, help="JSON token-id or embedding file")
     decode.add_argument("--out", "-o", default="trace.jsonl")
     decode.set_defaults(func=cmd_decode)
@@ -376,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prefill = sub.add_parser("prefill", help="block-level prompt compression")
     prefill.add_argument("--config", default=None)
-    _add_config_flags(prefill, sorted(_CONFIG_FIELDS))
+    _add_config_flags(prefill, _INPUT_FLAGS + ["block_size", "cache_blocks"])
     prefill.add_argument("--prompt", default=None, help="JSON token-id or embedding file")
     prefill.add_argument("--out", "-o", default=None)
     prefill.set_defaults(func=cmd_prefill)

@@ -21,8 +21,8 @@ next step sees contiguous encoding positions 0..n-1.
 values, positions and importance statistics as stacked arrays and steps
 them together, with each stream's floating-point operations exactly those
 of a lone stream (the per-stream definition the tests compare against
-lives in ``tests/oracles.py``).  ``window_rows`` does the same for prompt
-prefill over an unbounded cache.
+lives in ``tests/oracles.py``).  Prompt prefill runs on the same batch
+over an unbounded cache (``prefill.window_mass``).
 
 Weight file format (version 1)
 ------------------------------
@@ -357,7 +357,7 @@ class StreamStep(NamedTuple):
 class StreamBatch:
     """Decode state of all S = layers * heads streams as one struct-of-arrays.
 
-    Every stream reads the same input and appends one slot per step, and
+    Every stream reads the same inputs and appends one slot per input, and
     every eviction removes exactly one slot from each stream, so all streams
     hold the same number of slots ``n``.  Per stream and slot it keeps the
     raw key and value (S, slots, d_head), the original position, and the
@@ -386,29 +386,38 @@ class StreamBatch:
         self.n = 0
         self.fresh = 0
 
+    def append(self, xs: np.ndarray, start: int) -> np.ndarray:
+        """Project m inputs xs (m, d_model) and append their keys and values
+        to every stream at positions start..start+m-1, with zeroed
+        statistics.  Nothing is attended or rotated, so ``fresh`` stays as it
+        was.  Returns the raw q, k and v (m, 3, S, d_head), a fresh array."""
+        n, m = self.n, len(xs)
+        if n + m > self.keys.shape[1]:
+            raise StateError(f"stream batch of {self.keys.shape[1]} slots is full at {n}")
+        qkv = project(xs[:, None, None, :], self.stack)
+        end = self.n = n + m
+        self.keys[:, n:end] = qkv[:, 1].swapaxes(0, 1)
+        self.values[:, n:end] = qkv[:, 2].swapaxes(0, 1)
+        self.positions[:, n:end] = np.arange(start, start + m)
+        self.scores[:, n:end] = 0.0
+        self.counts[:, n:end] = 0
+        return qkv
+
     def step(self, x: np.ndarray, position: int) -> StreamStep:
-        """Project one input, append its key and value to every stream with
-        zeroed statistics, and attend each stream's query over its slots.
+        """Append one input, then attend each stream's query over its slots.
 
         Keys are encoded at their slot indices 0..n-1 and the query at
         n - 1, its own freshly appended slot.  The rows are accumulated into
         the statistics (S += row, C += 1).  Returns rows (S, n), outputs
         (S, d_head) and the raw q, k and v (S, 3, d_head), all fresh arrays.
         """
+        qkv = self.append(x[None], position)[0]
         n = self.n
-        if n == self.keys.shape[1]:
-            raise StateError(f"stream batch is full at {n} slots")
-        qkv = project(x, self.stack)
-        q, self.keys[:, n], self.values[:, n] = qkv
-        self.positions[:, n] = position
-        self.scores[:, n] = 0.0
-        self.counts[:, n] = 0
-        n = self.n = n + 1
         cos, sin = _rope_table(self.keys.shape[2], n - 1)
         lo, self.fresh = self.fresh, n
         self.encoded[:, lo:n] = _rotate(self.keys[:, lo:n], cos[lo:n], sin[lo:n])
         rows, outputs = _attend(
-            _rotate(q, cos[n - 1], sin[n - 1]), self.encoded[:, :n], self.values[:, :n]
+            _rotate(qkv[0], cos[n - 1], sin[n - 1]), self.encoded[:, :n], self.values[:, :n]
         )
         self.scores[:, :n] += rows
         self.counts[:, :n] += 1
@@ -433,32 +442,6 @@ class StreamBatch:
         self.n = n - 1
         self.fresh = min(self.fresh, lo)
         return evicted
-
-
-def window_rows(weights: ModelWeights, inputs, window_start: int) -> np.ndarray:
-    """Causal attention rows (S, W, T) of the W = T - window_start queries at
-    positions window_start..T-1 over an unbounded cache, for every stream
-    (index s = layer * heads + head).  Each row is zero past its query's own
-    position, its causal horizon.
-
-    An unbounded cache never shifts, so each key is rotated once at its own
-    position: the same arithmetic as encoding it at its slot index on every
-    step.  Only the window queries attend.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    wq, wk = stacked_weights(weights.qkv)[:2]
-    seq_len, d_head = len(inputs), weights.dims.d_head
-    cos, sin = _rope_table(d_head, seq_len - 1)
-    keys = np.empty((len(wk), seq_len, d_head))
-    for position, x in enumerate(inputs):
-        keys[:, position] = project(x, wk)
-    for stream_keys in keys:  # one stream at a time keeps the temporaries small
-        stream_keys[:] = _rotate(stream_keys, cos[:seq_len], sin[:seq_len])
-    rows = np.zeros((len(wk), seq_len - window_start, seq_len))
-    for index, position in enumerate(range(window_start, seq_len)):
-        q = _rotate(project(inputs[position], wq), cos[position], sin[position])
-        rows[:, index, : position + 1] = _attention_rows(q, keys[:, : position + 1])
-    return rows
 
 
 def synthesize_embeddings(seed: int, count: int, d_model: int) -> np.ndarray:

@@ -60,14 +60,15 @@ class ProtectedZones:
         """Parse the zone syntax "sink=4,recent=508"; empty means no zones."""
         if not text:
             return cls()
-        values = {"sink": 0, "recent": 0}
+        values = {}
         for part in text.split(","):
             key, _, raw = part.partition("=")
             key = key.strip()
-            if key not in values or not re.fullmatch("-?[0-9]+", raw.strip()):
-                raise ConfigError(f"bad zone syntax {text!r}, expected sink=N,recent=N")
+            syntax = key in ("sink", "recent") and re.fullmatch("-?[0-9]+", raw.strip())
+            if not syntax or key in values:
+                raise ConfigError(f"bad zone syntax {text!r}, expected sink=N,recent=N, each once")
             values[key] = int(raw)
-        return cls(values["sink"], values["recent"])
+        return cls(values.get("sink", 0), values.get("recent", 0))
 
     @classmethod
     def coerce(cls, zones) -> "ProtectedZones":

@@ -1,12 +1,13 @@
 """Block-level tree compression of a long prompt's KV cache in one pass.
 
 The prompt is tiled into fixed-size blocks; the final block serves as the
-observation window whose queries score every earlier token.  Block scores
-are the mean attention received per token, averaged over the block.  The
-decode-time tree cycle is then replayed over the content blocks with those
-precomputed scores held fixed, which makes the whole pass a deterministic
-function of (partition, scores, budget).  The observation window is always
-retained and never counts against the block budget.
+observation window whose queries score every earlier token, on the same
+``StreamBatch`` that decoding steps.  Block scores are the mean attention
+received per token, averaged over the block.  The decode-time tree cycle is
+then replayed over the content blocks with those precomputed scores held
+fixed, which makes the whole pass a deterministic function of (partition,
+scores, budget).  The observation window is always retained and never
+counts against the block budget.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import ModelWeights, StreamBatch
 from .errors import ConfigError, DimensionError, InputError
 from .policies import TreeKV
 
@@ -50,19 +52,30 @@ def partition_blocks(prompt_len: int, block_size: int) -> BlockPartition:
     return BlockPartition(prompt_len, block_size, blocks)
 
 
-def observation_scores(rows, partition: BlockPartition) -> np.ndarray:
-    """Per-block importance (..., blocks) from the observation window's
-    causal softmax rows (..., W, prompt_len), one leading index per stream.
+def window_mass(weights: ModelWeights, inputs, partition: BlockPartition) -> np.ndarray:
+    """Attention mass (S, prompt_len) the observation window's queries give
+    each prompt token, per stream: one ``StreamBatch`` appends the content
+    tokens in bulk and steps each window token, so its scores S sum the
+    window rows in order.  Nothing is evicted: each key sits at its position."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    start = partition.observation_window[0]
+    batch = StreamBatch(weights, partition.prompt_len)
+    batch.append(inputs[:start], 0)
+    for position in range(start, partition.prompt_len):
+        batch.step(inputs[position], position)
+    return batch.scores
 
-    Each row is zero past its causal horizon; ragged row lists are not
-    accepted.  A token's importance is its mean received attention over the
-    W window queries, and a block's score is the mean over its own tokens,
-    the window block included, though callers never evict it.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim < 2 or rows.shape[-2] == 0 or rows.shape[-1] != partition.prompt_len:
-        raise DimensionError(f"rows {rows.shape} are not (..., W >= 1, {partition.prompt_len})")
-    per_token = rows.sum(axis=-2) / rows.shape[-2]  # adds the rows in order
+
+def observation_scores(mass, partition: BlockPartition) -> np.ndarray:
+    """Per-block importance (..., blocks) from the attention mass
+    (..., prompt_len) the W observation-window queries gave each token, one
+    leading index per stream.  A token's importance is its mass over W; a
+    block's score is the mean over its own tokens, the window block included,
+    though callers never evict it."""
+    mass = np.asarray(mass, dtype=np.float64)
+    if mass.ndim < 1 or mass.shape[-1] != partition.prompt_len:
+        raise DimensionError(f"mass {mass.shape} is not (..., {partition.prompt_len})")
+    per_token = mass / (partition.prompt_len - partition.observation_window[0])
     return np.stack(
         [per_token[..., start:end].mean(axis=-1) for start, end in partition.blocks],
         axis=-1,

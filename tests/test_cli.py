@@ -135,8 +135,7 @@ def test_analyze_level_error_is_config_exit(tmp_path):
 
 def test_prefill_no_op_and_single_block(tmp_path):
     out = tmp_path / "p.jsonl"
-    assert run_cli("prefill", "--policy", "treekv", "--T", 12, "--c", 16,
-                   "--zones", "sink=0,recent=0", "--layers", 1, "--heads", 1,
+    assert run_cli("prefill", "--T", 12, "--layers", 1, "--heads", 1,
                    "--d-model", 8, "--d-head", 4, "--seed", 2,
                    "--block-size", 3, "--cache-blocks", 8, "-o", out) == 0
     lines = [json.loads(line) for line in out.read_text().splitlines()]
@@ -144,8 +143,7 @@ def test_prefill_no_op_and_single_block(tmp_path):
     assert lines[-1]["summary"]["blocks_total"] == 4
 
     single = tmp_path / "s.jsonl"
-    assert run_cli("prefill", "--policy", "treekv", "--T", 12, "--c", 16,
-                   "--zones", "sink=0,recent=0", "--layers", 1, "--heads", 1,
+    assert run_cli("prefill", "--T", 12, "--layers", 1, "--heads", 1,
                    "--d-model", 8, "--d-head", 4, "--seed", 2,
                    "--block-size", 12, "--cache-blocks", 2, "-o", single) == 0
     lines = [json.loads(line) for line in single.read_text().splitlines()]
@@ -156,8 +154,7 @@ def test_prefill_token_file(tmp_path):
     prompt = tmp_path / "prompt.json"
     prompt.write_text(json.dumps(np.random.default_rng(0).normal(size=(10, 8)).tolist()))
     out = tmp_path / "p.jsonl"
-    assert run_cli("prefill", "--policy", "treekv", "--c", 16,
-                   "--zones", "sink=0,recent=0", "--layers", 1, "--heads", 1,
+    assert run_cli("prefill", "--layers", 1, "--heads", 1,
                    "--d-model", 8, "--d-head", 4, "--block-size", 2,
                    "--cache-blocks", 2, "--prompt", prompt, "-o", out) == 0
     summary = json.loads(out.read_text().splitlines()[-1])["summary"]
@@ -436,10 +433,14 @@ def _nan_weights(tmp_path):
         (_block_case(("weights", (slice(None), slice(0, 2)), 0.0),
                      ("weights", (slice(None), 2), 1.0), ("inputs", slice(None), 2.2e307)), 3),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=\u00b2"), 2),
+        (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=1,sink=2,recent=0"), 2),
         (_token_file_case("[1, 36893488147419103232]", vocab=8), 3),
         # 2**62 normals per matrix: more bytes than numpy can address
         (lambda tmp_path: ["gen-weights", "--d-model", 2**31, "--d-head", 2**31,
                            "-o", tmp_path / "w.bin"], 2),
+        # flags of settings the command never reads are usage errors
+        (lambda tmp_path: ["prefill", "--T", 12, "--c", 16, "-o", tmp_path / "p.jsonl"], 2),
+        (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", levels=3), 2),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -452,7 +453,8 @@ def _nan_weights(tmp_path):
          "decode-attention-overflow", "prefill-attention-overflow",
          "decode-projection-overflow", "prefill-projection-overflow", "step-zero", "step-past-end",
          "levels-huge", "qkv-overflow", "logits-overflow", "projection-overflow",
-         "profile-overflow", "zones-superscript", "token-id-huge", "weights-too-big"],
+         "profile-overflow", "zones-superscript", "zones-repeated", "token-id-huge",
+         "weights-too-big", "prefill-unread-c", "decode-unread-levels"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]

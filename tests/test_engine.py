@@ -27,7 +27,7 @@ from treekv import (
     signals_at_step,
     synthesize_embeddings,
     synthesize_token_ids,
-    window_rows,
+    window_mass,
 )
 from treekv.cli import main
 from treekv.engine import _attend, write_array
@@ -331,6 +331,29 @@ def test_append_respects_capacity_headroom():
         batch.step(xs[3], 3)
 
 
+@pytest.mark.parametrize("dims", [ModelDims(2, 3, 8, 5), ModelDims(1, 2, 7, 3)])
+@pytest.mark.parametrize("m", [0, 1, 6])
+def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
+    weights = generate_weights(31, dims)
+    xs = synthesize_embeddings(32, m + 1, dims.d_model)
+    bulk, single = StreamBatch(weights, m + 1), StreamBatch(weights, m + 1)
+    bulk.append(xs[:m], 0)
+    assert bulk.n == m and bulk.fresh == 0
+    assert not bulk.scores[:, :m].any() and not bulk.counts[:, :m].any()
+    for position in range(m):
+        single.step(xs[position], position)
+    got, want = bulk.step(xs[m], m), single.step(xs[m], m)
+    for name in ("keys", "values", "positions"):
+        assert getattr(bulk, name).tobytes() == getattr(single, name).tobytes(), name
+    for got_part, want_part in zip(got, want):  # rows, outputs and q/k/v
+        assert got_part.tobytes() == want_part.tobytes()
+    assert bulk.scores.tobytes() == got.rows.tobytes()  # only this step's row
+    assert (bulk.counts == 1).all()
+    with pytest.raises(StateError):
+        bulk.append(xs[:1], m + 1)
+    assert bulk.n == m + 1
+
+
 # --- position re-assignment ------------------------------------------------
 
 
@@ -544,15 +567,14 @@ def test_window_rows_and_block_scores_match_naive_oracle(d_head, prompt_len, blo
     weights = generate_weights(8, ModelDims(2, 3, 8, d_head))
     inputs = synthesize_embeddings(9, prompt_len, 8)
     partition = partition_blocks(prompt_len, block_size)
-    start = partition.observation_window[0]
-    rows = window_rows(weights, inputs, start)
-    expected = oracle_window_rows(weights, inputs, start)
-    assert rows.shape == (6, prompt_len - start, prompt_len)
-    for got, want in zip(rows, expected):
-        for position, (row, want_row) in enumerate(zip(got, want), start):
-            np.testing.assert_allclose(row[: position + 1], want_row, rtol=1e-6, atol=1e-9)
-            assert (row[position + 1 :] == 0.0).all()
-    scores = observation_scores(rows, partition)
+    expected = oracle_window_rows(weights, inputs, partition.observation_window[0])
+    mass = window_mass(weights, inputs, partition)
+    assert mass.shape == (6, prompt_len)
+    for got, want in zip(mass, expected):
+        # each token's mass sums the window rows that reach it
+        want_mass = [sum(row[t] for row in want if t < len(row)) for t in range(prompt_len)]
+        np.testing.assert_allclose(got, want_mass, rtol=1e-6, atol=1e-9)
+    scores = observation_scores(mass, partition)
     for got, want in zip(scores, expected):
         np.testing.assert_allclose(
             got, oracle_block_scores(want, prompt_len, block_size), rtol=1e-6, atol=1e-9

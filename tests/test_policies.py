@@ -275,6 +275,8 @@ def test_zone_parsing():
         ProtectedZones.parse("sink=4,window=2")
     with pytest.raises(ConfigError):
         ProtectedZones.parse("sink=-3,recent=0")
+    with pytest.raises(ConfigError):  # a repeated key is refused, not overwritten
+        ProtectedZones.parse("sink=1,sink=2,recent=0")
 
 
 # --- decode loop ---------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_partition_rejects_short_prompts():
 def test_observation_scores_uniform_rows():
     partition = partition_blocks(8, 2)
     rows = [np.full(8, 1 / 8), np.full(8, 1 / 8)]
-    scores = observation_scores(rows, partition)
+    scores = observation_scores(np.sum(rows, axis=-2), partition)
     assert np.allclose(scores, scores[0])
 
 
@@ -60,37 +60,39 @@ def test_observation_scores_concentrated_mass():
     partition = partition_blocks(8, 2)
     row = np.zeros(8)
     row[2:4] = 0.5  # all mass on block 1's tokens
-    scores = observation_scores([row, row], partition)
+    scores = observation_scores(np.sum([row, row], axis=-2), partition)
     assert np.allclose(scores, [0.0, 0.5, 0.0, 0.0])
 
 
 def test_observation_scores_hand_average():
     partition = partition_blocks(4, 2)
     row = np.array([0.1, 0.3, 0.4, 0.2])
-    scores = observation_scores([row, row], partition)
+    scores = observation_scores(np.sum([row, row], axis=-2), partition)
     assert np.allclose(scores, [0.2, 0.3], atol=1e-12)
 
 
 def test_observation_scores_causal_rows_are_zero_padded():
     partition = partition_blocks(4, 2)
-    scores = observation_scores([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]], partition)
+    rows = [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]]
+    scores = observation_scores(np.sum(rows, axis=-2), partition)
     assert np.allclose(scores, [(0.75 + 0.75) / 4, (0.25 + 0.25) / 4])
 
 
 def test_observation_scores_of_all_streams_are_each_stream_s_own():
     rng = np.random.default_rng(5)
     partition = partition_blocks(23, 4)
-    rows = rng.random((2, 3, 5, 23))
-    scores = observation_scores(rows, partition)
+    rows = rng.random((2, 3, 3, 23))  # as many rows as the window is wide
+    scores = observation_scores(np.sum(rows, axis=-2), partition)
     assert scores.shape == (2, 3, 6)
     for index in np.ndindex(2, 3):
-        assert np.array_equal(scores[index], observation_scores(rows[index], partition))
+        mass = np.sum(rows[index], axis=-2)
+        assert np.array_equal(scores[index], observation_scores(mass, partition))
 
 
 def test_observation_scores_rejects_oversized_rows():
     partition = partition_blocks(4, 2)
     with pytest.raises(DimensionError):
-        observation_scores([np.zeros(5)], partition)
+        observation_scores(np.sum([np.zeros(5)], axis=-2), partition)
     with pytest.raises(DimensionError):
         observation_scores([], partition)
 
