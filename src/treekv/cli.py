@@ -3,8 +3,10 @@ analysis into reproducible, machine-readable experiments.
 
 Subcommands: gen-weights, decode, prefill, map, analyze, compare.  Every
 RunConfig field can come from a JSON config file, and each command takes a
-flag of the same name for every field it reads.  All commands are pure
-functions of (config, input files): reruns write byte-identical output.
+flag of the same name for every field it reads.  A command checks only the
+settings it reads; config-file fields it does not read are type-checked and
+otherwise ignored.  All commands are pure functions of (config, input
+files): reruns write byte-identical output.
 
 Exit codes: 0 success, 2 config error, 3 input error, 4 internal
 invariant violation.
@@ -32,8 +34,8 @@ from .engine import (
     synthesize_embeddings,
     synthesize_token_ids,
 )
-from .errors import ConfigError, InputError, LevelError, SelectorError, TreeKVError
-from .policies import POLICY_SPECS, ProtectedZones, decode_with_policy
+from .errors import ConfigError, InputError, TreeKVError
+from .policies import decode_with_policy, make_policy
 from .prefill import observation_scores, partition_blocks, treekv_prefill_compress, window_mass
 from .trace import (
     DecodeTrace,
@@ -69,22 +71,6 @@ class RunConfig:
     def dims(self) -> ModelDims:
         return ModelDims(self.layers, self.heads, self.d_model, self.d_head, self.vocab)
 
-    def validate(self) -> None:
-        if self.policy not in POLICY_SPECS:
-            raise ConfigError(
-                f"unknown policy {self.policy!r}, expected one of {', '.join(POLICY_SPECS)}"
-            )
-        if self.policy != "full" and self.c < 2:
-            raise ConfigError(f"violated precondition c >= 2 (got c={self.c})")
-        if self.T < 1:
-            raise ConfigError(f"violated precondition T >= 1 (got T={self.T})")
-        ProtectedZones.parse(self.zones)
-        if self.trace_detail not in ("full", "light"):
-            raise ConfigError(
-                f"trace_detail must be 'full' or 'light', got {self.trace_detail!r}"
-            )
-        self.dims().validate(ConfigError)
-
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
@@ -117,7 +103,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)
-    config.validate()
     return config
 
 
@@ -139,7 +124,9 @@ def _add_config_flags(parser, names) -> None:
 def _resolve_weights(config: RunConfig) -> ModelWeights:
     if config.weights:
         return load_weights(config.weights)
-    return generate_weights(config.seed, config.dims())
+    dims = config.dims()
+    dims.validate(ConfigError)
+    return generate_weights(config.seed, dims)
 
 
 def _load_token_file(path: str, d_model: int):
@@ -168,6 +155,8 @@ def _prepare_inputs(config: RunConfig, weights: ModelWeights, tokens_path: str |
                 raise InputError("token ids need a model with vocab > 0")
             return embed_tokens(weights, ids), ids
         return matrix, None
+    if config.T < 1:
+        raise ConfigError(f"violated precondition T >= 1 (got T={config.T})")
     if weights.dims.vocab > 0:
         ids = synthesize_token_ids(config.seed, config.T, weights.dims.vocab)
         return embed_tokens(weights, ids), ids
@@ -186,12 +175,15 @@ def _open_out(path: str | None):
 
 def cmd_gen_weights(args) -> int:
     config = load_config(None, _config_overrides(args))
-    save_weights(generate_weights(config.seed, config.dims()), args.out)
+    save_weights(_resolve_weights(config), args.out)
     return 0
 
 
 def cmd_decode(args) -> int:
     config = load_config(args.config, _config_overrides(args))
+    if config.trace_detail not in ("full", "light"):
+        raise ConfigError(f"trace_detail must be 'full' or 'light', got {config.trace_detail!r}")
+    make_policy(config.policy, config.c, config.zones)  # refused before the inputs are built
     weights = _resolve_weights(config)
     inputs, ids = _prepare_inputs(config, weights, args.tokens)
     trace = decode_with_policy(
@@ -286,7 +278,11 @@ def cmd_compare(args) -> int:
     if len(args.configs) < 2:
         raise ConfigError("compare needs at least two config files")
     configs = [load_config(path, {}) for path in args.configs]
+    for config in configs:
+        make_policy(config.policy, config.c, config.zones)  # refused before any decode
     first = configs[0]
+    weights = _resolve_weights(first)
+    inputs, ids = _prepare_inputs(first, weights, None)
     for config in configs[1:]:
         same_stream = (
             (config.weights is not None or config.dims() == first.dims())
@@ -299,8 +295,6 @@ def cmd_compare(args) -> int:
                 "compare requires configs sharing model dims, seed and T "
                 "(mismatched streams)"
             )
-    weights = _resolve_weights(first)
-    inputs, ids = _prepare_inputs(first, weights, None)
     runs = []
     for config in configs:
         trace = decode_with_policy(
@@ -391,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, LevelError, SelectorError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

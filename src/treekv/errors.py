@@ -21,11 +21,11 @@ class InputError(TreeKVError):
     """Malformed or missing input data.  Mapped to CLI exit code 3."""
 
 
-class LevelError(TreeKVError):
+class LevelError(ConfigError):
     """Requested wavelet decomposition level is out of range for the signal."""
 
 
-class SelectorError(TreeKVError):
+class SelectorError(ConfigError):
     """Unknown wavelet band selector."""
 
 

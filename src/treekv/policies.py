@@ -34,8 +34,6 @@ from .errors import (
 )
 from .trace import DecodeTrace, StepRecord
 
-POLICY_SPECS = ("treekv", "treekv-left", "streaming", "h2o", "tova", "full")
-
 
 @dataclass(frozen=True)
 class ProtectedZones:
@@ -253,21 +251,24 @@ class TOVA(_ZonedPolicy):
         return argmin_victims(last_rows, self.zones)
 
 
+_CONSTRUCTORS = {
+    "treekv": TreeKV,
+    "treekv-left": lambda capacity, zones: TreeKV(capacity, zones, select_left=True),
+    "streaming": StreamingLLM,
+    "h2o": H2O,
+    "tova": TOVA,
+    "full": lambda capacity, zones: FullAttention(),
+}
+POLICY_SPECS = tuple(_CONSTRUCTORS)
+
+
 def make_policy(spec: str, capacity: int, zones=None) -> EvictionPolicy:
-    """Instantiate a fresh policy for one decode run."""
-    if spec == "treekv":
-        return TreeKV(capacity, zones)
-    if spec == "treekv-left":
-        return TreeKV(capacity, zones, select_left=True)
-    if spec == "streaming":
-        return StreamingLLM(capacity, zones)
-    if spec == "h2o":
-        return H2O(capacity, zones)
-    if spec == "tova":
-        return TOVA(capacity, zones)
-    if spec == "full":
-        return FullAttention()
-    raise ConfigError(f"unknown policy {spec!r}, expected one of {', '.join(POLICY_SPECS)}")
+    """A fresh policy for one decode run; every spec but ``full`` needs c >= 2."""
+    if spec not in _CONSTRUCTORS:
+        raise ConfigError(f"unknown policy {spec!r}, expected one of {', '.join(POLICY_SPECS)}")
+    if spec != "full" and capacity < 2:
+        raise ConfigError(f"decoding requires c >= 2, got {capacity}")
+    return _CONSTRUCTORS[spec](capacity, ProtectedZones.coerce(zones))
 
 
 def decode_with_policy(
@@ -298,8 +299,6 @@ def decode_with_policy(
         )
     seq_len = inputs.shape[0]
     zones = ProtectedZones.coerce(zones)
-    if policy_spec != "full" and capacity < 2:
-        raise ConfigError(f"decoding requires c >= 2, got {capacity}")
     policy = make_policy(policy_spec, capacity, zones)
     bound = policy.capacity  # None: the cache is unbounded
     batch = StreamBatch(weights, seq_len if bound is None else min(seq_len, bound + 1))

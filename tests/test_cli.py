@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from treekv import ConfigError, load_weights, read_trace
+from treekv import ConfigError, load_weights, make_policy, read_trace
 from treekv.cli import RunConfig, load_config, main
 from treekv.engine import atomic_output
 
@@ -97,8 +97,53 @@ def test_unknown_config_field_is_a_config_error(tmp_path):
 
 
 def test_load_config_validates_preconditions(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(None, {"policy": "treekv", "c": 1})
+    # load_config only parses and type-checks; each setting's own
+    # precondition is checked by the code that reads it.
+    config_path = tmp_path / "cfg.json"
+    for data in ({"window": 2}, {"c": "12"}):
+        config_path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError):
+            load_config(str(config_path), {})
+    assert load_config(None, {"policy": "treekv", "c": 1}).c == 1
+    for spec in ("treekv", "h2o"):
+        with pytest.raises(ConfigError, match="c >= 2"):
+            make_policy(spec, 1)
+
+
+def test_a_command_ignores_config_fields_it_does_not_read(tmp_path):
+    prefill = ("prefill", "--T", 12, "--layers", 1, "--heads", 1, "--d-model", 8,
+               "--d-head", 4, "--block-size", 3)
+    unread = tmp_path / "unread.json"
+    unread.write_text(json.dumps({"c": 1, "policy": "bogus", "trace_detail": "x"}))
+    plain, configured = tmp_path / "plain.jsonl", tmp_path / "configured.jsonl"
+    assert run_cli(*prefill, "-o", plain) == 0
+    assert run_cli(*prefill, "--config", unread, "-o", configured) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(*_decode_args(trace, policy="full", c=64, T=8)) == 0
+    unread.write_text(json.dumps({"policy": "bogus", "c": 1}))
+    assert run_cli(*ANALYZE, "--trace", trace, "--config", unread,
+                   "-o", tmp_path / "a.csv") == 0
+
+    # a weight file sets the dims, so the config's own are never read
+    weights = tmp_path / "w.bin"
+    assert run_cli("gen-weights", "--layers", 1, "--heads", 2, "--d-model", 8,
+                   "--d-head", 4, "-o", weights) == 0
+    unread.write_text(json.dumps({"layers": 0}))
+    assert run_cli("decode", "--weights", weights, "--config", unread, "--T", 8,
+                   "--zones", "sink=0,recent=0", "--c", 4, "-o", trace) == 0
+    header = json.loads(trace.read_bytes().split(b"\n")[0])
+    assert [header[k] for k in ("layers", "heads", "d_model", "d_head")] == [1, 2, 8, 4]
+
+
+def test_decode_refuses_a_bad_policy_before_building_its_inputs(tmp_path, capsys):
+    # 10**12 input rows would not fit in memory: the policy check must come first
+    for flags, message in ((("--policy", "bogus"), "unknown policy"),
+                           (("--c", 1), "c >= 2"), (("--zones", "sink"), "zone syntax")):
+        assert run_cli("decode", *flags, "--T", 10**12, "-o", tmp_path / "t.jsonl") == 2
+        assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_map_full_policy_is_all_ones(tmp_path):
@@ -354,6 +399,19 @@ def _prompt_case(text):
     return build
 
 
+def _compare_case(*edits):
+    """compare over one valid small config per edit, each edited as given."""
+    def build(tmp_path):
+        base = {"policy": "full", "T": 8, "zones": "", "layers": 1, "heads": 1,
+                "d_model": 8, "d_head": 4}
+        paths = []
+        for index, edit in enumerate(edits):
+            paths.append(tmp_path / f"c{index}.json")
+            paths[-1].write_text(json.dumps({**base, **edit}))
+        return ["compare", *paths, "-o", tmp_path / "cmp.csv"]
+    return build
+
+
 def _zero_layer_weights(tmp_path):
     """A 34-byte TKVW header that declares 0 layers and no matrices."""
     weights = tmp_path / "w.bin"
@@ -441,6 +499,13 @@ def _nan_weights(tmp_path):
         # flags of settings the command never reads are usage errors
         (lambda tmp_path: ["prefill", "--T", 12, "--c", 16, "-o", tmp_path / "p.jsonl"], 2),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", levels=3), 2),
+        (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", T=0), 2),
+        (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", trace_detail="ful"), 2),
+        (lambda tmp_path: ["gen-weights", "--layers", 0, "-o", tmp_path / "w.bin"], 2),
+        # every config's policy is checked before any decode runs
+        (_compare_case({}, {"policy": "treekv", "c": 4}, {"policy": "bogus"}), 2),
+        # a later config is only compared with the first
+        (_compare_case({}, {"T": 0}), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -454,7 +519,9 @@ def _nan_weights(tmp_path):
          "decode-projection-overflow", "prefill-projection-overflow", "step-zero", "step-past-end",
          "levels-huge", "qkv-overflow", "logits-overflow", "projection-overflow",
          "profile-overflow", "zones-superscript", "zones-repeated", "token-id-huge",
-         "weights-too-big", "prefill-unread-c", "decode-unread-levels"],
+         "weights-too-big", "prefill-unread-c", "decode-unread-levels", "decode-T-zero",
+         "trace-detail-unknown", "gen-weights-zero-layers", "compare-last-policy-unknown",
+         "compare-later-T-zero"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
