@@ -60,7 +60,6 @@ import os
 import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -274,12 +273,6 @@ def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    """Attention rows (S, n) and weighted value sums (S, d) for S streams."""
-    rows = _attention_rows(q, keys)
-    return rows, np.matmul(rows[:, None, :], values)[:, 0, :]
-
-
 # Memoized rotary tables, keyed by d_head and grown on demand.
 _rope_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -348,28 +341,23 @@ def project(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return rows
 
 
-class StreamStep(NamedTuple):
-    rows: np.ndarray
-    outputs: np.ndarray
-    qkv: np.ndarray
-
-
 class StreamBatch:
     """Decode state of all S = layers * heads streams as one struct-of-arrays.
 
     Every stream reads the same inputs and appends one slot per input, and
     every eviction removes exactly one slot from each stream, so all streams
     hold the same number of slots ``n``.  Per stream and slot it keeps the
-    raw key and value (S, slots, d_head), the original position, and the
-    importance statistics: cumulative attention mass ``scores`` (S) and
-    residency count ``counts`` (C), each (S, slots).  Only ``[:, :n]`` is
-    live.
+    raw key and value (S, slots, d_head), the original position (the i-th
+    input the batch was given has position i), and the importance
+    statistics: cumulative attention mass ``scores`` (S) and residency count
+    ``counts`` (C), each (S, slots).  Only ``[:, :n]`` is live.
 
     Keys are stored raw and attended rotated at their slot index 0..n-1, so
     each stream computes exactly what a lone stream with its own cache
     would.  ``encoded`` keeps those rotations: a key's encoding changes only
     when an eviction shifts it to a lower slot, so the first ``fresh`` slots
     (all slots left of every stream's last victim) are never rotated again.
+    A query is projected only for an input that ``step`` attends.
     """
 
     def __init__(self, weights: ModelWeights, slots: int):
@@ -385,43 +373,46 @@ class StreamBatch:
         self.counts = np.zeros(shape, dtype=np.int64)
         self.n = 0
         self.fresh = 0
+        self.appended = 0  # inputs given so far: the next original position
 
-    def append(self, xs: np.ndarray, start: int) -> np.ndarray:
-        """Project m inputs xs (m, d_model) and append their keys and values
-        to every stream at positions start..start+m-1, with zeroed
+    def append(self, xs: np.ndarray) -> None:
+        """Project m inputs xs (m, d_model) to keys and values and append them
+        to every stream at the next m original positions, with zeroed
         statistics.  Nothing is attended or rotated, so ``fresh`` stays as it
-        was.  Returns the raw q, k and v (m, 3, S, d_head), a fresh array."""
+        was."""
         n, m = self.n, len(xs)
         if n + m > self.keys.shape[1]:
             raise StateError(f"stream batch of {self.keys.shape[1]} slots is full at {n}")
-        qkv = project(xs[:, None, None, :], self.stack)
+        kv = project(xs[:, None, None, :], self.stack[1:])
         end = self.n = n + m
-        self.keys[:, n:end] = qkv[:, 1].swapaxes(0, 1)
-        self.values[:, n:end] = qkv[:, 2].swapaxes(0, 1)
-        self.positions[:, n:end] = np.arange(start, start + m)
+        self.keys[:, n:end] = kv[:, 0].swapaxes(0, 1)
+        self.values[:, n:end] = kv[:, 1].swapaxes(0, 1)
+        self.positions[:, n:end] = np.arange(self.appended, self.appended + m)
+        self.appended += m
         self.scores[:, n:end] = 0.0
         self.counts[:, n:end] = 0
-        return qkv
 
-    def step(self, x: np.ndarray, position: int) -> StreamStep:
+    def step(self, x: np.ndarray) -> np.ndarray:
         """Append one input, then attend each stream's query over its slots.
 
         Keys are encoded at their slot indices 0..n-1 and the query at
         n - 1, its own freshly appended slot.  The rows are accumulated into
-        the statistics (S += row, C += 1).  Returns rows (S, n), outputs
-        (S, d_head) and the raw q, k and v (S, 3, d_head), all fresh arrays.
+        the statistics (S += row, C += 1) and returned, (S, n), a fresh array.
         """
-        qkv = self.append(x[None], position)[0]
+        self.append(x[None])
+        q = project(x, self.wq)
         n = self.n
         cos, sin = _rope_table(self.keys.shape[2], n - 1)
         lo, self.fresh = self.fresh, n
         self.encoded[:, lo:n] = _rotate(self.keys[:, lo:n], cos[lo:n], sin[lo:n])
-        rows, outputs = _attend(
-            _rotate(qkv[0], cos[n - 1], sin[n - 1]), self.encoded[:, :n], self.values[:, :n]
-        )
+        rows = _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), self.encoded[:, :n])
         self.scores[:, :n] += rows
         self.counts[:, :n] += 1
-        return StreamStep(rows, outputs, qkv.transpose(1, 0, 2))
+        return rows
+
+    def outputs(self, rows: np.ndarray) -> np.ndarray:
+        """Value sums (S, d_head) of attention rows (S, n) over the live slots."""
+        return np.matmul(rows[:, None, :], self.values[:, : self.n])[:, 0, :]
 
     def remove(self, victims) -> np.ndarray:
         """Remove one 0-based slot per stream, shifting survivors left.  Slots

@@ -176,8 +176,8 @@ class TreeKV(EvictionPolicy):
     """The tree cycle: a 1-based ``cursor`` sweeps the ``cycle`` slots between
     the protected zones (the capacity when there are none) and wraps."""
 
-    def __init__(self, capacity: int, zones=None, select_left: bool = False):
-        zones = ProtectedZones.coerce(zones)
+    def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones(),
+                 select_left: bool = False):
         if capacity < 2:
             raise ConfigError(f"tree eviction requires c >= 2, got {capacity}")
         cycle = capacity - zones.total
@@ -219,8 +219,7 @@ class _ZonedPolicy(EvictionPolicy):
     the cache holds capacity + 1 slots, so c >= n_sink + n_recent leaves one
     of them unprotected."""
 
-    def __init__(self, capacity: int, zones=None):
-        zones = ProtectedZones.coerce(zones)
+    def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones()):
         if capacity < zones.total:
             raise ConfigError(
                 f"policy {self.spec} requires c >= n_sink + n_recent "
@@ -286,10 +285,11 @@ def decode_with_policy(
     """Run the decode loop over all (layer, head) streams at once.
 
     Per step: project, append, attend with re-assigned positions and
-    accumulate scores in every stream, then, if the streams are over
-    capacity, evict one slot per stream.  Returns the trace: per-step evicted
-    grids with their tree cursors, the final retained positions and, with
-    ``record_detail``, references to the (C-contiguous) inputs and weights.
+    accumulate scores in every stream (with ``record_outputs``, also sum the
+    values), then, if the streams are over capacity, evict one slot per
+    stream.  Returns the trace: per-step evicted grids with their tree
+    cursors, the final retained positions and, with ``record_detail``,
+    references to the (C-contiguous) inputs and weights.
     """
     dims = weights.dims
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
@@ -316,12 +316,12 @@ def decode_with_policy(
     if record_detail:
         trace.inputs, trace.weights = inputs, weights.qkv
     for step in range(1, seq_len + 1):
-        rows, outputs, _ = batch.step(inputs[step - 1], step - 1)
+        rows = batch.step(inputs[step - 1])
+        outputs = batch.outputs(rows).reshape(*grid, -1) if record_outputs else None
         evicted = cursor = None
         if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)
             evicted = evicted.reshape(grid)
-        outputs = outputs.reshape(*grid, -1) if record_outputs else None
         trace.steps.append(StepRecord(step, evicted, cursor, outputs))
     trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
     return trace

@@ -258,10 +258,11 @@ def distribution_map(trace: DecodeTrace) -> np.ndarray:
     return grid / dims.heads
 
 
-def held_projections(trace: DecodeTrace, step: int) -> np.ndarray:
-    """Query, key and value rows (3, layers, heads, n, d_head) of the n slots
-    each stream holds at attention time of the given 1-based step, bitwise
-    the ones ``StreamBatch.step`` projected."""
+def held_projections(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The query (layers, heads, d_head) of the given 1-based step's own
+    input, and the keys and values (layers, heads, n, d_head) of the n slots
+    each stream holds at its attention time: bitwise the ones
+    ``StreamBatch.step`` projected."""
     if not 1 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
     if trace.inputs is None:
@@ -270,7 +271,8 @@ def held_projections(trace: DecodeTrace, step: int) -> np.ndarray:
     slots = np.insert(before, before.shape[2], step - 1, axis=2)  # then the step's own input
     # each stream's matrices against each input it holds
     stack = stacked_weights(trace.weights).reshape(3, *slots.shape[:2], 1, *trace.weights.shape[3:])
-    return project(trace.inputs[slots], stack)
+    keys, values = project(trace.inputs[slots], stack[1:])
+    return project(trace.inputs[step - 1], stack[0, :, :, 0]), keys, values
 
 
 def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,4 +280,4 @@ def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarr
     the attention rows over the slots present at attention time, (layers,
     heads, n), and their values, (layers, heads, n, d_head), bitwise decode's."""
     q, keys, values = held_projections(trace, step)
-    return slot_rows(q[..., -1, :], keys), values
+    return slot_rows(q, keys), values

@@ -317,11 +317,11 @@ def test_c10_position_reassignment():
 
     # Worked example: survivors {0,1,2,3,7,8,9} while decoding token 10.
     batch = StreamBatch(weights, slots=11)
-    for position in range(10):
-        batch.step(inputs[position], position)
+    for x in inputs[:10]:
+        batch.step(x)
     for _ in range(3):
         batch.remove([4, 4, 4])
-    rows, _, _ = batch.step(inputs[10], 10)
+    rows = batch.step(inputs[10])
     assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2, 3, 7, 8, 9, 10]] * 3
     for stream in range(3):
         keys = batch.encoded[stream, : batch.n]
@@ -335,10 +335,8 @@ def test_c10_position_reassignment():
     rng = np.random.default_rng(1010)
     for _ in range(100):
         batch = StreamBatch(weights, slots=64)
-        position = 0
         for _ in range(int(rng.integers(3, 40))):
-            batch.step(rng.normal(size=6), position)
-            position += 1 + int(rng.integers(0, 3))
+            batch.step(rng.normal(size=6))
             for slot in range(batch.n):
                 assert np.array_equal(
                     batch.encoded[:, slot],

@@ -229,29 +229,33 @@ def test_prefill_is_bitwise_pinned(tmp_path, flags, expected):
 
 # Recorded from the step-by-step eviction replay and the signal-by-signal
 # Haar loop that the whole-array passes replaced; the map and analyze CSVs
-# must stay identical byte for byte.  The traces are 2x2 runs with T=40 and
-# c=8, so the final step attends over 9 slots and step 7 over 7: both odd,
-# so the transforms pad.
+# must stay identical byte for byte.  The traces are 2-layer runs with T=40
+# and c=8, so the final step attends over 9 slots and step 7 over 7: both
+# odd, so the transforms pad.  At 3 heads the map holds thirds, which
+# float32 would print as 0.33333334, not 0.3333333333333333.
 @pytest.mark.parametrize(
-    "command, count, expected",
+    "command, count, heads, expected",
     [
-        (["map"], 1,
+        (["map"], 1, 2,
          "edbc2d8958cff6c7f66e103db42563bb432f6af8e95975b2fa0b9e3f854210b5"),
-        (["analyze", "--levels", 3, "--exclude", 2], 1,
+        (["map"], 1, 3,
+         "9e135a221d375e80c2bf0b8bbcf2fece571aeb2c14dc97b26ef23522312bc4e9"),
+        (["analyze", "--levels", 3, "--exclude", 2], 1, 2,
          "1e688aefafacf3b89a7c67cee172572fd20828af72cd13caf6c76d9a05715e76"),
-        (["analyze", "--levels", 2, "--exclude", 1, "--step", 7], 1,
+        (["analyze", "--levels", 2, "--exclude", 1, "--step", 7], 1, 2,
          "6d96bf9aa6d5907a3310ccb21d9a5b7bb16b9b8072ee50fe25a8b875ad73d505"),
-        (["analyze", "--levels", 3, "--exclude", 0, "--step", 23], 2,
+        (["analyze", "--levels", 3, "--exclude", 0, "--step", 23], 2, 2,
          "8e8b7f93ee26e302e9120d9059e97d378e74a23ccad657bb98e5d03cd962219b"),
     ],
-    ids=["map", "analyze-final-step", "analyze-odd-step", "analyze-two-traces"],
+    ids=["map", "map-three-heads", "analyze-final-step", "analyze-odd-step",
+         "analyze-two-traces"],
 )
-def test_analysis_is_bitwise_pinned(tmp_path, command, count, expected):
+def test_analysis_is_bitwise_pinned(tmp_path, command, count, heads, expected):
     flags = []
     for seed, policy in [(4, "treekv"), (5, "h2o")][:count]:
         trace = tmp_path / f"{policy}.jsonl"
         assert run_cli(*_decode_args(trace, policy=policy, seed=seed, T=40, c=8,
-                                     zones="sink=1,recent=2", layers=2)) == 0
+                                     zones="sink=1,recent=2", layers=2, heads=heads)) == 0
         flags += ["--trace", trace]
     out = tmp_path / "out.csv"
     assert run_cli(*command, *flags, "-o", out) == 0

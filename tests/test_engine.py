@@ -30,7 +30,7 @@ from treekv import (
     window_mass,
 )
 from treekv.cli import main
-from treekv.engine import _attend, write_array
+from treekv.engine import _attention_rows, write_array
 from treekv.rng import _CHUNK, NormalStream
 
 from helpers import single_head_weights
@@ -209,27 +209,27 @@ def _expected_row(q, keys):
 def test_project_zero_vector():
     weights = generate_weights(1, ModelDims(1, 1, 6, 3))
     batch = StreamBatch(weights, slots=2)
-    batch.step(np.ones(6), 0)
-    rows, outputs, qkv = batch.step(np.zeros(6), 1)
-    assert not batch.keys[0, 1].any() and not qkv[:, 2].any()
+    batch.step(np.ones(6))
+    rows = batch.step(np.zeros(6))
+    assert not batch.keys[0, 1].any() and not batch.values[0, 1].any()
     assert rows.tolist() == [[0.5, 0.5]]  # a zero query weighs every key alike
-    assert np.array_equal(outputs, batch.values[:, 0] / 2)
+    assert np.array_equal(batch.outputs(rows), batch.values[:, 0] / 2)
 
 
 def test_project_identity_matrix():
     batch = StreamBatch(single_head_weights(np.eye(3)), slots=2)
     xs = np.array([[0.3, 0.1, -0.4], [0.5, -1.0, 2.0]])
-    batch.step(xs[0], 0)
-    rows, _, qkv = batch.step(xs[1], 1)
+    batch.step(xs[0])
+    rows = batch.step(xs[1])
     assert np.array_equal(batch.keys[0, :2], xs)
-    assert np.array_equal(qkv[0, 2], xs[1])
+    assert np.array_equal(batch.values[0, 1], xs[1])
     assert np.allclose(rows[0], _expected_row(xs[1], xs), atol=1e-12)  # q = x
 
 
 def test_project_hand_example():
     batch = StreamBatch(single_head_weights([[0.5, 0.25], [0.5, 0.75]]), slots=1)
-    _, _, qkv = batch.step(np.array([1.0, 1.0]), 0)
-    assert np.allclose(qkv[0, 2], [1.0, 1.0], atol=1e-12)
+    batch.step(np.array([1.0, 1.0]))
+    assert np.allclose(batch.values[0, 0], [1.0, 1.0], atol=1e-12)
     assert np.allclose(batch.keys[0, 0], [1.0, 1.0], atol=1e-12)
 
 
@@ -245,12 +245,15 @@ def test_project_length_mismatch():
 
 
 def _attend_one(q, keys, values):
-    rows, outputs = _attend(
-        np.asarray(q, dtype=np.float64)[None],
-        np.asarray(keys, dtype=np.float64)[None],
-        np.asarray(values, dtype=np.float64)[None],
+    """One stream's attention row of a query over encoded keys, and the value
+    sum ``StreamBatch.outputs`` gives for that row over the values."""
+    values = np.asarray(values, dtype=np.float64)
+    batch = StreamBatch(single_head_weights(np.eye(values.shape[1])), len(values))
+    batch.values[0], batch.n = values, len(values)
+    rows = _attention_rows(
+        np.asarray(q, dtype=np.float64)[None], np.asarray(keys, dtype=np.float64)[None]
     )
-    return rows[0], outputs[0]
+    return rows[0], batch.outputs(rows)[0]
 
 
 def test_attend_single_slot():
@@ -295,8 +298,8 @@ def _stepped(count, slots=None, seed=0, d_head=4):
     weights = generate_weights(seed, ModelDims(1, 2, 6, d_head))
     batch = StreamBatch(weights, slots=count + 1 if slots is None else slots)
     xs = synthesize_embeddings(seed, count + 1, 6)
-    for position in range(count):
-        batch.step(xs[position], position)
+    for x in xs[:count]:
+        batch.step(x)
     return batch, xs
 
 
@@ -309,7 +312,7 @@ def test_append_grows_and_preserves_order():
 def test_append_after_eviction_keeps_order():
     batch, xs = _stepped(4)
     batch.remove([2, 2])
-    batch.step(xs[4], 4)
+    batch.step(xs[4])
     assert batch.positions[:, : batch.n].tolist() == [[0, 1, 3, 4]] * 2
 
 
@@ -328,7 +331,7 @@ def test_append_rejects_wrong_vector_length(tmp_path):
 def test_append_respects_capacity_headroom():
     batch, xs = _stepped(3, slots=3)  # capacity + 1 transient slots for c = 2
     with pytest.raises(StateError):
-        batch.step(xs[3], 3)
+        batch.step(xs[3])
 
 
 @pytest.mark.parametrize("dims", [ModelDims(2, 3, 8, 5), ModelDims(1, 2, 7, 3)])
@@ -337,20 +340,22 @@ def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
     weights = generate_weights(31, dims)
     xs = synthesize_embeddings(32, m + 1, dims.d_model)
     bulk, single = StreamBatch(weights, m + 1), StreamBatch(weights, m + 1)
-    bulk.append(xs[:m], 0)
+    bulk.append(xs[:m])
     assert bulk.n == m and bulk.fresh == 0
     assert not bulk.scores[:, :m].any() and not bulk.counts[:, :m].any()
-    for position in range(m):
-        single.step(xs[position], position)
-    got, want = bulk.step(xs[m], m), single.step(xs[m], m)
+    for x in xs[:m]:
+        single.step(x)
+    got, want = bulk.step(xs[m]), single.step(xs[m])
+    # the batch counts its inputs: the i-th one appended has position i
+    assert (bulk.positions[:, : m + 1] == np.arange(m + 1)).all()
     for name in ("keys", "values", "positions"):
         assert getattr(bulk, name).tobytes() == getattr(single, name).tobytes(), name
-    for got_part, want_part in zip(got, want):  # rows, outputs and q/k/v
-        assert got_part.tobytes() == want_part.tobytes()
-    assert bulk.scores.tobytes() == got.rows.tobytes()  # only this step's row
+    assert got.tobytes() == want.tobytes()
+    assert bulk.outputs(got).tobytes() == single.outputs(want).tobytes()
+    assert bulk.scores.tobytes() == got.tobytes()  # only this step's row
     assert (bulk.counts == 1).all()
     with pytest.raises(StateError):
-        bulk.append(xs[:1], m + 1)
+        bulk.append(xs[:1])
     assert bulk.n == m + 1
 
 
@@ -364,7 +369,7 @@ def _survivors_then_step(count, victims, seed=0):
     for victim in victims:
         batch.remove([victim, victim])
     x = synthesize_embeddings(seed + 1, 1, 6)[0]
-    rows, _, _ = batch.step(x, count)
+    rows = batch.step(x)
     return batch, rows, x
 
 
@@ -386,9 +391,9 @@ def test_apply_positions_gap_invariance():
     gapped, rows_gapped, x = _survivors_then_step(10, [4, 4, 4], seed=3)
     compact = StreamBatch(generate_weights(3, ModelDims(1, 2, 6, 4)), slots=8)
     xs = synthesize_embeddings(3, 11, 6)
-    for slot, position in enumerate([0, 1, 2, 3, 7, 8, 9]):
-        compact.step(xs[position], slot)
-    rows_compact, _, _ = compact.step(x, 7)
+    for position in [0, 1, 2, 3, 7, 8, 9]:
+        compact.step(xs[position])
+    rows_compact = compact.step(x)
     assert np.array_equal(gapped.encoded[:, :8], compact.encoded[:, :8])
     assert np.array_equal(rows_gapped, rows_compact)
 
@@ -407,7 +412,7 @@ def test_apply_positions_never_mutates_stored_keys():
     raw = np.array([[x @ batch.wk[stream] for x in xs[:3]] for stream in range(2)])
     assert np.array_equal(batch.keys[:, :3], raw)
     batch.remove([1, 0])
-    batch.step(xs[3], 3)
+    batch.step(xs[3])
     assert np.array_equal(batch.keys[0, :2], raw[0, [0, 2]])
     assert np.array_equal(batch.keys[1, :2], raw[1, [1, 2]])
 
@@ -434,7 +439,8 @@ def test_attention_stream_runs_and_orders_positions():
     keys, vals = [[] for _ in range(4)], [[] for _ in range(4)]
     xs = synthesize_embeddings(5, 4, 6)
     for position in range(4):
-        rows, outputs, qkv = batch.step(xs[position], position)
+        rows = batch.step(xs[position])
+        outputs = batch.outputs(rows)
         assert rows.shape == (4, position + 1)
         for stream in range(4):
             layer, head = divmod(stream, 2)
@@ -444,7 +450,7 @@ def test_attention_stream_runs_and_orders_positions():
             vals[stream].append(xs[position] @ weights.wv[layer][head])
             expected = _expected_row(xs[position] @ weights.wq[layer][head], np.stack(keys[stream]))
             assert np.array_equal(row, expected)
-            assert np.array_equal(qkv[stream, 2], vals[stream][-1])
+            assert np.array_equal(batch.values[stream, position], vals[stream][-1])
             assert np.array_equal(outputs[stream], expected @ np.stack(vals[stream]))
     assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2, 3]] * 4
 
@@ -452,8 +458,8 @@ def test_attention_stream_runs_and_orders_positions():
 def test_stream_batch_remove_shifts_each_stream_past_its_victim():
     weights = generate_weights(5, ModelDims(1, 3, 6, 4))
     batch = StreamBatch(weights, slots=5)
-    for position, x in enumerate(synthesize_embeddings(5, 5, 6)):
-        batch.step(x, position)
+    for x in synthesize_embeddings(5, 5, 6):
+        batch.step(x)
     keys, scores = batch.keys.copy(), batch.scores.copy()
     assert batch.remove([0, 2, 4]).tolist() == [0, 2, 4]
     assert batch.n == 4
@@ -476,8 +482,8 @@ def test_stream_batch_remove_matches_a_per_stream_delete(pattern):
     xs = iter(synthesize_embeddings(8, 200, 6))
     rng = np.random.default_rng(["equal", "adjacent", "spread", "ends"].index(pattern))
     names = ("keys", "values", "positions", "scores", "counts")
-    for position in range(120):
-        batch.step(next(xs), position)
+    for _ in range(120):
+        batch.step(next(xs))
         n = batch.n
         if n < 3 or (n < 16 and rng.random() < 0.5):
             continue

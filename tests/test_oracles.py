@@ -3,9 +3,12 @@ golden fixture they generate (regenerate with --regen-golden)."""
 
 import ast
 import math
+import pathlib
+import sys
 
 import numpy as np
 
+import treekv
 from treekv import (
     ModelDims,
     decode_with_policy,
@@ -17,19 +20,35 @@ import oracles
 from oracles import oracle_dwt, oracle_full_attention, oracle_tree_sim
 
 
-def test_oracles_import_nothing_from_the_package():
-    # The oracles are the only per-stream definition independent of the
-    # package; sharing its code would let a bug agree with itself.
-    with open(oracles.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+def _imported(path):
+    """Every module name a source file imports; relative ones keep their dots."""
+    tree = ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
+    return imported
+
+
+def test_oracles_import_nothing_from_the_package():
+    # The oracles are the only per-stream definition independent of the
+    # package; sharing its code would let a bug agree with itself.
+    imported = _imported(oracles.__file__)
     assert imported  # the walk saw the imports
     assert not any(name.split(".")[0] in ("treekv", "") for name in imported), imported
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency: every module of the package
+    # imports the standard library, numpy or the package itself.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "treekv", ""}  # "": relative
+    modules = sorted(pathlib.Path(treekv.__file__).parent.rglob("*.py"))
+    assert len(modules) > 5  # the walk found the package
+    for path in modules:
+        outside = {name for name in _imported(path) if name.split(".")[0] not in allowed}
+        assert not outside, (path.name, outside)
 
 
 def test_tree_sim_select_left_17_tokens():

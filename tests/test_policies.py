@@ -38,14 +38,14 @@ def _two_step_batch(wq, wk):
     """Two steps of a d_model 1, d_head 2 stream on input 1.0: the second
     query is rotated by 1 rad against the first key and by 0 against its own."""
     batch = StreamBatch(single_head_weights(wq, wk), slots=2)
-    first, _, _ = batch.step(np.ones(1), 0)
-    second, _, _ = batch.step(np.ones(1), 1)
+    first = batch.step(np.ones(1))
+    second = batch.step(np.ones(1))
     return batch, first[0], second[0]
 
 
 def test_update_scores_first_step():
     batch = StreamBatch(generate_weights(3, ModelDims(1, 1, 4, 2)), slots=1)
-    batch.step(np.ones(4), 0)
+    batch.step(np.ones(4))
     assert batch.scores[0, : batch.n].tolist() == [1.0]
     assert batch.counts[0, : batch.n].tolist() == [1]
 
@@ -147,7 +147,7 @@ def test_advance_idx_steps_and_wraps():
     policy.cursor = 4
     policy.advance()
     assert policy.cursor == 1
-    zoned = TreeKV(6, "sink=1,recent=1")  # the cursor sweeps 6 - 2 = 4 slots
+    zoned = TreeKV(6, ProtectedZones(1, 1))  # the cursor sweeps 6 - 2 = 4 slots
     zoned.cursor = 4
     zoned.advance()
     assert zoned.cycle == 4 and zoned.cursor == 1
@@ -193,7 +193,7 @@ def test_streaming_retains_sinks_and_recent_when_warm():
             assert batch.positions[0, : batch.n].tolist() == expected
 
 
-def _h2o_victim(scores, zones=None, capacity=None):
+def _h2o_victim(scores, zones=ProtectedZones(), capacity=None):
     scores = np.asarray(scores, dtype=np.float64)[None]
     capacity = scores.shape[1] - 1 if capacity is None else capacity
     return int(H2O(capacity, zones).select(scores, np.ones_like(scores), None)[0])
@@ -226,7 +226,7 @@ def test_h2o_empty_evictable_region_is_a_config_error():
         argmin_victims(np.array([[0.1, 0.2]]), ProtectedZones(1, 2))
 
 
-def _tova_victim(row, zones=None):
+def _tova_victim(row, zones=ProtectedZones()):
     row = np.asarray(row, dtype=np.float64)[None]
     return int(TOVA(row.shape[1] - 1, zones).select(None, None, row)[0])
 
@@ -332,7 +332,7 @@ def test_decode_tracker_residency_accounting():
     batch = StreamBatch(weights, slots=8)
     mass = np.zeros((2, 7))
     for position in range(7):
-        rows, _, _ = batch.step(inputs[position], position)
+        rows = batch.step(inputs[position])
         mass[:, : position + 1] += rows
     for stream in range(2):
         assert batch.counts[stream, :7].tolist() == [7 - p for p in range(7)]

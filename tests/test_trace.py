@@ -209,21 +209,22 @@ def test_signals_at_step_merges_the_pre_eviction_view():
 
 
 def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
-    """Drive the engine and the policy here, as decode does, keeping what
-    each ``StreamBatch.step`` returned: the rows (layers, heads, n) and the
-    q, k and v (layers, heads, 3, d_head) of every step.  Returns them with
-    the run's trace, written to a file and read back."""
+    """Drive the engine and the policy here, as decode does, keeping at every
+    step the rows ``StreamBatch.step`` returned (layers, heads, n) and copies
+    of the keys and values it attended (layers, heads, n, d_head).  Returns
+    them with the run's trace, written to a file and read back."""
     weights = generate_weights(seed, dims)
     inputs = synthesize_embeddings(seed, seq_len, dims.d_model)
     policy = make_policy(spec, capacity, zones)
     batch = StreamBatch(weights, seq_len if policy.capacity is None else capacity + 1)
     trace = DecodeTrace(spec, capacity, zones, seq_len, dims, weights.seed)
     grid = (dims.layers, dims.heads)
-    attended, projected = [], []
+    attended, held = [], []
     for step, x in enumerate(inputs, start=1):
-        rows, _, qkv = batch.step(x, step - 1)
+        rows = batch.step(x)
         attended.append(rows.reshape(*grid, -1))
-        projected.append(qkv.reshape(*grid, 3, -1))
+        held.append([stored[:, : batch.n].reshape(*grid, batch.n, -1).copy()
+                     for stored in (batch.keys, batch.values)])
         evicted = cursor = None
         if policy.capacity is not None and batch.n > policy.capacity:
             evicted, cursor = policy.evict(batch, rows)
@@ -233,7 +234,7 @@ def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
     trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
-    return read_trace(str(path)), attended, np.stack(projected)
+    return read_trace(str(path)), attended, held
 
 
 def test_signals_at_step_rederives_the_rows_decode_attended(tmp_path):
@@ -260,8 +261,9 @@ PROJECTION_DIMS = [(2, 4, 64, 16), (2, 3, 8, 5), (1, 2, 7, 3), (3, 2, 33, 7), (1
 
 
 def test_held_projections_are_bitwise_what_decode_projected(tmp_path):
-    # At every step, each held slot's derived query, key and value against
-    # the ones StreamBatch.step returned for that slot's position.
+    # At every step, each held slot's derived key and value against the ones
+    # the batch held when it attended; the derived query is checked through
+    # the rows it attends (test_signals_at_step_rederives_the_rows_decode_attended).
     rng = np.random.default_rng(45)
     for case, shape in enumerate(PROJECTION_DIMS * 2):
         spec = POLICY_SPECS[case % len(POLICY_SPECS)]
@@ -269,16 +271,13 @@ def test_held_projections_are_bitwise_what_decode_projected(tmp_path):
         capacity = int(rng.integers(4, 9))
         zones = "sink=1,recent=2" if case % 2 else "sink=0,recent=0"
         seq_len = int(rng.integers(capacity + 2, 3 * capacity))
-        loaded, _, projected = _drive(spec, dims, capacity, zones, seq_len, case, tmp_path)
-        layer, head = np.ogrid[: dims.layers, : dims.heads]
-        for step in range(1, seq_len + 1):
-            held = np.concatenate([retained_at(loaded, step - 1),
-                                   np.full((dims.layers, dims.heads, 1), step - 1)], axis=2)
-            want = np.moveaxis(projected[held, layer[..., None], head[..., None]], 3, 0)
-            derived = held_projections(loaded, step)
-            assert derived.shape == want.shape
-            assert (np.ascontiguousarray(derived).tobytes()
-                    == np.ascontiguousarray(want).tobytes()), (spec, shape, zones, step)
+        loaded, _, held = _drive(spec, dims, capacity, zones, seq_len, case, tmp_path)
+        for step, want in enumerate(held, start=1):
+            query, *derived = held_projections(loaded, step)
+            assert query.shape == (dims.layers, dims.heads, dims.d_head)
+            for got, stored in zip(derived, want):
+                assert got.shape == stored.shape
+                assert got.tobytes() == stored.tobytes(), (spec, shape, zones, step)
 
 
 @pytest.mark.parametrize(
