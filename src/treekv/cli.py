@@ -192,7 +192,7 @@ def cmd_decode(args) -> int:
         config.policy,
         config.c,
         config.zones,
-        stream_seed=config.seed,
+        stream_seed=config.seed if args.tokens is None else None,  # only if it drew the inputs
         token_ids=ids,
         record_detail=config.trace_detail == "full",
     )

@@ -17,12 +17,14 @@ it is applied at attention time (``rotate_vector`` is its definition).
 Stored keys stay raw; evicting a slot shifts the survivors left, and the
 next step sees contiguous encoding positions 0..n-1.
 
-``StreamBatch`` is the only stream state: it holds every stream's keys,
-values, positions and importance statistics as stacked arrays and steps
-them together, with each stream's floating-point operations exactly those
-of a lone stream (the per-stream definition the tests compare against
-lives in ``tests/oracles.py``).  Prompt prefill runs on the same batch
-over an unbounded cache (``prefill.window_mass``).
+``StreamBatch`` is the only stream state, and the module keeps none of
+its own: each batch builds the rotary rows of its own slots, and
+``slot_rows`` and ``rotate_vector`` build the rows they use.  A batch holds
+every stream's keys, values, positions and importance statistics as
+stacked arrays and steps them together, with each stream's floating-point
+operations exactly those of a lone stream (the per-stream definition the
+tests compare against lives in ``tests/oracles.py``).  Prompt prefill
+runs on the same batch over an unbounded cache (``prefill.window_mass``).
 
 Weight file format (version 1)
 ------------------------------
@@ -273,21 +275,12 @@ def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return rows
 
 
-# Memoized rotary tables, keyed by d_head and grown on demand.
-_rope_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _rope_table(d_head: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of every (position, frequency) pair for positions 0..upto
-    at least; row p is independent of the table size."""
-    half = d_head // 2
-    cached = _rope_tables.get(d_head)
-    if cached is None or cached[0].shape[0] <= upto:
-        size = max(64, 2 * (upto + 1))
-        inv_freq = ROPE_BASE ** (-2.0 * np.arange(half, dtype=np.float64) / d_head)
-        angles = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
-        _rope_tables[d_head] = (np.cos(angles), np.sin(angles))
-    return _rope_tables[d_head]
+def _rope(d_head: int, positions) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin (len(positions), d_head // 2) of each given position's
+    rotary angles; a row depends only on its own position."""
+    inv_freq = ROPE_BASE ** (-2.0 * np.arange(d_head // 2, dtype=np.float64) / d_head)
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    return np.cos(angles), np.sin(angles)
 
 
 def _rotate(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -310,8 +303,8 @@ def _rotate(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 def rotate_vector(vec, position: int) -> np.ndarray:
     """Rotate one vector at the given encoding position (odd tail dim passes through)."""
     vec = np.asarray(vec, dtype=np.float64)
-    cos, sin = _rope_table(vec.shape[-1], position)
-    return _rotate(vec, cos[position], sin[position])
+    cos, sin = _rope(vec.shape[-1], [position])
+    return _rotate(vec, cos[0], sin[0])
 
 
 def slot_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -319,8 +312,8 @@ def slot_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     (..., n, d) held at slots 0..n-1, as ``StreamBatch.step`` attends them:
     each key is rotated at its slot and the query at n - 1, its own slot."""
     n = keys.shape[-2]
-    cos, sin = _rope_table(keys.shape[-1], n - 1)
-    return _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), _rotate(keys, cos[:n], sin[:n]))
+    cos, sin = _rope(keys.shape[-1], np.arange(n))
+    return _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), _rotate(keys, cos, sin))
 
 
 def stacked_weights(qkv: np.ndarray) -> np.ndarray:
@@ -354,7 +347,8 @@ class StreamBatch:
 
     Keys are stored raw and attended rotated at their slot index 0..n-1, so
     each stream computes exactly what a lone stream with its own cache
-    would.  ``encoded`` keeps those rotations: a key's encoding changes only
+    would; ``rope`` holds the cos and sin of every slot index, built once.
+    ``encoded`` keeps those rotations: a key's encoding changes only
     when an eviction shifts it to a lower slot, so the first ``fresh`` slots
     (all slots left of every stream's last victim) are never rotated again.
     A query is projected only for an input that ``step`` attends.
@@ -371,6 +365,7 @@ class StreamBatch:
         self.positions = np.zeros(shape, dtype=np.int64)
         self.scores = np.zeros(shape, dtype=np.float64)
         self.counts = np.zeros(shape, dtype=np.int64)
+        self.rope = _rope(dims.d_head, np.arange(shape[1]))  # one row per slot
         self.n = 0
         self.fresh = 0
         self.appended = 0  # inputs given so far: the next original position
@@ -402,7 +397,7 @@ class StreamBatch:
         self.append(x[None])
         q = project(x, self.wq)
         n = self.n
-        cos, sin = _rope_table(self.keys.shape[2], n - 1)
+        cos, sin = self.rope
         lo, self.fresh = self.fresh, n
         self.encoded[:, lo:n] = _rotate(self.keys[:, lo:n], cos[lo:n], sin[lo:n])
         rows = _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), self.encoded[:, :n])

@@ -8,7 +8,6 @@ positions and the one tree cursor that chose them."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -72,16 +71,11 @@ class DecodeTrace:
             "stream_seed": self.stream_seed,
         }
 
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.config_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
 
 def write_trace(trace: DecodeTrace, path: str) -> None:
     header = {"kind": "header", "format": TRACE_FORMAT}
     header.update(trace.config_dict())
     header["token_ids"] = trace.token_ids
-    header["fingerprint"] = trace.fingerprint()
     records = [header]
     for record in trace.steps:
         line = {"kind": "step", "step": record.step}

@@ -55,6 +55,18 @@ def test_gen_weights_writes_loadable_file(tmp_path):
     assert weights.dims.vocab == 12
 
 
+def test_stream_seed_is_recorded_only_when_it_drew_the_inputs(tmp_path):
+    out = tmp_path / "t.jsonl"
+    assert run_cli(*_decode_args(out, seed=7)) == 0
+    assert read_trace(str(out)).stream_seed == 7
+    tokens = tmp_path / "rows.json"
+    tokens.write_text(json.dumps(np.random.default_rng(0).normal(size=(6, 8)).tolist()))
+    assert run_cli(*_decode_args(out, seed=7), "--tokens", tokens) == 0
+    header = json.loads(out.read_bytes().split(b"\n", 1)[0])
+    assert header["stream_seed"] is None
+    assert read_trace(str(out)).stream_seed is None
+
+
 def test_decode_full_policy_has_no_evictions(tmp_path):
     out = tmp_path / "t.jsonl"
     assert run_cli(*_decode_args(out, policy="full", c=64)) == 0

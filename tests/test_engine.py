@@ -30,7 +30,7 @@ from treekv import (
     window_mass,
 )
 from treekv.cli import main
-from treekv.engine import _attention_rows, write_array
+from treekv.engine import _attention_rows, _rope, write_array
 from treekv.rng import _CHUNK, NormalStream
 
 from helpers import single_head_weights
@@ -426,6 +426,21 @@ def test_rotation_preserves_norm():
     vec = np.array([0.3, -1.2, 4.5, 2.0])
     for position in (1, 5, 33):
         assert abs(np.linalg.norm(rotate_vector(vec, position)) - np.linalg.norm(vec)) < 1e-12
+
+
+@pytest.mark.parametrize("d_head", [1, 4, 16, 17])
+def test_rotary_row_does_not_depend_on_the_positions_computed_with_it(d_head):
+    # A batch builds a row per slot, slot_rows n rows and rotate_vector one:
+    # all three must rotate a position bitwise alike.
+    tables = {n: _rope(d_head, np.arange(n)) for n in (1, 2, 64, 129, 4097)}
+    for n, (cos, sin) in tables.items():
+        assert cos.shape == sin.shape == (n, d_head // 2)
+        assert np.array_equal(cos, tables[4097][0][:n])
+        assert np.array_equal(sin, tables[4097][1][:n])
+    for position in (0, 1, 2, 63, 64, 127, 128, 1000, 4096):
+        cos, sin = _rope(d_head, [position])
+        assert np.array_equal(cos[0], tables[4097][0][position])
+        assert np.array_equal(sin[0], tables[4097][1][position])
 
 
 # --- streams and synthetic inputs ------------------------------------------

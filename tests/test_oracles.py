@@ -51,6 +51,16 @@ def test_package_imports_only_the_standard_library_and_numpy():
         assert not outside, (path.name, outside)
 
 
+def test_package_imports_no_openssl_binding():
+    """hashlib and ssl load OpenSSL, which adds 3.5 MB of RSS to every CLI
+    process; no module of the package may import either."""
+    modules = sorted(pathlib.Path(treekv.__file__).parent.rglob("*.py"))
+    assert len(modules) > 5  # the walk found the package
+    for path in modules:
+        loaded = {name for name in _imported(path) if name.split(".")[0] in ("hashlib", "ssl")}
+        assert not loaded, (path.name, loaded)
+
+
 def test_tree_sim_select_left_17_tokens():
     retained, cursors = oracle_tree_sim(4, 17, None)
     assert retained == [12, 14, 16, 17]
