@@ -1,14 +1,14 @@
 """Deterministic multi-head attention micro-engine with an evictable KV cache.
 
 The engine runs one independent attention stream per (layer, head) pair.
-Each stream projects incoming d_model vectors to d_head queries, keys and
-values, appends the key/value pair to an explicit cache, and computes
-softmax attention scaled by sqrt(d_head).  There are no feed-forward or
-normalization layers, and every (layer, head) stream reads the same
-embedded input sequence: eviction behaviour depends only on attention, and
-the reduced surface keeps reference computations exact.  The optional
-embedding table and output projection exist solely so end-to-end smoke
-runs can produce logits.
+Each stream projects incoming d_model vectors to d_head queries and keys,
+appends the key to an explicit cache, and computes softmax attention
+scaled by sqrt(d_head); values are projected only where outputs are read.
+There are no feed-forward or normalization layers, and every (layer,
+head) stream reads the same embedded input sequence: eviction behaviour
+depends only on attention, and the reduced surface keeps reference
+computations exact.  The optional embedding table and output projection
+exist solely so end-to-end smoke runs can produce logits.
 
 Position handling follows the re-assignment convention of sliding-window
 decoders: a rotary-style phase rotation is keyed by the slot index a key
@@ -20,8 +20,8 @@ next step sees contiguous encoding positions 0..n-1.
 ``StreamBatch`` is the only stream state, and the module keeps none of
 its own: each batch builds the rotary rows of its own slots, and
 ``slot_rows`` and ``rotate_vector`` build the rows they use.  A batch holds
-every stream's keys, values, positions and importance statistics as
-stacked arrays and steps them together, with each stream's floating-point
+every stream's keys, positions and importance statistics as stacked
+arrays and steps them together, with each stream's floating-point
 operations exactly those of a lone stream (the per-stream definition the
 tests compare against lives in ``tests/oracles.py``).  Prompt prefill
 runs on the same batch over an unbounded cache (``prefill.window_mass``).
@@ -283,20 +283,21 @@ def _rope(d_head: int, positions) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
-def _rotate(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary phase rotation of the last axis of ``mat`` (pure).
+def _rotate(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray, out=None) -> np.ndarray:
+    """Rotary phase rotation of the last axis of ``mat``, written into
+    ``out`` (a new array by default; never ``mat`` itself) and returned.
 
     ``cos`` and ``sin`` broadcast against the (even, odd) pairs of the last
     axis; an odd tail dimension passes through unrotated.
     """
-    out = mat.copy()
+    out = np.empty_like(mat) if out is None else out
     half = cos.shape[-1]
-    if half == 0:
-        return out
     even = mat[..., 0 : 2 * half : 2]
     odd = mat[..., 1 : 2 * half : 2]
     out[..., 0 : 2 * half : 2] = even * cos - odd * sin
     out[..., 1 : 2 * half : 2] = even * sin + odd * cos
+    if mat.shape[-1] % 2:
+        out[..., -1] = mat[..., -1]
     return out
 
 
@@ -317,8 +318,9 @@ def slot_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def stacked_weights(qkv: np.ndarray) -> np.ndarray:
-    """W_Q, W_K and W_V given as (layers, heads, 3, d_model, d_head), as one
-    C-contiguous float64 stack (3, S, d_model, d_head); s = layer * heads + head."""
+    """Matrices given as (layers, heads, k, d_model, d_head), W_Q, W_K, W_V
+    or a run of them, as one C-contiguous float64 stack (k, S, d_model,
+    d_head); s = layer * heads + head."""
     return np.moveaxis(qkv.reshape(-1, *qkv.shape[2:]), 1, 0).astype(np.float64, order="C")
 
 
@@ -334,16 +336,23 @@ def project(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return rows
 
 
+def value_sums(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Attention outputs (S, d_head): each stream's row (S, n) over its
+    values (S, n, d_head), one product per stream."""
+    return np.matmul(rows[:, None, :], values)[:, 0, :]
+
+
 class StreamBatch:
     """Decode state of all S = layers * heads streams as one struct-of-arrays.
 
     Every stream reads the same inputs and appends one slot per input, and
     every eviction removes exactly one slot from each stream, so all streams
     hold the same number of slots ``n``.  Per stream and slot it keeps the
-    raw key and value (S, slots, d_head), the original position (the i-th
-    input the batch was given has position i), and the importance
-    statistics: cumulative attention mass ``scores`` (S) and residency count
-    ``counts`` (C), each (S, slots).  Only ``[:, :n]`` is live.
+    raw key (S, slots, d_head), the original position (the i-th input the
+    batch was given has position i), and the importance statistics:
+    cumulative attention mass ``scores`` (S) and residency count ``counts``
+    (C), each (S, slots).  Only ``[:, :n]`` is live.  It holds no values:
+    its callers read only the attention rows.
 
     Keys are stored raw and attended rotated at their slot index 0..n-1, so
     each stream computes exactly what a lone stream with its own cache
@@ -357,11 +366,10 @@ class StreamBatch:
     def __init__(self, weights: ModelWeights, slots: int):
         dims = weights.dims
         self.streams = dims.layers * dims.heads
-        self.wq, self.wk, self.wv = self.stack = stacked_weights(weights.qkv)
+        self.wq, self.wk = self.stack = stacked_weights(weights.qkv[:, :, :2])
         shape = (self.streams, max(slots, 1))
         self.keys = np.zeros(shape + (dims.d_head,), dtype=np.float64)
         self.encoded = np.zeros(shape + (dims.d_head,), dtype=np.float64)
-        self.values = np.zeros(shape + (dims.d_head,), dtype=np.float64)
         self.positions = np.zeros(shape, dtype=np.int64)
         self.scores = np.zeros(shape, dtype=np.float64)
         self.counts = np.zeros(shape, dtype=np.int64)
@@ -370,44 +378,43 @@ class StreamBatch:
         self.fresh = 0
         self.appended = 0  # inputs given so far: the next original position
 
-    def append(self, xs: np.ndarray) -> None:
-        """Project m inputs xs (m, d_model) to keys and values and append them
-        to every stream at the next m original positions, with zeroed
-        statistics.  Nothing is attended or rotated, so ``fresh`` stays as it
-        was."""
-        n, m = self.n, len(xs)
+    def _store(self, keys: np.ndarray) -> None:
+        """Store m keys (S, m, d_head) in the next m slots at the next m
+        original positions, with zeroed statistics."""
+        n, m = self.n, keys.shape[1]
         if n + m > self.keys.shape[1]:
             raise StateError(f"stream batch of {self.keys.shape[1]} slots is full at {n}")
-        kv = project(xs[:, None, None, :], self.stack[1:])
         end = self.n = n + m
-        self.keys[:, n:end] = kv[:, 0].swapaxes(0, 1)
-        self.values[:, n:end] = kv[:, 1].swapaxes(0, 1)
+        self.keys[:, n:end] = keys
         self.positions[:, n:end] = np.arange(self.appended, self.appended + m)
         self.appended += m
         self.scores[:, n:end] = 0.0
         self.counts[:, n:end] = 0
 
+    def append(self, xs: np.ndarray) -> None:
+        """Project m inputs xs (m, d_model) to keys and append them to every
+        stream.  Nothing is attended or rotated, so ``fresh`` stays as it
+        was."""
+        self._store(project(xs[:, None, :], self.wk).swapaxes(0, 1))
+
     def step(self, x: np.ndarray) -> np.ndarray:
         """Append one input, then attend each stream's query over its slots.
 
-        Keys are encoded at their slot indices 0..n-1 and the query at
-        n - 1, its own freshly appended slot.  The rows are accumulated into
-        the statistics (S += row, C += 1) and returned, (S, n), a fresh array.
+        The input's query and key are projected together.  Keys are encoded
+        at their slot indices 0..n-1 and the query at n - 1, its own freshly
+        appended slot.  The rows are accumulated into the statistics
+        (S += row, C += 1) and returned, (S, n), a fresh array.
         """
-        self.append(x[None])
-        q = project(x, self.wq)
+        q, k = project(x, self.stack)
+        self._store(k[:, None])
         n = self.n
         cos, sin = self.rope
         lo, self.fresh = self.fresh, n
-        self.encoded[:, lo:n] = _rotate(self.keys[:, lo:n], cos[lo:n], sin[lo:n])
+        _rotate(self.keys[:, lo:n], cos[lo:n], sin[lo:n], out=self.encoded[:, lo:n])
         rows = _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), self.encoded[:, :n])
         self.scores[:, :n] += rows
         self.counts[:, :n] += 1
         return rows
-
-    def outputs(self, rows: np.ndarray) -> np.ndarray:
-        """Value sums (S, d_head) of attention rows (S, n) over the live slots."""
-        return np.matmul(rows[:, None, :], self.values[:, : self.n])[:, 0, :]
 
     def remove(self, victims) -> np.ndarray:
         """Remove one 0-based slot per stream, shifting survivors left.  Slots
@@ -416,14 +423,14 @@ class StreamBatch:
         the removed slots' original positions, one per stream."""
         n = self.n
         victims = np.asarray(victims)
-        if victims.shape != (self.streams,) or victims.min() < 0 or victims.max() >= n:
+        lo, hi = (int(victims.min()), int(victims.max())) if victims.size else (0, n)
+        if victims.shape != (self.streams,) or lo < 0 or hi >= n:
             raise StateError(f"victims {victims.tolist()} are not one slot per stream in 0..{n - 1}")
         every = np.arange(self.streams)[:, None]
         evicted = self.positions[every[:, 0], victims]
-        lo, hi = int(victims.min()), int(victims.max())
         window = np.arange(lo, hi)  # no stream changes left of its own victim
         source = window + (window >= victims[:, None])
-        for array in (self.keys, self.values, self.positions, self.scores, self.counts):
+        for array in (self.keys, self.positions, self.scores, self.counts):
             array[:, lo:hi], array[:, hi : n - 1] = array[every, source], array[:, hi + 1 : n]
         self.n = n - 1
         self.fresh = min(self.fresh, lo)

@@ -13,7 +13,7 @@ Every policy is a pure victim selector over the importance statistics of
 all streams (cumulative attention mass S, residency count C, the last
 attention row).  ``EvictionPolicy.evict`` is the one place that removes
 slots: it applies the selector to a ``StreamBatch`` and removes the victims
-from it, so keys, values, positions and statistics stay parallel.  The
+from it, so keys, positions and statistics stay parallel.  The
 decode loop runs every (layer, head) stream at once with one policy
 instance, and block-level prefill replays the same tree selector.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModelWeights, StreamBatch
+from .engine import ModelWeights, StreamBatch, project, stacked_weights, value_sums
 from .errors import (
     ConfigError,
     DimensionError,
@@ -284,12 +284,15 @@ def decode_with_policy(
 ) -> DecodeTrace:
     """Run the decode loop over all (layer, head) streams at once.
 
-    Per step: project, append, attend with re-assigned positions and
-    accumulate scores in every stream (with ``record_outputs``, also sum the
-    values), then, if the streams are over capacity, evict one slot per
-    stream.  Returns the trace: per-step evicted grids with their tree
-    cursors, the final retained positions and, with ``record_detail``,
-    references to the (C-contiguous) inputs and weights.
+    Per step: project the query and key, append, attend with re-assigned
+    positions and accumulate scores in every stream, then, if the streams
+    are over capacity, evict one slot per stream.  Nothing in the loop reads
+    a value.  With ``record_outputs``, every input's value is projected
+    once, before the loop, (T, S, d_head), and each step's outputs sum the
+    values of the slots it attended under its rows, before the eviction.
+    Returns the trace: per-step evicted grids with their tree cursors, the
+    final retained positions and, with ``record_detail``, references to the
+    (C-contiguous) inputs and weights.
     """
     dims = weights.dims
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
@@ -315,9 +318,15 @@ def decode_with_policy(
     )
     if record_detail:
         trace.inputs, trace.weights = inputs, weights.qkv
+    if record_outputs:
+        values = project(inputs[:, None, :], stacked_weights(weights.qkv)[2])
+        every = np.arange(batch.streams)[:, None]
     for step in range(1, seq_len + 1):
         rows = batch.step(inputs[step - 1])
-        outputs = batch.outputs(rows).reshape(*grid, -1) if record_outputs else None
+        outputs = None
+        if record_outputs:
+            held = values[batch.positions[:, : batch.n], every]  # (S, n, d_head)
+            outputs = value_sums(rows, held).reshape(*grid, -1)
         evicted = cursor = None
         if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)

@@ -55,10 +55,9 @@ def partition_blocks(prompt_len: int, block_size: int) -> BlockPartition:
 def window_mass(weights: ModelWeights, inputs, partition: BlockPartition) -> np.ndarray:
     """Attention mass (S, prompt_len) the observation window's queries give
     each prompt token, per stream: one ``StreamBatch`` stores the content
-    tokens' keys and values in bulk and steps each window token, so its
-    scores S sum the window rows in order.  Only the window's queries are
-    projected and no value is read.  Nothing is evicted: each key sits at
-    its position."""
+    tokens' keys in bulk and steps each window token, so its scores S sum
+    the window rows in order.  Only the window's queries are projected, and
+    no value is.  Nothing is evicted: each key sits at its position."""
     inputs = np.asarray(inputs, dtype=np.float64)
     start = partition.observation_window[0]
     batch = StreamBatch(weights, partition.prompt_len)

@@ -255,8 +255,9 @@ def distribution_map(trace: DecodeTrace) -> np.ndarray:
 def held_projections(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The query (layers, heads, d_head) of the given 1-based step's own
     input, and the keys and values (layers, heads, n, d_head) of the n slots
-    each stream holds at its attention time: bitwise the ones
-    ``StreamBatch.step`` projected."""
+    each stream holds at its attention time: bitwise the queries and keys
+    ``StreamBatch`` projected and the values ``decode_with_policy``
+    projects when it records outputs."""
     if not 1 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
     if trace.inputs is None:

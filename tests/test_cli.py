@@ -9,7 +9,18 @@ import sys
 import numpy as np
 import pytest
 
-from treekv import ConfigError, load_weights, make_policy, read_trace
+from treekv import (
+    ConfigError,
+    InputError,
+    ModelDims,
+    ModelWeights,
+    decode_with_policy,
+    load_weights,
+    make_policy,
+    read_trace,
+    save_weights,
+    write_trace,
+)
 from treekv.cli import RunConfig, load_config, main
 from treekv.engine import atomic_output
 
@@ -415,6 +426,38 @@ def _prompt_case(text):
     return build
 
 
+def _value_overflow_files(tmp_path):
+    """A 1x1x4x2 weight file with W_Q = 0, W_K = 1 and W_V = 1e38, and a
+    token file of six rows of four 1e300: finite queries, keys and rows,
+    values past float64."""
+    qkv = np.stack([np.zeros((4, 2)), np.ones((4, 2)), np.full((4, 2), 1e38)])
+    weights = tmp_path / "w.bin"
+    save_weights(ModelWeights(ModelDims(1, 1, 4, 2), 0, qkv.astype(np.float32)[None, None]),
+                 str(weights))
+    tokens = tmp_path / "rows.json"
+    tokens.write_text(json.dumps([[1e300] * 4] * 6))
+    return weights, tokens
+
+
+def _value_overflow_case(command):
+    """``command`` on the value-overflow files.  decode and prefill read no
+    value and succeed; they write to the null device, so no output file is
+    left.  analyze derives the values of a trace that decode wrote."""
+    def build(tmp_path):
+        weights, tokens = _value_overflow_files(tmp_path)
+        decode = ["decode", "--weights", weights, "--tokens", tokens, "--policy", "treekv",
+                  "--c", 2, "--zones", "sink=0,recent=0"]
+        if command == "decode":
+            return [*decode, "-o", os.devnull]
+        if command == "prefill":
+            return ["prefill", "--weights", weights, "--prompt", tokens, "--block-size", 2,
+                    "--cache-blocks", 2, "-o", os.devnull]
+        trace = tmp_path / "t.jsonl"
+        assert run_cli(*decode, "-o", trace) == 0
+        return [*ANALYZE, "--trace", trace]
+    return build
+
+
 def _compare_case(*edits):
     """compare over one valid small config per edit, each edited as given."""
     def build(tmp_path):
@@ -522,6 +565,10 @@ def _nan_weights(tmp_path):
         (_compare_case({}, {"policy": "treekv", "c": 4}, {"policy": "bogus"}), 2),
         # a later config is only compared with the first
         (_compare_case({}, {"T": 0}), 3),
+        # values past float64: only a command that reads them fails
+        (_value_overflow_case("decode"), 0),
+        (_value_overflow_case("prefill"), 0),
+        (_value_overflow_case("analyze"), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -537,7 +584,8 @@ def _nan_weights(tmp_path):
          "profile-overflow", "zones-superscript", "zones-repeated", "token-id-huge",
          "weights-too-big", "prefill-unread-c", "decode-unread-levels", "decode-T-zero",
          "trace-detail-unknown", "gen-weights-zero-layers", "compare-last-policy-unknown",
-         "compare-later-T-zero"],
+         "compare-later-T-zero", "decode-value-overflow", "prefill-value-overflow",
+         "analyze-value-overflow"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -549,6 +597,20 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code)
     assert "Traceback" not in result.stderr
     assert "Warning" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == inputs  # no output file written
+
+
+def test_only_a_run_that_reads_values_fails_on_overflowing_values(tmp_path, capsys):
+    weights_path, tokens = _value_overflow_files(tmp_path)
+    weights = load_weights(str(weights_path))
+    inputs = np.array(json.loads(tokens.read_text()))
+    trace = decode_with_policy(weights, inputs, "treekv", 2, "sink=0,recent=0")
+    assert [record.evicted is not None for record in trace.steps] == [False] * 2 + [True] * 4
+    with pytest.raises(InputError, match="projections are not finite"):
+        decode_with_policy(weights, inputs, "treekv", 2, "sink=0,recent=0", record_outputs=True)
+    out = tmp_path / "t.jsonl"
+    write_trace(trace, str(out))
+    assert run_cli(*ANALYZE, "--trace", out) == 3
+    assert "projections are not finite" in capsys.readouterr().err
 
 
 def test_trace_errors_name_the_format_and_the_missing_block(tmp_path, capsys):

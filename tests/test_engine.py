@@ -30,7 +30,14 @@ from treekv import (
     window_mass,
 )
 from treekv.cli import main
-from treekv.engine import _attention_rows, _rope, write_array
+from treekv.engine import (
+    _attention_rows,
+    _rope,
+    project,
+    stacked_weights,
+    value_sums,
+    write_array,
+)
 from treekv.rng import _CHUNK, NormalStream
 
 from helpers import single_head_weights
@@ -206,30 +213,41 @@ def _expected_row(q, keys):
     return expected / expected.sum()
 
 
+def _values(weights, xs):
+    """Values (len(xs), S, d_head) of inputs xs (len(xs), d_model), as
+    decode projects them when it records outputs."""
+    return project(np.asarray(xs, dtype=np.float64)[:, None, :], stacked_weights(weights.qkv)[2])
+
+
 def test_project_zero_vector():
     weights = generate_weights(1, ModelDims(1, 1, 6, 3))
     batch = StreamBatch(weights, slots=2)
-    batch.step(np.ones(6))
-    rows = batch.step(np.zeros(6))
-    assert not batch.keys[0, 1].any() and not batch.values[0, 1].any()
+    xs = np.array([np.ones(6), np.zeros(6)])
+    batch.step(xs[0])
+    rows = batch.step(xs[1])
+    values = _values(weights, xs)
+    assert not batch.keys[0, 1].any() and not values[1].any()
     assert rows.tolist() == [[0.5, 0.5]]  # a zero query weighs every key alike
-    assert np.array_equal(batch.outputs(rows), batch.values[:, 0] / 2)
+    trace = decode_with_policy(weights, xs, "full", 2, record_outputs=True)
+    assert np.array_equal(trace.steps[1].outputs[0], values[0] / 2)
 
 
 def test_project_identity_matrix():
-    batch = StreamBatch(single_head_weights(np.eye(3)), slots=2)
+    weights = single_head_weights(np.eye(3))
+    batch = StreamBatch(weights, slots=2)
     xs = np.array([[0.3, 0.1, -0.4], [0.5, -1.0, 2.0]])
     batch.step(xs[0])
     rows = batch.step(xs[1])
     assert np.array_equal(batch.keys[0, :2], xs)
-    assert np.array_equal(batch.values[0, 1], xs[1])
+    assert np.array_equal(_values(weights, xs)[1, 0], xs[1])
     assert np.allclose(rows[0], _expected_row(xs[1], xs), atol=1e-12)  # q = x
 
 
 def test_project_hand_example():
-    batch = StreamBatch(single_head_weights([[0.5, 0.25], [0.5, 0.75]]), slots=1)
+    weights = single_head_weights([[0.5, 0.25], [0.5, 0.75]])
+    batch = StreamBatch(weights, slots=1)
     batch.step(np.array([1.0, 1.0]))
-    assert np.allclose(batch.values[0, 0], [1.0, 1.0], atol=1e-12)
+    assert np.allclose(_values(weights, [[1.0, 1.0]])[0, 0], [1.0, 1.0], atol=1e-12)
     assert np.allclose(batch.keys[0, 0], [1.0, 1.0], atol=1e-12)
 
 
@@ -246,14 +264,11 @@ def test_project_length_mismatch():
 
 def _attend_one(q, keys, values):
     """One stream's attention row of a query over encoded keys, and the value
-    sum ``StreamBatch.outputs`` gives for that row over the values."""
-    values = np.asarray(values, dtype=np.float64)
-    batch = StreamBatch(single_head_weights(np.eye(values.shape[1])), len(values))
-    batch.values[0], batch.n = values, len(values)
+    sum ``value_sums`` gives for that row over the values."""
     rows = _attention_rows(
         np.asarray(q, dtype=np.float64)[None], np.asarray(keys, dtype=np.float64)[None]
     )
-    return rows[0], batch.outputs(rows)[0]
+    return rows[0], value_sums(rows, np.asarray(values, dtype=np.float64)[None])[0]
 
 
 def test_attend_single_slot():
@@ -348,10 +363,12 @@ def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
     got, want = bulk.step(xs[m]), single.step(xs[m])
     # the batch counts its inputs: the i-th one appended has position i
     assert (bulk.positions[:, : m + 1] == np.arange(m + 1)).all()
-    for name in ("keys", "values", "positions"):
+    for name in ("keys", "positions"):
         assert getattr(bulk, name).tobytes() == getattr(single, name).tobytes(), name
     assert got.tobytes() == want.tobytes()
-    assert bulk.outputs(got).tobytes() == single.outputs(want).tobytes()
+    values, every = _values(weights, xs), np.arange(bulk.streams)[:, None]
+    held = [values[batch.positions[:, : m + 1], every] for batch in (bulk, single)]
+    assert value_sums(got, held[0]).tobytes() == value_sums(want, held[1]).tobytes()
     assert bulk.scores.tobytes() == got.tobytes()  # only this step's row
     assert (bulk.counts == 1).all()
     with pytest.raises(StateError):
@@ -453,9 +470,11 @@ def test_attention_stream_runs_and_orders_positions():
     batch = StreamBatch(weights, slots=8)
     keys, vals = [[] for _ in range(4)], [[] for _ in range(4)]
     xs = synthesize_embeddings(5, 4, 6)
+    values = _values(weights, xs)
+    trace = decode_with_policy(weights, xs, "full", 8, record_outputs=True)
     for position in range(4):
         rows = batch.step(xs[position])
-        outputs = batch.outputs(rows)
+        outputs = trace.steps[position].outputs.reshape(4, -1)
         assert rows.shape == (4, position + 1)
         for stream in range(4):
             layer, head = divmod(stream, 2)
@@ -465,7 +484,7 @@ def test_attention_stream_runs_and_orders_positions():
             vals[stream].append(xs[position] @ weights.wv[layer][head])
             expected = _expected_row(xs[position] @ weights.wq[layer][head], np.stack(keys[stream]))
             assert np.array_equal(row, expected)
-            assert np.array_equal(batch.values[stream, position], vals[stream][-1])
+            assert np.array_equal(values[position, stream], vals[stream][-1])
             assert np.array_equal(outputs[stream], expected @ np.stack(vals[stream]))
     assert batch.positions[:, : batch.n].tolist() == [[0, 1, 2, 3]] * 4
 
@@ -496,7 +515,7 @@ def test_stream_batch_remove_matches_a_per_stream_delete(pattern):
     batch = StreamBatch(weights, slots=16)
     xs = iter(synthesize_embeddings(8, 200, 6))
     rng = np.random.default_rng(["equal", "adjacent", "spread", "ends"].index(pattern))
-    names = ("keys", "values", "positions", "scores", "counts")
+    names = ("keys", "positions", "scores", "counts")
     for _ in range(120):
         batch.step(next(xs))
         n = batch.n

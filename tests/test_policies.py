@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from treekv import (
     H2O,
+    POLICY_SPECS,
     TOVA,
     ConfigError,
     DimensionError,
     InvariantViolation,
     ModelDims,
+    ModelWeights,
     ProtectedZones,
     StateError,
     StreamBatch,
@@ -21,6 +23,7 @@ from treekv import (
     generate_weights,
     make_policy,
     retained_at,
+    signals_at_step,
     synthesize_embeddings,
 )
 from treekv.policies import _averaged, argmin_victims, streaming_victims
@@ -299,6 +302,49 @@ def test_decode_full_capacity_never_evicts_and_matches_full_policy():
     for step_a, step_b in zip(roomy.steps, full.steps):
         for head in range(2):
             assert np.array_equal(step_a.outputs[0][head], step_b.outputs[0][head])
+
+
+# d_head 1, odd d_head and d_model 1 among them
+OUTPUT_DIMS = [(1, 2, 6, 1), (2, 2, 7, 3), (1, 3, 1, 5), (2, 1, 8, 4)]
+
+
+@pytest.mark.parametrize("zones", ["sink=0,recent=0", "sink=1,recent=2"])
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_recorded_outputs_are_bitwise_the_rows_over_the_held_values(spec, zones):
+    # Every step's recorded outputs against the rows and values that
+    # signals_at_step derives from the same trace's inputs and weights.
+    for case, shape in enumerate(OUTPUT_DIMS):
+        dims = ModelDims(*shape)
+        weights = generate_weights(60 + case, dims)
+        inputs = synthesize_embeddings(70 + case, 22, dims.d_model)
+        trace = decode_with_policy(weights, inputs, spec, 6, zones, record_outputs=True)
+        for record in trace.steps:
+            rows, values = signals_at_step(trace, record.step)
+            expected = np.matmul(rows[..., None, :], values)[..., 0, :]
+            assert record.outputs.shape == expected.shape
+            assert record.outputs.tobytes() == expected.tobytes(), (shape, record.step)
+
+
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_evictions_never_read_the_value_matrices(spec):
+    # The same run with W_V replaced by other finite numbers evicts the same
+    # positions at the same steps with the same cursors, though every output
+    # changes: no value reaches the eviction path.
+    dims = ModelDims(2, 2, 6, 3)
+    weights = generate_weights(80, dims)
+    qkv = weights.qkv.copy()
+    qkv[:, :, 2] = np.random.default_rng(81).normal(size=qkv[:, :, 2].shape) * 1e3
+    other = ModelWeights(dims, weights.seed, qkv)
+    inputs = synthesize_embeddings(82, 30, dims.d_model)
+    for zones in ("sink=0,recent=0", "sink=1,recent=2"):
+        want = decode_with_policy(weights, inputs, spec, 6, zones, record_outputs=True)
+        got = decode_with_policy(other, inputs, spec, 6, zones, record_outputs=True)
+        for a, b in zip(want.steps, got.steps, strict=True):
+            assert (a.evicted is None) == (b.evicted is None)
+            assert a.evicted is None or np.array_equal(a.evicted, b.evicted)
+            assert a.cursor == b.cursor
+            assert not np.array_equal(a.outputs, b.outputs)
+        assert np.array_equal(want.retained, got.retained)
 
 
 def test_decode_select_left_17_token_pattern():

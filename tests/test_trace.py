@@ -21,6 +21,7 @@ from treekv import (
     validate_trace,
     write_trace,
 )
+from treekv.engine import project, stacked_weights
 from treekv.trace import held_projections
 
 from oracles import oracle_retained_at
@@ -213,21 +214,24 @@ def test_signals_at_step_merges_the_pre_eviction_view():
 
 def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
     """Drive the engine and the policy here, as decode does, keeping at every
-    step the rows ``StreamBatch.step`` returned (layers, heads, n) and copies
-    of the keys and values it attended (layers, heads, n, d_head).  Returns
-    them with the run's trace, written to a file and read back."""
+    step the rows ``StreamBatch.step`` returned (layers, heads, n), a copy of
+    the keys it attended and the values of those slots from decode's
+    up-front projection (layers, heads, n, d_head).  Returns them with the
+    run's trace, written to a file and read back."""
     weights = generate_weights(seed, dims)
     inputs = synthesize_embeddings(seed, seq_len, dims.d_model)
+    values = project(inputs[:, None, :], stacked_weights(weights.qkv)[2])  # (T, S, d_head)
     policy = make_policy(spec, capacity, zones)
     batch = StreamBatch(weights, seq_len if policy.capacity is None else capacity + 1)
     trace = DecodeTrace(spec, capacity, zones, seq_len, dims, weights.seed)
     grid = (dims.layers, dims.heads)
+    every = np.arange(batch.streams)[:, None]
     attended, held = [], []
     for step, x in enumerate(inputs, start=1):
         rows = batch.step(x)
         attended.append(rows.reshape(*grid, -1))
-        held.append([stored[:, : batch.n].reshape(*grid, batch.n, -1).copy()
-                     for stored in (batch.keys, batch.values)])
+        live = batch.keys[:, : batch.n].copy(), values[batch.positions[:, : batch.n], every]
+        held.append([stored.reshape(*grid, batch.n, -1) for stored in live])
         evicted = cursor = None
         if policy.capacity is not None and batch.n > policy.capacity:
             evicted, cursor = policy.evict(batch, rows)
@@ -264,8 +268,9 @@ PROJECTION_DIMS = [(2, 4, 64, 16), (2, 3, 8, 5), (1, 2, 7, 3), (3, 2, 33, 7), (1
 
 
 def test_held_projections_are_bitwise_what_decode_projected(tmp_path):
-    # At every step, each held slot's derived key and value against the ones
-    # the batch held when it attended; the derived query is checked through
+    # At every step, each held slot's derived key against the one the batch
+    # held when it attended, and its derived value against decode's
+    # up-front projection of its input; the derived query is checked through
     # the rows it attends (test_signals_at_step_rederives_the_rows_decode_attended).
     rng = np.random.default_rng(45)
     for case, shape in enumerate(PROJECTION_DIMS * 2):
