@@ -12,13 +12,11 @@ from .engine import (
     ModelDims,
     ModelWeights,
     StreamBatch,
-    embed_tokens,
     generate_weights,
     load_weights,
     rotate_vector,
     save_weights,
     synthesize_embeddings,
-    synthesize_token_ids,
 )
 from .errors import (
     ConfigError,
@@ -102,7 +100,6 @@ __all__ = [
     "distribution_map",
     "dwt_multi",
     "dwt_single",
-    "embed_tokens",
     "generate_weights",
     "load_weights",
     "magnitude_profile",
@@ -119,7 +116,6 @@ __all__ = [
     "save_weights",
     "signals_at_step",
     "synthesize_embeddings",
-    "synthesize_token_ids",
     "treekv_prefill_compress",
     "validate_trace",
     "window_mass",

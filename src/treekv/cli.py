@@ -27,18 +27,15 @@ from .engine import (
     ModelDims,
     ModelWeights,
     atomic_output,
-    embed_tokens,
     generate_weights,
     load_weights,
     save_weights,
     synthesize_embeddings,
-    synthesize_token_ids,
 )
 from .errors import ConfigError, InputError, TreeKVError
 from .policies import decode_with_policy, make_policy
 from .prefill import observation_scores, partition_blocks, treekv_prefill_compress, window_mass
 from .trace import (
-    DecodeTrace,
     _grid,
     distribution_map,
     read_trace,
@@ -59,7 +56,7 @@ class RunConfig:
     heads: int = 4
     d_model: int = 64
     d_head: int = 16
-    vocab: int = 0
+    vocab: int = 0  # kept for existing configs and flags; 0 is its only valid value
     block_size: int = 64
     cache_blocks: int = 8
     levels: int = 5
@@ -69,7 +66,9 @@ class RunConfig:
     trace_detail: str = "full"  # "full" records the inputs and weights, "light" neither
 
     def dims(self) -> ModelDims:
-        return ModelDims(self.layers, self.heads, self.d_model, self.d_head, self.vocab)
+        if self.vocab != 0:
+            raise ConfigError(f"vocab must be 0 (models have no vocabulary), got {self.vocab}")
+        return ModelDims(self.layers, self.heads, self.d_model, self.d_head)
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
@@ -129,38 +128,23 @@ def _resolve_weights(config: RunConfig) -> ModelWeights:
     return generate_weights(config.seed, dims)
 
 
-def _load_token_file(path: str, d_model: int):
-    """Token file: a JSON array of ids, or of d_model-length embedding rows."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise InputError(f"cannot read token file {path}: {exc}") from exc
-    if not isinstance(data, list) or not data:
-        raise InputError(f"token file {path} must be a non-empty JSON array")
-    if all(type(item) is int for item in data):
-        return data, None
-    return None, _grid(data, (None, d_model), f"embedding rows in {path}",
-                       (int, float), np.float64)
-
-
-def _prepare_inputs(config: RunConfig, weights: ModelWeights, tokens_path: str | None):
-    """Input embeddings plus the token ids when the model has a vocab.  The
-    model's dims (a weight file's own, if one is given) set the width."""
+def _prepare_inputs(config: RunConfig, weights: ModelWeights, path: str | None) -> np.ndarray:
+    """The (T, d_model) input rows: a JSON file's non-empty array of
+    d_model-length embedding rows, or T synthetic rows drawn from the seed.
+    The model's dims (a weight file's own, if one is given) set the width."""
     d_model = weights.dims.d_model
-    if tokens_path is not None:
-        ids, matrix = _load_token_file(tokens_path, d_model)
-        if ids is not None:
-            if weights.dims.vocab < 1:
-                raise InputError("token ids need a model with vocab > 0")
-            return embed_tokens(weights, ids), ids
-        return matrix, None
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise InputError(f"cannot read token file {path}: {exc}") from exc
+        if not isinstance(data, list) or not data:
+            raise InputError(f"token file {path} must be a non-empty JSON array")
+        return _grid(data, (None, d_model), f"embedding rows in {path}", (int, float), np.float64)
     if config.T < 1:
         raise ConfigError(f"violated precondition T >= 1 (got T={config.T})")
-    if weights.dims.vocab > 0:
-        ids = synthesize_token_ids(config.seed, config.T, weights.dims.vocab)
-        return embed_tokens(weights, ids), ids
-    return synthesize_embeddings(config.seed, config.T, d_model), None
+    return synthesize_embeddings(config.seed, config.T, d_model)
 
 
 @contextmanager
@@ -185,7 +169,7 @@ def cmd_decode(args) -> int:
         raise ConfigError(f"trace_detail must be 'full' or 'light', got {config.trace_detail!r}")
     make_policy(config.policy, config.c, config.zones)  # refused before the inputs are built
     weights = _resolve_weights(config)
-    inputs, ids = _prepare_inputs(config, weights, args.tokens)
+    inputs = _prepare_inputs(config, weights, args.tokens)
     trace = decode_with_policy(
         weights,
         inputs,
@@ -193,7 +177,6 @@ def cmd_decode(args) -> int:
         config.c,
         config.zones,
         stream_seed=config.seed if args.tokens is None else None,  # only if it drew the inputs
-        token_ids=ids,
         record_detail=config.trace_detail == "full",
     )
     write_trace(trace, args.out)
@@ -225,7 +208,7 @@ def cmd_analyze(args) -> int:
 def cmd_prefill(args) -> int:
     config = load_config(args.config, _config_overrides(args))
     weights = _resolve_weights(config)
-    inputs, _ids = _prepare_inputs(config, weights, args.prompt)
+    inputs = _prepare_inputs(config, weights, args.prompt)
     prompt_len = len(inputs)
     partition = partition_blocks(prompt_len, config.block_size)
     scores = observation_scores(window_mass(weights, inputs, partition), partition)
@@ -259,21 +242,6 @@ def cmd_prefill(args) -> int:
     return 0
 
 
-def _mean_nll(trace: DecodeTrace, weights: ModelWeights) -> float | None:
-    if weights.dims.vocab < 1 or trace.token_ids is None:
-        return None
-    total = 0.0
-    count = 0
-    for record in trace.steps[:-1]:
-        logits = weights.logits(record.outputs.reshape(-1))  # streams in (layer, head) order
-        shifted = logits - logits.max()
-        log_norm = np.log(np.exp(shifted).sum())
-        target = trace.token_ids[record.step]  # next token
-        total += float(log_norm - shifted[target])
-        count += 1
-    return total / count if count else None
-
-
 def cmd_compare(args) -> int:
     if len(args.configs) < 2:
         raise ConfigError("compare needs at least two config files")
@@ -282,7 +250,7 @@ def cmd_compare(args) -> int:
         make_policy(config.policy, config.c, config.zones)  # refused before any decode
     first = configs[0]
     weights = _resolve_weights(first)
-    inputs, ids = _prepare_inputs(first, weights, None)
+    inputs = _prepare_inputs(first, weights, None)
     for config in configs[1:]:
         same_stream = (
             (config.weights is not None or config.dims() == first.dims())
@@ -304,9 +272,7 @@ def cmd_compare(args) -> int:
             config.c,
             config.zones,
             stream_seed=config.seed,
-            token_ids=ids,
             record_detail=False,
-            record_outputs=weights.dims.vocab > 0,  # read only by _mean_nll
         )
         runs.append((config, trace))
 
@@ -317,6 +283,7 @@ def cmd_compare(args) -> int:
     reference = runs[0][1].retained.reshape(streams, -1) + offset
     bounds = [first.T // 4, first.T // 2, (3 * first.T) // 4]
     with _open_out(args.out) as out:
+        # nll stays an empty column until compare gains a quality column.
         out.write("policy,overlap,q1,q2,q3,q4,nll\n")
         for config, trace in runs:
             final = trace.retained.reshape(streams, -1)
@@ -324,13 +291,7 @@ def cmd_compare(args) -> int:
             overlaps = shared / max(final.shape[1], reference.shape[1])
             quarter = np.searchsorted(bounds, final.ravel(), side="right")
             quartiles = np.bincount(quarter, minlength=4) / streams
-            nll = _mean_nll(trace, weights)
-            cells = [
-                config.policy,
-                str(float(np.mean(overlaps))),
-                *(str(q) for q in quartiles),
-                "" if nll is None else str(nll),
-            ]
+            cells = [config.policy, str(float(np.mean(overlaps))), *map(str, quartiles), ""]
             out.write(",".join(cells) + "\n")
     return 0
 
@@ -350,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     decode = sub.add_parser("decode", help="run a decode experiment, write a trace")
     decode.add_argument("--config", default=None)
     _add_config_flags(decode, _INPUT_FLAGS + ["policy", "c", "zones", "trace_detail"])
-    decode.add_argument("--tokens", default=None, help="JSON token-id or embedding file")
+    decode.add_argument("--tokens", default=None, help="JSON embedding-row file")
     decode.add_argument("--out", "-o", default="trace.jsonl")
     decode.set_defaults(func=cmd_decode)
 
@@ -369,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     prefill = sub.add_parser("prefill", help="block-level prompt compression")
     prefill.add_argument("--config", default=None)
     _add_config_flags(prefill, _INPUT_FLAGS + ["block_size", "cache_blocks"])
-    prefill.add_argument("--prompt", default=None, help="JSON token-id or embedding file")
+    prefill.add_argument("--prompt", default=None, help="JSON embedding-row file")
     prefill.add_argument("--out", "-o", default=None)
     prefill.set_defaults(func=cmd_prefill)
 

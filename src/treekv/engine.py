@@ -4,11 +4,11 @@ The engine runs one independent attention stream per (layer, head) pair.
 Each stream projects incoming d_model vectors to d_head queries and keys,
 appends the key to an explicit cache, and computes softmax attention
 scaled by sqrt(d_head); values are projected only where outputs are read.
-There are no feed-forward or normalization layers, and every (layer,
-head) stream reads the same embedded input sequence: eviction behaviour
+There are no embedding, feed-forward, normalization or output layers: a
+model is its W_Q, W_K and W_V matrices, and every (layer, head) stream
+reads the same (T, d_model) rows of embeddings.  Eviction behaviour
 depends only on attention, and the reduced surface keeps reference
-computations exact.  The optional embedding table and output projection
-exist solely so end-to-end smoke runs can produce logits.
+computations exact.
 
 Position handling follows the re-assignment convention of sliding-window
 decoders: a rotary-style phase rotation is keyed by the slot index a key
@@ -26,33 +26,29 @@ operations exactly those of a lone stream (the per-stream definition the
 tests compare against lives in ``tests/oracles.py``).  Prompt prefill
 runs on the same batch over an unbounded cache (``prefill.window_mass``).
 
-Weight file format (version 1)
+Weight file format (version 2)
 ------------------------------
-Little-endian throughout::
+Little-endian throughout, a 30-byte header::
 
     magic   4 bytes  "TKVW"
-    version u16      1
+    version u16      2
     layers  u32
     heads   u32
     d_model u32
     d_head  u32
-    vocab   u32
     seed    u64
 
-followed by matrices as row-major 32-bit floats:
-
-* for each layer, for each head: W_Q, W_K, W_V, each (d_model, d_head);
-* if vocab > 0: the embedding table (vocab, d_model) and the output
-  projection (layers * heads * d_head, vocab).
+followed, for each layer and each head, by W_Q, W_K and W_V, each
+(d_model, d_head) row-major 32-bit floats.
 
 Matrix entries are normal variates from ``treekv.rng`` drawn row-major from
-the substream ``stream_seed(seed, tag)``.  Tags: W_Q/W_K/W_V of (layer,
-head) use ``16 + 3 * (layer * heads + head) + kind`` with kind 0/1/2 for
-Q/K/V; the embedding table uses tag 1; the output projection uses tag 2.
-Scales: 1/sqrt(d_model) for the projection matrices, 1.0 for the embedding
-table, 1/sqrt(layers * heads * d_head) for the output projection.
-Synthetic input streams (tags 3 and 4) use the same recurrence, so a single
-seed makes a whole experiment reproducible.
+the substream ``stream_seed(seed, tag)``, scaled by 1/sqrt(d_model).  W_Q,
+W_K and W_V of (layer, head) use tag ``16 + 3 * (layer * heads + head) +
+kind`` with kind 0/1/2 for Q/K/V; synthetic input rows use tag 4, from the
+same recurrence, so a single seed makes a whole experiment reproducible.
+Tags 1-3 (version 1's embedding table and output projection, and its
+token-id stream) are retired, not reused, so every matrix and every
+synthetic input is bitwise what version 1 drew.
 """
 
 from __future__ import annotations
@@ -69,12 +65,10 @@ from .errors import DimensionError, InputError, StateError
 from .rng import NormalStream, stream_seed
 
 _MAGIC = b"TKVW"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_HEADER = "<4sHIIIIQ"
 
 # Substream tags; documented in the module docstring.
-_TAG_EMBEDDING = 1
-_TAG_OUTPUT_PROJ = 2
-TAG_TOKEN_STREAM = 3
 TAG_EMBED_STREAM = 4
 _TAG_MATRIX_BASE = 16
 
@@ -87,25 +81,18 @@ class ModelDims:
     heads: int
     d_model: int
     d_head: int
-    vocab: int = 0
 
     def validate(self, error: type[Exception] = DimensionError, context: str = "") -> None:
         """Raise ``error``, its message prefixed by ``context``, on a bad dim."""
-        for name in ("layers", "heads", "d_model", "d_head", "vocab"):
+        for name in ("layers", "heads", "d_model", "d_head"):
             value = getattr(self, name)
-            low = 0 if name == "vocab" else 1
             integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not integral or not low <= value < 2**32:
-                raise error(f"{context}{name} must be an int in [{low}, 2**32), got {value!r}")
-
-    @property
-    def feature_dim(self) -> int:
-        """Length of the concatenated per-stream outputs fed to the logit head."""
-        return self.layers * self.heads * self.d_head
+            if not integral or not 1 <= value < 2**32:
+                raise error(f"{context}{name} must be an int in [1, 2**32), got {value!r}")
 
 
 class ModelWeights:
-    """Every stream's projection matrices plus the optional logit head.
+    """Every stream's projection matrices W_Q, W_K and W_V.
 
     ``qkv`` is one float32 array (layers, heads, 3, d_model, d_head) in the
     weight file's own order; ``wq``, ``wk`` and ``wv`` are its views
@@ -114,31 +101,11 @@ class ModelWeights:
     across threads.
     """
 
-    def __init__(
-        self,
-        dims: ModelDims,
-        seed: int,
-        qkv: np.ndarray,
-        embedding: np.ndarray | None = None,
-        output_proj: np.ndarray | None = None,
-    ):
+    def __init__(self, dims: ModelDims, seed: int, qkv: np.ndarray):
         self.dims = dims
         self.seed = seed
         self.qkv = qkv
         self.wq, self.wk, self.wv = np.moveaxis(qkv, 2, 0)
-        self.embedding = embedding
-        self.output_proj = output_proj
-
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        """Logit row for one step from the concatenated stream outputs."""
-        if self.output_proj is None:
-            raise StateError("model has no output projection (vocab = 0)")
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape != (self.dims.feature_dim,):
-            raise DimensionError(
-                f"expected {self.dims.feature_dim} features, got {features.shape}"
-            )
-        return features @ self.output_proj
 
 
 def _draw_matrix(seed: int, tag: int, rows: int, cols: int, scale: float) -> np.ndarray:
@@ -157,17 +124,7 @@ def generate_weights(seed: int, dims: ModelDims) -> ModelWeights:
         raise MemoryError(exc) from None
     for tag, matrix in enumerate(qkv.reshape(-1, dims.d_model, dims.d_head), _TAG_MATRIX_BASE):
         matrix[:] = _draw_matrix(seed, tag, dims.d_model, dims.d_head, scale)
-    embedding = output_proj = None
-    if dims.vocab > 0:
-        embedding = _draw_matrix(seed, _TAG_EMBEDDING, dims.vocab, dims.d_model, 1.0)
-        output_proj = _draw_matrix(
-            seed,
-            _TAG_OUTPUT_PROJ,
-            dims.feature_dim,
-            dims.vocab,
-            1.0 / math.sqrt(dims.feature_dim),
-        )
-    return ModelWeights(dims, seed & ((1 << 64) - 1), qkv, embedding, output_proj)
+    return ModelWeights(dims, seed & ((1 << 64) - 1), qkv)
 
 
 @contextmanager
@@ -205,60 +162,37 @@ def write_array(fh, array: np.ndarray, dtype: str) -> None:
 def save_weights(weights: ModelWeights, path: str) -> None:
     dims = weights.dims
     header = struct.pack(
-        "<4sHIIIIIQ",
-        _MAGIC,
-        _FORMAT_VERSION,
-        dims.layers,
-        dims.heads,
-        dims.d_model,
-        dims.d_head,
-        dims.vocab,
+        _HEADER, _MAGIC, _FORMAT_VERSION, dims.layers, dims.heads, dims.d_model, dims.d_head,
         weights.seed,
     )
     with atomic_output(path, "wb") as fh:
         fh.write(header)
         write_array(fh, weights.qkv, "<f4")
-        if dims.vocab > 0:
-            write_array(fh, weights.embedding, "<f4")
-            write_array(fh, weights.output_proj, "<f4")
 
 
 def load_weights(path: str) -> ModelWeights:
     with open(path, "rb") as fh:
         blob = fh.read()
-    head_size = struct.calcsize("<4sHIIIIIQ")
+    head_size = struct.calcsize(_HEADER)
     if len(blob) < head_size:
         raise InputError(f"weight file {path} is truncated")
-    magic, version, layers, heads, d_model, d_head, vocab, seed = struct.unpack(
-        "<4sHIIIIIQ", blob[:head_size]
-    )
+    magic, version, layers, heads, d_model, d_head, seed = struct.unpack_from(_HEADER, blob)
     if magic != _MAGIC:
         raise InputError(f"bad magic {magic!r} in {path}, expected {_MAGIC!r}")
     if version != _FORMAT_VERSION:
         raise InputError(f"unsupported weight format version {version}")
-    dims = ModelDims(layers, heads, d_model, d_head, vocab)
+    dims = ModelDims(layers, heads, d_model, d_head)
     dims.validate(InputError, f"weight file {path}: ")
-    offset = head_size
-
-    def take(*shape):
-        nonlocal offset
-        end = offset + 4 * math.prod(shape)
-        if end > len(blob):
-            raise InputError(f"weight file {path} is truncated")
-        matrix = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
-        if not np.isfinite(matrix).all():
-            raise InputError(f"weight file {path} holds a NaN or infinite number")
-        offset = end
-        return matrix.astype(np.float32)
-
-    qkv = take(layers, heads, 3, d_model, d_head)
-    embedding = output_proj = None
-    if vocab > 0:
-        embedding = take(vocab, d_model)
-        output_proj = take(dims.feature_dim, vocab)
-    if offset != len(blob):
-        raise InputError(f"weight file {path} has {len(blob) - offset} trailing bytes")
-    return ModelWeights(dims, seed, qkv, embedding, output_proj)
+    shape = (layers, heads, 3, d_model, d_head)
+    end = head_size + 4 * math.prod(shape)
+    if end > len(blob):
+        raise InputError(f"weight file {path} is truncated")
+    if end != len(blob):
+        raise InputError(f"weight file {path} has {len(blob) - end} trailing bytes")
+    qkv = np.frombuffer(blob, dtype="<f4", offset=head_size)
+    if not np.isfinite(qkv).all():
+        raise InputError(f"weight file {path} holds a NaN or infinite number")
+    return ModelWeights(dims, seed, qkv.astype(np.float32).reshape(shape))
 
 
 def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -441,21 +375,3 @@ def synthesize_embeddings(seed: int, count: int, d_model: int) -> np.ndarray:
     """Seed-reproducible stream of unit-normal embedding vectors (tag 4)."""
     stream = NormalStream(stream_seed(seed, TAG_EMBED_STREAM))
     return stream.normals(count * d_model).reshape(count, d_model)
-
-
-def synthesize_token_ids(seed: int, count: int, vocab: int) -> list[int]:
-    """Seed-reproducible token-id stream (tag 3) for vocab-backed models."""
-    if vocab < 1:
-        raise DimensionError(f"vocab must be >= 1 to draw token ids, got {vocab}")
-    return NormalStream(stream_seed(seed, TAG_TOKEN_STREAM)).integers(count, vocab)
-
-
-def embed_tokens(weights: ModelWeights, token_ids) -> np.ndarray:
-    if weights.embedding is None:
-        raise StateError("model has no embedding table (vocab = 0)")
-    ids = np.asarray(token_ids, dtype=object)  # range-checked before int64 can overflow
-    if ids.ndim != 1:
-        raise DimensionError(f"token ids must be a flat sequence, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= weights.dims.vocab):
-        raise InputError(f"token id out of range for vocab {weights.dims.vocab}")
-    return weights.embedding[ids.astype(np.int64)].astype(np.float64)

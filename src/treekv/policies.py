@@ -278,7 +278,6 @@ def decode_with_policy(
     zones=None,
     *,
     stream_seed: int | None = None,
-    token_ids: list[int] | None = None,
     record_detail: bool = True,
     record_outputs: bool = False,
 ) -> DecodeTrace:
@@ -314,7 +313,6 @@ def decode_with_policy(
         dims=dims,
         model_seed=weights.seed,
         stream_seed=stream_seed,
-        token_ids=list(token_ids) if token_ids is not None else None,
     )
     if record_detail:
         trace.inputs, trace.weights = inputs, weights.qkv

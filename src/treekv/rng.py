@@ -1,4 +1,4 @@
-"""Pinned pseudorandom streams for weights and synthetic token data.
+"""Pinned pseudorandom streams for weights and synthetic input rows.
 
 Every random quantity in this package comes from one documented recurrence,
 so a (seed, tag) pair produces bit-identical values on any machine and in
@@ -19,7 +19,8 @@ output finalizer
 
 substream derivation (splitting)
     ``stream_seed(seed, tag) = mix64((seed mod 2**64) XOR mix64(tag))``.
-    Tag values are fixed per consumer and listed in ``treekv.engine``.
+    Tag values are fixed per consumer and listed in ``treekv.engine``;
+    retired tags are never reused.
 
 uniforms
     The top 53 bits of each 64-bit word:
@@ -66,7 +67,7 @@ def stream_seed(seed: int, tag: int) -> int:
 
 
 class NormalStream:
-    """Sequential stream of polar-method normal variates and integers."""
+    """Sequential stream of polar-method normal variates."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
@@ -105,7 +106,3 @@ class NormalStream:
             self._spare = float(pairs[-1]) if len(pairs) > count - done else None
             done += len(pairs)
         return out
-
-    def integers(self, count: int, bound: int) -> list[int]:
-        """Integers in [0, bound) by modular reduction of full words."""
-        return (self._words(count) % np.uint64(bound)).tolist()

@@ -18,7 +18,7 @@ import numpy as np
 from .engine import ModelDims, atomic_output, project, slot_rows, stacked_weights, write_array
 from .errors import InputError
 
-TRACE_FORMAT = 6
+TRACE_FORMAT = 7
 
 
 @dataclass
@@ -44,7 +44,6 @@ class DecodeTrace:
     dims: ModelDims
     model_seed: int
     stream_seed: int | None = None
-    token_ids: list[int] | None = None
     steps: list[StepRecord] = field(default_factory=list)
     # Retained positions after the last step, a (layers, heads, n) int64
     # array: a checkpoint that replaying the evictions must reproduce (see
@@ -66,7 +65,6 @@ class DecodeTrace:
             "heads": self.dims.heads,
             "d_model": self.dims.d_model,
             "d_head": self.dims.d_head,
-            "vocab": self.dims.vocab,
             "model_seed": self.model_seed,
             "stream_seed": self.stream_seed,
         }
@@ -75,7 +73,6 @@ class DecodeTrace:
 def write_trace(trace: DecodeTrace, path: str) -> None:
     header = {"kind": "header", "format": TRACE_FORMAT}
     header.update(trace.config_dict())
-    header["token_ids"] = trace.token_ids
     records = [header]
     for record in trace.steps:
         line = {"kind": "step", "step": record.step}
@@ -132,19 +129,18 @@ def _header_trace(header: dict, path: str) -> DecodeTrace:
     if header.get("format") != TRACE_FORMAT:
         raise InputError(f"unsupported trace format {header.get('format')}")
     required = ("policy", "capacity", "zones", "seq_len", "layers", "heads", "d_model",
-                "d_head", "vocab", "model_seed")
+                "d_head", "model_seed")
     missing = [key for key in required if key not in header]
     if missing:
         raise InputError(f"trace header is missing fields: {missing}")
-    dims = ModelDims(header["layers"], header["heads"], header["d_model"], header["d_head"],
-                     header["vocab"])
+    dims = ModelDims(header["layers"], header["heads"], header["d_model"], header["d_head"])
     dims.validate(InputError, "trace header: ")
     seq_len = header["seq_len"]
     if type(seq_len) is not int or seq_len < 0:
         raise InputError(f"trace header: seq_len must be a non-negative int, got {seq_len!r}")
     return DecodeTrace(policy=header["policy"], capacity=header["capacity"], zones=header["zones"],
                        seq_len=seq_len, dims=dims, model_seed=header["model_seed"],
-                       stream_seed=header.get("stream_seed"), token_ids=header.get("token_ids"))
+                       stream_seed=header.get("stream_seed"))
 
 
 def read_trace(path: str) -> DecodeTrace:

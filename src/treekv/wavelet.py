@@ -219,6 +219,8 @@ def magnitude_profile(
         raise ConfigError(f"step must be at least 1, got {step}")
     if exclude < 0:
         raise ConfigError(f"exclude must be non-negative, got {exclude}")
+    if levels < 1:
+        raise LevelError(f"levels must be >= 1, got {levels}")
 
     views = [signals_at_step(trace, step) for trace in traces]
     signal_length = views[0][0].shape[2]

@@ -5,6 +5,7 @@ import stat
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from treekv import (
     write_trace,
 )
 from treekv.cli import RunConfig, load_config, main
-from treekv.engine import atomic_output
+from treekv.engine import _FORMAT_VERSION, atomic_output
+from treekv.trace import TRACE_FORMAT
 
 from oracles import oracle_compare_cells
 
@@ -60,10 +62,10 @@ def test_defaults_mirror_the_reference_setup():
 def test_gen_weights_writes_loadable_file(tmp_path):
     out = tmp_path / "w.bin"
     assert run_cli("gen-weights", "--seed", 9, "--layers", 1, "--heads", 2,
-                   "--d-model", 8, "--d-head", 4, "--vocab", 12, "-o", out) == 0
+                   "--d-model", 8, "--d-head", 4, "-o", out) == 0
     weights = load_weights(str(out))
     assert weights.seed == 9
-    assert weights.dims.vocab == 12
+    assert weights.dims == ModelDims(1, 2, 8, 4)
 
 
 def test_stream_seed_is_recorded_only_when_it_drew_the_inputs(tmp_path):
@@ -285,23 +287,18 @@ def test_analysis_is_bitwise_pinned(tmp_path, command, count, heads, expected):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
-def test_decode_token_id_file(tmp_path):
+def test_decode_token_id_file(tmp_path, capsys):
+    # A model has no vocabulary: a file of token ids is not a grid of rows.
     tokens = tmp_path / "ids.json"
     tokens.write_text(json.dumps([3, 1, 4, 1, 5, 9, 2, 6]))
     out = tmp_path / "t.jsonl"
-    assert run_cli(*_decode_args(out, policy="full", c=16, vocab=12),
-                   "--tokens", tokens) == 0
-    trace = read_trace(str(out))
-    assert trace.seq_len == 8
-    assert trace.token_ids == [3, 1, 4, 1, 5, 9, 2, 6]
-    # ids without an embedding table is an input error
-    assert run_cli(*_decode_args(out, policy="full", c=16),
-                   "--tokens", tokens) == 3
+    assert run_cli(*_decode_args(out, policy="full", c=16), "--tokens", tokens) == 3
+    assert "is not a nx8 grid of finite int/float values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_reference_and_overlaps(tmp_path):
-    shared = {"seed": 2, "T": 32, "layers": 1, "heads": 2,
-              "d_model": 8, "d_head": 4, "vocab": 16}
+    shared = {"seed": 2, "T": 32, "layers": 1, "heads": 2, "d_model": 8, "d_head": 4}
     full = {"policy": "full", "c": 32, "zones": "sink=0,recent=0", **shared}
     streaming = {"policy": "streaming", "c": 8, "zones": "sink=4,recent=4", **shared}
     paths = []
@@ -317,7 +314,7 @@ def test_compare_reference_and_overlaps(tmp_path):
     assert rows[0][0] == "full" and float(rows[0][1]) == 1.0
     assert float(rows[1][1]) == 1.0  # a policy compared with itself
     assert abs(float(rows[2][1]) - 8 / 32) < 1e-12  # c / T against full
-    assert all(row[6] for row in rows)  # toy NLL column populated
+    assert all(row[6] == "" for row in rows)  # the nll column stays empty
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -472,20 +469,34 @@ def _compare_case(*edits):
 
 
 def _zero_layer_weights(tmp_path):
-    """A 34-byte TKVW header that declares 0 layers and no matrices."""
+    """A 30-byte TKVW version-2 header that declares 0 layers and no matrices."""
     weights = tmp_path / "w.bin"
-    weights.write_bytes(struct.pack("<4sHIIIIIQ", b"TKVW", 1, 0, 2, 8, 4, 0, 5))
+    weights.write_bytes(struct.pack("<4sHIIIIQ", b"TKVW", 2, 0, 2, 8, 4, 5))
     return ["decode", "--weights", weights, "-o", tmp_path / "t.jsonl"]
 
 
-def _nan_weights(tmp_path):
-    """A 1x1x8x4 TKVW file whose first W_Q entry is NaN."""
+def _nan_weights(entry):
+    """A 1x1x8x4 TKVW file whose ``entry``-th f32 (0: the first W_Q entry,
+    64: the first W_V entry) is NaN, read by decode."""
+    def build(tmp_path):
+        weights = tmp_path / "w.bin"
+        assert run_cli("gen-weights", "--layers", 1, "--heads", 1, "--d-model", 8,
+                       "--d-head", 4, "-o", weights) == 0
+        blob = bytearray(weights.read_bytes())
+        blob[30 + 4 * entry : 34 + 4 * entry] = struct.pack("<f", float("nan"))
+        weights.write_bytes(bytes(blob))
+        return ["decode", "--weights", weights, "-o", tmp_path / "t.jsonl"]
+    return build
+
+
+def _v1_weights(tmp_path):
+    """A valid version-1 TKVW file: a 34-byte header with a vocab of 0, then
+    the matrices a version-2 file holds."""
     weights = tmp_path / "w.bin"
-    assert run_cli("gen-weights", "--layers", 1, "--heads", 1, "--d-model", 8,
+    assert run_cli("gen-weights", "--seed", 5, "--layers", 1, "--heads", 1, "--d-model", 8,
                    "--d-head", 4, "-o", weights) == 0
-    blob = bytearray(weights.read_bytes())
-    blob[34:38] = struct.pack("<f", float("nan"))
-    weights.write_bytes(bytes(blob))
+    matrices = weights.read_bytes()[30:]
+    weights.write_bytes(struct.pack("<4sHIIIIIQ", b"TKVW", 1, 1, 1, 8, 4, 0, 5) + matrices)
     return ["decode", "--weights", weights, "-o", tmp_path / "t.jsonl"]
 
 
@@ -519,6 +530,7 @@ def _nan_weights(tmp_path):
         (_trace_case(lambda record: json.dumps({**record, "format": 3}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 4}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 5}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 6}), line=0), 3),
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 10**12}), line=0,
                      trace_detail="light"), 3),
         (_trace_case(lambda record: json.dumps({**record, "layers": 2**32 - 1, "heads": 2**32 - 1,
@@ -526,11 +538,16 @@ def _nan_weights(tmp_path):
         (_zero_layer_weights, 3),
         (_token_file_case("[[NaN]]", d_model=1), 3),
         (_token_file_case("[[true]]", d_model=1), 3),
-        (_token_file_case("[1, 2, true]", vocab=8), 3),
-        (_nan_weights, 3),
+        (_token_file_case("[3, 1, 4]"), 3),
+        (_nan_weights(0), 3),
+        # decode projects no value, so only the weight file's own check refuses this
+        (_nan_weights(64), 3),
+        (_v1_weights, 3),
         (lambda tmp_path: ["prefill", "--T", 12, "--block-size", 0,
                            "-o", tmp_path / "p.jsonl"], 2),
         (_trace_case(json.dumps, command=("analyze", "--levels", 2, "--exclude", -1)), 2),
+        # rejected before the margin check, which 5 slots fail at the default exclude
+        (_trace_case(json.dumps, command=("analyze", "--levels", 0)), 2),
         (_token_file_case(HUGE_ROWS), 3),
         (_prompt_case(HUGE_ROWS), 3),
         (_token_file_case(OVERFLOWING_ROWS), 3),
@@ -551,7 +568,6 @@ def _nan_weights(tmp_path):
                      ("weights", (slice(None), 2), 1.0), ("inputs", slice(None), 2.2e307)), 3),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=\u00b2"), 2),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=1,sink=2,recent=0"), 2),
-        (_token_file_case("[1, 36893488147419103232]", vocab=8), 3),
         # 2**62 normals per matrix: more bytes than numpy can address
         (lambda tmp_path: ["gen-weights", "--d-model", 2**31, "--d-head", 2**31,
                            "-o", tmp_path / "w.bin"], 2),
@@ -561,6 +577,9 @@ def _nan_weights(tmp_path):
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", T=0), 2),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", trace_detail="ful"), 2),
         (lambda tmp_path: ["gen-weights", "--layers", 0, "-o", tmp_path / "w.bin"], 2),
+        # a model has no token vocabulary: vocab must be 0
+        (lambda tmp_path: ["gen-weights", "--vocab", 3, "-o", tmp_path / "w.bin"], 2),
+        (_compare_case({}, {"vocab": 16}), 2),
         # every config's policy is checked before any decode runs
         (_compare_case({}, {"policy": "treekv", "c": 4}, {"policy": "bogus"}), 2),
         # a later config is only compared with the first
@@ -575,15 +594,17 @@ def _nan_weights(tmp_path):
          "retained-float-positions", "header-dim-null", "header-seq-len-float",
          "block-short", "block-long", "block-on-light-trace", "row-cell-nan",
          "value-cell-infinity", "weights-cell-nan", "step-without-values", "format-1",
-         "format-2", "format-3", "format-4", "format-5", "seq-len-huge",
+         "format-2", "format-3", "format-4", "format-5", "format-6", "seq-len-huge",
          "block-length-overflows-int64", "weights-zero-layers", "embedding-nan",
-         "embedding-bool", "token-id-bool", "weights-nan", "block-size-zero", "exclude-negative",
+         "embedding-bool", "token-ids", "weights-nan", "weights-nan-in-w-v", "weights-version-1",
+         "block-size-zero", "exclude-negative", "levels-zero",
          "decode-attention-overflow", "prefill-attention-overflow",
          "decode-projection-overflow", "prefill-projection-overflow", "step-zero", "step-past-end",
          "levels-huge", "qkv-overflow", "logits-overflow", "projection-overflow",
-         "profile-overflow", "zones-superscript", "zones-repeated", "token-id-huge",
+         "profile-overflow", "zones-superscript", "zones-repeated",
          "weights-too-big", "prefill-unread-c", "decode-unread-levels", "decode-T-zero",
-         "trace-detail-unknown", "gen-weights-zero-layers", "compare-last-policy-unknown",
+         "trace-detail-unknown", "gen-weights-zero-layers", "gen-weights-vocab", "compare-vocab",
+         "compare-last-policy-unknown",
          "compare-later-T-zero", "decode-value-overflow", "prefill-value-overflow",
          "analyze-value-overflow"],
 )
@@ -734,3 +755,11 @@ def test_weight_file_dims_override_the_config(tmp_path):
     rows = [line.split(",") for line in summary.read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == ["full", "treekv"]
     assert float(rows[1][1]) == 8 / 16  # c / T against full
+
+
+def test_readme_names_the_current_file_formats():
+    # The format numbers in the README are written by hand; a bump must edit them.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"**Weight file** (`TKVW`, version {_FORMAT_VERSION}," in readme
+    assert f"**Trace file** (format {TRACE_FORMAT})" in readme
+    assert f'{{"kind":"header","format":{TRACE_FORMAT},' in readme

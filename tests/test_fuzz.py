@@ -1,6 +1,6 @@
 """Mutation fuzz of the CLI's input files.
 
-A small format-6 trace, a config file and a TKVW weight file are each
+A small format-7 trace, a config file and a TKVW weight file are each
 corrupted by dropping, retyping or replacing one JSON value, one line or
 one byte (of a trace: of its JSON lines or of its block of inputs and
 weights), then handed to ``treekv.cli.main`` in-process.  Whatever the
@@ -56,11 +56,11 @@ def base(tmp_path_factory):
                 "--T", 12, "--seed", 3, *MODEL, "-o", files["t.jsonl"]) == 0
     files["cfg.json"].write_text(json.dumps({
         "policy": "h2o", "c": 5, "zones": "sink=1,recent=2", "seed": 2, "T": 10,
-        "layers": 1, "heads": 2, "d_model": 8, "d_head": 4, "vocab": 3,
+        "layers": 1, "heads": 2, "d_model": 8, "d_head": 4, "vocab": 0,
         "block_size": 3, "cache_blocks": 2, "levels": 1, "exclude": 1, "step": None,
         "weights": None, "trace_detail": "full",
     }))
-    assert _run("gen-weights", "--seed", 5, *MODEL, "--vocab", 3, "-o", files["w.bin"]) == 0
+    assert _run("gen-weights", "--seed", 5, *MODEL, "-o", files["w.bin"]) == 0
     *lines, block = files["t.jsonl"].read_bytes().split(b"\n", RECORDS)
     # the mutator reaches evictions and the block: 12 f64 inputs of 8, then
     # 1 x 2 streams x 3 f32 matrices of 8 x 4

@@ -285,8 +285,8 @@ def test_zone_parsing():
 # --- decode loop ---------------------------------------------------------------
 
 
-def _toy_weights(vocab=0):
-    return generate_weights(5, ModelDims(1, 2, 8, 4, vocab))
+def _toy_weights():
+    return generate_weights(5, ModelDims(1, 2, 8, 4))
 
 
 def test_decode_full_capacity_never_evicts_and_matches_full_policy():

@@ -41,8 +41,8 @@ def test_trace_roundtrip(tmp_path):
     assert loaded.config_dict() == trace.config_dict()
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert header.keys() == {"kind", "format", "policy", "capacity", "zones", "seq_len",
-                             "layers", "heads", "d_model", "d_head", "vocab", "model_seed",
-                             "stream_seed", "token_ids"}
+                             "layers", "heads", "d_model", "d_head", "model_seed",
+                             "stream_seed"}
     assert len(loaded.steps) == len(trace.steps)
     last_a, last_b = trace.steps[-1], loaded.steps[-1]
     assert np.array_equal(loaded.retained, trace.retained)
