@@ -539,6 +539,8 @@ def _v1_weights(tmp_path):
         (_token_file_case("[[NaN]]", d_model=1), 3),
         (_token_file_case("[[true]]", d_model=1), 3),
         (_token_file_case("[3, 1, 4]"), 3),
+        # a flat list is not a row grid, whatever ids it holds
+        (_token_file_case("[1, 2, true]"), 3),
         (_nan_weights(0), 3),
         # decode projects no value, so only the weight file's own check refuses this
         (_nan_weights(64), 3),
@@ -568,6 +570,7 @@ def _v1_weights(tmp_path):
                      ("weights", (slice(None), 2), 1.0), ("inputs", slice(None), 2.2e307)), 3),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=\u00b2"), 2),
         (lambda tmp_path: _decode_args(tmp_path / "t.jsonl", zones="sink=1,sink=2,recent=0"), 2),
+        (_token_file_case("[1, 36893488147419103232]"), 3),
         # 2**62 normals per matrix: more bytes than numpy can address
         (lambda tmp_path: ["gen-weights", "--d-model", 2**31, "--d-head", 2**31,
                            "-o", tmp_path / "w.bin"], 2),
@@ -596,12 +599,12 @@ def _v1_weights(tmp_path):
          "value-cell-infinity", "weights-cell-nan", "step-without-values", "format-1",
          "format-2", "format-3", "format-4", "format-5", "format-6", "seq-len-huge",
          "block-length-overflows-int64", "weights-zero-layers", "embedding-nan",
-         "embedding-bool", "token-ids", "weights-nan", "weights-nan-in-w-v", "weights-version-1",
+         "embedding-bool", "token-ids", "token-id-bool", "weights-nan", "weights-nan-in-w-v", "weights-version-1",
          "block-size-zero", "exclude-negative", "levels-zero",
          "decode-attention-overflow", "prefill-attention-overflow",
          "decode-projection-overflow", "prefill-projection-overflow", "step-zero", "step-past-end",
          "levels-huge", "qkv-overflow", "logits-overflow", "projection-overflow",
-         "profile-overflow", "zones-superscript", "zones-repeated",
+         "profile-overflow", "zones-superscript", "zones-repeated", "token-id-huge",
          "weights-too-big", "prefill-unread-c", "decode-unread-levels", "decode-T-zero",
          "trace-detail-unknown", "gen-weights-zero-layers", "gen-weights-vocab", "compare-vocab",
          "compare-last-policy-unknown",
