@@ -13,9 +13,12 @@ Every policy is a pure victim selector over the importance statistics of
 all streams (cumulative attention mass S, residency count C, the last
 attention row).  ``EvictionPolicy.evict`` is the one place that removes
 slots: it applies the selector to a ``StreamBatch`` and removes the victims
-from it, so keys, positions and statistics stay parallel.  The
-decode loop runs every (layer, head) stream at once with one policy
-instance, and block-level prefill replays the same tree selector.
+from it, so keys, positions and statistics stay parallel.  A policy's
+``reads_attention`` says whether its selector reads those statistics at
+all: full attention, the sliding window and select-left choose from slot
+positions alone, so their decode attends nothing.  The decode loop runs
+every (layer, head) stream at once with one policy instance, and
+block-level prefill replays the same tree selector.
 """
 
 from __future__ import annotations
@@ -131,6 +134,7 @@ class EvictionPolicy:
     """
 
     spec = "?"
+    reads_attention = True  # whether ``select`` reads the scores, counts or rows
     capacity: int | None = None  # slots each stream keeps; None: never evicts
     cursor: int | None = None  # the tree cursor the next eviction uses
 
@@ -144,7 +148,9 @@ class EvictionPolicy:
 
     def evict(self, batch: StreamBatch, rows) -> tuple[np.ndarray, int | None]:
         """Evict one slot per stream from a batch that is over capacity,
-        ``rows`` being the attention rows of the step that filled it.
+        ``rows`` being the attention rows of the step that filled it (None
+        if that step attended nothing, which only a policy that reads no
+        attention allows).
 
         Returns the removed slots' original positions, one per stream, and
         the tree cursor the eviction used.
@@ -167,6 +173,7 @@ class EvictionPolicy:
 
 class FullAttention(EvictionPolicy):
     spec = "full"
+    reads_attention = False
 
     def select(self, scores, counts, last_rows):
         return None
@@ -190,6 +197,7 @@ class TreeKV(EvictionPolicy):
         self.zones = zones
         self.cycle = cycle
         self.select_left = select_left
+        self.reads_attention = not select_left
         self.spec = "treekv-left" if select_left else "treekv"
         self.cursor = 1
 
@@ -231,6 +239,7 @@ class _ZonedPolicy(EvictionPolicy):
 
 class StreamingLLM(_ZonedPolicy):
     spec = "streaming"
+    reads_attention = False
 
     def select(self, scores, counts, last_rows):
         return streaming_victims(*scores.shape, self.zones)
@@ -286,9 +295,12 @@ def decode_with_policy(
     Per step: project the query and key, append, attend with re-assigned
     positions and accumulate scores in every stream, then, if the streams
     are over capacity, evict one slot per stream.  Nothing in the loop reads
-    a value.  With ``record_outputs``, every input's value is projected
-    once, before the loop, (T, S, d_head), and each step's outputs sum the
-    values of the slots it attended under its rows, before the eviction.
+    a value.  A policy whose selector reads no attention (``full``,
+    ``streaming``, ``treekv-left``) only projects and appends each key, and
+    attends nothing, unless ``record_outputs`` needs the rows.  With
+    ``record_outputs``, every input's value is projected once, before the
+    loop, (T, S, d_head), and each step's outputs sum the values of the
+    slots it attended under its rows, before the eviction.
     Returns the trace: per-step evicted grids with their tree cursors, the
     final retained positions and, with ``record_detail``, references to the
     (C-contiguous) inputs and weights.
@@ -319,8 +331,13 @@ def decode_with_policy(
     if record_outputs:
         values = project(inputs[:, None, :], stacked_weights(weights.qkv)[2])
         every = np.arange(batch.streams)[:, None]
+    attend = policy.reads_attention or record_outputs
     for step in range(1, seq_len + 1):
-        rows = batch.step(inputs[step - 1])
+        if attend:
+            rows = batch.step(inputs[step - 1])
+        else:
+            rows = None
+            batch.append(inputs[step - 1 : step])
         outputs = None
         if record_outputs:
             held = values[batch.positions[:, : batch.n], every]  # (S, n, d_head)

@@ -16,6 +16,7 @@ from treekv import (
     ModelDims,
     ModelWeights,
     decode_with_policy,
+    generate_weights,
     load_weights,
     make_policy,
     read_trace,
@@ -397,12 +398,13 @@ def _block_case(*edits):
     return _trace_case(command=ANALYZE, block=edit)
 
 
-def _token_file_case(text, **overrides):
-    """decode with ``--tokens`` naming a file that holds ``text``."""
+def _token_file_case(text, out=None, **overrides):
+    """decode with ``--tokens`` naming a file that holds ``text``, writing
+    to ``out`` (by default t.jsonl beside it)."""
     def build(tmp_path):
         tokens = tmp_path / "tokens.json"
         tokens.write_text(text)
-        return [*_decode_args(tmp_path / "t.jsonl", **overrides), "--tokens", tokens]
+        return [*_decode_args(out or tmp_path / "t.jsonl", **overrides), "--tokens", tokens]
     return build
 
 
@@ -410,6 +412,13 @@ def _token_file_case(text, **overrides):
 # whose projections overflow.
 HUGE_ROWS = json.dumps([[1e300] * 8] * 6)
 OVERFLOWING_ROWS = json.dumps([[1.7e308] * 8] * 6)
+
+
+def _unread_attention_analyze(tmp_path):
+    """analyze on the trace that select-left, whose decode attends nothing,
+    writes for HUGE_ROWS: analysis derives the rows that decode skipped."""
+    assert run_cli(*_token_file_case(HUGE_ROWS)(tmp_path)) == 0
+    return [*ANALYZE, "--trace", tmp_path / "t.jsonl"]
 
 
 def _prompt_case(text):
@@ -550,7 +559,7 @@ def _v1_weights(tmp_path):
         (_trace_case(json.dumps, command=("analyze", "--levels", 2, "--exclude", -1)), 2),
         # rejected before the margin check, which 5 slots fail at the default exclude
         (_trace_case(json.dumps, command=("analyze", "--levels", 0)), 2),
-        (_token_file_case(HUGE_ROWS), 3),
+        (_token_file_case(HUGE_ROWS, policy="treekv"), 3),
         (_prompt_case(HUGE_ROWS), 3),
         (_token_file_case(OVERFLOWING_ROWS), 3),
         (_prompt_case(OVERFLOWING_ROWS), 3),
@@ -591,6 +600,9 @@ def _v1_weights(tmp_path):
         (_value_overflow_case("decode"), 0),
         (_value_overflow_case("prefill"), 0),
         (_value_overflow_case("analyze"), 3),
+        # attention past float64: only a policy that reads attention fails
+        (_token_file_case(HUGE_ROWS, out=os.devnull), 0),
+        (_unread_attention_analyze, 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -609,7 +621,8 @@ def _v1_weights(tmp_path):
          "trace-detail-unknown", "gen-weights-zero-layers", "gen-weights-vocab", "compare-vocab",
          "compare-last-policy-unknown",
          "compare-later-T-zero", "decode-value-overflow", "prefill-value-overflow",
-         "analyze-value-overflow"],
+         "analyze-value-overflow", "decode-attention-overflow-unread",
+         "analyze-attention-overflow-unread"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -635,6 +648,24 @@ def test_only_a_run_that_reads_values_fails_on_overflowing_values(tmp_path, caps
     write_trace(trace, str(out))
     assert run_cli(*ANALYZE, "--trace", out) == 3
     assert "projections are not finite" in capsys.readouterr().err
+
+
+def test_only_a_run_that_attends_fails_on_overflowing_logits(tmp_path, capsys):
+    # The _decode_args model on HUGE_ROWS: finite queries and keys, logits
+    # past float64.  select-left reads no attention, so its decode skips the
+    # rows unless it records outputs.
+    weights = generate_weights(3, ModelDims(1, 2, 8, 4))
+    inputs = np.array(json.loads(HUGE_ROWS))
+    trace = decode_with_policy(weights, inputs, "treekv-left", 4, "sink=0,recent=0")
+    assert [record.evicted is not None for record in trace.steps] == [False] * 4 + [True] * 2
+    for spec, record_outputs in (("treekv", False), ("treekv-left", True)):
+        with pytest.raises(InputError, match="attention rows are not finite"):
+            decode_with_policy(weights, inputs, spec, 4, "sink=0,recent=0",
+                               record_outputs=record_outputs)
+    out = tmp_path / "t.jsonl"
+    write_trace(trace, str(out))
+    assert run_cli(*ANALYZE, "--trace", out) == 3
+    assert "attention rows are not finite" in capsys.readouterr().err
 
 
 def test_trace_errors_name_the_format_and_the_missing_block(tmp_path, capsys):

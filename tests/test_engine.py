@@ -644,8 +644,17 @@ def _trace_digest(trace):
          "7f41f011540c5f6c5e09f5ac97bda80bf6e4f09c0ee92a91377ed7dc3f7ddb3a"),
         ("h2o", "sink=1,recent=2",
          "afc7abfe088ac26b1c88ffa4536c2cb6fd85631cbae4cb02143d246bbe37500d"),
+        # recorded from the engine that attended every step of every policy
+        ("streaming", "sink=1,recent=2",
+         "596e293d49c948de2b87ef7091de7076ee874cf9fd8bfe60ad035c4e02d8557f"),
+        ("treekv-left", "sink=1,recent=2",
+         "250858fcee0d67cdb65e78d58f841fcdf57bcac24b7145b3a05c64e810ff37bf"),
+        ("tova", "sink=0,recent=0",
+         "cd0d16dc988882cbf2a938ba035cf5399b53b1f72078e56290c69194c360f9bc"),
+        ("full", "sink=0,recent=0",
+         "220b3c0636d8fa6d7b1e9a6f98449132d90de2149a50e103691fb889ab412bf0"),
     ],
-    ids=["treekv", "h2o"],
+    ids=["treekv", "h2o", "streaming", "treekv-left", "tova", "full"],
 )
 def test_decode_is_bitwise_pinned(spec, zones, expected):
     weights = generate_weights(21, ModelDims(2, 2, 8, 4))

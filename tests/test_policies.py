@@ -347,6 +347,80 @@ def test_evictions_never_read_the_value_matrices(spec):
         assert np.array_equal(want.retained, got.retained)
 
 
+# (layers, heads, d_model, d_head): d_model 1 and odd d_head among them
+SKIP_DIMS = [(1, 1, 1, 3), (2, 2, 8, 4), (1, 3, 5, 5)]
+SKIP_ZONES = ["sink=0,recent=0", "sink=1,recent=2", "sink=4,recent=12"]
+
+
+def _fitting_policies(spec, capacities=(2, 5, 8, 20)):
+    """(capacity, zones, fresh policy) for every capacity and zone setting
+    that ``make_policy`` accepts for ``spec``."""
+    for capacity in capacities:
+        for zones in SKIP_ZONES:
+            try:
+                yield capacity, zones, make_policy(spec, capacity, zones)
+            except ConfigError:
+                continue  # the zones do not fit this capacity
+
+
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypatch):
+    # record_outputs needs every step's rows, so it forces the attending
+    # path.  Without it, a policy that reads no attention never steps the
+    # batch, and must still evict the same positions at the same steps with
+    # the same cursors and keep the same final positions.
+    steps = []
+    step = StreamBatch.step
+
+    def counted_step(batch, x):
+        steps.append(x)
+        return step(batch, x)
+
+    monkeypatch.setattr(StreamBatch, "step", counted_step)
+    runs = 0
+    for seed in (0, 1, 2):
+        for shape in SKIP_DIMS:
+            dims = ModelDims(*shape)
+            weights = generate_weights(90 + seed, dims)
+            inputs = synthesize_embeddings(100 + seed, 30, dims.d_model)
+            for capacity, zones, policy in _fitting_policies(spec):
+                want = decode_with_policy(weights, inputs, spec, capacity, zones,
+                                          record_outputs=True)
+                steps.clear()
+                got = decode_with_policy(weights, inputs, spec, capacity, zones)
+                assert len(steps) == (30 if policy.reads_attention else 0)
+                for a, b in zip(want.steps, got.steps, strict=True):
+                    assert (a.evicted is None) == (b.evicted is None)
+                    assert a.evicted is None or np.array_equal(a.evicted, b.evicted)
+                    assert a.cursor == b.cursor
+                    assert b.outputs is None
+                assert np.array_equal(want.retained, got.retained)
+                runs += 1
+    assert runs >= 3 * len(SKIP_DIMS) * 8  # every spec fits 8 of the 12 settings
+
+
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_reads_attention_says_whether_the_victims_depend_on_it(spec):
+    # select on capacity + 1 slots, once with seeded random statistics and
+    # once with constant ones, at the same cursor.  A policy that declares
+    # it reads no attention names the same victims every time.  For each
+    # policy that declares it does, some input here changes its victims, so
+    # declaring it wrongly would fail the first check.
+    rng = np.random.default_rng(110)
+    changed = 0
+    for capacity, zones, policy in _fitting_policies(spec):
+        shape = (3, capacity + 1)
+        constant = (np.ones(shape), np.ones(shape, dtype=np.int64), np.ones(shape))
+        for _ in range(2 * capacity):
+            seeded = (rng.random(shape) * 10, rng.integers(1, 10, shape), rng.random(shape))
+            victims = [policy.select(*stats) for stats in (seeded, constant)]
+            changed += not np.array_equal(*victims)  # full names None both times
+            if not policy.reads_attention:
+                assert np.array_equal(*victims), (capacity, zones, policy.cursor)
+            policy.advance()
+    assert policy.reads_attention == (changed > 0)
+
+
 def test_decode_select_left_17_token_pattern():
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 17, 8)
