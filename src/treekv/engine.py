@@ -20,11 +20,13 @@ next step sees contiguous encoding positions 0..n-1.
 ``StreamBatch`` is the only stream state, and the module keeps none of
 its own: each batch builds the rotary rows of its own slots, and
 ``slot_rows`` and ``rotate_vector`` build the rows they use.  A batch holds
-every stream's keys, positions and importance statistics as stacked
-arrays and steps them together, with each stream's floating-point
-operations exactly those of a lone stream (the per-stream definition the
-tests compare against lives in ``tests/oracles.py``).  Prompt prefill
-runs on the same batch over an unbounded cache (``prefill.window_mass``).
+every stream's positions as stacked arrays and, only as far as its reader
+reads them (``STATISTICS``), its keys and importance statistics, and steps
+them together, with each stream's floating-point operations exactly those
+of a lone stream (the per-stream definition the tests compare against
+lives in ``tests/oracles.py``).  A batch whose reader reads nothing holds
+positions only and attends nothing.  Prompt prefill runs on the same
+batch over an unbounded cache (``prefill.window_mass``).
 
 Weight file format (version 2)
 ------------------------------
@@ -276,17 +278,29 @@ def value_sums(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], values)[:, 0, :]
 
 
+# What a batch's reader may read after a step: the cumulative attention
+# mass S, the residency counts C (both per slot) and the step's own rows.
+STATISTICS = ("scores", "counts", "rows")
+KEY_CHECK_ROWS = 256  # inputs whose keys ``check_keys`` projects at once
+
+
 class StreamBatch:
     """Decode state of all S = layers * heads streams as one struct-of-arrays.
 
     Every stream reads the same inputs and appends one slot per input, and
     every eviction removes exactly one slot from each stream, so all streams
     hold the same number of slots ``n``.  Per stream and slot it keeps the
-    raw key (S, slots, d_head), the original position (the i-th input the
-    batch was given has position i), and the importance statistics:
-    cumulative attention mass ``scores`` (S) and residency count ``counts``
-    (C), each (S, slots).  Only ``[:, :n]`` is live.  It holds no values:
-    its callers read only the attention rows.
+    original position (the i-th input the batch was given has position i)
+    and, only as its reader needs them, the raw key (S, slots, d_head) and
+    the importance statistics: cumulative attention mass ``scores`` (S) and
+    residency count ``counts`` (C), each (S, slots).  ``reads``, given at
+    construction, names what the reader reads (of ``STATISTICS``): the batch
+    keeps ``scores`` and ``counts`` only if they are named, and keys,
+    ``encoded`` and ``rope`` only if anything is, since then it attends.
+    An array it does not keep is None, and ``_store``, ``step`` and
+    ``remove`` store, accumulate and shift only the kept ones.  Only
+    ``[:, :n]`` is live.  It holds no values: its callers read only the
+    attention rows.
 
     Keys are stored raw and attended rotated at their slot index 0..n-1, so
     each stream computes exactly what a lone stream with its own cache
@@ -297,64 +311,87 @@ class StreamBatch:
     A query is projected only for an input that ``step`` attends.
     """
 
-    def __init__(self, weights: ModelWeights, slots: int):
+    def __init__(self, weights: ModelWeights, slots: int, reads=STATISTICS):
         dims = weights.dims
         self.streams = dims.layers * dims.heads
         self.wq, self.wk = self.stack = stacked_weights(weights.qkv[:, :, :2])
         shape = (self.streams, max(slots, 1))
-        self.keys = np.zeros(shape + (dims.d_head,), dtype=np.float64)
-        self.encoded = np.zeros(shape + (dims.d_head,), dtype=np.float64)
+        attends = bool(reads)
         self.positions = np.zeros(shape, dtype=np.int64)
-        self.scores = np.zeros(shape, dtype=np.float64)
-        self.counts = np.zeros(shape, dtype=np.int64)
-        self.rope = _rope(dims.d_head, np.arange(shape[1]))  # one row per slot
+        self.keys = np.zeros(shape + (dims.d_head,)) if attends else None
+        self.encoded = np.zeros(shape + (dims.d_head,)) if attends else None
+        self.rope = _rope(dims.d_head, np.arange(shape[1])) if attends else None  # per slot
+        self.scores = np.zeros(shape) if "scores" in reads else None
+        self.counts = np.zeros(shape, dtype=np.int64) if "counts" in reads else None
+        self.shifted = tuple(array for array in (self.positions, self.keys, self.scores,
+                                                 self.counts) if array is not None)
         self.n = 0
         self.fresh = 0
         self.appended = 0  # inputs given so far: the next original position
 
-    def _store(self, keys: np.ndarray) -> None:
-        """Store m keys (S, m, d_head) in the next m slots at the next m
-        original positions, with zeroed statistics."""
-        n, m = self.n, keys.shape[1]
-        if n + m > self.keys.shape[1]:
-            raise StateError(f"stream batch of {self.keys.shape[1]} slots is full at {n}")
+    def _store(self, m: int, keys: np.ndarray | None = None) -> None:
+        """Store m inputs in the next m slots at the next m original
+        positions, with their keys (S, m, d_head) if the batch keeps keys
+        and zeroed statistics."""
+        n = self.n
+        if n + m > self.positions.shape[1]:
+            raise StateError(f"stream batch of {self.positions.shape[1]} slots is full at {n}")
         end = self.n = n + m
-        self.keys[:, n:end] = keys
         self.positions[:, n:end] = np.arange(self.appended, self.appended + m)
         self.appended += m
-        self.scores[:, n:end] = 0.0
-        self.counts[:, n:end] = 0
+        if self.keys is not None:
+            self.keys[:, n:end] = keys
+        if self.scores is not None:
+            self.scores[:, n:end] = 0.0
+        if self.counts is not None:
+            self.counts[:, n:end] = 0
+
+    def check_keys(self, xs: np.ndarray) -> None:
+        """Project the keys of inputs xs (T, d_model), ``KEY_CHECK_ROWS``
+        inputs at a time, and store none, so that a key past float64 is an
+        input error as ``append`` makes it in a batch that keeps keys.  Each
+        key is its own product (see ``project``), so it is bitwise the key
+        ``append`` or ``step`` would store."""
+        for start in range(0, len(xs), KEY_CHECK_ROWS):
+            project(xs[start : start + KEY_CHECK_ROWS, None, :], self.wk)
 
     def append(self, xs: np.ndarray) -> None:
-        """Project m inputs xs (m, d_model) to keys and append them to every
-        stream.  Nothing is attended or rotated, so ``fresh`` stays as it
-        was."""
-        self._store(project(xs[:, None, :], self.wk).swapaxes(0, 1))
+        """Append m inputs xs (m, d_model) to every stream.  A batch that
+        keeps keys projects and stores them; one that does not stores only
+        their positions, and its caller checks the keys (``check_keys``).
+        Nothing is attended or rotated, so ``fresh`` stays as it was."""
+        if self.keys is None:
+            self._store(len(xs))
+        else:
+            self._store(len(xs), project(xs[:, None, :], self.wk).swapaxes(0, 1))
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """Append one input, then attend each stream's query over its slots.
 
         The input's query and key are projected together.  Keys are encoded
         at their slot indices 0..n-1 and the query at n - 1, its own freshly
-        appended slot.  The rows are accumulated into the statistics
-        (S += row, C += 1) and returned, (S, n), a fresh array.
+        appended slot.  The rows are accumulated into the statistics the
+        batch keeps (S += row, C += 1) and returned, (S, n), a fresh array.
         """
         q, k = project(x, self.stack)
-        self._store(k[:, None])
+        self._store(1, k[:, None])
         n = self.n
         cos, sin = self.rope
         lo, self.fresh = self.fresh, n
         _rotate(self.keys[:, lo:n], cos[lo:n], sin[lo:n], out=self.encoded[:, lo:n])
         rows = _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), self.encoded[:, :n])
-        self.scores[:, :n] += rows
-        self.counts[:, :n] += 1
+        if self.scores is not None:
+            self.scores[:, :n] += rows
+        if self.counts is not None:
+            self.counts[:, :n] += 1
         return rows
 
     def remove(self, victims) -> np.ndarray:
-        """Remove one 0-based slot per stream, shifting survivors left.  Slots
-        right of every victim move as one slice; the window between the lowest
-        and highest victim is gathered per stream, before that shift.  Returns
-        the removed slots' original positions, one per stream."""
+        """Remove one 0-based slot per stream, shifting the survivors of each
+        kept array left.  Slots right of every victim move as one slice; the
+        window between the lowest and highest victim is gathered per stream,
+        before that shift.  Returns the removed slots' original positions,
+        one per stream."""
         n = self.n
         victims = np.asarray(victims)
         lo, hi = (int(victims.min()), int(victims.max())) if victims.size else (0, n)
@@ -364,7 +401,7 @@ class StreamBatch:
         evicted = self.positions[every[:, 0], victims]
         window = np.arange(lo, hi)  # no stream changes left of its own victim
         source = window + (window >= victims[:, None])
-        for array in (self.keys, self.positions, self.scores, self.counts):
+        for array in self.shifted:
             array[:, lo:hi], array[:, hi : n - 1] = array[every, source], array[:, hi + 1 : n]
         self.n = n - 1
         self.fresh = min(self.fresh, lo)

@@ -10,15 +10,19 @@ cumulative-score eviction in the style of H2O, and last-row eviction in the
 style of TOVA.
 
 Every policy is a pure victim selector over the importance statistics of
-all streams (cumulative attention mass S, residency count C, the last
-attention row).  ``EvictionPolicy.evict`` is the one place that removes
-slots: it applies the selector to a ``StreamBatch`` and removes the victims
-from it, so keys, positions and statistics stay parallel.  A policy's
-``reads_attention`` says whether its selector reads those statistics at
-all: full attention, the sliding window and select-left choose from slot
-positions alone, so their decode attends nothing.  The decode loop runs
-every (layer, head) stream at once with one policy instance, and
-block-level prefill replays the same tree selector.
+all streams.  A policy's ``reads`` names the statistics its ``select``
+reads, of cumulative attention mass ``scores`` (S), residency count
+``counts`` (C) and the last attention ``rows``: the tree rule reads S and
+C, H2O reads S, TOVA reads the rows, and full attention, the sliding window
+and select-left read none and choose from slot indices alone.
+``EvictionPolicy.evict`` is the one place that removes slots: it hands the
+selector exactly the statistics the policy reads, taken from a
+``StreamBatch``, and removes the victims from it, so positions and every
+array the batch keeps stay parallel.  The decode loop builds its batch to
+keep only what the policy reads, so a policy that reads nothing decodes
+with no attention and holds only positions.  It runs every (layer, head)
+stream at once with one policy instance, and block-level prefill replays
+the same tree selector.
 """
 
 from __future__ import annotations
@@ -92,8 +96,9 @@ def _averaged(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # --- victim selectors --------------------------------------------------------
 #
 # Each baseline rule is written once, as a pure function over all streams:
-# statistics of shape (streams, slots) in, one 0-based victim slot per
-# stream out.  The tree rule, which reads the cursor, is ``TreeKV.select``.
+# a (streams, slots) shape or statistics of that shape in, one 0-based
+# victim slot per stream out.  The tree rule, which reads the cursor, is
+# ``TreeKV.select``.
 
 
 def _evictable_range(cache_len: int, zones: ProtectedZones) -> tuple[int, int]:
@@ -134,13 +139,15 @@ class EvictionPolicy:
     """
 
     spec = "?"
-    reads_attention = True  # whether ``select`` reads the scores, counts or rows
+    reads: tuple[str, ...] = ()  # what ``select`` reads, of engine.STATISTICS
     capacity: int | None = None  # slots each stream keeps; None: never evicts
     cursor: int | None = None  # the tree cursor the next eviction uses
 
-    def select(self, scores, counts, last_rows) -> np.ndarray | None:
-        """Victim slot (0-based) per stream from (streams, slots) statistics
-        S and C and the last attention rows."""
+    def select(self, shape: tuple[int, int], **stats) -> np.ndarray | None:
+        """Victim slot (0-based) per stream of a (streams, slots) cache,
+        given as keywords exactly the statistics the policy ``reads``:
+        ``scores`` S and ``counts`` C (streams, slots) and the last
+        attention ``rows``."""
         raise NotImplementedError
 
     def advance(self) -> None:
@@ -157,7 +164,9 @@ class EvictionPolicy:
         """
         n = batch.n
         cursor = self.cursor
-        victims = self.select(batch.scores[:, :n], batch.counts[:, :n], rows)
+        stats = {name: rows if name == "rows" else getattr(batch, name)[:, :n]
+                 for name in self.reads}
+        victims = self.select((batch.streams, n), **stats)
         if victims is None:
             raise InvariantViolation(
                 f"policy {self.spec} declined to evict an over-capacity cache of {n} slots"
@@ -173,15 +182,16 @@ class EvictionPolicy:
 
 class FullAttention(EvictionPolicy):
     spec = "full"
-    reads_attention = False
 
-    def select(self, scores, counts, last_rows):
+    def select(self, shape):
         return None
 
 
 class TreeKV(EvictionPolicy):
     """The tree cycle: a 1-based ``cursor`` sweeps the ``cycle`` slots between
     the protected zones (the capacity when there are none) and wraps."""
+
+    reads = ("scores", "counts")
 
     def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones(),
                  select_left: bool = False):
@@ -197,24 +207,26 @@ class TreeKV(EvictionPolicy):
         self.zones = zones
         self.cycle = cycle
         self.select_left = select_left
-        self.reads_attention = not select_left
+        if select_left:
+            self.reads = ()
         self.spec = "treekv-left" if select_left else "treekv"
         self.cursor = 1
 
-    def select(self, scores, counts, last_rows):
+    def select(self, shape, scores=None, counts=None):
         """The tree rule: of the slot pair under the cursor (offset past the
         sink zone), the lower averaged attention mass goes, ties to the left;
-        with ``select_left`` the left slot always goes."""
-        if scores.shape[1] != self.capacity + 1:
+        with ``select_left`` the left slot always goes, and S and C are not
+        read."""
+        if shape[1] != self.capacity + 1:
             raise StateError(
                 f"tree eviction needs exactly {self.capacity + 1} slots (one over "
-                f"capacity), cache has {scores.shape[1]}"
+                f"capacity), cache has {shape[1]}"
             )
         if not 1 <= self.cursor <= self.cycle:
             raise InvariantViolation(f"cursor {self.cursor} outside 1..{self.cycle}")
         left = self.zones.n_sink + self.cursor - 1
         if self.select_left:
-            return np.full(len(scores), left)
+            return np.full(shape[0], left)
         pair = _averaged(scores[:, left : left + 2], counts[:, left : left + 2])
         return left + (pair[:, 0] > pair[:, 1])
 
@@ -239,24 +251,25 @@ class _ZonedPolicy(EvictionPolicy):
 
 class StreamingLLM(_ZonedPolicy):
     spec = "streaming"
-    reads_attention = False
 
-    def select(self, scores, counts, last_rows):
-        return streaming_victims(*scores.shape, self.zones)
+    def select(self, shape):
+        return streaming_victims(*shape, self.zones)
 
 
 class H2O(_ZonedPolicy):
     spec = "h2o"
+    reads = ("scores",)
 
-    def select(self, scores, counts, last_rows):
+    def select(self, shape, scores):
         return argmin_victims(scores, self.zones)
 
 
 class TOVA(_ZonedPolicy):
     spec = "tova"
+    reads = ("rows",)
 
-    def select(self, scores, counts, last_rows):
-        return argmin_victims(last_rows, self.zones)
+    def select(self, shape, rows):
+        return argmin_victims(rows, self.zones)
 
 
 _CONSTRUCTORS = {
@@ -293,14 +306,17 @@ def decode_with_policy(
     """Run the decode loop over all (layer, head) streams at once.
 
     Per step: project the query and key, append, attend with re-assigned
-    positions and accumulate scores in every stream, then, if the streams
-    are over capacity, evict one slot per stream.  Nothing in the loop reads
-    a value.  A policy whose selector reads no attention (``full``,
-    ``streaming``, ``treekv-left``) only projects and appends each key, and
-    attends nothing, unless ``record_outputs`` needs the rows.  With
-    ``record_outputs``, every input's value is projected once, before the
-    loop, (T, S, d_head), and each step's outputs sum the values of the
-    slots it attended under its rows, before the eviction.
+    positions and accumulate the statistics the policy reads in every
+    stream, then, if the streams are over capacity, evict one slot per
+    stream.  Nothing in the loop reads a value.  The batch keeps only what
+    the policy ``reads``.  A policy that reads nothing (``full``,
+    ``streaming``, ``treekv-left``) attends nothing, unless
+    ``record_outputs`` needs the rows: every key is projected for its
+    finiteness check before the loop (``StreamBatch.check_keys``), and the
+    loop stores positions only.  With ``record_outputs``, every input's
+    value is projected once, before the loop, (T, S, d_head), and each
+    step's outputs sum the values of the slots it attended under its rows,
+    before the eviction.
     Returns the trace: per-step evicted grids with their tree cursors, the
     final retained positions and, with ``record_detail``, references to the
     (C-contiguous) inputs and weights.
@@ -315,7 +331,8 @@ def decode_with_policy(
     zones = ProtectedZones.coerce(zones)
     policy = make_policy(policy_spec, capacity, zones)
     bound = policy.capacity  # None: the cache is unbounded
-    batch = StreamBatch(weights, seq_len if bound is None else min(seq_len, bound + 1))
+    reads = policy.reads + (("rows",) if record_outputs else ())
+    batch = StreamBatch(weights, seq_len if bound is None else min(seq_len, bound + 1), reads)
     grid = (dims.layers, dims.heads)  # stream s = layer * heads + head
     trace = DecodeTrace(
         policy=policy_spec,
@@ -331,7 +348,9 @@ def decode_with_policy(
     if record_outputs:
         values = project(inputs[:, None, :], stacked_weights(weights.qkv)[2])
         every = np.arange(batch.streams)[:, None]
-    attend = policy.reads_attention or record_outputs
+    attend = bool(reads)
+    if not attend:
+        batch.check_keys(inputs)
     for step in range(1, seq_len + 1):
         if attend:
             rows = batch.step(inputs[step - 1])

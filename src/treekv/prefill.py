@@ -56,11 +56,12 @@ def window_mass(weights: ModelWeights, inputs, partition: BlockPartition) -> np.
     """Attention mass (S, prompt_len) the observation window's queries give
     each prompt token, per stream: one ``StreamBatch`` stores the content
     tokens' keys in bulk and steps each window token, so its scores S sum
-    the window rows in order.  Only the window's queries are projected, and
-    no value is.  Nothing is evicted: each key sits at its position."""
+    the window rows in order; it keeps no residency counts.  Only the
+    window's queries are projected, and no value is.  Nothing is evicted:
+    each key sits at its position."""
     inputs = np.asarray(inputs, dtype=np.float64)
     start = partition.observation_window[0]
-    batch = StreamBatch(weights, partition.prompt_len)
+    batch = StreamBatch(weights, partition.prompt_len, reads=("scores",))
     batch.append(inputs[:start])
     for x in inputs[start:]:
         batch.step(x)
@@ -114,7 +115,8 @@ def treekv_prefill_compress(
     counts = np.ones(held.shape, dtype=np.int64)
     for block in range(kept, window_index):
         held[:, -1] = block
-        victims = policy.select(np.take_along_axis(flat, held, axis=1), counts, None)
+        victims = policy.select(held.shape, scores=np.take_along_axis(flat, held, axis=1),
+                                counts=counts)
         held[:, :-1] = held[np.arange(kept + 1) != victims[:, None]].reshape(-1, kept)
         policy.advance()
     held[:, -1] = window_index

@@ -276,7 +276,7 @@ def test_c08_baseline_behavioural_contracts():
         middle = list(mass[n_sink : size - n_recent])
         expected = n_sink + min(range(len(middle)), key=middle.__getitem__)
         policy = make_policy("h2o", capacity, zones)
-        assert policy.select(mass[None], np.ones((1, size)), None).tolist() == [expected]
+        assert policy.select((1, size), scores=mass[None]).tolist() == [expected]
 
     # Last-row argmin outside the zones, leftmost tie-break.
     for _ in range(100):
@@ -289,7 +289,7 @@ def test_c08_baseline_behavioural_contracts():
         middle = list(row[n_sink : size - n_recent])
         expected = n_sink + min(range(len(middle)), key=middle.__getitem__)
         policy = make_policy("tova", capacity, zones)
-        assert policy.select(None, None, row[None]).tolist() == [expected]
+        assert policy.select((1, size), rows=row[None]).tolist() == [expected]
 
     _report(8, "sliding-window, cumulative-score and last-row contracts "
                "hold on 100 fixtures each")

@@ -24,7 +24,7 @@ from treekv import (
     write_trace,
 )
 from treekv.cli import RunConfig, load_config, main
-from treekv.engine import _FORMAT_VERSION, atomic_output
+from treekv.engine import _FORMAT_VERSION, KEY_CHECK_ROWS, atomic_output
 from treekv.trace import TRACE_FORMAT
 
 from oracles import oracle_compare_cells
@@ -412,6 +412,9 @@ def _token_file_case(text, out=None, **overrides):
 # whose projections overflow.
 HUGE_ROWS = json.dumps([[1e300] * 8] * 6)
 OVERFLOWING_ROWS = json.dumps([[1.7e308] * 8] * 6)
+# Finite rows whose keys stay finite but the last, past the key check's
+# first chunk.
+LAST_ROW_OVERFLOWS = json.dumps([[0.5] * 8] * KEY_CHECK_ROWS + [[1.7e308] * 8])
 
 
 def _unread_attention_analyze(tmp_path):
@@ -603,6 +606,10 @@ def _v1_weights(tmp_path):
         # attention past float64: only a policy that reads attention fails
         (_token_file_case(HUGE_ROWS, out=os.devnull), 0),
         (_unread_attention_analyze, 3),
+        # keys past float64 under every policy that attends nothing
+        (_token_file_case(OVERFLOWING_ROWS, policy="streaming"), 3),
+        (_token_file_case(OVERFLOWING_ROWS, policy="full"), 3),
+        (_token_file_case(LAST_ROW_OVERFLOWS), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -622,7 +629,8 @@ def _v1_weights(tmp_path):
          "compare-last-policy-unknown",
          "compare-later-T-zero", "decode-value-overflow", "prefill-value-overflow",
          "analyze-value-overflow", "decode-attention-overflow-unread",
-         "analyze-attention-overflow-unread"],
+         "analyze-attention-overflow-unread", "decode-projection-overflow-streaming",
+         "decode-projection-overflow-full", "decode-projection-overflow-last-row"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]

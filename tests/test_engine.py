@@ -30,6 +30,7 @@ from treekv import (
 )
 from treekv.cli import main
 from treekv.engine import (
+    KEY_CHECK_ROWS,
     _attention_rows,
     _rope,
     project,
@@ -337,6 +338,30 @@ def test_append_respects_capacity_headroom():
     batch, xs = _stepped(3, slots=3)  # capacity + 1 transient slots for c = 2
     with pytest.raises(StateError):
         batch.step(xs[3])
+
+
+@pytest.mark.parametrize("count", [1, KEY_CHECK_ROWS, KEY_CHECK_ROWS + 1, 2 * KEY_CHECK_ROWS + 3])
+def test_check_keys_projects_every_key_a_chunk_at_a_time(count, monkeypatch):
+    # A batch that attends nothing keeps no keys; decode checks them first,
+    # holding at most one chunk of keys, never all T.
+    xs = synthesize_embeddings(7, count, 6)
+    batch = StreamBatch(generate_weights(7, ModelDims(1, 2, 6, 4)), slots=2, reads=())
+    assert batch.keys is None
+    chunks = []
+
+    def recording_project(x, matrices):
+        chunks.append(len(x))
+        return project(x, matrices)
+
+    monkeypatch.setattr("treekv.engine.project", recording_project)
+    batch.check_keys(xs)
+    assert sum(chunks) == count and max(chunks) <= KEY_CHECK_ROWS
+    assert batch.n == 0
+    for row in (0, count - 1):  # the first and the last chunk
+        bad = xs.copy()
+        bad[row] = 1.7e308
+        with pytest.raises(InputError, match="projections are not finite"):
+            batch.check_keys(bad)
 
 
 @pytest.mark.parametrize("dims", [ModelDims(2, 3, 8, 5), ModelDims(1, 2, 7, 3)])

@@ -22,10 +22,13 @@ from treekv import (
     decode_with_policy,
     generate_weights,
     make_policy,
+    partition_blocks,
     retained_at,
     signals_at_step,
     synthesize_embeddings,
+    window_mass,
 )
+from treekv.engine import STATISTICS
 from treekv.policies import _averaged, argmin_victims, streaming_victims
 
 from helpers import drive_policy, single_head_weights, stream_batch
@@ -89,7 +92,8 @@ def test_average_scores_bounds():
 
 def test_average_scores_zero_count_is_internal_error():
     with pytest.raises(InvariantViolation):
-        TreeKV(2).select(np.array([[1.0, 0.5, 0.2]]), np.array([[0, 1, 1]]), None)
+        TreeKV(2).select((1, 3), scores=np.array([[1.0, 0.5, 0.2]]),
+                         counts=np.array([[0, 1, 1]]))
 
 
 # --- tree eviction step ------------------------------------------------------
@@ -100,7 +104,7 @@ def _tree_victim(scores, counts=None, *, c, cursor=1, select_left=False):
     counts = np.ones_like(scores) if counts is None else np.asarray(counts)[None]
     policy = TreeKV(c, select_left=select_left)
     policy.cursor = cursor
-    return int(policy.select(scores, counts, None)[0])
+    return int(policy.select(scores.shape, scores=scores, counts=counts)[0])
 
 
 def test_tree_eviction_walkthrough_step5():
@@ -199,7 +203,7 @@ def test_streaming_retains_sinks_and_recent_when_warm():
 def _h2o_victim(scores, zones=ProtectedZones(), capacity=None):
     scores = np.asarray(scores, dtype=np.float64)[None]
     capacity = scores.shape[1] - 1 if capacity is None else capacity
-    return int(H2O(capacity, zones).select(scores, np.ones_like(scores), None)[0])
+    return int(H2O(capacity, zones).select(scores.shape, scores=scores)[0])
 
 
 def test_h2o_evicts_cumulative_argmin():
@@ -231,7 +235,7 @@ def test_h2o_empty_evictable_region_is_a_config_error():
 
 def _tova_victim(row, zones=ProtectedZones()):
     row = np.asarray(row, dtype=np.float64)[None]
-    return int(TOVA(row.shape[1] - 1, zones).select(None, None, row)[0])
+    return int(TOVA(row.shape[1] - 1, zones).select(row.shape, rows=row)[0])
 
 
 def test_tova_uniform_row_evicts_leftmost():
@@ -388,7 +392,7 @@ def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypat
                                           record_outputs=True)
                 steps.clear()
                 got = decode_with_policy(weights, inputs, spec, capacity, zones)
-                assert len(steps) == (30 if policy.reads_attention else 0)
+                assert len(steps) == (30 if policy.reads else 0)
                 for a, b in zip(want.steps, got.steps, strict=True):
                     assert (a.evicted is None) == (b.evicted is None)
                     assert a.evicted is None or np.array_equal(a.evicted, b.evicted)
@@ -399,26 +403,103 @@ def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypat
     assert runs >= 3 * len(SKIP_DIMS) * 8  # every spec fits 8 of the 12 settings
 
 
+_THREE_STREAMS = generate_weights(0, ModelDims(1, 3, 1, 1))
+
+
+def _evicted(policy, stats):
+    """The slots ``policy.evict`` removes from a three-stream batch that
+    holds every statistic (positions are slots), the cursor put back; None
+    if the policy declines."""
+    size = stats["rows"].shape[1]
+    batch = StreamBatch(_THREE_STREAMS, size)
+    batch.n = size
+    batch.positions[:] = np.arange(size)
+    batch.scores[:], batch.counts[:] = stats["scores"], stats["counts"]
+    cursor = policy.cursor
+    try:
+        return policy.evict(batch, stats["rows"])[0]
+    except InvariantViolation:  # full attention declines
+        return None
+    finally:
+        policy.cursor = cursor
+
+
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_reads_attention_says_whether_the_victims_depend_on_it(spec):
-    # select on capacity + 1 slots, once with seeded random statistics and
-    # once with constant ones, at the same cursor.  A policy that declares
-    # it reads no attention names the same victims every time.  For each
-    # policy that declares it does, some input here changes its victims, so
-    # declaring it wrongly would fail the first check.
+    # evict on capacity + 1 slots of constant statistics, and again with one
+    # statistic replaced by seeded random numbers, at the same cursor.
+    # Replacing a statistic the policy does not declare in ``reads`` never
+    # changes its victims; for each one it declares, some input here does.
+    # A declaration wrong in either direction fails one of the two checks.
     rng = np.random.default_rng(110)
-    changed = 0
+    changed = dict.fromkeys(STATISTICS, 0)
     for capacity, zones, policy in _fitting_policies(spec):
         shape = (3, capacity + 1)
-        constant = (np.ones(shape), np.ones(shape, dtype=np.int64), np.ones(shape))
+        constant = {"scores": np.ones(shape), "counts": np.ones(shape, dtype=np.int64),
+                    "rows": np.ones(shape)}
         for _ in range(2 * capacity):
-            seeded = (rng.random(shape) * 10, rng.integers(1, 10, shape), rng.random(shape))
-            victims = [policy.select(*stats) for stats in (seeded, constant)]
-            changed += not np.array_equal(*victims)  # full names None both times
-            if not policy.reads_attention:
-                assert np.array_equal(*victims), (capacity, zones, policy.cursor)
+            seeded = {"scores": rng.random(shape) * 10, "counts": rng.integers(1, 10, shape),
+                      "rows": rng.random(shape)}
+            want = _evicted(policy, constant)
+            for name in STATISTICS:
+                same = np.array_equal(want, _evicted(policy, {**constant, name: seeded[name]}))
+                changed[name] += not same
+                if name not in policy.reads:
+                    assert same, (name, capacity, zones, policy.cursor)
             policy.advance()
-    assert policy.reads_attention == (changed > 0)
+    assert {name for name, count in changed.items() if count} == set(policy.reads)
+
+
+def _held(batch):
+    """The names of the optional arrays a StreamBatch keeps."""
+    assert batch.positions is not None
+    return {name for name in ("keys", "encoded", "rope", "scores", "counts")
+            if getattr(batch, name) is not None}
+
+
+def _recorded_batches(monkeypatch):
+    """A list that collects every StreamBatch built from now on."""
+    built = []
+    init = StreamBatch.__init__
+
+    def recording_init(batch, *args, **kwargs):
+        init(batch, *args, **kwargs)
+        built.append(batch)
+
+    monkeypatch.setattr(StreamBatch, "__init__", recording_init)
+    return built
+
+
+ATTENDING = {"keys", "encoded", "rope"}
+DECODE_BATCH = {
+    "treekv": ATTENDING | {"scores", "counts"},
+    "h2o": ATTENDING | {"scores"},
+    "tova": ATTENDING,
+    "full": set(),
+    "streaming": set(),
+    "treekv-left": set(),
+}
+
+
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_a_decode_batch_holds_only_what_its_policy_reads(spec, monkeypatch):
+    # Written out per policy rather than derived from ``reads``, so storing
+    # an array again, or declaring a statistic wrongly, fails here.
+    built = _recorded_batches(monkeypatch)
+    weights = _toy_weights()
+    inputs = synthesize_embeddings(2, 12, 8)
+    for record_outputs in (False, True):
+        decode_with_policy(weights, inputs, spec, 6, "sink=1,recent=2",
+                           record_outputs=record_outputs)
+    # recording outputs attends, so it keeps keys, but no statistic more
+    assert [_held(batch) for batch in built] == [DECODE_BATCH[spec],
+                                                 DECODE_BATCH[spec] | ATTENDING]
+
+
+def test_the_prefill_batch_keeps_scores_but_no_counts(monkeypatch):
+    built = _recorded_batches(monkeypatch)
+    window_mass(_toy_weights(), synthesize_embeddings(3, 12, 8), partition_blocks(12, 4))
+    assert [_held(batch) for batch in built] == [ATTENDING | {"scores"}]
 
 
 def test_decode_select_left_17_token_pattern():
