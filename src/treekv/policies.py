@@ -10,11 +10,13 @@ cumulative-score eviction in the style of H2O, and last-row eviction in the
 style of TOVA.
 
 Every policy is a pure victim selector over the importance statistics of
-all streams.  A policy's ``reads`` names the statistics its ``select``
-reads, of cumulative attention mass ``scores`` (S), residency count
-``counts`` (C) and the last attention ``rows``: the tree rule reads S and
-C, H2O reads S, TOVA reads the rows, and full attention, the sliding window
-and select-left read none and choose from slot indices alone.
+all streams.  A bounded one fixes, when it is built, which slots of a cache
+one over capacity it may evict; full attention is never asked to evict.  A
+policy's ``reads`` names the statistics its ``select`` reads, of
+cumulative attention mass ``scores`` (S), residency count ``counts`` (C)
+and the last attention ``rows``: the tree rule reads S and C, H2O reads S,
+TOVA reads the rows, and the sliding window and select-left read none and
+choose from slot indices alone.
 ``EvictionPolicy.evict`` is the one place that removes slots: it hands the
 selector exactly the statistics the policy reads, taken from a
 ``StreamBatch``, and removes the victims from it, so positions and every
@@ -56,10 +58,6 @@ class ProtectedZones:
                 f"recent={self.n_recent}"
             )
 
-    @property
-    def total(self) -> int:
-        return self.n_sink + self.n_recent
-
     @classmethod
     def parse(cls, text: str | None) -> "ProtectedZones":
         """Parse the zone syntax "sink=4,recent=508"; empty means no zones."""
@@ -93,46 +91,15 @@ def _averaged(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return scores / counts
 
 
-# --- victim selectors --------------------------------------------------------
-#
-# Each baseline rule is written once, as a pure function over all streams:
-# a (streams, slots) shape or statistics of that shape in, one 0-based
-# victim slot per stream out.  The tree rule, which reads the cursor, is
-# ``TreeKV.select``.
-
-
-def _evictable_range(cache_len: int, zones: ProtectedZones) -> tuple[int, int]:
-    """0-based half-open range of slots outside the protected zones."""
-    lo = zones.n_sink
-    hi = cache_len - zones.n_recent
-    if lo >= hi:
-        raise ConfigError(
-            f"no evictable slot: cache of {cache_len} cannot protect "
-            f"sink={zones.n_sink} and recent={zones.n_recent}"
-        )
-    return lo, hi
-
-
-def streaming_victims(streams: int, cache_len: int, zones: ProtectedZones) -> np.ndarray:
-    """The sliding-window rule: the oldest slot outside the sink region."""
-    lo, _hi = _evictable_range(cache_len, zones)
-    return np.full(streams, lo)
-
-
-def argmin_victims(weights, zones: ProtectedZones) -> np.ndarray:
-    """The H2O and TOVA rule: the minimum-weight slot outside the zones,
-    leftmost on ties.  H2O passes cumulative scores, TOVA the last row."""
-    lo, hi = _evictable_range(weights.shape[1], zones)
-    return lo + np.argmin(weights[:, lo:hi], axis=1)
-
-
 # --- policies ------------------------------------------------------------------
 
 
 class EvictionPolicy:
-    """Contract: when the streams are one slot over capacity, ``select``
-    names one victim slot per stream (or None to decline) without changing
-    anything; ``evict`` removes the victims and then calls ``advance``.
+    """Contract: when the streams hold capacity + 1 slots, ``select`` names
+    one victim slot per stream without changing anything; ``evict`` removes
+    the victims and then calls ``advance``.  The evictable slots ``lo`` to
+    ``hi - 1``, those between the sink and recent zones, are fixed when the
+    policy is built; ``full`` has no capacity and is never asked to evict.
 
     One instance serves every stream of a run: all streams hold the same
     number of slots and evict in lockstep, so a tree cursor is shared.
@@ -142,19 +109,34 @@ class EvictionPolicy:
     reads: tuple[str, ...] = ()  # what ``select`` reads, of engine.STATISTICS
     capacity: int | None = None  # slots each stream keeps; None: never evicts
     cursor: int | None = None  # the tree cursor the next eviction uses
+    min_evictable = 1  # slots the zones must leave unprotected
 
-    def select(self, shape: tuple[int, int], **stats) -> np.ndarray | None:
-        """Victim slot (0-based) per stream of a (streams, slots) cache,
-        given as keywords exactly the statistics the policy ``reads``:
-        ``scores`` S and ``counts`` C (streams, slots) and the last
-        attention ``rows``."""
+    def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones()):
+        lo, hi = zones.n_sink, capacity + 1 - zones.n_recent
+        if hi - lo < self.min_evictable:
+            raise ConfigError(
+                f"policy {self.spec} needs {self.min_evictable} evictable slot(s) "
+                f"between the zones (got {zones} against c={capacity})"
+            )
+        self.capacity, self.lo, self.hi = capacity, lo, hi
+
+    def select(self, shape: tuple[int, int], **stats) -> np.ndarray:
+        """Victim slot (0-based) per stream of a (streams, capacity + 1)
+        cache, given as keywords exactly the statistics the policy
+        ``reads``: ``scores`` S and ``counts`` C (streams, slots) and the
+        last attention ``rows``."""
         raise NotImplementedError
 
     def advance(self) -> None:
         """Move past an eviction that removed the selected victims."""
 
+    def _argmin(self, weights) -> np.ndarray:
+        """The H2O and TOVA rule: the minimum-weight evictable slot per
+        stream, leftmost on ties."""
+        return self.lo + np.argmin(weights[:, self.lo : self.hi], axis=1)
+
     def evict(self, batch: StreamBatch, rows) -> tuple[np.ndarray, int | None]:
-        """Evict one slot per stream from a batch that is over capacity,
+        """Evict one slot per stream from a batch one over capacity,
         ``rows`` being the attention rows of the step that filled it (None
         if that step attended nothing, which only a policy that reads no
         attention allows).
@@ -163,68 +145,54 @@ class EvictionPolicy:
         the tree cursor the eviction used.
         """
         n = batch.n
+        if n != self.capacity + 1:
+            raise StateError(
+                f"eviction needs exactly {self.capacity + 1} slots (one over "
+                f"capacity), the batch holds {n}"
+            )
         cursor = self.cursor
         stats = {name: rows if name == "rows" else getattr(batch, name)[:, :n]
                  for name in self.reads}
-        victims = self.select((batch.streams, n), **stats)
-        if victims is None:
-            raise InvariantViolation(
-                f"policy {self.spec} declined to evict an over-capacity cache of {n} slots"
-            )
-        evicted = batch.remove(victims)
+        evicted = batch.remove(self.select((batch.streams, n), **stats))
         self.advance()
-        if batch.n > self.capacity:
-            raise InvariantViolation(
-                f"streams hold {batch.n} slots after eviction, capacity {self.capacity}"
-            )
         return evicted, cursor
 
 
 class FullAttention(EvictionPolicy):
+    """Keeps every slot: its capacity is None, so it is never asked to evict."""
+
     spec = "full"
 
-    def select(self, shape):
-        return None
+    def __init__(self):
+        pass
 
 
 class TreeKV(EvictionPolicy):
-    """The tree cycle: a 1-based ``cursor`` sweeps the ``cycle`` slots between
-    the protected zones (the capacity when there are none) and wraps."""
+    """The tree cycle: a 1-based ``cursor`` sweeps the ``cycle`` slot pairs
+    of the evictable range (c pairs when there are no zones) and wraps."""
 
     reads = ("scores", "counts")
+    min_evictable = 2  # one slot pair
 
     def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones(),
                  select_left: bool = False):
         if capacity < 2:
             raise ConfigError(f"tree eviction requires c >= 2, got {capacity}")
-        cycle = capacity - zones.total
-        if cycle < 1:
-            raise ConfigError(
-                f"zones require n_sink + n_recent < c "
-                f"(got {zones} against c={capacity})"
-            )
-        self.capacity = capacity
-        self.zones = zones
-        self.cycle = cycle
         self.select_left = select_left
         if select_left:
             self.reads = ()
         self.spec = "treekv-left" if select_left else "treekv"
+        super().__init__(capacity, zones)
+        self.cycle = self.hi - self.lo - 1
         self.cursor = 1
 
     def select(self, shape, scores=None, counts=None):
-        """The tree rule: of the slot pair under the cursor (offset past the
-        sink zone), the lower averaged attention mass goes, ties to the left;
-        with ``select_left`` the left slot always goes, and S and C are not
-        read."""
-        if shape[1] != self.capacity + 1:
-            raise StateError(
-                f"tree eviction needs exactly {self.capacity + 1} slots (one over "
-                f"capacity), cache has {shape[1]}"
-            )
+        """The tree rule: of the slot pair under the cursor, the lower
+        averaged attention mass goes, ties to the left; with ``select_left``
+        the left slot always goes, and S and C are not read."""
         if not 1 <= self.cursor <= self.cycle:
             raise InvariantViolation(f"cursor {self.cursor} outside 1..{self.cycle}")
-        left = self.zones.n_sink + self.cursor - 1
+        left = self.lo + self.cursor - 1
         if self.select_left:
             return np.full(shape[0], left)
         pair = _averaged(scores[:, left : left + 2], counts[:, left : left + 2])
@@ -234,42 +202,29 @@ class TreeKV(EvictionPolicy):
         self.cursor = self.cursor % self.cycle + 1
 
 
-class _ZonedPolicy(EvictionPolicy):
-    """A baseline that evicts outside the protected zones.  At eviction time
-    the cache holds capacity + 1 slots, so c >= n_sink + n_recent leaves one
-    of them unprotected."""
+class StreamingLLM(EvictionPolicy):
+    """The sliding-window rule: the oldest slot after the sink zone goes."""
 
-    def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones()):
-        if capacity < zones.total:
-            raise ConfigError(
-                f"policy {self.spec} requires c >= n_sink + n_recent "
-                f"(got {zones} against c={capacity})"
-            )
-        self.capacity = capacity
-        self.zones = zones
-
-
-class StreamingLLM(_ZonedPolicy):
     spec = "streaming"
 
     def select(self, shape):
-        return streaming_victims(*shape, self.zones)
+        return np.full(shape[0], self.lo)
 
 
-class H2O(_ZonedPolicy):
+class H2O(EvictionPolicy):
     spec = "h2o"
     reads = ("scores",)
 
     def select(self, shape, scores):
-        return argmin_victims(scores, self.zones)
+        return self._argmin(scores)
 
 
-class TOVA(_ZonedPolicy):
+class TOVA(EvictionPolicy):
     spec = "tova"
     reads = ("rows",)
 
     def select(self, shape, rows):
-        return argmin_victims(rows, self.zones)
+        return self._argmin(rows)
 
 
 _CONSTRUCTORS = {

@@ -29,9 +29,12 @@ from treekv import (
     window_mass,
 )
 from treekv.engine import STATISTICS
-from treekv.policies import _averaged, argmin_victims, streaming_victims
+from treekv.policies import _averaged
 
 from helpers import drive_policy, single_head_weights, stream_batch
+from oracles import oracle_tree_sim
+
+BOUNDED_SPECS = [spec for spec in POLICY_SPECS if spec != "full"]
 
 
 # --- score tracking ----------------------------------------------------------
@@ -134,7 +137,7 @@ def test_tree_eviction_select_left_ignores_scores():
 
 def test_tree_eviction_requires_over_capacity_cache():
     with pytest.raises(StateError):
-        _tree_victim([0.1, 0.2, 0.3, 0.4], c=4)
+        TreeKV(4).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None)
 
 
 def test_tree_eviction_scale_invariance():
@@ -170,11 +173,63 @@ def test_advance_idx_visits_every_slot_once():
     assert policy.cursor == 1
 
 
+# --- the tree's spacing --------------------------------------------------------
+#
+# Domain: select-left, no recent zone, a cycle that is a power of two, and
+# the sink positions left out.  There every gap between kept positions is
+# a power of two, and the gaps never grow toward the newest token.  Outside
+# it the property does not hold in general (most cases at a cycle that is
+# not a power of two fail it).
+
+
+def _spaced_by_shrinking_powers_of_two(kept):
+    gaps = np.diff(kept).tolist()
+    return (all(gap & (gap - 1) == 0 for gap in gaps)
+            and all(a >= b for a, b in zip(gaps, gaps[1:])))
+
+
+_POWER_CYCLES = (2, 4, 8, 16, 32, 64)
+
+
+def test_select_left_spacing_in_the_oracle():
+    # 500 cases: c in _POWER_CYCLES, no zones, T from c + 1 to 600 in steps of 7
+    cases = 0
+    for c in _POWER_CYCLES:
+        for seq_len in range(c + 1, 601, 7):
+            kept, _ = oracle_tree_sim(c, seq_len)
+            assert _spaced_by_shrinking_powers_of_two(kept), (c, seq_len)
+            cases += 1
+    assert cases == 500
+    kept, _ = oracle_tree_sim(16, 1000)
+    assert np.diff(kept).tolist() == [16, 8, 8, 4, 4, 4, 4] + [1] * 8
+
+
+def test_select_left_spacing_in_decode_with_sinks():
+    # 992 cases: sink 1 and 4, cycle in _POWER_CYCLES, c = cycle + sink,
+    # recent 0, the positions kept after each step T from c + 1 to 600 in
+    # steps of 7 of one 600-step decode (decoding is causal, so they are
+    # what a decode of T inputs keeps)
+    weights = generate_weights(0, ModelDims(1, 1, 2, 2))
+    inputs = synthesize_embeddings(0, 600, 2)
+    cases = 0
+    for sink in (1, 4):
+        for cycle in _POWER_CYCLES:
+            c = cycle + sink
+            trace = decode_with_policy(weights, inputs, "treekv-left", c,
+                                       ProtectedZones(sink, 0))
+            for step in range(c + 1, 601, 7):
+                kept = retained_at(trace, step)[0, 0]
+                assert kept[:sink].tolist() == list(range(sink))
+                assert _spaced_by_shrinking_powers_of_two(kept[sink:]), (sink, c, step)
+                cases += 1
+    assert cases == 992
+
+
 # --- baselines ---------------------------------------------------------------
 
 
 def test_streaming_without_sinks_is_a_sliding_window():
-    assert streaming_victims(1, 3, ProtectedZones(0, 2)).tolist() == [0]
+    assert StreamingLLM(2, ProtectedZones(0, 2)).select((1, 3)).tolist() == [0]
     batch = stream_batch([0.0, 0.0, 0.0])
     evicted, cursor = StreamingLLM(2, ProtectedZones(0, 2)).evict(batch, None)
     assert (evicted.tolist(), cursor) == ([0], None)
@@ -184,7 +239,7 @@ def test_streaming_without_sinks_is_a_sliding_window():
 def test_streaming_evicts_oldest_non_sink():
     c = 8
     zones = ProtectedZones(4, c - 4)
-    assert streaming_victims(1, c + 1, zones).tolist() == [4]
+    assert StreamingLLM(c, zones).select((1, c + 1)).tolist() == [4]
     batch = stream_batch(np.zeros(c + 1))
     evicted, cursor = StreamingLLM(c, zones).evict(batch, None)
     assert (evicted.tolist(), cursor) == ([4], None)
@@ -230,7 +285,7 @@ def test_h2o_respects_zones():
 
 def test_h2o_empty_evictable_region_is_a_config_error():
     with pytest.raises(ConfigError):
-        argmin_victims(np.array([[0.1, 0.2]]), ProtectedZones(1, 2))
+        H2O(1, ProtectedZones(1, 2))
 
 
 def _tova_victim(row, zones=ProtectedZones()):
@@ -254,10 +309,22 @@ def test_tova_respects_zones():
 
 
 def test_evict_checks_the_policy_and_the_remaining_slots():
-    with pytest.raises(InvariantViolation):  # full attention declines
-        make_policy("full", 2).evict(stream_batch([0.1, 0.2, 0.3]), None)
-    with pytest.raises(InvariantViolation):  # two over capacity: one eviction is short
+    with pytest.raises(StateError):  # two over capacity: one eviction is short
         H2O(2).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None)
+
+
+@pytest.mark.parametrize("spec", BOUNDED_SPECS)
+def test_evict_refuses_a_batch_not_one_over_capacity_before_removing(spec):
+    c = 4
+    for size in (c, c + 2):
+        batch = StreamBatch(_THREE_STREAMS, size)  # holds every statistic
+        batch.n = size
+        batch.positions[:] = np.arange(size)
+        batch.scores[:], batch.counts[:] = 1.0, 1
+        with pytest.raises(StateError):
+            make_policy(spec, c, ProtectedZones(1, 1)).evict(batch, np.ones((3, size)))
+        assert batch.n == size
+        assert batch.positions.tolist() == [list(range(size))] * 3
 
 
 # --- policy construction ------------------------------------------------------
@@ -274,10 +341,27 @@ def test_treekv_zones_must_leave_cyclable_slots():
     make_policy("treekv", 9, "sink=4,recent=4")  # one cyclable slot is enough
 
 
+@pytest.mark.parametrize("spec", BOUNDED_SPECS)
+def test_make_policy_accepts_exactly_the_zones_that_leave_evictable_slots(spec):
+    # README's zone rule: c >= sink + recent for the baselines, and
+    # sink + recent < c for the tree, which needs a slot pair to compare
+    tree = spec.startswith("treekv")
+    for c in range(2, 10):
+        for sink in range(c + 3):
+            for recent in range(c + 3):
+                fits = sink + recent < c if tree else sink + recent <= c
+                try:
+                    make_policy(spec, c, ProtectedZones(sink, recent))
+                except ConfigError:
+                    assert not fits, (c, sink, recent)
+                else:
+                    assert fits, (c, sink, recent)
+
+
 def test_zone_parsing():
     zones = ProtectedZones.parse("sink=4,recent=508")
     assert (zones.n_sink, zones.n_recent) == (4, 508)
-    assert ProtectedZones.parse("").total == 0
+    assert ProtectedZones.parse("") == ProtectedZones(0, 0)
     with pytest.raises(ConfigError):
         ProtectedZones.parse("sink=4,window=2")
     with pytest.raises(ConfigError):
@@ -409,19 +493,18 @@ _THREE_STREAMS = generate_weights(0, ModelDims(1, 3, 1, 1))
 def _evicted(policy, stats):
     """The slots ``policy.evict`` removes from a three-stream batch that
     holds every statistic (positions are slots), the cursor put back; None
-    if the policy declines."""
+    for a policy without capacity, which never evicts."""
+    if policy.capacity is None:
+        return None
     size = stats["rows"].shape[1]
     batch = StreamBatch(_THREE_STREAMS, size)
     batch.n = size
     batch.positions[:] = np.arange(size)
     batch.scores[:], batch.counts[:] = stats["scores"], stats["counts"]
     cursor = policy.cursor
-    try:
-        return policy.evict(batch, stats["rows"])[0]
-    except InvariantViolation:  # full attention declines
-        return None
-    finally:
-        policy.cursor = cursor
+    evicted = policy.evict(batch, stats["rows"])[0]
+    policy.cursor = cursor
+    return evicted
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
