@@ -317,14 +317,11 @@ def test_evict_checks_the_policy_and_the_remaining_slots():
 def test_evict_refuses_a_batch_not_one_over_capacity_before_removing(spec):
     c = 4
     for size in (c, c + 2):
-        batch = StreamBatch(_THREE_STREAMS, size)  # holds every statistic
-        batch.n = size
-        batch.positions[:] = np.arange(size)
-        batch.scores[:], batch.counts[:] = 1.0, 1
+        batch = stream_batch(np.ones(size))
         with pytest.raises(StateError):
-            make_policy(spec, c, ProtectedZones(1, 1)).evict(batch, np.ones((3, size)))
+            make_policy(spec, c, ProtectedZones(1, 1)).evict(batch, np.ones((1, size)))
         assert batch.n == size
-        assert batch.positions.tolist() == [list(range(size))] * 3
+        assert batch.positions[0].tolist() == list(range(size))
 
 
 # --- policy construction ------------------------------------------------------
