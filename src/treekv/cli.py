@@ -86,7 +86,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read config {path}: {exc}") from exc
-        except ValueError as exc:  # bad JSON or UTF-8
+        except (ValueError, RecursionError) as exc:  # bad or too deep JSON, bad UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a JSON object")
@@ -137,7 +137,7 @@ def _prepare_inputs(config: RunConfig, weights: ModelWeights, path: str | None) 
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        except (OSError, ValueError, RecursionError) as exc:  # bad or too deep JSON, bad UTF-8
             raise InputError(f"cannot read token file {path}: {exc}") from exc
         if not isinstance(data, list) or not data:
             raise InputError(f"token file {path} must be a non-empty JSON array")
@@ -177,8 +177,9 @@ def cmd_decode(args) -> int:
         config.c,
         config.zones,
         stream_seed=config.seed if args.tokens is None else None,  # only if it drew the inputs
-        record_detail=config.trace_detail == "full",
     )
+    if config.trace_detail == "light":
+        trace.inputs = trace.weights = None
     write_trace(trace, args.out)
     return 0
 
@@ -272,7 +273,6 @@ def cmd_compare(args) -> int:
             config.c,
             config.zones,
             stream_seed=config.seed,
-            record_detail=False,
         )
         runs.append((config, trace))
 

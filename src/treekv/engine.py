@@ -3,7 +3,8 @@
 The engine runs one independent attention stream per (layer, head) pair.
 Each stream projects incoming d_model vectors to d_head queries and keys,
 appends the key to an explicit cache, and computes softmax attention
-scaled by sqrt(d_head); values are projected only where outputs are read.
+scaled by sqrt(d_head).  No value is projected while decoding: values and
+outputs follow from a trace's inputs and weights (``trace.signals_at_step``).
 There are no embedding, feed-forward, normalization or output layers: a
 model is its W_Q, W_K and W_V matrices, and every (layer, head) stream
 reads the same (T, d_model) rows of embeddings.  Eviction behaviour
@@ -270,12 +271,6 @@ def project(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     if not np.isfinite(rows).all():
         raise InputError("projections are not finite; the inputs are too large")
     return rows
-
-
-def value_sums(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Attention outputs (S, d_head): each stream's row (S, n) over its
-    values (S, n, d_head), one product per stream."""
-    return np.matmul(rows[:, None, :], values)[:, 0, :]
 
 
 # What a batch's reader may read after a step: the cumulative attention

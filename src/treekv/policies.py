@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModelWeights, StreamBatch, project, stacked_weights, value_sums
+from .engine import ModelWeights, StreamBatch
 from .errors import (
     ConfigError,
     DimensionError,
@@ -255,8 +255,6 @@ def decode_with_policy(
     zones=None,
     *,
     stream_seed: int | None = None,
-    record_detail: bool = True,
-    record_outputs: bool = False,
 ) -> DecodeTrace:
     """Run the decode loop over all (layer, head) streams at once.
 
@@ -265,16 +263,13 @@ def decode_with_policy(
     stream, then, if the streams are over capacity, evict one slot per
     stream.  Nothing in the loop reads a value.  The batch keeps only what
     the policy ``reads``.  A policy that reads nothing (``full``,
-    ``streaming``, ``treekv-left``) attends nothing, unless
-    ``record_outputs`` needs the rows: every key is projected for its
-    finiteness check before the loop (``StreamBatch.check_keys``), and the
-    loop stores positions only.  With ``record_outputs``, every input's
-    value is projected once, before the loop, (T, S, d_head), and each
-    step's outputs sum the values of the slots it attended under its rows,
-    before the eviction.
+    ``streaming``, ``treekv-left``) attends nothing: every key is projected
+    for its finiteness check before the loop (``StreamBatch.check_keys``),
+    and the loop stores positions only.
     Returns the trace: per-step evicted grids with their tree cursors, the
-    final retained positions and, with ``record_detail``, references to the
-    (C-contiguous) inputs and weights.
+    final retained positions and references to the (C-contiguous) inputs
+    and the weights, from which every step's attention rows, values and
+    outputs follow (``trace.signals_at_step``).
     """
     dims = weights.dims
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
@@ -286,8 +281,8 @@ def decode_with_policy(
     zones = ProtectedZones.coerce(zones)
     policy = make_policy(policy_spec, capacity, zones)
     bound = policy.capacity  # None: the cache is unbounded
-    reads = policy.reads + (("rows",) if record_outputs else ())
-    batch = StreamBatch(weights, seq_len if bound is None else min(seq_len, bound + 1), reads)
+    batch = StreamBatch(weights, seq_len if bound is None else min(seq_len, bound + 1),
+                        policy.reads)
     grid = (dims.layers, dims.heads)  # stream s = layer * heads + head
     trace = DecodeTrace(
         policy=policy_spec,
@@ -297,13 +292,10 @@ def decode_with_policy(
         dims=dims,
         model_seed=weights.seed,
         stream_seed=stream_seed,
+        inputs=inputs,
+        weights=weights.qkv,
     )
-    if record_detail:
-        trace.inputs, trace.weights = inputs, weights.qkv
-    if record_outputs:
-        values = project(inputs[:, None, :], stacked_weights(weights.qkv)[2])
-        every = np.arange(batch.streams)[:, None]
-    attend = bool(reads)
+    attend = bool(policy.reads)
     if not attend:
         batch.check_keys(inputs)
     for step in range(1, seq_len + 1):
@@ -312,14 +304,10 @@ def decode_with_policy(
         else:
             rows = None
             batch.append(inputs[step - 1 : step])
-        outputs = None
-        if record_outputs:
-            held = values[batch.positions[:, : batch.n], every]  # (S, n, d_head)
-            outputs = value_sums(rows, held).reshape(*grid, -1)
         evicted = cursor = None
         if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)
             evicted = evicted.reshape(grid)
-        trace.steps.append(StepRecord(step, evicted, cursor, outputs))
+        trace.steps.append(StepRecord(step, evicted, cursor))
     trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
     return trace

@@ -29,7 +29,6 @@ class StepRecord:
     # step that evicts nothing; the cursor is also None under a baseline.
     evicted: np.ndarray | None = None
     cursor: int | None = None
-    outputs: np.ndarray | None = None  # (layers, heads, d_head), never serialized
     # Not a field: ``retained_at`` replays per-step sets from the evictions.  It stays,
     # empty, for readers of format 1's ``record.retained`` (bench/layers.py).
     retained = ()
@@ -51,7 +50,8 @@ class DecodeTrace:
     retained: np.ndarray | None = None
     # The run's (seq_len, d_model) float64 inputs and the model's float32
     # ``ModelWeights.qkv``, which every step's query, key and value follow
-    # from (``held_projections``); both None at light detail.
+    # from (``held_projections``).  Decode references both; a light trace
+    # is one written (and so read) without them.
     inputs: np.ndarray | None = None
     weights: np.ndarray | None = None
 
@@ -151,7 +151,7 @@ def read_trace(path: str) -> DecodeTrace:
             trace = _header_trace(next(_records(fh, path, 1)), path)
             *body, final = _records(fh, path, trace.seq_len + 1)
             block = fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad or too deep JSON, bad UTF-8
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     dims = trace.dims
     shape = (dims.layers, dims.heads, 3, dims.d_model, dims.d_head)
@@ -252,8 +252,8 @@ def held_projections(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndar
     """The query (layers, heads, d_head) of the given 1-based step's own
     input, and the keys and values (layers, heads, n, d_head) of the n slots
     each stream holds at its attention time: bitwise the queries and keys
-    ``StreamBatch`` projected and the values ``decode_with_policy``
-    projects when it records outputs."""
+    ``StreamBatch`` projected, and the values that are projected the same
+    way, each input its own product (``engine.project``)."""
     if not 1 <= step <= len(trace.steps):
         raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
     if trace.inputs is None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from treekv import ModelDims, ModelWeights, StreamBatch, generate_weights
+from treekv import ModelDims, ModelWeights, StreamBatch, generate_weights, signals_at_step
 
 # The statistics-only tests never call StreamBatch.step, so any weights do.
 _ONE_STREAM = generate_weights(0, ModelDims(1, 1, 1, 1))
@@ -18,6 +18,23 @@ def single_head_weights(wq, wk=None, wv=None):
     wv = wq if wv is None else np.asarray(wv, dtype=np.float32)
     dims = ModelDims(1, 1, wq.shape[0], wq.shape[1])
     return ModelWeights(dims, 0, np.stack([wq, wk, wv])[None, None])
+
+
+def outputs_at(trace, step):
+    """Every stream's attention output (layers, heads, d_head) at the given
+    1-based step of a full-detail trace: its attention row over the values
+    it holds then (``signals_at_step``), one product per stream."""
+    rows, values = signals_at_step(trace, step)
+    return np.matmul(rows[..., None, :], values)[..., 0, :]
+
+
+def evicted_events(record):
+    """A step's evictions as (layer, head, position, cursor) tuples of
+    Python ints, in stream order, as ``oracle_decode`` lists them."""
+    if record.evicted is None:
+        return []
+    return [(layer, head, int(position), record.cursor)
+            for (layer, head), position in np.ndenumerate(record.evicted)]
 
 
 def stream_batch(scores, counts=None):

@@ -33,7 +33,7 @@ from treekv import (
 )
 from treekv.policies import POLICY_SPECS, StreamingLLM
 
-from helpers import drive_policy
+from helpers import drive_policy, outputs_at
 from oracles import oracle_dwt, oracle_full_attention, oracle_tree_sim
 
 
@@ -126,16 +126,14 @@ def test_c03_full_cache_equivalence():
         inputs = synthesize_embeddings(int(rng.integers(0, 2**31)), seq_len, dims.d_model)
         expected = oracle_full_attention(weights, inputs)
         for spec in POLICY_SPECS:
-            trace = decode_with_policy(
-                weights, inputs, spec, seq_len,
-                record_detail=False, record_outputs=True,
-            )
+            trace = decode_with_policy(weights, inputs, spec, seq_len)
             assert all(step.evicted is None for step in trace.steps)
             for record in trace.steps:
+                outputs = outputs_at(trace, record.step)
                 for layer in range(dims.layers):
                     for head in range(dims.heads):
                         np.testing.assert_allclose(
-                            record.outputs[layer][head],
+                            outputs[layer][head],
                             expected[record.step - 1][layer][head],
                             rtol=1e-6,
                             atol=1e-9,
@@ -223,10 +221,7 @@ def test_c07_left_sparse_right_dense():
     streams = 0
     for seed in range(seeds):
         inputs = synthesize_embeddings(seed, seq_len, 64)
-        trace = decode_with_policy(
-            weights, inputs, "treekv", capacity,
-            record_detail=False,
-        )
+        trace = decode_with_policy(weights, inputs, "treekv", capacity)
         final = trace.retained
         for layer in range(2):
             for head in range(4):

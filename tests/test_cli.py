@@ -359,9 +359,10 @@ def test_exit_codes():
 
 
 def _config_case(data):
+    """decode with a config file that holds ``data``, or the text given."""
     def build(tmp_path):
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps(data))
+        config_path.write_text(data if isinstance(data, str) else json.dumps(data))
         return ["decode", "--config", config_path, "-o", tmp_path / "t.jsonl"]
     return build
 
@@ -415,6 +416,8 @@ OVERFLOWING_ROWS = json.dumps([[1.7e308] * 8] * 6)
 # Finite rows whose keys stay finite but the last, past the key check's
 # first chunk.
 LAST_ROW_OVERFLOWS = json.dumps([[0.5] * 8] * KEY_CHECK_ROWS + [[1.7e308] * 8])
+# JSON nested past the parser's recursion limit.
+DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
 def _unread_attention_analyze(tmp_path):
@@ -610,6 +613,11 @@ def _v1_weights(tmp_path):
         (_token_file_case(OVERFLOWING_ROWS, policy="streaming"), 3),
         (_token_file_case(OVERFLOWING_ROWS, policy="full"), 3),
         (_token_file_case(LAST_ROW_OVERFLOWS), 3),
+        # too deeply nested JSON is malformed JSON
+        (_config_case(DEEP_JSON), 2),
+        (_token_file_case(DEEP_JSON), 3),
+        (_prompt_case(DEEP_JSON), 3),
+        (_trace_case(lambda record: DEEP_JSON), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -630,7 +638,8 @@ def _v1_weights(tmp_path):
          "compare-later-T-zero", "decode-value-overflow", "prefill-value-overflow",
          "analyze-value-overflow", "decode-attention-overflow-unread",
          "analyze-attention-overflow-unread", "decode-projection-overflow-streaming",
-         "decode-projection-overflow-full", "decode-projection-overflow-last-row"],
+         "decode-projection-overflow-full", "decode-projection-overflow-last-row",
+         "config-deep-json", "tokens-deep-json", "prompt-deep-json", "trace-deep-json"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -650,8 +659,6 @@ def test_only_a_run_that_reads_values_fails_on_overflowing_values(tmp_path, caps
     inputs = np.array(json.loads(tokens.read_text()))
     trace = decode_with_policy(weights, inputs, "treekv", 2, "sink=0,recent=0")
     assert [record.evicted is not None for record in trace.steps] == [False] * 2 + [True] * 4
-    with pytest.raises(InputError, match="projections are not finite"):
-        decode_with_policy(weights, inputs, "treekv", 2, "sink=0,recent=0", record_outputs=True)
     out = tmp_path / "t.jsonl"
     write_trace(trace, str(out))
     assert run_cli(*ANALYZE, "--trace", out) == 3
@@ -661,15 +668,13 @@ def test_only_a_run_that_reads_values_fails_on_overflowing_values(tmp_path, caps
 def test_only_a_run_that_attends_fails_on_overflowing_logits(tmp_path, capsys):
     # The _decode_args model on HUGE_ROWS: finite queries and keys, logits
     # past float64.  select-left reads no attention, so its decode skips the
-    # rows unless it records outputs.
+    # rows.
     weights = generate_weights(3, ModelDims(1, 2, 8, 4))
     inputs = np.array(json.loads(HUGE_ROWS))
     trace = decode_with_policy(weights, inputs, "treekv-left", 4, "sink=0,recent=0")
     assert [record.evicted is not None for record in trace.steps] == [False] * 4 + [True] * 2
-    for spec, record_outputs in (("treekv", False), ("treekv-left", True)):
-        with pytest.raises(InputError, match="attention rows are not finite"):
-            decode_with_policy(weights, inputs, spec, 4, "sink=0,recent=0",
-                               record_outputs=record_outputs)
+    with pytest.raises(InputError, match="attention rows are not finite"):
+        decode_with_policy(weights, inputs, "treekv", 4, "sink=0,recent=0")
     out = tmp_path / "t.jsonl"
     write_trace(trace, str(out))
     assert run_cli(*ANALYZE, "--trace", out) == 3

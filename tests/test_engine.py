@@ -35,12 +35,11 @@ from treekv.engine import (
     _rope,
     project,
     stacked_weights,
-    value_sums,
     write_array,
 )
 from treekv.rng import _CHUNK, NormalStream
 
-from helpers import single_head_weights
+from helpers import evicted_events, outputs_at, single_head_weights
 from oracles import (
     _OracleStream,
     oracle_block_scores,
@@ -205,8 +204,8 @@ def _expected_row(q, keys):
 
 
 def _values(weights, xs):
-    """Values (len(xs), S, d_head) of inputs xs (len(xs), d_model), as
-    decode projects them when it records outputs."""
+    """Values (len(xs), S, d_head) of inputs xs (len(xs), d_model), each
+    its own product, as ``signals_at_step`` projects them."""
     return project(np.asarray(xs, dtype=np.float64)[:, None, :], stacked_weights(weights.qkv)[2])
 
 
@@ -219,8 +218,8 @@ def test_project_zero_vector():
     values = _values(weights, xs)
     assert not batch.keys[0, 1].any() and not values[1].any()
     assert rows.tolist() == [[0.5, 0.5]]  # a zero query weighs every key alike
-    trace = decode_with_policy(weights, xs, "full", 2, record_outputs=True)
-    assert np.array_equal(trace.steps[1].outputs[0], values[0] / 2)
+    trace = decode_with_policy(weights, xs, "full", 2)
+    assert np.array_equal(outputs_at(trace, 2)[0], values[0] / 2)
 
 
 def test_project_identity_matrix():
@@ -254,12 +253,12 @@ def test_project_length_mismatch():
 
 
 def _attend_one(q, keys, values):
-    """One stream's attention row of a query over encoded keys, and the value
-    sum ``value_sums`` gives for that row over the values."""
+    """One stream's attention row of a query over encoded keys, and that
+    row's sum over the values."""
     rows = _attention_rows(
         np.asarray(q, dtype=np.float64)[None], np.asarray(keys, dtype=np.float64)[None]
     )
-    return rows[0], value_sums(rows, np.asarray(values, dtype=np.float64)[None])[0]
+    return rows[0], np.matmul(rows, np.asarray(values, dtype=np.float64))[0]
 
 
 def test_attend_single_slot():
@@ -383,7 +382,8 @@ def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
     assert got.tobytes() == want.tobytes()
     values, every = _values(weights, xs), np.arange(bulk.streams)[:, None]
     held = [values[batch.positions[:, : m + 1], every] for batch in (bulk, single)]
-    assert value_sums(got, held[0]).tobytes() == value_sums(want, held[1]).tobytes()
+    sums = [np.matmul(row[:, None, :], stream)[:, 0, :] for row, stream in zip((got, want), held)]
+    assert sums[0].tobytes() == sums[1].tobytes()
     assert bulk.scores.tobytes() == got.tobytes()  # only this step's row
     assert (bulk.counts == 1).all()
     with pytest.raises(StateError):
@@ -486,10 +486,10 @@ def test_attention_stream_runs_and_orders_positions():
     keys, vals = [[] for _ in range(4)], [[] for _ in range(4)]
     xs = synthesize_embeddings(5, 4, 6)
     values = _values(weights, xs)
-    trace = decode_with_policy(weights, xs, "full", 8, record_outputs=True)
+    trace = decode_with_policy(weights, xs, "full", 8)
     for position in range(4):
         rows = batch.step(xs[position])
-        outputs = trace.steps[position].outputs.reshape(4, -1)
+        outputs = outputs_at(trace, position + 1).reshape(4, -1)
         assert rows.shape == (4, position + 1)
         for stream in range(4):
             layer, head = divmod(stream, 2)
@@ -587,21 +587,21 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
         weights = generate_weights(seed, dims)
         inputs = synthesize_embeddings(seed + 1, seq_len, dims.d_model)
         trace = decode_with_policy(
-            weights, inputs, spec, capacity, "sink={},recent={}".format(*zones),
-            record_outputs=True,
+            weights, inputs, spec, capacity, "sink={},recent={}".format(*zones)
         )
         expected = oracle_decode(weights, inputs, spec, capacity, zones)
         assert len(trace.steps) == len(expected)
         assert trace.retained.tolist() == expected[-1]["retained"]
         for record, want in zip(trace.steps, expected):
-            events = _events(record)
+            events = evicted_events(record)
             assert events == want["events"], (spec, dims, capacity, zones, record.step)
             assert retained_at(trace, record.step).tolist() == want["retained"]
             if events:
                 evicting.add(spec)
             rows, values = signals_at_step(trace, record.step)
             # the last slot holds the step's own input, position step - 1
-            got = {"rows": rows, "values": values[..., -1, :], "outputs": record.outputs}
+            got = {"rows": rows, "values": values[..., -1, :],
+                   "outputs": outputs_at(trace, record.step)}
             for key in ("rows", "values", "outputs"):
                 for layer in range(dims.layers):
                     for head in range(dims.heads):
@@ -633,27 +633,18 @@ def test_window_rows_and_block_scores_match_naive_oracle(d_head, prompt_len, blo
         )
 
 
-def _events(record):
-    """A step's evictions as (layer, head, position, cursor) tuples of
-    Python ints, in stream order."""
-    if record.evicted is None:
-        return []
-    return [(layer, head, int(position), record.cursor)
-            for (layer, head), position in np.ndenumerate(record.evicted)]
-
-
 def _trace_digest(trace):
     """sha256 over every step's eviction tuples, retained lists (replayed
-    from the evictions) and the float64 bytes of each attention row (derived
-    from the recorded inputs and weights), value and output: independent of
-    any file format."""
+    from the evictions) and the float64 bytes of each attention row, value
+    and output (all derived from the recorded inputs and weights):
+    independent of any file format."""
     digest = hashlib.sha256()
     for record in trace.steps:
-        events = [(record.step, *event) for event in _events(record)]
+        events = [(record.step, *event) for event in evicted_events(record)]
         digest.update(repr(events).encode())
         digest.update(repr(retained_at(trace, record.step).tolist()).encode())
         rows, values = signals_at_step(trace, record.step)
-        for grid in (rows, values[..., -1, :], record.outputs):
+        for grid in (rows, values[..., -1, :], outputs_at(trace, record.step)):
             for cells in grid:
                 for cell in cells:
                     digest.update(np.asarray(cell, dtype=np.float64).tobytes())
@@ -684,5 +675,5 @@ def _trace_digest(trace):
 def test_decode_is_bitwise_pinned(spec, zones, expected):
     weights = generate_weights(21, ModelDims(2, 2, 8, 4))
     inputs = synthesize_embeddings(22, 40, 8)
-    trace = decode_with_policy(weights, inputs, spec, 8, zones, record_outputs=True)
+    trace = decode_with_policy(weights, inputs, spec, 8, zones)
     assert _trace_digest(trace) == expected

@@ -17,6 +17,7 @@ from treekv import (
 )
 
 import oracles
+from helpers import outputs_at
 from oracles import oracle_dwt, oracle_full_attention, oracle_tree_sim
 
 
@@ -111,15 +112,13 @@ def test_golden_attention_fixture(regen_golden):
     golden = oracles.read_golden_attention()
     assert golden["spec"] == spec
 
-    trace = decode_with_policy(
-        weights, inputs, "full", spec["steps"],
-        record_detail=False, record_outputs=True,
-    )
+    trace = decode_with_policy(weights, inputs, "full", spec["steps"])
     for step_index, record in enumerate(trace.steps):
+        outputs = outputs_at(trace, record.step)
         for layer in range(dims.layers):
             for head in range(dims.heads):
                 assert np.allclose(
-                    record.outputs[layer][head],
+                    outputs[layer][head],
                     golden["outputs"][step_index][layer][head],
                     rtol=1e-6,
                     atol=1e-9,

@@ -24,15 +24,14 @@ from treekv import (
     make_policy,
     partition_blocks,
     retained_at,
-    signals_at_step,
     synthesize_embeddings,
     window_mass,
 )
 from treekv.engine import STATISTICS
 from treekv.policies import _averaged
 
-from helpers import drive_policy, single_head_weights, stream_batch
-from oracles import oracle_tree_sim
+from helpers import drive_policy, evicted_events, outputs_at, single_head_weights, stream_batch
+from oracles import oracle_decode, oracle_tree_sim
 
 BOUNDED_SPECS = [spec for spec in POLICY_SPECS if spec != "full"]
 
@@ -377,16 +376,13 @@ def _toy_weights():
 def test_decode_full_capacity_never_evicts_and_matches_full_policy():
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 9, 8)
-    roomy = decode_with_policy(
-        weights, inputs, "treekv", 16, record_outputs=True
-    )
-    full = decode_with_policy(
-        weights, inputs, "full", 16, record_outputs=True
-    )
+    roomy = decode_with_policy(weights, inputs, "treekv", 16)
+    full = decode_with_policy(weights, inputs, "full", 16)
     assert all(step.evicted is None for step in roomy.steps)
     for step_a, step_b in zip(roomy.steps, full.steps):
+        outputs_a, outputs_b = outputs_at(roomy, step_a.step), outputs_at(full, step_b.step)
         for head in range(2):
-            assert np.array_equal(step_a.outputs[0][head], step_b.outputs[0][head])
+            assert np.array_equal(outputs_a[0][head], outputs_b[0][head])
 
 
 # d_head 1, odd d_head and d_model 1 among them
@@ -396,25 +392,28 @@ OUTPUT_DIMS = [(1, 2, 6, 1), (2, 2, 7, 3), (1, 3, 1, 5), (2, 1, 8, 4)]
 @pytest.mark.parametrize("zones", ["sink=0,recent=0", "sink=1,recent=2"])
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_recorded_outputs_are_bitwise_the_rows_over_the_held_values(spec, zones):
-    # Every step's recorded outputs against the rows and values that
-    # signals_at_step derives from the same trace's inputs and weights.
+    # Every step's outputs, derived from the trace's inputs and weights as
+    # the rows over the held values (``outputs_at``), against the naive
+    # oracle's sums of its own rows over its own values.
+    parsed = ProtectedZones.parse(zones)
     for case, shape in enumerate(OUTPUT_DIMS):
         dims = ModelDims(*shape)
         weights = generate_weights(60 + case, dims)
         inputs = synthesize_embeddings(70 + case, 22, dims.d_model)
-        trace = decode_with_policy(weights, inputs, spec, 6, zones, record_outputs=True)
-        for record in trace.steps:
-            rows, values = signals_at_step(trace, record.step)
-            expected = np.matmul(rows[..., None, :], values)[..., 0, :]
-            assert record.outputs.shape == expected.shape
-            assert record.outputs.tobytes() == expected.tobytes(), (shape, record.step)
+        trace = decode_with_policy(weights, inputs, spec, 6, zones)
+        expected = oracle_decode(weights, inputs, spec, 6, (parsed.n_sink, parsed.n_recent))
+        for record, want in zip(trace.steps, expected, strict=True):
+            outputs = outputs_at(trace, record.step)
+            assert outputs.shape == (dims.layers, dims.heads, dims.d_head)
+            np.testing.assert_allclose(outputs, np.array(want["outputs"]), rtol=1e-6, atol=1e-9,
+                                       err_msg=str((shape, record.step)))
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_evictions_never_read_the_value_matrices(spec):
     # The same run with W_V replaced by other finite numbers evicts the same
     # positions at the same steps with the same cursors, though every output
-    # changes: no value reaches the eviction path.
+    # derived from the trace changes: no value reaches the eviction path.
     dims = ModelDims(2, 2, 6, 3)
     weights = generate_weights(80, dims)
     qkv = weights.qkv.copy()
@@ -422,13 +421,13 @@ def test_evictions_never_read_the_value_matrices(spec):
     other = ModelWeights(dims, weights.seed, qkv)
     inputs = synthesize_embeddings(82, 30, dims.d_model)
     for zones in ("sink=0,recent=0", "sink=1,recent=2"):
-        want = decode_with_policy(weights, inputs, spec, 6, zones, record_outputs=True)
-        got = decode_with_policy(other, inputs, spec, 6, zones, record_outputs=True)
+        want = decode_with_policy(weights, inputs, spec, 6, zones)
+        got = decode_with_policy(other, inputs, spec, 6, zones)
         for a, b in zip(want.steps, got.steps, strict=True):
             assert (a.evicted is None) == (b.evicted is None)
             assert a.evicted is None or np.array_equal(a.evicted, b.evicted)
             assert a.cursor == b.cursor
-            assert not np.array_equal(a.outputs, b.outputs)
+            assert not np.array_equal(outputs_at(want, a.step), outputs_at(got, b.step))
         assert np.array_equal(want.retained, got.retained)
 
 
@@ -450,10 +449,10 @@ def _fitting_policies(spec, capacities=(2, 5, 8, 20)):
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypatch):
-    # record_outputs needs every step's rows, so it forces the attending
-    # path.  Without it, a policy that reads no attention never steps the
-    # batch, and must still evict the same positions at the same steps with
-    # the same cursors and keep the same final positions.
+    # A policy that reads no attention never steps the batch, and must still
+    # evict the positions that the naive oracle, which attends every step,
+    # evicts at the same steps with the same cursors, and keep the same
+    # final positions.
     steps = []
     step = StreamBatch.step
 
@@ -469,17 +468,15 @@ def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypat
             weights = generate_weights(90 + seed, dims)
             inputs = synthesize_embeddings(100 + seed, 30, dims.d_model)
             for capacity, zones, policy in _fitting_policies(spec):
-                want = decode_with_policy(weights, inputs, spec, capacity, zones,
-                                          record_outputs=True)
+                parsed = ProtectedZones.parse(zones)
+                want = oracle_decode(weights, inputs, spec, capacity,
+                                     (parsed.n_sink, parsed.n_recent))
                 steps.clear()
                 got = decode_with_policy(weights, inputs, spec, capacity, zones)
                 assert len(steps) == (30 if policy.reads else 0)
-                for a, b in zip(want.steps, got.steps, strict=True):
-                    assert (a.evicted is None) == (b.evicted is None)
-                    assert a.evicted is None or np.array_equal(a.evicted, b.evicted)
-                    assert a.cursor == b.cursor
-                    assert b.outputs is None
-                assert np.array_equal(want.retained, got.retained)
+                for a, b in zip(want, got.steps, strict=True):
+                    assert evicted_events(b) == a["events"], (capacity, zones, b.step)
+                assert got.retained.tolist() == want[-1]["retained"]
                 runs += 1
     assert runs >= 3 * len(SKIP_DIMS) * 8  # every spec fits 8 of the 12 settings
 
@@ -568,12 +565,8 @@ def test_a_decode_batch_holds_only_what_its_policy_reads(spec, monkeypatch):
     built = _recorded_batches(monkeypatch)
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 12, 8)
-    for record_outputs in (False, True):
-        decode_with_policy(weights, inputs, spec, 6, "sink=1,recent=2",
-                           record_outputs=record_outputs)
-    # recording outputs attends, so it keeps keys, but no statistic more
-    assert [_held(batch) for batch in built] == [DECODE_BATCH[spec],
-                                                 DECODE_BATCH[spec] | ATTENDING]
+    decode_with_policy(weights, inputs, spec, 6, "sink=1,recent=2")
+    assert [_held(batch) for batch in built] == [DECODE_BATCH[spec]]
 
 
 def test_the_prefill_batch_keeps_scores_but_no_counts(monkeypatch):

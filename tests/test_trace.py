@@ -66,7 +66,9 @@ def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
     # the queries, keys and values come from: the inputs, then the weights
     path = tmp_path / "t.jsonl"
     for detail in (True, False):
-        trace = _run(policy=spec, capacity=5, zones="sink=1,recent=1", record_detail=detail)
+        trace = _run(policy=spec, capacity=5, zones="sink=1,recent=1")
+        if not detail:  # a light trace, as ``decode --trace-detail light`` writes it
+            trace.inputs = trace.weights = None
         write_trace(trace, str(path))
         block = path.read_bytes().split(b"\n", 16)[16]
         loaded = read_trace(str(path))
@@ -119,8 +121,7 @@ def _replay(trace, step):
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_retained_at_matches_the_oracle_replay_at_every_step(spec, zones):
     weights = generate_weights(11, ModelDims(2, 3, 8, 4))
-    trace = decode_with_policy(weights, synthesize_embeddings(12, 60, 8), spec, 9, zones,
-                               record_detail=False)
+    trace = decode_with_policy(weights, synthesize_embeddings(12, 60, 8), spec, 9, zones)
     for step in range(len(trace.steps) + 1):
         assert _replay(trace, step) == _oracle_replay(trace, step)
 
@@ -142,7 +143,7 @@ def test_retained_at_matches_the_oracle_replay_at_every_step(spec, zones):
 def test_retained_at_rejects_a_bad_eviction_as_the_oracle_does(cells):
     weights = generate_weights(11, ModelDims(2, 3, 8, 4))
     trace = decode_with_policy(weights, synthesize_embeddings(12, 30, 8), "treekv", 6,
-                               "sink=0,recent=0", record_detail=False)
+                               "sink=0,recent=0")
     assert (trace.steps[6].evicted == 1).all() and trace.steps[5].evicted is None
     for step, layer, head, position in cells:
         record = trace.steps[step - 1]
@@ -207,7 +208,8 @@ def test_signals_at_step_merges_the_pre_eviction_view():
     # step 8 of a capacity-5 run attends over 6 slots before evicting
     assert rows.shape == (1, 2, 6)
     assert values.shape == (1, 2, 6, 4)
-    light = _run(policy="treekv", capacity=5, seq_len=9, record_detail=False)
+    light = _run(policy="treekv", capacity=5, seq_len=9)
+    light.inputs = light.weights = None
     with pytest.raises(InputError, match="inputs and projection weights"):
         signals_at_step(light, 8)
 
@@ -215,8 +217,8 @@ def test_signals_at_step_merges_the_pre_eviction_view():
 def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
     """Drive the engine and the policy here, as decode does, keeping at every
     step the rows ``StreamBatch.step`` returned (layers, heads, n), a copy of
-    the keys it attended and the values of those slots from decode's
-    up-front projection (layers, heads, n, d_head).  Returns them with the
+    the keys it attended and the values of those slots, every input's value
+    projected up front (layers, heads, n, d_head).  Returns them with the
     run's trace, written to a file and read back."""
     weights = generate_weights(seed, dims)
     inputs = synthesize_embeddings(seed, seq_len, dims.d_model)
