@@ -39,7 +39,6 @@ from .trace import (
     _grid,
     distribution_map,
     read_trace,
-    validate_trace,
     write_trace,
 )
 from .wavelet import magnitude_profile
@@ -176,8 +175,8 @@ def cmd_decode(args) -> int:
         config.policy,
         config.c,
         config.zones,
-        stream_seed=config.seed if args.tokens is None else None,  # only if it drew the inputs
     )
+    trace.stream_seed = config.seed if args.tokens is None else None  # only if it drew the inputs
     if config.trace_detail == "light":
         trace.inputs = trace.weights = None
     write_trace(trace, args.out)
@@ -186,7 +185,6 @@ def cmd_decode(args) -> int:
 
 def cmd_map(args) -> int:
     trace = read_trace(args.trace)
-    validate_trace(trace)
     grid = distribution_map(trace)
     with _open_out(args.out) as out:
         for layer in range(grid.shape[0]):
@@ -198,8 +196,6 @@ def cmd_map(args) -> int:
 def cmd_analyze(args) -> int:
     config = load_config(args.config, _config_overrides(args))
     traces = [read_trace(path) for path in args.trace]
-    for trace in traces:
-        validate_trace(trace)
     profile = magnitude_profile(traces, config.levels, config.exclude, config.step)
     with _open_out(args.out) as out:
         profile.write_csv(out)
@@ -272,7 +268,6 @@ def cmd_compare(args) -> int:
             config.policy,
             config.c,
             config.zones,
-            stream_seed=config.seed,
         )
         runs.append((config, trace))
 

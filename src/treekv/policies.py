@@ -17,14 +17,16 @@ cumulative attention mass ``scores`` (S), residency count ``counts`` (C)
 and the last attention ``rows``: the tree rule reads S and C, H2O reads S,
 TOVA reads the rows, and the sliding window and select-left read none and
 choose from slot indices alone.
-``EvictionPolicy.evict`` is the one place that removes slots: it hands the
-selector exactly the statistics the policy reads, taken from a
-``StreamBatch``, and removes the victims from it, so positions and every
-array the batch keeps stay parallel.  The decode loop builds its batch to
-keep only what the policy reads, so a policy that reads nothing decodes
-with no attention and holds only positions.  It runs every (layer, head)
-stream at once with one policy instance, and block-level prefill replays
-the same tree selector.
+``EvictionPolicy.evict`` is the one place that removes slots from a
+``StreamBatch``: it hands the selector exactly the statistics the policy
+reads, taken from the batch, and removes the victims from it, so positions
+and every array the batch keeps stay parallel.  The decode loop builds its
+batch to keep only what the policy reads, so a policy that reads nothing
+decodes with no attention and holds only positions.  It runs every (layer,
+head) stream at once with one policy instance.  Block-level prefill
+(``treekv_prefill_compress``) replays the same tree selector over block
+indices with no batch: it calls ``select``, masks the victims out of its
+own ``held`` array and calls ``advance`` itself.
 """
 
 from __future__ import annotations
@@ -253,8 +255,6 @@ def decode_with_policy(
     policy_spec: str,
     capacity: int,
     zones=None,
-    *,
-    stream_seed: int | None = None,
 ) -> DecodeTrace:
     """Run the decode loop over all (layer, head) streams at once.
 
@@ -291,7 +291,6 @@ def decode_with_policy(
         seq_len=seq_len,
         dims=dims,
         model_seed=weights.seed,
-        stream_seed=stream_seed,
         inputs=inputs,
         weights=weights.qkv,
     )

@@ -145,7 +145,9 @@ def _header_trace(header: dict, path: str) -> DecodeTrace:
 
 def read_trace(path: str) -> DecodeTrace:
     """Read a trace: the header, exactly ``seq_len + 1`` more JSON lines, then
-    the rest of the file, which is either empty or the whole binary block."""
+    the rest of the file, which is either empty or the whole binary block.
+    Only a valid trace is returned: its evictions replay to its final
+    record (``validate_trace``)."""
     try:
         with open(path, "rb") as fh:
             trace = _header_trace(next(_records(fh, path, 1)), path)
@@ -179,10 +181,6 @@ def read_trace(path: str) -> DecodeTrace:
         for index, raw in zip(at, raws):
             _grid(raw, streams, f"evicted at step {index}", (int,), np.int64)
         raise
-    outside = (grids.min(axis=(1, 2)) < 0) | (grids.max(axis=(1, 2)) >= np.array(at))
-    if outside.any():
-        index = at[outside.argmax()]
-        raise InputError(f"evicted at step {index} holds a position outside 0..{index - 1}")
     for index, grid in zip(at, grids):
         trace.steps[index - 1].evicted = grid
     trace.retained = _grid(final.get("retained"), (*streams, None), "final retained",
@@ -192,6 +190,7 @@ def read_trace(path: str) -> DecodeTrace:
         trace.weights = np.frombuffer(block, "<f4", offset=split).reshape(shape)
         if not (np.isfinite(trace.inputs).all() and np.isfinite(trace.weights).all()):
             raise InputError(f"trace {path} holds a NaN or infinite input or weight")
+    validate_trace(trace)
     return trace
 
 
@@ -232,7 +231,8 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
 def validate_trace(trace: DecodeTrace) -> None:
     """Replay the evictions to the last step and check the result
     against the final retained checkpoint; raises InputError on any
-    inconsistency."""
+    inconsistency.  ``read_trace`` calls it on every trace it reads; a
+    trace built in memory can be checked with it directly."""
     if not np.array_equal(retained_at(trace, len(trace.steps)), trace.retained):
         raise InputError("replayed retained sets diverge from the final checkpoint")
 

@@ -321,7 +321,9 @@ def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
     [
         ({6: [[1.0, 0]], 8: [[0]]}, "evicted at step 6 is not a 1x2 grid"),
         ({8: [[0]], 7: [[True, 0]]}, "evicted at step 7 is not a 1x2 grid"),
-        ({8: [[-1, 0]], 7: [[0, 7]]}, "evicted at step 7 holds a position outside 0..6"),
+        pytest.param({8: [[-1, 0]], 7: [[0, 7]]},
+                     r"step 7: eviction of position 7 not present in stream \(0, 1\)",
+                     id="future-position"),
     ],
 )
 def test_read_trace_names_the_first_bad_evicted_grid(tmp_path, grids, message):
@@ -333,4 +335,23 @@ def test_read_trace_names_the_first_bad_evicted_grid(tmp_path, grids, message):
         lines[step] = json.dumps({**json.loads(lines[step]), "evicted": grid}).encode()
     path.write_bytes(b"\n".join(lines) + b"\n" + block)
     with pytest.raises(InputError, match=message):
+        read_trace(str(path))
+
+
+@pytest.mark.parametrize(
+    "retained",
+    [
+        [[[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]],  # in range, but not what the evictions leave
+        [[[0, 1, 2, 3, 99], [0, 1, 2, 3, 99]]],  # a position past seq_len
+    ],
+    ids=["edited", "past-seq-len"],
+)
+def test_read_trace_rejects_a_final_record_its_replay_does_not_reproduce(tmp_path, retained):
+    trace = _run(capacity=5, seq_len=8)  # 1 layer, 2 heads, 5 slots held at the end
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    *lines, block = path.read_bytes().split(b"\n", 10)
+    lines[-1] = json.dumps({"kind": "final", "retained": retained}).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n" + block)
+    with pytest.raises(InputError, match="diverge from the final checkpoint"):
         read_trace(str(path))
