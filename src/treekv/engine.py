@@ -26,8 +26,9 @@ reads them (``STATISTICS``), its keys and importance statistics, and steps
 them together, with each stream's floating-point operations exactly those
 of a lone stream (the per-stream definition the tests compare against
 lives in ``tests/oracles.py``).  A batch whose reader reads nothing holds
-positions only and attends nothing.  Prompt prefill runs on the same
-batch over an unbounded cache (``prefill.window_mass``).
+positions only and attends nothing.  Decode and prompt prefill (over an
+unbounded cache, ``prefill.window_mass``) step inputs only through
+``StreamBatch.steps``, which projects and rotates a chunk at a time.
 
 Weight file format (version 2)
 ------------------------------
@@ -202,14 +203,16 @@ def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Softmax rows of queries (..., d) over encoded keys (..., n, d), scaled
     by sqrt(d).  The stacked matmul runs one BLAS matrix-vector product per
     stream, so each row is bitwise the row a lone stream would compute.
-    Inputs too large for finite logits are an input error."""
+    Inputs too large for finite logits are an input error.  Only the row
+    sums are checked: finite logits give sums in [1, n], while a NaN logit,
+    a +inf logit or a row of only -inf logits makes the sum NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         logits = np.matmul(keys, q[..., None])[..., 0] / math.sqrt(keys.shape[-1])
         shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        rows = shifted / shifted.sum(axis=-1, keepdims=True)
-    if not np.isfinite(rows).all():
+        sums = shifted.sum(axis=-1, keepdims=True)
+    if not np.isfinite(sums).all():
         raise InputError("attention rows are not finite; the inputs are too large")
-    return rows
+    return shifted / sums
 
 
 def _rope(d_head: int, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +279,7 @@ def project(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 # What a batch's reader may read after a step: the cumulative attention
 # mass S, the residency counts C (both per slot) and the step's own rows.
 STATISTICS = ("scores", "counts", "rows")
-KEY_CHECK_ROWS = 256  # inputs whose keys ``check_keys`` projects at once
+CHUNK_ROWS = 32  # inputs whose queries and keys ``steps`` projects and rotates at once
 
 
 class StreamBatch:
@@ -292,7 +295,7 @@ class StreamBatch:
     construction, names what the reader reads (of ``STATISTICS``): the batch
     keeps ``scores`` and ``counts`` only if they are named, and keys,
     ``encoded`` and ``rope`` only if anything is, since then it attends.
-    An array it does not keep is None, and ``_store``, ``step`` and
+    An array it does not keep is None, and ``_store``, ``_step_one`` and
     ``remove`` store, accumulate and shift only the kept ones.  Only
     ``[:, :n]`` is live.  It holds no values: its callers read only the
     attention rows.
@@ -303,7 +306,8 @@ class StreamBatch:
     ``encoded`` keeps those rotations: a key's encoding changes only
     when an eviction shifts it to a lower slot, so the first ``fresh`` slots
     (all slots left of every stream's last victim) are never rotated again.
-    A query is projected only for an input that ``step`` attends.
+    Inputs are stepped only by ``steps``, ``CHUNK_ROWS`` at a time, and
+    attended one by one (``_step_one``).
     """
 
     def __init__(self, weights: ModelWeights, slots: int, reads=STATISTICS):
@@ -341,40 +345,57 @@ class StreamBatch:
         if self.counts is not None:
             self.counts[:, n:end] = 0
 
-    def check_keys(self, xs: np.ndarray) -> None:
-        """Project the keys of inputs xs (T, d_model), ``KEY_CHECK_ROWS``
-        inputs at a time, and store none, so that a key past float64 is an
-        input error as ``append`` makes it in a batch that keeps keys.  Each
-        key is its own product (see ``project``), so it is bitwise the key
-        ``append`` or ``step`` would store."""
-        for start in range(0, len(xs), KEY_CHECK_ROWS):
-            project(xs[start : start + KEY_CHECK_ROWS, None, :], self.wk)
-
     def append(self, xs: np.ndarray) -> None:
-        """Append m inputs xs (m, d_model) to every stream.  A batch that
-        keeps keys projects and stores them; one that does not stores only
-        their positions, and its caller checks the keys (``check_keys``).
-        Nothing is attended or rotated, so ``fresh`` stays as it was."""
-        if self.keys is None:
-            self._store(len(xs))
-        else:
-            self._store(len(xs), project(xs[:, None, :], self.wk).swapaxes(0, 1))
+        """Append m inputs xs (m, d_model) to every stream, projecting their
+        keys, so that a key past float64 is an input error, and storing them
+        if the batch keeps keys.  Nothing is attended or rotated, so
+        ``fresh`` stays as it was."""
+        self._store(len(xs), project(xs[:, None, :], self.wk).swapaxes(0, 1))
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """Append one input, then attend each stream's query over its slots.
+    def steps(self, xs: np.ndarray):
+        """Append inputs xs (T, d_model) one at a time, yielding after each
+        its attention rows (S, n), a fresh array, or None from a batch that
+        attends nothing (it projects each chunk's keys only to check them).
+        A chunk of ``CHUNK_ROWS`` inputs is projected at once, each input its
+        own product, and each query and key rotated at the slot its input
+        takes, ``min(n, last slot)``: between inputs the caller may evict one
+        slot from a full batch, and nothing else."""
+        last = self.positions.shape[1] - 1
+        for start in range(0, len(xs), CHUNK_ROWS):
+            chunk = xs[start : start + CHUNK_ROWS, None, :]
+            if self.keys is None:
+                project(chunk, self.wk)
+                for _ in chunk:
+                    self._store(1)
+                    yield None
+                continue
+            slots = np.minimum(np.arange(self.n, self.n + len(chunk)), last)
+            raw = project(chunk[:, None], self.stack)  # (m, 2, S, d_head): queries, keys
+            rotated = _rotate(raw, *(part[slots, None, None] for part in self.rope))
+            for index, slot in enumerate(slots.tolist()):
+                yield self._step_one(raw[index, 1], rotated[index], slot)
 
-        The input's query and key are projected together.  Keys are encoded
-        at their slot indices 0..n-1 and the query at n - 1, its own freshly
-        appended slot.  The rows are accumulated into the statistics the
-        batch keeps (S += row, C += 1) and returned, (S, n), a fresh array.
-        """
-        q, k = project(x, self.stack)
-        self._store(1, k[:, None])
+    def step(self, x: np.ndarray) -> np.ndarray | None:
+        """Append one input x (d_model) and attend it: ``steps`` of one input."""
+        return next(self.steps(x[None]))
+
+    def _step_one(self, key: np.ndarray, rotated: np.ndarray, slot: int) -> np.ndarray:
+        """Store one input's raw key (S, d_head) at ``slot``, the next slot,
+        and attend its query over each stream's slots; ``rotated`` holds the
+        query and key (2, S, d_head) rotated at ``slot``.  Only the slots an
+        eviction shifted, ``[fresh, slot)``, are encoded again.  The rows are
+        added to the statistics kept (S += row, C += 1) and returned, (S, n)."""
+        self._store(1, key[:, None])
         n = self.n
-        cos, sin = self.rope
+        if n - 1 != slot:
+            raise StateError(f"input stored at slot {n - 1} was rotated at slot {slot}")
         lo, self.fresh = self.fresh, n
-        _rotate(self.keys[:, lo:n], cos[lo:n], sin[lo:n], out=self.encoded[:, lo:n])
-        rows = _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), self.encoded[:, :n])
+        if lo < slot:
+            cos, sin = self.rope
+            _rotate(self.keys[:, lo:slot], cos[lo:slot], sin[lo:slot],
+                    out=self.encoded[:, lo:slot])
+        self.encoded[:, slot] = rotated[1]
+        rows = _attention_rows(rotated[0], self.encoded[:, :n])
         if self.scores is not None:
             self.scores[:, :n] += rows
         if self.counts is not None:

@@ -258,14 +258,12 @@ def decode_with_policy(
 ) -> DecodeTrace:
     """Run the decode loop over all (layer, head) streams at once.
 
-    Per step: project the query and key, append, attend with re-assigned
+    Per step (``StreamBatch.steps``): append, attend with re-assigned
     positions and accumulate the statistics the policy reads in every
     stream, then, if the streams are over capacity, evict one slot per
     stream.  Nothing in the loop reads a value.  The batch keeps only what
-    the policy ``reads``.  A policy that reads nothing (``full``,
-    ``streaming``, ``treekv-left``) attends nothing: every key is projected
-    for its finiteness check before the loop (``StreamBatch.check_keys``),
-    and the loop stores positions only.
+    the policy ``reads``; under one that reads nothing (``full``,
+    ``streaming``, ``treekv-left``) it only checks each chunk's keys.
     Returns the trace: per-step evicted grids with their tree cursors, the
     final retained positions and references to the (C-contiguous) inputs
     and the weights, from which every step's attention rows, values and
@@ -294,15 +292,7 @@ def decode_with_policy(
         inputs=inputs,
         weights=weights.qkv,
     )
-    attend = bool(policy.reads)
-    if not attend:
-        batch.check_keys(inputs)
-    for step in range(1, seq_len + 1):
-        if attend:
-            rows = batch.step(inputs[step - 1])
-        else:
-            rows = None
-            batch.append(inputs[step - 1 : step])
+    for step, rows in enumerate(batch.steps(inputs), 1):
         evicted = cursor = None
         if bound is not None and batch.n > bound:
             evicted, cursor = policy.evict(batch, rows)

@@ -63,8 +63,8 @@ def window_mass(weights: ModelWeights, inputs, partition: BlockPartition) -> np.
     start = partition.observation_window[0]
     batch = StreamBatch(weights, partition.prompt_len, reads=("scores",))
     batch.append(inputs[:start])
-    for x in inputs[start:]:
-        batch.step(x)
+    for _ in batch.steps(inputs[start:]):
+        pass
     return batch.scores
 
 

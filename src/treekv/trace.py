@@ -138,6 +138,10 @@ def _header_trace(header: dict, path: str) -> DecodeTrace:
     seq_len = header["seq_len"]
     if type(seq_len) is not int or seq_len < 0:
         raise InputError(f"trace header: seq_len must be a non-negative int, got {seq_len!r}")
+    for key, kinds in (("policy", (str,)), ("zones", (str,)), ("capacity", (int,)),
+                       ("model_seed", (int,)), ("stream_seed", (int, type(None)))):
+        if type(header.get(key)) not in kinds:  # not isinstance: a bool is no int here
+            raise InputError(f"trace header: {key} has the wrong type: {header.get(key)!r}")
     return DecodeTrace(policy=header["policy"], capacity=header["capacity"], zones=header["zones"],
                        seq_len=seq_len, dims=dims, model_seed=header["model_seed"],
                        stream_seed=header.get("stream_seed"))

@@ -24,7 +24,7 @@ from treekv import (
     write_trace,
 )
 from treekv.cli import RunConfig, load_config, main
-from treekv.engine import _FORMAT_VERSION, KEY_CHECK_ROWS, atomic_output
+from treekv.engine import _FORMAT_VERSION, CHUNK_ROWS, atomic_output
 from treekv.trace import TRACE_FORMAT
 
 from oracles import oracle_compare_cells
@@ -413,9 +413,9 @@ def _token_file_case(text, out=None, **overrides):
 # whose projections overflow.
 HUGE_ROWS = json.dumps([[1e300] * 8] * 6)
 OVERFLOWING_ROWS = json.dumps([[1.7e308] * 8] * 6)
-# Finite rows whose keys stay finite but the last, past the key check's
-# first chunk.
-LAST_ROW_OVERFLOWS = json.dumps([[0.5] * 8] * KEY_CHECK_ROWS + [[1.7e308] * 8])
+# Finite rows whose keys stay finite but the last, past the first chunk of
+# inputs that decode projects at once.
+LAST_ROW_OVERFLOWS = json.dumps([[0.5] * 8] * CHUNK_ROWS + [[1.7e308] * 8])
 # JSON nested past the parser's recursion limit.
 DEEP_JSON = "[" * 100000 + "]" * 100000
 
@@ -618,6 +618,14 @@ def _v1_weights(tmp_path):
         (_token_file_case(DEEP_JSON), 3),
         (_prompt_case(DEEP_JSON), 3),
         (_trace_case(lambda record: DEEP_JSON), 3),
+        # header fields of the wrong JSON type
+        (_trace_case(lambda record: json.dumps({**record, "capacity": "x"}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "policy": 5}), line=0,
+                     command=ANALYZE), 3),
+        (_trace_case(lambda record: json.dumps({**record, "zones": [1]}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "model_seed": "s"}), line=0,
+                     command=ANALYZE), 3),
+        (_trace_case(lambda record: json.dumps({**record, "stream_seed": 1.5}), line=0), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -639,7 +647,9 @@ def _v1_weights(tmp_path):
          "analyze-value-overflow", "decode-attention-overflow-unread",
          "analyze-attention-overflow-unread", "decode-projection-overflow-streaming",
          "decode-projection-overflow-full", "decode-projection-overflow-last-row",
-         "config-deep-json", "tokens-deep-json", "prompt-deep-json", "trace-deep-json"],
+         "config-deep-json", "tokens-deep-json", "prompt-deep-json", "trace-deep-json",
+         "header-capacity-string", "header-policy-int", "header-zones-list",
+         "header-model-seed-string", "header-stream-seed-float"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]

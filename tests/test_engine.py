@@ -30,7 +30,8 @@ from treekv import (
 )
 from treekv.cli import main
 from treekv.engine import (
-    KEY_CHECK_ROWS,
+    CHUNK_ROWS,
+    STATISTICS,
     _attention_rows,
     _rope,
     project,
@@ -282,6 +283,17 @@ def test_attend_two_slot_softmax_example():
     assert np.allclose(row, [0.6698, 0.3302], atol=1e-4)
 
 
+@pytest.mark.parametrize("keys", [[[math.nan], [0.0]], [[math.inf], [0.0]],
+                                  [[-math.inf], [-math.inf]]],
+                         ids=["nan-logit", "inf-logit", "all-minus-inf"])
+def test_attention_rows_refuse_a_row_whose_sum_is_not_finite(keys):
+    # Finite logits sum to [1, n] after the max shift; each of these rows
+    # sums to NaN, and a single -inf logit among finite ones is only a zero.
+    with pytest.raises(InputError, match="attention rows are not finite"):
+        _attention_rows(np.ones((1, 1)), np.array([keys]))
+    assert _attention_rows(np.ones((1, 1)), np.array([[[-math.inf], [0.0]]])).tolist() == [[0, 1]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_attention_rows_are_stochastic(slots, d_head, seed):
@@ -339,13 +351,40 @@ def test_append_respects_capacity_headroom():
         batch.step(xs[3])
 
 
-@pytest.mark.parametrize("count", [1, KEY_CHECK_ROWS, KEY_CHECK_ROWS + 1, 2 * KEY_CHECK_ROWS + 3])
-def test_check_keys_projects_every_key_a_chunk_at_a_time(count, monkeypatch):
-    # A batch that attends nothing keeps no keys; decode checks them first,
-    # holding at most one chunk of keys, never all T.
+@pytest.mark.parametrize("reads", [STATISTICS, ()], ids=["attending", "keyless"])
+def test_stepping_a_full_batch_without_evicting_is_refused(reads):
+    weights = generate_weights(5, ModelDims(1, 2, 6, 4))
+    batch = StreamBatch(weights, slots=3, reads=reads)
+    stepped = batch.steps(synthesize_embeddings(5, 4, 6))
+    for _ in range(3):
+        next(stepped)
+    with pytest.raises(StateError, match="slots is full at 3"):
+        next(stepped)
+
+
+def test_steps_refuse_an_input_that_misses_its_rotated_slot():
+    # A chunk's queries and keys are rotated before its inputs are stored,
+    # each at the slot its input will take if only a full batch is evicted
+    # between inputs; two removals move the next input off that slot.
+    weights = generate_weights(5, ModelDims(1, 2, 6, 4))
+    batch = StreamBatch(weights, slots=6)
+    stepped = batch.steps(synthesize_embeddings(5, 6, 6))
+    for _ in range(4):
+        next(stepped)
+    batch.remove([1, 1])
+    batch.remove([0, 2])
+    with pytest.raises(StateError, match="stored at slot 2 was rotated at slot 4"):
+        next(stepped)
+
+
+@pytest.mark.parametrize("count", [1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
+@pytest.mark.parametrize("reads", [STATISTICS, ()], ids=["attending", "keyless"])
+def test_steps_project_every_input_a_chunk_at_a_time(count, reads, monkeypatch):
+    # A chunk of inputs is projected in one call, so a batch that keeps no
+    # keys still checks each of them, holding at most one chunk of keys,
+    # never all T; a key past float64 fails when its chunk is projected.
     xs = synthesize_embeddings(7, count, 6)
-    batch = StreamBatch(generate_weights(7, ModelDims(1, 2, 6, 4)), slots=2, reads=())
-    assert batch.keys is None
+    weights = generate_weights(7, ModelDims(1, 2, 6, 4))
     chunks = []
 
     def recording_project(x, matrices):
@@ -353,14 +392,19 @@ def test_check_keys_projects_every_key_a_chunk_at_a_time(count, monkeypatch):
         return project(x, matrices)
 
     monkeypatch.setattr("treekv.engine.project", recording_project)
-    batch.check_keys(xs)
-    assert sum(chunks) == count and max(chunks) <= KEY_CHECK_ROWS
-    assert batch.n == 0
+    batch = StreamBatch(weights, slots=count, reads=reads)
+    assert (batch.keys is None) == (not reads)
+    assert [rows is None for rows in batch.steps(xs)] == [not reads] * count
+    assert sum(chunks) == count and max(chunks) <= CHUNK_ROWS
+    assert batch.n == count
     for row in (0, count - 1):  # the first and the last chunk
         bad = xs.copy()
         bad[row] = 1.7e308
+        batch = StreamBatch(weights, slots=count, reads=reads)
         with pytest.raises(InputError, match="projections are not finite"):
-            batch.check_keys(bad)
+            for _ in batch.steps(bad):
+                pass
+        assert batch.n == row - row % CHUNK_ROWS  # every earlier chunk was stepped
 
 
 @pytest.mark.parametrize("dims", [ModelDims(2, 3, 8, 5), ModelDims(1, 2, 7, 3)])
@@ -614,7 +658,28 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
     assert evicting == set(POLICY_SPECS) - {"full"}
 
 
-@pytest.mark.parametrize("d_head, prompt_len, block_size", [(4, 37, 8), (3, 24, 6)])
+# Capacities whose batch fills inside a chunk (5, 45) and at either side of a
+# chunk boundary (31, 32), at lengths on and around the boundaries.
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_decode_matches_naive_oracle_across_chunk_boundaries(spec):
+    dims = ModelDims(1, 2, 6, 4)
+    weights = generate_weights(40, dims)
+    inputs = synthesize_embeddings(41, 67, dims.d_model)
+    for capacity in (5, 31, 32, 45):
+        for zones in ((0, 0), (1, 2)):
+            expected = oracle_decode(weights, inputs, spec, capacity, zones)
+            for seq_len in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 67):
+                trace = decode_with_policy(weights, inputs[:seq_len], spec, capacity,
+                                           "sink={},recent={}".format(*zones))
+                for record, want in zip(trace.steps, expected[:seq_len], strict=True):
+                    assert evicted_events(record) == want["events"], (capacity, zones, record.step)
+                    assert retained_at(trace, record.step).tolist() == want["retained"]
+                assert trace.retained.tolist() == expected[seq_len - 1]["retained"]
+
+
+# (4, 120, 40): an observation window of 40 inputs, longer than one chunk
+@pytest.mark.parametrize("d_head, prompt_len, block_size", [(4, 37, 8), (3, 24, 6),
+                                                            (4, 120, 40)])
 def test_window_rows_and_block_scores_match_naive_oracle(d_head, prompt_len, block_size):
     weights = generate_weights(8, ModelDims(2, 3, 8, d_head))
     inputs = synthesize_embeddings(9, prompt_len, 8)

@@ -449,18 +449,18 @@ def _fitting_policies(spec, capacities=(2, 5, 8, 20)):
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypatch):
-    # A policy that reads no attention never steps the batch, and must still
-    # evict the positions that the naive oracle, which attends every step,
-    # evicts at the same steps with the same cursors, and keep the same
-    # final positions.
+    # A policy that reads no attention never attends an input, and must
+    # still evict the positions that the naive oracle, which attends every
+    # step, evicts at the same steps with the same cursors, and keep the
+    # same final positions.
     steps = []
-    step = StreamBatch.step
+    step_one = StreamBatch._step_one
 
-    def counted_step(batch, x):
-        steps.append(x)
-        return step(batch, x)
+    def counted_step(batch, key, rotated, slot):
+        steps.append(slot)
+        return step_one(batch, key, rotated, slot)
 
-    monkeypatch.setattr(StreamBatch, "step", counted_step)
+    monkeypatch.setattr(StreamBatch, "_step_one", counted_step)
     runs = 0
     for seed in (0, 1, 2):
         for shape in SKIP_DIMS:
