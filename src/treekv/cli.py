@@ -260,28 +260,20 @@ def cmd_compare(args) -> int:
                 "compare requires configs sharing model dims, seed and T "
                 "(mismatched streams)"
             )
-    runs = []
-    for config in configs:
-        trace = decode_with_policy(
-            weights,
-            inputs,
-            config.policy,
-            config.c,
-            config.zones,
-        )
-        runs.append((config, trace))
-
     streams = weights.dims.layers * weights.dims.heads
+    # Only each run's final retained positions are read, so its trace is not kept.
+    runs = [(config, decode_with_policy(weights, inputs, config.policy, config.c,
+                                        config.zones).retained.reshape(streams, -1))
+            for config in configs]
     # Stream s's positions shifted by s * T, so that one membership test
     # compares every stream with its own reference stream.
     offset = np.arange(streams)[:, None] * first.T
-    reference = runs[0][1].retained.reshape(streams, -1) + offset
+    reference = runs[0][1] + offset
     bounds = [first.T // 4, first.T // 2, (3 * first.T) // 4]
     with _open_out(args.out) as out:
         # nll stays an empty column until compare gains a quality column.
         out.write("policy,overlap,q1,q2,q3,q4,nll\n")
-        for config, trace in runs:
-            final = trace.retained.reshape(streams, -1)
+        for config, final in runs:
             shared = np.isin(final + offset, reference).sum(axis=1)
             overlaps = shared / max(final.shape[1], reference.shape[1])
             quarter = np.searchsorted(bounds, final.ravel(), side="right")

@@ -16,16 +16,19 @@ decoders: a rotary-style phase rotation is keyed by the slot index a key
 currently occupies in the cache, not by the token's original position, and
 it is applied at attention time (``rotate_vector`` is its definition).
 Stored keys stay raw; evicting a slot shifts the survivors left, and the
-next step sees contiguous encoding positions 0..n-1.
+next step sees contiguous encoding positions 0..n-1.  The rotation runs at
+full width: ``_lanes`` spreads each pair's cos and sin over both of its
+lanes, and ``_rotate`` computes ``x * cos + swap(x) * sin`` over whole
+blocks, bitwise the per-pair formula.
 
 ``StreamBatch`` is the only stream state, and the module keeps none of
 its own: each batch builds the rotary rows of its own slots, and
 ``slot_rows`` and ``rotate_vector`` build the rows they use.  A batch holds
 every stream's positions as stacked arrays and, only as far as its reader
-reads them (``STATISTICS``), its keys and importance statistics, and steps
-them together, with each stream's floating-point operations exactly those
-of a lone stream (the per-stream definition the tests compare against
-lives in ``tests/oracles.py``).  A batch whose reader reads nothing holds
+reads them (``STATISTICS``), its keys (slot-major) and importance
+statistics, and steps them together, with each stream's floating-point
+operations exactly those of a lone stream (the per-stream definition the
+tests compare against lives in ``tests/oracles.py``).  A batch whose reader reads nothing holds
 positions only and attends nothing.  Decode and prompt prefill (over an
 unbounded cache, ``prefill.window_mass``) step inputs only through
 ``StreamBatch.steps``, which projects and rotates a chunk at a time.
@@ -205,14 +208,18 @@ def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     stream, so each row is bitwise the row a lone stream would compute.
     Inputs too large for finite logits are an input error.  Only the row
     sums are checked: finite logits give sums in [1, n], while a NaN logit,
-    a +inf logit or a row of only -inf logits makes the sum NaN."""
+    a +inf logit or a row of only -inf logits makes the sum NaN.  Each step
+    works in place on the matmul's fresh array."""
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = np.matmul(keys, q[..., None])[..., 0] / math.sqrt(keys.shape[-1])
-        shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        sums = shifted.sum(axis=-1, keepdims=True)
+        rows = np.matmul(keys, q[..., None])[..., 0]
+        rows /= math.sqrt(keys.shape[-1])
+        rows -= rows.max(axis=-1, keepdims=True)
+        np.exp(rows, out=rows)
+        sums = rows.sum(axis=-1, keepdims=True)
     if not np.isfinite(sums).all():
         raise InputError("attention rows are not finite; the inputs are too large")
-    return shifted / sums
+    rows /= sums
+    return rows
 
 
 def _rope(d_head: int, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -223,28 +230,43 @@ def _rope(d_head: int, positions) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
+def _lanes(d_head: int, positions) -> np.ndarray:
+    """``_rope``'s tables at full width, (2, len(positions), d_head): cos
+    repeated over each (even, odd) lane pair and sin signed (-s, +s), with
+    cos 1 and sin 0 on an odd tail lane.  These are the tables ``_rotate``
+    takes."""
+    cos, sin = _rope(d_head, positions)
+    tables = np.zeros((2, len(cos), d_head))
+    tables[0, :, -1] = 1.0  # the odd tail lane; a pair's cos when d_head is even
+    pairs = tables[:, :, : 2 * cos.shape[1]].reshape(2, len(cos), -1, 2)
+    pairs[0] = cos[..., None]
+    pairs[1] = np.stack([-sin, sin], axis=-1)
+    return tables
+
+
 def _rotate(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray, out=None) -> np.ndarray:
     """Rotary phase rotation of the last axis of ``mat``, written into
     ``out`` (a new array by default; never ``mat`` itself) and returned.
 
-    ``cos`` and ``sin`` broadcast against the (even, odd) pairs of the last
-    axis; an odd tail dimension passes through unrotated.
+    ``cos`` and ``sin`` are full-width tables (``_lanes``) that broadcast
+    against ``mat``, and the rotation is ``mat * cos + swap(mat) * sin``,
+    where ``swap`` exchanges the lanes of each (even, odd) pair: bitwise
+    ``e * c - o * s`` and ``e * s + o * c``, since ``x - y`` is ``x + (-y)``
+    and products commute.  An odd tail lane is multiplied by 1 only.
     """
-    out = np.empty_like(mat) if out is None else out
-    half = cos.shape[-1]
-    even = mat[..., 0 : 2 * half : 2]
-    odd = mat[..., 1 : 2 * half : 2]
-    out[..., 0 : 2 * half : 2] = even * cos - odd * sin
-    out[..., 1 : 2 * half : 2] = even * sin + odd * cos
-    if mat.shape[-1] % 2:
-        out[..., -1] = mat[..., -1]
+    out = np.multiply(mat, cos, out=out)
+    width = mat.shape[-1] - mat.shape[-1] % 2  # the lanes in (even, odd) pairs
+    turned = np.empty(out.shape[:-1] + (width,))  # swap(mat) * sin
+    np.multiply(mat[..., 1:width:2], sin[..., 0:width:2], out=turned[..., 0::2])
+    np.multiply(mat[..., 0:width:2], sin[..., 1:width:2], out=turned[..., 1::2])
+    np.add(out[..., :width], turned, out=out[..., :width])
     return out
 
 
 def rotate_vector(vec, position: int) -> np.ndarray:
     """Rotate one vector at the given encoding position (odd tail dim passes through)."""
     vec = np.asarray(vec, dtype=np.float64)
-    cos, sin = _rope(vec.shape[-1], [position])
+    cos, sin = _lanes(vec.shape[-1], [position])
     return _rotate(vec, cos[0], sin[0])
 
 
@@ -253,7 +275,7 @@ def slot_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     (..., n, d) held at slots 0..n-1, as ``StreamBatch.step`` attends them:
     each key is rotated at its slot and the query at n - 1, its own slot."""
     n = keys.shape[-2]
-    cos, sin = _rope(keys.shape[-1], np.arange(n))
+    cos, sin = _lanes(keys.shape[-1], np.arange(n))
     return _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), _rotate(keys, cos, sin))
 
 
@@ -289,25 +311,30 @@ class StreamBatch:
     every eviction removes exactly one slot from each stream, so all streams
     hold the same number of slots ``n``.  Per stream and slot it keeps the
     original position (the i-th input the batch was given has position i)
-    and, only as its reader needs them, the raw key (S, slots, d_head) and
-    the importance statistics: cumulative attention mass ``scores`` (S) and
-    residency count ``counts`` (C), each (S, slots).  ``reads``, given at
-    construction, names what the reader reads (of ``STATISTICS``): the batch
-    keeps ``scores`` and ``counts`` only if they are named, and keys,
-    ``encoded`` and ``rope`` only if anything is, since then it attends.
-    An array it does not keep is None, and ``_store``, ``_step_one`` and
-    ``remove`` store, accumulate and shift only the kept ones.  Only
-    ``[:, :n]`` is live.  It holds no values: its callers read only the
-    attention rows.
+    and, only as its reader needs them, the key and the importance
+    statistics: cumulative attention mass ``scores`` (S) and residency count
+    ``counts`` (C), each (S, slots).  ``reads``, given at construction,
+    names what the reader reads (of ``STATISTICS``): the batch keeps
+    ``scores`` and ``counts`` only if they are named, and keys, ``encoded``
+    and ``rope`` only if anything is, since then it attends.  An array it
+    does not keep is None, and ``_store``, ``_step_one`` and ``remove``
+    store, accumulate and shift only the kept ones.  Only ``[:, :n]`` is
+    live.  It holds no values: its callers read only the attention rows.
 
     Keys are stored raw and attended rotated at their slot index 0..n-1, so
     each stream computes exactly what a lone stream with its own cache
-    would; ``rope`` holds the cos and sin of every slot index, built once.
-    ``encoded`` keeps those rotations: a key's encoding changes only
+    would.  ``encoded`` keeps those rotations: a key's encoding changes only
     when an eviction shifts it to a lower slot, so the first ``fresh`` slots
     (all slots left of every stream's last victim) are never rotated again.
-    Inputs are stepped only by ``steps``, ``CHUNK_ROWS`` at a time, and
-    attended one by one (``_step_one``).
+    Raw and encoded keys are stored slot-major, (slots, S, d_head), so the
+    slots ``[fresh, slot)`` of every stream are one contiguous block, and
+    ``keys`` and ``encoded`` are their (S, slots, d_head) views; attention
+    reads each stream's keys as strided rows.  ``rope`` holds the
+    full-width cos and sin (``_lanes``) of every slot index, (2, slots, 1,
+    d_head), and the first eviction expands it to (2, slots, S, d_head), so
+    re-encoding a block multiplies arrays of one shape.  Inputs are stepped
+    only by ``steps``, ``CHUNK_ROWS`` at a time, and attended one by one
+    (``_step_one``).
     """
 
     def __init__(self, weights: ModelWeights, slots: int, reads=STATISTICS):
@@ -315,11 +342,14 @@ class StreamBatch:
         self.streams = dims.layers * dims.heads
         self.wq, self.wk = self.stack = stacked_weights(weights.qkv[:, :, :2])
         shape = (self.streams, max(slots, 1))
-        attends = bool(reads)
+        self.every = np.arange(self.streams)
         self.positions = np.zeros(shape, dtype=np.int64)
-        self.keys = np.zeros(shape + (dims.d_head,)) if attends else None
-        self.encoded = np.zeros(shape + (dims.d_head,)) if attends else None
-        self.rope = _rope(dims.d_head, np.arange(shape[1])) if attends else None  # per slot
+        self.keys = self.encoded = self.rope = self.slot_keys = None
+        if reads:
+            # raw and encoded keys, slot-major, as one allocation
+            self.slot_keys = np.zeros((2, shape[1], self.streams, dims.d_head))
+            self.keys, self.encoded = self.slot_keys.swapaxes(1, 2)
+            self.rope = _lanes(dims.d_head, np.arange(shape[1]))[:, :, None]  # per slot
         self.scores = np.zeros(shape) if "scores" in reads else None
         self.counts = np.zeros(shape, dtype=np.int64) if "counts" in reads else None
         self.shifted = tuple(array for array in (self.positions, self.keys, self.scores,
@@ -330,7 +360,7 @@ class StreamBatch:
 
     def _store(self, m: int, keys: np.ndarray | None = None) -> None:
         """Store m inputs in the next m slots at the next m original
-        positions, with their keys (S, m, d_head) if the batch keeps keys
+        positions, with their keys (m, S, d_head) if the batch keeps keys
         and zeroed statistics."""
         n = self.n
         if n + m > self.positions.shape[1]:
@@ -339,7 +369,7 @@ class StreamBatch:
         self.positions[:, n:end] = np.arange(self.appended, self.appended + m)
         self.appended += m
         if self.keys is not None:
-            self.keys[:, n:end] = keys
+            self.slot_keys[0, n:end] = keys
         if self.scores is not None:
             self.scores[:, n:end] = 0.0
         if self.counts is not None:
@@ -350,7 +380,7 @@ class StreamBatch:
         keys, so that a key past float64 is an input error, and storing them
         if the batch keeps keys.  Nothing is attended or rotated, so
         ``fresh`` stays as it was."""
-        self._store(len(xs), project(xs[:, None, :], self.wk).swapaxes(0, 1))
+        self._store(len(xs), project(xs[:, None, :], self.wk))
 
     def steps(self, xs: np.ndarray):
         """Append inputs xs (T, d_model) one at a time, yielding after each
@@ -371,7 +401,7 @@ class StreamBatch:
                 continue
             slots = np.minimum(np.arange(self.n, self.n + len(chunk)), last)
             raw = project(chunk[:, None], self.stack)  # (m, 2, S, d_head): queries, keys
-            rotated = _rotate(raw, *(part[slots, None, None] for part in self.rope))
+            rotated = _rotate(raw, *self.rope[:, slots, None])
             for index, slot in enumerate(slots.tolist()):
                 yield self._step_one(raw[index, 1], rotated[index], slot)
 
@@ -383,18 +413,19 @@ class StreamBatch:
         """Store one input's raw key (S, d_head) at ``slot``, the next slot,
         and attend its query over each stream's slots; ``rotated`` holds the
         query and key (2, S, d_head) rotated at ``slot``.  Only the slots an
-        eviction shifted, ``[fresh, slot)``, are encoded again.  The rows are
-        added to the statistics kept (S += row, C += 1) and returned, (S, n)."""
-        self._store(1, key[:, None])
+        eviction shifted, ``[fresh, slot)``, are encoded again, as one block.
+        The rows are added to the statistics kept (S += row, C += 1) and
+        returned, (S, n)."""
+        self._store(1, key[None])
         n = self.n
         if n - 1 != slot:
             raise StateError(f"input stored at slot {n - 1} was rotated at slot {slot}")
         lo, self.fresh = self.fresh, n
+        raw, encoded = self.slot_keys  # slot-major
         if lo < slot:
-            cos, sin = self.rope
-            _rotate(self.keys[:, lo:slot], cos[lo:slot], sin[lo:slot],
-                    out=self.encoded[:, lo:slot])
-        self.encoded[:, slot] = rotated[1]
+            cos, sin = self.rope[:, lo:slot]
+            _rotate(raw[lo:slot], cos, sin, out=encoded[lo:slot])
+        encoded[slot] = rotated[1]
         rows = _attention_rows(rotated[0], self.encoded[:, :n])
         if self.scores is not None:
             self.scores[:, :n] += rows
@@ -405,20 +436,25 @@ class StreamBatch:
     def remove(self, victims) -> np.ndarray:
         """Remove one 0-based slot per stream, shifting the survivors of each
         kept array left.  Slots right of every victim move as one slice; the
-        window between the lowest and highest victim is gathered per stream,
-        before that shift.  Returns the removed slots' original positions,
-        one per stream."""
+        window between the lowest and highest victim, empty when every
+        stream's victim is the same slot, is gathered per stream before that
+        shift.  The first removal spreads ``rope`` over the streams.
+        Returns the removed slots' original positions, one per stream."""
         n = self.n
         victims = np.asarray(victims)
         lo, hi = (int(victims.min()), int(victims.max())) if victims.size else (0, n)
         if victims.shape != (self.streams,) or lo < 0 or hi >= n:
             raise StateError(f"victims {victims.tolist()} are not one slot per stream in 0..{n - 1}")
-        every = np.arange(self.streams)[:, None]
-        evicted = self.positions[every[:, 0], victims]
-        window = np.arange(lo, hi)  # no stream changes left of its own victim
-        source = window + (window >= victims[:, None])
+        evicted = self.positions[self.every, victims]
+        if lo < hi:  # no stream changes left of its own victim
+            window = np.arange(lo, hi)
+            source = window + (window >= victims[:, None])
+            for array in self.shifted:
+                array[:, lo:hi] = array[self.every[:, None], source]
         for array in self.shifted:
-            array[:, lo:hi], array[:, hi : n - 1] = array[every, source], array[:, hi + 1 : n]
+            array[:, hi : n - 1] = array[:, hi + 1 : n]
+        if self.rope is not None and self.rope.shape[2] < self.streams:
+            self.rope = np.repeat(self.rope, self.streams, axis=2)
         self.n = n - 1
         self.fresh = min(self.fresh, lo)
         return evicted

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .engine import ModelDims, atomic_output, project, slot_rows, stacked_weights, write_array
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 TRACE_FORMAT = 7
 
@@ -233,12 +233,31 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
 
 
 def validate_trace(trace: DecodeTrace) -> None:
-    """Replay the evictions to the last step and check the result
-    against the final retained checkpoint; raises InputError on any
-    inconsistency.  ``read_trace`` calls it on every trace it reads; a
+    """Check that the trace is a run decode could make: the header's
+    policy, capacity and zones build a policy by decode's rules, an
+    evicting step records a tree cursor exactly when that policy is a tree,
+    replaying the evictions to the last step reproduces the final retained
+    checkpoint, and the final width is the one the policy keeps,
+    min(seq_len, capacity) (seq_len under ``full``).  Raises InputError on
+    any inconsistency.  ``read_trace`` calls it on every trace it reads; a
     trace built in memory can be checked with it directly."""
+    from .policies import make_policy  # policies imports this module
+
+    try:
+        policy = make_policy(trace.policy, trace.capacity, trace.zones)
+    except ConfigError as exc:
+        raise InputError(f"trace header: {exc}") from None
+    tree = policy.cursor is not None
+    for record in trace.steps:
+        if record.evicted is not None and (record.cursor is not None) != tree:
+            raise InputError(f"step {record.step}: policy {trace.policy} records "
+                             f"{'no' if tree else 'a'} tree cursor for its eviction")
     if not np.array_equal(retained_at(trace, len(trace.steps)), trace.retained):
         raise InputError("replayed retained sets diverge from the final checkpoint")
+    width = trace.seq_len if policy.capacity is None else min(trace.seq_len, policy.capacity)
+    if trace.retained.shape[-1] != width:
+        raise InputError(f"trace keeps {trace.retained.shape[-1]} positions per stream, "
+                         f"but {trace.policy} at c={trace.capacity} keeps {width}")
 
 
 def distribution_map(trace: DecodeTrace) -> np.ndarray:

@@ -326,19 +326,21 @@ def test_c10_position_reassignment():
         assert np.array_equal(rows[stream], expected / expected.sum())
 
     # Random eviction histories, a different victim in every stream: after
-    # every step each key is encoded at its current slot.
-    rng = np.random.default_rng(1010)
-    for _ in range(100):
-        batch = StreamBatch(weights, slots=64)
-        for _ in range(int(rng.integers(3, 40))):
-            batch.step(rng.normal(size=6))
-            for slot in range(batch.n):
-                assert np.array_equal(
-                    batch.encoded[:, slot],
-                    np.stack([rotate_vector(key, slot) for key in batch.keys[:, slot]]),
-                )
-            if batch.n > 2 and rng.random() < 0.4:
-                batch.remove(rng.integers(0, batch.n, size=3))
+    # every step each key is encoded at its current slot.  An odd d_head
+    # has a tail lane that no pair rotates.
+    odd = generate_weights(1011, ModelDims(1, 3, 6, 5))
+    for model, rng in ((weights, np.random.default_rng(1010)), (odd, np.random.default_rng(1011))):
+        for _ in range(100):
+            batch = StreamBatch(model, slots=64)
+            for _ in range(int(rng.integers(3, 40))):
+                batch.step(rng.normal(size=6))
+                for slot in range(batch.n):
+                    assert np.array_equal(
+                        batch.encoded[:, slot],
+                        np.stack([rotate_vector(key, slot) for key in batch.keys[:, slot]]),
+                    )
+                if batch.n > 2 and rng.random() < 0.4:
+                    batch.remove(rng.integers(0, batch.n, size=3))
     _report(10, "encoding positions are 0..len-1 after any eviction history")
 
 

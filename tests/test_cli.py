@@ -626,6 +626,13 @@ def _v1_weights(tmp_path):
         (_trace_case(lambda record: json.dumps({**record, "model_seed": "s"}), line=0,
                      command=ANALYZE), 3),
         (_trace_case(lambda record: json.dumps({**record, "stream_seed": 1.5}), line=0), 3),
+        # header fields of the right type that no decode writes
+        (_trace_case(lambda record: json.dumps({**record, "policy": "bogus"}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "policy": "h2o"}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "capacity": -3}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "capacity": 30}), line=0,
+                     command=ANALYZE), 3),
+        (_trace_case(lambda record: json.dumps({**record, "zones": "garbage"}), line=0), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
          "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
@@ -649,7 +656,9 @@ def _v1_weights(tmp_path):
          "decode-projection-overflow-full", "decode-projection-overflow-last-row",
          "config-deep-json", "tokens-deep-json", "prompt-deep-json", "trace-deep-json",
          "header-capacity-string", "header-policy-int", "header-zones-list",
-         "header-model-seed-string", "header-stream-seed-float"],
+         "header-model-seed-string", "header-stream-seed-float", "header-policy-unknown",
+         "header-policy-h2o-with-cursors", "header-capacity-negative",
+         "header-capacity-past-width", "header-zones-garbage"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]

@@ -33,7 +33,9 @@ from treekv.engine import (
     CHUNK_ROWS,
     STATISTICS,
     _attention_rows,
+    _lanes,
     _rope,
+    _rotate,
     project,
     stacked_weights,
     write_array,
@@ -435,6 +437,23 @@ def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
     assert bulk.n == m + 1
 
 
+def test_the_rotary_table_spreads_over_the_streams_at_the_first_eviction():
+    # A batch that never evicts (prefill's) keeps one row per slot; the
+    # first eviction spreads it over the streams for block re-encoding.
+    batch, xs = _stepped(6, slots=6)
+    assert batch.rope.shape == (2, 6, 1, 4)
+    assert batch.keys.shape == batch.encoded.shape == (2, 6, 4)
+    assert batch.encoded.base is batch.keys.base  # one slot-major array
+    batch.remove([3, 1])
+    assert batch.rope.shape == (2, 6, 2, 4)
+    assert (batch.rope == batch.rope[:, :, :1]).all()
+    batch.step(xs[6])
+    for stream in range(2):
+        for slot in range(batch.n):
+            want = rotate_vector(batch.keys[stream, slot], slot)
+            assert np.array_equal(batch.encoded[stream, slot], want)
+
+
 # --- position re-assignment ------------------------------------------------
 
 
@@ -517,6 +536,44 @@ def test_rotary_row_does_not_depend_on_the_positions_computed_with_it(d_head):
         cos, sin = _rope(d_head, [position])
         assert np.array_equal(cos[0], tables[4097][0][position])
         assert np.array_equal(sin[0], tables[4097][1][position])
+
+
+def _pair_rotation(mat, cos, sin):
+    """The rotation by lane pairs, from narrow tables (..., d // 2):
+    (e, o) -> (e * c - o * s, e * s + o * c), an odd tail lane unchanged."""
+    out = mat.copy()
+    half = cos.shape[-1]
+    even, odd = mat[..., 0 : 2 * half : 2], mat[..., 1 : 2 * half : 2]
+    out[..., 0 : 2 * half : 2] = even * cos - odd * sin
+    out[..., 1 : 2 * half : 2] = even * sin + odd * cos
+    return out
+
+
+@pytest.mark.parametrize("d_head", [1, 2, 5, 16, 17])
+def test_full_width_rotation_is_bitwise_the_pair_formula(d_head):
+    # Signed zeros and magnitudes from 1e-300 to 1e150, at slot positions
+    # and far ones; slot-major blocks (m, S, d) as the batch re-encodes them,
+    # with tables broadcast over the streams and expanded to them.
+    rng = np.random.default_rng(d_head)
+    positions = np.concatenate([np.arange(300), [1000, 4096, 10**6]])
+    m, streams = len(positions), 3
+    mat = rng.choice([-1.0, 1.0], size=(m, streams, d_head)) * 10.0 ** rng.uniform(
+        -300, 150, size=(m, streams, d_head))
+    mat[rng.random(mat.shape) < 0.1] = 0.0
+    mat[rng.random(mat.shape) < 0.1] = -0.0
+    cos, sin = _rope(d_head, positions)
+    want = _pair_rotation(mat, cos[:, None], sin[:, None])
+    tables = _lanes(d_head, positions)[:, :, None]
+    expanded = np.repeat(tables, streams, axis=2)
+    for full in (tables, expanded):
+        out = np.full_like(mat, np.nan)
+        assert _rotate(mat, *full, out=out) is out
+        assert out.tobytes() == want.tobytes()
+    for position, rows in zip(positions[::37], mat[::37]):
+        cos, sin = _rope(d_head, [position])
+        for vec in rows:
+            want = _pair_rotation(vec, cos[0], sin[0])
+            assert rotate_vector(vec, position).tobytes() == want.tobytes()
 
 
 # --- streams and synthetic inputs ------------------------------------------
@@ -716,29 +773,50 @@ def _trace_digest(trace):
     return digest.hexdigest()
 
 
+def _events_digest(trace):
+    """sha256 over the event stream alone: each evicting step's number,
+    evicted grid and tree cursor.  It moves only when a decision does, so a
+    moved ``_trace_digest`` beside an unmoved one reads as a float-level
+    change."""
+    digest = hashlib.sha256()
+    for record in trace.steps:
+        if record.evicted is not None:
+            digest.update(repr((record.step, record.evicted.tolist(), record.cursor)).encode())
+    return digest.hexdigest()
+
+
 # Recorded from the per-(layer, head) stream loop the batched engine
-# replaced; the batched engine must reproduce it bit for bit.
+# replaced; the batched engine must reproduce it bit for bit.  The event
+# digests were recorded later, from the stream-major engine.
 @pytest.mark.parametrize(
-    "spec, zones, expected",
+    "spec, zones, expected, events",
     [
         ("treekv", "sink=0,recent=0",
-         "7f41f011540c5f6c5e09f5ac97bda80bf6e4f09c0ee92a91377ed7dc3f7ddb3a"),
+         "7f41f011540c5f6c5e09f5ac97bda80bf6e4f09c0ee92a91377ed7dc3f7ddb3a",
+         "6864d3b6e0c7bca85d0d7d36b8fb31cd0f9256b7d004bc76f9379ea427d73172"),
         ("h2o", "sink=1,recent=2",
-         "afc7abfe088ac26b1c88ffa4536c2cb6fd85631cbae4cb02143d246bbe37500d"),
+         "afc7abfe088ac26b1c88ffa4536c2cb6fd85631cbae4cb02143d246bbe37500d",
+         "59aed12aaa427f3b1fc6181a612e28c4cd75bbbad0c8598e70320869694fce77"),
         # recorded from the engine that attended every step of every policy
         ("streaming", "sink=1,recent=2",
-         "596e293d49c948de2b87ef7091de7076ee874cf9fd8bfe60ad035c4e02d8557f"),
+         "596e293d49c948de2b87ef7091de7076ee874cf9fd8bfe60ad035c4e02d8557f",
+         "fe6e7f872f9b69b09b1e2d7f60e1a56d27d9927d116caf7aae7e6776e12a6bbd"),
         ("treekv-left", "sink=1,recent=2",
-         "250858fcee0d67cdb65e78d58f841fcdf57bcac24b7145b3a05c64e810ff37bf"),
+         "250858fcee0d67cdb65e78d58f841fcdf57bcac24b7145b3a05c64e810ff37bf",
+         "5487bfa709a00c1c74c4557b2b002013edbb72476ebc4cc3b073e3eb4ec574cc"),
         ("tova", "sink=0,recent=0",
-         "cd0d16dc988882cbf2a938ba035cf5399b53b1f72078e56290c69194c360f9bc"),
+         "cd0d16dc988882cbf2a938ba035cf5399b53b1f72078e56290c69194c360f9bc",
+         "e4ab251a390ede8d7f392714be123ff800f7c460683f14ed1c35c3f2331a4610"),
+        # full evicts nothing: the digest of no bytes
         ("full", "sink=0,recent=0",
-         "220b3c0636d8fa6d7b1e9a6f98449132d90de2149a50e103691fb889ab412bf0"),
+         "220b3c0636d8fa6d7b1e9a6f98449132d90de2149a50e103691fb889ab412bf0",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ],
     ids=["treekv", "h2o", "streaming", "treekv-left", "tova", "full"],
 )
-def test_decode_is_bitwise_pinned(spec, zones, expected):
+def test_decode_is_bitwise_pinned(spec, zones, expected, events):
     weights = generate_weights(21, ModelDims(2, 2, 8, 4))
     inputs = synthesize_embeddings(22, 40, 8)
     trace = decode_with_policy(weights, inputs, spec, 8, zones)
+    assert _events_digest(trace) == events
     assert _trace_digest(trace) == expected
