@@ -49,7 +49,6 @@ from .prefill import (
 )
 from .trace import (
     DecodeTrace,
-    StepRecord,
     distribution_map,
     read_trace,
     retained_at,
@@ -89,7 +88,6 @@ __all__ = [
     "ProtectedZones",
     "SelectorError",
     "StateError",
-    "StepRecord",
     "StreamBatch",
     "StreamingLLM",
     "TOVA",

@@ -20,6 +20,7 @@ import sys
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -35,12 +36,7 @@ from .engine import (
 from .errors import ConfigError, InputError, TreeKVError
 from .policies import decode_with_policy, make_policy
 from .prefill import observation_scores, partition_blocks, treekv_prefill_compress, window_mass
-from .trace import (
-    _grid,
-    distribution_map,
-    read_trace,
-    write_trace,
-)
+from .trace import distribution_map, read_trace, write_trace
 from .wavelet import magnitude_profile
 
 
@@ -127,6 +123,21 @@ def _resolve_weights(config: RunConfig) -> ModelWeights:
     return generate_weights(config.seed, dims)
 
 
+def _grid(raw, d_model: int, what: str) -> np.ndarray:
+    """A JSON array of d_model-length rows as a float64 array.  JSON null,
+    booleans, strings, NaN and Infinity are rejected, not converted."""
+    message = f"{what} is not a nx{d_model} grid of finite int/float values"
+    try:
+        types = set(map(type, chain.from_iterable(raw)))
+        array = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(message) from exc
+    if (types - {int, float} or array.ndim != 2 or array.shape[1] != d_model
+            or not np.isfinite(array).all()):
+        raise InputError(message)
+    return array
+
+
 def _prepare_inputs(config: RunConfig, weights: ModelWeights, path: str | None) -> np.ndarray:
     """The (T, d_model) input rows: a JSON file's non-empty array of
     d_model-length embedding rows, or T synthetic rows drawn from the seed.
@@ -140,7 +151,7 @@ def _prepare_inputs(config: RunConfig, weights: ModelWeights, path: str | None) 
             raise InputError(f"cannot read token file {path}: {exc}") from exc
         if not isinstance(data, list) or not data:
             raise InputError(f"token file {path} must be a non-empty JSON array")
-        return _grid(data, (None, d_model), f"embedding rows in {path}", (int, float), np.float64)
+        return _grid(data, d_model, f"embedding rows in {path}")
     if config.T < 1:
         raise ConfigError(f"violated precondition T >= 1 (got T={config.T})")
     return synthesize_embeddings(config.seed, config.T, d_model)

@@ -23,7 +23,10 @@ reads, taken from the batch, and removes the victims from it, so positions
 and every array the batch keeps stay parallel.  The decode loop builds its
 batch to keep only what the policy reads, so a policy that reads nothing
 decodes with no attention and holds only positions.  It runs every (layer,
-head) stream at once with one policy instance.  Block-level prefill
+head) stream at once with one policy instance.  Once the cache is full, a
+bounded policy evicts at every step, so the steps that evict
+(``eviction_count``) and each tree cursor follow from the policy and the
+run's length: a trace records only the evicted positions.  Block-level prefill
 (``treekv_prefill_compress``) replays the same tree selector over block
 indices with no batch: it calls ``select``, masks the victims out of its
 own ``held`` array and calls ``advance`` itself.
@@ -43,7 +46,7 @@ from .errors import (
     InvariantViolation,
     StateError,
 )
-from .trace import DecodeTrace, StepRecord
+from .trace import DecodeTrace
 
 
 @dataclass(frozen=True)
@@ -132,19 +135,23 @@ class EvictionPolicy:
     def advance(self) -> None:
         """Move past an eviction that removed the selected victims."""
 
+    def eviction_count(self, seq_len: int) -> int:
+        """How many steps of a seq_len-step decode evict: each step t >
+        capacity, as the cache is full from step capacity on; none without
+        a capacity."""
+        return 0 if self.capacity is None else max(0, seq_len - self.capacity)
+
     def _argmin(self, weights) -> np.ndarray:
         """The H2O and TOVA rule: the minimum-weight evictable slot per
         stream, leftmost on ties."""
         return self.lo + np.argmin(weights[:, self.lo : self.hi], axis=1)
 
-    def evict(self, batch: StreamBatch, rows) -> tuple[np.ndarray, int | None]:
+    def evict(self, batch: StreamBatch, rows) -> np.ndarray:
         """Evict one slot per stream from a batch one over capacity,
         ``rows`` being the attention rows of the step that filled it (None
         if that step attended nothing, which only a policy that reads no
-        attention allows).
-
-        Returns the removed slots' original positions, one per stream, and
-        the tree cursor the eviction used.
+        attention allows).  Returns the removed slots' original positions,
+        one per stream.
         """
         n = batch.n
         if n != self.capacity + 1:
@@ -152,12 +159,11 @@ class EvictionPolicy:
                 f"eviction needs exactly {self.capacity + 1} slots (one over "
                 f"capacity), the batch holds {n}"
             )
-        cursor = self.cursor
         stats = {name: rows if name == "rows" else getattr(batch, name)[:, :n]
                  for name in self.reads}
         evicted = batch.remove(self.select((batch.streams, n), **stats))
         self.advance()
-        return evicted, cursor
+        return evicted
 
 
 class FullAttention(EvictionPolicy):
@@ -264,10 +270,10 @@ def decode_with_policy(
     stream.  Nothing in the loop reads a value.  The batch keeps only what
     the policy ``reads``; under one that reads nothing (``full``,
     ``streaming``, ``treekv-left``) it only checks each chunk's keys.
-    Returns the trace: per-step evicted grids with their tree cursors, the
-    final retained positions and references to the (C-contiguous) inputs
-    and the weights, from which every step's attention rows, values and
-    outputs follow (``trace.signals_at_step``).
+    Returns the trace: the evicted grid of every step past the capacity
+    (none under ``full``), the final retained positions and references to
+    the (C-contiguous) inputs and the weights, from which every step's
+    attention rows, values and outputs follow (``trace.signals_at_step``).
     """
     dims = weights.dims
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
@@ -282,6 +288,7 @@ def decode_with_policy(
     batch = StreamBatch(weights, seq_len if bound is None else min(seq_len, bound + 1),
                         policy.reads)
     grid = (dims.layers, dims.heads)  # stream s = layer * heads + head
+    evicted = np.empty((policy.eviction_count(seq_len), batch.streams), dtype=np.int64)
     trace = DecodeTrace(
         policy=policy_spec,
         capacity=capacity,
@@ -293,10 +300,8 @@ def decode_with_policy(
         weights=weights.qkv,
     )
     for step, rows in enumerate(batch.steps(inputs), 1):
-        evicted = cursor = None
         if bound is not None and batch.n > bound:
-            evicted, cursor = policy.evict(batch, rows)
-            evicted = evicted.reshape(grid)
-        trace.steps.append(StepRecord(step, evicted, cursor))
+            evicted[step - bound - 1] = policy.evict(batch, rows)  # row 0 is step bound + 1
+    trace.evicted = evicted.reshape(-1, *grid)
     trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
     return trace

@@ -1,37 +1,28 @@
-"""Decode traces: per-step records of a run, their serialization (JSON
-lines, then one binary block of the run's inputs and projection weights),
-eviction replay, and the per-position retention map.
+"""Decode traces: the evicted positions of a run, their serialization (one
+JSON header line, then one binary block of the evictions and, at full
+detail, of the run's inputs and projection weights), eviction replay, and
+the per-position retention map.
 
 Every stream of a run holds the same number of slots and evicts in
-lockstep, so a step's evictions are one (layers, heads) grid of original
-positions and the one tree cursor that chose them."""
+lockstep, and a bounded policy evicts exactly once per step as soon as its
+cache is full.  So a run's evictions are one (layers, heads) grid of
+original positions per step past the capacity: the header's policy,
+capacity and seq_len fix the steps that evict, the tree cursor of each is
+that of a fresh ``make_policy(...)`` advanced once per eviction before it,
+and replaying the evictions gives the retained set after any step."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import ModelDims, atomic_output, project, slot_rows, stacked_weights, write_array
 from .errors import ConfigError, InputError
 
-TRACE_FORMAT = 7
-
-
-@dataclass
-class StepRecord:
-    step: int  # 1-based generation step
-    # The original positions (0-based) evicted this step, a (layers, heads)
-    # int64 array, and the tree cursor that chose them.  Both are None on a
-    # step that evicts nothing; the cursor is also None under a baseline.
-    evicted: np.ndarray | None = None
-    cursor: int | None = None
-    # Not a field: ``retained_at`` replays per-step sets from the evictions.  It stays,
-    # empty, for readers of format 1's ``record.retained`` (bench/layers.py).
-    retained = ()
+TRACE_FORMAT = 8
 
 
 @dataclass
@@ -43,10 +34,12 @@ class DecodeTrace:
     dims: ModelDims
     model_seed: int
     stream_seed: int | None = None
-    steps: list[StepRecord] = field(default_factory=list)
+    # The original positions (0-based) evicted, an (E, layers, heads) int64
+    # array whose row i is step capacity + 1 + i (``_eviction_count``).
+    evicted: np.ndarray | None = None
     # Retained positions after the last step, a (layers, heads, n) int64
-    # array: a checkpoint that replaying the evictions must reproduce (see
-    # ``retained_at``).
+    # array: decode's batch holds them at its end, and ``read_trace``
+    # replays them from the evictions (``retained_at``).
     retained: np.ndarray | None = None
     # The run's (seq_len, d_model) float64 inputs and the model's float32
     # ``ModelWeights.qkv``, which every step's query, key and value follow
@@ -54,6 +47,9 @@ class DecodeTrace:
     # is one written (and so read) without them.
     inputs: np.ndarray | None = None
     weights: np.ndarray | None = None
+    # Not a field, and always empty: bench/layers.py, its only reader,
+    # counts the positions of each per-step record's ``retained``.
+    steps = ()
 
     def config_dict(self) -> dict:
         return {
@@ -71,60 +67,18 @@ class DecodeTrace:
 
 
 def write_trace(trace: DecodeTrace, path: str) -> None:
-    header = {"kind": "header", "format": TRACE_FORMAT}
-    header.update(trace.config_dict())
-    records = [header]
-    for record in trace.steps:
-        line = {"kind": "step", "step": record.step}
-        if record.evicted is not None:
-            line["evicted"] = record.evicted.tolist()
-            line["cursor"] = record.cursor
-        records.append(line)
-    records.append({"kind": "final", "retained": trace.retained.tolist()})
+    header = {"kind": "header", "format": TRACE_FORMAT, **trace.config_dict()}
     with atomic_output(path, "wb") as fh:
-        fh.write("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records).encode())
+        fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+        write_array(fh, trace.evicted, "<i8")
         if trace.inputs is not None:
             write_array(fh, trace.inputs, "<f8")
             write_array(fh, trace.weights, "<f4")
 
 
-def _grid(raw, shape, what, kinds, dtype):
-    """A JSON grid as an array of ``shape`` (None: any length) and ``dtype``,
-    every leaf of a type in ``kinds``.  JSON null, booleans, strings, NaN and
-    Infinity are rejected, not converted."""
-    sizes = "x".join("n" if size is None else str(size) for size in shape)
-    names = "/".join(kind.__name__ for kind in kinds)
-    message = f"{what} is not a {sizes} grid of finite {names} values"
-    try:
-        leaves = raw
-        for _ in shape[1:]:
-            leaves = chain.from_iterable(leaves)
-        types = set(map(type, leaves))
-        array = np.asarray(raw, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(message) from exc
-    if (types - set(kinds) or array.ndim != len(shape)
-            or any(want not in (None, got) for want, got in zip(shape, array.shape))
-            or not np.isfinite(array).all()):
-        raise InputError(message)
-    return array
-
-
-def _records(fh, path: str, count: int):
-    """The next ``count`` JSON-object lines of ``fh``; fewer is truncation."""
-    for _ in range(count):
-        line = fh.readline()
-        if not line:
-            raise InputError(f"truncated trace {path}: it ends before its final record")
-        record = json.loads(line.decode())
-        if not isinstance(record, dict):
-            raise InputError(f"trace {path} has a record that is not a JSON object")
-        yield record
-
-
-def _header_trace(header: dict, path: str) -> DecodeTrace:
-    """The trace a header record declares, with no steps yet."""
-    if header.get("kind") != "header":
+def _header_trace(header, path: str) -> DecodeTrace:
+    """The trace a header record declares, with no evictions yet."""
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise InputError(f"trace {path} does not start with a header record")
     if header.get("format") != TRACE_FORMAT:
         raise InputError(f"unsupported trace format {header.get('format')}")
@@ -147,54 +101,49 @@ def _header_trace(header: dict, path: str) -> DecodeTrace:
                        stream_seed=header.get("stream_seed"))
 
 
+def _eviction_count(trace: DecodeTrace) -> int:
+    """E, the number of steps that evict: those past the capacity under a
+    bounded policy, none under ``full``.  Raises InputError if the header's
+    policy, capacity and zones build no policy by decode's rules."""
+    from .policies import make_policy  # policies imports this module
+
+    try:
+        policy = make_policy(trace.policy, trace.capacity, trace.zones)
+    except ConfigError as exc:
+        raise InputError(f"trace header: {exc}") from None
+    return policy.eviction_count(trace.seq_len)
+
+
 def read_trace(path: str) -> DecodeTrace:
-    """Read a trace: the header, exactly ``seq_len + 1`` more JSON lines, then
-    the rest of the file, which is either empty or the whole binary block.
-    Only a valid trace is returned: its evictions replay to its final
-    record (``validate_trace``)."""
+    """Read a trace: the header line, then the rest of the file, which is
+    either the block of evictions alone or that block followed by the one
+    of inputs and weights.  Only a valid trace is returned
+    (``validate_trace``), its retained positions replayed from its
+    evictions."""
     try:
         with open(path, "rb") as fh:
-            trace = _header_trace(next(_records(fh, path, 1)), path)
-            *body, final = _records(fh, path, trace.seq_len + 1)
-            block = fh.read()
+            header = json.loads(fh.readline().decode())
+            rest = fh.read()
     except (OSError, ValueError, RecursionError) as exc:  # bad or too deep JSON, bad UTF-8
         raise InputError(f"cannot read trace {path}: {exc}") from exc
+    trace = _header_trace(header, path)
     dims = trace.dims
+    rows = (_eviction_count(trace), dims.layers, dims.heads)
     shape = (dims.layers, dims.heads, 3, dims.d_model, dims.d_head)
-    split = 8 * trace.seq_len * dims.d_model  # Python ints: header dims can exceed int64
-    size = split + 4 * math.prod(shape)
-    if len(block) not in (0, size):
-        raise InputError(f"trace {path} ends in {len(block)} bytes, neither none nor "
-                         f"the {size} bytes of its inputs and weights")
-    if final.get("kind") != "final":
-        raise InputError(f"trace {path} holds no final record after {trace.seq_len} steps")
-    streams = (dims.layers, dims.heads)
-    for index, raw in enumerate(body, start=1):
-        cursor = raw.get("cursor")
-        if raw.get("kind") != "step" or raw.get("step") != index:
-            raise InputError(f"trace step record {index} is malformed or out of order")
-        if cursor is not None and (type(cursor) is not int or "evicted" not in raw):
-            raise InputError(f"cursor at step {index} is not an int beside an evicted grid")
-        trace.steps.append(StepRecord(index, cursor=cursor))
-    at = [index for index, raw in enumerate(body, start=1) if "evicted" in raw]
-    # with no evictions, the grids are (0, layers, heads), not a list's (0,)
-    raws = [body[index - 1]["evicted"] for index in at] or np.empty((0, *streams))
-    try:  # every grid in one pass; if that fails, the first bad grid names its step
-        grids = _grid(raws, (len(at), *streams), "evicted", (int,), np.int64)
-    except InputError:
-        for index, raw in zip(at, raws):
-            _grid(raw, streams, f"evicted at step {index}", (int,), np.int64)
-        raise
-    for index, grid in zip(at, grids):
-        trace.steps[index - 1].evicted = grid
-    trace.retained = _grid(final.get("retained"), (*streams, None), "final retained",
-                           (int,), np.int64)
-    if block:
-        trace.inputs = np.frombuffer(block, "<f8", split // 8).reshape(-1, dims.d_model)
-        trace.weights = np.frombuffer(block, "<f4", offset=split).reshape(shape)
+    split = 8 * math.prod(rows)  # Python ints: header dims can exceed int64
+    inputs = 8 * trace.seq_len * dims.d_model
+    sizes = (split, split + inputs + 4 * math.prod(shape))
+    if len(rest) not in sizes:
+        raise InputError(f"trace {path} holds {len(rest)} bytes after its header, neither the "
+                         f"{sizes[0]} of its evictions nor the {sizes[1]} of its evictions, "
+                         f"inputs and weights")
+    trace.evicted = np.frombuffer(rest, "<i8", split // 8).reshape(rows)
+    if len(rest) > split:
+        trace.inputs = np.frombuffer(rest, "<f8", inputs // 8, split).reshape(-1, dims.d_model)
+        trace.weights = np.frombuffer(rest, "<f4", offset=split + inputs).reshape(shape)
         if not (np.isfinite(trace.inputs).all() and np.isfinite(trace.weights).all()):
             raise InputError(f"trace {path} holds a NaN or infinite input or weight")
-    validate_trace(trace)
+    trace.retained = validate_trace(trace)
     return trace
 
 
@@ -206,17 +155,16 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
     is valid iff it names a position 0 <= p < t that its stream has not
     evicted before.  When all are, the retained set after step t is
     0..t-1 less the positions evicted by then, in increasing order."""
-    if not 0 <= step <= len(trace.steps):
-        raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
+    if not 0 <= step <= trace.seq_len:
+        raise InputError(f"step {step} not present in trace of length {trace.seq_len}")
     layers, heads = trace.dims.layers, trace.dims.heads
     streams = layers * heads
-    records = [record for record in trace.steps[:step] if record.evicted is not None]
-    evicted = np.array([record.evicted for record in records], dtype=np.int64)
-    evicted = evicted.reshape(len(records), streams)
-    at = np.array([record.step for record in records], dtype=np.int64)
-    # Valid positions get one key per (stream, position); a key shared across
-    # streams involves an invalid position, so the first flagged is invalid.
-    keys = evicted + (step + 1) * np.arange(streams)
+    evicted = trace.evicted[: max(0, step - trace.capacity)].reshape(-1, streams)
+    at = np.arange(step - len(evicted), step) + 1  # each row's step, capacity + 1 on
+    # Clipped to -1..step, a position stays as valid as it was, and valid
+    # positions get one key per (stream, position): a key seen before is a
+    # repeat, or involves an invalid position, so the first flagged is invalid.
+    keys = np.clip(evicted, -1, step) + (step + 2) * np.arange(streams)
     first = np.zeros(evicted.size, dtype=bool)
     first[np.unique(keys, return_index=True)[1]] = True
     bad = ~first.reshape(evicted.shape) | (evicted < 0) | (evicted >= at[:, None])
@@ -224,47 +172,35 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
         row, stream = divmod(int(bad.argmax()), streams)
         layer, head = divmod(stream, heads)
         raise InputError(
-            f"step {records[row].step}: eviction of position {evicted[row, stream]} "
+            f"step {at[row]}: eviction of position {evicted[row, stream]} "
             f"not present in stream ({layer}, {head})"
         )
     live = np.ones((streams, step), dtype=bool)
     live[np.arange(streams), evicted] = False
-    return np.nonzero(live)[1].reshape(layers, heads, step - len(records))
+    return np.nonzero(live)[1].reshape(layers, heads, step - len(evicted))
 
 
-def validate_trace(trace: DecodeTrace) -> None:
-    """Check that the trace is a run decode could make: the header's
-    policy, capacity and zones build a policy by decode's rules, an
-    evicting step records a tree cursor exactly when that policy is a tree,
-    replaying the evictions to the last step reproduces the final retained
-    checkpoint, and the final width is the one the policy keeps,
-    min(seq_len, capacity) (seq_len under ``full``).  Raises InputError on
-    any inconsistency.  ``read_trace`` calls it on every trace it reads; a
-    trace built in memory can be checked with it directly."""
-    from .policies import make_policy  # policies imports this module
-
-    try:
-        policy = make_policy(trace.policy, trace.capacity, trace.zones)
-    except ConfigError as exc:
-        raise InputError(f"trace header: {exc}") from None
-    tree = policy.cursor is not None
-    for record in trace.steps:
-        if record.evicted is not None and (record.cursor is not None) != tree:
-            raise InputError(f"step {record.step}: policy {trace.policy} records "
-                             f"{'no' if tree else 'a'} tree cursor for its eviction")
-    if not np.array_equal(retained_at(trace, len(trace.steps)), trace.retained):
-        raise InputError("replayed retained sets diverge from the final checkpoint")
-    width = trace.seq_len if policy.capacity is None else min(trace.seq_len, policy.capacity)
-    if trace.retained.shape[-1] != width:
-        raise InputError(f"trace keeps {trace.retained.shape[-1]} positions per stream, "
-                         f"but {trace.policy} at c={trace.capacity} keeps {width}")
+def validate_trace(trace: DecodeTrace) -> np.ndarray:
+    """Check that the trace is a run decode could make, and return its
+    retained positions after the last step: the header's policy, capacity
+    and zones build a policy by decode's rules, the evictions are one
+    (layers, heads) grid per step that policy evicts at, and each names a
+    position its stream holds then (``retained_at``).  Raises InputError
+    on any inconsistency.  ``read_trace`` calls it on every trace it
+    reads; a trace built in memory can be checked with it directly."""
+    rows = (_eviction_count(trace), trace.dims.layers, trace.dims.heads)
+    if trace.evicted.shape != rows:
+        raise InputError(f"trace holds evictions of shape {trace.evicted.shape}, but "
+                         f"{trace.policy} at c={trace.capacity} over {trace.seq_len} steps "
+                         f"evicts {rows}")
+    return retained_at(trace, trace.seq_len)
 
 
 def distribution_map(trace: DecodeTrace) -> np.ndarray:
     """Per layer, the fraction of heads retaining each original position at
     the final step.  Shape (layers, seq_len)."""
-    if not trace.steps:
-        raise InputError("trace has no step records")
+    if not trace.seq_len:
+        raise InputError("trace has no steps")
     dims = trace.dims
     grid = np.zeros((dims.layers, trace.seq_len), dtype=np.float64)
     np.add.at(grid, (np.arange(dims.layers)[:, None, None], trace.retained), 1.0)
@@ -277,8 +213,8 @@ def held_projections(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndar
     each stream holds at its attention time: bitwise the queries and keys
     ``StreamBatch`` projected, and the values that are projected the same
     way, each input its own product (``engine.project``)."""
-    if not 1 <= step <= len(trace.steps):
-        raise InputError(f"step {step} not present in trace of length {len(trace.steps)}")
+    if not 1 <= step <= trace.seq_len:
+        raise InputError(f"step {step} not present in trace of length {trace.seq_len}")
     if trace.inputs is None:
         raise InputError("light trace: it lacks the run's inputs and projection weights")
     before = retained_at(trace, step - 1)

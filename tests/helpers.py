@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from treekv import ModelDims, ModelWeights, StreamBatch, generate_weights, signals_at_step
+from treekv import (
+    ModelDims,
+    ModelWeights,
+    StreamBatch,
+    generate_weights,
+    make_policy,
+    signals_at_step,
+)
 
 # The statistics-only tests never call StreamBatch.step, so any weights do.
 _ONE_STREAM = generate_weights(0, ModelDims(1, 1, 1, 1))
@@ -28,13 +35,26 @@ def outputs_at(trace, step):
     return np.matmul(rows[..., None, :], values)[..., 0, :]
 
 
-def evicted_events(record):
-    """A step's evictions as (layer, head, position, cursor) tuples of
-    Python ints, in stream order, as ``oracle_decode`` lists them."""
-    if record.evicted is None:
-        return []
-    return [(layer, head, int(position), record.cursor)
-            for (layer, head), position in np.ndenumerate(record.evicted)]
+def evictions(trace):
+    """Every evicting step of a trace as (step, grid, cursor): the step,
+    its (layers, heads) row of ``trace.evicted`` and the tree cursor that
+    chose it (None under a baseline).  Row i is step capacity + 1 + i, and
+    the cursors are a fresh policy's, advanced once per eviction."""
+    policy = make_policy(trace.policy, trace.capacity, trace.zones)
+    for row, grid in enumerate(trace.evicted):
+        yield trace.capacity + 1 + row, grid, policy.cursor
+        policy.advance()
+
+
+def evicted_events(trace):
+    """Each step's evictions as (layer, head, position, cursor) tuples of
+    Python ints, in stream order, as ``oracle_decode`` lists them: one
+    list per step, empty on a step that evicts nothing."""
+    events = [[] for _ in range(trace.seq_len)]
+    for step, grid, cursor in evictions(trace):
+        events[step - 1] = [(layer, head, int(position), cursor)
+                            for (layer, head), position in np.ndenumerate(grid)]
+    return events
 
 
 def stream_batch(scores, counts=None):
@@ -60,7 +80,8 @@ def drive_policy(policy, capacity, rows=None, fixed_scores=None):
     and nothing accumulates (prefill's precomputed block scores).  Whenever
     the stream holds more than ``capacity`` slots, ``policy.evict`` removes
     one.  Yields (batch, eviction) after every step, where eviction is
-    evict's (evicted positions, cursor) or None.
+    (evicted positions, cursor) or None: evict's positions and the policy's
+    cursor just before it.
     """
     batch = StreamBatch(_ONE_STREAM, capacity + 1)
     for t, stat in enumerate(rows if rows is not None else fixed_scores):
@@ -75,5 +96,8 @@ def drive_policy(policy, capacity, rows=None, fixed_scores=None):
             batch.scores[0, n], batch.counts[0, n] = 0.0, 0
             batch.scores[:, : n + 1] += last_rows
             batch.counts[:, : n + 1] += 1
-        eviction = policy.evict(batch, last_rows) if batch.n > capacity else None
+        eviction = None
+        if batch.n > capacity:
+            cursor = policy.cursor
+            eviction = policy.evict(batch, last_rows), cursor
         yield batch, eviction

@@ -33,7 +33,7 @@ from treekv import (
 )
 from treekv.policies import POLICY_SPECS, StreamingLLM
 
-from helpers import drive_policy, outputs_at
+from helpers import drive_policy, evictions, outputs_at
 from oracles import oracle_dwt, oracle_full_attention, oracle_tree_sim
 
 
@@ -105,7 +105,7 @@ def test_c02_deterministic_tree_pattern():
     for head in range(2):
         retained = [p + 1 for p in trace.retained[0][head]]
         assert retained == [12, 14, 16, 17]
-    cursors = [s.cursor for s in trace.steps if s.evicted is not None]
+    cursors = [cursor for _, _, cursor in evictions(trace)]
     assert cursors == expected_cursors
     assert oracle_tree_sim(4, 17, None) == ([12, 14, 16, 17], expected_cursors)
     _report(2, "select-left c=4 T=17 retains {12,14,16,17}, cursor cycle 1,2,3,4")
@@ -127,14 +127,14 @@ def test_c03_full_cache_equivalence():
         expected = oracle_full_attention(weights, inputs)
         for spec in POLICY_SPECS:
             trace = decode_with_policy(weights, inputs, spec, seq_len)
-            assert all(step.evicted is None for step in trace.steps)
-            for record in trace.steps:
-                outputs = outputs_at(trace, record.step)
+            assert trace.evicted.shape == (0, dims.layers, dims.heads)
+            for step in range(1, seq_len + 1):
+                outputs = outputs_at(trace, step)
                 for layer in range(dims.layers):
                     for head in range(dims.heads):
                         np.testing.assert_allclose(
                             outputs[layer][head],
-                            expected[record.step - 1][layer][head],
+                            expected[step - 1][layer][head],
                             rtol=1e-6,
                             atol=1e-9,
                         )

@@ -85,7 +85,7 @@ def test_decode_full_policy_has_no_evictions(tmp_path):
     out = tmp_path / "t.jsonl"
     assert run_cli(*_decode_args(out, policy="full", c=64)) == 0
     trace = read_trace(str(out))
-    assert all(step.evicted is None for step in trace.steps)
+    assert trace.evicted.shape == (0, 1, 2)
 
 
 def test_decode_select_left_pattern_via_cli(tmp_path):
@@ -370,19 +370,33 @@ def _config_case(data):
 ANALYZE = ("analyze", "--levels", 2, "--exclude", 0)
 
 
-def _trace_case(edit=json.dumps, line=5, command=("map",), block=None, **overrides):
-    """A valid 1x2 select-left trace of 17 steps (evictions from step 5)
-    with one line edited: by default step 5; line 0 is the header and line
-    18 the final record.  ``block`` maps the bytes after the final record,
+EVICTED_BYTES = 8 * 13 * 2  # the _decode_args trace's int64 evictions: steps 5-17, 2 heads
+
+
+def _trace_case(header=json.dumps, command=("map",), evicted=None, block=None, **overrides):
+    """A valid 1x2 select-left trace of 17 steps at c=4 with its parts
+    edited: ``header`` maps the header record to the text written in its
+    place, ``evicted`` maps the (13, 2) int64 evictions of steps 5 to 17 to
+    the bytes written in theirs, and ``block`` maps the bytes after them,
     the block of inputs and weights, to the bytes written in its place."""
     def build(tmp_path):
         trace_path = tmp_path / "t.jsonl"
         assert run_cli(*_decode_args(trace_path, **overrides)) == 0
-        *lines, rest = trace_path.read_bytes().split(b"\n", 19)
-        lines[line] = edit(json.loads(lines[line])).encode()
-        trace_path.write_bytes(b"\n".join(lines) + b"\n" + (block or bytes)(rest))
+        line, rest = trace_path.read_bytes().split(b"\n", 1)
+        rows = np.frombuffer(rest[:EVICTED_BYTES], dtype="<i8").reshape(13, 2).copy()
+        trace_path.write_bytes(header(json.loads(line)).encode() + b"\n"
+                               + (evicted or np.ndarray.tobytes)(rows)
+                               + (block or bytes)(rest[EVICTED_BYTES:]))
         return [*command, "--trace", trace_path]
     return build
+
+
+def _evicted_case(step, head, position):
+    """The trace with ``position`` evicted from head ``head`` at ``step``."""
+    def edit(rows):
+        rows[step - 5, head] = position  # row 0 is step 5
+        return rows.tobytes()
+    return _trace_case(evicted=edit)
 
 
 def _block_case(*edits):
@@ -522,15 +536,13 @@ def _v1_weights(tmp_path):
         (_config_case({"T": 1.5}), 2),
         (_config_case({"zones": 5}), 2),
         (lambda tmp_path: _decode_args(tmp_path / "missing" / "t.jsonl"), 3),
-        (_trace_case(lambda record: "[5]"), 3),
-        (_trace_case(lambda record: json.dumps({**record, "evicted": record["evicted"] * 2})), 3),
-        (_trace_case(lambda record: json.dumps({**record, "evicted": 5})), 3),
-        (_trace_case(lambda record: json.dumps({**record, "retained": [[5, 6]]}), line=18), 3),
-        (_trace_case(lambda record: json.dumps(
-            {**record, "retained": [[[float(p) for p in cell] for cell in record["retained"][0]]]}
-        ), line=18), 3),
-        (_trace_case(lambda record: json.dumps({**record, "d_head": None}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0}), line=0), 3),
+        # evictions for two layers against a header of one
+        (_trace_case(evicted=lambda rows: np.concatenate([rows, rows], axis=1).tobytes()), 3),
+        (_evicted_case(5, 1, 5), 3),  # position 5 is appended at step 6
+        (_evicted_case(9, 0, -1), 3),
+        (_trace_case(evicted=lambda rows: np.repeat(rows[:1], 13, axis=0).tobytes()), 3),
+        (_trace_case(lambda record: json.dumps({**record, "d_head": None})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0})), 3),
         (_trace_case(block=lambda rest: rest[:-1]), 3),
         (_trace_case(block=lambda rest: rest + b"\0"), 3),
         (_trace_case(block=lambda rest: rest + bytes(8), trace_detail="light"), 3),
@@ -540,16 +552,22 @@ def _v1_weights(tmp_path):
         # full header dims and no block: position 15 (step 16) is among the
         # slots step 17 attends, and nothing records its input or the weights
         (_trace_case(command=ANALYZE, block=lambda rest: b""), 3),
-        (_trace_case(lambda record: json.dumps({**record, "format": 1}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "format": 2}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "format": 3}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "format": 4}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "format": 5}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "format": 6}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "seq_len": 10**12}), line=0,
+        (_trace_case(lambda record: json.dumps({**record, "format": 1})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 2})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 3})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 4})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 5})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 6})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 7})), 3),
+        # 10**12 - 4 rows of evictions missing
+        (_trace_case(lambda record: json.dumps({**record, "seq_len": 10**12}),
                      trace_detail="light"), 3),
+        # nothing backs the size a header-only full trace declares: its replay
+        # is too large to allocate, as decode --T 10**12 is
+        (_trace_case(lambda record: json.dumps({**record, "policy": "full", "seq_len": 10**12}),
+                     evicted=lambda rows: b"", trace_detail="light"), 2),
         (_trace_case(lambda record: json.dumps({**record, "layers": 2**32 - 1, "heads": 2**32 - 1,
-                                                "d_head": 2**32 - 1}), line=0), 3),
+                                                "d_head": 2**32 - 1})), 3),
         (_zero_layer_weights, 3),
         (_token_file_case("[[NaN]]", d_model=1), 3),
         (_token_file_case("[[true]]", d_model=1), 3),
@@ -619,27 +637,27 @@ def _v1_weights(tmp_path):
         (_prompt_case(DEEP_JSON), 3),
         (_trace_case(lambda record: DEEP_JSON), 3),
         # header fields of the wrong JSON type
-        (_trace_case(lambda record: json.dumps({**record, "capacity": "x"}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "policy": 5}), line=0,
+        (_trace_case(lambda record: json.dumps({**record, "capacity": "x"})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "policy": 5}),
                      command=ANALYZE), 3),
-        (_trace_case(lambda record: json.dumps({**record, "zones": [1]}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "model_seed": "s"}), line=0,
+        (_trace_case(lambda record: json.dumps({**record, "zones": [1]})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "model_seed": "s"}),
                      command=ANALYZE), 3),
-        (_trace_case(lambda record: json.dumps({**record, "stream_seed": 1.5}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "stream_seed": 1.5})), 3),
         # header fields of the right type that no decode writes
-        (_trace_case(lambda record: json.dumps({**record, "policy": "bogus"}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "policy": "h2o"}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "capacity": -3}), line=0), 3),
-        (_trace_case(lambda record: json.dumps({**record, "capacity": 30}), line=0,
+        (_trace_case(lambda record: json.dumps({**record, "policy": "bogus"})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "capacity": -3})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "capacity": 30}),
                      command=ANALYZE), 3),
-        (_trace_case(lambda record: json.dumps({**record, "zones": "garbage"}), line=0), 3),
+        (_trace_case(lambda record: json.dumps({**record, "zones": "garbage"})), 3),
     ],
-    ids=["c-string", "T-float", "zones-int", "unwritable-out", "step-not-object",
-         "event-layer-out-of-range", "events-not-list", "retained-cell-not-list",
-         "retained-float-positions", "header-dim-null", "header-seq-len-float",
+    ids=["c-string", "T-float", "zones-int", "unwritable-out",
+         "event-layer-out-of-range", "evicted-future-position", "evicted-negative",
+         "evicted-repeated", "header-dim-null", "header-seq-len-float",
          "block-short", "block-long", "block-on-light-trace", "row-cell-nan",
          "value-cell-infinity", "weights-cell-nan", "step-without-values", "format-1",
-         "format-2", "format-3", "format-4", "format-5", "format-6", "seq-len-huge",
+         "format-2", "format-3", "format-4", "format-5", "format-6", "format-7", "seq-len-huge",
+         "full-seq-len-huge",
          "block-length-overflows-int64", "weights-zero-layers", "embedding-nan",
          "embedding-bool", "token-ids", "token-id-bool", "weights-nan", "weights-nan-in-w-v", "weights-version-1",
          "block-size-zero", "exclude-negative", "levels-zero",
@@ -657,7 +675,7 @@ def _v1_weights(tmp_path):
          "config-deep-json", "tokens-deep-json", "prompt-deep-json", "trace-deep-json",
          "header-capacity-string", "header-policy-int", "header-zones-list",
          "header-model-seed-string", "header-stream-seed-float", "header-policy-unknown",
-         "header-policy-h2o-with-cursors", "header-capacity-negative",
+         "header-capacity-negative",
          "header-capacity-past-width", "header-zones-garbage"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
@@ -677,7 +695,7 @@ def test_only_a_run_that_reads_values_fails_on_overflowing_values(tmp_path, caps
     weights = load_weights(str(weights_path))
     inputs = np.array(json.loads(tokens.read_text()))
     trace = decode_with_policy(weights, inputs, "treekv", 2, "sink=0,recent=0")
-    assert [record.evicted is not None for record in trace.steps] == [False] * 2 + [True] * 4
+    assert trace.evicted.shape == (4, 1, 1)  # steps 3 to 6 evict
     out = tmp_path / "t.jsonl"
     write_trace(trace, str(out))
     assert run_cli(*ANALYZE, "--trace", out) == 3
@@ -691,7 +709,7 @@ def test_only_a_run_that_attends_fails_on_overflowing_logits(tmp_path, capsys):
     weights = generate_weights(3, ModelDims(1, 2, 8, 4))
     inputs = np.array(json.loads(HUGE_ROWS))
     trace = decode_with_policy(weights, inputs, "treekv-left", 4, "sink=0,recent=0")
-    assert [record.evicted is not None for record in trace.steps] == [False] * 4 + [True] * 2
+    assert trace.evicted.shape == (2, 1, 2)  # steps 5 and 6 evict
     with pytest.raises(InputError, match="attention rows are not finite"):
         decode_with_policy(weights, inputs, "treekv", 4, "sink=0,recent=0")
     out = tmp_path / "t.jsonl"
@@ -706,9 +724,11 @@ def test_trace_errors_name_the_format_and_the_missing_block(tmp_path, capsys):
     assert run_cli(*ANALYZE, "--trace", trace) == 3
     assert "lacks the run's inputs and projection weights" in capsys.readouterr().err
     header, rest = trace.read_bytes().split(b"\n", 1)
-    trace.write_bytes(json.dumps({**json.loads(header), "format": 5}).encode() + b"\n" + rest)
-    assert run_cli("map", "--trace", trace) == 3
-    assert capsys.readouterr().err == "input error: unsupported trace format 5\n"
+    for format in (5, 7):
+        trace.write_bytes(json.dumps({**json.loads(header), "format": format}).encode()
+                          + b"\n" + rest)
+        assert run_cli("map", "--trace", trace) == 3
+        assert capsys.readouterr().err == f"input error: unsupported trace format {format}\n"
 
 
 def test_a_run_too_large_to_allocate_is_a_config_error(tmp_path, monkeypatch, capsys):

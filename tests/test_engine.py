@@ -42,7 +42,7 @@ from treekv.engine import (
 )
 from treekv.rng import _CHUNK, NormalStream
 
-from helpers import evicted_events, outputs_at, single_head_weights
+from helpers import evicted_events, evictions, outputs_at, single_head_weights
 from oracles import (
     _OracleStream,
     oracle_block_scores,
@@ -691,18 +691,17 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
             weights, inputs, spec, capacity, "sink={},recent={}".format(*zones)
         )
         expected = oracle_decode(weights, inputs, spec, capacity, zones)
-        assert len(trace.steps) == len(expected)
+        assert trace.seq_len == len(expected)
         assert trace.retained.tolist() == expected[-1]["retained"]
-        for record, want in zip(trace.steps, expected):
-            events = evicted_events(record)
-            assert events == want["events"], (spec, dims, capacity, zones, record.step)
-            assert retained_at(trace, record.step).tolist() == want["retained"]
+        for step, (events, want) in enumerate(zip(evicted_events(trace), expected), 1):
+            assert events == want["events"], (spec, dims, capacity, zones, step)
+            assert retained_at(trace, step).tolist() == want["retained"]
             if events:
                 evicting.add(spec)
-            rows, values = signals_at_step(trace, record.step)
+            rows, values = signals_at_step(trace, step)
             # the last slot holds the step's own input, position step - 1
             got = {"rows": rows, "values": values[..., -1, :],
-                   "outputs": outputs_at(trace, record.step)}
+                   "outputs": outputs_at(trace, step)}
             for key in ("rows", "values", "outputs"):
                 for layer in range(dims.layers):
                     for head in range(dims.heads):
@@ -728,9 +727,10 @@ def test_decode_matches_naive_oracle_across_chunk_boundaries(spec):
             for seq_len in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 67):
                 trace = decode_with_policy(weights, inputs[:seq_len], spec, capacity,
                                            "sink={},recent={}".format(*zones))
-                for record, want in zip(trace.steps, expected[:seq_len], strict=True):
-                    assert evicted_events(record) == want["events"], (capacity, zones, record.step)
-                    assert retained_at(trace, record.step).tolist() == want["retained"]
+                pairs = zip(evicted_events(trace), expected[:seq_len], strict=True)
+                for step, (events, want) in enumerate(pairs, 1):
+                    assert events == want["events"], (capacity, zones, step)
+                    assert retained_at(trace, step).tolist() == want["retained"]
                 assert trace.retained.tolist() == expected[seq_len - 1]["retained"]
 
 
@@ -761,12 +761,11 @@ def _trace_digest(trace):
     and output (all derived from the recorded inputs and weights):
     independent of any file format."""
     digest = hashlib.sha256()
-    for record in trace.steps:
-        events = [(record.step, *event) for event in evicted_events(record)]
-        digest.update(repr(events).encode())
-        digest.update(repr(retained_at(trace, record.step).tolist()).encode())
-        rows, values = signals_at_step(trace, record.step)
-        for grid in (rows, values[..., -1, :], outputs_at(trace, record.step)):
+    for step, events in enumerate(evicted_events(trace), 1):
+        digest.update(repr([(step, *event) for event in events]).encode())
+        digest.update(repr(retained_at(trace, step).tolist()).encode())
+        rows, values = signals_at_step(trace, step)
+        for grid in (rows, values[..., -1, :], outputs_at(trace, step)):
             for cells in grid:
                 for cell in cells:
                     digest.update(np.asarray(cell, dtype=np.float64).tobytes())
@@ -779,9 +778,8 @@ def _events_digest(trace):
     moved ``_trace_digest`` beside an unmoved one reads as a float-level
     change."""
     digest = hashlib.sha256()
-    for record in trace.steps:
-        if record.evicted is not None:
-            digest.update(repr((record.step, record.evicted.tolist(), record.cursor)).encode())
+    for step, grid, cursor in evictions(trace):
+        digest.update(repr((step, grid.tolist(), cursor)).encode())
     return digest.hexdigest()
 
 

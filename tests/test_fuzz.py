@@ -1,9 +1,10 @@
 """Mutation fuzz of the CLI's input files.
 
-A small format-7 trace, a config file and a TKVW weight file are each
+A small format-8 trace, a config file and a TKVW weight file are each
 corrupted by dropping, retyping or replacing one JSON value, one line or
-one byte (of a trace: of its JSON lines or of its block of inputs and
-weights), then handed to ``treekv.cli.main`` in-process.  Whatever the
+one byte (of a trace: of its header line, of its evicted positions or of
+its block of inputs and weights), then handed to ``treekv.cli.main``
+in-process.  Whatever the
 input, ``main`` must return 0, 2 or 3 and never raise: a malformed file is
 a config or input error, never an internal one (exit 4).
 """
@@ -38,7 +39,8 @@ VALUES = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
 )
 MODEL = ["--layers", "1", "--heads", "2", "--d-model", "8", "--d-head", "4"]
-RECORDS = 14  # the base trace's header, 12 step records and final record
+RECORDS = 1  # the base trace's header line
+EVICTED = 8 * (12 - 4) * 2  # its int64 evictions: steps 5 to 12 of 1 x 2 streams
 
 
 def _run(*args) -> int:
@@ -61,10 +63,10 @@ def base(tmp_path_factory):
         "weights": None, "trace_detail": "full",
     }))
     assert _run("gen-weights", "--seed", 5, *MODEL, "-o", files["w.bin"]) == 0
-    *lines, block = files["t.jsonl"].read_bytes().split(b"\n", RECORDS)
-    # the mutator reaches evictions and the block: 12 f64 inputs of 8, then
-    # 1 x 2 streams x 3 f32 matrices of 8 x 4
-    assert b'"evicted":' in b"".join(lines) and len(block) == 12 * 8 * 8 + 2 * 3 * 8 * 4 * 4
+    *lines, rest = files["t.jsonl"].read_bytes().split(b"\n", RECORDS)
+    # the mutator reaches the evictions and the block after them: 12 f64
+    # inputs of 8, then 1 x 2 streams x 3 f32 matrices of 8 x 4
+    assert len(rest) == EVICTED + 12 * 8 * 8 + 2 * 3 * 8 * 4 * 4
     return {name: path.read_bytes() for name, path in files.items()}
 
 
@@ -106,21 +108,26 @@ def _mutate_bytes(data, blob: bytes) -> bytes:
 
 
 def _mutate_trace(data, blob: bytes) -> bytes:
-    """Mutate a trace: one value, one whole line or one byte of its JSON
-    lines, or one byte of its block of inputs and weights."""
-    *texts, block = blob.split(b"\n", RECORDS)
-    kind = data.draw(st.sampled_from(["value", "line", "bytes", "block"]))
+    """Mutate a trace: one value, the whole line or one byte of its JSON
+    header, or one byte of its evictions or of its block of inputs and
+    weights."""
+    *texts, rest = blob.split(b"\n", RECORDS)
+    head = blob[:len(blob) - len(rest)]
+    evicted, block = rest[:EVICTED], rest[EVICTED:]
+    kind = data.draw(st.sampled_from(["value", "line", "bytes", "evicted", "block"]))
     if kind == "bytes":
-        return _mutate_bytes(data, blob[:len(blob) - len(block)]) + block
+        return _mutate_bytes(data, head) + rest
+    if kind == "evicted":
+        return head + _mutate_bytes(data, evicted) + block
     if kind == "block":
-        return blob[:len(blob) - len(block)] + _mutate_bytes(data, block)
+        return head + evicted + _mutate_bytes(data, block)
     lines = [json.loads(text) for text in texts]
     if kind == "value":
         _mutate_json(data, lines)
     else:
         at = data.draw(st.integers(0, len(lines) - 1))
         lines[at:at + 1] = data.draw(st.sampled_from([[], [lines[at]] * 2, [data.draw(VALUES)]]))
-    return "".join(json.dumps(line) + "\n" for line in lines).encode() + block
+    return "".join(json.dumps(line) + "\n" for line in lines).encode() + rest
 
 
 @FUZZ

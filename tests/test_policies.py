@@ -11,6 +11,7 @@ from treekv import (
     TOVA,
     ConfigError,
     DimensionError,
+    EvictionPolicy,
     InvariantViolation,
     ModelDims,
     ModelWeights,
@@ -30,7 +31,14 @@ from treekv import (
 from treekv.engine import STATISTICS
 from treekv.policies import _averaged
 
-from helpers import drive_policy, evicted_events, outputs_at, single_head_weights, stream_batch
+from helpers import (
+    drive_policy,
+    evicted_events,
+    evictions,
+    outputs_at,
+    single_head_weights,
+    stream_batch,
+)
 from oracles import oracle_decode, oracle_tree_sim
 
 BOUNDED_SPECS = [spec for spec in POLICY_SPECS if spec != "full"]
@@ -115,8 +123,9 @@ def test_tree_eviction_walkthrough_step5():
     scores = [0.1, 0.5, 0.3, 0.4, 0.2]
     assert _tree_victim(scores, c=4) == 0
     batch = stream_batch(scores)
-    evicted, cursor = TreeKV(4).evict(batch, None)
-    assert (evicted.tolist(), cursor) == ([0], 1)
+    policy = TreeKV(4)
+    assert policy.cursor == 1
+    assert policy.evict(batch, None).tolist() == [0]
     assert batch.positions[0, : batch.n].tolist() == [1, 2, 3, 4]
     assert batch.scores[0, : batch.n].tolist() == [0.5, 0.3, 0.4, 0.2]
 
@@ -230,8 +239,9 @@ def test_select_left_spacing_in_decode_with_sinks():
 def test_streaming_without_sinks_is_a_sliding_window():
     assert StreamingLLM(2, ProtectedZones(0, 2)).select((1, 3)).tolist() == [0]
     batch = stream_batch([0.0, 0.0, 0.0])
-    evicted, cursor = StreamingLLM(2, ProtectedZones(0, 2)).evict(batch, None)
-    assert (evicted.tolist(), cursor) == ([0], None)
+    policy = StreamingLLM(2, ProtectedZones(0, 2))
+    assert policy.cursor is None
+    assert policy.evict(batch, None).tolist() == [0]
     assert batch.positions[0, : batch.n].tolist() == [1, 2]
 
 
@@ -240,8 +250,9 @@ def test_streaming_evicts_oldest_non_sink():
     zones = ProtectedZones(4, c - 4)
     assert StreamingLLM(c, zones).select((1, c + 1)).tolist() == [4]
     batch = stream_batch(np.zeros(c + 1))
-    evicted, cursor = StreamingLLM(c, zones).evict(batch, None)
-    assert (evicted.tolist(), cursor) == ([4], None)
+    policy = StreamingLLM(c, zones)
+    assert policy.cursor is None
+    assert policy.evict(batch, None).tolist() == [4]
     assert 4 not in batch.positions[0, : batch.n].tolist()
 
 
@@ -263,8 +274,9 @@ def _h2o_victim(scores, zones=ProtectedZones(), capacity=None):
 def test_h2o_evicts_cumulative_argmin():
     assert _h2o_victim([0.3, 0.1, 0.2]) == 1
     batch = stream_batch([0.3, 0.1, 0.2])
-    evicted, cursor = H2O(2).evict(batch, None)
-    assert (evicted.tolist(), cursor) == ([1], None)
+    policy = H2O(2)
+    assert policy.cursor is None
+    assert policy.evict(batch, None).tolist() == [1]
     assert batch.scores[0, : batch.n].tolist() == [0.3, 0.2]
 
 
@@ -378,9 +390,9 @@ def test_decode_full_capacity_never_evicts_and_matches_full_policy():
     inputs = synthesize_embeddings(2, 9, 8)
     roomy = decode_with_policy(weights, inputs, "treekv", 16)
     full = decode_with_policy(weights, inputs, "full", 16)
-    assert all(step.evicted is None for step in roomy.steps)
-    for step_a, step_b in zip(roomy.steps, full.steps):
-        outputs_a, outputs_b = outputs_at(roomy, step_a.step), outputs_at(full, step_b.step)
+    assert roomy.evicted.shape == (0, 1, 2)
+    for step in range(1, 10):
+        outputs_a, outputs_b = outputs_at(roomy, step), outputs_at(full, step)
         for head in range(2):
             assert np.array_equal(outputs_a[0][head], outputs_b[0][head])
 
@@ -402,11 +414,12 @@ def test_recorded_outputs_are_bitwise_the_rows_over_the_held_values(spec, zones)
         inputs = synthesize_embeddings(70 + case, 22, dims.d_model)
         trace = decode_with_policy(weights, inputs, spec, 6, zones)
         expected = oracle_decode(weights, inputs, spec, 6, (parsed.n_sink, parsed.n_recent))
-        for record, want in zip(trace.steps, expected, strict=True):
-            outputs = outputs_at(trace, record.step)
+        assert trace.seq_len == len(expected)
+        for step, want in enumerate(expected, 1):
+            outputs = outputs_at(trace, step)
             assert outputs.shape == (dims.layers, dims.heads, dims.d_head)
             np.testing.assert_allclose(outputs, np.array(want["outputs"]), rtol=1e-6, atol=1e-9,
-                                       err_msg=str((shape, record.step)))
+                                       err_msg=str((shape, step)))
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
@@ -423,11 +436,9 @@ def test_evictions_never_read_the_value_matrices(spec):
     for zones in ("sink=0,recent=0", "sink=1,recent=2"):
         want = decode_with_policy(weights, inputs, spec, 6, zones)
         got = decode_with_policy(other, inputs, spec, 6, zones)
-        for a, b in zip(want.steps, got.steps, strict=True):
-            assert (a.evicted is None) == (b.evicted is None)
-            assert a.evicted is None or np.array_equal(a.evicted, b.evicted)
-            assert a.cursor == b.cursor
-            assert not np.array_equal(outputs_at(want, a.step), outputs_at(got, b.step))
+        assert np.array_equal(want.evicted, got.evicted)
+        for step in range(1, 31):
+            assert not np.array_equal(outputs_at(want, step), outputs_at(got, step))
         assert np.array_equal(want.retained, got.retained)
 
 
@@ -474,8 +485,9 @@ def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypat
                 steps.clear()
                 got = decode_with_policy(weights, inputs, spec, capacity, zones)
                 assert len(steps) == (30 if policy.reads else 0)
-                for a, b in zip(want, got.steps, strict=True):
-                    assert evicted_events(b) == a["events"], (capacity, zones, b.step)
+                pairs = zip(want, evicted_events(got), strict=True)
+                for step, (a, events) in enumerate(pairs, 1):
+                    assert events == a["events"], (capacity, zones, step)
                 assert got.retained.tolist() == want[-1]["retained"]
                 runs += 1
     assert runs >= 3 * len(SKIP_DIMS) * 8  # every spec fits 8 of the 12 settings
@@ -496,7 +508,7 @@ def _evicted(policy, stats):
     batch.positions[:] = np.arange(size)
     batch.scores[:], batch.counts[:] = stats["scores"], stats["counts"]
     cursor = policy.cursor
-    evicted = policy.evict(batch, stats["rows"])[0]
+    evicted = policy.evict(batch, stats["rows"])
     policy.cursor = cursor
     return evicted
 
@@ -575,6 +587,29 @@ def test_the_prefill_batch_keeps_scores_but_no_counts(monkeypatch):
     assert [_held(batch) for batch in built] == [ATTENDING | {"scores"}]
 
 
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_the_header_fixes_every_evicting_step_and_cursor(spec, monkeypatch):
+    # A trace stores neither steps nor cursors: the policy decode ran must
+    # evict at exactly the steps past the capacity, one trace row each, with
+    # the cursors a fresh policy of the header's spec gives (helpers.evictions).
+    used = []
+    evict = EvictionPolicy.evict
+
+    def recording_evict(policy, batch, rows):
+        used.append((int(batch.positions[0, batch.n - 1]) + 1, policy.cursor))
+        return evict(policy, batch, rows)
+
+    monkeypatch.setattr(EvictionPolicy, "evict", recording_evict)
+    weights = generate_weights(7, ModelDims(1, 2, 4, 2))
+    inputs = synthesize_embeddings(8, 200, 4)
+    for capacity, zones, _ in _fitting_policies(spec, capacities=(2, 5, 16, 250)):
+        used.clear()
+        trace = decode_with_policy(weights, inputs, spec, capacity, zones)
+        assert [(step, cursor) for step, _, cursor in evictions(trace)] == used
+        bounded = spec != "full" and capacity < 200
+        assert [step for step, _ in used] == list(range(capacity + 1, 201) if bounded else [])
+
+
 def test_decode_select_left_17_token_pattern():
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 17, 8)
@@ -582,18 +617,19 @@ def test_decode_select_left_17_token_pattern():
     for head in range(2):
         # 1-based tokens {12, 14, 16, 17}
         assert trace.retained[0][head].tolist() == [11, 13, 15, 16]
-    cursors = [s.cursor for s in trace.steps if s.evicted is not None]
-    assert cursors == [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1]
+    steps, _, cursors = zip(*evictions(trace))
+    assert steps == tuple(range(5, 18))
+    assert list(cursors) == [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1]
 
 
 def test_decode_capacity_invariant_and_cursor_cycle():
     weights = _toy_weights()
     inputs = synthesize_embeddings(4, 40, 8)
     trace = decode_with_policy(weights, inputs, "treekv", 6)
-    for step in trace.steps:
+    for step in range(1, 41):
         for head in range(2):
-            assert len(retained_at(trace, step.step)[0][head]) <= 6
-    cursors = [s.cursor for s in trace.steps if s.evicted is not None]
+            assert len(retained_at(trace, step)[0][head]) <= 6
+    cursors = [cursor for _, _, cursor in evictions(trace)]
     for start in range(len(cursors) - 6):
         assert sorted(cursors[start : start + 6]) == [1, 2, 3, 4, 5, 6]
 
@@ -636,15 +672,14 @@ def test_decode_with_zones_protects_sinks_and_recent():
     trace = decode_with_policy(
         weights, inputs, "treekv", c, f"sink={n_sink},recent={n_recent}"
     )
-    for step in trace.steps:
-        t = step.step
+    for t in range(1, 31):
         for head in range(2):
             retained = retained_at(trace, t)[0][head].tolist()
             assert len(retained) <= c
             if t > c:
                 assert retained[:n_sink] == [0, 1]
                 assert retained[-n_recent:] == [t - 3, t - 2, t - 1]
-    evicted = {int(s.evicted[0, 0]) for s in trace.steps if s.evicted is not None}
+    evicted = set(trace.evicted[:, 0, 0].tolist())
     assert not evicted & {0, 1}
 
 

@@ -8,7 +8,6 @@ from treekv import (
     DecodeTrace,
     InputError,
     ModelDims,
-    StepRecord,
     StreamBatch,
     decode_with_policy,
     distribution_map,
@@ -24,6 +23,7 @@ from treekv import (
 from treekv.engine import project, stacked_weights
 from treekv.trace import held_projections
 
+from helpers import evictions
 from oracles import oracle_retained_at
 
 
@@ -43,11 +43,10 @@ def test_trace_roundtrip(tmp_path):
     assert header.keys() == {"kind", "format", "policy", "capacity", "zones", "seq_len",
                              "layers", "heads", "d_model", "d_head", "model_seed",
                              "stream_seed"}
-    assert len(loaded.steps) == len(trace.steps)
-    last_a, last_b = trace.steps[-1], loaded.steps[-1]
+    assert loaded.evicted.shape == trace.evicted.shape == (14 - 5, 1, 2)
+    assert np.array_equal(loaded.evicted, trace.evicted)
+    # replayed from the evictions, the positions decode's batch held at its end
     assert np.array_equal(loaded.retained, trace.retained)
-    assert np.array_equal(last_a.evicted, last_b.evicted)
-    assert last_a.cursor == last_b.cursor
     assert loaded.inputs.tobytes() == trace.inputs.tobytes()
     assert loaded.weights.tobytes() == trace.weights.tobytes()
     validate_trace(loaded)
@@ -62,16 +61,22 @@ def test_decode_records_references_to_its_inputs_and_weights():
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
-    # 14 steps: a header, 14 step records and a final record, then the block
-    # the queries, keys and values come from: the inputs, then the weights
+    # 14 steps at c=5: a header, the int64 evictions of steps 6 to 14 (none
+    # under full), then the block the queries, keys and values come from:
+    # the inputs, then the weights
     path = tmp_path / "t.jsonl"
     for detail in (True, False):
         trace = _run(policy=spec, capacity=5, zones="sink=1,recent=1")
         if not detail:  # a light trace, as ``decode --trace-detail light`` writes it
             trace.inputs = trace.weights = None
         write_trace(trace, str(path))
-        block = path.read_bytes().split(b"\n", 16)[16]
+        rest = path.read_bytes().split(b"\n", 1)[1]
+        rows = 0 if spec == "full" else 14 - 5
+        assert trace.evicted.shape == (rows, 1, 2)
+        assert rest[: 8 * rows * 2] == trace.evicted.astype("<i8").tobytes()
+        block = rest[8 * rows * 2 :]
         loaded = read_trace(str(path))
+        assert np.array_equal(loaded.evicted, trace.evicted)
         if detail:
             assert trace.inputs.shape == (14, 8) and trace.weights.shape == (1, 2, 3, 8, 4)
             assert len(block) == 8 * 14 * 8 + 4 * 1 * 2 * 3 * 8 * 4
@@ -86,25 +91,26 @@ def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
 
 def test_trace_replay_detects_tampering(tmp_path):
     trace = _run()
-    trace.retained = trace.retained[:, :, :-1]
-    with pytest.raises(InputError):
+    trace.evicted = trace.evicted[:-1]  # the last step's evictions dropped
+    with pytest.raises(InputError, match="evictions of shape"):
         validate_trace(trace)
 
     trace = _run()
     assert retained_at(trace, 0).tolist() == [[[], []]]
-    trace.steps[-1].evicted = trace.steps[-2].evicted  # the same positions evicted twice
+    trace.evicted[-1] = trace.evicted[-2]  # the same positions evicted twice
     with pytest.raises(InputError, match="not present"):
-        retained_at(trace, len(trace.steps))
+        retained_at(trace, trace.seq_len)
     with pytest.raises(InputError):
-        retained_at(trace, len(trace.steps) + 1)
+        retained_at(trace, trace.seq_len + 1)
 
 
 def _oracle_replay(trace, step):
     """``oracle_retained_at`` on the trace's evictions, or its error text."""
-    evictions = [None if record.evicted is None else record.evicted.tolist()
-                 for record in trace.steps]
+    grids = [None] * trace.seq_len
+    for at, grid, _ in evictions(trace):
+        grids[at - 1] = grid.tolist()
     try:
-        return oracle_retained_at(evictions, trace.dims.layers, trace.dims.heads, step)
+        return oracle_retained_at(grids, trace.dims.layers, trace.dims.heads, step)
     except ValueError as exc:
         return str(exc)
 
@@ -122,7 +128,7 @@ def _replay(trace, step):
 def test_retained_at_matches_the_oracle_replay_at_every_step(spec, zones):
     weights = generate_weights(11, ModelDims(2, 3, 8, 4))
     trace = decode_with_policy(weights, synthesize_embeddings(12, 60, 8), spec, 9, zones)
-    for step in range(len(trace.steps) + 1):
+    for step in range(trace.seq_len + 1):
         assert _replay(trace, step) == _oracle_replay(trace, step)
 
 
@@ -144,14 +150,12 @@ def test_retained_at_rejects_a_bad_eviction_as_the_oracle_does(cells):
     weights = generate_weights(11, ModelDims(2, 3, 8, 4))
     trace = decode_with_policy(weights, synthesize_embeddings(12, 30, 8), "treekv", 6,
                                "sink=0,recent=0")
-    assert (trace.steps[6].evicted == 1).all() and trace.steps[5].evicted is None
+    assert trace.evicted.shape == (30 - 6, 2, 3) and (trace.evicted[0] == 1).all()
     for step, layer, head, position in cells:
-        record = trace.steps[step - 1]
-        record.evicted = record.evicted.copy()
-        record.evicted[layer, head] = position
-    for step in range(len(trace.steps) + 1):
+        trace.evicted[step - 7, layer, head] = position  # row 0 is step 7
+    for step in range(trace.seq_len + 1):
         assert _replay(trace, step) == _oracle_replay(trace, step)
-    message = _oracle_replay(trace, len(trace.steps))
+    message = _oracle_replay(trace, trace.seq_len)
     assert isinstance(message, str) and message.startswith(f"step {min(cells)[0]}: ")
     with pytest.raises(InputError) as caught:
         validate_trace(trace)
@@ -159,12 +163,16 @@ def test_retained_at_rejects_a_bad_eviction_as_the_oracle_does(cells):
 
 
 def test_trace_rejects_truncation(tmp_path):
-    trace = _run()
+    trace = _run()  # 9 rows of evictions, 144 bytes
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
-    lines = path.read_bytes().split(b"\n")[:16]  # the JSON records, no block
-    path.write_bytes(b"\n".join(lines[:-2]) + b"\n")
-    with pytest.raises(InputError):
+    header, rest = path.read_bytes().split(b"\n", 1)
+    for cut in (rest[:8], rest[:136], rest[:-1], b""):  # b"": the header line alone
+        path.write_bytes(header + b"\n" + cut)
+        with pytest.raises(InputError, match="bytes after its header"):
+            read_trace(str(path))
+    path.write_bytes(header[:-1])
+    with pytest.raises(InputError, match="cannot read trace"):
         read_trace(str(path))
 
 
@@ -228,17 +236,15 @@ def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
     trace = DecodeTrace(spec, capacity, zones, seq_len, dims, weights.seed)
     grid = (dims.layers, dims.heads)
     every = np.arange(batch.streams)[:, None]
-    attended, held = [], []
-    for step, x in enumerate(inputs, start=1):
+    attended, held, evicted = [], [], []
+    for x in inputs:
         rows = batch.step(x)
         attended.append(rows.reshape(*grid, -1))
         live = batch.keys[:, : batch.n].copy(), values[batch.positions[:, : batch.n], every]
         held.append([stored.reshape(*grid, batch.n, -1) for stored in live])
-        evicted = cursor = None
         if policy.capacity is not None and batch.n > policy.capacity:
-            evicted, cursor = policy.evict(batch, rows)
-            evicted = evicted.reshape(grid)
-        trace.steps.append(StepRecord(step, evicted, cursor))
+            evicted.append(policy.evict(batch, rows))
+    trace.evicted = np.array(evicted, dtype=np.int64).reshape(-1, *grid)
     trace.inputs, trace.weights = inputs, weights.qkv
     trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
     path = tmp_path / "t.jsonl"
@@ -290,68 +296,66 @@ def test_held_projections_are_bitwise_what_decode_projected(tmp_path):
                 assert got.tobytes() == stored.tobytes(), (spec, shape, zones, step)
 
 
+def _edited_trace(tmp_path, edit):
+    """A light 1x2 treekv trace of 8 steps at c=5, whose evictions, a (3, 2)
+    int64 array for steps 6 to 8, ``edit`` maps to the bytes written in
+    their place."""
+    trace = _run(capacity=5, seq_len=8)
+    trace.inputs = trace.weights = None
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    header, rest = path.read_bytes().split(b"\n", 1)
+    evicted = np.frombuffer(rest, "<i8").reshape(3, 2).copy()
+    path.write_bytes(header + b"\n" + edit(evicted))
+    return path
+
+
+def _last_row(position, stream=0):
+    """An edit that writes ``position`` into the last step's row."""
+    def edit(evicted):
+        evicted[-1, stream] = position
+        return evicted.tobytes()
+    return edit
+
+
 @pytest.mark.parametrize(
     "event",
     [
-        {"evicted": [[0, 0], [0, 0]]},  # two layers
-        {"evicted": [[0]]},  # one head
-        {"evicted": [[8, 0]]},  # the position of step 9
-        {"evicted": [[-1, 0]]},
-        {"evicted": [[1.0, 0]]},
-        {"evicted": [[True, 0]]},
-        {"evicted": [0, 0]},  # not a grid
-        {"cursor": "1"},
+        {"edit": lambda evicted: evicted.tobytes()[:-8]},  # one stream's eviction short
+        {"edit": lambda evicted: evicted.tobytes() + bytes(8)},  # one stream too many
+        {"edit": lambda evicted: evicted.tobytes() + evicted[-1].tobytes()},  # a step 9
+        {"edit": _last_row(8)},  # the position of step 9
+        {"edit": _last_row(-1)},
+        {"edit": _last_row(np.float64(1.0).view(np.int64), stream=1)},  # a float's bits
+        {"edit": _last_row(2**63 - 1, stream=1)},
+        {"edit": lambda evicted: np.repeat(evicted[:1], 3, axis=0).tobytes()},  # repeated
     ],
 )
 def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
-    trace = _run(capacity=5, seq_len=8)  # 1 layer, 2 heads, 8 steps
-    path = tmp_path / "t.jsonl"
-    write_trace(trace, str(path))
-    *lines, block = path.read_bytes().split(b"\n", 10)  # 10 JSON records, then the block
-    record = json.loads(lines[-2])  # the last step; the final record follows it
-    record.update(event)
-    lines[-2] = json.dumps(record).encode()
-    path.write_bytes(b"\n".join(lines) + b"\n" + block)
+    path = _edited_trace(tmp_path, event["edit"])
     with pytest.raises(InputError):
         read_trace(str(path))
 
 
 @pytest.mark.parametrize(
-    "grids, message",
+    "rows, message",
     [
-        ({6: [[1.0, 0]], 8: [[0]]}, "evicted at step 6 is not a 1x2 grid"),
-        ({8: [[0]], 7: [[True, 0]]}, "evicted at step 7 is not a 1x2 grid"),
-        pytest.param({8: [[-1, 0]], 7: [[0, 7]]},
+        pytest.param({8: [-1, 0], 7: [0, 7]},
                      r"step 7: eviction of position 7 not present in stream \(0, 1\)",
                      id="future-position"),
+        pytest.param({6: [0, 6], 8: [9, 0]},
+                     r"step 6: eviction of position 6 not present in stream \(0, 1\)",
+                     id="position-of-the-next-step"),
+        pytest.param({8: [0, 99], 7: [-1, 0]},
+                     r"step 7: eviction of position -1 not present in stream \(0, 0\)",
+                     id="negative"),
     ],
 )
-def test_read_trace_names_the_first_bad_evicted_grid(tmp_path, grids, message):
-    trace = _run(capacity=5, seq_len=8)  # 1 layer, 2 heads, evictions at steps 6-8
-    path = tmp_path / "t.jsonl"
-    write_trace(trace, str(path))
-    *lines, block = path.read_bytes().split(b"\n", 10)
-    for step, grid in grids.items():
-        lines[step] = json.dumps({**json.loads(lines[step]), "evicted": grid}).encode()
-    path.write_bytes(b"\n".join(lines) + b"\n" + block)
+def test_read_trace_names_the_first_bad_evicted_grid(tmp_path, rows, message):
+    def edit(evicted):  # row 0 is step 6
+        for step, row in rows.items():
+            evicted[step - 6] = row
+        return evicted.tobytes()
+
     with pytest.raises(InputError, match=message):
-        read_trace(str(path))
-
-
-@pytest.mark.parametrize(
-    "retained",
-    [
-        [[[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]],  # in range, but not what the evictions leave
-        [[[0, 1, 2, 3, 99], [0, 1, 2, 3, 99]]],  # a position past seq_len
-    ],
-    ids=["edited", "past-seq-len"],
-)
-def test_read_trace_rejects_a_final_record_its_replay_does_not_reproduce(tmp_path, retained):
-    trace = _run(capacity=5, seq_len=8)  # 1 layer, 2 heads, 5 slots held at the end
-    path = tmp_path / "t.jsonl"
-    write_trace(trace, str(path))
-    *lines, block = path.read_bytes().split(b"\n", 10)
-    lines[-1] = json.dumps({"kind": "final", "retained": retained}).encode()
-    path.write_bytes(b"\n".join(lines) + b"\n" + block)
-    with pytest.raises(InputError, match="diverge from the final checkpoint"):
-        read_trace(str(path))
+        read_trace(str(_edited_trace(tmp_path, edit)))

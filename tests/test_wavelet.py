@@ -12,7 +12,6 @@ from treekv import (
     ModelDims,
     SelectorError,
     DecodeTrace,
-    StepRecord,
     dwt_multi,
     dwt_single,
     magnitude_profile,
@@ -223,7 +222,7 @@ def _hand_trace(queries, keys, values):
         policy="full", capacity=seq_len, zones="sink=0,recent=0",
         seq_len=seq_len, dims=dims, model_seed=0,
     )
-    trace.steps = [StepRecord(step) for step in range(1, seq_len + 1)]
+    trace.evicted = np.empty((0, 1, 1), dtype=np.int64)
     trace.inputs = np.concatenate([queries, keys, values], axis=1).astype(np.float64)
     # selector k maps input entry k * d + j to output entry j
     selectors = np.eye(3 * d_head, dtype=np.float32).reshape(3 * d_head, 3, d_head)
