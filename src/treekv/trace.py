@@ -1,7 +1,8 @@
 """Decode traces: the evicted positions of a run, their serialization (one
-JSON header line, then one binary block of the evictions and, at full
-detail, of the run's inputs and projection weights), eviction replay, and
-the per-position retention map.
+JSON header line, then one binary block of the evictions, each at the
+narrowest unsigned width that holds seq_len - 1, and, at full detail, one
+of the run's inputs and projection weights), eviction replay, and the
+per-position retention map.
 
 Every stream of a run holds the same number of slots and evicts in
 lockstep, and a bounded policy evicts exactly once per step as soon as its
@@ -9,7 +10,10 @@ cache is full.  So a run's evictions are one (layers, heads) grid of
 original positions per step past the capacity: the header's policy,
 capacity and seq_len fix the steps that evict, the tree cursor of each is
 that of a fresh ``make_policy(...)`` advanced once per eviction before it,
-and replaying the evictions gives the retained set after any step."""
+and replaying the evictions gives the retained set after any step.  A
+policy that reads no statistics (``streaming``, ``treekv-left``) chooses
+from slot indices and the cursor alone, so the header fixes its victims
+too."""
 
 from __future__ import annotations
 
@@ -19,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModelDims, atomic_output, project, slot_rows, stacked_weights, write_array
-from .errors import ConfigError, InputError
+from .engine import (ModelDims, ModelWeights, StreamBatch, atomic_output, project, slot_rows,
+                     stacked_weights, write_array)
+from .errors import ConfigError, InputError, InvariantViolation
 
-TRACE_FORMAT = 8
+TRACE_FORMAT = 9
 
 
 @dataclass
@@ -35,7 +40,8 @@ class DecodeTrace:
     model_seed: int
     stream_seed: int | None = None
     # The original positions (0-based) evicted, an (E, layers, heads) int64
-    # array whose row i is step capacity + 1 + i (``_eviction_count``).
+    # array whose row i is step capacity + 1 + i (``_header_policy``'s
+    # ``eviction_count``).  A file holds them at ``position_dtype(seq_len)``.
     evicted: np.ndarray | None = None
     # Retained positions after the last step, a (layers, heads, n) int64
     # array: decode's batch holds them at its end, and ``read_trace``
@@ -66,11 +72,26 @@ class DecodeTrace:
         }
 
 
+def position_dtype(seq_len: int) -> np.dtype:
+    """The little-endian type a trace file stores its evicted positions in:
+    the narrowest unsigned integer that holds seq_len - 1, the last
+    position (uint8 up to seq_len 256, then uint16, uint32 and uint64)."""
+    dtype = np.min_scalar_type(max(seq_len - 1, 0))
+    if dtype.kind != "u":  # numpy's object type: no 64-bit integer holds it
+        raise InputError(f"trace header: seq_len {seq_len} has positions past 64 bits")
+    return dtype.newbyteorder("<")
+
+
 def write_trace(trace: DecodeTrace, path: str) -> None:
+    """Write the trace; its positions must lie in 0..seq_len - 1, which the
+    file's width holds (``position_dtype``), so none is wrapped."""
+    evicted = trace.evicted
+    if evicted.size and not 0 <= evicted.min() <= evicted.max() < trace.seq_len:
+        raise InvariantViolation(f"evicted positions outside 0..{trace.seq_len - 1}")
     header = {"kind": "header", "format": TRACE_FORMAT, **trace.config_dict()}
     with atomic_output(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-        write_array(fh, trace.evicted, "<i8")
+        write_array(fh, evicted, position_dtype(trace.seq_len))
         if trace.inputs is not None:
             write_array(fh, trace.inputs, "<f8")
             write_array(fh, trace.weights, "<f4")
@@ -101,17 +122,32 @@ def _header_trace(header, path: str) -> DecodeTrace:
                        stream_seed=header.get("stream_seed"))
 
 
-def _eviction_count(trace: DecodeTrace) -> int:
-    """E, the number of steps that evict: those past the capacity under a
-    bounded policy, none under ``full``.  Raises InputError if the header's
-    policy, capacity and zones build no policy by decode's rules."""
+def _header_policy(trace: DecodeTrace):
+    """A fresh policy of the header's policy, capacity and zones, whose
+    ``eviction_count`` gives E, the number of steps that evict.  Raises
+    InputError if they build no policy by decode's rules."""
     from .policies import make_policy  # policies imports this module
 
     try:
-        policy = make_policy(trace.policy, trace.capacity, trace.zones)
+        return make_policy(trace.policy, trace.capacity, trace.zones)
     except ConfigError as exc:
         raise InputError(f"trace header: {exc}") from None
-    return policy.eviction_count(trace.seq_len)
+
+
+# One stream of any model: a batch that attends nothing projects each key
+# only to check it, so its weights do not matter.
+_ONE_STREAM = ModelWeights(ModelDims(1, 1, 1, 1), 0, np.zeros((1, 1, 3, 1, 1), np.float32))
+
+
+def _index_victims(policy, count: int) -> np.ndarray:
+    """The original positions that ``policy``, one that reads nothing and so
+    chooses from slot indices and its cursor alone, evicts at the first
+    ``count`` evicting steps of every stream: decode's loop and
+    ``EvictionPolicy.evict`` over one positions-only stream."""
+    batch = StreamBatch(_ONE_STREAM, policy.capacity + 1, policy.reads)
+    batch.append(np.zeros((policy.capacity, 1)))  # steps 1 to capacity evict nothing
+    victims = [policy.evict(batch, rows) for rows in batch.steps(np.zeros((count, 1)))]
+    return np.concatenate(victims)
 
 
 def read_trace(path: str) -> DecodeTrace:
@@ -128,16 +164,18 @@ def read_trace(path: str) -> DecodeTrace:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     trace = _header_trace(header, path)
     dims = trace.dims
-    rows = (_eviction_count(trace), dims.layers, dims.heads)
+    rows = (_header_policy(trace).eviction_count(trace.seq_len), dims.layers, dims.heads)
     shape = (dims.layers, dims.heads, 3, dims.d_model, dims.d_head)
-    split = 8 * math.prod(rows)  # Python ints: header dims can exceed int64
+    dtype = position_dtype(trace.seq_len)
+    split = dtype.itemsize * math.prod(rows)  # Python ints: header dims can exceed int64
     inputs = 8 * trace.seq_len * dims.d_model
     sizes = (split, split + inputs + 4 * math.prod(shape))
     if len(rest) not in sizes:
         raise InputError(f"trace {path} holds {len(rest)} bytes after its header, neither the "
                          f"{sizes[0]} of its evictions nor the {sizes[1]} of its evictions, "
                          f"inputs and weights")
-    trace.evicted = np.frombuffer(rest, "<i8", split // 8).reshape(rows)
+    # widened once: in memory, every position is int64
+    trace.evicted = np.frombuffer(rest, dtype, math.prod(rows)).astype(np.int64).reshape(rows)
     if len(rest) > split:
         trace.inputs = np.frombuffer(rest, "<f8", inputs // 8, split).reshape(-1, dims.d_model)
         trace.weights = np.frombuffer(rest, "<f4", offset=split + inputs).reshape(shape)
@@ -184,16 +222,32 @@ def validate_trace(trace: DecodeTrace) -> np.ndarray:
     """Check that the trace is a run decode could make, and return its
     retained positions after the last step: the header's policy, capacity
     and zones build a policy by decode's rules, the evictions are one
-    (layers, heads) grid per step that policy evicts at, and each names a
-    position its stream holds then (``retained_at``).  Raises InputError
-    on any inconsistency.  ``read_trace`` calls it on every trace it
-    reads; a trace built in memory can be checked with it directly."""
-    rows = (_eviction_count(trace), trace.dims.layers, trace.dims.heads)
+    (layers, heads) grid per step that policy evicts at, each names a
+    position its stream holds then (``retained_at``), and under a policy
+    that reads nothing each is the one that policy evicts
+    (``_index_victims``).  Raises InputError on any inconsistency.
+    ``read_trace`` calls it on every trace it reads; a trace built in
+    memory can be checked with it directly."""
+    policy = _header_policy(trace)
+    rows = (policy.eviction_count(trace.seq_len), trace.dims.layers, trace.dims.heads)
     if trace.evicted.shape != rows:
         raise InputError(f"trace holds evictions of shape {trace.evicted.shape}, but "
                          f"{trace.policy} at c={trace.capacity} over {trace.seq_len} steps "
                          f"evicts {rows}")
-    return retained_at(trace, trace.seq_len)
+    # first: its (streams, seq_len) mask outweighs the replay's one stream of
+    # capacity + 1 slots, so the replay adds no unbacked allocation
+    retained = retained_at(trace, trace.seq_len)
+    if rows[0] and not policy.reads:  # one replay row per row the trace holds
+        evicted = trace.evicted.reshape(rows[0], -1)
+        victims = _index_victims(policy, rows[0])
+        wrong = evicted != victims[:, None]
+        if wrong.any():
+            row, stream = divmod(int(wrong.argmax()), evicted.shape[1])
+            layer, head = divmod(stream, trace.dims.heads)
+            raise InputError(f"step {trace.capacity + 1 + row}: {trace.policy} evicts position "
+                             f"{victims[row]}, not {evicted[row, stream]}, "
+                             f"in stream ({layer}, {head})")
+    return retained
 
 
 def distribution_map(trace: DecodeTrace) -> np.ndarray:

@@ -370,20 +370,22 @@ def _config_case(data):
 ANALYZE = ("analyze", "--levels", 2, "--exclude", 0)
 
 
-EVICTED_BYTES = 8 * 13 * 2  # the _decode_args trace's int64 evictions: steps 5-17, 2 heads
+# the _decode_args trace's evictions, one byte each as its T is at most 256:
+# steps 5-17, 2 heads
+EVICTED_BYTES = 1 * 13 * 2
 
 
 def _trace_case(header=json.dumps, command=("map",), evicted=None, block=None, **overrides):
     """A valid 1x2 select-left trace of 17 steps at c=4 with its parts
     edited: ``header`` maps the header record to the text written in its
-    place, ``evicted`` maps the (13, 2) int64 evictions of steps 5 to 17 to
+    place, ``evicted`` maps the (13, 2) uint8 evictions of steps 5 to 17 to
     the bytes written in theirs, and ``block`` maps the bytes after them,
     the block of inputs and weights, to the bytes written in its place."""
     def build(tmp_path):
         trace_path = tmp_path / "t.jsonl"
         assert run_cli(*_decode_args(trace_path, **overrides)) == 0
         line, rest = trace_path.read_bytes().split(b"\n", 1)
-        rows = np.frombuffer(rest[:EVICTED_BYTES], dtype="<i8").reshape(13, 2).copy()
+        rows = np.frombuffer(rest[:EVICTED_BYTES], dtype="u1").reshape(13, 2).copy()
         trace_path.write_bytes(header(json.loads(line)).encode() + b"\n"
                                + (evicted or np.ndarray.tobytes)(rows)
                                + (block or bytes)(rest[EVICTED_BYTES:]))
@@ -391,12 +393,17 @@ def _trace_case(header=json.dumps, command=("map",), evicted=None, block=None, *
     return build
 
 
-def _evicted_case(step, head, position):
+def _evicted_case(step, head, position, **overrides):
     """The trace with ``position`` evicted from head ``head`` at ``step``."""
     def edit(rows):
         rows[step - 5, head] = position  # row 0 is step 5
         return rows.tobytes()
-    return _trace_case(evicted=edit)
+    return _trace_case(evicted=edit, **overrides)
+
+
+def _relabelled_case(written, read):
+    """The trace ``written`` by one policy, its header naming another."""
+    return _trace_case(lambda record: json.dumps({**record, "policy": read}), policy=written)
 
 
 def _block_case(*edits):
@@ -539,8 +546,14 @@ def _v1_weights(tmp_path):
         # evictions for two layers against a header of one
         (_trace_case(evicted=lambda rows: np.concatenate([rows, rows], axis=1).tobytes()), 3),
         (_evicted_case(5, 1, 5), 3),  # position 5 is appended at step 6
-        (_evicted_case(9, 0, -1), 3),
+        (_evicted_case(9, 0, 255), 3),  # the largest uint8: a future position
         (_trace_case(evicted=lambda rows: np.repeat(rows[:1], 13, axis=0).tobytes()), 3),
+        # held positions that the header's policy, which reads no attention,
+        # does not evict
+        (_relabelled_case("h2o", "streaming"), 3),
+        (_relabelled_case("treekv", "treekv-left"), 3),
+        # streaming evicts position 12 at step 17: position 15 is held then
+        (_evicted_case(17, 1, 15, policy="streaming"), 3),
         (_trace_case(lambda record: json.dumps({**record, "d_head": None})), 3),
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0})), 3),
         (_trace_case(block=lambda rest: rest[:-1]), 3),
@@ -559,6 +572,7 @@ def _v1_weights(tmp_path):
         (_trace_case(lambda record: json.dumps({**record, "format": 5})), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 6})), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 7})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 8})), 3),
         # 10**12 - 4 rows of evictions missing
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 10**12}),
                      trace_detail="light"), 3),
@@ -566,6 +580,10 @@ def _v1_weights(tmp_path):
         # is too large to allocate, as decode --T 10**12 is
         (_trace_case(lambda record: json.dumps({**record, "policy": "full", "seq_len": 10**12}),
                      evicted=lambda rows: b"", trace_detail="light"), 2),
+        # the same with a last position that no 64-bit integer holds
+        (_trace_case(lambda record: json.dumps({**record, "policy": "full",
+                                                "seq_len": 2**64 + 1}),
+                     evicted=lambda rows: b"", trace_detail="light"), 3),
         (_trace_case(lambda record: json.dumps({**record, "layers": 2**32 - 1, "heads": 2**32 - 1,
                                                 "d_head": 2**32 - 1})), 3),
         (_zero_layer_weights, 3),
@@ -652,12 +670,14 @@ def _v1_weights(tmp_path):
         (_trace_case(lambda record: json.dumps({**record, "zones": "garbage"})), 3),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out",
-         "event-layer-out-of-range", "evicted-future-position", "evicted-negative",
-         "evicted-repeated", "header-dim-null", "header-seq-len-float",
+         "event-layer-out-of-range", "evicted-future-position", "evicted-width-max",
+         "evicted-repeated", "header-policy-h2o-as-streaming",
+         "header-policy-treekv-as-treekv-left", "evicted-not-streaming", "header-dim-null",
+         "header-seq-len-float",
          "block-short", "block-long", "block-on-light-trace", "row-cell-nan",
          "value-cell-infinity", "weights-cell-nan", "step-without-values", "format-1",
-         "format-2", "format-3", "format-4", "format-5", "format-6", "format-7", "seq-len-huge",
-         "full-seq-len-huge",
+         "format-2", "format-3", "format-4", "format-5", "format-6", "format-7", "format-8",
+         "seq-len-huge", "full-seq-len-huge", "full-seq-len-past-64-bits",
          "block-length-overflows-int64", "weights-zero-layers", "embedding-nan",
          "embedding-bool", "token-ids", "token-id-bool", "weights-nan", "weights-nan-in-w-v", "weights-version-1",
          "block-size-zero", "exclude-negative", "levels-zero",
@@ -724,7 +744,7 @@ def test_trace_errors_name_the_format_and_the_missing_block(tmp_path, capsys):
     assert run_cli(*ANALYZE, "--trace", trace) == 3
     assert "lacks the run's inputs and projection weights" in capsys.readouterr().err
     header, rest = trace.read_bytes().split(b"\n", 1)
-    for format in (5, 7):
+    for format in (5, 7, 8):
         trace.write_bytes(json.dumps({**json.loads(header), "format": format}).encode()
                           + b"\n" + rest)
         assert run_cli("map", "--trace", trace) == 3

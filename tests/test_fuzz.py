@@ -1,6 +1,6 @@
 """Mutation fuzz of the CLI's input files.
 
-A small format-8 trace, a config file and a TKVW weight file are each
+A small format-9 trace, a config file and a TKVW weight file are each
 corrupted by dropping, retyping or replacing one JSON value, one line or
 one byte (of a trace: of its header line, of its evicted positions or of
 its block of inputs and weights), then handed to ``treekv.cli.main``
@@ -40,7 +40,7 @@ VALUES = st.one_of(
 )
 MODEL = ["--layers", "1", "--heads", "2", "--d-model", "8", "--d-head", "4"]
 RECORDS = 1  # the base trace's header line
-EVICTED = 8 * (12 - 4) * 2  # its int64 evictions: steps 5 to 12 of 1 x 2 streams
+EVICTED = 1 * (12 - 4) * 2  # its uint8 evictions (T <= 256): steps 5-12, 1 x 2 streams
 
 
 def _run(*args) -> int:

@@ -7,7 +7,9 @@ from treekv import (
     POLICY_SPECS,
     DecodeTrace,
     InputError,
+    InvariantViolation,
     ModelDims,
+    ModelWeights,
     StreamBatch,
     decode_with_policy,
     distribution_map,
@@ -21,7 +23,8 @@ from treekv import (
     write_trace,
 )
 from treekv.engine import project, stacked_weights
-from treekv.trace import held_projections
+from treekv.cli import main
+from treekv.trace import held_projections, position_dtype
 
 from helpers import evictions
 from oracles import oracle_retained_at
@@ -61,7 +64,7 @@ def test_decode_records_references_to_its_inputs_and_weights():
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
-    # 14 steps at c=5: a header, the int64 evictions of steps 6 to 14 (none
+    # 14 steps at c=5: a header, the uint8 evictions of steps 6 to 14 (none
     # under full), then the block the queries, keys and values come from:
     # the inputs, then the weights
     path = tmp_path / "t.jsonl"
@@ -73,9 +76,10 @@ def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
         rest = path.read_bytes().split(b"\n", 1)[1]
         rows = 0 if spec == "full" else 14 - 5
         assert trace.evicted.shape == (rows, 1, 2)
-        assert rest[: 8 * rows * 2] == trace.evicted.astype("<i8").tobytes()
-        block = rest[8 * rows * 2 :]
+        assert rest[: rows * 2] == trace.evicted.astype("u1").tobytes()
+        block = rest[rows * 2 :]
         loaded = read_trace(str(path))
+        assert loaded.evicted.dtype == np.int64
         assert np.array_equal(loaded.evicted, trace.evicted)
         if detail:
             assert trace.inputs.shape == (14, 8) and trace.weights.shape == (1, 2, 3, 8, 4)
@@ -87,6 +91,81 @@ def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
         else:
             assert trace.inputs is None and trace.weights is None and block == b""
             assert loaded.inputs is None and loaded.weights is None
+
+
+def test_position_width_is_the_narrowest_that_holds_the_last_position():
+    widths = {0: "u1", 1: "u1", 256: "u1", 257: "<u2", 65536: "<u2", 65537: "<u4",
+              2**32: "<u4", 2**32 + 1: "<u8", 2**64: "<u8"}
+    for seq_len, dtype in widths.items():
+        assert position_dtype(seq_len) == np.dtype(dtype), seq_len
+    with pytest.raises(InputError, match="past 64 bits"):
+        position_dtype(2**64 + 1)
+
+
+@pytest.mark.parametrize("seq_len, dtype, other", [(256, "u1", "<u2"), (257, "<u2", "u1")])
+def test_positions_roundtrip_at_the_width_boundary(tmp_path, capsys, seq_len, dtype, other):
+    # One h2o stream at c=2 that evicts each step's own input: the last row
+    # holds seq_len - 1, the largest position of the trace and, at 256, of
+    # its width.
+    trace = DecodeTrace("h2o", 2, "sink=0,recent=0", seq_len, ModelDims(1, 1, 1, 1), 0)
+    trace.evicted = np.arange(2, seq_len).reshape(-1, 1, 1)
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    header, rest = path.read_bytes().split(b"\n", 1)
+    assert rest == trace.evicted.astype(dtype).tobytes()
+    loaded = read_trace(str(path))
+    assert loaded.evicted.dtype == np.int64 and loaded.evicted[-1, 0, 0] == seq_len - 1
+    assert np.array_equal(loaded.evicted, trace.evicted)
+    assert loaded.retained.tolist() == [[[0, 1]]]
+    # a position that the width would wrap is not written
+    for position in (-1, seq_len):
+        trace.evicted[-1] = position
+        with pytest.raises(InvariantViolation, match="evicted positions outside"):
+            write_trace(trace, str(tmp_path / "bad.jsonl"))
+    assert not (tmp_path / "bad.jsonl").exists()
+    trace.evicted[-1] = seq_len - 1
+    # the same rows at the other width are refused by their size
+    path.write_bytes(header + b"\n" + trace.evicted.astype(other).tobytes())
+    assert main(["map", "--trace", str(path), "-o", str(tmp_path / "m.csv")]) == 3
+    assert "bytes after its header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seq_len", [200, 300])  # a uint8 and a uint16 block
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_a_full_trace_redecodes_to_its_own_evictions(tmp_path, spec, seq_len):
+    weights = generate_weights(5, ModelDims(1, 2, 8, 4))
+    trace = decode_with_policy(weights, synthesize_embeddings(6, seq_len, 8), spec, 24,
+                               "sink=2,recent=4")
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    width = position_dtype(seq_len).itemsize
+    assert width == (1 if seq_len <= 256 else 2)
+    blocks = 8 * seq_len * 8 + 4 * weights.qkv.size
+    assert len(path.read_bytes().split(b"\n", 1)[1]) == width * trace.evicted.size + blocks
+    loaded = read_trace(str(path))
+    model = ModelWeights(loaded.dims, loaded.model_seed, loaded.weights)
+    again = decode_with_policy(model, loaded.inputs, loaded.policy, loaded.capacity, loaded.zones)
+    assert again.evicted.shape == loaded.evicted.shape == (
+        (0, 1, 2) if spec == "full" else (seq_len - 24, 1, 2))
+    assert np.array_equal(again.evicted, loaded.evicted)
+    assert np.array_equal(again.retained, loaded.retained)
+
+
+@pytest.mark.parametrize("spec", ["streaming", "treekv-left"])
+def test_the_header_fixes_the_victims_of_a_policy_that_reads_nothing(spec):
+    trace = _run(policy=spec, capacity=5, seq_len=20, heads=3, zones="sink=1,recent=1")
+    assert validate_trace(trace).shape == (1, 3, 5)
+    # stream (0, 2) evicts at steps 10 and 11 what the policy evicts at 11
+    # and 10: each still a position the stream holds then
+    first, second = trace.evicted[10 - 6 : 12 - 6, 0, 2].tolist()  # row 0 is step 6
+    trace.evicted[10 - 6 : 12 - 6, 0, 2] = second, first
+    assert retained_at(trace, trace.seq_len).shape == (1, 3, 5)
+    with pytest.raises(InputError, match=rf"^step 10: {spec} evicts position {first}, not "
+                                         rf"{second}, in stream \(0, 2\)$"):
+        validate_trace(trace)
+    # a policy that reads attention could have evicted either
+    trace.policy = "h2o"
+    validate_trace(trace)
 
 
 def test_trace_replay_detects_tampering(tmp_path):
@@ -163,11 +242,11 @@ def test_retained_at_rejects_a_bad_eviction_as_the_oracle_does(cells):
 
 
 def test_trace_rejects_truncation(tmp_path):
-    trace = _run()  # 9 rows of evictions, 144 bytes
+    trace = _run()  # 9 rows of evictions, 18 bytes
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
     header, rest = path.read_bytes().split(b"\n", 1)
-    for cut in (rest[:8], rest[:136], rest[:-1], b""):  # b"": the header line alone
+    for cut in (rest[:1], rest[:17], rest[:-1], b""):  # b"": the header line alone
         path.write_bytes(header + b"\n" + cut)
         with pytest.raises(InputError, match="bytes after its header"):
             read_trace(str(path))
@@ -298,22 +377,23 @@ def test_held_projections_are_bitwise_what_decode_projected(tmp_path):
 
 def _edited_trace(tmp_path, edit):
     """A light 1x2 treekv trace of 8 steps at c=5, whose evictions, a (3, 2)
-    int64 array for steps 6 to 8, ``edit`` maps to the bytes written in
+    uint8 array for steps 6 to 8, ``edit`` maps to the bytes written in
     their place."""
     trace = _run(capacity=5, seq_len=8)
     trace.inputs = trace.weights = None
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
     header, rest = path.read_bytes().split(b"\n", 1)
-    evicted = np.frombuffer(rest, "<i8").reshape(3, 2).copy()
+    evicted = np.frombuffer(rest, "u1").reshape(3, 2).copy()
     path.write_bytes(header + b"\n" + edit(evicted))
     return path
 
 
-def _last_row(position, stream=0):
-    """An edit that writes ``position`` into the last step's row."""
+def _last_row(position, stream=0, row=-1):
+    """An edit that writes ``position`` into the last step's row (or into
+    ``row``)."""
     def edit(evicted):
-        evicted[-1, stream] = position
+        evicted[row, stream] = position
         return evicted.tobytes()
     return edit
 
@@ -321,13 +401,15 @@ def _last_row(position, stream=0):
 @pytest.mark.parametrize(
     "event",
     [
-        {"edit": lambda evicted: evicted.tobytes()[:-8]},  # one stream's eviction short
-        {"edit": lambda evicted: evicted.tobytes() + bytes(8)},  # one stream too many
+        {"edit": lambda evicted: evicted.tobytes()[:-1]},  # one stream's eviction short
+        {"edit": lambda evicted: evicted.tobytes() + bytes(1)},  # one stream too many
         {"edit": lambda evicted: evicted.tobytes() + evicted[-1].tobytes()},  # a step 9
         {"edit": _last_row(8)},  # the position of step 9
-        {"edit": _last_row(-1)},
-        {"edit": _last_row(np.float64(1.0).view(np.int64), stream=1)},  # a float's bits
-        {"edit": _last_row(2**63 - 1, stream=1)},
+        # the largest uint8, a future position, where an int64 block was
+        # edited to hold -1, a float's bits and 2**63 - 1
+        {"edit": _last_row(255)},
+        {"edit": _last_row(255, stream=1)},
+        {"edit": _last_row(255, stream=1, row=0)},
         {"edit": lambda evicted: np.repeat(evicted[:1], 3, axis=0).tobytes()},  # repeated
     ],
 )
@@ -340,15 +422,15 @@ def test_trace_rejects_events_outside_the_streams_and_steps(tmp_path, event):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        pytest.param({8: [-1, 0], 7: [0, 7]},
+        pytest.param({8: [255, 0], 7: [0, 7]},
                      r"step 7: eviction of position 7 not present in stream \(0, 1\)",
                      id="future-position"),
         pytest.param({6: [0, 6], 8: [9, 0]},
                      r"step 6: eviction of position 6 not present in stream \(0, 1\)",
                      id="position-of-the-next-step"),
-        pytest.param({8: [0, 99], 7: [-1, 0]},
-                     r"step 7: eviction of position -1 not present in stream \(0, 0\)",
-                     id="negative"),
+        pytest.param({8: [0, 99], 7: [255, 0]},
+                     r"step 7: eviction of position 255 not present in stream \(0, 0\)",
+                     id="width-max"),
     ],
 )
 def test_read_trace_names_the_first_bad_evicted_grid(tmp_path, rows, message):
