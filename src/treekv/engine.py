@@ -24,13 +24,14 @@ blocks, bitwise the per-pair formula.
 ``StreamBatch`` is the only stream state, and the module keeps none of
 its own: each batch builds the rotary rows of its own slots, and
 ``slot_rows`` and ``rotate_vector`` build the rows they use.  A batch holds
-every stream's positions as stacked arrays and, only as far as its reader
-reads them (``STATISTICS``), its keys (slot-major) and importance
+every stream's positions and keys (slot-major) as stacked arrays and, only
+as far as its reader reads them (``STATISTICS``), its importance
 statistics, and steps them together, with each stream's floating-point
 operations exactly those of a lone stream (the per-stream definition the
-tests compare against lives in ``tests/oracles.py``).  A batch whose reader reads nothing holds
-positions only and attends nothing.  Decode and prompt prefill (over an
-unbounded cache, ``prefill.window_mass``) step inputs only through
+tests compare against lives in ``tests/oracles.py``).  Every batch
+attends: a policy that reads nothing decodes with no batch
+(``EvictionPolicy.replay``).  Decode and prompt prefill (over an unbounded
+cache, ``prefill.window_mass``) step inputs only through
 ``StreamBatch.steps``, which projects and rotates a chunk at a time.
 
 Weight file format (version 2)
@@ -310,16 +311,15 @@ class StreamBatch:
     Every stream reads the same inputs and appends one slot per input, and
     every eviction removes exactly one slot from each stream, so all streams
     hold the same number of slots ``n``.  Per stream and slot it keeps the
-    original position (the i-th input the batch was given has position i)
-    and, only as its reader needs them, the key and the importance
-    statistics: cumulative attention mass ``scores`` (S) and residency count
-    ``counts`` (C), each (S, slots).  ``reads``, given at construction,
-    names what the reader reads (of ``STATISTICS``): the batch keeps
-    ``scores`` and ``counts`` only if they are named, and keys, ``encoded``
-    and ``rope`` only if anything is, since then it attends.  An array it
-    does not keep is None, and ``_store``, ``_step_one`` and ``remove``
-    store, accumulate and shift only the kept ones.  Only ``[:, :n]`` is
-    live.  It holds no values: its callers read only the attention rows.
+    original position (the i-th input the batch was given has position i),
+    the key and, only as its reader needs them, the importance statistics:
+    cumulative attention mass ``scores`` (S) and residency count ``counts``
+    (C), each (S, slots).  ``reads``, given at construction, names what the
+    reader reads (of ``STATISTICS``): the batch keeps ``scores`` and
+    ``counts`` only if they are named.  A statistic it does not keep is
+    None, and ``_store``, ``_step_one`` and ``remove`` store, accumulate and
+    shift only the kept ones.  Only ``[:, :n]`` is live.  It holds no
+    values: its callers read only the attention rows.
 
     Keys are stored raw and attended rotated at their slot index 0..n-1, so
     each stream computes exactly what a lone stream with its own cache
@@ -344,12 +344,10 @@ class StreamBatch:
         shape = (self.streams, max(slots, 1))
         self.every = np.arange(self.streams)
         self.positions = np.zeros(shape, dtype=np.int64)
-        self.keys = self.encoded = self.rope = self.slot_keys = None
-        if reads:
-            # raw and encoded keys, slot-major, as one allocation
-            self.slot_keys = np.zeros((2, shape[1], self.streams, dims.d_head))
-            self.keys, self.encoded = self.slot_keys.swapaxes(1, 2)
-            self.rope = _lanes(dims.d_head, np.arange(shape[1]))[:, :, None]  # per slot
+        # raw and encoded keys, slot-major, as one allocation
+        self.slot_keys = np.zeros((2, shape[1], self.streams, dims.d_head))
+        self.keys, self.encoded = self.slot_keys.swapaxes(1, 2)
+        self.rope = _lanes(dims.d_head, np.arange(shape[1]))[:, :, None]  # per slot
         self.scores = np.zeros(shape) if "scores" in reads else None
         self.counts = np.zeros(shape, dtype=np.int64) if "counts" in reads else None
         self.shifted = tuple(array for array in (self.positions, self.keys, self.scores,
@@ -358,54 +356,45 @@ class StreamBatch:
         self.fresh = 0
         self.appended = 0  # inputs given so far: the next original position
 
-    def _store(self, m: int, keys: np.ndarray | None = None) -> None:
+    def _store(self, keys: np.ndarray) -> None:
         """Store m inputs in the next m slots at the next m original
-        positions, with their keys (m, S, d_head) if the batch keeps keys
-        and zeroed statistics."""
+        positions, with their keys (m, S, d_head) and zeroed statistics."""
+        m = len(keys)
         n = self.n
         if n + m > self.positions.shape[1]:
             raise StateError(f"stream batch of {self.positions.shape[1]} slots is full at {n}")
         end = self.n = n + m
         self.positions[:, n:end] = np.arange(self.appended, self.appended + m)
         self.appended += m
-        if self.keys is not None:
-            self.slot_keys[0, n:end] = keys
+        self.slot_keys[0, n:end] = keys
         if self.scores is not None:
             self.scores[:, n:end] = 0.0
         if self.counts is not None:
             self.counts[:, n:end] = 0
 
     def append(self, xs: np.ndarray) -> None:
-        """Append m inputs xs (m, d_model) to every stream, projecting their
-        keys, so that a key past float64 is an input error, and storing them
-        if the batch keeps keys.  Nothing is attended or rotated, so
-        ``fresh`` stays as it was."""
-        self._store(len(xs), project(xs[:, None, :], self.wk))
+        """Append m inputs xs (m, d_model) to every stream, projecting and
+        storing their keys, so that a key past float64 is an input error.
+        Nothing is attended or rotated, so ``fresh`` stays as it was."""
+        self._store(project(xs[:, None, :], self.wk))
 
     def steps(self, xs: np.ndarray):
         """Append inputs xs (T, d_model) one at a time, yielding after each
-        its attention rows (S, n), a fresh array, or None from a batch that
-        attends nothing (it projects each chunk's keys only to check them).
-        A chunk of ``CHUNK_ROWS`` inputs is projected at once, each input its
-        own product, and each query and key rotated at the slot its input
-        takes, ``min(n, last slot)``: between inputs the caller may evict one
-        slot from a full batch, and nothing else."""
+        its attention rows (S, n), a fresh array.  A chunk of ``CHUNK_ROWS``
+        inputs is projected at once, each input its own product, and each
+        query and key rotated at the slot its input takes, ``min(n, last
+        slot)``: between inputs the caller may evict one slot from a full
+        batch, and nothing else."""
         last = self.positions.shape[1] - 1
         for start in range(0, len(xs), CHUNK_ROWS):
             chunk = xs[start : start + CHUNK_ROWS, None, :]
-            if self.keys is None:
-                project(chunk, self.wk)
-                for _ in chunk:
-                    self._store(1)
-                    yield None
-                continue
             slots = np.minimum(np.arange(self.n, self.n + len(chunk)), last)
             raw = project(chunk[:, None], self.stack)  # (m, 2, S, d_head): queries, keys
             rotated = _rotate(raw, *self.rope[:, slots, None])
             for index, slot in enumerate(slots.tolist()):
                 yield self._step_one(raw[index, 1], rotated[index], slot)
 
-    def step(self, x: np.ndarray) -> np.ndarray | None:
+    def step(self, x: np.ndarray) -> np.ndarray:
         """Append one input x (d_model) and attend it: ``steps`` of one input."""
         return next(self.steps(x[None]))
 
@@ -416,7 +405,7 @@ class StreamBatch:
         eviction shifted, ``[fresh, slot)``, are encoded again, as one block.
         The rows are added to the statistics kept (S += row, C += 1) and
         returned, (S, n)."""
-        self._store(1, key[None])
+        self._store(key[None])
         n = self.n
         if n - 1 != slot:
             raise StateError(f"input stored at slot {n - 1} was rotated at slot {slot}")
@@ -453,7 +442,7 @@ class StreamBatch:
                 array[:, lo:hi] = array[self.every[:, None], source]
         for array in self.shifted:
             array[:, hi : n - 1] = array[:, hi + 1 : n]
-        if self.rope is not None and self.rope.shape[2] < self.streams:
+        if self.rope.shape[2] < self.streams:
             self.rope = np.repeat(self.rope, self.streams, axis=2)
         self.n = n - 1
         self.fresh = min(self.fresh, lo)

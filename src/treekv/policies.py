@@ -17,19 +17,16 @@ cumulative attention mass ``scores`` (S), residency count ``counts`` (C)
 and the last attention ``rows``: the tree rule reads S and C, H2O reads S,
 TOVA reads the rows, and the sliding window and select-left read none and
 choose from slot indices alone.
-``EvictionPolicy.evict`` is the one place that removes slots from a
-``StreamBatch``: it hands the selector exactly the statistics the policy
-reads, taken from the batch, and removes the victims from it, so positions
-and every array the batch keeps stay parallel.  The decode loop builds its
-batch to keep only what the policy reads, so a policy that reads nothing
-decodes with no attention and holds only positions.  It runs every (layer,
-head) stream at once with one policy instance.  Once the cache is full, a
-bounded policy evicts at every step, so the steps that evict
-(``eviction_count``) and each tree cursor follow from the policy and the
-run's length: a trace records only the evicted positions.  Block-level prefill
-(``treekv_prefill_compress``) replays the same tree selector over block
-indices with no batch: it calls ``select``, masks the victims out of its
-own ``held`` array and calls ``advance`` itself.
+``EvictionPolicy.evict`` removes the victims from a ``StreamBatch`` that
+keeps exactly the statistics the policy reads, every (layer, head) stream
+at once with one policy instance.  ``EvictionPolicy.replay`` runs the same
+select, drop and advance cycle over held indices with no batch: prefill
+(``treekv_prefill_compress``) over block indices with fixed scores, and a
+policy that reads nothing over one stream's positions, in decode and in
+``validate_trace``.  Once the cache is full, a bounded policy evicts at
+every step, so the steps that evict (``eviction_count``) and each tree
+cursor follow from the policy and the run's length: a trace records only
+the evicted positions.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModelWeights, StreamBatch
+from .engine import CHUNK_ROWS, ModelWeights, StreamBatch, project, stacked_weights
 from .errors import (
     ConfigError,
     DimensionError,
@@ -101,10 +98,11 @@ def _averaged(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 class EvictionPolicy:
     """Contract: when the streams hold capacity + 1 slots, ``select`` names
-    one victim slot per stream without changing anything; ``evict`` removes
-    the victims and then calls ``advance``.  The evictable slots ``lo`` to
-    ``hi - 1``, those between the sink and recent zones, are fixed when the
-    policy is built; ``full`` has no capacity and is never asked to evict.
+    one victim slot per stream without changing anything; ``evict`` and
+    ``replay`` remove the victims and then call ``advance``.  The evictable
+    slots ``lo`` to ``hi - 1``, those between the sink and recent zones, are
+    fixed when the policy is built; ``full`` has no capacity and is never
+    asked to evict.
 
     One instance serves every stream of a run: all streams hold the same
     number of slots and evict in lockstep, so a tree cursor is shared.
@@ -148,10 +146,8 @@ class EvictionPolicy:
 
     def evict(self, batch: StreamBatch, rows) -> np.ndarray:
         """Evict one slot per stream from a batch one over capacity,
-        ``rows`` being the attention rows of the step that filled it (None
-        if that step attended nothing, which only a policy that reads no
-        attention allows).  Returns the removed slots' original positions,
-        one per stream.
+        ``rows`` being the attention rows of the step that filled it.
+        Returns the removed slots' original positions, one per stream.
         """
         n = batch.n
         if n != self.capacity + 1:
@@ -164,6 +160,26 @@ class EvictionPolicy:
         evicted = batch.remove(self.select((batch.streams, n), **stats))
         self.advance()
         return evicted
+
+    def replay(self, held: np.ndarray, arrivals, scores=None) -> np.ndarray:
+        """``evict`` over held indices (streams, capacity + 1) instead of a
+        batch: each of the sequence ``arrivals`` fills the free last column,
+        ``select`` reads fixed ``scores`` (streams, indices) gathered at
+        ``held`` and counts of 1, and each victim is dropped, the survivors
+        kept in order.  Returns the dropped indices (arrivals, streams)."""
+        if len(arrivals) and held.shape[1] != self.capacity + 1:
+            raise StateError(f"eviction needs exactly {self.capacity + 1} held indices, "
+                             f"got {held.shape[1]}")
+        dropped = np.empty((len(arrivals), len(held)), dtype=held.dtype)
+        for row, arrival in enumerate(arrivals):
+            held[:, -1] = arrival
+            stats = {name: np.ones_like(held) if name == "counts"
+                     else np.take_along_axis(scores, held, 1) for name in self.reads}
+            for stream, victim in enumerate(self.select(held.shape, **stats).tolist()):
+                dropped[row, stream] = held[stream, victim]
+                held[stream, victim:-1] = held[stream, victim + 1 :]
+            self.advance()
+        return dropped
 
 
 class FullAttention(EvictionPolicy):
@@ -267,13 +283,15 @@ def decode_with_policy(
     Per step (``StreamBatch.steps``): append, attend with re-assigned
     positions and accumulate the statistics the policy reads in every
     stream, then, if the streams are over capacity, evict one slot per
-    stream.  Nothing in the loop reads a value.  The batch keeps only what
-    the policy ``reads``; under one that reads nothing (``full``,
-    ``streaming``, ``treekv-left``) it only checks each chunk's keys.
-    Returns the trace: the evicted grid of every step past the capacity
-    (none under ``full``), the final retained positions and references to
-    the (C-contiguous) inputs and the weights, from which every step's
-    attention rows, values and outputs follow (``trace.signals_at_step``).
+    stream.  Nothing in the loop reads a value, and the batch keeps only
+    the statistics the policy ``reads``.  A policy that reads nothing
+    (``full``, ``streaming``, ``treekv-left``) builds no batch: it projects
+    each chunk's keys only to check them, and every stream evicts what
+    ``replay`` over one stream's positions evicts.  Returns the trace: the
+    evicted grid of every step past the capacity (none under ``full``),
+    the final retained positions and references to the (C-contiguous)
+    inputs and the weights, from which every step's attention rows, values
+    and outputs follow (``trace.signals_at_step``).
     """
     dims = weights.dims
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
@@ -284,24 +302,33 @@ def decode_with_policy(
     seq_len = inputs.shape[0]
     zones = ProtectedZones.coerce(zones)
     policy = make_policy(policy_spec, capacity, zones)
-    bound = policy.capacity  # None: the cache is unbounded
-    batch = StreamBatch(weights, seq_len if bound is None else min(seq_len, bound + 1),
-                        policy.reads)
-    grid = (dims.layers, dims.heads)  # stream s = layer * heads + head
-    evicted = np.empty((policy.eviction_count(seq_len), batch.streams), dtype=np.int64)
-    trace = DecodeTrace(
+    streams = dims.layers * dims.heads  # stream s = layer * heads + head
+    if not policy.reads:
+        wk = stacked_weights(weights.qkv[:, :, 1:2])[0]
+        for start in range(0, seq_len, CHUNK_ROWS):
+            project(inputs[start : start + CHUNK_ROWS, None], wk)
+        kept = seq_len - policy.eviction_count(seq_len)
+        held = np.arange(kept + 1)[None]  # one stream's positions
+        evicted = policy.replay(held, range(kept, seq_len)).repeat(streams, axis=1)
+        retained = held[:, :kept].repeat(streams, axis=0)
+    else:
+        bound = policy.capacity
+        batch = StreamBatch(weights, min(seq_len, bound + 1), policy.reads)
+        evicted = np.empty((policy.eviction_count(seq_len), streams), dtype=np.int64)
+        for step, rows in enumerate(batch.steps(inputs), 1):
+            if batch.n > bound:
+                evicted[step - bound - 1] = policy.evict(batch, rows)  # row 0 is step bound + 1
+        retained = batch.positions[:, : batch.n]
+    grid = (dims.layers, dims.heads)
+    return DecodeTrace(
         policy=policy_spec,
         capacity=capacity,
         zones=str(zones),
         seq_len=seq_len,
         dims=dims,
         model_seed=weights.seed,
+        evicted=evicted.reshape(-1, *grid),
+        retained=retained.reshape(*grid, -1),
         inputs=inputs,
         weights=weights.qkv,
     )
-    for step, rows in enumerate(batch.steps(inputs), 1):
-        if bound is not None and batch.n > bound:
-            evicted[step - bound - 1] = policy.evict(batch, rows)  # row 0 is step bound + 1
-    trace.evicted = evicted.reshape(-1, *grid)
-    trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
-    return trace

@@ -5,9 +5,9 @@ observation window whose queries score every earlier token, on the same
 ``StreamBatch`` that decoding steps.  Block scores are the mean attention
 received per token, averaged over the block.  The decode-time tree cycle is
 then replayed over the content blocks with those precomputed scores held
-fixed, which makes the whole pass a deterministic function of (partition,
-scores, budget).  The observation window is always retained and never
-counts against the block budget.
+fixed (``EvictionPolicy.replay``), which makes the whole pass a
+deterministic function of (partition, scores, budget).  The observation
+window is always retained and never counts against the block budget.
 """
 
 from __future__ import annotations
@@ -96,10 +96,11 @@ def treekv_prefill_compress(
     ``cache_blocks``, then each further block triggers one decision of the
     decode-time tree selector (lower score of the adjacent pair under the
     cursor goes, ties to the left) and a cyclic cursor advance, one cursor
-    for all streams.  Scores are never refreshed, so every count is 1 and
-    the averaged score is the block score itself.  Returns the retained
-    block indices in prompt order, ending with the observation window, as
-    nested lists (..., kept); 1-D scores give one list of ints.
+    for all streams (``TreeKV.replay``).  Scores are never refreshed, so
+    every count is 1 and the averaged score is the block score itself.
+    Returns the retained block indices in prompt order, ending with the
+    observation window, as nested lists (..., kept); 1-D scores give one
+    list of ints.
     """
     scores = np.asarray(scores, dtype=np.float64)
     blocks = len(partition.blocks)
@@ -109,15 +110,8 @@ def treekv_prefill_compress(
         raise ConfigError(f"block budget must be >= 2, got {cache_blocks}")
     window_index = blocks - 1
     flat = scores.reshape(-1, blocks)
-    policy = TreeKV(cache_blocks)
     kept = min(cache_blocks, window_index)
     held = np.tile(np.arange(kept + 1), (len(flat), 1))  # last column: the arrival
-    counts = np.ones(held.shape, dtype=np.int64)
-    for block in range(kept, window_index):
-        held[:, -1] = block
-        victims = policy.select(held.shape, scores=np.take_along_axis(flat, held, axis=1),
-                                counts=counts)
-        held[:, :-1] = held[np.arange(kept + 1) != victims[:, None]].reshape(-1, kept)
-        policy.advance()
+    TreeKV(cache_blocks).replay(held, range(kept, window_index), flat)
     held[:, -1] = window_index
     return held.reshape(scores.shape[:-1] + (kept + 1,)).tolist()

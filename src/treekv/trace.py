@@ -13,7 +13,8 @@ that of a fresh ``make_policy(...)`` advanced once per eviction before it,
 and replaying the evictions gives the retained set after any step.  A
 policy that reads no statistics (``streaming``, ``treekv-left``) chooses
 from slot indices and the cursor alone, so the header fixes its victims
-too."""
+too: ``validate_trace`` replays them (``EvictionPolicy.replay``) as decode
+does."""
 
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (ModelDims, ModelWeights, StreamBatch, atomic_output, project, slot_rows,
-                     stacked_weights, write_array)
+from .engine import ModelDims, atomic_output, project, slot_rows, stacked_weights, write_array
 from .errors import ConfigError, InputError, InvariantViolation
 
 TRACE_FORMAT = 9
@@ -134,22 +134,6 @@ def _header_policy(trace: DecodeTrace):
         raise InputError(f"trace header: {exc}") from None
 
 
-# One stream of any model: a batch that attends nothing projects each key
-# only to check it, so its weights do not matter.
-_ONE_STREAM = ModelWeights(ModelDims(1, 1, 1, 1), 0, np.zeros((1, 1, 3, 1, 1), np.float32))
-
-
-def _index_victims(policy, count: int) -> np.ndarray:
-    """The original positions that ``policy``, one that reads nothing and so
-    chooses from slot indices and its cursor alone, evicts at the first
-    ``count`` evicting steps of every stream: decode's loop and
-    ``EvictionPolicy.evict`` over one positions-only stream."""
-    batch = StreamBatch(_ONE_STREAM, policy.capacity + 1, policy.reads)
-    batch.append(np.zeros((policy.capacity, 1)))  # steps 1 to capacity evict nothing
-    victims = [policy.evict(batch, rows) for rows in batch.steps(np.zeros((count, 1)))]
-    return np.concatenate(victims)
-
-
 def read_trace(path: str) -> DecodeTrace:
     """Read a trace: the header line, then the rest of the file, which is
     either the block of evictions alone or that block followed by the one
@@ -224,8 +208,9 @@ def validate_trace(trace: DecodeTrace) -> np.ndarray:
     and zones build a policy by decode's rules, the evictions are one
     (layers, heads) grid per step that policy evicts at, each names a
     position its stream holds then (``retained_at``), and under a policy
-    that reads nothing each is the one that policy evicts
-    (``_index_victims``).  Raises InputError on any inconsistency.
+    that reads nothing each is the one that policy evicts, which it
+    replays over one stream's positions (``EvictionPolicy.replay``), as
+    decode does.  Raises InputError on any inconsistency.
     ``read_trace`` calls it on every trace it reads; a trace built in
     memory can be checked with it directly."""
     policy = _header_policy(trace)
@@ -235,11 +220,12 @@ def validate_trace(trace: DecodeTrace) -> np.ndarray:
                          f"{trace.policy} at c={trace.capacity} over {trace.seq_len} steps "
                          f"evicts {rows}")
     # first: its (streams, seq_len) mask outweighs the replay's one stream of
-    # capacity + 1 slots, so the replay adds no unbacked allocation
+    # capacity + 1 slots and E victims, so the replay adds no unbacked allocation
     retained = retained_at(trace, trace.seq_len)
     if rows[0] and not policy.reads:  # one replay row per row the trace holds
         evicted = trace.evicted.reshape(rows[0], -1)
-        victims = _index_victims(policy, rows[0])
+        held = np.arange(policy.capacity + 1)[None]
+        victims = policy.replay(held, range(policy.capacity, trace.seq_len))[:, 0]
         wrong = evicted != victims[:, None]
         if wrong.any():
             row, stream = divmod(int(wrong.argmax()), evicted.shape[1])

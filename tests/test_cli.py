@@ -869,3 +869,15 @@ def test_readme_names_the_current_file_formats():
     assert f"**Weight file** (`TKVW`, version {_FORMAT_VERSION}," in readme
     assert f"**Trace file** (format {TRACE_FORMAT})" in readme
     assert f'{{"kind":"header","format":{TRACE_FORMAT},' in readme
+
+
+def test_readme_library_sketch_runs():
+    # The sketch is executed as written, so a renamed function or an
+    # undefined name in it fails here instead of in a reader's session.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    scope = {}
+    exec(blocks[0].split("```")[0], scope)
+    assert scope["detail"].shape == scope["signals"].shape == (2, 4, 16, 129)
+    assert scope["held"].shape == (2, 4, 128)

@@ -353,6 +353,7 @@ def test_append_respects_capacity_headroom():
         batch.step(xs[3])
 
 
+# "keyless" is a batch that keeps no statistics; it still holds keys and attends.
 @pytest.mark.parametrize("reads", [STATISTICS, ()], ids=["attending", "keyless"])
 def test_stepping_a_full_batch_without_evicting_is_refused(reads):
     weights = generate_weights(5, ModelDims(1, 2, 6, 4))
@@ -379,24 +380,33 @@ def test_steps_refuse_an_input_that_misses_its_rotated_slot():
         next(stepped)
 
 
-@pytest.mark.parametrize("count", [1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
-@pytest.mark.parametrize("reads", [STATISTICS, ()], ids=["attending", "keyless"])
-def test_steps_project_every_input_a_chunk_at_a_time(count, reads, monkeypatch):
-    # A chunk of inputs is projected in one call, so a batch that keeps no
-    # keys still checks each of them, holding at most one chunk of keys,
-    # never all T; a key past float64 fails when its chunk is projected.
-    xs = synthesize_embeddings(7, count, 6)
-    weights = generate_weights(7, ModelDims(1, 2, 6, 4))
+def _recorded_chunks(monkeypatch, module):
+    """A list that collects the row count of every input chunk ``module``
+    projects from now on, the failing chunk included."""
     chunks = []
 
     def recording_project(x, matrices):
         chunks.append(len(x))
         return project(x, matrices)
 
-    monkeypatch.setattr("treekv.engine.project", recording_project)
+    monkeypatch.setattr(f"{module}.project", recording_project)
+    return chunks
+
+
+CHUNK_COUNTS = [1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3]
+
+
+@pytest.mark.parametrize("count", CHUNK_COUNTS)
+@pytest.mark.parametrize("reads", [STATISTICS], ids=["attending"])
+def test_steps_project_every_input_a_chunk_at_a_time(count, reads, monkeypatch):
+    # A chunk of inputs is projected in one call, holding at most one chunk
+    # of keys, never all T; a key past float64 fails when its chunk is
+    # projected.
+    xs = synthesize_embeddings(7, count, 6)
+    weights = generate_weights(7, ModelDims(1, 2, 6, 4))
+    chunks = _recorded_chunks(monkeypatch, "treekv.engine")
     batch = StreamBatch(weights, slots=count, reads=reads)
-    assert (batch.keys is None) == (not reads)
-    assert [rows is None for rows in batch.steps(xs)] == [not reads] * count
+    assert [rows.shape for rows in batch.steps(xs)] == [(2, n) for n in range(1, count + 1)]
     assert sum(chunks) == count and max(chunks) <= CHUNK_ROWS
     assert batch.n == count
     for row in (0, count - 1):  # the first and the last chunk
@@ -407,6 +417,29 @@ def test_steps_project_every_input_a_chunk_at_a_time(count, reads, monkeypatch):
             for _ in batch.steps(bad):
                 pass
         assert batch.n == row - row % CHUNK_ROWS  # every earlier chunk was stepped
+
+
+@pytest.mark.parametrize("count", CHUNK_COUNTS)
+@pytest.mark.parametrize("spec", ["streaming", "full"])
+def test_a_policy_that_reads_nothing_checks_every_key_a_chunk_at_a_time(count, spec,
+                                                                       monkeypatch):
+    # Such a decode builds no batch but still projects every input's key,
+    # one chunk per call, only to check it, and a key past float64 fails
+    # when its chunk is projected, after every earlier chunk was.
+    xs = synthesize_embeddings(7, count, 6)
+    weights = generate_weights(7, ModelDims(1, 2, 6, 4))
+    chunks = _recorded_chunks(monkeypatch, "treekv.policies")
+    trace = decode_with_policy(weights, xs, spec, 4)
+    assert sum(chunks) == count and max(chunks) <= CHUNK_ROWS
+    assert trace.retained.shape == (1, 2, count if spec == "full" else min(count, 4))
+    for row in (0, count - 1):  # the first and the last chunk
+        bad = xs.copy()
+        bad[row] = 1.7e308
+        chunks.clear()
+        with pytest.raises(InputError, match="projections are not finite"):
+            decode_with_policy(weights, bad, spec, 4)
+        assert sum(chunks[:-1]) == row - row % CHUNK_ROWS  # every earlier chunk was checked
+        assert chunks[-1] == min(CHUNK_ROWS, count - row + row % CHUNK_ROWS)
 
 
 @pytest.mark.parametrize("dims", [ModelDims(2, 3, 8, 5), ModelDims(1, 2, 7, 3)])

@@ -11,7 +11,6 @@ from treekv import (
     TOVA,
     ConfigError,
     DimensionError,
-    EvictionPolicy,
     InvariantViolation,
     ModelDims,
     ModelWeights,
@@ -233,6 +232,41 @@ def test_select_left_spacing_in_decode_with_sinks():
     assert cases == 992
 
 
+# The horizon: with select-left, no zones and c a power of two, the span
+# T - oldest + 1 of the kept positions stays within 1.5 c ceil(log2 c), so
+# the tree reaches back O(c log c) tokens, not O(T).  Checked up to T = 24c
+# only, and not stated for other c, where the spacing property above
+# already fails.
+
+
+def test_select_left_horizon_is_c_log_c():
+    # 5842 cases: c in 2, 4, ..., 128, no zones, every step T from c + 1 to
+    # 24c of one 24c-step decode, whose one stream's evictions give the
+    # oldest kept position after each step
+    weights = generate_weights(0, ModelDims(1, 1, 2, 2))
+    cases = 0
+    for c in (2, 4, 8, 16, 32, 64, 128):
+        seq_len = 24 * c
+        trace = decode_with_policy(weights, synthesize_embeddings(0, seq_len, 2),
+                                   "treekv-left", c)
+        bound = 1.5 * c * math.ceil(math.log2(c))
+        gone = np.zeros(seq_len, dtype=bool)
+        oldest, spans = 0, {}
+        for step, position in enumerate(trace.evicted[:, 0, 0].tolist(), c + 1):
+            gone[position] = True
+            while gone[oldest]:
+                oldest += 1
+            spans[step] = step - oldest  # T - oldest + 1, oldest 1-based
+            assert spans[step] <= bound, (c, step)
+            cases += 1
+        # the widest span is c log2 c + 1, which meets the bound at c = 2
+        assert max(spans.values()) == c * int(math.log2(c)) + 1, c
+        for step in (c + 1, 5 * c + 3, seq_len):
+            kept, _ = oracle_tree_sim(c, step)
+            assert spans[step] == step - kept[0] + 1, (c, step)
+    assert cases == 5842
+
+
 # --- baselines ---------------------------------------------------------------
 
 
@@ -333,6 +367,33 @@ def test_evict_refuses_a_batch_not_one_over_capacity_before_removing(spec):
             make_policy(spec, c, ProtectedZones(1, 1)).evict(batch, np.ones((1, size)))
         assert batch.n == size
         assert batch.positions[0].tolist() == list(range(size))
+
+
+@pytest.mark.parametrize("spec", ["treekv", "treekv-left", "streaming", "h2o"])
+def test_replay_evicts_as_evict_does_over_fixed_scores(spec):
+    # Each arrival fills the last column, the victim is dropped with the
+    # survivors kept in order, and the cursor advances: the victims and the
+    # final set are those of ``evict`` on a batch whose slots hold the same
+    # fixed scores with counts of 1.
+    scores = np.random.default_rng(5).random(40)
+    for capacity, zones, policy in _fitting_policies(spec):
+        steps = list(drive_policy(policy, capacity, fixed_scores=scores))
+        held = np.arange(capacity + 1)[None]
+        replayed = make_policy(spec, capacity, zones).replay(held, range(capacity, 40),
+                                                             scores[None])
+        assert replayed.shape == (40 - capacity, 1)
+        assert replayed[:, 0].tolist() == [int(e[0][0]) for _, e in steps if e is not None]
+        assert held[0, :-1].tolist() == steps[-1][0].positions[0, :capacity].tolist()
+
+
+def test_replay_refuses_held_indices_not_one_over_capacity():
+    policy = StreamingLLM(4)
+    for width in (4, 6):
+        held = np.arange(width)[None]
+        with pytest.raises(StateError):
+            policy.replay(held, [9])
+        assert held.tolist() == [list(range(width))]
+    assert policy.replay(np.arange(4)[None], []).shape == (0, 1)  # nothing arrives
 
 
 # --- policy construction ------------------------------------------------------
@@ -560,25 +621,27 @@ def _recorded_batches(monkeypatch):
 
 
 ATTENDING = {"keys", "encoded", "rope"}
-DECODE_BATCH = {
-    "treekv": ATTENDING | {"scores", "counts"},
-    "h2o": ATTENDING | {"scores"},
-    "tova": ATTENDING,
-    "full": set(),
-    "streaming": set(),
-    "treekv-left": set(),
+DECODE_BATCHES = {
+    "treekv": [ATTENDING | {"scores", "counts"}],
+    "h2o": [ATTENDING | {"scores"}],
+    "tova": [ATTENDING],
+    # a policy that reads nothing replays positions with no batch
+    "full": [],
+    "streaming": [],
+    "treekv-left": [],
 }
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_a_decode_batch_holds_only_what_its_policy_reads(spec, monkeypatch):
     # Written out per policy rather than derived from ``reads``, so storing
-    # an array again, or declaring a statistic wrongly, fails here.
+    # an array again, building a batch for a policy that reads nothing, or
+    # declaring a statistic wrongly, fails here.
     built = _recorded_batches(monkeypatch)
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 12, 8)
     decode_with_policy(weights, inputs, spec, 6, "sink=1,recent=2")
-    assert [_held(batch) for batch in built] == [DECODE_BATCH[spec]]
+    assert [_held(batch) for batch in built] == DECODE_BATCHES[spec]
 
 
 def test_the_prefill_batch_keeps_scores_but_no_counts(monkeypatch):
@@ -590,24 +653,40 @@ def test_the_prefill_batch_keeps_scores_but_no_counts(monkeypatch):
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_the_header_fixes_every_evicting_step_and_cursor(spec, monkeypatch):
     # A trace stores neither steps nor cursors: the policy decode ran must
-    # evict at exactly the steps past the capacity, one trace row each, with
-    # the cursors a fresh policy of the header's spec gives (helpers.evictions).
-    used = []
-    evict = EvictionPolicy.evict
+    # select once per step past the capacity, one trace row each, at the
+    # cursors a fresh policy of the header's spec gives (helpers.evictions),
+    # and advance after each selection.  Spying on ``select`` and
+    # ``advance`` covers both ways decode evicts: ``evict`` from a batch and
+    # ``replay``.
+    calls = []
+    build = make_policy
 
-    def recording_evict(policy, batch, rows):
-        used.append((int(batch.positions[0, batch.n - 1]) + 1, policy.cursor))
-        return evict(policy, batch, rows)
+    def recording_make_policy(*args):
+        policy = build(*args)
+        select, advance = policy.select, policy.advance
 
-    monkeypatch.setattr(EvictionPolicy, "evict", recording_evict)
+        def recording_select(shape, **stats):
+            calls.append(("select", policy.cursor))
+            return select(shape, **stats)
+
+        def recording_advance():
+            calls.append(("advance", policy.cursor))
+            advance()
+
+        policy.select, policy.advance = recording_select, recording_advance
+        return policy
+
+    monkeypatch.setattr("treekv.policies.make_policy", recording_make_policy)
     weights = generate_weights(7, ModelDims(1, 2, 4, 2))
     inputs = synthesize_embeddings(8, 200, 4)
     for capacity, zones, _ in _fitting_policies(spec, capacities=(2, 5, 16, 250)):
-        used.clear()
+        calls.clear()
         trace = decode_with_policy(weights, inputs, spec, capacity, zones)
-        assert [(step, cursor) for step, _, cursor in evictions(trace)] == used
+        assert calls == [(call, cursor) for _, _, cursor in evictions(trace)
+                         for call in ("select", "advance")]
         bounded = spec != "full" and capacity < 200
-        assert [step for step, _ in used] == list(range(capacity + 1, 201) if bounded else [])
+        steps = [step for step, _, _ in evictions(trace)]
+        assert steps == list(range(capacity + 1, 201) if bounded else [])
 
 
 def test_decode_select_left_17_token_pattern():
