@@ -58,7 +58,9 @@ class RunConfig:
     exclude: int = 32
     step: int | None = None
     weights: str | None = None
-    trace_detail: str = "full"  # "full" records the inputs and weights, "light" neither
+    # "full" records the inputs and weights (the trace stores each that its
+    # seed does not regenerate bitwise), "light" neither
+    trace_detail: str = "full"
 
     def dims(self) -> ModelDims:
         if self.vocab != 0:

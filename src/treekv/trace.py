@@ -1,8 +1,9 @@
 """Decode traces: the evicted positions of a run, their serialization (one
 JSON header line, then one binary block of the evictions, each at the
-narrowest unsigned width that holds seq_len - 1, and, at full detail, one
-of the run's inputs and projection weights), eviction replay, and the
-per-position retention map.
+narrowest unsigned width that holds seq_len - 1, and, at full detail, the
+run's inputs and projection weights, each stored only if the header's seed
+cannot regenerate it bitwise), eviction replay, and the per-position
+retention map.
 
 Every stream of a run holds the same number of slots and evicts in
 lockstep, and a bounded policy evicts exactly once per step as soon as its
@@ -24,10 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModelDims, atomic_output, project, slot_rows, stacked_weights, write_array
+from .engine import (ModelDims, atomic_output, generate_weights, project, slot_rows,
+                     stacked_weights, synthesize_embeddings, write_array)
 from .errors import ConfigError, InputError, InvariantViolation
 
-TRACE_FORMAT = 9
+TRACE_FORMAT = 10
+# The blocks a full trace records, in file order, each with the type its
+# file holds it in.  The header names each one's source: "stored" (in the
+# file), "seed" (regenerated from the header's seeds) or null (a light trace).
+BLOCKS = {"inputs": "<f8", "weights": "<f4"}
 
 
 @dataclass
@@ -50,7 +56,8 @@ class DecodeTrace:
     # The run's (seq_len, d_model) float64 inputs and the model's float32
     # ``ModelWeights.qkv``, which every step's query, key and value follow
     # from (``held_projections``).  Decode references both; a light trace
-    # is one written (and so read) without them.
+    # is one written (and so read) without them.  A file omits either one
+    # that its seed regenerates, and ``read_trace`` regenerates it.
     inputs: np.ndarray | None = None
     weights: np.ndarray | None = None
     # Not a field, and always empty: bench/layers.py, its only reader,
@@ -82,29 +89,64 @@ def position_dtype(seq_len: int) -> np.dtype:
     return dtype.newbyteorder("<")
 
 
+def _block_shapes(trace: DecodeTrace) -> dict:
+    dims = trace.dims
+    return {"inputs": (trace.seq_len, dims.d_model),
+            "weights": (dims.layers, dims.heads, 3, dims.d_model, dims.d_head)}
+
+
+def _regenerate(trace: DecodeTrace, name: str) -> np.ndarray:
+    """The block ``name`` drawn from the header's seed: the weights from
+    ``model_seed``, the inputs from ``stream_seed``.  Each is allocated
+    whole before any draw, so one too large to hold fails at once."""
+    if name == "weights":
+        return generate_weights(trace.model_seed, trace.dims).qkv
+    return synthesize_embeddings(trace.stream_seed, trace.seq_len, trace.dims.d_model)
+
+
+def _source(trace: DecodeTrace, name: str) -> str:
+    """"seed" if the header's seed regenerates the block bitwise, as the file
+    would hold it, else "stored".  Bytes are compared, not values, so a
+    -0.0 where the seed draws 0.0 is stored."""
+    array = getattr(trace, name)
+    unseeded = name == "inputs" and trace.stream_seed is None
+    if unseeded or array.shape != _block_shapes(trace)[name]:
+        return "stored"
+    dtype = BLOCKS[name]
+    bits = [np.ascontiguousarray(a, dtype).reshape(-1).view(np.uint8)
+            for a in (array, _regenerate(trace, name))]
+    return "seed" if np.array_equal(*bits) else "stored"
+
+
 def write_trace(trace: DecodeTrace, path: str) -> None:
     """Write the trace; its positions must lie in 0..seq_len - 1, which the
-    file's width holds (``position_dtype``), so none is wrapped."""
+    file's width holds (``position_dtype``), so none is wrapped.  A full
+    trace (one with inputs) stores each of its inputs and weights that the
+    header's seed does not regenerate bitwise (``_source``), and its header
+    names each block's source."""
     evicted = trace.evicted
     if evicted.size and not 0 <= evicted.min() <= evicted.max() < trace.seq_len:
         raise InvariantViolation(f"evicted positions outside 0..{trace.seq_len - 1}")
-    header = {"kind": "header", "format": TRACE_FORMAT, **trace.config_dict()}
+    full = trace.inputs is not None
+    sources = {name: _source(trace, name) if full else None for name in BLOCKS}
+    header = {"kind": "header", "format": TRACE_FORMAT, **trace.config_dict(), **sources}
     with atomic_output(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
         write_array(fh, evicted, position_dtype(trace.seq_len))
-        if trace.inputs is not None:
-            write_array(fh, trace.inputs, "<f8")
-            write_array(fh, trace.weights, "<f4")
+        for name, dtype in BLOCKS.items():
+            if sources[name] == "stored":
+                write_array(fh, getattr(trace, name), dtype)
 
 
-def _header_trace(header, path: str) -> DecodeTrace:
-    """The trace a header record declares, with no evictions yet."""
+def _header_trace(header, path: str) -> tuple[DecodeTrace, dict]:
+    """The trace a header record declares, with no evictions yet, and the
+    source of each of its blocks."""
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise InputError(f"trace {path} does not start with a header record")
     if header.get("format") != TRACE_FORMAT:
         raise InputError(f"unsupported trace format {header.get('format')}")
     required = ("policy", "capacity", "zones", "seq_len", "layers", "heads", "d_model",
-                "d_head", "model_seed")
+                "d_head", "model_seed", *BLOCKS)
     missing = [key for key in required if key not in header]
     if missing:
         raise InputError(f"trace header is missing fields: {missing}")
@@ -117,9 +159,19 @@ def _header_trace(header, path: str) -> DecodeTrace:
                        ("model_seed", (int,)), ("stream_seed", (int, type(None)))):
         if type(header.get(key)) not in kinds:  # not isinstance: a bool is no int here
             raise InputError(f"trace header: {key} has the wrong type: {header.get(key)!r}")
+    sources = {name: header[name] for name in BLOCKS}
+    for name, source in sources.items():
+        if source not in (None, "stored", "seed"):
+            raise InputError(f"trace header: {name} must be \"stored\", \"seed\" or null, "
+                             f"got {source!r}")
+    if (sources["inputs"] is None) != (sources["weights"] is None):
+        raise InputError("trace header: inputs and weights must both be null (a light trace) "
+                         "or neither")
+    if sources["inputs"] == "seed" and header.get("stream_seed") is None:
+        raise InputError("trace header: inputs from the seed, but stream_seed is null")
     return DecodeTrace(policy=header["policy"], capacity=header["capacity"], zones=header["zones"],
                        seq_len=seq_len, dims=dims, model_seed=header["model_seed"],
-                       stream_seed=header.get("stream_seed"))
+                       stream_seed=header.get("stream_seed")), sources
 
 
 def _header_policy(trace: DecodeTrace):
@@ -136,36 +188,42 @@ def _header_policy(trace: DecodeTrace):
 
 def read_trace(path: str) -> DecodeTrace:
     """Read a trace: the header line, then the rest of the file, which is
-    either the block of evictions alone or that block followed by the one
-    of inputs and weights.  Only a valid trace is returned
-    (``validate_trace``), its retained positions replayed from its
-    evictions."""
+    the block of evictions followed by each block the header names
+    "stored", so the header implies one length.  Only a valid trace is
+    returned (``validate_trace``), its retained positions replayed from its
+    evictions; only then is each "seed" block regenerated, so a full trace
+    holds its inputs and weights whatever their source."""
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
             rest = fh.read()
     except (OSError, ValueError, RecursionError) as exc:  # bad or too deep JSON, bad UTF-8
         raise InputError(f"cannot read trace {path}: {exc}") from exc
-    trace = _header_trace(header, path)
+    trace, sources = _header_trace(header, path)
     dims = trace.dims
     rows = (_header_policy(trace).eviction_count(trace.seq_len), dims.layers, dims.heads)
-    shape = (dims.layers, dims.heads, 3, dims.d_model, dims.d_head)
     dtype = position_dtype(trace.seq_len)
-    split = dtype.itemsize * math.prod(rows)  # Python ints: header dims can exceed int64
-    inputs = 8 * trace.seq_len * dims.d_model
-    sizes = (split, split + inputs + 4 * math.prod(shape))
-    if len(rest) not in sizes:
-        raise InputError(f"trace {path} holds {len(rest)} bytes after its header, neither the "
-                         f"{sizes[0]} of its evictions nor the {sizes[1]} of its evictions, "
-                         f"inputs and weights")
+    shapes = _block_shapes(trace)
+    stored = [name for name in BLOCKS if sources[name] == "stored"]
+    # Python ints: header dims can exceed int64
+    size = dtype.itemsize * math.prod(rows) + sum(
+        np.dtype(BLOCKS[name]).itemsize * math.prod(shapes[name]) for name in stored)
+    if len(rest) != size:
+        raise InputError(f"trace {path} holds {len(rest)} bytes after its header, not the "
+                         f"{size} its header implies")
     # widened once: in memory, every position is int64
     trace.evicted = np.frombuffer(rest, dtype, math.prod(rows)).astype(np.int64).reshape(rows)
-    if len(rest) > split:
-        trace.inputs = np.frombuffer(rest, "<f8", inputs // 8, split).reshape(-1, dims.d_model)
-        trace.weights = np.frombuffer(rest, "<f4", offset=split + inputs).reshape(shape)
-        if not (np.isfinite(trace.inputs).all() and np.isfinite(trace.weights).all()):
+    offset = trace.evicted.size * dtype.itemsize
+    for name in stored:
+        block = np.frombuffer(rest, BLOCKS[name], math.prod(shapes[name]), offset)
+        if not np.isfinite(block).all():
             raise InputError(f"trace {path} holds a NaN or infinite input or weight")
+        setattr(trace, name, block.reshape(shapes[name]))
+        offset += block.nbytes
     trace.retained = validate_trace(trace)
+    for name in reversed(BLOCKS):  # weights first: a model too large to hold draws no input
+        if sources[name] == "seed":
+            setattr(trace, name, _regenerate(trace, name))
     return trace
 
 
@@ -181,6 +239,12 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
         raise InputError(f"step {step} not present in trace of length {trace.seq_len}")
     layers, heads = trace.dims.layers, trace.dims.heads
     streams = layers * heads
+    # Allocated first: a mask too large to hold fails before any int64 below
+    # can overflow, as every one is at most (step + 2) * streams.
+    try:
+        live = np.ones((streams, step), dtype=bool)
+    except ValueError as exc:  # more bytes than numpy can address
+        raise MemoryError(exc) from None
     evicted = trace.evicted[: max(0, step - trace.capacity)].reshape(-1, streams)
     at = np.arange(step - len(evicted), step) + 1  # each row's step, capacity + 1 on
     # Clipped to -1..step, a position stays as valid as it was, and valid
@@ -197,7 +261,6 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
             f"step {at[row]}: eviction of position {evicted[row, stream]} "
             f"not present in stream ({layer}, {head})"
         )
-    live = np.ones((streams, step), dtype=bool)
     live[np.arange(streams), evicted] = False
     return np.nonzero(live)[1].reshape(layers, heads, step - len(evicted))
 

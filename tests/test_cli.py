@@ -380,13 +380,21 @@ def _trace_case(header=json.dumps, command=("map",), evicted=None, block=None, *
     edited: ``header`` maps the header record to the text written in its
     place, ``evicted`` maps the (13, 2) uint8 evictions of steps 5 to 17 to
     the bytes written in theirs, and ``block`` maps the bytes after them,
-    the block of inputs and weights, to the bytes written in its place."""
+    the block of inputs and weights, to the bytes written in its place.
+    Decode draws both from the seed, so its file omits them; with ``block``
+    given, a full trace is first rewritten to store them, as the header
+    then says, so that there is a block to edit."""
     def build(tmp_path):
         trace_path = tmp_path / "t.jsonl"
         assert run_cli(*_decode_args(trace_path, **overrides)) == 0
         line, rest = trace_path.read_bytes().split(b"\n", 1)
+        record = json.loads(line)
+        if block and record["inputs"] is not None:
+            loaded = read_trace(str(trace_path))
+            record.update(inputs="stored", weights="stored")
+            rest += loaded.inputs.astype("<f8").tobytes() + loaded.weights.astype("<f4").tobytes()
         rows = np.frombuffer(rest[:EVICTED_BYTES], dtype="u1").reshape(13, 2).copy()
-        trace_path.write_bytes(header(json.loads(line)).encode() + b"\n"
+        trace_path.write_bytes(header(record).encode() + b"\n"
                                + (evicted or np.ndarray.tobytes)(rows)
                                + (block or bytes)(rest[EVICTED_BYTES:]))
         return [*command, "--trace", trace_path]
@@ -562,9 +570,9 @@ def _v1_weights(tmp_path):
         (_block_case(("inputs", (16, 0), float("nan"))), 3),
         (_block_case(("weights", (0, 2, 0, 0), float("inf"))), 3),
         (_block_case(("weights", (1, 0, 3, 2), float("nan"))), 3),
-        # full header dims and no block: position 15 (step 16) is among the
-        # slots step 17 attends, and nothing records its input or the weights
-        (_trace_case(command=ANALYZE, block=lambda rest: b""), 3),
+        # a light trace: position 15 (step 16) is among the slots step 17
+        # attends, and nothing records its input or the weights
+        (_trace_case(command=ANALYZE, trace_detail="light"), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 1})), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 2})), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 3})), 3),
@@ -573,6 +581,7 @@ def _v1_weights(tmp_path):
         (_trace_case(lambda record: json.dumps({**record, "format": 6})), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 7})), 3),
         (_trace_case(lambda record: json.dumps({**record, "format": 8})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "format": 9})), 3),
         # 10**12 - 4 rows of evictions missing
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 10**12}),
                      trace_detail="light"), 3),
@@ -586,6 +595,23 @@ def _v1_weights(tmp_path):
                      evicted=lambda rows: b"", trace_detail="light"), 3),
         (_trace_case(lambda record: json.dumps({**record, "layers": 2**32 - 1, "heads": 2**32 - 1,
                                                 "d_head": 2**32 - 1})), 3),
+        # header-only traces whose seeds would regenerate more than numpy can
+        # address: a model of 3 * 2**61 float32 entries, refused when it is
+        # allocated, before any draw
+        (_trace_case(lambda record: json.dumps({**record, "policy": "full", "seq_len": 1,
+                                                "layers": 2**20, "d_model": 2**20,
+                                                "d_head": 2**20}),
+                     evicted=lambda rows: b""), 2),
+        # and 2**63 steps of inputs: the replay's mask is refused first
+        (_trace_case(lambda record: json.dumps({**record, "policy": "full", "seq_len": 2**63}),
+                     evicted=lambda rows: b""), 2),
+        # block sources the header cannot have
+        (_trace_case(lambda record: json.dumps({**record, "stream_seed": None})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "weights": "seed"}), block=bytes), 3),
+        (_trace_case(lambda record: json.dumps({**record, "inputs": "file"})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "weights": None})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "inputs": "seed"}),
+                     trace_detail="light"), 3),
         (_zero_layer_weights, 3),
         (_token_file_case("[[NaN]]", d_model=1), 3),
         (_token_file_case("[[true]]", d_model=1), 3),
@@ -677,8 +703,11 @@ def _v1_weights(tmp_path):
          "block-short", "block-long", "block-on-light-trace", "row-cell-nan",
          "value-cell-infinity", "weights-cell-nan", "step-without-values", "format-1",
          "format-2", "format-3", "format-4", "format-5", "format-6", "format-7", "format-8",
-         "seq-len-huge", "full-seq-len-huge", "full-seq-len-past-64-bits",
-         "block-length-overflows-int64", "weights-zero-layers", "embedding-nan",
+         "format-9", "seq-len-huge", "full-seq-len-huge", "full-seq-len-past-64-bits",
+         "block-length-overflows-int64", "seed-weights-unaddressable",
+         "seed-inputs-unaddressable", "seed-inputs-without-stream-seed",
+         "seed-weights-on-stored-weights", "source-unknown", "source-weights-null",
+         "source-inputs-on-light-trace", "weights-zero-layers", "embedding-nan",
          "embedding-bool", "token-ids", "token-id-bool", "weights-nan", "weights-nan-in-w-v", "weights-version-1",
          "block-size-zero", "exclude-negative", "levels-zero",
          "decode-attention-overflow", "prefill-attention-overflow",
@@ -744,7 +773,7 @@ def test_trace_errors_name_the_format_and_the_missing_block(tmp_path, capsys):
     assert run_cli(*ANALYZE, "--trace", trace) == 3
     assert "lacks the run's inputs and projection weights" in capsys.readouterr().err
     header, rest = trace.read_bytes().split(b"\n", 1)
-    for format in (5, 7, 8):
+    for format in (5, 7, 8, 9):
         trace.write_bytes(json.dumps({**json.loads(header), "format": format}).encode()
                           + b"\n" + rest)
         assert run_cli("map", "--trace", trace) == 3
@@ -780,6 +809,36 @@ def test_an_unallocatable_weight_set_is_refused_before_any_draw(tmp_path, monkey
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert os.listdir(tmp_path) == []
+
+
+def test_a_trace_whose_model_cannot_be_allocated_is_refused_before_any_draw(
+        tmp_path, monkeypatch, capsys):
+    # A header-only full trace whose header asks the seeds for a 1x1x65536x65536
+    # model: its weights are allocated whole, and refused, before a variate
+    # of them or of the inputs is drawn.
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(*_decode_args(trace, policy="full", T=1)) == 0
+    header = json.loads(trace.read_bytes())
+    assert (header["inputs"], header["weights"]) == ("seed", "seed")
+    trace.write_text(json.dumps({**header, "heads": 1, "d_model": 65536, "d_head": 65536}) + "\n")
+
+    def draw(*args):
+        raise AssertionError("a variate was drawn before the weight set was allocated")
+
+    empty = np.empty
+
+    def unable(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) == 3 * 65536**2:
+            raise MemoryError("Unable to allocate 48.0 GiB")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr("treekv.engine._draw_matrix", draw)
+    monkeypatch.setattr("treekv.rng.NormalStream.normals", draw)
+    monkeypatch.setattr(np, "empty", unable)
+    assert run_cli("map", "--trace", trace, "-o", tmp_path / "m.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["t.jsonl"]
 
 
 def test_a_budget_above_T_decodes_as_a_budget_of_T(tmp_path):

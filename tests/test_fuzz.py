@@ -1,16 +1,19 @@
 """Mutation fuzz of the CLI's input files.
 
-A small format-9 trace, a config file and a TKVW weight file are each
+A small format-10 trace, a config file and a TKVW weight file are each
 corrupted by dropping, retyping or replacing one JSON value, one line or
 one byte (of a trace: of its header line, of its evicted positions or of
 its block of inputs and weights), then handed to ``treekv.cli.main``
-in-process.  Whatever the
+in-process.  The trace's inputs are ``--tokens`` rows and its weights are
+one entry off their seed's, so it stores both blocks.  Whatever the
 input, ``main`` must return 0, 2 or 3 and never raise: a malformed file is
 a config or input error, never an internal one (exit 4).
 """
 
 import json
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,11 +29,13 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
-# Replacement values of every JSON type.  Integers stay small: a config is
-# a request for work, and T or the model dims at 10**9 are a valid request
-# for more time and memory than a test has.
+# Replacement values of every JSON type, and every source a trace header
+# names for a block.  Integers stay small: a config is a request for work,
+# and T or the model dims at 10**9 are a valid request for more time and
+# memory than a test has.
 VALUES = st.one_of(
     st.none(),
+    st.sampled_from(["stored", "seed"]),
     st.booleans(),
     st.integers(-3, 12),
     st.floats(),
@@ -54,16 +59,24 @@ def base(tmp_path_factory):
     """The unmutated inputs: a full-detail trace, a config and a weight file."""
     work = tmp_path_factory.mktemp("base")
     files = {name: work / name for name in ("t.jsonl", "cfg.json", "w.bin")}
+    assert _run("gen-weights", "--seed", 5, *MODEL, "-o", files["w.bin"]) == 0
+    nudged, rows = work / "nudged.bin", work / "rows.json"
+    blob = bytearray(files["w.bin"].read_bytes())
+    first = struct.unpack_from("<f", blob, 30)[0]  # after the 30-byte TKVW header
+    struct.pack_into("<f", blob, 30, np.nextafter(np.float32(first), np.float32(np.inf)))
+    nudged.write_bytes(bytes(blob))
+    rows.write_text(json.dumps(np.random.default_rng(3).normal(size=(12, 8)).tolist()))
     assert _run("decode", "--policy", "treekv", "--c", 4, "--zones", "sink=1,recent=1",
-                "--T", 12, "--seed", 3, *MODEL, "-o", files["t.jsonl"]) == 0
+                "--weights", nudged, "--tokens", rows, "-o", files["t.jsonl"]) == 0
     files["cfg.json"].write_text(json.dumps({
         "policy": "h2o", "c": 5, "zones": "sink=1,recent=2", "seed": 2, "T": 10,
         "layers": 1, "heads": 2, "d_model": 8, "d_head": 4, "vocab": 0,
         "block_size": 3, "cache_blocks": 2, "levels": 1, "exclude": 1, "step": None,
         "weights": None, "trace_detail": "full",
     }))
-    assert _run("gen-weights", "--seed", 5, *MODEL, "-o", files["w.bin"]) == 0
     *lines, rest = files["t.jsonl"].read_bytes().split(b"\n", RECORDS)
+    header = json.loads(lines[0])
+    assert (header["inputs"], header["weights"]) == ("stored", "stored")
     # the mutator reaches the evictions and the block after them: 12 f64
     # inputs of 8, then 1 x 2 streams x 3 f32 matrices of 8 x 4
     assert len(rest) == EVICTED + 12 * 8 * 8 + 2 * 3 * 8 * 4 * 4

@@ -17,6 +17,7 @@ from treekv import (
     make_policy,
     read_trace,
     retained_at,
+    save_weights,
     signals_at_step,
     synthesize_embeddings,
     validate_trace,
@@ -36,6 +37,13 @@ def _run(policy="treekv", capacity=5, seq_len=14, heads=2, **kwargs):
     return decode_with_policy(weights, inputs, policy, capacity, **kwargs)
 
 
+def _nudged(weights, entry=0):
+    """The weight set with one entry moved up by one ulp, which no seed draws."""
+    qkv = weights.qkv.copy()
+    qkv.flat[entry] = np.nextafter(qkv.flat[entry], np.float32(np.inf))
+    return ModelWeights(weights.dims, weights.seed, qkv)
+
+
 def test_trace_roundtrip(tmp_path):
     trace = _run()
     path = tmp_path / "t.jsonl"
@@ -45,7 +53,9 @@ def test_trace_roundtrip(tmp_path):
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert header.keys() == {"kind", "format", "policy", "capacity", "zones", "seq_len",
                              "layers", "heads", "d_model", "d_head", "model_seed",
-                             "stream_seed"}
+                             "stream_seed", "inputs", "weights"}
+    # no stream seed drew the inputs; model_seed draws the weights
+    assert (header["inputs"], header["weights"]) == ("stored", "seed")
     assert loaded.evicted.shape == trace.evicted.shape == (14 - 5, 1, 2)
     assert np.array_equal(loaded.evicted, trace.evicted)
     # replayed from the evictions, the positions decode's batch held at its end
@@ -66,14 +76,19 @@ def test_decode_records_references_to_its_inputs_and_weights():
 def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
     # 14 steps at c=5: a header, the uint8 evictions of steps 6 to 14 (none
     # under full), then the block the queries, keys and values come from:
-    # the inputs, then the weights
+    # the inputs, which no stream seed drew, then the weights, which their
+    # seed does not draw
     path = tmp_path / "t.jsonl"
+    weights = _nudged(generate_weights(3, ModelDims(1, 2, 8, 4)), entry=37)
     for detail in (True, False):
-        trace = _run(policy=spec, capacity=5, zones="sink=1,recent=1")
+        trace = decode_with_policy(weights, synthesize_embeddings(7, 14, 8), spec, 5,
+                                   "sink=1,recent=1")
         if not detail:  # a light trace, as ``decode --trace-detail light`` writes it
             trace.inputs = trace.weights = None
         write_trace(trace, str(path))
-        rest = path.read_bytes().split(b"\n", 1)[1]
+        header, rest = path.read_bytes().split(b"\n", 1)
+        sources = [json.loads(header)[name] for name in ("inputs", "weights")]
+        assert sources == (["stored"] * 2 if detail else [None] * 2)
         rows = 0 if spec == "full" else 14 - 5
         assert trace.evicted.shape == (rows, 1, 2)
         assert rest[: rows * 2] == trace.evicted.astype("u1").tobytes()
@@ -130,17 +145,23 @@ def test_positions_roundtrip_at_the_width_boundary(tmp_path, capsys, seq_len, dt
     assert "bytes after its header" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seq_len", [200, 300])  # a uint8 and a uint16 block
-@pytest.mark.parametrize("spec", POLICY_SPECS)
-def test_a_full_trace_redecodes_to_its_own_evictions(tmp_path, spec, seq_len):
+def _redecode(tmp_path, spec, seq_len, source):
+    """Write a full trace whose blocks are all of ``source``, read it back
+    and re-decode it: "stored", weights one ulp off their seed's and inputs
+    no stream seed drew, both in the file; "seed", both regenerated by
+    ``read_trace``."""
     weights = generate_weights(5, ModelDims(1, 2, 8, 4))
+    if source == "stored":
+        weights = _nudged(weights, entry=100)
     trace = decode_with_policy(weights, synthesize_embeddings(6, seq_len, 8), spec, 24,
                                "sink=2,recent=4")
+    if source == "seed":
+        trace.stream_seed = 6
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
     width = position_dtype(seq_len).itemsize
     assert width == (1 if seq_len <= 256 else 2)
-    blocks = 8 * seq_len * 8 + 4 * weights.qkv.size
+    blocks = 8 * seq_len * 8 + 4 * weights.qkv.size if source == "stored" else 0
     assert len(path.read_bytes().split(b"\n", 1)[1]) == width * trace.evicted.size + blocks
     loaded = read_trace(str(path))
     model = ModelWeights(loaded.dims, loaded.model_seed, loaded.weights)
@@ -149,6 +170,86 @@ def test_a_full_trace_redecodes_to_its_own_evictions(tmp_path, spec, seq_len):
         (0, 1, 2) if spec == "full" else (seq_len - 24, 1, 2))
     assert np.array_equal(again.evicted, loaded.evicted)
     assert np.array_equal(again.retained, loaded.retained)
+
+
+@pytest.mark.parametrize("seq_len", [200, 300])  # a uint8 and a uint16 block
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_a_full_trace_redecodes_to_its_own_evictions(tmp_path, spec, seq_len):
+    _redecode(tmp_path, spec, seq_len, "stored")
+
+
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_a_trace_of_seed_blocks_redecodes_to_its_own_evictions(tmp_path, spec):
+    _redecode(tmp_path, spec, 300, "seed")
+
+
+# The source the header names for each block: weights generated from the
+# seed, loaded from a file of exactly those, or from that file with one
+# entry one ulp off; inputs drawn by decode from its seed, read from
+# ``--tokens`` rows that equal that draw (but no stream seed drew them), or
+# that draw with one entry one ulp off under a hand-set stream seed.
+WEIGHT_SOURCES = {"generated": "seed", "file": "seed", "file-nudged": "stored"}
+INPUT_SOURCES = {"drawn": "seed", "tokens": "stored", "seeded-nudged": "stored"}
+
+
+@pytest.mark.parametrize("inputs", INPUT_SOURCES)
+@pytest.mark.parametrize("weights", WEIGHT_SOURCES)
+def test_a_full_trace_stores_only_the_blocks_its_seeds_cannot_regenerate(
+        tmp_path, weights, inputs):
+    seed, steps = 3, 20
+    model = generate_weights(seed, ModelDims(1, 2, 8, 4))
+    rows = synthesize_embeddings(seed, steps, 8)
+    flags = ["--policy", "treekv", "--c", 6, "--zones", "sink=1,recent=1", "--seed", seed,
+             "--layers", 1, "--heads", 2, "--d-model", 8, "--d-head", 4]
+    if weights != "generated":
+        if weights == "file-nudged":
+            model = _nudged(model, entry=5)
+        save_weights(model, str(tmp_path / "w.bin"))
+        flags += ["--weights", tmp_path / "w.bin"]
+    if inputs == "tokens":
+        (tmp_path / "rows.json").write_text(json.dumps(rows.tolist()))
+        flags += ["--tokens", tmp_path / "rows.json"]
+    else:
+        flags += ["--T", steps]
+    if inputs == "seeded-nudged":
+        rows = rows.copy()
+        rows[4, 2] = np.nextafter(rows[4, 2], np.inf)
+    trace = decode_with_policy(model, rows, "treekv", 6, "sink=1,recent=1")
+    path = tmp_path / "t.jsonl"
+    if inputs == "seeded-nudged":  # a library run
+        trace.stream_seed = seed
+        write_trace(trace, str(path))
+    else:
+        assert main(["decode", *map(str, flags), "-o", str(path)]) == 0
+    header, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    assert (header["inputs"], header["weights"]) == (INPUT_SOURCES[inputs],
+                                                     WEIGHT_SOURCES[weights])
+    # the uint8 evictions of steps 7 to 20, then each stored block
+    blocks = {"inputs": 8 * steps * 8, "weights": 4 * model.qkv.size}
+    assert len(rest) == (steps - 6) * 2 + sum(size for name, size in blocks.items()
+                                              if header[name] == "stored")
+    loaded = read_trace(str(path))
+    assert np.array_equal(loaded.evicted, trace.evicted)
+    assert loaded.inputs.tobytes() == rows.tobytes()
+    assert loaded.weights.tobytes() == model.qkv.tobytes()
+    for got, want in zip(signals_at_step(loaded, steps), signals_at_step(trace, steps)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_negative_zero_is_stored_where_the_seed_draws_zero(tmp_path, monkeypatch):
+    # -0.0 == 0.0, but a trace read back must hold the bits decode read
+    trace = _run(seq_len=6)
+    trace.stream_seed = 7
+    trace.inputs = np.zeros_like(trace.inputs)
+    monkeypatch.setattr("treekv.trace.synthesize_embeddings",
+                        lambda seed, count, d_model: np.zeros((count, d_model)))
+    path = tmp_path / "t.jsonl"
+    for inputs, source in ((trace.inputs, "seed"), (-trace.inputs, "stored")):
+        trace.inputs = inputs
+        write_trace(trace, str(path))
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["inputs"] == source
+        assert read_trace(str(path)).inputs.tobytes() == inputs.tobytes()
 
 
 @pytest.mark.parametrize("spec", ["streaming", "treekv-left"])
