@@ -19,8 +19,8 @@ TOVA reads the rows, and the sliding window and select-left read none and
 choose from slot indices alone.
 ``EvictionPolicy.evict`` removes the victims from a ``StreamBatch`` that
 keeps exactly the statistics the policy reads, every (layer, head) stream
-at once with one policy instance.  ``EvictionPolicy.replay`` runs the same
-select, drop and advance cycle over held indices with no batch: prefill
+at once with one policy instance.  ``EvictionPolicy.replay(count)`` runs
+that cycle with no batch over indices 0..count - 1 on decode's schedule: prefill
 (``treekv_prefill_compress``) over block indices with fixed scores, and a
 policy that reads nothing over one stream's positions, in decode and in
 ``validate_trace``.  Once the cache is full, a bounded policy evicts at
@@ -161,17 +161,17 @@ class EvictionPolicy:
         self.advance()
         return evicted
 
-    def replay(self, held: np.ndarray, arrivals, scores=None) -> np.ndarray:
-        """``evict`` over held indices (streams, capacity + 1) instead of a
-        batch: each of the sequence ``arrivals`` fills the free last column,
-        ``select`` reads fixed ``scores`` (streams, indices) gathered at
-        ``held`` and counts of 1, and each victim is dropped, the survivors
-        kept in order.  Returns the dropped indices (arrivals, streams)."""
-        if len(arrivals) and held.shape[1] != self.capacity + 1:
-            raise StateError(f"eviction needs exactly {self.capacity + 1} held indices, "
-                             f"got {held.shape[1]}")
-        dropped = np.empty((len(arrivals), len(held)), dtype=held.dtype)
-        for row, arrival in enumerate(arrivals):
+    def replay(self, count: int, streams: int = 1, scores=None) -> tuple[np.ndarray, np.ndarray]:
+        """``evict`` with no batch over indices 0..count - 1 of each stream,
+        as a count-step decode evicts: E = ``eviction_count(count)`` times,
+        the next index fills the free last column, ``select`` reads fixed
+        ``scores`` (streams, indices) gathered there and counts of 1, and the
+        victim is dropped, the survivors kept in order.  Returns the dropped
+        indices (E, streams) and the kept ones (streams, count - E)."""
+        kept = count - self.eviction_count(count)
+        held = np.tile(np.arange(kept + 1), (streams, 1))  # last column: the arrival
+        dropped = np.empty((count - kept, streams), dtype=held.dtype)
+        for row, arrival in enumerate(range(kept, count)):
             held[:, -1] = arrival
             stats = {name: np.ones_like(held) if name == "counts"
                      else np.take_along_axis(scores, held, 1) for name in self.reads}
@@ -179,7 +179,7 @@ class EvictionPolicy:
                 dropped[row, stream] = held[stream, victim]
                 held[stream, victim:-1] = held[stream, victim + 1 :]
             self.advance()
-        return dropped
+        return dropped, held[:, :kept]
 
 
 class FullAttention(EvictionPolicy):
@@ -307,10 +307,8 @@ def decode_with_policy(
         wk = stacked_weights(weights.qkv[:, :, 1:2])[0]
         for start in range(0, seq_len, CHUNK_ROWS):
             project(inputs[start : start + CHUNK_ROWS, None], wk)
-        kept = seq_len - policy.eviction_count(seq_len)
-        held = np.arange(kept + 1)[None]  # one stream's positions
-        evicted = policy.replay(held, range(kept, seq_len)).repeat(streams, axis=1)
-        retained = held[:, :kept].repeat(streams, axis=0)
+        evicted, retained = policy.replay(seq_len)  # one stream's positions
+        evicted, retained = evicted.repeat(streams, axis=1), retained.repeat(streams, axis=0)
     else:
         bound = policy.capacity
         batch = StreamBatch(weights, min(seq_len, bound + 1), policy.reads)

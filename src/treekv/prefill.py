@@ -96,8 +96,8 @@ def treekv_prefill_compress(
     ``cache_blocks``, then each further block triggers one decision of the
     decode-time tree selector (lower score of the adjacent pair under the
     cursor goes, ties to the left) and a cyclic cursor advance, one cursor
-    for all streams (``TreeKV.replay``).  Scores are never refreshed, so
-    every count is 1 and the averaged score is the block score itself.
+    for all streams (``TreeKV.replay`` of the content blocks).  Scores are
+    never refreshed, so every count is 1: the averaged score is the block's.
     Returns the retained block indices in prompt order, ending with the
     observation window, as nested lists (..., kept); 1-D scores give one
     list of ints.
@@ -110,8 +110,6 @@ def treekv_prefill_compress(
         raise ConfigError(f"block budget must be >= 2, got {cache_blocks}")
     window_index = blocks - 1
     flat = scores.reshape(-1, blocks)
-    kept = min(cache_blocks, window_index)
-    held = np.tile(np.arange(kept + 1), (len(flat), 1))  # last column: the arrival
-    TreeKV(cache_blocks).replay(held, range(kept, window_index), flat)
-    held[:, -1] = window_index
-    return held.reshape(scores.shape[:-1] + (kept + 1,)).tolist()
+    kept = TreeKV(cache_blocks).replay(window_index, len(flat), flat)[1]
+    kept = np.insert(kept, kept.shape[1], window_index, axis=1)
+    return kept.reshape(scores.shape[:-1] + kept.shape[1:]).tolist()

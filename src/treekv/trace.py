@@ -272,8 +272,8 @@ def validate_trace(trace: DecodeTrace) -> np.ndarray:
     (layers, heads) grid per step that policy evicts at, each names a
     position its stream holds then (``retained_at``), and under a policy
     that reads nothing each is the one that policy evicts, which it
-    replays over one stream's positions (``EvictionPolicy.replay``), as
-    decode does.  Raises InputError on any inconsistency.
+    replays over one stream's positions (``EvictionPolicy.replay(seq_len)``),
+    as decode does.  Raises InputError on any inconsistency.
     ``read_trace`` calls it on every trace it reads; a trace built in
     memory can be checked with it directly."""
     policy = _header_policy(trace)
@@ -282,13 +282,13 @@ def validate_trace(trace: DecodeTrace) -> np.ndarray:
         raise InputError(f"trace holds evictions of shape {trace.evicted.shape}, but "
                          f"{trace.policy} at c={trace.capacity} over {trace.seq_len} steps "
                          f"evicts {rows}")
-    # first: its (streams, seq_len) mask outweighs the replay's one stream of
-    # capacity + 1 slots and E victims, so the replay adds no unbacked allocation
+    # first: its (streams, seq_len) mask outweighs a replay with evictions (one
+    # stream of capacity + 1 indices and E victims) but not one without
+    # (seq_len + 1 indices, under full), so only a trace with evictions is replayed
     retained = retained_at(trace, trace.seq_len)
     if rows[0] and not policy.reads:  # one replay row per row the trace holds
         evicted = trace.evicted.reshape(rows[0], -1)
-        held = np.arange(policy.capacity + 1)[None]
-        victims = policy.replay(held, range(policy.capacity, trace.seq_len))[:, 0]
+        victims = policy.replay(trace.seq_len)[0][:, 0]
         wrong = evicted != victims[:, None]
         if wrong.any():
             row, stream = divmod(int(wrong.argmax()), evicted.shape[1])

@@ -77,7 +77,9 @@ def drive_policy(policy, capacity, rows=None, fixed_scores=None):
     row over the live slots is accumulated as ``StreamBatch.step`` does
     (S += row, C += 1) and passed to the policy as the last attention row;
     with ``fixed_scores``, the new slot gets S = fixed_scores[t] and C = 1
-    and nothing accumulates (prefill's precomputed block scores).  Whenever
+    and nothing accumulates (prefill's precomputed block scores), and the
+    last attention row is the live slots' fixed scores, as
+    ``EvictionPolicy.replay`` gives a policy that reads rows.  Whenever
     the stream holds more than ``capacity`` slots, ``policy.evict`` removes
     one.  Yields (batch, eviction) after every step, where eviction is
     (evicted positions, cursor) or None: evict's positions and the policy's
@@ -88,9 +90,9 @@ def drive_policy(policy, capacity, rows=None, fixed_scores=None):
         n = batch.n
         batch.positions[0, n] = t
         batch.n = n + 1
-        last_rows = None
         if rows is None:
             batch.scores[0, n], batch.counts[0, n] = stat, 1
+            last_rows = batch.scores[:, : n + 1]
         else:
             last_rows = np.asarray(stat, dtype=np.float64)[None]
             batch.scores[0, n], batch.counts[0, n] = 0.0, 0

@@ -369,31 +369,83 @@ def test_evict_refuses_a_batch_not_one_over_capacity_before_removing(spec):
         assert batch.positions[0].tolist() == list(range(size))
 
 
-@pytest.mark.parametrize("spec", ["treekv", "treekv-left", "streaming", "h2o"])
+def test_replay_of_no_more_than_capacity_drops_nothing():
+    # nothing arrives past the capacity: every index is kept, in order
+    for spec in POLICY_SPECS:
+        for count in (0, 1, 4):
+            dropped, kept = make_policy(spec, 4).replay(count, 3)
+            assert dropped.shape == (0, 3)
+            assert kept.tolist() == [list(range(count))] * 3
+
+
+REPLAY_ZONES = [ProtectedZones(), ProtectedZones(1, 1)]
+
+
+def _replay_cases(spec, zone_settings=REPLAY_ZONES):
+    """(capacity, zones, count) over c in {2, 3, 5, 8}, the zone settings
+    (no zones and sink=1,recent=1) where they fit, and count in
+    {0, c - 1, c, c + 1, 4c}."""
+    for capacity in (2, 3, 5, 8):
+        for zones in zone_settings:
+            try:
+                make_policy(spec, capacity, zones)
+            except ConfigError:
+                continue
+            for count in (0, capacity - 1, capacity, capacity + 1, 4 * capacity):
+                yield capacity, zones, count
+
+
+def test_replay_streaming_drops_the_oldest_slot_past_the_sink():
+    for capacity, zones, count in _replay_cases("streaming"):
+        dropped, kept = make_policy("streaming", capacity, zones).replay(count)
+        gone = range(zones.n_sink, zones.n_sink + max(0, count - capacity))
+        assert dropped[:, 0].tolist() == list(gone)  # the k-th drops n_sink + k
+        assert kept[0].tolist() == [p for p in range(count) if p not in gone]
+
+
+def test_replay_treekv_left_keeps_what_the_oracle_keeps():
+    for capacity, zones, count in _replay_cases("treekv-left", [ProtectedZones()]):
+        dropped, kept = make_policy("treekv-left", capacity, zones).replay(count)
+        assert kept[0].tolist() == [t - 1 for t in oracle_tree_sim(capacity, count)[0]]
+        assert sorted(dropped[:, 0].tolist() + kept[0].tolist()) == list(range(count))
+
+
+@pytest.mark.parametrize("spec", BOUNDED_SPECS)
 def test_replay_evicts_as_evict_does_over_fixed_scores(spec):
-    # Each arrival fills the last column, the victim is dropped with the
-    # survivors kept in order, and the cursor advances: the victims and the
-    # final set are those of ``evict`` on a batch whose slots hold the same
-    # fixed scores with counts of 1.
-    scores = np.random.default_rng(5).random(40)
-    for capacity, zones, policy in _fitting_policies(spec):
-        steps = list(drive_policy(policy, capacity, fixed_scores=scores))
-        held = np.arange(capacity + 1)[None]
-        replayed = make_policy(spec, capacity, zones).replay(held, range(capacity, 40),
-                                                             scores[None])
-        assert replayed.shape == (40 - capacity, 1)
-        assert replayed[:, 0].tolist() == [int(e[0][0]) for _, e in steps if e is not None]
-        assert held[0, :-1].tolist() == steps[-1][0].positions[0, :capacity].tolist()
+    # Each later index fills the last column, the victim is dropped with
+    # the survivors kept in order, and the cursor advances: the victims and
+    # the final set are those of ``evict`` on a batch whose slots hold the
+    # same fixed scores with counts of 1 (and, for TOVA, those scores as
+    # the last row).  Scores in {0, 1, 2} on the small cases make ties
+    # frequent, and both break them the same way.
+    rng = np.random.default_rng(5)
+    cases = [(capacity, zones, 40, rng.random(40))
+             for capacity, zones, _ in _fitting_policies(spec)]
+    cases += [(capacity, zones, count, rng.integers(0, 3, count).astype(np.float64))
+              for capacity, zones, count in _replay_cases(spec)]
+    for capacity, zones, count, scores in cases:
+        steps = list(drive_policy(make_policy(spec, capacity, zones), capacity,
+                                  fixed_scores=scores))
+        dropped, kept = make_policy(spec, capacity, zones).replay(count, 1, scores[None])
+        assert dropped.shape == (max(0, count - capacity), 1)
+        assert dropped[:, 0].tolist() == [int(e[0][0]) for _, e in steps if e is not None]
+        final = [batch.positions[0, : batch.n].tolist() for batch, _ in steps[-1:]]
+        assert kept.tolist() == (final or [[]])
 
 
-def test_replay_refuses_held_indices_not_one_over_capacity():
-    policy = StreamingLLM(4)
-    for width in (4, 6):
-        held = np.arange(width)[None]
-        with pytest.raises(StateError):
-            policy.replay(held, [9])
-        assert held.tolist() == [list(range(width))]
-    assert policy.replay(np.arange(4)[None], []).shape == (0, 1)  # nothing arrives
+@pytest.mark.parametrize("spec", BOUNDED_SPECS)
+def test_a_replay_of_four_streams_is_four_replays_of_one(spec):
+    # prefill's shape: one cursor for all streams, each with its own scores
+    rng = np.random.default_rng(11)
+    for capacity, zones, count in _replay_cases(spec):
+        scores = rng.random((4, count))
+        dropped, kept = make_policy(spec, capacity, zones).replay(count, 4, scores)
+        assert dropped.shape == (max(0, count - capacity), 4)
+        assert kept.shape == (4, min(count, capacity))
+        for stream in range(4):
+            one = make_policy(spec, capacity, zones).replay(count, 1, scores[stream : stream + 1])
+            assert dropped[:, stream].tolist() == one[0][:, 0].tolist()
+            assert kept[stream].tolist() == one[1][0].tolist()
 
 
 # --- policy construction ------------------------------------------------------

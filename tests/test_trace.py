@@ -6,6 +6,7 @@ import pytest
 from treekv import (
     POLICY_SPECS,
     DecodeTrace,
+    EvictionPolicy,
     InputError,
     InvariantViolation,
     ModelDims,
@@ -267,6 +268,27 @@ def test_the_header_fixes_the_victims_of_a_policy_that_reads_nothing(spec):
     # a policy that reads attention could have evicted either
     trace.policy = "h2o"
     validate_trace(trace)
+
+
+@pytest.mark.parametrize("spec, capacity", [("full", 5), ("streaming", 20)])
+def test_a_trace_without_evictions_is_read_without_a_replay(tmp_path, monkeypatch, spec,
+                                                            capacity):
+    # A light trace with no evictions is its header alone, and nothing in
+    # it backs the seq_len + 1 indices a replay would hold, so reading it
+    # must not replay: only a trace with evictions is replayed.
+    trace = _run(policy=spec, capacity=capacity, seq_len=14)
+    trace.inputs = trace.weights = None
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    assert path.read_bytes().count(b"\n") == 1 and path.read_bytes().endswith(b"}\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replayed a trace without evictions")
+
+    monkeypatch.setattr(EvictionPolicy, "replay", refuse)
+    loaded = read_trace(str(path))
+    assert loaded.evicted.shape == (0, 1, 2)
+    assert loaded.retained.tolist() == [[list(range(14))] * 2]
 
 
 def test_trace_replay_detects_tampering(tmp_path):
