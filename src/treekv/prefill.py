@@ -100,14 +100,12 @@ def treekv_prefill_compress(
     never refreshed, so every count is 1: the averaged score is the block's.
     Returns the retained block indices in prompt order, ending with the
     observation window, as nested lists (..., kept); 1-D scores give one
-    list of ints.
+    list of ints.  A budget below 2 raises ConfigError (``TreeKV``'s).
     """
     scores = np.asarray(scores, dtype=np.float64)
     blocks = len(partition.blocks)
     if scores.shape[-1:] != (blocks,):
         raise DimensionError(f"expected one score per block ({blocks}), got {scores.shape}")
-    if cache_blocks < 2:
-        raise ConfigError(f"block budget must be >= 2, got {cache_blocks}")
     window_index = blocks - 1
     flat = scores.reshape(-1, blocks)
     kept = TreeKV(cache_blocks).replay(window_index, len(flat), flat)[1]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,13 @@ TRACE_FORMAT = 10
 # file holds it in.  The header names each one's source: "stored" (in the
 # file), "seed" (regenerated from the header's seeds) or null (a light trace).
 BLOCKS = {"inputs": "<f8", "weights": "<f4"}
+# The run fields a header holds after "kind" and "format", in file order,
+# each with the JSON types its value may hold.  All are required, and each
+# is a ``DecodeTrace`` field or, from "layers" to "d_head", a ``ModelDims``
+# one.  Checked by ``type``, not ``isinstance``: a bool is no int here.
+RUN_FIELDS = {"policy": (str,), "capacity": (int,), "zones": (str,), "seq_len": (int,),
+              "layers": (int,), "heads": (int,), "d_model": (int,), "d_head": (int,),
+              "model_seed": (int,), "stream_seed": (int, type(None))}
 
 
 @dataclass
@@ -65,18 +72,9 @@ class DecodeTrace:
     steps = ()
 
     def config_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "capacity": self.capacity,
-            "zones": self.zones,
-            "seq_len": self.seq_len,
-            "layers": self.dims.layers,
-            "heads": self.dims.heads,
-            "d_model": self.dims.d_model,
-            "d_head": self.dims.d_head,
-            "model_seed": self.model_seed,
-            "stream_seed": self.stream_seed,
-        }
+        """The header's run fields (``RUN_FIELDS``), in file order."""
+        values = {**vars(self), **vars(self.dims)}
+        return {key: values[key] for key in RUN_FIELDS}
 
 
 def position_dtype(seq_len: int) -> np.dtype:
@@ -140,25 +138,23 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
 
 def _header_trace(header, path: str) -> tuple[DecodeTrace, dict]:
     """The trace a header record declares, with no evictions yet, and the
-    source of each of its blocks."""
+    source of each of its blocks.  Every key of the header, ``kind``,
+    ``format``, the ``RUN_FIELDS`` and the ``BLOCKS`` sources, is required."""
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise InputError(f"trace {path} does not start with a header record")
     if header.get("format") != TRACE_FORMAT:
         raise InputError(f"unsupported trace format {header.get('format')}")
-    required = ("policy", "capacity", "zones", "seq_len", "layers", "heads", "d_model",
-                "d_head", "model_seed", *BLOCKS)
-    missing = [key for key in required if key not in header]
+    missing = [key for key in (*RUN_FIELDS, *BLOCKS) if key not in header]
     if missing:
         raise InputError(f"trace header is missing fields: {missing}")
-    dims = ModelDims(header["layers"], header["heads"], header["d_model"], header["d_head"])
+    for key, kinds in RUN_FIELDS.items():
+        if type(header[key]) not in kinds:
+            raise InputError(f"trace header: {key} has the wrong type: {header[key]!r}")
+    run = {key: header[key] for key in RUN_FIELDS}
+    dims = ModelDims(**{field.name: run.pop(field.name) for field in fields(ModelDims)})
     dims.validate(InputError, "trace header: ")
-    seq_len = header["seq_len"]
-    if type(seq_len) is not int or seq_len < 0:
-        raise InputError(f"trace header: seq_len must be a non-negative int, got {seq_len!r}")
-    for key, kinds in (("policy", (str,)), ("zones", (str,)), ("capacity", (int,)),
-                       ("model_seed", (int,)), ("stream_seed", (int, type(None)))):
-        if type(header.get(key)) not in kinds:  # not isinstance: a bool is no int here
-            raise InputError(f"trace header: {key} has the wrong type: {header.get(key)!r}")
+    if run["seq_len"] < 0:
+        raise InputError(f"trace header: seq_len must be non-negative, got {run['seq_len']}")
     sources = {name: header[name] for name in BLOCKS}
     for name, source in sources.items():
         if source not in (None, "stored", "seed"):
@@ -167,11 +163,9 @@ def _header_trace(header, path: str) -> tuple[DecodeTrace, dict]:
     if (sources["inputs"] is None) != (sources["weights"] is None):
         raise InputError("trace header: inputs and weights must both be null (a light trace) "
                          "or neither")
-    if sources["inputs"] == "seed" and header.get("stream_seed") is None:
+    if sources["inputs"] == "seed" and run["stream_seed"] is None:
         raise InputError("trace header: inputs from the seed, but stream_seed is null")
-    return DecodeTrace(policy=header["policy"], capacity=header["capacity"], zones=header["zones"],
-                       seq_len=seq_len, dims=dims, model_seed=header["model_seed"],
-                       stream_seed=header.get("stream_seed")), sources
+    return DecodeTrace(dims=dims, **run), sources
 
 
 def _header_policy(trace: DecodeTrace):

@@ -12,9 +12,12 @@ import pytest
 
 from treekv import (
     ConfigError,
+    DimensionError,
     InputError,
+    InvariantViolation,
     ModelDims,
     ModelWeights,
+    StateError,
     decode_with_policy,
     generate_weights,
     load_weights,
@@ -23,6 +26,7 @@ from treekv import (
     save_weights,
     write_trace,
 )
+from treekv import cli
 from treekv.cli import RunConfig, load_config, main
 from treekv.engine import _FORMAT_VERSION, CHUNK_ROWS, atomic_output
 from treekv.trace import TRACE_FORMAT
@@ -512,6 +516,16 @@ def _compare_case(*edits):
     return build
 
 
+def _two_trace_case(first, second, *flags):
+    """analyze over two _decode_args traces, each with its own overrides."""
+    def build(tmp_path):
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path, overrides in zip(paths, (first, second)):
+            assert run_cli(*_decode_args(path, **overrides)) == 0
+        return [*ANALYZE, *flags, "--trace", paths[0], "--trace", paths[1]]
+    return build
+
+
 def _zero_layer_weights(tmp_path):
     """A 30-byte TKVW version-2 header that declares 0 layers and no matrices."""
     weights = tmp_path / "w.bin"
@@ -564,6 +578,7 @@ def _v1_weights(tmp_path):
         (_evicted_case(17, 1, 15, policy="streaming"), 3),
         (_trace_case(lambda record: json.dumps({**record, "d_head": None})), 3),
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 17.0})), 3),
+        (_trace_case(lambda record: json.dumps({**record, "seq_len": -1})), 3),
         (_trace_case(block=lambda rest: rest[:-1]), 3),
         (_trace_case(block=lambda rest: rest + b"\0"), 3),
         (_trace_case(block=lambda rest: rest + bytes(8), trace_detail="light"), 3),
@@ -694,12 +709,36 @@ def _v1_weights(tmp_path):
         (_trace_case(lambda record: json.dumps({**record, "capacity": 30}),
                      command=ANALYZE), 3),
         (_trace_case(lambda record: json.dumps({**record, "zones": "garbage"})), 3),
+        # every header key is required, stream_seed too, even where nothing reads it
+        (_trace_case(lambda record: json.dumps({key: value for key, value in record.items()
+                                                if key != "stream_seed"}),
+                     trace_detail="light"), 3),
+        # block budgets the tree cannot hold
+        (lambda tmp_path: ["prefill", "--T", 12, "--block-size", 3, "--cache-blocks", 1,
+                           "-o", tmp_path / "p.jsonl"], 2),
+        (lambda tmp_path: ["prefill", "--T", 12, "--block-size", 3, "--cache-blocks", 0,
+                           "-o", tmp_path / "p.jsonl"], 2),
+        # analyses that no trace set supports
+        (_two_trace_case({}, {"T": 20}), 3),
+        (_two_trace_case({"policy": "treekv"}, {"policy": "full"}, "--step", 17), 3),
+        # 5 slots at step 17, all inside margins of 3
+        (_trace_case(json.dumps, command=("analyze", "--levels", 2, "--exclude", 3)), 3),
+        (_trace_case(lambda record: json.dumps({**record, "policy": "full", "seq_len": 0}),
+                     evicted=lambda rows: b"", trace_detail="light"), 3),
+        (lambda tmp_path: ["decode", "--config", tmp_path, "-o", tmp_path / "t.jsonl"], 3),
+        (_config_case([]), 2),
+        (_token_file_case("[]"), 3),
+        (_token_file_case("{}"), 3),
+        (_compare_case({}), 2),
+        # 2**64 normals of inputs: more bytes than numpy can address, refused
+        # before any draw
+        (lambda tmp_path: ["decode", "--T", 2**58, "-o", tmp_path / "t.jsonl"], 2),
     ],
     ids=["c-string", "T-float", "zones-int", "unwritable-out",
          "event-layer-out-of-range", "evicted-future-position", "evicted-width-max",
          "evicted-repeated", "header-policy-h2o-as-streaming",
          "header-policy-treekv-as-treekv-left", "evicted-not-streaming", "header-dim-null",
-         "header-seq-len-float",
+         "header-seq-len-float", "header-seq-len-negative",
          "block-short", "block-long", "block-on-light-trace", "row-cell-nan",
          "value-cell-infinity", "weights-cell-nan", "step-without-values", "format-1",
          "format-2", "format-3", "format-4", "format-5", "format-6", "format-7", "format-8",
@@ -725,7 +764,11 @@ def _v1_weights(tmp_path):
          "header-capacity-string", "header-policy-int", "header-zones-list",
          "header-model-seed-string", "header-stream-seed-float", "header-policy-unknown",
          "header-capacity-negative",
-         "header-capacity-past-width", "header-zones-garbage"],
+         "header-capacity-past-width", "header-zones-garbage", "header-stream-seed-missing",
+         "prefill-cache-blocks-one", "prefill-cache-blocks-zero", "analyze-seq-lens-differ",
+         "analyze-slot-counts-differ", "analyze-exclude-everything", "map-no-steps",
+         "config-directory", "config-array", "tokens-empty-array", "tokens-object",
+         "compare-one-config", "decode-T-unaddressable"],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code):
     args = [str(arg) for arg in build(tmp_path)]
@@ -734,9 +777,65 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code)
         [sys.executable, "-m", "treekv", *args], capture_output=True, text=True
     )
     assert result.returncode == code, result.stderr
+    # one message line, after the usage that argparse prints for a bad flag
+    usage = ("usage:", " ")
+    lines = [line for line in result.stderr.splitlines() if not line.startswith(usage)]
+    assert len(lines) == (code != 0), result.stderr
     assert "Traceback" not in result.stderr
     assert "Warning" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == inputs  # no output file written
+
+
+@pytest.mark.parametrize("error", [InvariantViolation, StateError, DimensionError])
+def test_an_internal_error_exits_4_with_one_line(monkeypatch, capsys, error):
+    def broken(args):
+        raise error("broken")
+    monkeypatch.setattr(cli, "cmd_map", broken)
+    assert run_cli("map", "--trace", "t.jsonl") == 4
+    assert capsys.readouterr().err == "internal error: broken\n"
+
+
+def _stdout_case(command, tmp_path):
+    """``command``'s arguments on small inputs, ending with ``-o`` and a file."""
+    trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+    if command == "prefill":
+        return ["prefill", "--T", 12, "--layers", 1, "--heads", 2, "--d-model", 8,
+                "--d-head", 4, "--block-size", 3, "--cache-blocks", 2, "-o", out]
+    if command == "compare":
+        return _compare_case({}, {"policy": "treekv", "c": 4, "zones": "sink=0,recent=0"})(tmp_path)
+    assert run_cli(*_decode_args(trace)) == 0
+    return [*(ANALYZE if command == "analyze" else ["map"]), "--trace", trace, "-o", out]
+
+
+@pytest.mark.parametrize("stdout", [[], ["-o", "-"]], ids=["no-out", "out-dash"])
+@pytest.mark.parametrize("command", ["map", "analyze", "prefill", "compare"])
+def test_stdout_gets_the_bytes_a_file_gets(tmp_path, capsys, command, stdout):
+    *args, flag, out = _stdout_case(command, tmp_path)
+    assert run_cli(*args, flag, out) == 0
+    capsys.readouterr()
+    assert run_cli(*args, *stdout) == 0
+    assert capsys.readouterr().out.encode() == Path(out).read_bytes()
+
+
+def test_analyze_of_two_traces_is_the_signal_weighted_mean_of_each(tmp_path):
+    """The profile averages over all signals of all traces, so two traces
+    give the mean of their own profiles weighted by their signal counts
+    (layers * heads * d_head: 8 and 12 here)."""
+    traces = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    assert run_cli(*_decode_args(traces[0], policy="treekv", seed=3, heads=2)) == 0
+    assert run_cli(*_decode_args(traces[1], policy="treekv", seed=4, heads=3)) == 0
+
+    def profile(*paths):
+        out = tmp_path / "profile.csv"
+        assert run_cli(*ANALYZE, *[arg for path in paths for arg in ("--trace", path)],
+                       "-o", out) == 0
+        rows = [line.rsplit(",", 1) for line in out.read_text().splitlines()[1:]]
+        return [key for key, _ in rows], np.array([float(value) for _, value in rows])
+
+    (keys, first), (_, second) = map(profile, traces)
+    both_keys, both = profile(*traces)
+    assert both_keys == keys
+    np.testing.assert_allclose(both, (8 * first + 12 * second) / 20, rtol=1e-12, atol=0)
 
 
 def test_only_a_run_that_reads_values_fails_on_overflowing_values(tmp_path, capsys):

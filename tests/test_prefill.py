@@ -130,8 +130,9 @@ def test_prefill_no_op_when_budget_covers_blocks():
 
 def test_prefill_requires_budget_of_two():
     partition = partition_blocks(20, 4)
-    with pytest.raises(ConfigError):
-        treekv_prefill_compress(partition, np.zeros(5), 1)
+    for scores, budget in [(np.zeros(5), 1), (np.zeros(5), 0), (np.zeros((3, 5)), 1)]:
+        with pytest.raises(ConfigError):
+            treekv_prefill_compress(partition, scores, budget)
 
 
 def test_prefill_score_length_must_match_blocks():

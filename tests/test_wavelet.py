@@ -61,6 +61,11 @@ def test_dwt_single_rejects_empty_signal():
         dwt_single([])
 
 
+def test_dwt_multi_rejects_empty_signal():
+    with pytest.raises(InputError):
+        dwt_multi(np.empty((3, 0)), 1)
+
+
 # --- multi level ---------------------------------------------------------------
 
 
@@ -277,3 +282,8 @@ def test_magnitude_profile_level_error_when_step_too_short():
     trace = _uniform_trace(seq_len, 2)
     with pytest.raises(LevelError):
         magnitude_profile([trace], 4, exclude=0)
+
+
+def test_magnitude_profile_needs_a_trace():
+    with pytest.raises(InputError):
+        magnitude_profile([], 2, exclude=0)
