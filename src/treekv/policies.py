@@ -161,14 +161,16 @@ class EvictionPolicy:
         self.advance()
         return evicted
 
-    def replay(self, count: int, streams: int = 1, scores=None) -> tuple[np.ndarray, np.ndarray]:
+    def replay(self, count: int, scores=None) -> tuple[np.ndarray, np.ndarray]:
         """``evict`` with no batch over indices 0..count - 1 of each stream,
         as a count-step decode evicts: E = ``eviction_count(count)`` times,
         the next index fills the free last column, ``select`` reads fixed
-        ``scores`` (streams, indices) gathered there and counts of 1, and the
-        victim is dropped, the survivors kept in order.  Returns the dropped
-        indices (E, streams) and the kept ones (streams, count - E)."""
+        ``scores`` (streams, indices; one stream without them) gathered there
+        and counts of 1, and the victim is dropped, the survivors kept in
+        order.  Returns the dropped indices (E, streams) and the kept ones
+        (streams, count - E)."""
         kept = count - self.eviction_count(count)
+        streams = 1 if scores is None else len(scores)
         held = np.tile(np.arange(kept + 1), (streams, 1))  # last column: the arrival
         dropped = np.empty((count - kept, streams), dtype=held.dtype)
         for row, arrival in enumerate(range(kept, count)):
@@ -289,9 +291,9 @@ def decode_with_policy(
     each chunk's keys only to check them, and every stream evicts what
     ``replay`` over one stream's positions evicts.  Returns the trace: the
     evicted grid of every step past the capacity (none under ``full``),
-    the final retained positions and references to the (C-contiguous)
-    inputs and the weights, from which every step's attention rows, values
-    and outputs follow (``trace.signals_at_step``).
+    which each step's retained set follows from (``retained_at``), and
+    references to the (C-contiguous) inputs and weights, which its rows,
+    values and outputs follow from (``trace.signals_at_step``).
     """
     dims = weights.dims
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
@@ -307,8 +309,7 @@ def decode_with_policy(
         wk = stacked_weights(weights.qkv[:, :, 1:2])[0]
         for start in range(0, seq_len, CHUNK_ROWS):
             project(inputs[start : start + CHUNK_ROWS, None], wk)
-        evicted, retained = policy.replay(seq_len)  # one stream's positions
-        evicted, retained = evicted.repeat(streams, axis=1), retained.repeat(streams, axis=0)
+        evicted = policy.replay(seq_len)[0].repeat(streams, axis=1)  # one stream's positions
     else:
         bound = policy.capacity
         batch = StreamBatch(weights, min(seq_len, bound + 1), policy.reads)
@@ -316,7 +317,6 @@ def decode_with_policy(
         for step, rows in enumerate(batch.steps(inputs), 1):
             if batch.n > bound:
                 evicted[step - bound - 1] = policy.evict(batch, rows)  # row 0 is step bound + 1
-        retained = batch.positions[:, : batch.n]
     grid = (dims.layers, dims.heads)
     return DecodeTrace(
         policy=policy_spec,
@@ -326,7 +326,6 @@ def decode_with_policy(
         dims=dims,
         model_seed=weights.seed,
         evicted=evicted.reshape(-1, *grid),
-        retained=retained.reshape(*grid, -1),
         inputs=inputs,
         weights=weights.qkv,
     )

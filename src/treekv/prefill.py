@@ -108,6 +108,6 @@ def treekv_prefill_compress(
         raise DimensionError(f"expected one score per block ({blocks}), got {scores.shape}")
     window_index = blocks - 1
     flat = scores.reshape(-1, blocks)
-    kept = TreeKV(cache_blocks).replay(window_index, len(flat), flat)[1]
+    kept = TreeKV(cache_blocks).replay(window_index, flat)[1]
     kept = np.insert(kept, kept.shape[1], window_index, axis=1)
     return kept.reshape(scores.shape[:-1] + kept.shape[1:]).tolist()

@@ -11,11 +11,11 @@ cache is full.  So a run's evictions are one (layers, heads) grid of
 original positions per step past the capacity: the header's policy,
 capacity and seq_len fix the steps that evict, the tree cursor of each is
 that of a fresh ``make_policy(...)`` advanced once per eviction before it,
-and replaying the evictions gives the retained set after any step.  A
-policy that reads no statistics (``streaming``, ``treekv-left``) chooses
-from slot indices and the cursor alone, so the header fixes its victims
-too: ``validate_trace`` replays them (``EvictionPolicy.replay``) as decode
-does."""
+and replaying the evictions gives the retained set after any step
+(``retained_at``), so none is stored.  A policy that reads no statistics
+(``streaming``, ``treekv-left``) chooses from slot indices and the cursor
+alone, so the header fixes its victims too: ``validate_trace`` replays
+them (``EvictionPolicy.replay``) as decode does."""
 
 from __future__ import annotations
 
@@ -56,10 +56,6 @@ class DecodeTrace:
     # array whose row i is step capacity + 1 + i (``_header_policy``'s
     # ``eviction_count``).  A file holds them at ``position_dtype(seq_len)``.
     evicted: np.ndarray | None = None
-    # Retained positions after the last step, a (layers, heads, n) int64
-    # array: decode's batch holds them at its end, and ``read_trace``
-    # replays them from the evictions (``retained_at``).
-    retained: np.ndarray | None = None
     # The run's (seq_len, d_model) float64 inputs and the model's float32
     # ``ModelWeights.qkv``, which every step's query, key and value follow
     # from (``held_projections``).  Decode references both; a light trace
@@ -75,6 +71,11 @@ class DecodeTrace:
         """The header's run fields (``RUN_FIELDS``), in file order."""
         values = {**vars(self), **vars(self.dims)}
         return {key: values[key] for key in RUN_FIELDS}
+
+    @property
+    def retained(self) -> np.ndarray:
+        """The positions held after the last step (``retained_at``)."""
+        return retained_at(self, self.seq_len)
 
 
 def position_dtype(seq_len: int) -> np.dtype:
@@ -106,26 +107,28 @@ def _source(trace: DecodeTrace, name: str) -> str:
     """"seed" if the header's seed regenerates the block bitwise, as the file
     would hold it, else "stored".  Bytes are compared, not values, so a
     -0.0 where the seed draws 0.0 is stored."""
-    array = getattr(trace, name)
-    unseeded = name == "inputs" and trace.stream_seed is None
-    if unseeded or array.shape != _block_shapes(trace)[name]:
+    if name == "inputs" and trace.stream_seed is None:
         return "stored"
     dtype = BLOCKS[name]
     bits = [np.ascontiguousarray(a, dtype).reshape(-1).view(np.uint8)
-            for a in (array, _regenerate(trace, name))]
+            for a in (getattr(trace, name), _regenerate(trace, name))]
     return "seed" if np.array_equal(*bits) else "stored"
 
 
 def write_trace(trace: DecodeTrace, path: str) -> None:
     """Write the trace; its positions must lie in 0..seq_len - 1, which the
     file's width holds (``position_dtype``), so none is wrapped.  A full
-    trace (one with inputs) stores each of its inputs and weights that the
-    header's seed does not regenerate bitwise (``_source``), and its header
-    names each block's source."""
+    trace (one with inputs) must hold both blocks at the header's shapes;
+    it stores each that the header's seed does not regenerate bitwise
+    (``_source``), and its header names each block's source."""
     evicted = trace.evicted
     if evicted.size and not 0 <= evicted.min() <= evicted.max() < trace.seq_len:
         raise InvariantViolation(f"evicted positions outside 0..{trace.seq_len - 1}")
     full = trace.inputs is not None
+    for name, shape in _block_shapes(trace).items():
+        held = np.shape(getattr(trace, name))  # None: ()
+        if full and held != shape:
+            raise InvariantViolation(f"full trace: {name} of shape {held}, not {shape}")
     sources = {name: _source(trace, name) if full else None for name in BLOCKS}
     header = {"kind": "header", "format": TRACE_FORMAT, **trace.config_dict(), **sources}
     with atomic_output(path, "wb") as fh:
@@ -184,9 +187,9 @@ def read_trace(path: str) -> DecodeTrace:
     """Read a trace: the header line, then the rest of the file, which is
     the block of evictions followed by each block the header names
     "stored", so the header implies one length.  Only a valid trace is
-    returned (``validate_trace``), its retained positions replayed from its
-    evictions; only then is each "seed" block regenerated, so a full trace
-    holds its inputs and weights whatever their source."""
+    returned (``validate_trace``); only then is each "seed" block
+    regenerated, so a full trace holds its inputs and weights whatever
+    their source."""
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
@@ -214,7 +217,7 @@ def read_trace(path: str) -> DecodeTrace:
             raise InputError(f"trace {path} holds a NaN or infinite input or weight")
         setattr(trace, name, block.reshape(shapes[name]))
         offset += block.nbytes
-    trace.retained = validate_trace(trace)
+    validate_trace(trace)
     for name in reversed(BLOCKS):  # weights first: a model too large to hold draws no input
         if sources[name] == "seed":
             setattr(trace, name, _regenerate(trace, name))
@@ -259,28 +262,26 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
     return np.nonzero(live)[1].reshape(layers, heads, step - len(evicted))
 
 
-def validate_trace(trace: DecodeTrace) -> np.ndarray:
-    """Check that the trace is a run decode could make, and return its
-    retained positions after the last step: the header's policy, capacity
-    and zones build a policy by decode's rules, the evictions are one
-    (layers, heads) grid per step that policy evicts at, each names a
-    position its stream holds then (``retained_at``), and under a policy
-    that reads nothing each is the one that policy evicts, which it
+def validate_trace(trace: DecodeTrace) -> None:
+    """Check that the trace's evictions are a run decode could make: the
+    header's policy, capacity and zones build a policy by decode's rules,
+    the evictions are one (layers, heads) grid per step that policy evicts
+    at, and each names a position its stream holds then: under a policy
+    that reads nothing, exactly the one that policy evicts, which it
     replays over one stream's positions (``EvictionPolicy.replay(seq_len)``),
-    as decode does.  Raises InputError on any inconsistency.
-    ``read_trace`` calls it on every trace it reads; a trace built in
-    memory can be checked with it directly."""
+    as decode does; under any other, one ``retained_at`` accepts.  A trace
+    without evictions is neither replayed nor masked.  Raises InputError on
+    any inconsistency.  ``read_trace`` calls it on every trace it reads; a
+    trace built in memory can be checked with it directly."""
     policy = _header_policy(trace)
     rows = (policy.eviction_count(trace.seq_len), trace.dims.layers, trace.dims.heads)
     if trace.evicted.shape != rows:
         raise InputError(f"trace holds evictions of shape {trace.evicted.shape}, but "
                          f"{trace.policy} at c={trace.capacity} over {trace.seq_len} steps "
                          f"evicts {rows}")
-    # first: its (streams, seq_len) mask outweighs a replay with evictions (one
-    # stream of capacity + 1 indices and E victims) but not one without
-    # (seq_len + 1 indices, under full), so only a trace with evictions is replayed
-    retained = retained_at(trace, trace.seq_len)
-    if rows[0] and not policy.reads:  # one replay row per row the trace holds
+    if rows[0] and policy.reads:
+        retained_at(trace, trace.seq_len)
+    elif rows[0]:  # one replay row per row the trace holds
         evicted = trace.evicted.reshape(rows[0], -1)
         victims = policy.replay(trace.seq_len)[0][:, 0]
         wrong = evicted != victims[:, None]
@@ -290,7 +291,6 @@ def validate_trace(trace: DecodeTrace) -> np.ndarray:
             raise InputError(f"step {trace.capacity + 1 + row}: {trace.policy} evicts position "
                              f"{victims[row]}, not {evicted[row, stream]}, "
                              f"in stream ({layer}, {head})")
-    return retained
 
 
 def distribution_map(trace: DecodeTrace) -> np.ndarray:

@@ -600,8 +600,9 @@ def _v1_weights(tmp_path):
         # 10**12 - 4 rows of evictions missing
         (_trace_case(lambda record: json.dumps({**record, "seq_len": 10**12}),
                      trace_detail="light"), 3),
-        # nothing backs the size a header-only full trace declares: its replay
-        # is too large to allocate, as decode --T 10**12 is
+        # nothing backs the size a header-only full trace declares: it reads
+        # without a replay, but its map is too large to allocate, as decode
+        # --T 10**12 is
         (_trace_case(lambda record: json.dumps({**record, "policy": "full", "seq_len": 10**12}),
                      evicted=lambda rows: b"", trace_detail="light"), 2),
         # the same with a last position that no 64-bit integer holds
@@ -617,7 +618,7 @@ def _v1_weights(tmp_path):
                                                 "layers": 2**20, "d_model": 2**20,
                                                 "d_head": 2**20}),
                      evicted=lambda rows: b""), 2),
-        # and 2**63 steps of inputs: the replay's mask is refused first
+        # and 2**63 steps of inputs, refused when they are allocated
         (_trace_case(lambda record: json.dumps({**record, "policy": "full", "seq_len": 2**63}),
                      evicted=lambda rows: b""), 2),
         # block sources the header cannot have

@@ -373,7 +373,7 @@ def test_replay_of_no_more_than_capacity_drops_nothing():
     # nothing arrives past the capacity: every index is kept, in order
     for spec in POLICY_SPECS:
         for count in (0, 1, 4):
-            dropped, kept = make_policy(spec, 4).replay(count, 3)
+            dropped, kept = make_policy(spec, 4).replay(count, np.zeros((3, count)))
             assert dropped.shape == (0, 3)
             assert kept.tolist() == [list(range(count))] * 3
 
@@ -426,7 +426,7 @@ def test_replay_evicts_as_evict_does_over_fixed_scores(spec):
     for capacity, zones, count, scores in cases:
         steps = list(drive_policy(make_policy(spec, capacity, zones), capacity,
                                   fixed_scores=scores))
-        dropped, kept = make_policy(spec, capacity, zones).replay(count, 1, scores[None])
+        dropped, kept = make_policy(spec, capacity, zones).replay(count, scores[None])
         assert dropped.shape == (max(0, count - capacity), 1)
         assert dropped[:, 0].tolist() == [int(e[0][0]) for _, e in steps if e is not None]
         final = [batch.positions[0, : batch.n].tolist() for batch, _ in steps[-1:]]
@@ -439,11 +439,11 @@ def test_a_replay_of_four_streams_is_four_replays_of_one(spec):
     rng = np.random.default_rng(11)
     for capacity, zones, count in _replay_cases(spec):
         scores = rng.random((4, count))
-        dropped, kept = make_policy(spec, capacity, zones).replay(count, 4, scores)
+        dropped, kept = make_policy(spec, capacity, zones).replay(count, scores)
         assert dropped.shape == (max(0, count - capacity), 4)
         assert kept.shape == (4, min(count, capacity))
         for stream in range(4):
-            one = make_policy(spec, capacity, zones).replay(count, 1, scores[stream : stream + 1])
+            one = make_policy(spec, capacity, zones).replay(count, scores[stream : stream + 1])
             assert dropped[:, stream].tolist() == one[0][:, 0].tolist()
             assert kept[stream].tolist() == one[1][0].tolist()
 

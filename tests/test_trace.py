@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from treekv import (
 )
 from treekv.engine import project, stacked_weights
 from treekv.cli import main
-from treekv.trace import held_projections, position_dtype
+from treekv.trace import BLOCKS, RUN_FIELDS, held_projections, position_dtype
 
 from helpers import evictions
 from oracles import oracle_retained_at
@@ -59,7 +61,6 @@ def test_trace_roundtrip(tmp_path):
     assert (header["inputs"], header["weights"]) == ("stored", "seed")
     assert loaded.evicted.shape == trace.evicted.shape == (14 - 5, 1, 2)
     assert np.array_equal(loaded.evicted, trace.evicted)
-    # replayed from the evictions, the positions decode's batch held at its end
     assert np.array_equal(loaded.retained, trace.retained)
     assert loaded.inputs.tobytes() == trace.inputs.tobytes()
     assert loaded.weights.tobytes() == trace.weights.tobytes()
@@ -256,7 +257,8 @@ def test_a_negative_zero_is_stored_where_the_seed_draws_zero(tmp_path, monkeypat
 @pytest.mark.parametrize("spec", ["streaming", "treekv-left"])
 def test_the_header_fixes_the_victims_of_a_policy_that_reads_nothing(spec):
     trace = _run(policy=spec, capacity=5, seq_len=20, heads=3, zones="sink=1,recent=1")
-    assert validate_trace(trace).shape == (1, 3, 5)
+    validate_trace(trace)
+    assert trace.retained.shape == (1, 3, 5)
     # stream (0, 2) evicts at steps 10 and 11 what the policy evicts at 11
     # and 10: each still a position the stream holds then
     first, second = trace.evicted[10 - 6 : 12 - 6, 0, 2].tolist()  # row 0 is step 6
@@ -289,6 +291,61 @@ def test_a_trace_without_evictions_is_read_without_a_replay(tmp_path, monkeypatc
     loaded = read_trace(str(path))
     assert loaded.evicted.shape == (0, 1, 2)
     assert loaded.retained.tolist() == [[list(range(14))] * 2]
+
+
+def test_a_header_only_full_trace_is_read_without_a_seq_len_wide_allocation(tmp_path):
+    # Its 216 bytes declare 10**12 steps, none of which evicts: reading it
+    # checks the empty grid and allocates nothing that wide.
+    trace = _run(policy="full", capacity=5)
+    trace.inputs = trace.weights = None
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    header = json.loads(path.read_bytes())
+    path.write_text(json.dumps({**header, "seq_len": 10**12}, separators=(",", ":")) + "\n")
+    assert len(path.read_bytes()) == 216
+    loaded = read_trace(str(path))
+    assert loaded.seq_len == 10**12 and loaded.evicted.shape == (0, 1, 2)
+
+
+def test_the_retained_set_follows_the_evictions_it_is_read_from():
+    # Stream (0, 0) evicts position 0 at the last step instead of 13: still
+    # a position it holds, so the trace is valid, and the final set and the
+    # map are the edited run's, not the one decode ran.
+    trace = _run(policy="h2o")
+    assert trace.evicted[-1, 0, 0] == 13 and trace.retained[0, 0].tolist() == [0, 1, 2, 3, 4]
+    trace.evicted[-1, 0, 0] = 0
+    validate_trace(trace)
+    assert trace.retained[0].tolist() == [[1, 2, 3, 4, 13], [0, 1, 2, 3, 4]]
+    assert np.array_equal(trace.retained, retained_at(trace, trace.seq_len))
+    assert distribution_map(trace)[0].tolist() == [0.5, 1, 1, 1, 1] + [0] * 8 + [0.5]
+
+
+@pytest.mark.parametrize("edit, block, held", [
+    (lambda trace: setattr(trace, "inputs", trace.inputs[:-1]), "inputs", (13, 8)),
+    (lambda trace: setattr(trace, "weights", None), "weights", ()),
+], ids=["inputs-short", "weights-missing"])
+def test_a_full_trace_is_written_only_at_its_header_shapes(tmp_path, edit, block, held):
+    # read_trace would refuse the file by its length, or there would be
+    # no block to write: write_trace writes none.
+    trace = _run()
+    edit(trace)
+    path = tmp_path / "t.jsonl"
+    shapes = {"inputs": (14, 8), "weights": (1, 2, 3, 8, 4)}  # the header's
+    with pytest.raises(InvariantViolation, match=re.escape(
+            f"full trace: {block} of shape {held}, not {shapes[block]}")):
+        write_trace(trace, str(path))
+    assert not path.exists()
+
+
+def test_a_trace_holds_only_its_header_fields_and_blocks():
+    # Anything else a DecodeTrace could hold follows from these, as the
+    # retained set follows from the evictions, and is derived, not stored.
+    names = [field.name for field in dataclasses.fields(DecodeTrace)]
+    dims = [field.name for field in dataclasses.fields(ModelDims)]
+    run = list(RUN_FIELDS)
+    start = run.index(dims[0])
+    assert run[start : start + len(dims)] == dims
+    assert names == [*run[:start], "dims", *run[start + len(dims):], "evicted", *BLOCKS]
 
 
 def test_trace_replay_detects_tampering(tmp_path):
@@ -448,7 +505,6 @@ def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
             evicted.append(policy.evict(batch, rows))
     trace.evicted = np.array(evicted, dtype=np.int64).reshape(-1, *grid)
     trace.inputs, trace.weights = inputs, weights.qkv
-    trace.retained = batch.positions[:, : batch.n].reshape(*grid, -1)
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
     return read_trace(str(path)), attended, held
