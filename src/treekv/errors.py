@@ -10,7 +10,7 @@ class DimensionError(TreeKVError):
 
 
 class StateError(TreeKVError):
-    """Operation applied to a stream batch, cursor or model in the wrong state."""
+    """Operation applied to a stream batch or model in the wrong state."""
 
 
 class ConfigError(TreeKVError):

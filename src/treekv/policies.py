@@ -10,13 +10,15 @@ cumulative-score eviction in the style of H2O, and last-row eviction in the
 style of TOVA.
 
 Every policy is a pure victim selector over the importance statistics of
-all streams.  A bounded one fixes, when it is built, which slots of a cache
-one over capacity it may evict; full attention is never asked to evict.  A
+all streams and the eviction's 0-based index: it holds no state that an
+eviction changes, so the i-th eviction's tree cursor is i mod cycle + 1.  A
+bounded one fixes, when it is built, which slots of a cache one over
+capacity it may evict; full attention is never asked to evict.  A
 policy's ``reads`` names the statistics its ``select`` reads, of
 cumulative attention mass ``scores`` (S), residency count ``counts`` (C)
 and the last attention ``rows``: the tree rule reads S and C, H2O reads S,
 TOVA reads the rows, and the sliding window and select-left read none and
-choose from slot indices alone.
+choose from slot indices and the eviction index alone.
 ``EvictionPolicy.evict`` removes the victims from a ``StreamBatch`` that
 keeps exactly the statistics the policy reads, every (layer, head) stream
 at once with one policy instance.  ``EvictionPolicy.replay(count)`` runs
@@ -98,20 +100,21 @@ def _averaged(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 class EvictionPolicy:
     """Contract: when the streams hold capacity + 1 slots, ``select`` names
-    one victim slot per stream without changing anything; ``evict`` and
-    ``replay`` remove the victims and then call ``advance``.  The evictable
-    slots ``lo`` to ``hi - 1``, those between the sink and recent zones, are
-    fixed when the policy is built; ``full`` has no capacity and is never
-    asked to evict.
+    one victim slot per stream, a function of the cache shape, the
+    statistics it ``reads`` and the eviction's 0-based index alone;
+    ``evict`` and ``replay`` remove the victims.  The evictable slots ``lo``
+    to ``hi - 1``, those between the sink and recent zones, are fixed when
+    the policy is built; ``full`` has no capacity and is never asked to
+    evict.
 
     One instance serves every stream of a run: all streams hold the same
-    number of slots and evict in lockstep, so a tree cursor is shared.
+    number of slots and evict in lockstep, so they share each eviction's
+    index.
     """
 
     spec = "?"
     reads: tuple[str, ...] = ()  # what ``select`` reads, of engine.STATISTICS
     capacity: int | None = None  # slots each stream keeps; None: never evicts
-    cursor: int | None = None  # the tree cursor the next eviction uses
     min_evictable = 1  # slots the zones must leave unprotected
 
     def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones()):
@@ -123,15 +126,12 @@ class EvictionPolicy:
             )
         self.capacity, self.lo, self.hi = capacity, lo, hi
 
-    def select(self, shape: tuple[int, int], **stats) -> np.ndarray:
+    def select(self, shape: tuple[int, int], index: int, **stats) -> np.ndarray:
         """Victim slot (0-based) per stream of a (streams, capacity + 1)
-        cache, given as keywords exactly the statistics the policy
-        ``reads``: ``scores`` S and ``counts`` C (streams, slots) and the
-        last attention ``rows``."""
+        cache at the run's ``index``-th eviction, given as keywords exactly
+        the statistics the policy ``reads``: ``scores`` S and ``counts`` C
+        (streams, slots) and the last attention ``rows``."""
         raise NotImplementedError
-
-    def advance(self) -> None:
-        """Move past an eviction that removed the selected victims."""
 
     def eviction_count(self, seq_len: int) -> int:
         """How many steps of a seq_len-step decode evict: each step t >
@@ -144,9 +144,10 @@ class EvictionPolicy:
         stream, leftmost on ties."""
         return self.lo + np.argmin(weights[:, self.lo : self.hi], axis=1)
 
-    def evict(self, batch: StreamBatch, rows) -> np.ndarray:
+    def evict(self, batch: StreamBatch, rows, index: int) -> np.ndarray:
         """Evict one slot per stream from a batch one over capacity,
-        ``rows`` being the attention rows of the step that filled it.
+        ``rows`` being the attention rows of the step that filled it and
+        ``index`` the run's 0-based count of evictions before this one.
         Returns the removed slots' original positions, one per stream.
         """
         n = batch.n
@@ -157,18 +158,16 @@ class EvictionPolicy:
             )
         stats = {name: rows if name == "rows" else getattr(batch, name)[:, :n]
                  for name in self.reads}
-        evicted = batch.remove(self.select((batch.streams, n), **stats))
-        self.advance()
-        return evicted
+        return batch.remove(self.select((batch.streams, n), index, **stats))
 
     def replay(self, count: int, scores=None) -> tuple[np.ndarray, np.ndarray]:
         """``evict`` with no batch over indices 0..count - 1 of each stream,
         as a count-step decode evicts: E = ``eviction_count(count)`` times,
         the next index fills the free last column, ``select`` reads fixed
         ``scores`` (streams, indices; one stream without them) gathered there
-        and counts of 1, and the victim is dropped, the survivors kept in
-        order.  Returns the dropped indices (E, streams) and the kept ones
-        (streams, count - E)."""
+        and counts of 1 at eviction index 0..E - 1, and the victim is
+        dropped, the survivors kept in order.  Returns the dropped indices
+        (E, streams) and the kept ones (streams, count - E)."""
         kept = count - self.eviction_count(count)
         streams = 1 if scores is None else len(scores)
         held = np.tile(np.arange(kept + 1), (streams, 1))  # last column: the arrival
@@ -177,10 +176,9 @@ class EvictionPolicy:
             held[:, -1] = arrival
             stats = {name: np.ones_like(held) if name == "counts"
                      else np.take_along_axis(scores, held, 1) for name in self.reads}
-            for stream, victim in enumerate(self.select(held.shape, **stats).tolist()):
+            for stream, victim in enumerate(self.select(held.shape, row, **stats).tolist()):
                 dropped[row, stream] = held[stream, victim]
                 held[stream, victim:-1] = held[stream, victim + 1 :]
-            self.advance()
         return dropped, held[:, :kept]
 
 
@@ -194,8 +192,9 @@ class FullAttention(EvictionPolicy):
 
 
 class TreeKV(EvictionPolicy):
-    """The tree cycle: a 1-based ``cursor`` sweeps the ``cycle`` slot pairs
-    of the evictable range (c pairs when there are no zones) and wraps."""
+    """The tree cycle: eviction i compares the slot pair at ``lo + i mod
+    cycle``, so its 1-based cursor sweeps the ``cycle`` slot pairs of the
+    evictable range (c pairs when there are no zones) and wraps."""
 
     reads = ("scores", "counts")
     min_evictable = 2  # one slot pair
@@ -210,22 +209,16 @@ class TreeKV(EvictionPolicy):
         self.spec = "treekv-left" if select_left else "treekv"
         super().__init__(capacity, zones)
         self.cycle = self.hi - self.lo - 1
-        self.cursor = 1
 
-    def select(self, shape, scores=None, counts=None):
+    def select(self, shape, index, scores=None, counts=None):
         """The tree rule: of the slot pair under the cursor, the lower
         averaged attention mass goes, ties to the left; with ``select_left``
         the left slot always goes, and S and C are not read."""
-        if not 1 <= self.cursor <= self.cycle:
-            raise InvariantViolation(f"cursor {self.cursor} outside 1..{self.cycle}")
-        left = self.lo + self.cursor - 1
+        left = self.lo + index % self.cycle
         if self.select_left:
             return np.full(shape[0], left)
         pair = _averaged(scores[:, left : left + 2], counts[:, left : left + 2])
         return left + (pair[:, 0] > pair[:, 1])
-
-    def advance(self) -> None:
-        self.cursor = self.cursor % self.cycle + 1
 
 
 class StreamingLLM(EvictionPolicy):
@@ -233,7 +226,7 @@ class StreamingLLM(EvictionPolicy):
 
     spec = "streaming"
 
-    def select(self, shape):
+    def select(self, shape, index=None):
         return np.full(shape[0], self.lo)
 
 
@@ -241,7 +234,7 @@ class H2O(EvictionPolicy):
     spec = "h2o"
     reads = ("scores",)
 
-    def select(self, shape, scores):
+    def select(self, shape, index=None, *, scores):
         return self._argmin(scores)
 
 
@@ -249,7 +242,7 @@ class TOVA(EvictionPolicy):
     spec = "tova"
     reads = ("rows",)
 
-    def select(self, shape, rows):
+    def select(self, shape, index=None, *, rows):
         return self._argmin(rows)
 
 
@@ -316,7 +309,8 @@ def decode_with_policy(
         evicted = np.empty((policy.eviction_count(seq_len), streams), dtype=np.int64)
         for step, rows in enumerate(batch.steps(inputs), 1):
             if batch.n > bound:
-                evicted[step - bound - 1] = policy.evict(batch, rows)  # row 0 is step bound + 1
+                index = step - bound - 1  # eviction 0 is step bound + 1
+                evicted[index] = policy.evict(batch, rows, index)
     grid = (dims.layers, dims.heads)
     return DecodeTrace(
         policy=policy_spec,

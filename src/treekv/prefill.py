@@ -93,11 +93,12 @@ def treekv_prefill_compress(
     (..., blocks), one leading index per stream.
 
     Content blocks arrive one at a time: the block cache fills to
-    ``cache_blocks``, then each further block triggers one decision of the
-    decode-time tree selector (lower score of the adjacent pair under the
-    cursor goes, ties to the left) and a cyclic cursor advance, one cursor
-    for all streams (``TreeKV.replay`` of the content blocks).  Scores are
-    never refreshed, so every count is 1: the averaged score is the block's.
+    ``cache_blocks``, then the i-th further block (0-based) triggers
+    decision i of the decode-time tree selector (lower score of the adjacent
+    pair under cursor i mod cache_blocks + 1 goes, ties to the left), one
+    cursor for all streams (``TreeKV.replay`` of the content blocks).
+    Scores are never refreshed, so every count is 1: the averaged score is
+    the block's.
     Returns the retained block indices in prompt order, ending with the
     observation window, as nested lists (..., kept); 1-D scores give one
     list of ints.  A budget below 2 raises ConfigError (``TreeKV``'s).

@@ -6,7 +6,7 @@ any run.  The recurrence is deliberately simple enough to re-implement from
 this docstring alone:
 
 state update (splitmix64)
-    Each call returns ``mix64(state)`` and then advances
+    Each call returns ``mix64(state)`` and then sets
     ``state = (state + 0x9E3779B97F4A7C15) mod 2**64``.
 
 output finalizer

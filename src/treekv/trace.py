@@ -9,13 +9,13 @@ Every stream of a run holds the same number of slots and evicts in
 lockstep, and a bounded policy evicts exactly once per step as soon as its
 cache is full.  So a run's evictions are one (layers, heads) grid of
 original positions per step past the capacity: the header's policy,
-capacity and seq_len fix the steps that evict, the tree cursor of each is
-that of a fresh ``make_policy(...)`` advanced once per eviction before it,
-and replaying the evictions gives the retained set after any step
-(``retained_at``), so none is stored.  A policy that reads no statistics
-(``streaming``, ``treekv-left``) chooses from slot indices and the cursor
-alone, so the header fixes its victims too: ``validate_trace`` replays
-them (``EvictionPolicy.replay``) as decode does."""
+capacity and seq_len fix the steps that evict, the tree cursor of eviction
+i is i mod cycle + 1 (``TreeKV.cycle``), and replaying the evictions gives
+the retained set after any step (``retained_at``), so none is stored.  A
+policy that reads no statistics (``streaming``, ``treekv-left``) chooses
+from slot indices and the eviction index alone, so the header fixes its
+victims too: ``validate_trace`` replays them (``EvictionPolicy.replay``)
+as decode does."""
 
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ from treekv import (
     ModelDims,
     ModelWeights,
     StreamBatch,
+    TreeKV,
     generate_weights,
     make_policy,
     signals_at_step,
@@ -35,15 +36,20 @@ def outputs_at(trace, step):
     return np.matmul(rows[..., None, :], values)[..., 0, :]
 
 
+def tree_cursor(policy, index):
+    """The 1-based tree cursor of a policy's ``index``-th eviction
+    (``index mod cycle + 1``), or None under a policy without one."""
+    return index % policy.cycle + 1 if isinstance(policy, TreeKV) else None
+
+
 def evictions(trace):
     """Every evicting step of a trace as (step, grid, cursor): the step,
     its (layers, heads) row of ``trace.evicted`` and the tree cursor that
-    chose it (None under a baseline).  Row i is step capacity + 1 + i, and
-    the cursors are a fresh policy's, advanced once per eviction."""
+    chose it (None under a baseline).  Row i is eviction i, at step
+    capacity + 1 + i."""
     policy = make_policy(trace.policy, trace.capacity, trace.zones)
     for row, grid in enumerate(trace.evicted):
-        yield trace.capacity + 1 + row, grid, policy.cursor
-        policy.advance()
+        yield trace.capacity + 1 + row, grid, tree_cursor(policy, row)
 
 
 def evicted_events(trace):
@@ -81,11 +87,12 @@ def drive_policy(policy, capacity, rows=None, fixed_scores=None):
     last attention row is the live slots' fixed scores, as
     ``EvictionPolicy.replay`` gives a policy that reads rows.  Whenever
     the stream holds more than ``capacity`` slots, ``policy.evict`` removes
-    one.  Yields (batch, eviction) after every step, where eviction is
-    (evicted positions, cursor) or None: evict's positions and the policy's
-    cursor just before it.
+    one, at the count of evictions before it.  Yields (batch, eviction)
+    after every step, where eviction is (evicted positions, cursor) or
+    None: evict's positions and the tree cursor that chose them.
     """
     batch = StreamBatch(_ONE_STREAM, capacity + 1)
+    index = 0
     for t, stat in enumerate(rows if rows is not None else fixed_scores):
         n = batch.n
         batch.positions[0, n] = t
@@ -100,6 +107,33 @@ def drive_policy(policy, capacity, rows=None, fixed_scores=None):
             batch.counts[:, : n + 1] += 1
         eviction = None
         if batch.n > capacity:
-            cursor = policy.cursor
-            eviction = policy.evict(batch, last_rows), cursor
+            eviction = policy.evict(batch, last_rows, index), tree_cursor(policy, index)
+            index += 1
         yield batch, eviction
+
+
+def decision_margins(weights, inputs, spec, capacity, zones=None):
+    """The relative margin of every decision an attending policy makes,
+    (E, streams): a ``StreamBatch`` steps the inputs as decode does and,
+    before each eviction, the two weights the decision separates give
+    ``|a - b| / max(|a|, |b|)`` (0 on an exact tie, NaN if both are 0).
+    Under ``treekv`` they are the averaged masses of the pair under the
+    cursor; under ``h2o`` and ``tova``, the two smallest evictable weights
+    (scores S, or the last rows)."""
+    policy = make_policy(spec, capacity, zones)
+    batch = StreamBatch(weights, capacity + 1, policy.reads)
+    margins = []
+    for rows in batch.steps(np.asarray(inputs, dtype=np.float64)):
+        if batch.n <= capacity:
+            continue
+        index = len(margins)
+        if spec == "treekv":
+            left = policy.lo + tree_cursor(policy, index) - 1
+            pair = slice(left, left + 2)
+            a, b = (batch.scores[:, pair] / batch.counts[:, pair]).T
+        else:
+            weight = batch.scores[:, : batch.n] if spec == "h2o" else rows
+            a, b = np.sort(weight[:, policy.lo : policy.hi], axis=1)[:, :2].T
+        margins.append(abs(a - b) / np.maximum(abs(a), abs(b)))
+        policy.evict(batch, rows, index)
+    return np.array(margins).reshape(-1, batch.streams)

@@ -42,7 +42,8 @@ from treekv.engine import (
 )
 from treekv.rng import _CHUNK, NormalStream
 
-from helpers import evicted_events, evictions, outputs_at, single_head_weights
+from helpers import (decision_margins, evicted_events, evictions, outputs_at,
+                     single_head_weights)
 from oracles import (
     _OracleStream,
     oracle_block_scores,
@@ -851,3 +852,19 @@ def test_decode_is_bitwise_pinned(spec, zones, expected, events):
     trace = decode_with_policy(weights, inputs, spec, 8, zones)
     assert _events_digest(trace) == events
     assert _trace_digest(trace) == expected
+
+
+@pytest.mark.parametrize("spec, zones", [("treekv", "sink=0,recent=0"),
+                                         ("h2o", "sink=1,recent=2"),
+                                         ("tova", "sink=0,recent=0")])
+def test_no_pinned_decision_is_a_near_tie(spec, zones):
+    # Every eviction of the attending pinned runs above separates its two
+    # candidates by a relative margin far above float noise (the smallest
+    # are about 9.5e-3 under treekv, 0.31 under h2o and 5.3e-4 under tova),
+    # so an event digest that moves there marks a defect, not a tie broken
+    # the other way by rounding.
+    weights = generate_weights(21, ModelDims(2, 2, 8, 4))
+    inputs = synthesize_embeddings(22, 40, 8)
+    margins = decision_margins(weights, inputs, spec, 8, zones)
+    assert margins.shape == (32, 4)
+    assert (margins > 1e-9).all(), margins.min()

@@ -101,7 +101,7 @@ def test_average_scores_bounds():
 
 def test_average_scores_zero_count_is_internal_error():
     with pytest.raises(InvariantViolation):
-        TreeKV(2).select((1, 3), scores=np.array([[1.0, 0.5, 0.2]]),
+        TreeKV(2).select((1, 3), 0, scores=np.array([[1.0, 0.5, 0.2]]),
                          counts=np.array([[0, 1, 1]]))
 
 
@@ -112,19 +112,16 @@ def _tree_victim(scores, counts=None, *, c, cursor=1, select_left=False):
     scores = np.asarray(scores, dtype=np.float64)[None]
     counts = np.ones_like(scores) if counts is None else np.asarray(counts)[None]
     policy = TreeKV(c, select_left=select_left)
-    policy.cursor = cursor
-    return int(policy.select(scores.shape, scores=scores, counts=counts)[0])
+    return int(policy.select(scores.shape, cursor - 1, scores=scores, counts=counts)[0])
 
 
 def test_tree_eviction_walkthrough_step5():
-    # Five tokens in a capacity-4 cache, cursor at 1, first slot scored lower:
-    # the oldest token goes and the survivors shift left.
+    # Five tokens in a capacity-4 cache, eviction 0 (cursor at 1), first
+    # slot scored lower: the oldest token goes and the survivors shift left.
     scores = [0.1, 0.5, 0.3, 0.4, 0.2]
     assert _tree_victim(scores, c=4) == 0
     batch = stream_batch(scores)
-    policy = TreeKV(4)
-    assert policy.cursor == 1
-    assert policy.evict(batch, None).tolist() == [0]
+    assert TreeKV(4).evict(batch, None, 0).tolist() == [0]
     assert batch.positions[0, : batch.n].tolist() == [1, 2, 3, 4]
     assert batch.scores[0, : batch.n].tolist() == [0.5, 0.3, 0.4, 0.2]
 
@@ -144,7 +141,7 @@ def test_tree_eviction_select_left_ignores_scores():
 
 def test_tree_eviction_requires_over_capacity_cache():
     with pytest.raises(StateError):
-        TreeKV(4).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None)
+        TreeKV(4).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None, 0)
 
 
 def test_tree_eviction_scale_invariance():
@@ -157,27 +154,24 @@ def test_tree_eviction_scale_invariance():
 # --- cursor ------------------------------------------------------------------
 
 
-def test_advance_idx_steps_and_wraps():
-    policy = TreeKV(4)
-    policy.advance()
-    assert policy.cursor == 2
-    policy.cursor = 4
-    policy.advance()
-    assert policy.cursor == 1
-    zoned = TreeKV(6, ProtectedZones(1, 1))  # the cursor sweeps 6 - 2 = 4 slots
-    zoned.cursor = 4
-    zoned.advance()
-    assert zoned.cycle == 4 and zoned.cursor == 1
+def _left_slot(capacity, zones, index):
+    """The left slot of the pair that eviction ``index`` compares, which
+    select-left evicts from a one-stream cache one over capacity."""
+    policy = TreeKV(capacity, zones, select_left=True)
+    return int(policy.select((1, capacity + 1), index)[0])
 
 
-def test_advance_idx_visits_every_slot_once():
-    policy = TreeKV(5)
-    seen = []
-    for _ in range(5):
-        seen.append(policy.cursor)
-        policy.advance()
-    assert sorted(seen) == [1, 2, 3, 4, 5]
-    assert policy.cursor == 1
+def test_the_cursor_steps_with_the_eviction_index_and_wraps():
+    assert [_left_slot(4, ProtectedZones(), index) for index in (0, 1, 3, 4)] == [0, 1, 3, 0]
+    zoned = ProtectedZones(1, 1)  # the cursor sweeps 6 - 2 = 4 slots
+    assert TreeKV(6, zoned).cycle == 4
+    assert [_left_slot(6, zoned, index) for index in (0, 3, 4)] == [1, 4, 1]
+
+
+def test_the_cursor_visits_every_slot_once_per_cycle():
+    seen = [_left_slot(5, ProtectedZones(), index) for index in range(5)]
+    assert sorted(seen) == [0, 1, 2, 3, 4]
+    assert _left_slot(5, ProtectedZones(), 5) == 0
 
 
 # --- the tree's spacing --------------------------------------------------------
@@ -274,8 +268,7 @@ def test_streaming_without_sinks_is_a_sliding_window():
     assert StreamingLLM(2, ProtectedZones(0, 2)).select((1, 3)).tolist() == [0]
     batch = stream_batch([0.0, 0.0, 0.0])
     policy = StreamingLLM(2, ProtectedZones(0, 2))
-    assert policy.cursor is None
-    assert policy.evict(batch, None).tolist() == [0]
+    assert policy.evict(batch, None, 3).tolist() == [0]  # any eviction index
     assert batch.positions[0, : batch.n].tolist() == [1, 2]
 
 
@@ -285,8 +278,7 @@ def test_streaming_evicts_oldest_non_sink():
     assert StreamingLLM(c, zones).select((1, c + 1)).tolist() == [4]
     batch = stream_batch(np.zeros(c + 1))
     policy = StreamingLLM(c, zones)
-    assert policy.cursor is None
-    assert policy.evict(batch, None).tolist() == [4]
+    assert policy.evict(batch, None, 3).tolist() == [4]  # any eviction index
     assert 4 not in batch.positions[0, : batch.n].tolist()
 
 
@@ -309,8 +301,7 @@ def test_h2o_evicts_cumulative_argmin():
     assert _h2o_victim([0.3, 0.1, 0.2]) == 1
     batch = stream_batch([0.3, 0.1, 0.2])
     policy = H2O(2)
-    assert policy.cursor is None
-    assert policy.evict(batch, None).tolist() == [1]
+    assert policy.evict(batch, None, 3).tolist() == [1]  # any eviction index
     assert batch.scores[0, : batch.n].tolist() == [0.3, 0.2]
 
 
@@ -355,7 +346,7 @@ def test_tova_respects_zones():
 
 def test_evict_checks_the_policy_and_the_remaining_slots():
     with pytest.raises(StateError):  # two over capacity: one eviction is short
-        H2O(2).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None)
+        H2O(2).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None, 0)
 
 
 @pytest.mark.parametrize("spec", BOUNDED_SPECS)
@@ -364,7 +355,7 @@ def test_evict_refuses_a_batch_not_one_over_capacity_before_removing(spec):
     for size in (c, c + 2):
         batch = stream_batch(np.ones(size))
         with pytest.raises(StateError):
-            make_policy(spec, c, ProtectedZones(1, 1)).evict(batch, np.ones((1, size)))
+            make_policy(spec, c, ProtectedZones(1, 1)).evict(batch, np.ones((1, size)), 0)
         assert batch.n == size
         assert batch.positions[0].tolist() == list(range(size))
 
@@ -413,7 +404,7 @@ def test_replay_treekv_left_keeps_what_the_oracle_keeps():
 @pytest.mark.parametrize("spec", BOUNDED_SPECS)
 def test_replay_evicts_as_evict_does_over_fixed_scores(spec):
     # Each later index fills the last column, the victim is dropped with
-    # the survivors kept in order, and the cursor advances: the victims and
+    # the survivors kept in order, at eviction index 0, 1, ...: the victims and
     # the final set are those of ``evict`` on a batch whose slots hold the
     # same fixed scores with counts of 1 (and, for TOVA, those scores as
     # the last row).  Scores in {0, 1, 2} on the small cases make ties
@@ -446,6 +437,29 @@ def test_a_replay_of_four_streams_is_four_replays_of_one(spec):
             one = make_policy(spec, capacity, zones).replay(count, scores[stream : stream + 1])
             assert dropped[:, stream].tolist() == one[0][:, 0].tolist()
             assert kept[stream].tolist() == one[1][0].tolist()
+
+
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_a_policy_is_pure(spec):
+    # Nothing a policy does changes what it selects later: one object
+    # replays the same scores twice with the same results, and ``evict`` on
+    # two equal batches at one eviction index removes the same slots, with
+    # a replay and an eviction at another index in between.
+    rng = np.random.default_rng(12)
+    scores = rng.random((3, 40))
+    policy = make_policy(spec, 5, "sink=1,recent=1")
+    first, second = policy.replay(40, scores), policy.replay(40, scores)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
+    if policy.capacity is None:
+        return  # full is never asked to evict
+    shape = (3, 6)
+    stats = {"scores": rng.random(shape), "counts": rng.integers(1, 10, shape),
+             "rows": rng.random(shape)}
+    for index in range(12):
+        want = _evicted(policy, stats, index)
+        policy.replay(40, scores)
+        _evicted(policy, stats, index + 1)
+        assert np.array_equal(_evicted(policy, stats, index), want), index
 
 
 # --- policy construction ------------------------------------------------------
@@ -609,10 +623,10 @@ def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypat
 _THREE_STREAMS = generate_weights(0, ModelDims(1, 3, 1, 1))
 
 
-def _evicted(policy, stats):
-    """The slots ``policy.evict`` removes from a three-stream batch that
-    holds every statistic (positions are slots), the cursor put back; None
-    for a policy without capacity, which never evicts."""
+def _evicted(policy, stats, index):
+    """The slots ``policy.evict`` removes at eviction ``index`` from a
+    three-stream batch that holds every statistic (positions are slots);
+    None for a policy without capacity, which never evicts."""
     if policy.capacity is None:
         return None
     size = stats["rows"].shape[1]
@@ -620,16 +634,13 @@ def _evicted(policy, stats):
     batch.n = size
     batch.positions[:] = np.arange(size)
     batch.scores[:], batch.counts[:] = stats["scores"], stats["counts"]
-    cursor = policy.cursor
-    evicted = policy.evict(batch, stats["rows"])
-    policy.cursor = cursor
-    return evicted
+    return policy.evict(batch, stats["rows"], index)
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_reads_attention_says_whether_the_victims_depend_on_it(spec):
     # evict on capacity + 1 slots of constant statistics, and again with one
-    # statistic replaced by seeded random numbers, at the same cursor.
+    # statistic replaced by seeded random numbers, at the same index.
     # Replacing a statistic the policy does not declare in ``reads`` never
     # changes its victims; for each one it declares, some input here does.
     # A declaration wrong in either direction fails one of the two checks.
@@ -639,16 +650,16 @@ def test_reads_attention_says_whether_the_victims_depend_on_it(spec):
         shape = (3, capacity + 1)
         constant = {"scores": np.ones(shape), "counts": np.ones(shape, dtype=np.int64),
                     "rows": np.ones(shape)}
-        for _ in range(2 * capacity):
+        for index in range(2 * capacity):
             seeded = {"scores": rng.random(shape) * 10, "counts": rng.integers(1, 10, shape),
                       "rows": rng.random(shape)}
-            want = _evicted(policy, constant)
+            want = _evicted(policy, constant, index)
             for name in STATISTICS:
-                same = np.array_equal(want, _evicted(policy, {**constant, name: seeded[name]}))
+                other = _evicted(policy, {**constant, name: seeded[name]}, index)
+                same = np.array_equal(want, other)
                 changed[name] += not same
                 if name not in policy.reads:
-                    assert same, (name, capacity, zones, policy.cursor)
-            policy.advance()
+                    assert same, (name, capacity, zones, index)
     assert {name for name, count in changed.items() if count} == set(policy.reads)
 
 
@@ -705,27 +716,22 @@ def test_the_prefill_batch_keeps_scores_but_no_counts(monkeypatch):
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_the_header_fixes_every_evicting_step_and_cursor(spec, monkeypatch):
     # A trace stores neither steps nor cursors: the policy decode ran must
-    # select once per step past the capacity, one trace row each, at the
-    # cursors a fresh policy of the header's spec gives (helpers.evictions),
-    # and advance after each selection.  Spying on ``select`` and
-    # ``advance`` covers both ways decode evicts: ``evict`` from a batch and
-    # ``replay``.
+    # select once per step past the capacity, one trace row each, at
+    # eviction index 0..E - 1 in order, which gives the cursor
+    # (helpers.evictions).  Spying on ``select`` covers both ways decode
+    # evicts: ``evict`` from a batch and ``replay``.
     calls = []
     build = make_policy
 
     def recording_make_policy(*args):
         policy = build(*args)
-        select, advance = policy.select, policy.advance
+        select = policy.select
 
-        def recording_select(shape, **stats):
-            calls.append(("select", policy.cursor))
-            return select(shape, **stats)
+        def recording_select(shape, index, **stats):
+            calls.append(index)
+            return select(shape, index, **stats)
 
-        def recording_advance():
-            calls.append(("advance", policy.cursor))
-            advance()
-
-        policy.select, policy.advance = recording_select, recording_advance
+        policy.select = recording_select
         return policy
 
     monkeypatch.setattr("treekv.policies.make_policy", recording_make_policy)
@@ -734,8 +740,7 @@ def test_the_header_fixes_every_evicting_step_and_cursor(spec, monkeypatch):
     for capacity, zones, _ in _fitting_policies(spec, capacities=(2, 5, 16, 250)):
         calls.clear()
         trace = decode_with_policy(weights, inputs, spec, capacity, zones)
-        assert calls == [(call, cursor) for _, _, cursor in evictions(trace)
-                         for call in ("select", "advance")]
+        assert calls == list(range(len(trace.evicted)))
         bounded = spec != "full" and capacity < 200
         steps = [step for step, _, _ in evictions(trace)]
         assert steps == list(range(capacity + 1, 201) if bounded else [])
@@ -837,12 +842,13 @@ def test_tree_policy_evicts_only_from_scope(capacity, seed):
         row = rng.random(min(t, capacity + 1))
         rows.append(row / row.sum())
     policy = TreeKV(capacity)
-    before = []
+    before, cursors = [], []
     for t, (batch, eviction) in enumerate(drive_policy(policy, capacity, rows=rows)):
         before.append(t)  # the slots the eviction chose from
         if eviction is not None:
             (position,), cursor = eviction
-            assert policy.cursor == cursor % capacity + 1
+            assert cursor == len(cursors) % capacity + 1
+            cursors.append(cursor)
             assert position in (before[cursor - 1], before[cursor])
             assert batch.n == capacity
         before = batch.positions[0, : batch.n].tolist()

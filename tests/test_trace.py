@@ -502,7 +502,7 @@ def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
         live = batch.keys[:, : batch.n].copy(), values[batch.positions[:, : batch.n], every]
         held.append([stored.reshape(*grid, batch.n, -1) for stored in live])
         if policy.capacity is not None and batch.n > policy.capacity:
-            evicted.append(policy.evict(batch, rows))
+            evicted.append(policy.evict(batch, rows, len(evicted)))
     trace.evicted = np.array(evicted, dtype=np.int64).reshape(-1, *grid)
     trace.inputs, trace.weights = inputs, weights.qkv
     path = tmp_path / "t.jsonl"
