@@ -103,14 +103,17 @@ class ModelWeights:
     """Every stream's projection matrices W_Q, W_K and W_V.
 
     ``qkv`` is one float32 array (layers, heads, 3, d_model, d_head) in the
-    weight file's own order; ``wq``, ``wk`` and ``wv`` are its views
+    weight file's own order, and ``dims`` is read from its shape (an empty
+    axis is a DimensionError); ``wq``, ``wk`` and ``wv`` are its views
     (layers, heads, d_model, d_head).  Arithmetic promotes to float64 at
     use time.  Instances are read-only after construction and safe to share
     across threads.
     """
 
-    def __init__(self, dims: ModelDims, seed: int, qkv: np.ndarray):
-        self.dims = dims
+    def __init__(self, seed: int, qkv: np.ndarray):
+        layers, heads, _, d_model, d_head = qkv.shape
+        self.dims = ModelDims(layers, heads, d_model, d_head)
+        self.dims.validate()
         self.seed = seed
         self.qkv = qkv
         self.wq, self.wk, self.wv = np.moveaxis(qkv, 2, 0)
@@ -132,7 +135,7 @@ def generate_weights(seed: int, dims: ModelDims) -> ModelWeights:
         raise MemoryError(exc) from None
     for tag, matrix in enumerate(qkv.reshape(-1, dims.d_model, dims.d_head), _TAG_MATRIX_BASE):
         matrix[:] = _draw_matrix(seed, tag, dims.d_model, dims.d_head, scale)
-    return ModelWeights(dims, seed & ((1 << 64) - 1), qkv)
+    return ModelWeights(seed & ((1 << 64) - 1), qkv)
 
 
 @contextmanager
@@ -200,7 +203,7 @@ def load_weights(path: str) -> ModelWeights:
     qkv = np.frombuffer(blob, dtype="<f4", offset=head_size)
     if not np.isfinite(qkv).all():
         raise InputError(f"weight file {path} holds a NaN or infinite number")
-    return ModelWeights(dims, seed, qkv.astype(np.float32).reshape(shape))
+    return ModelWeights(seed, qkv.astype(np.float32).reshape(shape))
 
 
 def _attention_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:

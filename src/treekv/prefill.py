@@ -25,9 +25,11 @@ from .policies import TreeKV
 class BlockPartition:
     """Exact tiling of a prompt into ordered, non-overlapping blocks."""
 
-    prompt_len: int
-    block_size: int
     blocks: tuple[tuple[int, int], ...]  # half-open (start, end) token ranges
+
+    @property
+    def prompt_len(self) -> int:
+        return self.blocks[-1][1]
 
     @property
     def observation_window(self) -> tuple[int, int]:
@@ -49,17 +51,20 @@ def partition_blocks(prompt_len: int, block_size: int) -> BlockPartition:
         )
     starts = range(0, prompt_len, block_size)
     blocks = tuple((s, min(s + block_size, prompt_len)) for s in starts)
-    return BlockPartition(prompt_len, block_size, blocks)
+    return BlockPartition(blocks)
 
 
 def window_mass(weights: ModelWeights, inputs, partition: BlockPartition) -> np.ndarray:
     """Attention mass (S, prompt_len) the observation window's queries give
-    each prompt token, per stream: one ``StreamBatch`` stores the content
-    tokens' keys in bulk and steps each window token, so its scores S sum
-    the window rows in order; it keeps no residency counts.  Only the
-    window's queries are projected, and no value is.  Nothing is evicted:
-    each key sits at its position."""
+    each prompt token, per stream, from the prompt's inputs (prompt_len,
+    d_model); another row count is a DimensionError.  One ``StreamBatch``
+    stores the content tokens' keys in bulk and steps each window token, so
+    its scores S sum the window rows in order; it keeps no residency
+    counts.  Only the window's queries are projected, and no value is.
+    Nothing is evicted: each key sits at its position."""
     inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.shape[:1] != (partition.prompt_len,):
+        raise DimensionError(f"inputs {inputs.shape} are not ({partition.prompt_len}, d_model)")
     start = partition.observation_window[0]
     batch = StreamBatch(weights, partition.prompt_len, reads=("scores",))
     batch.append(inputs[:start])

@@ -24,8 +24,7 @@ def single_head_weights(wq, wk=None, wv=None):
     wq = np.asarray(wq, dtype=np.float32)
     wk = wq if wk is None else np.asarray(wk, dtype=np.float32)
     wv = wq if wv is None else np.asarray(wv, dtype=np.float32)
-    dims = ModelDims(1, 1, wq.shape[0], wq.shape[1])
-    return ModelWeights(dims, 0, np.stack([wq, wk, wv])[None, None])
+    return ModelWeights(0, np.stack([wq, wk, wv])[None, None])
 
 
 def outputs_at(trace, step):

@@ -477,8 +477,7 @@ def _value_overflow_files(tmp_path):
     values past float64."""
     qkv = np.stack([np.zeros((4, 2)), np.ones((4, 2)), np.full((4, 2), 1e38)])
     weights = tmp_path / "w.bin"
-    save_weights(ModelWeights(ModelDims(1, 1, 4, 2), 0, qkv.astype(np.float32)[None, None]),
-                 str(weights))
+    save_weights(ModelWeights(0, qkv.astype(np.float32)[None, None]), str(weights))
     tokens = tmp_path / "rows.json"
     tokens.write_text(json.dumps([[1e300] * 4] * 6))
     return weights, tokens

@@ -14,6 +14,7 @@ from treekv import (
     DimensionError,
     InputError,
     ModelDims,
+    ModelWeights,
     StateError,
     StreamBatch,
     decode_with_policy,
@@ -121,6 +122,35 @@ def test_dimension_validation():
         generate_weights(1, ModelDims(0, 1, 4, 2))
     with pytest.raises(DimensionError):
         generate_weights(1, ModelDims(1, 1, 2**32, 2))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3, 1, 1), (2, 4, 3, 8, 4), (3, 2, 3, 5, 3)])
+def test_model_weights_read_their_dims_from_the_matrices(shape):
+    qkv = np.random.default_rng(11).normal(size=shape).astype(np.float32)
+    weights = ModelWeights(5, qkv)
+    layers, heads, _, d_model, d_head = shape
+    assert weights.dims == ModelDims(layers, heads, d_model, d_head)
+    assert weights.wq.shape == weights.wk.shape == weights.wv.shape == (
+        layers, heads, d_model, d_head)
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 3, 4, 2), (1, 0, 3, 4, 2), (1, 1, 3, 0, 2),
+                                   (1, 1, 3, 4, 0)])
+def test_model_weights_refuse_an_empty_axis(shape):
+    with pytest.raises(DimensionError, match="must be an int in"):
+        ModelWeights(0, np.zeros(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("dims", [ModelDims(1, 1, 1, 1), ModelDims(2, 3, 8, 5)])
+def test_generated_and_loaded_weights_keep_their_dims(tmp_path, dims):
+    weights = generate_weights(4, dims)
+    path = tmp_path / "w.bin"
+    save_weights(weights, str(path))
+    loaded = load_weights(str(path))
+    for model in (weights, loaded):
+        assert model.dims == dims
+        assert all(type(value) is int for value in vars(model.dims).values())
+    assert loaded.qkv.tobytes() == weights.qkv.tobytes()
 
 
 # --- weight file -----------------------------------------------------------
@@ -787,6 +817,15 @@ def test_window_rows_and_block_scores_match_naive_oracle(d_head, prompt_len, blo
         np.testing.assert_allclose(
             got, oracle_block_scores(want, prompt_len, block_size), rtol=1e-6, atol=1e-9
         )
+
+
+@pytest.mark.parametrize("rows", [0, 10, 15, 17, 32])
+def test_window_mass_refuses_inputs_of_another_length(rows):
+    # Fewer rows than the prompt would leave window keys unstored (10 rows
+    # read as all-zero mass), more would overflow the batch (32 rows).
+    weights = generate_weights(8, ModelDims(2, 4, 8, 4))
+    with pytest.raises(DimensionError, match=r"not \(16, d_model\)"):
+        window_mass(weights, synthesize_embeddings(9, rows, 8), partition_blocks(16, 4))
 
 
 def _trace_digest(trace):

@@ -58,14 +58,14 @@ def _two_step_batch(wq, wk):
     return batch, first[0], second[0]
 
 
-def test_update_scores_first_step():
+def test_step_statistics_first_step():
     batch = StreamBatch(generate_weights(3, ModelDims(1, 1, 4, 2)), slots=1)
     batch.step(np.ones(4))
     assert batch.scores[0, : batch.n].tolist() == [1.0]
     assert batch.counts[0, : batch.n].tolist() == [1]
 
 
-def test_update_scores_two_steps():
+def test_step_statistics_two_steps():
     # logit gap ln 1.5 between the two keys gives the row [0.6, 0.4]
     b = -math.log(1.5) * math.sqrt(2.0) / (1.0 - math.cos(1.0))
     batch, first, second = _two_step_batch([[b, 0.0]], [[1.0, 0.0]])
@@ -76,7 +76,7 @@ def test_update_scores_two_steps():
     assert batch.counts[0, :2].tolist() == [2, 1]
 
 
-def test_update_scores_zero_entry_still_counts_residency():
+def test_step_statistics_zero_entry_still_counts_residency():
     # a logit gap of about 3e5 underflows the first slot's weight to 0
     batch, _, second = _two_step_batch([[1000.0, 0.0]], [[1000.0, 0.0]])
     assert second.tolist() == [0.0, 1.0]
@@ -558,7 +558,7 @@ def test_evictions_never_read_the_value_matrices(spec):
     weights = generate_weights(80, dims)
     qkv = weights.qkv.copy()
     qkv[:, :, 2] = np.random.default_rng(81).normal(size=qkv[:, :, 2].shape) * 1e3
-    other = ModelWeights(dims, weights.seed, qkv)
+    other = ModelWeights(weights.seed, qkv)
     inputs = synthesize_embeddings(82, 30, dims.d_model)
     for zones in ("sink=0,recent=0", "sink=1,recent=2"):
         want = decode_with_policy(weights, inputs, spec, 6, zones)

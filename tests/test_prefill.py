@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treekv import (
+    BlockPartition,
     ConfigError,
     DimensionError,
     InputError,
@@ -37,6 +40,15 @@ def test_partition_degenerate_single_block():
     assert partition.blocks == ((0, 4),)
     assert partition.observation_window == (0, 4)
     assert partition.content_blocks == ()
+
+
+@pytest.mark.parametrize("prompt_len, block_size", [(16, 4), (17, 4), (4, 4), (23, 8)])
+def test_partition_prompt_len_is_the_last_blocks_end(prompt_len, block_size):
+    # (17, 4) and (23, 8) end in a short observation window
+    partition = partition_blocks(prompt_len, block_size)
+    assert partition.prompt_len == partition.blocks[-1][1] == prompt_len
+    assert [field.name for field in fields(partition)] == ["blocks"]
+    assert BlockPartition(partition.blocks) == partition
 
 
 def test_partition_rejects_short_prompts():

@@ -44,7 +44,7 @@ def _nudged(weights, entry=0):
     """The weight set with one entry moved up by one ulp, which no seed draws."""
     qkv = weights.qkv.copy()
     qkv.flat[entry] = np.nextafter(qkv.flat[entry], np.float32(np.inf))
-    return ModelWeights(weights.dims, weights.seed, qkv)
+    return ModelWeights(weights.seed, qkv)
 
 
 def test_trace_roundtrip(tmp_path):
@@ -166,7 +166,7 @@ def _redecode(tmp_path, spec, seq_len, source):
     blocks = 8 * seq_len * 8 + 4 * weights.qkv.size if source == "stored" else 0
     assert len(path.read_bytes().split(b"\n", 1)[1]) == width * trace.evicted.size + blocks
     loaded = read_trace(str(path))
-    model = ModelWeights(loaded.dims, loaded.model_seed, loaded.weights)
+    model = ModelWeights(loaded.model_seed, loaded.weights)
     again = decode_with_policy(model, loaded.inputs, loaded.policy, loaded.capacity, loaded.zones)
     assert again.evicted.shape == loaded.evicted.shape == (
         (0, 1, 2) if spec == "full" else (seq_len - 24, 1, 2))
