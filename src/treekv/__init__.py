@@ -69,53 +69,3 @@ from .wavelet import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockPartition",
-    "ConfigError",
-    "DecodeTrace",
-    "DimensionError",
-    "EvictionPolicy",
-    "FullAttention",
-    "H2O",
-    "InputError",
-    "InvariantViolation",
-    "LevelError",
-    "MagnitudeProfile",
-    "ModelDims",
-    "ModelWeights",
-    "POLICY_SPECS",
-    "ProtectedZones",
-    "SelectorError",
-    "StateError",
-    "StreamBatch",
-    "StreamingLLM",
-    "TOVA",
-    "TreeKV",
-    "TreeKVError",
-    "WaveletCoeffs",
-    "decode_with_policy",
-    "distribution_map",
-    "dwt_multi",
-    "dwt_single",
-    "generate_weights",
-    "load_weights",
-    "magnitude_profile",
-    "make_policy",
-    "max_level",
-    "observation_scores",
-    "partition_blocks",
-    "read_trace",
-    "reconstruct",
-    "reconstruct_component",
-    "reconstruct_single",
-    "retained_at",
-    "rotate_vector",
-    "save_weights",
-    "signals_at_step",
-    "synthesize_embeddings",
-    "treekv_prefill_compress",
-    "validate_trace",
-    "window_mass",
-    "write_trace",
-]

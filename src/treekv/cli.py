@@ -19,7 +19,7 @@ import json
 import sys
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -68,7 +68,7 @@ class RunConfig:
         return ModelDims(self.layers, self.heads, self.d_model, self.d_head)
 
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+# Every RunConfig field by name, with its type.
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 # The settings each command reads, and so the flags it takes.
 _MODEL_FLAGS = ["seed", "layers", "heads", "d_model", "d_head", "vocab"]
@@ -87,7 +87,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a JSON object")
-        unknown = sorted(set(data) - _CONFIG_FIELDS)
+        unknown = sorted(data.keys() - _FIELD_TYPES)
         if unknown:
             raise ConfigError(f"config {path} has unknown fields: {unknown}")
         for key, value in data.items():
@@ -105,7 +105,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 def _config_overrides(args) -> dict:
     return {
         name: getattr(args, name)
-        for name in _CONFIG_FIELDS
+        for name in _FIELD_TYPES
         if hasattr(args, name)
     }
 

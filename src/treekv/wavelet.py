@@ -15,7 +15,10 @@ Single-level synthesis inverts exactly::
 Odd-length inputs are zero-padded by one trailing sample at each level and
 trimmed on reconstruction; analyses should prefer power-of-two windows so
 no boundary coefficients appear.  Coefficients of an L-level decomposition
-are kept as [A_L, D_L, ..., D_1], lowest frequency first.
+are kept as [A_L, D_L, ..., D_1], lowest frequency first.  A band is
+selected by exactly one of those names (``WaveletCoeffs.band_names()``),
+or by ``"A"`` for the approximation at any depth; any other selector is a
+SelectorError.
 
 Every transform acts on the last axis of an (..., N) array, so one call
 decomposes a whole batch of signals; a 1-D signal is the batch of one.
@@ -34,7 +37,6 @@ independent of trace iteration order to well below 1e-9).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,16 +98,15 @@ class WaveletCoeffs:
         return names
 
     def band(self, selector: str) -> np.ndarray:
-        if selector in ("A", f"A{self.levels}"):
+        """The coefficients of a band in ``band_names()``, or of ``"A"``."""
+        if selector == "A":
             return self.approx
-        match = re.fullmatch(r"D(\d+)", selector)
-        if match:
-            level = int(match.group(1))
-            if 1 <= level <= self.levels:
-                return self.details[self.levels - level]
-        raise SelectorError(
-            f"unknown band {selector!r}; valid bands: {', '.join(self.band_names())}"
-        )
+        bands = dict(zip(self.band_names(), (self.approx, *self.details)))
+        if selector not in bands:
+            raise SelectorError(
+                f"unknown band {selector!r}; valid bands: {', '.join(bands)}"
+            )
+        return bands[selector]
 
 
 def dwt_multi(samples, levels: int) -> WaveletCoeffs:

@@ -111,6 +111,10 @@ def drive_policy(policy, capacity, rows=None, fixed_scores=None):
         yield batch, eviction
 
 
+def _relative_gap(a, b):
+    return abs(a - b) / np.maximum(abs(a), abs(b))
+
+
 def decision_margins(weights, inputs, spec, capacity, zones=None):
     """The relative margin of every decision an attending policy makes,
     (E, streams): a ``StreamBatch`` steps the inputs as decode does and,
@@ -118,7 +122,8 @@ def decision_margins(weights, inputs, spec, capacity, zones=None):
     ``|a - b| / max(|a|, |b|)`` (0 on an exact tie, NaN if both are 0).
     Under ``treekv`` they are the averaged masses of the pair under the
     cursor; under ``h2o`` and ``tova``, the two smallest evictable weights
-    (scores S, or the last rows)."""
+    (scores S, or the last rows), and a decision with a single evictable
+    slot cannot tie, so its margin is infinite."""
     policy = make_policy(spec, capacity, zones)
     batch = StreamBatch(weights, capacity + 1, policy.reads)
     margins = []
@@ -129,10 +134,12 @@ def decision_margins(weights, inputs, spec, capacity, zones=None):
         if spec == "treekv":
             left = policy.lo + tree_cursor(policy, index) - 1
             pair = slice(left, left + 2)
-            a, b = (batch.scores[:, pair] / batch.counts[:, pair]).T
+            margins.append(_relative_gap(*(batch.scores[:, pair] / batch.counts[:, pair]).T))
+        elif policy.hi - policy.lo == 1:
+            margins.append(np.full(batch.streams, np.inf))
         else:
             weight = batch.scores[:, : batch.n] if spec == "h2o" else rows
-            a, b = np.sort(weight[:, policy.lo : policy.hi], axis=1)[:, :2].T
-        margins.append(abs(a - b) / np.maximum(abs(a), abs(b)))
+            lowest = np.sort(weight[:, policy.lo : policy.hi], axis=1)
+            margins.append(_relative_gap(lowest[:, 0], lowest[:, 1]))
         policy.evict(batch, rows, index)
     return np.array(margins).reshape(-1, batch.streams)

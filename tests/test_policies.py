@@ -638,7 +638,7 @@ def _evicted(policy, stats, index):
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
-def test_reads_attention_says_whether_the_victims_depend_on_it(spec):
+def test_reads_names_every_statistic_the_victims_depend_on(spec):
     # evict on capacity + 1 slots of constant statistics, and again with one
     # statistic replaced by seeded random numbers, at the same index.
     # Replacing a statistic the policy does not declare in ``reads`` never

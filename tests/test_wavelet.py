@@ -143,6 +143,9 @@ def test_reconstruct_component_unknown_band():
         reconstruct_component(coeffs, "D3")
     with pytest.raises(SelectorError):
         coeffs.band("B1")
+    for selector in ("D01", "D\u0661"):  # not in band_names(), though int() reads them as 1
+        with pytest.raises(SelectorError):
+            coeffs.band(selector)
 
 
 # --- oracle equivalence and properties --------------------------------------------
