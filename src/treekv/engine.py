@@ -21,17 +21,18 @@ full width: ``_lanes`` spreads each pair's cos and sin over both of its
 lanes, and ``_rotate`` computes ``x * cos + swap(x) * sin`` over whole
 blocks, bitwise the per-pair formula.
 
-``StreamBatch`` is the only stream state, and the module keeps none of
-its own: each batch builds the rotary rows of its own slots, and
-``slot_rows`` and ``rotate_vector`` build the rows they use.  A batch holds
-every stream's positions and keys (slot-major) as stacked arrays and, only
-as far as its reader reads them (``STATISTICS``), its importance
-statistics, and steps them together, with each stream's floating-point
-operations exactly those of a lone stream (the per-stream definition the
-tests compare against lives in ``tests/oracles.py``).  Every batch
-attends: a policy that reads nothing decodes with no batch
-(``EvictionPolicy.replay``).  Decode and prompt prefill (over an unbounded
-cache, ``prefill.window_mass``) step inputs only through
+``StreamBatch`` is the only stream state and the only code that rotates
+and attends keys, and the module keeps no state of its own: each batch
+builds the rotary rows of its own slots, and ``rotate_vector`` builds the
+row it uses.  A batch holds every stream's positions and keys (slot-major)
+as stacked arrays and, only as far as its reader reads them
+(``STATISTICS``), its importance statistics, and steps them together, with
+each stream's floating-point operations exactly those of a lone stream (the
+per-stream definition the tests compare against lives in
+``tests/oracles.py``).  Every batch attends: a policy that reads nothing
+decodes with no batch (``EvictionPolicy.replay``).  Decode, prompt prefill
+(over an unbounded cache, ``prefill.window_mass``) and the replay of one
+traced step (``trace.signals_at_step``) step inputs only through
 ``StreamBatch.steps``, which projects and rotates a chunk at a time.
 
 Weight file format (version 2)
@@ -274,15 +275,6 @@ def rotate_vector(vec, position: int) -> np.ndarray:
     return _rotate(vec, cos[0], sin[0])
 
 
-def slot_rows(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Attention rows (..., n) of raw queries (..., d) over raw keys
-    (..., n, d) held at slots 0..n-1, as ``StreamBatch.step`` attends them:
-    each key is rotated at its slot and the query at n - 1, its own slot."""
-    n = keys.shape[-2]
-    cos, sin = _lanes(keys.shape[-1], np.arange(n))
-    return _attention_rows(_rotate(q, cos[n - 1], sin[n - 1]), _rotate(keys, cos, sin))
-
-
 def stacked_weights(qkv: np.ndarray) -> np.ndarray:
     """Matrices given as (layers, heads, k, d_model, d_head), W_Q, W_K, W_V
     or a run of them, as one C-contiguous float64 stack (k, S, d_model,
@@ -376,10 +368,11 @@ class StreamBatch:
             self.counts[:, n:end] = 0
 
     def append(self, xs: np.ndarray) -> None:
-        """Append m inputs xs (m, d_model) to every stream, projecting and
-        storing their keys, so that a key past float64 is an input error.
-        Nothing is attended or rotated, so ``fresh`` stays as it was."""
-        self._store(project(xs[:, None, :], self.wk))
+        """Append m inputs to every stream, shared, xs (m, d_model), or
+        each stream's own, xs (m, S, d_model), projecting and storing their
+        keys, so that a key past float64 is an input error.  Nothing is
+        attended or rotated, so ``fresh`` stays as it was."""
+        self._store(project(xs[:, None, :] if xs.ndim == 2 else xs, self.wk))
 
     def steps(self, xs: np.ndarray):
         """Append inputs xs (T, d_model) one at a time, yielding after each

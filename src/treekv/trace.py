@@ -25,8 +25,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import (ModelDims, atomic_output, generate_weights, project, slot_rows,
-                     stacked_weights, synthesize_embeddings, write_array)
+from .engine import (ModelDims, ModelWeights, StreamBatch, atomic_output, generate_weights,
+                     project, synthesize_embeddings, write_array)
 from .errors import ConfigError, InputError, InvariantViolation
 
 TRACE_FORMAT = 10
@@ -57,8 +57,8 @@ class DecodeTrace:
     # ``eviction_count``).  A file holds them at ``position_dtype(seq_len)``.
     evicted: np.ndarray | None = None
     # The run's (seq_len, d_model) float64 inputs and the model's float32
-    # ``ModelWeights.qkv``, which every step's query, key and value follow
-    # from (``held_projections``).  Decode references both; a light trace
+    # ``ModelWeights.qkv``, which every step's attention rows and values
+    # follow from (``signals_at_step``).  Decode references both; a light trace
     # is one written (and so read) without them.  A file omits either one
     # that its seed regenerates, and ``read_trace`` regenerates it.
     inputs: np.ndarray | None = None
@@ -304,27 +304,23 @@ def distribution_map(trace: DecodeTrace) -> np.ndarray:
     return grid / dims.heads
 
 
-def held_projections(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The query (layers, heads, d_head) of the given 1-based step's own
-    input, and the keys and values (layers, heads, n, d_head) of the n slots
-    each stream holds at its attention time: bitwise the queries and keys
-    ``StreamBatch`` projected, and the values that are projected the same
-    way, each input its own product (``engine.project``)."""
+def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-eviction cache view of every stream at the given 1-based step:
+    the attention rows over the n slots present at attention time, (layers,
+    heads, n), and their values, (layers, heads, n, d_head).  A batch given
+    each stream's held inputs (``retained_at`` the step before) steps the
+    step's own input, so the rows are bitwise decode's; the values are
+    projected as the keys are, each input its own product (``engine.project``)."""
     if not 1 <= step <= trace.seq_len:
         raise InputError(f"step {step} not present in trace of length {trace.seq_len}")
     if trace.inputs is None:
         raise InputError("light trace: it lacks the run's inputs and projection weights")
-    before = retained_at(trace, step - 1)
-    slots = np.insert(before, before.shape[2], step - 1, axis=2)  # then the step's own input
-    # each stream's matrices against each input it holds
-    stack = stacked_weights(trace.weights).reshape(3, *slots.shape[:2], 1, *trace.weights.shape[3:])
-    keys, values = project(trace.inputs[slots], stack[1:])
-    return project(trace.inputs[step - 1], stack[0, :, :, 0]), keys, values
-
-
-def signals_at_step(trace: DecodeTrace, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-eviction cache view of every stream at the given 1-based step:
-    the attention rows over the slots present at attention time, (layers,
-    heads, n), and their values, (layers, heads, n, d_head), bitwise decode's."""
-    q, keys, values = held_projections(trace, step)
-    return slot_rows(q, keys), values
+    held = retained_at(trace, step - 1)
+    layers, heads, n = held.shape
+    batch = StreamBatch(ModelWeights(trace.model_seed, trace.weights), n + 1, reads=())
+    batch.append(trace.inputs[held.reshape(layers * heads, n).T])  # (n, S, d_model)
+    rows = batch.step(trace.inputs[step - 1]).reshape(layers, heads, n + 1)
+    slots = np.insert(held, n, step - 1, axis=2)  # then the step's own input
+    # each stream's W_V, (layers, heads, 1, d_model, d_head), against each input it holds
+    wv = trace.weights[:, :, 2:].astype(np.float64, order="C")
+    return rows, project(trace.inputs[slots], wv)

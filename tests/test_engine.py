@@ -501,6 +501,30 @@ def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
     assert bulk.n == m + 1
 
 
+@pytest.mark.parametrize("m", [0, 1, 6])
+def test_per_stream_append_is_bitwise_each_stream_alone(m):
+    # A 2x3 batch given each stream's own m inputs, then one shared input,
+    # against a 1x1 batch of each stream's matrices given that stream's.
+    dims = ModelDims(2, 3, 8, 5)
+    weights = generate_weights(33, dims)
+    xs = synthesize_embeddings(34, m * 6 + 1, dims.d_model)
+    own = xs[:-1].reshape(m, 6, dims.d_model)  # (m, S, d_model): no two streams alike
+    batch = StreamBatch(weights, m + 1)
+    batch.append(own)
+    assert batch.n == m and batch.fresh == 0
+    rows = batch.step(xs[-1])
+    for stream in range(batch.streams):
+        layer, head = divmod(stream, dims.heads)
+        qkv = weights.qkv[layer : layer + 1, head : head + 1]
+        alone = StreamBatch(ModelWeights(weights.seed, qkv), m + 1)
+        alone.append(own[:, stream])
+        want = alone.step(xs[-1])
+        assert rows[stream].tobytes() == want[0].tobytes(), stream
+        for name in ("keys", "encoded", "positions"):
+            got = getattr(batch, name)[stream, : m + 1]
+            assert got.tobytes() == getattr(alone, name)[0, : m + 1].tobytes(), (name, stream)
+
+
 def test_the_rotary_table_spreads_over_the_streams_at_the_first_eviction():
     # A batch that never evicts (prefill's) keeps one row per slot; the
     # first eviction spreads it over the streams for block re-encoding.

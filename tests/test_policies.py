@@ -31,6 +31,7 @@ from treekv.engine import STATISTICS
 from treekv.policies import _averaged
 
 from helpers import (
+    decision_margins,
     drive_policy,
     evicted_events,
     evictions,
@@ -744,6 +745,26 @@ def test_the_header_fixes_every_evicting_step_and_cursor(spec, monkeypatch):
         bounded = spec != "full" and capacity < 200
         steps = [step for step, _, _ in evictions(trace)]
         assert steps == list(range(capacity + 1, 201) if bounded else [])
+
+
+@pytest.mark.parametrize("spec", ["treekv", "h2o", "tova"])
+def test_no_seeded_policy_corpus_decision_is_a_near_tie(spec):
+    # The decode corpora of test_recorded_outputs_are_bitwise_the_rows_over_the_held_values
+    # and test_the_header_fixes_every_evicting_step_and_cursor clear float
+    # noise by far: the smallest margins are about 2.3e-3 (treekv), 6.2e-3
+    # (h2o) and 7.5e-4 (tova) on the first, and 1.9e-5, 3.1e-3 and 2.2e-5
+    # on the second.
+    for zones in ("sink=0,recent=0", "sink=1,recent=2"):
+        for case, shape in enumerate(OUTPUT_DIMS):
+            weights = generate_weights(60 + case, ModelDims(*shape))
+            inputs = synthesize_embeddings(70 + case, 22, shape[2])
+            margins = decision_margins(weights, inputs, spec, 6, zones)
+            assert (margins > 1e-9).all(), (shape, zones, margins.min())
+    weights = generate_weights(7, ModelDims(1, 2, 4, 2))
+    inputs = synthesize_embeddings(8, 200, 4)
+    for capacity, zones, _ in _fitting_policies(spec, capacities=(2, 5, 16, 250)):
+        margins = decision_margins(weights, inputs, spec, capacity, zones)
+        assert (margins > 1e-9).all(), (capacity, zones, margins.min())
 
 
 def test_decode_select_left_17_token_pattern():

@@ -28,7 +28,7 @@ from treekv import (
 )
 from treekv.engine import project, stacked_weights
 from treekv.cli import main
-from treekv.trace import BLOCKS, RUN_FIELDS, held_projections, position_dtype
+from treekv.trace import BLOCKS, RUN_FIELDS, position_dtype
 
 from helpers import evictions
 from oracles import oracle_retained_at
@@ -483,10 +483,10 @@ def test_signals_at_step_merges_the_pre_eviction_view():
 
 def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
     """Drive the engine and the policy here, as decode does, keeping at every
-    step the rows ``StreamBatch.step`` returned (layers, heads, n), a copy of
-    the keys it attended and the values of those slots, every input's value
-    projected up front (layers, heads, n, d_head).  Returns them with the
-    run's trace, written to a file and read back."""
+    step the rows ``StreamBatch.step`` returned (layers, heads, n) and the
+    values of the slots it attended, every input's value projected up front
+    (layers, heads, n, d_head).  Returns them with the run's trace, written
+    to a file and read back."""
     weights = generate_weights(seed, dims)
     inputs = synthesize_embeddings(seed, seq_len, dims.d_model)
     values = project(inputs[:, None, :], stacked_weights(weights.qkv)[2])  # (T, S, d_head)
@@ -499,8 +499,7 @@ def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
     for x in inputs:
         rows = batch.step(x)
         attended.append(rows.reshape(*grid, -1))
-        live = batch.keys[:, : batch.n].copy(), values[batch.positions[:, : batch.n], every]
-        held.append([stored.reshape(*grid, batch.n, -1) for stored in live])
+        held.append(values[batch.positions[:, : batch.n], every].reshape(*grid, batch.n, -1))
         if policy.capacity is not None and batch.n > policy.capacity:
             evicted.append(policy.evict(batch, rows, len(evicted)))
     trace.evicted = np.array(evicted, dtype=np.int64).reshape(-1, *grid)
@@ -533,11 +532,10 @@ PROJECTION_DIMS = [(2, 4, 64, 16), (2, 3, 8, 5), (1, 2, 7, 3), (3, 2, 33, 7), (1
                    (1, 3, 1, 4), (2, 2, 9, 1)]
 
 
-def test_held_projections_are_bitwise_what_decode_projected(tmp_path):
-    # At every step, each held slot's derived key against the one the batch
-    # held when it attended, and its derived value against decode's
-    # up-front projection of its input; the derived query is checked through
-    # the rows it attends (test_signals_at_step_rederives_the_rows_decode_attended).
+def test_signals_at_step_is_bitwise_what_decode_attended_and_projected(tmp_path):
+    # At every step, the derived rows against the rows the step returned,
+    # and each held slot's derived value against decode's up-front
+    # projection of its input, over dims whose BLAS tails differ.
     rng = np.random.default_rng(45)
     for case, shape in enumerate(PROJECTION_DIMS * 2):
         spec = POLICY_SPECS[case % len(POLICY_SPECS)]
@@ -545,13 +543,11 @@ def test_held_projections_are_bitwise_what_decode_projected(tmp_path):
         capacity = int(rng.integers(4, 9))
         zones = "sink=1,recent=2" if case % 2 else "sink=0,recent=0"
         seq_len = int(rng.integers(capacity + 2, 3 * capacity))
-        loaded, _, held = _drive(spec, dims, capacity, zones, seq_len, case, tmp_path)
-        for step, want in enumerate(held, start=1):
-            query, *derived = held_projections(loaded, step)
-            assert query.shape == (dims.layers, dims.heads, dims.d_head)
-            for got, stored in zip(derived, want):
-                assert got.shape == stored.shape
-                assert got.tobytes() == stored.tobytes(), (spec, shape, zones, step)
+        loaded, attended, held = _drive(spec, dims, capacity, zones, seq_len, case, tmp_path)
+        for step, want in enumerate(zip(attended, held), start=1):
+            for got, expected in zip(signals_at_step(loaded, step), want):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (spec, shape, zones, step)
 
 
 def _edited_trace(tmp_path, edit):
