@@ -20,12 +20,8 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
-    DimensionError,
     InputError,
     InvariantViolation,
-    LevelError,
-    SelectorError,
-    StateError,
     TreeKVError,
 )
 from .policies import (

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, StateError
+from .errors import InputError, InvariantViolation
 from .rng import NormalStream, stream_seed
 
 _MAGIC = b"TKVW"
@@ -91,7 +91,7 @@ class ModelDims:
     d_model: int
     d_head: int
 
-    def validate(self, error: type[Exception] = DimensionError, context: str = "") -> None:
+    def validate(self, error: type[Exception] = InvariantViolation, context: str = "") -> None:
         """Raise ``error``, its message prefixed by ``context``, on a bad dim."""
         for name in ("layers", "heads", "d_model", "d_head"):
             value = getattr(self, name)
@@ -105,7 +105,7 @@ class ModelWeights:
 
     ``qkv`` is one float32 array (layers, heads, 3, d_model, d_head) in the
     weight file's own order, and ``dims`` is read from its shape (an empty
-    axis is a DimensionError); ``wq``, ``wk`` and ``wv`` are its views
+    axis is an InvariantViolation); ``wq``, ``wk`` and ``wv`` are its views
     (layers, heads, d_model, d_head).  Arithmetic promotes to float64 at
     use time.  Instances are read-only after construction and safe to share
     across threads.
@@ -357,7 +357,8 @@ class StreamBatch:
         m = len(keys)
         n = self.n
         if n + m > self.positions.shape[1]:
-            raise StateError(f"stream batch of {self.positions.shape[1]} slots is full at {n}")
+            raise InvariantViolation(
+                f"stream batch of {self.positions.shape[1]} slots is full at {n}")
         end = self.n = n + m
         self.positions[:, n:end] = np.arange(self.appended, self.appended + m)
         self.appended += m
@@ -368,11 +369,11 @@ class StreamBatch:
             self.counts[:, n:end] = 0
 
     def append(self, xs: np.ndarray) -> None:
-        """Append m inputs to every stream, shared, xs (m, d_model), or
-        each stream's own, xs (m, S, d_model), projecting and storing their
+        """Append m inputs to every stream, each stream's own, xs (m, S,
+        d_model), or shared, xs (m, 1, d_model), projecting and storing their
         keys, so that a key past float64 is an input error.  Nothing is
         attended or rotated, so ``fresh`` stays as it was."""
-        self._store(project(xs[:, None, :] if xs.ndim == 2 else xs, self.wk))
+        self._store(project(xs, self.wk))
 
     def steps(self, xs: np.ndarray):
         """Append inputs xs (T, d_model) one at a time, yielding after each
@@ -404,7 +405,7 @@ class StreamBatch:
         self._store(key[None])
         n = self.n
         if n - 1 != slot:
-            raise StateError(f"input stored at slot {n - 1} was rotated at slot {slot}")
+            raise InvariantViolation(f"input stored at slot {n - 1} was rotated at slot {slot}")
         lo, self.fresh = self.fresh, n
         raw, encoded = self.slot_keys  # slot-major
         if lo < slot:
@@ -429,7 +430,8 @@ class StreamBatch:
         victims = np.asarray(victims)
         lo, hi = (int(victims.min()), int(victims.max())) if victims.size else (0, n)
         if victims.shape != (self.streams,) or lo < 0 or hi >= n:
-            raise StateError(f"victims {victims.tolist()} are not one slot per stream in 0..{n - 1}")
+            raise InvariantViolation(
+                f"victims {victims.tolist()} are not one slot per stream in 0..{n - 1}")
         evicted = self.positions[self.every, victims]
         if lo < hi:  # no stream changes left of its own victim
             window = np.arange(lo, hi)

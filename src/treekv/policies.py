@@ -39,12 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CHUNK_ROWS, ModelWeights, StreamBatch, project, stacked_weights
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InvariantViolation,
-    StateError,
-)
+from .errors import ConfigError, InvariantViolation
 from .trace import DecodeTrace
 
 
@@ -152,7 +147,7 @@ class EvictionPolicy:
         """
         n = batch.n
         if n != self.capacity + 1:
-            raise StateError(
+            raise InvariantViolation(
                 f"eviction needs exactly {self.capacity + 1} slots (one over "
                 f"capacity), the batch holds {n}"
             )
@@ -291,7 +286,7 @@ def decode_with_policy(
     dims = weights.dims
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != dims.d_model:
-        raise DimensionError(
+        raise InvariantViolation(
             f"inputs must have shape (T, {dims.d_model}), got {inputs.shape}"
         )
     seq_len = inputs.shape[0]

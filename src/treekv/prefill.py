@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ModelWeights, StreamBatch
-from .errors import ConfigError, DimensionError, InputError
+from .errors import ConfigError, InputError, InvariantViolation
 from .policies import TreeKV
 
 
@@ -57,17 +57,18 @@ def partition_blocks(prompt_len: int, block_size: int) -> BlockPartition:
 def window_mass(weights: ModelWeights, inputs, partition: BlockPartition) -> np.ndarray:
     """Attention mass (S, prompt_len) the observation window's queries give
     each prompt token, per stream, from the prompt's inputs (prompt_len,
-    d_model); another row count is a DimensionError.  One ``StreamBatch``
-    stores the content tokens' keys in bulk and steps each window token, so
-    its scores S sum the window rows in order; it keeps no residency
-    counts.  Only the window's queries are projected, and no value is.
+    d_model); another row count is an InvariantViolation.  One
+    ``StreamBatch`` stores the content tokens' keys in bulk and steps each
+    window token, so its scores S sum the window rows in order; it keeps no
+    residency counts.  Only the window's queries are projected, and no value is.
     Nothing is evicted: each key sits at its position."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[:1] != (partition.prompt_len,):
-        raise DimensionError(f"inputs {inputs.shape} are not ({partition.prompt_len}, d_model)")
+        raise InvariantViolation(
+            f"inputs {inputs.shape} are not ({partition.prompt_len}, d_model)")
     start = partition.observation_window[0]
     batch = StreamBatch(weights, partition.prompt_len, reads=("scores",))
-    batch.append(inputs[:start])
+    batch.append(inputs[:start, None])
     for _ in batch.steps(inputs[start:]):
         pass
     return batch.scores
@@ -81,7 +82,7 @@ def observation_scores(mass, partition: BlockPartition) -> np.ndarray:
     though callers never evict it."""
     mass = np.asarray(mass, dtype=np.float64)
     if mass.ndim < 1 or mass.shape[-1] != partition.prompt_len:
-        raise DimensionError(f"mass {mass.shape} is not (..., {partition.prompt_len})")
+        raise InvariantViolation(f"mass {mass.shape} is not (..., {partition.prompt_len})")
     per_token = mass / (partition.prompt_len - partition.observation_window[0])
     return np.stack(
         [per_token[..., start:end].mean(axis=-1) for start, end in partition.blocks],
@@ -111,7 +112,7 @@ def treekv_prefill_compress(
     scores = np.asarray(scores, dtype=np.float64)
     blocks = len(partition.blocks)
     if scores.shape[-1:] != (blocks,):
-        raise DimensionError(f"expected one score per block ({blocks}), got {scores.shape}")
+        raise InvariantViolation(f"expected one score per block ({blocks}), got {scores.shape}")
     window_index = blocks - 1
     flat = scores.reshape(-1, blocks)
     kept = TreeKV(cache_blocks).replay(window_index, flat)[1]

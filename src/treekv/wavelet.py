@@ -16,9 +16,8 @@ Odd-length inputs are zero-padded by one trailing sample at each level and
 trimmed on reconstruction; analyses should prefer power-of-two windows so
 no boundary coefficients appear.  Coefficients of an L-level decomposition
 are kept as [A_L, D_L, ..., D_1], lowest frequency first.  A band is
-selected by exactly one of those names (``WaveletCoeffs.band_names()``),
-or by ``"A"`` for the approximation at any depth; any other selector is a
-SelectorError.
+selected by exactly one of those names (``WaveletCoeffs.band_names()``);
+any other selector is a ConfigError, as is a level count out of range.
 
 Every transform acts on the last axis of an (..., N) array, so one call
 decomposes a whole batch of signals; a 1-D signal is the batch of one.
@@ -41,13 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InputError,
-    LevelError,
-    SelectorError,
-)
+from .errors import ConfigError, InputError, InvariantViolation
 from .trace import DecodeTrace, signals_at_step
 
 _SQRT2 = math.sqrt(2.0)
@@ -56,7 +49,7 @@ _SQRT2 = math.sqrt(2.0)
 def _as_signal(samples) -> np.ndarray:
     signal = np.asarray(samples, dtype=np.float64)
     if signal.ndim == 0:
-        raise DimensionError("signal must have at least one axis, got a scalar")
+        raise InvariantViolation("signal must have at least one axis, got a scalar")
     return signal
 
 
@@ -98,12 +91,10 @@ class WaveletCoeffs:
         return names
 
     def band(self, selector: str) -> np.ndarray:
-        """The coefficients of a band in ``band_names()``, or of ``"A"``."""
-        if selector == "A":
-            return self.approx
+        """The coefficients of a band in ``band_names()``."""
         bands = dict(zip(self.band_names(), (self.approx, *self.details)))
         if selector not in bands:
-            raise SelectorError(
+            raise ConfigError(
                 f"unknown band {selector!r}; valid bands: {', '.join(bands)}"
             )
         return bands[selector]
@@ -116,10 +107,10 @@ def dwt_multi(samples, levels: int) -> WaveletCoeffs:
     if length == 0:
         raise InputError("cannot decompose an empty signal")
     if levels < 1:
-        raise LevelError(f"levels must be >= 1, got {levels}")
+        raise ConfigError(f"levels must be >= 1, got {levels}")
     deepest = max_level(length)
     if levels > deepest:
-        raise LevelError(
+        raise ConfigError(
             f"signal of length {length} supports at most {deepest} levels, "
             f"got {levels}"
         )
@@ -136,7 +127,7 @@ def reconstruct_single(approx, detail) -> np.ndarray:
     approx = _as_signal(approx)
     detail = _as_signal(detail)
     if approx.shape != detail.shape:
-        raise DimensionError(
+        raise InvariantViolation(
             f"approximation and detail lengths differ: {approx.shape} vs {detail.shape}"
         )
     out = np.empty((*approx.shape[:-1], 2 * approx.shape[-1]), dtype=np.float64)
@@ -161,7 +152,7 @@ def reconstruct(coeffs: WaveletCoeffs) -> np.ndarray:
 
 def reconstruct_component(coeffs: WaveletCoeffs, band: str) -> np.ndarray:
     """(..., N) contribution of a single band, all other bands zeroed."""
-    selected = coeffs.band(band)  # raises SelectorError for unknown bands
+    selected = coeffs.band(band)  # raises ConfigError for unknown bands
     approx = coeffs.approx if selected is coeffs.approx else np.zeros_like(coeffs.approx)
     details = [
         d if d is selected else np.zeros_like(d)
@@ -221,12 +212,12 @@ def magnitude_profile(
     if exclude < 0:
         raise ConfigError(f"exclude must be non-negative, got {exclude}")
     if levels < 1:
-        raise LevelError(f"levels must be >= 1, got {levels}")
+        raise ConfigError(f"levels must be >= 1, got {levels}")
 
     views = [signals_at_step(trace, step) for trace in traces]
     signal_length = views[0][0].shape[2]
     if signal_length.bit_length() <= levels:  # signal_length < 2**levels
-        raise LevelError(
+        raise ConfigError(
             f"analysis step {step} has {signal_length} slots, fewer than "
             f"2**{levels}; reduce the level count"
         )

@@ -12,13 +12,12 @@ import pytest
 
 from treekv import (
     ConfigError,
-    DimensionError,
     InputError,
-    InvariantViolation,
     ModelDims,
     ModelWeights,
-    StateError,
+    StreamBatch,
     decode_with_policy,
+    dwt_multi,
     generate_weights,
     load_weights,
     make_policy,
@@ -26,7 +25,7 @@ from treekv import (
     save_weights,
     write_trace,
 )
-from treekv import cli
+from treekv import cli, errors
 from treekv.cli import RunConfig, load_config, main
 from treekv.engine import _FORMAT_VERSION, CHUNK_ROWS, atomic_output
 from treekv.trace import TRACE_FORMAT
@@ -786,13 +785,35 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(tmp_path, build, code)
     assert sorted(os.listdir(tmp_path)) == inputs  # no output file written
 
 
-@pytest.mark.parametrize("error", [InvariantViolation, StateError, DimensionError])
-def test_an_internal_error_exits_4_with_one_line(monkeypatch, capsys, error):
-    def broken(args):
-        raise error("broken")
-    monkeypatch.setattr(cli, "cmd_map", broken)
-    assert run_cli("map", "--trace", "t.jsonl") == 4
-    assert capsys.readouterr().err == "internal error: broken\n"
+def _small_weights():
+    return generate_weights(3, ModelDims(1, 2, 8, 4))
+
+
+LIBRARY_ERRORS = {
+    "remove-empty": (lambda: StreamBatch(_small_weights(), 2).remove([0, 0]), 4,
+                     "internal error: victims [0, 0] are not one slot per stream in 0..-1"),
+    "decode-d-model": (lambda: decode_with_policy(_small_weights(), np.zeros((3, 5)), "full", 4),
+                       4, "internal error: inputs must have shape (T, 8), got (3, 5)"),
+    "band-A": (lambda: dwt_multi(np.ones(8), 2).band("A"), 2,
+               "config error: unknown band 'A'; valid bands: A2, D2, D1"),
+    "dwt-levels": (lambda: dwt_multi(np.ones(4), 3), 2,
+                   "config error: signal of length 4 supports at most 2 levels, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_ERRORS)
+def test_a_library_error_exits_with_its_code_and_one_line(monkeypatch, capsys, case):
+    call, code, line = LIBRARY_ERRORS[case]
+    monkeypatch.setattr(cli, "cmd_map", lambda args: call())
+    assert run_cli("map", "--trace", "t.jsonl") == code
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_the_library_raises_one_class_per_exit_code():
+    classes = {name: value for name, value in vars(errors).items() if isinstance(value, type)}
+    assert sorted(classes) == ["ConfigError", "InputError", "InvariantViolation", "TreeKVError"]
+    for name in ("ConfigError", "InputError", "InvariantViolation"):
+        assert classes[name].__bases__ == (errors.TreeKVError,), name
 
 
 def _stdout_case(command, tmp_path):

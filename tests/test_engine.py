@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from treekv import (
     POLICY_SPECS,
-    DimensionError,
     InputError,
+    InvariantViolation,
     ModelDims,
     ModelWeights,
-    StateError,
     StreamBatch,
     decode_with_policy,
     generate_weights,
@@ -118,9 +117,9 @@ def test_normal_stream_is_bitwise_the_scalar_oracle(seed):
 
 
 def test_dimension_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match="layers must be an int in .*, got 0"):
         generate_weights(1, ModelDims(0, 1, 4, 2))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match="d_model must be an int in .*, got 4294967296"):
         generate_weights(1, ModelDims(1, 1, 2**32, 2))
 
 
@@ -137,7 +136,7 @@ def test_model_weights_read_their_dims_from_the_matrices(shape):
 @pytest.mark.parametrize("shape", [(0, 1, 3, 4, 2), (1, 0, 3, 4, 2), (1, 1, 3, 0, 2),
                                    (1, 1, 3, 4, 0)])
 def test_model_weights_refuse_an_empty_axis(shape):
-    with pytest.raises(DimensionError, match="must be an int in"):
+    with pytest.raises(InvariantViolation, match="must be an int in"):
         ModelWeights(0, np.zeros(shape, dtype=np.float32))
 
 
@@ -277,9 +276,9 @@ def test_project_hand_example():
 
 def test_project_length_mismatch():
     weights = generate_weights(1, ModelDims(1, 1, 6, 3))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match=r"must have shape \(T, 6\), got \(3, 5\)"):
         decode_with_policy(weights, np.zeros((3, 5)), "treekv", 4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match=r"must have shape \(T, 6\), got \(6,\)"):
         decode_with_policy(weights, np.zeros(6), "treekv", 4)
 
 
@@ -380,7 +379,7 @@ def test_append_rejects_wrong_vector_length(tmp_path):
 
 def test_append_respects_capacity_headroom():
     batch, xs = _stepped(3, slots=3)  # capacity + 1 transient slots for c = 2
-    with pytest.raises(StateError):
+    with pytest.raises(InvariantViolation, match="slots is full at 3"):
         batch.step(xs[3])
 
 
@@ -392,7 +391,7 @@ def test_stepping_a_full_batch_without_evicting_is_refused(reads):
     stepped = batch.steps(synthesize_embeddings(5, 4, 6))
     for _ in range(3):
         next(stepped)
-    with pytest.raises(StateError, match="slots is full at 3"):
+    with pytest.raises(InvariantViolation, match="slots is full at 3"):
         next(stepped)
 
 
@@ -407,7 +406,7 @@ def test_steps_refuse_an_input_that_misses_its_rotated_slot():
         next(stepped)
     batch.remove([1, 1])
     batch.remove([0, 2])
-    with pytest.raises(StateError, match="stored at slot 2 was rotated at slot 4"):
+    with pytest.raises(InvariantViolation, match="stored at slot 2 was rotated at slot 4"):
         next(stepped)
 
 
@@ -479,7 +478,7 @@ def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
     weights = generate_weights(31, dims)
     xs = synthesize_embeddings(32, m + 1, dims.d_model)
     bulk, single = StreamBatch(weights, m + 1), StreamBatch(weights, m + 1)
-    bulk.append(xs[:m])
+    bulk.append(xs[:m, None])
     assert bulk.n == m and bulk.fresh == 0
     assert not bulk.scores[:, :m].any() and not bulk.counts[:, :m].any()
     for x in xs[:m]:
@@ -496,8 +495,8 @@ def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
     assert sums[0].tobytes() == sums[1].tobytes()
     assert bulk.scores.tobytes() == got.tobytes()  # only this step's row
     assert (bulk.counts == 1).all()
-    with pytest.raises(StateError):
-        bulk.append(xs[:1])
+    with pytest.raises(InvariantViolation, match=f"slots is full at {m + 1}"):
+        bulk.append(xs[:1, None])
     assert bulk.n == m + 1
 
 
@@ -517,7 +516,7 @@ def test_per_stream_append_is_bitwise_each_stream_alone(m):
         layer, head = divmod(stream, dims.heads)
         qkv = weights.qkv[layer : layer + 1, head : head + 1]
         alone = StreamBatch(ModelWeights(weights.seed, qkv), m + 1)
-        alone.append(own[:, stream])
+        alone.append(own[:, stream, None])
         want = alone.step(xs[-1])
         assert rows[stream].tobytes() == want[0].tobytes(), stream
         for name in ("keys", "encoded", "positions"):
@@ -705,9 +704,9 @@ def test_stream_batch_remove_shifts_each_stream_past_its_victim():
     for stream, kept in enumerate([[1, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 3]]):
         assert np.array_equal(batch.keys[stream, :4], keys[stream, kept])
         assert np.array_equal(batch.scores[stream, :4], scores[stream, kept])
-    with pytest.raises(StateError):
+    with pytest.raises(InvariantViolation, match=r"victims \[0, 4, 1\] are not one slot"):
         batch.remove([0, 4, 1])  # slot 4 is gone
-    with pytest.raises(StateError):
+    with pytest.raises(InvariantViolation, match=r"victims \[0, 1\] are not one slot"):
         batch.remove([0, 1])  # one victim per stream
 
 
@@ -848,7 +847,7 @@ def test_window_mass_refuses_inputs_of_another_length(rows):
     # Fewer rows than the prompt would leave window keys unstored (10 rows
     # read as all-zero mass), more would overflow the batch (32 rows).
     weights = generate_weights(8, ModelDims(2, 4, 8, 4))
-    with pytest.raises(DimensionError, match=r"not \(16, d_model\)"):
+    with pytest.raises(InvariantViolation, match=r"not \(16, d_model\)"):
         window_mass(weights, synthesize_embeddings(9, rows, 8), partition_blocks(16, 4))
 
 

@@ -10,12 +10,10 @@ from treekv import (
     POLICY_SPECS,
     TOVA,
     ConfigError,
-    DimensionError,
     InvariantViolation,
     ModelDims,
     ModelWeights,
     ProtectedZones,
-    StateError,
     StreamBatch,
     StreamingLLM,
     TreeKV,
@@ -141,7 +139,7 @@ def test_tree_eviction_select_left_ignores_scores():
 
 
 def test_tree_eviction_requires_over_capacity_cache():
-    with pytest.raises(StateError):
+    with pytest.raises(InvariantViolation, match="needs exactly 5 slots .* holds 4"):
         TreeKV(4).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None, 0)
 
 
@@ -346,7 +344,8 @@ def test_tova_respects_zones():
 
 
 def test_evict_checks_the_policy_and_the_remaining_slots():
-    with pytest.raises(StateError):  # two over capacity: one eviction is short
+    # two over capacity: one eviction is short
+    with pytest.raises(InvariantViolation, match="needs exactly 3 slots .* holds 4"):
         H2O(2).evict(stream_batch([0.1, 0.2, 0.3, 0.4]), None, 0)
 
 
@@ -355,7 +354,7 @@ def test_evict_refuses_a_batch_not_one_over_capacity_before_removing(spec):
     c = 4
     for size in (c, c + 2):
         batch = stream_batch(np.ones(size))
-        with pytest.raises(StateError):
+        with pytest.raises(InvariantViolation, match=f"needs exactly 5 slots .* holds {size}"):
             make_policy(spec, c, ProtectedZones(1, 1)).evict(batch, np.ones((1, size)), 0)
         assert batch.n == size
         assert batch.positions[0].tolist() == list(range(size))
@@ -849,7 +848,7 @@ def test_decode_rejects_tiny_capacity():
 
 def test_decode_rejects_bad_input_shape():
     weights = _toy_weights()
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match=r"must have shape \(T, \d+\), got \(4, 5\)"):
         decode_with_policy(weights, np.zeros((4, 5)), "full", 8)
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from treekv import (
     BlockPartition,
     ConfigError,
-    DimensionError,
     InputError,
+    InvariantViolation,
     TreeKV,
     observation_scores,
     partition_blocks,
@@ -103,9 +103,9 @@ def test_observation_scores_of_all_streams_are_each_stream_s_own():
 
 def test_observation_scores_rejects_oversized_rows():
     partition = partition_blocks(4, 2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match=r"mass \(5,\) is not \(\.\.\., 4\)"):
         observation_scores(np.sum([np.zeros(5)], axis=-2), partition)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match=r"mass \(0,\) is not \(\.\.\., 4\)"):
         observation_scores([], partition)
 
 
@@ -149,7 +149,7 @@ def test_prefill_requires_budget_of_two():
 
 def test_prefill_score_length_must_match_blocks():
     partition = partition_blocks(20, 4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match=r"one score per block \(5\), got \(4,\)"):
         treekv_prefill_compress(partition, np.zeros(4), 3)
 
 

@@ -30,7 +30,7 @@ from treekv.engine import project, stacked_weights
 from treekv.cli import main
 from treekv.trace import BLOCKS, RUN_FIELDS, position_dtype
 
-from helpers import evictions
+from helpers import decision_margins, evictions
 from oracles import oracle_retained_at
 
 
@@ -509,16 +509,23 @@ def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
     return read_trace(str(path)), attended, held
 
 
-def test_signals_at_step_rederives_the_rows_decode_attended(tmp_path):
-    # Every step's derived rows, read back from a trace file, bitwise
-    # against the rows the step itself returned.
+def _rederive_corpus():
+    """The seeded runs (spec, dims, capacity, zones, seq_len, seed) of
+    test_signals_at_step_rederives_the_rows_decode_attended."""
     rng = np.random.default_rng(44)
     for case, spec in enumerate(POLICY_SPECS * 2):
         dims = ModelDims(int(rng.integers(1, 3)), int(rng.integers(1, 4)), 6,
                          int(rng.choice([1, 3, 4, 5])))
         capacity = int(rng.integers(4, 9))
         zones = "sink=1,recent=2" if case >= len(POLICY_SPECS) else "sink=0,recent=0"
-        loaded, attended, _ = _drive(spec, dims, capacity, zones, 20, case, tmp_path)
+        yield spec, dims, capacity, zones, 20, case
+
+
+def test_signals_at_step_rederives_the_rows_decode_attended(tmp_path):
+    # Every step's derived rows, read back from a trace file, bitwise
+    # against the rows the step itself returned.
+    for spec, dims, capacity, zones, seq_len, seed in _rederive_corpus():
+        loaded, attended, _ = _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path)
         for step, rows in enumerate(attended, start=1):
             derived = signals_at_step(loaded, step)[0]
             assert derived.shape == rows.shape
@@ -532,22 +539,43 @@ PROJECTION_DIMS = [(2, 4, 64, 16), (2, 3, 8, 5), (1, 2, 7, 3), (3, 2, 33, 7), (1
                    (1, 3, 1, 4), (2, 2, 9, 1)]
 
 
+def _projection_corpus():
+    """The seeded runs (spec, dims, capacity, zones, seq_len, seed) of
+    test_signals_at_step_is_bitwise_what_decode_attended_and_projected."""
+    rng = np.random.default_rng(45)
+    for case, shape in enumerate(PROJECTION_DIMS * 2):
+        spec = POLICY_SPECS[case % len(POLICY_SPECS)]
+        capacity = int(rng.integers(4, 9))
+        zones = "sink=1,recent=2" if case % 2 else "sink=0,recent=0"
+        seq_len = int(rng.integers(capacity + 2, 3 * capacity))
+        yield spec, ModelDims(*shape), capacity, zones, seq_len, case
+
+
 def test_signals_at_step_is_bitwise_what_decode_attended_and_projected(tmp_path):
     # At every step, the derived rows against the rows the step returned,
     # and each held slot's derived value against decode's up-front
     # projection of its input, over dims whose BLAS tails differ.
-    rng = np.random.default_rng(45)
-    for case, shape in enumerate(PROJECTION_DIMS * 2):
-        spec = POLICY_SPECS[case % len(POLICY_SPECS)]
-        dims = ModelDims(*shape)
-        capacity = int(rng.integers(4, 9))
-        zones = "sink=1,recent=2" if case % 2 else "sink=0,recent=0"
-        seq_len = int(rng.integers(capacity + 2, 3 * capacity))
-        loaded, attended, held = _drive(spec, dims, capacity, zones, seq_len, case, tmp_path)
+    for spec, dims, capacity, zones, seq_len, seed in _projection_corpus():
+        loaded, attended, held = _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path)
         for step, want in enumerate(zip(attended, held), start=1):
             for got, expected in zip(signals_at_step(loaded, step), want):
                 assert got.shape == expected.shape
-                assert got.tobytes() == expected.tobytes(), (spec, shape, zones, step)
+                assert got.tobytes() == expected.tobytes(), (spec, dims, zones, step)
+
+
+@pytest.mark.parametrize("spec", ["treekv", "h2o", "tova"])
+def test_no_seeded_trace_corpus_decision_is_a_near_tie(spec):
+    # The runs of the two seeded corpora above clear float noise by far:
+    # the smallest margins are about 5.1e-3 (treekv), 4.9e-2 (h2o) and
+    # 7.3e-3 (tova) on the first, and 3.6e-3, 2.6e-2 and 5.4e-3 on the
+    # second.
+    for corpus in (_rederive_corpus, _projection_corpus):
+        for run_spec, dims, capacity, zones, seq_len, seed in corpus():
+            if run_spec == spec:
+                weights = generate_weights(seed, dims)
+                inputs = synthesize_embeddings(seed, seq_len, dims.d_model)
+                margins = decision_margins(weights, inputs, spec, capacity, zones)
+                assert (margins > 1e-9).all(), (dims, capacity, zones, margins.min())
 
 
 def _edited_trace(tmp_path, edit):

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treekv import (
-    DimensionError,
+    ConfigError,
     InputError,
-    LevelError,
+    InvariantViolation,
     ModelDims,
-    SelectorError,
     DecodeTrace,
     dwt_multi,
     dwt_single,
@@ -91,9 +90,9 @@ def test_dwt_multi_two_level_ramp():
 
 
 def test_dwt_multi_level_bounds():
-    with pytest.raises(LevelError):
+    with pytest.raises(ConfigError, match="levels must be >= 1, got 0"):
         dwt_multi([1.0, 2.0, 3.0, 4.0], 0)
-    with pytest.raises(LevelError):
+    with pytest.raises(ConfigError, match="length 4 supports at most 2 levels, got 3"):
         dwt_multi([1.0, 2.0, 3.0, 4.0], 3)
     assert max_level(4) == 2
     assert max_level(5) == 3
@@ -120,13 +119,13 @@ def test_reconstruct_single_detail_only():
 
 
 def test_reconstruct_single_length_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match="approximation and detail lengths differ"):
         reconstruct_single([1.0, 2.0], [1.0])
 
 
 def test_reconstruct_component_ramp():
     coeffs = dwt_multi([1.0, 2.0, 3.0, 4.0], 1)
-    assert np.allclose(reconstruct_component(coeffs, "A"), [1.5, 1.5, 3.5, 3.5], atol=1e-12)
+    assert np.allclose(reconstruct_component(coeffs, "A1"), [1.5, 1.5, 3.5, 3.5], atol=1e-12)
     assert np.allclose(
         reconstruct_component(coeffs, "D1"), [-0.5, 0.5, -0.5, 0.5], atol=1e-12
     )
@@ -139,13 +138,15 @@ def test_reconstruct_component_zero_band_is_zero_signal():
 
 def test_reconstruct_component_unknown_band():
     coeffs = dwt_multi(np.ones(8), 2)
-    with pytest.raises(SelectorError):
+    with pytest.raises(ConfigError, match="unknown band 'D3'; valid bands: A2, D2, D1"):
         reconstruct_component(coeffs, "D3")
-    with pytest.raises(SelectorError):
+    with pytest.raises(ConfigError, match="unknown band 'B1'"):
         coeffs.band("B1")
     for selector in ("D01", "D\u0661"):  # not in band_names(), though int() reads them as 1
-        with pytest.raises(SelectorError):
+        with pytest.raises(ConfigError, match="unknown band"):
             coeffs.band(selector)
+    with pytest.raises(ConfigError, match="unknown band 'A'"):  # only A2 names the approximation
+        coeffs.band("A")
 
 
 # --- oracle equivalence and properties --------------------------------------------
@@ -211,7 +212,7 @@ def test_a_batch_transforms_as_its_rows_do(shape):
             assert np.array_equal(reconstruct_component(coeffs, band)[index],
                                   reconstruct_component(row, band))
         assert np.array_equal(reconstruct(coeffs)[index], reconstruct(row))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantViolation, match="at least one axis, got a scalar"):
         dwt_single(1.0)
 
 
@@ -283,7 +284,7 @@ def test_magnitude_profile_single_channel_matches_oracle():
 def test_magnitude_profile_level_error_when_step_too_short():
     seq_len = 8
     trace = _uniform_trace(seq_len, 2)
-    with pytest.raises(LevelError):
+    with pytest.raises(ConfigError, match=r"has 8 slots, fewer than 2\*\*4"):
         magnitude_profile([trace], 4, exclude=0)
 
 
