@@ -13,13 +13,13 @@ computations exact.
 
 Position handling follows the re-assignment convention of sliding-window
 decoders: a rotary-style phase rotation is keyed by the slot index a key
-currently occupies in the cache, not by the token's original position, and
-it is applied at attention time (``rotate_vector`` is its definition).
-Stored keys stay raw; evicting a slot shifts the survivors left, and the
-next step sees contiguous encoding positions 0..n-1.  The rotation runs at
-full width: ``_lanes`` spreads each pair's cos and sin over both of its
-lanes, and ``_rotate`` computes ``x * cos + swap(x) * sin`` over whole
-blocks, bitwise the per-pair formula.
+currently occupies in the cache, not by the token's original position
+(``rotate_vector`` is its definition).  Stored keys stay raw beside their
+rotations; evicting a slot shifts the survivors left and rotates the moved
+ones again, so the keys attended sit at contiguous positions 0..n-1.  The
+rotation runs at full width: ``_lanes`` spreads each pair's cos and sin
+over both of its lanes, and ``_rotate`` computes ``x * cos + swap(x) *
+sin`` over whole blocks, bitwise the per-pair formula.
 
 ``StreamBatch`` is the only stream state and the only code that rotates
 and attends keys, and the module keeps no state of its own: each batch
@@ -318,17 +318,17 @@ class StreamBatch:
 
     Keys are stored raw and attended rotated at their slot index 0..n-1, so
     each stream computes exactly what a lone stream with its own cache
-    would.  ``encoded`` keeps those rotations: a key's encoding changes only
-    when an eviction shifts it to a lower slot, so the first ``fresh`` slots
-    (all slots left of every stream's last victim) are never rotated again.
-    Raw and encoded keys are stored slot-major, (slots, S, d_head), so the
-    slots ``[fresh, slot)`` of every stream are one contiguous block, and
-    ``keys`` and ``encoded`` are their (S, slots, d_head) views; attention
-    reads each stream's keys as strided rows.  ``rope`` holds the
-    full-width cos and sin (``_lanes``) of every slot index, (2, slots, 1,
-    d_head), and the first eviction expands it to (2, slots, S, d_head), so
-    re-encoding a block multiplies arrays of one shape.  Inputs are stepped
-    only by ``steps``, ``CHUNK_ROWS`` at a time, and attended one by one
+    would.  ``encoded`` keeps those rotations, and after every call each
+    live key is rotated at its own slot: ``append`` and ``_step_one`` encode
+    the keys they store, and ``remove`` encodes again the keys it shifted.
+    Raw and encoded keys are stored slot-major, (slots, S, d_head), so a
+    run of slots of every stream is one contiguous block, and ``keys`` and
+    ``encoded`` are their (S, slots, d_head) views; attention reads each
+    stream's keys as strided rows.  ``rope`` holds the full-width cos and
+    sin (``_lanes``) of every slot index, (2, slots, 1, d_head), and the
+    first eviction expands it to (2, slots, S, d_head), so re-encoding a
+    block multiplies arrays of one shape.  Inputs are stepped only by
+    ``steps``, ``CHUNK_ROWS`` at a time, and attended one by one
     (``_step_one``).
     """
 
@@ -348,12 +348,11 @@ class StreamBatch:
         self.shifted = tuple(array for array in (self.positions, self.keys, self.scores,
                                                  self.counts) if array is not None)
         self.n = 0
-        self.fresh = 0
         self.appended = 0  # inputs given so far: the next original position
 
     def _store(self, keys: np.ndarray) -> None:
         """Store m inputs in the next m slots at the next m original
-        positions, with their keys (m, S, d_head) and zeroed statistics."""
+        positions, with their raw keys (m, S, d_head) and zeroed statistics."""
         m = len(keys)
         n = self.n
         if n + m > self.positions.shape[1]:
@@ -370,10 +369,11 @@ class StreamBatch:
 
     def append(self, xs: np.ndarray) -> None:
         """Append m inputs to every stream, each stream's own, xs (m, S,
-        d_model), or shared, xs (m, 1, d_model), projecting and storing their
-        keys, so that a key past float64 is an input error.  Nothing is
-        attended or rotated, so ``fresh`` stays as it was."""
+        d_model), or shared, xs (m, 1, d_model), projecting, storing and
+        encoding their keys, so that a key past float64 is an input error.
+        Nothing is attended."""
         self._store(project(xs, self.wk))
+        self._encode(self.n - len(xs), self.n)
 
     def steps(self, xs: np.ndarray):
         """Append inputs xs (T, d_model) one at a time, yielding after each
@@ -395,23 +395,22 @@ class StreamBatch:
         """Append one input x (d_model) and attend it: ``steps`` of one input."""
         return next(self.steps(x[None]))
 
+    def _encode(self, lo: int, hi: int) -> None:
+        """Encode the raw keys of slots ``[lo, hi)``, all streams as one block."""
+        raw, encoded = self.slot_keys  # slot-major
+        _rotate(raw[lo:hi], *self.rope[:, lo:hi], out=encoded[lo:hi])
+
     def _step_one(self, key: np.ndarray, rotated: np.ndarray, slot: int) -> np.ndarray:
         """Store one input's raw key (S, d_head) at ``slot``, the next slot,
-        and attend its query over each stream's slots; ``rotated`` holds the
-        query and key (2, S, d_head) rotated at ``slot``.  Only the slots an
-        eviction shifted, ``[fresh, slot)``, are encoded again, as one block.
-        The rows are added to the statistics kept (S += row, C += 1) and
-        returned, (S, n)."""
+        and its encoding, and attend its query over each stream's slots;
+        ``rotated`` holds the query and key (2, S, d_head) rotated at
+        ``slot``.  The rows are added to the statistics kept (S += row,
+        C += 1) and returned, (S, n)."""
         self._store(key[None])
         n = self.n
         if n - 1 != slot:
             raise InvariantViolation(f"input stored at slot {n - 1} was rotated at slot {slot}")
-        lo, self.fresh = self.fresh, n
-        raw, encoded = self.slot_keys  # slot-major
-        if lo < slot:
-            cos, sin = self.rope[:, lo:slot]
-            _rotate(raw[lo:slot], cos, sin, out=encoded[lo:slot])
-        encoded[slot] = rotated[1]
+        self.slot_keys[1, slot] = rotated[1]
         rows = _attention_rows(rotated[0], self.encoded[:, :n])
         if self.scores is not None:
             self.scores[:, :n] += rows
@@ -424,9 +423,12 @@ class StreamBatch:
         kept array left.  Slots right of every victim move as one slice; the
         window between the lowest and highest victim, empty when every
         stream's victim is the same slot, is gathered per stream before that
-        shift.  The first removal spreads ``rope`` over the streams.
-        Returns the removed slots' original positions, one per stream."""
+        shift.  The first removal spreads ``rope`` over the streams; then the
+        shifted keys, ``[lo, n - 1)`` from the lowest victim ``lo``, are
+        encoded again.  Returns the removed slots' original positions."""
         n = self.n
+        if n == 0:
+            raise InvariantViolation("the stream batch holds no slot to remove")
         victims = np.asarray(victims)
         lo, hi = (int(victims.min()), int(victims.max())) if victims.size else (0, n)
         if victims.shape != (self.streams,) or lo < 0 or hi >= n:
@@ -443,7 +445,7 @@ class StreamBatch:
         if self.rope.shape[2] < self.streams:
             self.rope = np.repeat(self.rope, self.streams, axis=2)
         self.n = n - 1
-        self.fresh = min(self.fresh, lo)
+        self._encode(lo, n - 1)
         return evicted
 
 

@@ -791,7 +791,7 @@ def _small_weights():
 
 LIBRARY_ERRORS = {
     "remove-empty": (lambda: StreamBatch(_small_weights(), 2).remove([0, 0]), 4,
-                     "internal error: victims [0, 0] are not one slot per stream in 0..-1"),
+                     "internal error: the stream batch holds no slot to remove"),
     "decode-d-model": (lambda: decode_with_policy(_small_weights(), np.zeros((3, 5)), "full", 4),
                        4, "internal error: inputs must have shape (T, 8), got (3, 5)"),
     "band-A": (lambda: dwt_multi(np.ones(8), 2).band("A"), 2,

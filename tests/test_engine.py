@@ -342,6 +342,14 @@ def test_attention_rows_are_stochastic(slots, d_head, seed):
 # --- append / evict ordering -----------------------------------------------
 
 
+def _assert_encoded_at_slots(batch):
+    """Every live key's encoding is bitwise its raw key rotated at its slot."""
+    for stream in range(batch.streams):
+        for slot in range(batch.n):
+            want = rotate_vector(batch.keys[stream, slot], slot)
+            assert batch.encoded[stream, slot].tobytes() == want.tobytes(), (stream, slot)
+
+
 def _stepped(count, slots=None, seed=0, d_head=4):
     """A two-stream batch after ``count`` steps at positions 0..count-1."""
     weights = generate_weights(seed, ModelDims(1, 2, 6, d_head))
@@ -479,7 +487,8 @@ def test_append_then_step_is_bitwise_stepping_one_by_one(dims, m):
     xs = synthesize_embeddings(32, m + 1, dims.d_model)
     bulk, single = StreamBatch(weights, m + 1), StreamBatch(weights, m + 1)
     bulk.append(xs[:m, None])
-    assert bulk.n == m and bulk.fresh == 0
+    assert bulk.n == m
+    _assert_encoded_at_slots(bulk)
     assert not bulk.scores[:, :m].any() and not bulk.counts[:, :m].any()
     for x in xs[:m]:
         single.step(x)
@@ -510,7 +519,8 @@ def test_per_stream_append_is_bitwise_each_stream_alone(m):
     own = xs[:-1].reshape(m, 6, dims.d_model)  # (m, S, d_model): no two streams alike
     batch = StreamBatch(weights, m + 1)
     batch.append(own)
-    assert batch.n == m and batch.fresh == 0
+    assert batch.n == m
+    _assert_encoded_at_slots(batch)
     rows = batch.step(xs[-1])
     for stream in range(batch.streams):
         layer, head = divmod(stream, dims.heads)
@@ -535,10 +545,7 @@ def test_the_rotary_table_spreads_over_the_streams_at_the_first_eviction():
     assert batch.rope.shape == (2, 6, 2, 4)
     assert (batch.rope == batch.rope[:, :, :1]).all()
     batch.step(xs[6])
-    for stream in range(2):
-        for slot in range(batch.n):
-            want = rotate_vector(batch.keys[stream, slot], slot)
-            assert np.array_equal(batch.encoded[stream, slot], want)
+    _assert_encoded_at_slots(batch)
 
 
 # --- position re-assignment ------------------------------------------------
@@ -733,14 +740,43 @@ def test_stream_batch_remove_matches_a_per_stream_delete(pattern):
             if pattern == "ends":
                 victims[rng.permutation(8)[:2]] = 0, n - 1
         before = {name: getattr(batch, name)[:, :n].copy() for name in names}
-        fresh = batch.fresh
         evicted = batch.remove(victims)
         assert evicted.tolist() == before["positions"][np.arange(8), victims].tolist()
         assert batch.n == n - 1
-        assert batch.fresh == min(fresh, victims.min())
+        _assert_encoded_at_slots(batch)
         for name in names:
             expected = [np.delete(before[name][s], victims[s], axis=0) for s in range(8)]
             assert getattr(batch, name)[:, : n - 1].tobytes() == np.stack(expected).tobytes()
+
+
+REMOVALS = {
+    "two-in-a-row": [[3, 1], [0, 4]],  # no step between them
+    "last-slots": [[5, 5]],  # nothing moves, so nothing is encoded again
+    "last-then-first": [[5, 5], [0, 0]],
+}
+
+
+@pytest.mark.parametrize("case", REMOVALS)
+def test_every_key_stays_encoded_at_its_slot_across_removals_and_appends(case):
+    # Removals with no step after them, then an append after an eviction
+    # (the table spread over the streams), then a step: each call leaves
+    # every live key encoded at its own slot.
+    batch, xs = _stepped(6, slots=8)
+    for victims in REMOVALS[case]:
+        keys = batch.keys[:, : batch.n].copy()
+        batch.remove(victims)
+        for stream, victim in enumerate(victims):
+            want = np.delete(keys[stream], victim, axis=0)
+            assert batch.keys[stream, : batch.n].tobytes() == want.tobytes()
+        _assert_encoded_at_slots(batch)
+    assert batch.rope.shape == (2, 8, 2, 4)
+    n = batch.n
+    batch.append(xs[6:7, None])
+    assert batch.n == n + 1
+    _assert_encoded_at_slots(batch)
+    rows = batch.step(synthesize_embeddings(1, 1, 6)[0])
+    _assert_encoded_at_slots(batch)
+    assert rows.shape == (2, n + 2)
 
 
 def test_synthesize_streams_are_deterministic():
