@@ -72,14 +72,6 @@ class ProtectedZones:
             values[key] = int(raw)
         return cls(values.get("sink", 0), values.get("recent", 0))
 
-    @classmethod
-    def coerce(cls, zones) -> "ProtectedZones":
-        if zones is None:
-            return cls()
-        if isinstance(zones, str):
-            return cls.parse(zones)
-        return zones
-
     def __str__(self) -> str:
         return f"sink={self.n_sink},recent={self.n_recent}"
 
@@ -99,8 +91,9 @@ class EvictionPolicy:
     statistics it ``reads`` and the eviction's 0-based index alone;
     ``evict`` and ``replay`` remove the victims.  The evictable slots ``lo``
     to ``hi - 1``, those between the sink and recent zones, are fixed when
-    the policy is built; ``full`` has no capacity and is never asked to
-    evict.
+    the policy is built.  Every policy keeps the ``capacity`` and ``zones``
+    it was built from, which a trace header records; ``full`` is never
+    asked to evict.
 
     One instance serves every stream of a run: all streams hold the same
     number of slots and evict in lockstep, so they share each eviction's
@@ -109,7 +102,6 @@ class EvictionPolicy:
 
     spec = "?"
     reads: tuple[str, ...] = ()  # what ``select`` reads, of engine.STATISTICS
-    capacity: int | None = None  # slots each stream keeps; None: never evicts
     min_evictable = 1  # slots the zones must leave unprotected
 
     def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones()):
@@ -119,7 +111,7 @@ class EvictionPolicy:
                 f"policy {self.spec} needs {self.min_evictable} evictable slot(s) "
                 f"between the zones (got {zones} against c={capacity})"
             )
-        self.capacity, self.lo, self.hi = capacity, lo, hi
+        self.capacity, self.zones, self.lo, self.hi = capacity, zones, lo, hi
 
     def select(self, shape: tuple[int, int], index: int, **stats) -> np.ndarray:
         """Victim slot (0-based) per stream of a (streams, capacity + 1)
@@ -130,9 +122,8 @@ class EvictionPolicy:
 
     def eviction_count(self, seq_len: int) -> int:
         """How many steps of a seq_len-step decode evict: each step t >
-        capacity, as the cache is full from step capacity on; none without
-        a capacity."""
-        return 0 if self.capacity is None else max(0, seq_len - self.capacity)
+        capacity, as the cache is full from step capacity on."""
+        return max(0, seq_len - self.capacity)
 
     def _argmin(self, weights) -> np.ndarray:
         """The H2O and TOVA rule: the minimum-weight evictable slot per
@@ -178,12 +169,15 @@ class EvictionPolicy:
 
 
 class FullAttention(EvictionPolicy):
-    """Keeps every slot: its capacity is None, so it is never asked to evict."""
+    """Keeps every slot, whatever its capacity and zones: it never evicts."""
 
     spec = "full"
 
-    def __init__(self):
-        pass
+    def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones()):
+        self.capacity, self.zones = capacity, zones
+
+    def eviction_count(self, seq_len: int) -> int:
+        return 0
 
 
 class TreeKV(EvictionPolicy):
@@ -241,34 +235,35 @@ class TOVA(EvictionPolicy):
         return self._argmin(rows)
 
 
-_CONSTRUCTORS = {
-    "treekv": TreeKV,
-    "treekv-left": lambda capacity, zones: TreeKV(capacity, zones, select_left=True),
-    "streaming": StreamingLLM,
-    "h2o": H2O,
-    "tova": TOVA,
-    "full": lambda capacity, zones: FullAttention(),
-}
-POLICY_SPECS = tuple(_CONSTRUCTORS)
+# The class each spec builds, and the options it is built with.
+_CLASSES = {"treekv": TreeKV, "treekv-left": TreeKV, "streaming": StreamingLLM, "h2o": H2O,
+            "tova": TOVA, "full": FullAttention}
+_OPTIONS = {"treekv-left": {"select_left": True}}
+POLICY_SPECS = tuple(_CLASSES)
 
 
-def make_policy(spec: str, capacity: int, zones=None) -> EvictionPolicy:
-    """A fresh policy for one decode run; every spec but ``full`` needs c >= 2."""
-    if spec not in _CONSTRUCTORS:
+def policy_class(spec: str, capacity: int) -> type:
+    """The class spec builds at c; every spec but ``full`` needs c >= 2."""
+    if spec not in _CLASSES:
         raise ConfigError(f"unknown policy {spec!r}, expected one of {', '.join(POLICY_SPECS)}")
     if spec != "full" and capacity < 2:
         raise ConfigError(f"decoding requires c >= 2, got {capacity}")
-    return _CONSTRUCTORS[spec](capacity, ProtectedZones.coerce(zones))
+    return _CLASSES[spec]
 
 
-def decode_with_policy(
-    weights: ModelWeights,
-    inputs,
-    policy_spec: str,
-    capacity: int,
-    zones=None,
-) -> DecodeTrace:
-    """Run the decode loop over all (layer, head) streams at once.
+def make_policy(spec: str, capacity: int, zones=None) -> EvictionPolicy:
+    """The policy spec names at c, with zones given as ``ProtectedZones``,
+    their text, or None for none.  It is the only code that turns (spec, c,
+    zones) into a policy.  A policy is pure, so one may serve several runs."""
+    cls = policy_class(spec, capacity)
+    if not isinstance(zones, ProtectedZones):
+        zones = ProtectedZones.parse(zones)
+    return cls(capacity, zones, **_OPTIONS.get(spec, {}))
+
+
+def decode_with_policy(weights: ModelWeights, inputs, policy: EvictionPolicy) -> DecodeTrace:
+    """Run the decode loop over all (layer, head) streams at once under
+    one policy (``make_policy``), which the trace keeps.
 
     Per step (``StreamBatch.steps``): append, attend with re-assigned
     positions and accumulate the statistics the policy reads in every
@@ -290,8 +285,6 @@ def decode_with_policy(
             f"inputs must have shape (T, {dims.d_model}), got {inputs.shape}"
         )
     seq_len = inputs.shape[0]
-    zones = ProtectedZones.coerce(zones)
-    policy = make_policy(policy_spec, capacity, zones)
     streams = dims.layers * dims.heads  # stream s = layer * heads + head
     if not policy.reads:
         wk = stacked_weights(weights.qkv[:, :, 1:2])[0]
@@ -306,15 +299,6 @@ def decode_with_policy(
             if batch.n > bound:
                 index = step - bound - 1  # eviction 0 is step bound + 1
                 evicted[index] = policy.evict(batch, rows, index)
-    grid = (dims.layers, dims.heads)
-    return DecodeTrace(
-        policy=policy_spec,
-        capacity=capacity,
-        zones=str(zones),
-        seq_len=seq_len,
-        dims=dims,
-        model_seed=weights.seed,
-        evicted=evicted.reshape(-1, *grid),
-        inputs=inputs,
-        weights=weights.qkv,
-    )
+    evicted = evicted.reshape(-1, dims.layers, dims.heads)
+    return DecodeTrace(policy, seq_len, dims, weights.seed, evicted=evicted, inputs=inputs,
+                       weights=weights.qkv)

@@ -8,10 +8,10 @@ retention map.
 Every stream of a run holds the same number of slots and evicts in
 lockstep, and a bounded policy evicts exactly once per step as soon as its
 cache is full.  So a run's evictions are one (layers, heads) grid of
-original positions per step past the capacity: the header's policy,
-capacity and seq_len fix the steps that evict, the tree cursor of eviction
-i is i mod cycle + 1 (``TreeKV.cycle``), and replaying the evictions gives
-the retained set after any step (``retained_at``), so none is stored.  A
+original positions per step past the capacity: the policy and seq_len fix
+the steps that evict, the tree cursor of eviction i is i mod cycle + 1
+(``TreeKV.cycle``), and replaying the evictions gives the retained set
+after any step (``retained_at``), so none is stored.  A
 policy that reads no statistics (``streaming``, ``treekv-left``) chooses
 from slot indices and the eviction index alone, so the header fixes its
 victims too: ``validate_trace`` replays them (``EvictionPolicy.replay``)
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,15 +30,19 @@ from .engine import (ModelDims, ModelWeights, StreamBatch, atomic_output, genera
                      project, synthesize_embeddings, write_array)
 from .errors import ConfigError, InputError, InvariantViolation
 
+if TYPE_CHECKING:
+    from .policies import EvictionPolicy
+
 TRACE_FORMAT = 10
 # The blocks a full trace records, in file order, each with the type its
 # file holds it in.  The header names each one's source: "stored" (in the
 # file), "seed" (regenerated from the header's seeds) or null (a light trace).
 BLOCKS = {"inputs": "<f8", "weights": "<f4"}
 # The run fields a header holds after "kind" and "format", in file order,
-# each with the JSON types its value may hold.  All are required, and each
-# is a ``DecodeTrace`` field or, from "layers" to "d_head", a ``ModelDims``
-# one.  Checked by ``type``, not ``isinstance``: a bool is no int here.
+# each with the JSON types its value may hold.  All are required: the
+# policy's spec, capacity and zones, ``ModelDims`` fields from "layers" to
+# "d_head", and ``DecodeTrace`` fields.  Checked by ``type``, not
+# ``isinstance``: a bool is no int here.
 RUN_FIELDS = {"policy": (str,), "capacity": (int,), "zones": (str,), "seq_len": (int,),
               "layers": (int,), "heads": (int,), "d_model": (int,), "d_head": (int,),
               "model_seed": (int,), "stream_seed": (int, type(None))}
@@ -45,15 +50,13 @@ RUN_FIELDS = {"policy": (str,), "capacity": (int,), "zones": (str,), "seq_len": 
 
 @dataclass
 class DecodeTrace:
-    policy: str
-    capacity: int
-    zones: str
+    policy: EvictionPolicy
     seq_len: int
     dims: ModelDims
     model_seed: int
     stream_seed: int | None = None
     # The original positions (0-based) evicted, an (E, layers, heads) int64
-    # array whose row i is step capacity + 1 + i (``_header_policy``'s
+    # array whose row i is step capacity + 1 + i (the policy's
     # ``eviction_count``).  A file holds them at ``position_dtype(seq_len)``.
     evicted: np.ndarray | None = None
     # The run's (seq_len, d_model) float64 inputs and the model's float32
@@ -69,7 +72,9 @@ class DecodeTrace:
 
     def config_dict(self) -> dict:
         """The header's run fields (``RUN_FIELDS``), in file order."""
-        values = {**vars(self), **vars(self.dims)}
+        policy = self.policy
+        values = {**vars(self), **vars(self.dims), "policy": policy.spec,
+                  "capacity": policy.capacity, "zones": str(policy.zones)}
         return {key: values[key] for key in RUN_FIELDS}
 
     @property
@@ -116,11 +121,22 @@ def _source(trace: DecodeTrace, name: str) -> str:
 
 
 def write_trace(trace: DecodeTrace, path: str) -> None:
-    """Write the trace; its positions must lie in 0..seq_len - 1, which the
-    file's width holds (``position_dtype``), so none is wrapped.  A full
-    trace (one with inputs) must hold both blocks at the header's shapes;
-    it stores each that the header's seed does not regenerate bitwise
-    (``_source``), and its header names each block's source."""
+    """Write the trace; its policy must be of the class ``make_policy``
+    builds for its spec and capacity, which its header rebuilds, and its
+    positions must lie in 0..seq_len - 1, which the file's width holds
+    (``position_dtype``).  A full trace (one with inputs) must hold both
+    blocks at the header's shapes; it stores each that the header's seed
+    does not regenerate bitwise (``_source``), and names each one's source."""
+    from .policies import policy_class  # policies imports this module
+
+    policy = trace.policy
+    try:
+        rebuilt = policy_class(policy.spec, policy.capacity)
+    except ConfigError:
+        rebuilt = None
+    if type(policy) is not rebuilt:
+        raise InvariantViolation(f"a trace header cannot rebuild the {type(policy).__name__} "
+                                 f"policy {policy.spec!r} at c={policy.capacity}")
     evicted = trace.evicted
     if evicted.size and not 0 <= evicted.min() <= evicted.max() < trace.seq_len:
         raise InvariantViolation(f"evicted positions outside 0..{trace.seq_len - 1}")
@@ -142,7 +158,10 @@ def write_trace(trace: DecodeTrace, path: str) -> None:
 def _header_trace(header, path: str) -> tuple[DecodeTrace, dict]:
     """The trace a header record declares, with no evictions yet, and the
     source of each of its blocks.  Every key of the header, ``kind``,
-    ``format``, the ``RUN_FIELDS`` and the ``BLOCKS`` sources, is required."""
+    ``format``, the ``RUN_FIELDS`` and the ``BLOCKS`` sources, is required,
+    and the policy is built here, once, by decode's rules (``make_policy``)."""
+    from .policies import make_policy  # policies imports this module
+
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise InputError(f"trace {path} does not start with a header record")
     if header.get("format") != TRACE_FORMAT:
@@ -168,19 +187,11 @@ def _header_trace(header, path: str) -> tuple[DecodeTrace, dict]:
                          "or neither")
     if sources["inputs"] == "seed" and run["stream_seed"] is None:
         raise InputError("trace header: inputs from the seed, but stream_seed is null")
-    return DecodeTrace(dims=dims, **run), sources
-
-
-def _header_policy(trace: DecodeTrace):
-    """A fresh policy of the header's policy, capacity and zones, whose
-    ``eviction_count`` gives E, the number of steps that evict.  Raises
-    InputError if they build no policy by decode's rules."""
-    from .policies import make_policy  # policies imports this module
-
     try:
-        return make_policy(trace.policy, trace.capacity, trace.zones)
+        policy = make_policy(run.pop("policy"), run.pop("capacity"), run.pop("zones"))
     except ConfigError as exc:
         raise InputError(f"trace header: {exc}") from None
+    return DecodeTrace(policy, dims=dims, **run), sources
 
 
 def read_trace(path: str) -> DecodeTrace:
@@ -198,7 +209,7 @@ def read_trace(path: str) -> DecodeTrace:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     trace, sources = _header_trace(header, path)
     dims = trace.dims
-    rows = (_header_policy(trace).eviction_count(trace.seq_len), dims.layers, dims.heads)
+    rows = (trace.policy.eviction_count(trace.seq_len), dims.layers, dims.heads)
     dtype = position_dtype(trace.seq_len)
     shapes = _block_shapes(trace)
     stored = [name for name in BLOCKS if sources[name] == "stored"]
@@ -242,7 +253,7 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
         live = np.ones((streams, step), dtype=bool)
     except ValueError as exc:  # more bytes than numpy can address
         raise MemoryError(exc) from None
-    evicted = trace.evicted[: max(0, step - trace.capacity)].reshape(-1, streams)
+    evicted = trace.evicted[: max(0, step - trace.policy.capacity)].reshape(-1, streams)
     at = np.arange(step - len(evicted), step) + 1  # each row's step, capacity + 1 on
     # Clipped to -1..step, a position stays as valid as it was, and valid
     # positions get one key per (stream, position): a key seen before is a
@@ -263,21 +274,20 @@ def retained_at(trace: DecodeTrace, step: int) -> np.ndarray:
 
 
 def validate_trace(trace: DecodeTrace) -> None:
-    """Check that the trace's evictions are a run decode could make: the
-    header's policy, capacity and zones build a policy by decode's rules,
-    the evictions are one (layers, heads) grid per step that policy evicts
-    at, and each names a position its stream holds then: under a policy
+    """Check that the trace's evictions are a run decode could make under
+    its policy: one (layers, heads) grid per step that policy evicts at,
+    each naming a position its stream holds then: under a policy
     that reads nothing, exactly the one that policy evicts, which it
     replays over one stream's positions (``EvictionPolicy.replay(seq_len)``),
     as decode does; under any other, one ``retained_at`` accepts.  A trace
     without evictions is neither replayed nor masked.  Raises InputError on
     any inconsistency.  ``read_trace`` calls it on every trace it reads; a
     trace built in memory can be checked with it directly."""
-    policy = _header_policy(trace)
+    policy = trace.policy
     rows = (policy.eviction_count(trace.seq_len), trace.dims.layers, trace.dims.heads)
     if trace.evicted.shape != rows:
         raise InputError(f"trace holds evictions of shape {trace.evicted.shape}, but "
-                         f"{trace.policy} at c={trace.capacity} over {trace.seq_len} steps "
+                         f"{policy.spec} at c={policy.capacity} over {trace.seq_len} steps "
                          f"evicts {rows}")
     if rows[0] and policy.reads:
         retained_at(trace, trace.seq_len)
@@ -288,7 +298,7 @@ def validate_trace(trace: DecodeTrace) -> None:
         if wrong.any():
             row, stream = divmod(int(wrong.argmax()), evicted.shape[1])
             layer, head = divmod(stream, trace.dims.heads)
-            raise InputError(f"step {trace.capacity + 1 + row}: {trace.policy} evicts position "
+            raise InputError(f"step {policy.capacity + 1 + row}: {policy.spec} evicts position "
                              f"{victims[row]}, not {evicted[row, stream]}, "
                              f"in stream ({layer}, {head})")
 

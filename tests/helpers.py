@@ -46,9 +46,9 @@ def evictions(trace):
     its (layers, heads) row of ``trace.evicted`` and the tree cursor that
     chose it (None under a baseline).  Row i is eviction i, at step
     capacity + 1 + i."""
-    policy = make_policy(trace.policy, trace.capacity, trace.zones)
+    policy = trace.policy
     for row, grid in enumerate(trace.evicted):
-        yield trace.capacity + 1 + row, grid, tree_cursor(policy, row)
+        yield policy.capacity + 1 + row, grid, tree_cursor(policy, row)
 
 
 def evicted_events(trace):

@@ -100,7 +100,7 @@ def test_c01_algorithm_fidelity(tree_fuzz):
 def test_c02_deterministic_tree_pattern():
     weights = generate_weights(5, ModelDims(1, 2, 8, 4))
     inputs = synthesize_embeddings(2, 17, 8)
-    trace = decode_with_policy(weights, inputs, "treekv-left", 4)
+    trace = decode_with_policy(weights, inputs, make_policy("treekv-left", 4))
     expected_cursors = [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1]
     for head in range(2):
         retained = [p + 1 for p in trace.retained[0][head]]
@@ -126,7 +126,7 @@ def test_c03_full_cache_equivalence():
         inputs = synthesize_embeddings(int(rng.integers(0, 2**31)), seq_len, dims.d_model)
         expected = oracle_full_attention(weights, inputs)
         for spec in POLICY_SPECS:
-            trace = decode_with_policy(weights, inputs, spec, seq_len)
+            trace = decode_with_policy(weights, inputs, make_policy(spec, seq_len))
             assert trace.evicted.shape == (0, dims.layers, dims.heads)
             for step in range(1, seq_len + 1):
                 outputs = outputs_at(trace, step)
@@ -221,7 +221,7 @@ def test_c07_left_sparse_right_dense():
     streams = 0
     for seed in range(seeds):
         inputs = synthesize_embeddings(seed, seq_len, 64)
-        trace = decode_with_policy(weights, inputs, "treekv", capacity)
+        trace = decode_with_policy(weights, inputs, make_policy("treekv", capacity))
         final = trace.retained
         for layer in range(2):
             for head in range(4):

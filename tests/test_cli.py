@@ -116,7 +116,7 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert run_cli("decode", "--config", config_path, "--T", 5, "-o", out) == 0
     trace = read_trace(str(out))
     assert trace.seq_len == 5
-    assert trace.policy == "full"
+    assert trace.policy.spec == "full"
 
 
 def test_unknown_config_field_is_a_config_error(tmp_path):
@@ -173,6 +173,42 @@ def test_decode_refuses_a_bad_policy_before_building_its_inputs(tmp_path, capsys
         assert run_cli("decode", *flags, "--T", 10**12, "-o", tmp_path / "t.jsonl") == 2
         assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_each_command_builds_each_policy_once(tmp_path, monkeypatch):
+    # make_policy is the only code that turns (spec, c, zones) into a
+    # policy, and the run's one object travels from there: decode builds 1,
+    # a compare of k configs k, and map and analyze 1 per trace they read.
+    built = []
+    build = make_policy
+
+    def spy(spec, capacity, zones=None):
+        built.append(spec)
+        return build(spec, capacity, zones)
+
+    monkeypatch.setattr(cli, "make_policy", spy)
+    monkeypatch.setattr("treekv.policies.make_policy", spy)
+    traces = [tmp_path / "h2o.jsonl", tmp_path / "tova.jsonl"]
+    for policy, trace in zip(("h2o", "tova"), traces):
+        built.clear()
+        assert run_cli(*_decode_args(trace, policy=policy, T=40)) == 0
+        assert built == [policy]
+    configs = []
+    for spec in ("full", "treekv", "streaming"):
+        configs.append(tmp_path / f"{spec}.json")
+        configs[-1].write_text(json.dumps({
+            "policy": spec, "c": 8, "zones": "sink=1,recent=1", "T": 40, "layers": 1,
+            "heads": 2, "d_model": 8, "d_head": 4}))
+    built.clear()
+    assert run_cli("compare", *configs, "-o", tmp_path / "cmp.csv") == 0
+    assert built == ["full", "treekv", "streaming"]
+    built.clear()
+    assert run_cli("map", "--trace", traces[0], "-o", tmp_path / "map.csv") == 0
+    assert built == ["h2o"]
+    built.clear()
+    assert run_cli("analyze", "--trace", traces[0], "--trace", traces[1], "--levels", 1,
+                   "--exclude", 1, "-o", tmp_path / "profile.csv") == 0
+    assert built == ["h2o", "tova"]
 
 
 def test_map_full_policy_is_all_ones(tmp_path):
@@ -792,7 +828,8 @@ def _small_weights():
 LIBRARY_ERRORS = {
     "remove-empty": (lambda: StreamBatch(_small_weights(), 2).remove([0, 0]), 4,
                      "internal error: the stream batch holds no slot to remove"),
-    "decode-d-model": (lambda: decode_with_policy(_small_weights(), np.zeros((3, 5)), "full", 4),
+    "decode-d-model": (lambda: decode_with_policy(_small_weights(), np.zeros((3, 5)),
+                                                  make_policy("full", 4)),
                        4, "internal error: inputs must have shape (T, 8), got (3, 5)"),
     "band-A": (lambda: dwt_multi(np.ones(8), 2).band("A"), 2,
                "config error: unknown band 'A'; valid bands: A2, D2, D1"),
@@ -863,7 +900,7 @@ def test_only_a_run_that_reads_values_fails_on_overflowing_values(tmp_path, caps
     weights_path, tokens = _value_overflow_files(tmp_path)
     weights = load_weights(str(weights_path))
     inputs = np.array(json.loads(tokens.read_text()))
-    trace = decode_with_policy(weights, inputs, "treekv", 2, "sink=0,recent=0")
+    trace = decode_with_policy(weights, inputs, make_policy("treekv", 2, "sink=0,recent=0"))
     assert trace.evicted.shape == (4, 1, 1)  # steps 3 to 6 evict
     out = tmp_path / "t.jsonl"
     write_trace(trace, str(out))
@@ -877,10 +914,10 @@ def test_only_a_run_that_attends_fails_on_overflowing_logits(tmp_path, capsys):
     # rows.
     weights = generate_weights(3, ModelDims(1, 2, 8, 4))
     inputs = np.array(json.loads(HUGE_ROWS))
-    trace = decode_with_policy(weights, inputs, "treekv-left", 4, "sink=0,recent=0")
+    trace = decode_with_policy(weights, inputs, make_policy("treekv-left", 4, "sink=0,recent=0"))
     assert trace.evicted.shape == (2, 1, 2)  # steps 5 and 6 evict
     with pytest.raises(InputError, match="attention rows are not finite"):
-        decode_with_policy(weights, inputs, "treekv", 4, "sink=0,recent=0")
+        decode_with_policy(weights, inputs, make_policy("treekv", 4, "sink=0,recent=0"))
     out = tmp_path / "t.jsonl"
     write_trace(trace, str(out))
     assert run_cli(*ANALYZE, "--trace", out) == 3

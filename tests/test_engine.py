@@ -19,6 +19,7 @@ from treekv import (
     decode_with_policy,
     generate_weights,
     load_weights,
+    make_policy,
     observation_scores,
     partition_blocks,
     retained_at,
@@ -251,7 +252,7 @@ def test_project_zero_vector():
     values = _values(weights, xs)
     assert not batch.keys[0, 1].any() and not values[1].any()
     assert rows.tolist() == [[0.5, 0.5]]  # a zero query weighs every key alike
-    trace = decode_with_policy(weights, xs, "full", 2)
+    trace = decode_with_policy(weights, xs, make_policy("full", 2))
     assert np.array_equal(outputs_at(trace, 2)[0], values[0] / 2)
 
 
@@ -277,9 +278,9 @@ def test_project_hand_example():
 def test_project_length_mismatch():
     weights = generate_weights(1, ModelDims(1, 1, 6, 3))
     with pytest.raises(InvariantViolation, match=r"must have shape \(T, 6\), got \(3, 5\)"):
-        decode_with_policy(weights, np.zeros((3, 5)), "treekv", 4)
+        decode_with_policy(weights, np.zeros((3, 5)), make_policy("treekv", 4))
     with pytest.raises(InvariantViolation, match=r"must have shape \(T, 6\), got \(6,\)"):
-        decode_with_policy(weights, np.zeros(6), "treekv", 4)
+        decode_with_policy(weights, np.zeros(6), make_policy("treekv", 4))
 
 
 # --- attend ----------------------------------------------------------------
@@ -467,7 +468,7 @@ def test_a_policy_that_reads_nothing_checks_every_key_a_chunk_at_a_time(count, s
     xs = synthesize_embeddings(7, count, 6)
     weights = generate_weights(7, ModelDims(1, 2, 6, 4))
     chunks = _recorded_chunks(monkeypatch, "treekv.policies")
-    trace = decode_with_policy(weights, xs, spec, 4)
+    trace = decode_with_policy(weights, xs, make_policy(spec, 4))
     assert sum(chunks) == count and max(chunks) <= CHUNK_ROWS
     assert trace.retained.shape == (1, 2, count if spec == "full" else min(count, 4))
     for row in (0, count - 1):  # the first and the last chunk
@@ -475,7 +476,7 @@ def test_a_policy_that_reads_nothing_checks_every_key_a_chunk_at_a_time(count, s
         bad[row] = 1.7e308
         chunks.clear()
         with pytest.raises(InputError, match="projections are not finite"):
-            decode_with_policy(weights, bad, spec, 4)
+            decode_with_policy(weights, bad, make_policy(spec, 4))
         assert sum(chunks[:-1]) == row - row % CHUNK_ROWS  # every earlier chunk was checked
         assert chunks[-1] == min(CHUNK_ROWS, count - row + row % CHUNK_ROWS)
 
@@ -681,7 +682,7 @@ def test_attention_stream_runs_and_orders_positions():
     keys, vals = [[] for _ in range(4)], [[] for _ in range(4)]
     xs = synthesize_embeddings(5, 4, 6)
     values = _values(weights, xs)
-    trace = decode_with_policy(weights, xs, "full", 8)
+    trace = decode_with_policy(weights, xs, make_policy("full", 8))
     for position in range(4):
         rows = batch.step(xs[position])
         outputs = outputs_at(trace, position + 1).reshape(4, -1)
@@ -811,8 +812,7 @@ def test_decode_matches_naive_oracle_on_seeded_corpus():
         weights = generate_weights(seed, dims)
         inputs = synthesize_embeddings(seed + 1, seq_len, dims.d_model)
         trace = decode_with_policy(
-            weights, inputs, spec, capacity, "sink={},recent={}".format(*zones)
-        )
+            weights, inputs, make_policy(spec, capacity, "sink={},recent={}".format(*zones)))
         expected = oracle_decode(weights, inputs, spec, capacity, zones)
         assert trace.seq_len == len(expected)
         assert trace.retained.tolist() == expected[-1]["retained"]
@@ -848,8 +848,8 @@ def test_decode_matches_naive_oracle_across_chunk_boundaries(spec):
         for zones in ((0, 0), (1, 2)):
             expected = oracle_decode(weights, inputs, spec, capacity, zones)
             for seq_len in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 67):
-                trace = decode_with_policy(weights, inputs[:seq_len], spec, capacity,
-                                           "sink={},recent={}".format(*zones))
+                policy = make_policy(spec, capacity, "sink={},recent={}".format(*zones))
+                trace = decode_with_policy(weights, inputs[:seq_len], policy)
                 pairs = zip(evicted_events(trace), expected[:seq_len], strict=True)
                 for step, (events, want) in enumerate(pairs, 1):
                     assert events == want["events"], (capacity, zones, step)
@@ -947,7 +947,7 @@ def _events_digest(trace):
 def test_decode_is_bitwise_pinned(spec, zones, expected, events):
     weights = generate_weights(21, ModelDims(2, 2, 8, 4))
     inputs = synthesize_embeddings(22, 40, 8)
-    trace = decode_with_policy(weights, inputs, spec, 8, zones)
+    trace = decode_with_policy(weights, inputs, make_policy(spec, 8, zones))
     assert _events_digest(trace) == events
     assert _trace_digest(trace) == expected
 

@@ -13,6 +13,7 @@ from treekv import (
     ModelDims,
     decode_with_policy,
     generate_weights,
+    make_policy,
     synthesize_embeddings,
 )
 
@@ -112,7 +113,7 @@ def test_golden_attention_fixture(regen_golden):
     golden = oracles.read_golden_attention()
     assert golden["spec"] == spec
 
-    trace = decode_with_policy(weights, inputs, "full", spec["steps"])
+    trace = decode_with_policy(weights, inputs, make_policy("full", spec["steps"]))
     for step_index in range(spec["steps"]):
         outputs = outputs_at(trace, step_index + 1)
         for layer in range(dims.layers):

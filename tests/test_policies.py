@@ -215,8 +215,8 @@ def test_select_left_spacing_in_decode_with_sinks():
     for sink in (1, 4):
         for cycle in _POWER_CYCLES:
             c = cycle + sink
-            trace = decode_with_policy(weights, inputs, "treekv-left", c,
-                                       ProtectedZones(sink, 0))
+            trace = decode_with_policy(weights, inputs,
+                                       make_policy("treekv-left", c, ProtectedZones(sink, 0)))
             for step in range(c + 1, 601, 7):
                 kept = retained_at(trace, step)[0, 0]
                 assert kept[:sink].tolist() == list(range(sink))
@@ -241,7 +241,7 @@ def test_select_left_horizon_is_c_log_c():
     for c in (2, 4, 8, 16, 32, 64, 128):
         seq_len = 24 * c
         trace = decode_with_policy(weights, synthesize_embeddings(0, seq_len, 2),
-                                   "treekv-left", c)
+                                   make_policy("treekv-left", c))
         bound = 1.5 * c * math.ceil(math.log2(c))
         gone = np.zeros(seq_len, dtype=bool)
         oldest, spans = 0, {}
@@ -450,7 +450,7 @@ def test_a_policy_is_pure(spec):
     policy = make_policy(spec, 5, "sink=1,recent=1")
     first, second = policy.replay(40, scores), policy.replay(40, scores)
     assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
-    if policy.capacity is None:
+    if spec == "full":
         return  # full is never asked to evict
     shape = (3, 6)
     stats = {"scores": rng.random(shape), "counts": rng.integers(1, 10, shape),
@@ -463,6 +463,15 @@ def test_a_policy_is_pure(spec):
 
 
 # --- policy construction ------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_every_policy_keeps_the_capacity_and_zones_it_was_built_from(spec):
+    # a trace header records them, full's included; full never evicts
+    policy = make_policy(spec, 9, "sink=2,recent=3")
+    assert (policy.spec, policy.capacity, policy.zones) == (spec, 9, ProtectedZones(2, 3))
+    assert [policy.eviction_count(t) for t in (0, 9, 10, 20)] == (
+        [0] * 4 if spec == "full" else [0, 0, 1, 11])
 
 
 def test_make_policy_rejects_unknown_spec():
@@ -515,8 +524,8 @@ def _toy_weights():
 def test_decode_full_capacity_never_evicts_and_matches_full_policy():
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 9, 8)
-    roomy = decode_with_policy(weights, inputs, "treekv", 16)
-    full = decode_with_policy(weights, inputs, "full", 16)
+    roomy = decode_with_policy(weights, inputs, make_policy("treekv", 16))
+    full = decode_with_policy(weights, inputs, make_policy("full", 16))
     assert roomy.evicted.shape == (0, 1, 2)
     for step in range(1, 10):
         outputs_a, outputs_b = outputs_at(roomy, step), outputs_at(full, step)
@@ -539,7 +548,7 @@ def test_recorded_outputs_are_bitwise_the_rows_over_the_held_values(spec, zones)
         dims = ModelDims(*shape)
         weights = generate_weights(60 + case, dims)
         inputs = synthesize_embeddings(70 + case, 22, dims.d_model)
-        trace = decode_with_policy(weights, inputs, spec, 6, zones)
+        trace = decode_with_policy(weights, inputs, make_policy(spec, 6, zones))
         expected = oracle_decode(weights, inputs, spec, 6, (parsed.n_sink, parsed.n_recent))
         assert trace.seq_len == len(expected)
         for step, want in enumerate(expected, 1):
@@ -561,8 +570,8 @@ def test_evictions_never_read_the_value_matrices(spec):
     other = ModelWeights(weights.seed, qkv)
     inputs = synthesize_embeddings(82, 30, dims.d_model)
     for zones in ("sink=0,recent=0", "sink=1,recent=2"):
-        want = decode_with_policy(weights, inputs, spec, 6, zones)
-        got = decode_with_policy(other, inputs, spec, 6, zones)
+        want = decode_with_policy(weights, inputs, make_policy(spec, 6, zones))
+        got = decode_with_policy(other, inputs, make_policy(spec, 6, zones))
         assert np.array_equal(want.evicted, got.evicted)
         for step in range(1, 31):
             assert not np.array_equal(outputs_at(want, step), outputs_at(got, step))
@@ -610,7 +619,7 @@ def test_decoding_without_attention_evicts_as_the_attending_path(spec, monkeypat
                 want = oracle_decode(weights, inputs, spec, capacity,
                                      (parsed.n_sink, parsed.n_recent))
                 steps.clear()
-                got = decode_with_policy(weights, inputs, spec, capacity, zones)
+                got = decode_with_policy(weights, inputs, make_policy(spec, capacity, zones))
                 assert len(steps) == (30 if policy.reads else 0)
                 pairs = zip(want, evicted_events(got), strict=True)
                 for step, (a, events) in enumerate(pairs, 1):
@@ -626,8 +635,8 @@ _THREE_STREAMS = generate_weights(0, ModelDims(1, 3, 1, 1))
 def _evicted(policy, stats, index):
     """The slots ``policy.evict`` removes at eviction ``index`` from a
     three-stream batch that holds every statistic (positions are slots);
-    None for a policy without capacity, which never evicts."""
-    if policy.capacity is None:
+    None under full attention, which never evicts."""
+    if policy.spec == "full":
         return None
     size = stats["rows"].shape[1]
     batch = StreamBatch(_THREE_STREAMS, size)
@@ -703,7 +712,7 @@ def test_a_decode_batch_holds_only_what_its_policy_reads(spec, monkeypatch):
     built = _recorded_batches(monkeypatch)
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 12, 8)
-    decode_with_policy(weights, inputs, spec, 6, "sink=1,recent=2")
+    decode_with_policy(weights, inputs, make_policy(spec, 6, "sink=1,recent=2"))
     assert [_held(batch) for batch in built] == DECODE_BATCHES[spec]
 
 
@@ -714,17 +723,16 @@ def test_the_prefill_batch_keeps_scores_but_no_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS)
-def test_the_header_fixes_every_evicting_step_and_cursor(spec, monkeypatch):
+def test_the_header_fixes_every_evicting_step_and_cursor(spec):
     # A trace stores neither steps nor cursors: the policy decode ran must
     # select once per step past the capacity, one trace row each, at
     # eviction index 0..E - 1 in order, which gives the cursor
     # (helpers.evictions).  Spying on ``select`` covers both ways decode
     # evicts: ``evict`` from a batch and ``replay``.
-    calls = []
-    build = make_policy
-
-    def recording_make_policy(*args):
-        policy = build(*args)
+    weights = generate_weights(7, ModelDims(1, 2, 4, 2))
+    inputs = synthesize_embeddings(8, 200, 4)
+    for capacity, zones, policy in _fitting_policies(spec, capacities=(2, 5, 16, 250)):
+        calls = []
         select = policy.select
 
         def recording_select(shape, index, **stats):
@@ -732,14 +740,7 @@ def test_the_header_fixes_every_evicting_step_and_cursor(spec, monkeypatch):
             return select(shape, index, **stats)
 
         policy.select = recording_select
-        return policy
-
-    monkeypatch.setattr("treekv.policies.make_policy", recording_make_policy)
-    weights = generate_weights(7, ModelDims(1, 2, 4, 2))
-    inputs = synthesize_embeddings(8, 200, 4)
-    for capacity, zones, _ in _fitting_policies(spec, capacities=(2, 5, 16, 250)):
-        calls.clear()
-        trace = decode_with_policy(weights, inputs, spec, capacity, zones)
+        trace = decode_with_policy(weights, inputs, policy)
         assert calls == list(range(len(trace.evicted)))
         bounded = spec != "full" and capacity < 200
         steps = [step for step, _, _ in evictions(trace)]
@@ -769,7 +770,7 @@ def test_no_seeded_policy_corpus_decision_is_a_near_tie(spec):
 def test_decode_select_left_17_token_pattern():
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 17, 8)
-    trace = decode_with_policy(weights, inputs, "treekv-left", 4)
+    trace = decode_with_policy(weights, inputs, make_policy("treekv-left", 4))
     for head in range(2):
         # 1-based tokens {12, 14, 16, 17}
         assert trace.retained[0][head].tolist() == [11, 13, 15, 16]
@@ -781,7 +782,7 @@ def test_decode_select_left_17_token_pattern():
 def test_decode_capacity_invariant_and_cursor_cycle():
     weights = _toy_weights()
     inputs = synthesize_embeddings(4, 40, 8)
-    trace = decode_with_policy(weights, inputs, "treekv", 6)
+    trace = decode_with_policy(weights, inputs, make_policy("treekv", 6))
     for step in range(1, 41):
         for head in range(2):
             assert len(retained_at(trace, step)[0][head]) <= 6
@@ -826,8 +827,7 @@ def test_decode_with_zones_protects_sinks_and_recent():
     c, n_sink, n_recent = 8, 2, 3
     inputs = synthesize_embeddings(8, 30, 8)
     trace = decode_with_policy(
-        weights, inputs, "treekv", c, f"sink={n_sink},recent={n_recent}"
-    )
+        weights, inputs, make_policy("treekv", c, f"sink={n_sink},recent={n_recent}"))
     for t in range(1, 31):
         for head in range(2):
             retained = retained_at(trace, t)[0][head].tolist()
@@ -843,13 +843,13 @@ def test_decode_rejects_tiny_capacity():
     weights = _toy_weights()
     inputs = synthesize_embeddings(2, 4, 8)
     with pytest.raises(ConfigError):
-        decode_with_policy(weights, inputs, "treekv", 1)
+        decode_with_policy(weights, inputs, make_policy("treekv", 1))
 
 
 def test_decode_rejects_bad_input_shape():
     weights = _toy_weights()
     with pytest.raises(InvariantViolation, match=r"must have shape \(T, \d+\), got \(4, 5\)"):
-        decode_with_policy(weights, np.zeros((4, 5)), "full", 8)
+        decode_with_policy(weights, np.zeros((4, 5)), make_policy("full", 8))
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,6 +37,7 @@ from treekv import (
     ModelWeights,
     decode_with_policy,
     generate_weights,
+    make_policy,
     read_trace,
     retained_at,
     synthesize_embeddings,
@@ -66,8 +67,8 @@ def test_a_prefix_run_evicts_the_first_rows_of_the_longer_run(spec, zones, seed,
     prefix = data.draw(st.integers(capacity + 1, seq_len - 1).filter(
         lambda length: length % CHUNK_ROWS), label="prefix")
     weights, inputs = _model_and_inputs(seed, seq_len)
-    whole = decode_with_policy(weights, inputs, spec, capacity, zones)
-    part = decode_with_policy(weights, inputs[:prefix], spec, capacity, zones)
+    whole = decode_with_policy(weights, inputs, make_policy(spec, capacity, zones))
+    part = decode_with_policy(weights, inputs[:prefix], make_policy(spec, capacity, zones))
     assert part.evicted.shape[0] == prefix - capacity
     assert np.array_equal(part.evicted, whole.evicted[: prefix - capacity])
     assert np.array_equal(part.retained, retained_at(whole, prefix))
@@ -82,8 +83,8 @@ def test_permuting_the_heads_permutes_the_eviction_grid(spec, zones, seed, capac
                                                         order):
     weights, inputs = _model_and_inputs(seed, capacity + extra)
     permuted = ModelWeights(weights.seed, weights.qkv[:, order])
-    want = decode_with_policy(weights, inputs, spec, capacity, zones).evicted
-    got = decode_with_policy(permuted, inputs, spec, capacity, zones).evicted
+    want = decode_with_policy(weights, inputs, make_policy(spec, capacity, zones)).evicted
+    got = decode_with_policy(permuted, inputs, make_policy(spec, capacity, zones)).evicted
     assert np.array_equal(got, want[:, :, order])
 
 
@@ -96,8 +97,8 @@ def test_permuting_the_layers_permutes_the_eviction_grid(spec, zones, seed, capa
                                                          order):
     weights, inputs = _model_and_inputs(seed, capacity + extra)
     permuted = ModelWeights(weights.seed, weights.qkv[order])
-    want = decode_with_policy(weights, inputs, spec, capacity, zones).evicted
-    got = decode_with_policy(permuted, inputs, spec, capacity, zones).evicted
+    want = decode_with_policy(weights, inputs, make_policy(spec, capacity, zones)).evicted
+    got = decode_with_policy(permuted, inputs, make_policy(spec, capacity, zones)).evicted
     assert np.array_equal(got, want[:, order])
 
 
@@ -111,8 +112,8 @@ def test_a_lone_stream_evicts_what_it_evicts_among_the_others(spec, zones, seed,
     weights, inputs = _model_and_inputs(seed, capacity + extra)
     lone = ModelWeights(weights.seed, weights.qkv[layer : layer + 1, head : head + 1])
     assert lone.dims == ModelDims(1, 1, DIMS.d_model, DIMS.d_head)
-    want = decode_with_policy(weights, inputs, spec, capacity, zones).evicted
-    got = decode_with_policy(lone, inputs, spec, capacity, zones).evicted
+    want = decode_with_policy(weights, inputs, make_policy(spec, capacity, zones)).evicted
+    got = decode_with_policy(lone, inputs, make_policy(spec, capacity, zones)).evicted
     assert np.array_equal(got[:, 0, 0], want[:, layer, head])
 
 
@@ -126,8 +127,8 @@ def test_one_layer_of_all_the_streams_evicts_the_same_grid(spec, zones, seed, ca
     streams = DIMS.layers * DIMS.heads
     flat = ModelWeights(weights.seed, weights.qkv.reshape(1, streams, *weights.qkv.shape[2:]))
     assert flat.dims == ModelDims(1, streams, DIMS.d_model, DIMS.d_head)
-    want = decode_with_policy(weights, inputs, spec, capacity, zones).evicted
-    got = decode_with_policy(flat, inputs, spec, capacity, zones).evicted
+    want = decode_with_policy(weights, inputs, make_policy(spec, capacity, zones)).evicted
+    got = decode_with_policy(flat, inputs, make_policy(spec, capacity, zones)).evicted
     assert np.array_equal(got.reshape(want.shape), want)
 
 

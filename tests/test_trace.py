@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from treekv import (
+    H2O,
     POLICY_SPECS,
+    TOVA,
+    ConfigError,
     DecodeTrace,
     EvictionPolicy,
+    FullAttention,
     InputError,
     InvariantViolation,
     ModelDims,
     ModelWeights,
+    ProtectedZones,
     StreamBatch,
+    StreamingLLM,
+    TreeKV,
     decode_with_policy,
     distribution_map,
     generate_weights,
@@ -37,7 +44,7 @@ from oracles import oracle_retained_at
 def _run(policy="treekv", capacity=5, seq_len=14, heads=2, **kwargs):
     weights = generate_weights(3, ModelDims(1, heads, 8, 4))
     inputs = synthesize_embeddings(7, seq_len, 8)
-    return decode_with_policy(weights, inputs, policy, capacity, **kwargs)
+    return decode_with_policy(weights, inputs, make_policy(policy, capacity, **kwargs))
 
 
 def _nudged(weights, entry=0):
@@ -70,7 +77,7 @@ def test_trace_roundtrip(tmp_path):
 def test_decode_records_references_to_its_inputs_and_weights():
     weights = generate_weights(3, ModelDims(1, 2, 8, 4))
     inputs = synthesize_embeddings(7, 14, 8)
-    trace = decode_with_policy(weights, inputs, "treekv", 5)
+    trace = decode_with_policy(weights, inputs, make_policy("treekv", 5))
     assert trace.inputs is inputs and trace.weights is weights.qkv
 
 
@@ -83,8 +90,8 @@ def test_qkv_block_roundtrips_bitwise(tmp_path, spec):
     path = tmp_path / "t.jsonl"
     weights = _nudged(generate_weights(3, ModelDims(1, 2, 8, 4)), entry=37)
     for detail in (True, False):
-        trace = decode_with_policy(weights, synthesize_embeddings(7, 14, 8), spec, 5,
-                                   "sink=1,recent=1")
+        trace = decode_with_policy(weights, synthesize_embeddings(7, 14, 8),
+                                   make_policy(spec, 5, "sink=1,recent=1"))
         if not detail:  # a light trace, as ``decode --trace-detail light`` writes it
             trace.inputs = trace.weights = None
         write_trace(trace, str(path))
@@ -124,7 +131,7 @@ def test_positions_roundtrip_at_the_width_boundary(tmp_path, capsys, seq_len, dt
     # One h2o stream at c=2 that evicts each step's own input: the last row
     # holds seq_len - 1, the largest position of the trace and, at 256, of
     # its width.
-    trace = DecodeTrace("h2o", 2, "sink=0,recent=0", seq_len, ModelDims(1, 1, 1, 1), 0)
+    trace = DecodeTrace(make_policy("h2o", 2), seq_len, ModelDims(1, 1, 1, 1), 0)
     trace.evicted = np.arange(2, seq_len).reshape(-1, 1, 1)
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
@@ -155,8 +162,8 @@ def _redecode(tmp_path, spec, seq_len, source):
     weights = generate_weights(5, ModelDims(1, 2, 8, 4))
     if source == "stored":
         weights = _nudged(weights, entry=100)
-    trace = decode_with_policy(weights, synthesize_embeddings(6, seq_len, 8), spec, 24,
-                               "sink=2,recent=4")
+    trace = decode_with_policy(weights, synthesize_embeddings(6, seq_len, 8),
+                               make_policy(spec, 24, "sink=2,recent=4"))
     if source == "seed":
         trace.stream_seed = 6
     path = tmp_path / "t.jsonl"
@@ -167,7 +174,7 @@ def _redecode(tmp_path, spec, seq_len, source):
     assert len(path.read_bytes().split(b"\n", 1)[1]) == width * trace.evicted.size + blocks
     loaded = read_trace(str(path))
     model = ModelWeights(loaded.model_seed, loaded.weights)
-    again = decode_with_policy(model, loaded.inputs, loaded.policy, loaded.capacity, loaded.zones)
+    again = decode_with_policy(model, loaded.inputs, loaded.policy)
     assert again.evicted.shape == loaded.evicted.shape == (
         (0, 1, 2) if spec == "full" else (seq_len - 24, 1, 2))
     assert np.array_equal(again.evicted, loaded.evicted)
@@ -216,7 +223,7 @@ def test_a_full_trace_stores_only_the_blocks_its_seeds_cannot_regenerate(
     if inputs == "seeded-nudged":
         rows = rows.copy()
         rows[4, 2] = np.nextafter(rows[4, 2], np.inf)
-    trace = decode_with_policy(model, rows, "treekv", 6, "sink=1,recent=1")
+    trace = decode_with_policy(model, rows, make_policy("treekv", 6, "sink=1,recent=1"))
     path = tmp_path / "t.jsonl"
     if inputs == "seeded-nudged":  # a library run
         trace.stream_seed = seed
@@ -268,7 +275,7 @@ def test_the_header_fixes_the_victims_of_a_policy_that_reads_nothing(spec):
                                          rf"{second}, in stream \(0, 2\)$"):
         validate_trace(trace)
     # a policy that reads attention could have evicted either
-    trace.policy = "h2o"
+    trace.policy = make_policy("h2o", trace.policy.capacity, trace.policy.zones)
     validate_trace(trace)
 
 
@@ -337,15 +344,92 @@ def test_a_full_trace_is_written_only_at_its_header_shapes(tmp_path, edit, block
     assert not path.exists()
 
 
+class _H2OAvg(H2O):
+    """H2O's argmin over the averaged scores S/C: a policy no spec names."""
+
+    spec = "h2o-avg"
+    reads = ("scores", "counts")
+
+    def select(self, shape, index=None, *, scores, counts):
+        return self._argmin(scores / counts)
+
+
+def test_a_policy_no_spec_names_decodes_but_writes_no_trace(tmp_path):
+    weights = generate_weights(3, ModelDims(1, 2, 8, 4))
+    inputs = synthesize_embeddings(7, 40, 8)
+    policy = _H2OAvg(6, ProtectedZones(1, 1))
+    trace = decode_with_policy(weights, inputs, policy)
+    assert trace.policy is policy
+    # stepped by hand: the lowest S/C among slots 1..5 goes, leftmost on ties
+    batch, want = StreamBatch(weights, 7), []
+    for _ in batch.steps(inputs):
+        if batch.n > 6:
+            averaged = batch.scores[:, 1:6] / batch.counts[:, 1:6]
+            want.append(batch.remove(1 + np.argmin(averaged, axis=1)))
+    assert trace.evicted.tolist() == np.reshape(want, (-1, 1, 2)).tolist()
+    h2o = decode_with_policy(weights, inputs, make_policy("h2o", 6, "sink=1,recent=1"))
+    assert not np.array_equal(trace.evicted, h2o.evicted)  # S/C is not S here
+    # read back, its header would be refused (h2o-avg) or read as plain h2o
+    path = tmp_path / "t.jsonl"
+    for spec in ("h2o-avg", "h2o"):
+        policy.spec = spec
+        with pytest.raises(InvariantViolation, match=re.escape(
+                f"a trace header cannot rebuild the _H2OAvg policy {spec!r} at c=6")):
+            write_trace(trace, str(path))
+        assert not path.exists()
+
+
+_BUILT = {
+    "treekv-2": lambda: TreeKV(2),
+    "treekv-left-4": lambda: TreeKV(4, ProtectedZones(1, 1), select_left=True),
+    "streaming-1": lambda: StreamingLLM(1),
+    "streaming-3": lambda: StreamingLLM(3),
+    "h2o-1": lambda: H2O(1),
+    "h2o-5": lambda: H2O(5, ProtectedZones(1, 1)),
+    "tova-1": lambda: TOVA(1),
+    "full-0": lambda: FullAttention(0),
+    "full-9": lambda: FullAttention(9, ProtectedZones(2, 3)),
+    "h2o-avg-5": lambda: _H2OAvg(5),
+}
+
+
+@pytest.mark.parametrize("built", _BUILT)
+def test_write_trace_refuses_exactly_what_make_policy_does_not_rebuild(tmp_path, built):
+    # The header rebuilds a policy if make_policy(spec, c, zones) builds
+    # one of its class; c = 1 decodes under every bounded class, but no
+    # spec but full is built at c = 1.
+    policy = _BUILT[built]()
+    try:
+        rebuilt = type(make_policy(policy.spec, policy.capacity, policy.zones))
+    except ConfigError:
+        rebuilt = None
+    trace = decode_with_policy(generate_weights(3, ModelDims(1, 2, 8, 4)),
+                               synthesize_embeddings(7, 12, 8), policy)
+    path = tmp_path / "t.jsonl"
+    if rebuilt is type(policy):
+        write_trace(trace, str(path))
+        loaded = read_trace(str(path))
+        assert type(loaded.policy) is rebuilt and loaded.config_dict() == trace.config_dict()
+        assert np.array_equal(loaded.evicted, trace.evicted)
+    else:
+        with pytest.raises(InvariantViolation, match="a trace header cannot rebuild"):
+            write_trace(trace, str(path))
+        assert not path.exists()
+
+
 def test_a_trace_holds_only_its_header_fields_and_blocks():
     # Anything else a DecodeTrace could hold follows from these, as the
     # retained set follows from the evictions, and is derived, not stored.
+    # The header's first three run fields are the policy's.
     names = [field.name for field in dataclasses.fields(DecodeTrace)]
     dims = [field.name for field in dataclasses.fields(ModelDims)]
     run = list(RUN_FIELDS)
     start = run.index(dims[0])
+    assert run[:3] == ["policy", "capacity", "zones"]
     assert run[start : start + len(dims)] == dims
-    assert names == [*run[:start], "dims", *run[start + len(dims):], "evicted", *BLOCKS]
+    assert names == ["policy", *run[3:start], "dims", *run[start + len(dims):], "evicted",
+                     *BLOCKS]
+    assert len(names) == 8
 
 
 def test_trace_replay_detects_tampering(tmp_path):
@@ -386,7 +470,8 @@ def _replay(trace, step):
 @pytest.mark.parametrize("spec", POLICY_SPECS)
 def test_retained_at_matches_the_oracle_replay_at_every_step(spec, zones):
     weights = generate_weights(11, ModelDims(2, 3, 8, 4))
-    trace = decode_with_policy(weights, synthesize_embeddings(12, 60, 8), spec, 9, zones)
+    trace = decode_with_policy(weights, synthesize_embeddings(12, 60, 8),
+                               make_policy(spec, 9, zones))
     for step in range(trace.seq_len + 1):
         assert _replay(trace, step) == _oracle_replay(trace, step)
 
@@ -407,8 +492,8 @@ def test_retained_at_matches_the_oracle_replay_at_every_step(spec, zones):
 )
 def test_retained_at_rejects_a_bad_eviction_as_the_oracle_does(cells):
     weights = generate_weights(11, ModelDims(2, 3, 8, 4))
-    trace = decode_with_policy(weights, synthesize_embeddings(12, 30, 8), "treekv", 6,
-                               "sink=0,recent=0")
+    trace = decode_with_policy(weights, synthesize_embeddings(12, 30, 8),
+                               make_policy("treekv", 6, "sink=0,recent=0"))
     assert trace.evicted.shape == (30 - 6, 2, 3) and (trace.evicted[0] == 1).all()
     for step, layer, head, position in cells:
         trace.evicted[step - 7, layer, head] = position  # row 0 is step 7
@@ -491,8 +576,8 @@ def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
     inputs = synthesize_embeddings(seed, seq_len, dims.d_model)
     values = project(inputs[:, None, :], stacked_weights(weights.qkv)[2])  # (T, S, d_head)
     policy = make_policy(spec, capacity, zones)
-    batch = StreamBatch(weights, seq_len if policy.capacity is None else capacity + 1)
-    trace = DecodeTrace(spec, capacity, zones, seq_len, dims, weights.seed)
+    batch = StreamBatch(weights, seq_len if spec == "full" else capacity + 1)
+    trace = DecodeTrace(policy, seq_len, dims, weights.seed)
     grid = (dims.layers, dims.heads)
     every = np.arange(batch.streams)[:, None]
     attended, held, evicted = [], [], []
@@ -500,7 +585,7 @@ def _drive(spec, dims, capacity, zones, seq_len, seed, tmp_path):
         rows = batch.step(x)
         attended.append(rows.reshape(*grid, -1))
         held.append(values[batch.positions[:, : batch.n], every].reshape(*grid, batch.n, -1))
-        if policy.capacity is not None and batch.n > policy.capacity:
+        if spec != "full" and batch.n > policy.capacity:
             evicted.append(policy.evict(batch, rows, len(evicted)))
     trace.evicted = np.array(evicted, dtype=np.int64).reshape(-1, *grid)
     trace.inputs, trace.weights = inputs, weights.qkv

@@ -14,6 +14,7 @@ from treekv import (
     dwt_multi,
     dwt_single,
     magnitude_profile,
+    make_policy,
     max_level,
     reconstruct,
     reconstruct_component,
@@ -227,10 +228,8 @@ def _hand_trace(queries, keys, values):
     d_head = len(queries[0])
     dims = ModelDims(1, 1, 3 * d_head, d_head)
     seq_len = len(queries)
-    trace = DecodeTrace(
-        policy="full", capacity=seq_len, zones="sink=0,recent=0",
-        seq_len=seq_len, dims=dims, model_seed=0,
-    )
+    trace = DecodeTrace(policy=make_policy("full", seq_len), seq_len=seq_len, dims=dims,
+                        model_seed=0)
     trace.evicted = np.empty((0, 1, 1), dtype=np.int64)
     trace.inputs = np.concatenate([queries, keys, values], axis=1).astype(np.float64)
     # selector k maps input entry k * d + j to output entry j
