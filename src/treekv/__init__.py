@@ -25,6 +25,7 @@ from .errors import (
     TreeKVError,
 )
 from .policies import (
+    POLICIES,
     POLICY_SPECS,
     EvictionPolicy,
     FullAttention,
@@ -33,6 +34,7 @@ from .policies import (
     StreamingLLM,
     TOVA,
     TreeKV,
+    TreeKVLeft,
     decode_with_policy,
     make_policy,
 )

@@ -7,7 +7,9 @@ yields a retained set that is sparse on the left and dense on the right.
 A select-left variant ignores the scores entirely (ablation control).
 Baselines: a sink-plus-recent sliding window in the style of StreamingLLM,
 cumulative-score eviction in the style of H2O, and last-row eviction in the
-style of TOVA.
+style of TOVA.  Each spec is one class, and each class keeps its own
+rules (``spec``, ``reads``, ``select``); ``POLICIES`` maps every spec to
+its class.
 
 Every policy is a pure victim selector over the importance statistics of
 all streams and the eviction's 0-based index: it holds no state that an
@@ -91,9 +93,9 @@ class EvictionPolicy:
     statistics it ``reads`` and the eviction's 0-based index alone;
     ``evict`` and ``replay`` remove the victims.  The evictable slots ``lo``
     to ``hi - 1``, those between the sink and recent zones, are fixed when
-    the policy is built.  Every policy keeps the ``capacity`` and ``zones``
-    it was built from, which a trace header records; ``full`` is never
-    asked to evict.
+    the policy is built, at c >= 2.  Every policy keeps the ``capacity``
+    and ``zones`` it was built from, which a trace header records; ``full``
+    is never asked to evict, so it takes any capacity.
 
     One instance serves every stream of a run: all streams hold the same
     number of slots and evict in lockstep, so they share each eviction's
@@ -105,6 +107,8 @@ class EvictionPolicy:
     min_evictable = 1  # slots the zones must leave unprotected
 
     def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones()):
+        if capacity < 2:
+            raise ConfigError(f"policy {self.spec} needs c >= 2, got {capacity}")
         lo, hi = zones.n_sink, capacity + 1 - zones.n_recent
         if hi - lo < self.min_evictable:
             raise ConfigError(
@@ -185,29 +189,31 @@ class TreeKV(EvictionPolicy):
     cycle``, so its 1-based cursor sweeps the ``cycle`` slot pairs of the
     evictable range (c pairs when there are no zones) and wraps."""
 
+    spec = "treekv"
     reads = ("scores", "counts")
     min_evictable = 2  # one slot pair
 
-    def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones(),
-                 select_left: bool = False):
-        if capacity < 2:
-            raise ConfigError(f"tree eviction requires c >= 2, got {capacity}")
-        self.select_left = select_left
-        if select_left:
-            self.reads = ()
-        self.spec = "treekv-left" if select_left else "treekv"
+    def __init__(self, capacity: int, zones: ProtectedZones = ProtectedZones()):
         super().__init__(capacity, zones)
         self.cycle = self.hi - self.lo - 1
 
-    def select(self, shape, index, scores=None, counts=None):
+    def select(self, shape, index, *, scores, counts):
         """The tree rule: of the slot pair under the cursor, the lower
-        averaged attention mass goes, ties to the left; with ``select_left``
-        the left slot always goes, and S and C are not read."""
+        averaged attention mass goes, ties to the left."""
         left = self.lo + index % self.cycle
-        if self.select_left:
-            return np.full(shape[0], left)
         pair = _averaged(scores[:, left : left + 2], counts[:, left : left + 2])
         return left + (pair[:, 0] > pair[:, 1])
+
+
+class TreeKVLeft(TreeKV):
+    """The select-left ablation control: the tree cycle's cursor, but the
+    left slot of the pair under it always goes, so S and C are not read."""
+
+    spec = "treekv-left"
+    reads = ()
+
+    def select(self, shape, index):
+        return np.full(shape[0], self.lo + index % self.cycle)
 
 
 class StreamingLLM(EvictionPolicy):
@@ -235,30 +241,20 @@ class TOVA(EvictionPolicy):
         return self._argmin(rows)
 
 
-# The class each spec builds, and the options it is built with.
-_CLASSES = {"treekv": TreeKV, "treekv-left": TreeKV, "streaming": StreamingLLM, "h2o": H2O,
-            "tova": TOVA, "full": FullAttention}
-_OPTIONS = {"treekv-left": {"select_left": True}}
-POLICY_SPECS = tuple(_CLASSES)
-
-
-def policy_class(spec: str, capacity: int) -> type:
-    """The class spec builds at c; every spec but ``full`` needs c >= 2."""
-    if spec not in _CLASSES:
-        raise ConfigError(f"unknown policy {spec!r}, expected one of {', '.join(POLICY_SPECS)}")
-    if spec != "full" and capacity < 2:
-        raise ConfigError(f"decoding requires c >= 2, got {capacity}")
-    return _CLASSES[spec]
+# The class each spec builds: each spec is one class, and each class one spec.
+POLICIES = {cls.spec: cls for cls in (TreeKV, TreeKVLeft, StreamingLLM, H2O, TOVA, FullAttention)}
+POLICY_SPECS = tuple(POLICIES)
 
 
 def make_policy(spec: str, capacity: int, zones=None) -> EvictionPolicy:
     """The policy spec names at c, with zones given as ``ProtectedZones``,
     their text, or None for none.  It is the only code that turns (spec, c,
     zones) into a policy.  A policy is pure, so one may serve several runs."""
-    cls = policy_class(spec, capacity)
+    if spec not in POLICIES:
+        raise ConfigError(f"unknown policy {spec!r}, expected one of {', '.join(POLICY_SPECS)}")
     if not isinstance(zones, ProtectedZones):
         zones = ProtectedZones.parse(zones)
-    return cls(capacity, zones, **_OPTIONS.get(spec, {}))
+    return POLICIES[spec](capacity, zones)
 
 
 def decode_with_policy(weights: ModelWeights, inputs, policy: EvictionPolicy) -> DecodeTrace:

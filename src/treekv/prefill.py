@@ -107,7 +107,7 @@ def treekv_prefill_compress(
     the block's.
     Returns the retained block indices in prompt order, ending with the
     observation window, as nested lists (..., kept); 1-D scores give one
-    list of ints.  A budget below 2 raises ConfigError (``TreeKV``'s).
+    list of ints.  A budget below 2 raises ConfigError (any bounded policy's).
     """
     scores = np.asarray(scores, dtype=np.float64)
     blocks = len(partition.blocks)

@@ -121,20 +121,16 @@ def _source(trace: DecodeTrace, name: str) -> str:
 
 
 def write_trace(trace: DecodeTrace, path: str) -> None:
-    """Write the trace; its policy must be of the class ``make_policy``
-    builds for its spec and capacity, which its header rebuilds, and its
-    positions must lie in 0..seq_len - 1, which the file's width holds
-    (``position_dtype``).  A full trace (one with inputs) must hold both
-    blocks at the header's shapes; it stores each that the header's seed
-    does not regenerate bitwise (``_source``), and names each one's source."""
-    from .policies import policy_class  # policies imports this module
+    """Write the trace; its policy must be of the class ``POLICIES`` holds
+    for its spec, which its header rebuilds, and its positions must lie in
+    0..seq_len - 1, which the file's width holds (``position_dtype``).  A
+    full trace (one with inputs) must hold both blocks at the header's
+    shapes; it stores each that the header's seed does not regenerate
+    bitwise (``_source``), and names each one's source."""
+    from .policies import POLICIES  # policies imports this module
 
     policy = trace.policy
-    try:
-        rebuilt = policy_class(policy.spec, policy.capacity)
-    except ConfigError:
-        rebuilt = None
-    if type(policy) is not rebuilt:
+    if type(policy) is not POLICIES.get(policy.spec):
         raise InvariantViolation(f"a trace header cannot rebuild the {type(policy).__name__} "
                                  f"policy {policy.spec!r} at c={policy.capacity}")
     evicted = trace.evicted

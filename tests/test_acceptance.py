@@ -31,7 +31,7 @@ from treekv import (
     synthesize_embeddings,
     treekv_prefill_compress,
 )
-from treekv.policies import POLICY_SPECS, StreamingLLM
+from treekv.policies import POLICY_SPECS, StreamingLLM, TreeKVLeft
 
 from helpers import drive_policy, evictions, outputs_at
 from oracles import oracle_dwt, oracle_full_attention, oracle_tree_sim
@@ -49,7 +49,7 @@ FUZZ_SCENARIOS = 1000
 
 def _drive_tree_policy(capacity, rows, select_left):
     """Run the production eviction path on a synthetic score stream."""
-    policy = TreeKV(capacity, select_left=select_left)
+    policy = (TreeKVLeft if select_left else TreeKV)(capacity)
     cursors = []
     size_violations = 0
     for batch, eviction in drive_policy(policy, capacity, rows=rows):

@@ -17,6 +17,7 @@ from treekv import (
     StreamBatch,
     StreamingLLM,
     TreeKV,
+    TreeKVLeft,
     decode_with_policy,
     generate_weights,
     make_policy,
@@ -107,11 +108,13 @@ def test_average_scores_zero_count_is_internal_error():
 # --- tree eviction step ------------------------------------------------------
 
 
-def _tree_victim(scores, counts=None, *, c, cursor=1, select_left=False):
+def _tree_victim(scores, counts=None, *, c, cursor=1, cls=TreeKV):
     scores = np.asarray(scores, dtype=np.float64)[None]
     counts = np.ones_like(scores) if counts is None else np.asarray(counts)[None]
-    policy = TreeKV(c, select_left=select_left)
-    return int(policy.select(scores.shape, cursor - 1, scores=scores, counts=counts)[0])
+    policy = cls(c)
+    stats = {"scores": scores, "counts": counts}
+    stats = {name: stats[name] for name in policy.reads}
+    return int(policy.select(scores.shape, cursor - 1, **stats)[0])
 
 
 def test_tree_eviction_walkthrough_step5():
@@ -135,7 +138,7 @@ def test_tree_eviction_derived_scores():
 
 
 def test_tree_eviction_select_left_ignores_scores():
-    assert _tree_victim([9.0, 0.1, 0.1], c=2, select_left=True) == 0
+    assert _tree_victim([9.0, 0.1, 0.1], c=2, cls=TreeKVLeft) == 0
 
 
 def test_tree_eviction_requires_over_capacity_cache():
@@ -156,7 +159,7 @@ def test_tree_eviction_scale_invariance():
 def _left_slot(capacity, zones, index):
     """The left slot of the pair that eviction ``index`` compares, which
     select-left evicts from a one-stream cache one over capacity."""
-    policy = TreeKV(capacity, zones, select_left=True)
+    policy = TreeKVLeft(capacity, zones)
     return int(policy.select((1, capacity + 1), index)[0])
 
 
@@ -305,7 +308,7 @@ def test_h2o_evicts_cumulative_argmin():
 
 
 def test_h2o_tie_breaks_left():
-    assert _h2o_victim([0.2, 0.2]) == 0
+    assert _h2o_victim([0.2, 0.2, 0.9]) == 0
 
 
 def test_h2o_scale_invariance():
@@ -319,8 +322,8 @@ def test_h2o_respects_zones():
 
 
 def test_h2o_empty_evictable_region_is_a_config_error():
-    with pytest.raises(ConfigError):
-        H2O(1, ProtectedZones(1, 2))
+    with pytest.raises(ConfigError, match="evictable slot"):
+        H2O(2, ProtectedZones(1, 2))
 
 
 def _tova_victim(row, zones=ProtectedZones()):
@@ -815,8 +818,8 @@ def test_decode_zero_scores_make_score_mode_equal_select_left():
     c, seq_len = 5, 23
     rows = [np.zeros(min(t, c + 1)) for t in range(1, seq_len + 1)]
     outcomes = []
-    for select_left in (False, True):
-        policy = TreeKV(c, select_left=select_left)
+    for cls in (TreeKV, TreeKVLeft):
+        policy = cls(c)
         batch, _ = list(drive_policy(policy, c, rows=rows))[-1]
         outcomes.append(batch.positions[0, : batch.n].tolist())
     assert outcomes[0] == outcomes[1]

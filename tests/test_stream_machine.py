@@ -8,8 +8,10 @@ S and C add up the attention rows the batch yields.  Hypothesis interleaves
 ``steps`` that cross ``CHUNK_ROWS`` and evict one slot from a full batch
 between inputs, where ``steps`` allows it, and ``remove`` (equal, adjacent,
 spread and end victims).  After every rule the batch's ``n``, positions,
-raw keys and kept statistics equal the model's, and every live key is
-encoded bitwise at its own slot.
+raw keys and kept statistics equal the model's, every live key is encoded
+bitwise at its own slot, and each stream's step rows and live arrays are
+bitwise those of a lone 1x1 batch of its own weights driven through the
+same calls.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from treekv import ModelDims, StreamBatch, generate_weights, rotate_vector
+from treekv import ModelDims, ModelWeights, StreamBatch, generate_weights, rotate_vector
 from treekv.engine import CHUNK_ROWS
 
 READS = [(), ("scores",), ("scores", "counts"), ("rows",), ("scores", "counts", "rows")]
@@ -74,6 +76,10 @@ class StreamBatchMachine(RuleBasedStateMachine):
         weights = generate_weights(seed, ModelDims(layers, heads, d_model, d_head))
         self.batch = StreamBatch(weights, slots, reads)
         self.model = _Model(weights.qkv)
+        self.alone = [StreamBatch(ModelWeights(seed, weights.qkv[layer : layer + 1,
+                                                                 head : head + 1]), slots, reads)
+                      for layer in range(layers) for head in range(heads)]
+        self.rows = []  # (batch rows, each lone batch's rows) per input of the last steps
         self.slots, self.d_model = slots, d_model
         self.rng = np.random.default_rng(seed)
 
@@ -86,6 +92,8 @@ class StreamBatchMachine(RuleBasedStateMachine):
         victims = _draw_victims(data, self.batch.n, self.batch.streams)
         evicted = self.batch.remove(np.array(victims))
         assert evicted.tolist() == self.model.remove(victims)
+        for lone, victim, position in zip(self.alone, victims, evicted.tolist(), strict=True):
+            assert lone.remove(np.array([victim])).tolist() == [position]
 
     @precondition(lambda self: self.batch.n < self.slots)
     @rule(data=st.data(), shared=st.booleans())
@@ -93,6 +101,8 @@ class StreamBatchMachine(RuleBasedStateMachine):
         count = data.draw(st.integers(1, self.slots - self.batch.n), label="count")
         xs = self._rows(count, shared)
         self.batch.append(xs)
+        for stream, lone in enumerate(self.alone):
+            lone.append(xs if shared else xs[:, stream : stream + 1])
         for rows in xs:
             self.model.append(np.broadcast_to(rows, (self.batch.streams, rows.shape[1])))
 
@@ -100,7 +110,10 @@ class StreamBatchMachine(RuleBasedStateMachine):
     @rule(data=st.data(), count=st.integers(1, 2 * CHUNK_ROWS + 3))
     def steps(self, data, count):
         xs = self._rows(count, shared=True)[:, 0]
+        alone = [lone.steps(xs) for lone in self.alone]
+        self.rows = []
         for index, rows in enumerate(self.batch.steps(xs)):
+            self.rows.append((rows, [next(lone)[0] for lone in alone]))
             self.model.append(np.broadcast_to(xs[index], (self.batch.streams, xs.shape[1])))
             self.model.attend(rows)
             # steps allows one eviction from a full batch between inputs and
@@ -133,6 +146,19 @@ class StreamBatchMachine(RuleBasedStateMachine):
         for slot in range(batch.n):
             want = rotate_vector(batch.keys[:, slot], slot)
             assert batch.encoded[:, slot].tobytes() == want.tobytes(), slot
+
+    @invariant()
+    def each_stream_is_a_lone_batch(self):
+        batch, n = self.batch, self.batch.n
+        for rows, lone_rows in self.rows:
+            for stream, want in enumerate(lone_rows):
+                assert rows[stream].tobytes() == want.tobytes(), stream
+        for stream, lone in enumerate(self.alone):
+            assert lone.n == n
+            for name in ("positions", "keys", "encoded", "scores", "counts"):
+                got, want = getattr(batch, name), getattr(lone, name)
+                if want is not None:
+                    assert got[stream, :n].tobytes() == want[0, :n].tobytes(), (name, stream)
 
 
 StreamBatchMachine.TestCase.settings = settings(

@@ -7,8 +7,8 @@ import pytest
 
 from treekv import (
     H2O,
+    POLICIES,
     POLICY_SPECS,
-    TOVA,
     ConfigError,
     DecodeTrace,
     EvictionPolicy,
@@ -21,6 +21,7 @@ from treekv import (
     StreamBatch,
     StreamingLLM,
     TreeKV,
+    TreeKVLeft,
     decode_with_policy,
     distribution_map,
     generate_weights,
@@ -381,12 +382,9 @@ def test_a_policy_no_spec_names_decodes_but_writes_no_trace(tmp_path):
 
 _BUILT = {
     "treekv-2": lambda: TreeKV(2),
-    "treekv-left-4": lambda: TreeKV(4, ProtectedZones(1, 1), select_left=True),
-    "streaming-1": lambda: StreamingLLM(1),
+    "treekv-left-4": lambda: TreeKVLeft(4, ProtectedZones(1, 1)),
     "streaming-3": lambda: StreamingLLM(3),
-    "h2o-1": lambda: H2O(1),
     "h2o-5": lambda: H2O(5, ProtectedZones(1, 1)),
-    "tova-1": lambda: TOVA(1),
     "full-0": lambda: FullAttention(0),
     "full-9": lambda: FullAttention(9, ProtectedZones(2, 3)),
     "h2o-avg-5": lambda: _H2OAvg(5),
@@ -396,8 +394,7 @@ _BUILT = {
 @pytest.mark.parametrize("built", _BUILT)
 def test_write_trace_refuses_exactly_what_make_policy_does_not_rebuild(tmp_path, built):
     # The header rebuilds a policy if make_policy(spec, c, zones) builds
-    # one of its class; c = 1 decodes under every bounded class, but no
-    # spec but full is built at c = 1.
+    # one of its class.
     policy = _BUILT[built]()
     try:
         rebuilt = type(make_policy(policy.spec, policy.capacity, policy.zones))
@@ -415,6 +412,19 @@ def test_write_trace_refuses_exactly_what_make_policy_does_not_rebuild(tmp_path,
         with pytest.raises(InvariantViolation, match="a trace header cannot rebuild"):
             write_trace(trace, str(path))
         assert not path.exists()
+
+
+@pytest.mark.parametrize("capacity", [0, 1])
+@pytest.mark.parametrize("spec", POLICY_SPECS)
+def test_only_full_is_built_at_c_below_2(spec, capacity):
+    # A bounded class refuses c < 2 when it is built, so no trace of one
+    # exists for a header to refuse; full never evicts and takes any c.
+    cls = POLICIES[spec]
+    if cls is FullAttention:
+        assert cls(capacity).capacity == capacity
+        return
+    with pytest.raises(ConfigError, match=f"^policy {spec} needs c >= 2, got {capacity}$"):
+        cls(capacity)
 
 
 def test_a_trace_holds_only_its_header_fields_and_blocks():
